@@ -44,15 +44,19 @@ def project_state(realization: Realization, state: BeamformingState,
     return new
 
 
-def run_nsp(realization: Realization, config: jpaim.SolverConfig,
-            subspace_dim: int) -> tuple[jpaim.RunTrace, BeamformingState, objective.ObjectiveReport]:
+def run_nsp(realization: Realization, config: jpaim.SolverConfig, subspace_dim: int,
+            trace: jpaim.RunTrace | None = None,
+            ) -> tuple[jpaim.RunTrace, BeamformingState, objective.ObjectiveReport]:
     """Solve, project the downlink precoders, refresh combiners, re-evaluate.
 
     Projection only ever shrinks the transmitted power, so the power
     constraints stay satisfied; one combiner refresh lets the receivers react
-    to the projected precoders before the state is scored.
+    to the projected precoders before the state is scored.  `trace` is a
+    finished jpaim.run of the same realization and config, if the caller has
+    one; the solve is skipped then.
     """
-    trace = jpaim.run(realization, config, collect_metrics=False)
+    if trace is None:
+        trace = jpaim.run(realization, config, collect_metrics=False)
     projected = project_state(realization, trace.final_state, subspace_dim)
     projected = jpaim.update_combiners(realization, projected)
     report = objective.evaluate(realization, projected, jpaim.resolve_nu(realization, config))

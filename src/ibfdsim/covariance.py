@@ -3,97 +3,161 @@
 Every transmitter injects a distortion term proportional to the diagonal of
 its transmit covariance, and every receiver adds a distortion proportional to
 the diagonal of what it receives, plus thermal noise and an aggregate
-CSI-error power.  The two helper forms f1/f2 bundle the four resulting
-quadratic contributions of a (channel, matrix) pair and are the building
-blocks of the solver updates.
+CSI-error power.  The helper form f1 bundles the resulting quadratic
+contributions of a (channel, matrix) pair; summed over every receiver it is
+the transmit-side matrix omega that the precoder update diagonalizes.
+
+The kernels work on the stacked layout (module `stacked`) and treat every
+cell, user and link at once with batched `@`; the per-node functions below
+them are thin adapters for callers that hold a Realization and a
+BeamformingState.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .model import Realization, bs_node, dl_node, ul_node
+from .model import HardwareProfile, Realization
+from .stacked import (ChannelStack, StackedState, TransmitSide, add_scaled_diag, columns,
+                      hermitian, row_powers, stack_channels, trace)
 from .state import BeamformingState
 
+# ---------------------------------------------------------------------------
+# distortion-aware Gram forms
+# ---------------------------------------------------------------------------
 
-def add_scaled_diag(matrix: np.ndarray, factor: float) -> np.ndarray:
-    """matrix + factor * diag(matrix), in place on `matrix`, which is returned.
 
-    Works on the strided diagonal view instead of assembling np.diag(np.diag(.)),
-    which builds a dense n x n matrix only to add n numbers.
+def distortion_gram(yx: np.ndarray, y: np.ndarray, weights: np.ndarray,
+                    sigma_t: float) -> np.ndarray:
+    """(YX)(YX)^H + Y diag(weights) Y^H plus sigma_t times its own diagonal.
+
+    The shared form of f1 and of its sums over receivers: the columns of Y
+    and the entries of `weights` may run over many receivers at once.
     """
-    diagonal = matrix.reshape(-1)[::matrix.shape[0] + 1]
-    diagonal += factor * diagonal
-    return matrix
+    total = yx @ hermitian(yx) + (y * weights) @ hermitian(y)
+    return add_scaled_diag(total, sigma_t)
 
 
-def row_powers(x: np.ndarray) -> np.ndarray:
-    """Diagonal of X X^H, i.e. the squared norm of every row of X."""
-    return np.sum(np.abs(x) ** 2, axis=1)
+def tx_gram(beams: np.ndarray, kappa: float) -> np.ndarray:
+    """Transmit covariance W W^H + kappa diag(W W^H) of beamformers W."""
+    return add_scaled_diag(beams @ hermitian(beams), kappa)
 
 
 # ---------------------------------------------------------------------------
-# transmit side
+# stacked kernels
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class Covariances:
+    """Transmit and receive covariances of every node of one state.
+
+    They depend on the precoders and coefficients only, never on the
+    combiners, so one assembly serves a combiner update and the evaluation
+    that follows it.
+    """
+
+    cell_tx: np.ndarray     # (G, N_bs, N_bs) per BS, summed over its users
+    ul_tx: np.ndarray       # (G, K_u, N_ue, N_ue)
+    dl_rx: np.ndarray       # (G, K_d, M_ue, M_ue)
+    bs_rx: np.ndarray       # (G, M_bs, M_bs)
+    dl_csi: np.ndarray      # (G, K_d) aggregate CSI-error power at each downlink user
+    bs_csi: np.ndarray      # (G,) the same at each BS
+
+
+def _received(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return h @ t @ hermitian(h)
+
+
+def covariances(ch: ChannelStack, hw: HardwareProfile, s: StackedState) -> Covariances:
+    """All transmit covariances, then every receiver's covariance.
+
+    A receiver sees each transmitter's covariance through its estimated
+    channel (the SI link stores its true matrix as the estimate), its own
+    distortion diagonal, thermal noise, and the CSI-error power
+    sum err_var * tr(T), which follows from E{Delta T Delta^H} = err_var
+    tr(T) I for an i.i.d. error matrix Delta.
+    """
+    cell_tx = tx_gram(columns(s.dl_coefficients[..., None, None] * s.dl_precoders),
+                      hw.kappa_bs)
+    ul_tx = tx_gram(s.ul_coefficients[..., None, None] * s.ul_precoders, hw.kappa_ue)
+    cell_power = trace(cell_tx)
+    ul_power = trace(ul_tx)
+    dl_csi = ((ch.err_dl_bs * cell_power).sum(axis=-1)
+              + (ch.err_dl_ul * ul_power).sum(axis=(-2, -1)))
+    bs_csi = ((ch.err_bs_bs * cell_power).sum(axis=-1)
+              + (ch.err_bs_ul * ul_power).sum(axis=(-2, -1)))
+    dl_rx = (_received(ch.dl_bs, cell_tx).sum(axis=2)
+             + _received(ch.dl_ul, ul_tx).sum(axis=(2, 3)))
+    bs_rx = (_received(ch.bs_bs, cell_tx).sum(axis=1)
+             + _received(ch.bs_ul, ul_tx).sum(axis=(1, 2)))
+    for rx, beta, floor in ((dl_rx, hw.beta_ue, hw.noise_ue_w + dl_csi),
+                            (bs_rx, hw.beta_bs, hw.noise_bs_w + bs_csi)):
+        diagonal = np.einsum("...ii->...i", add_scaled_diag(rx, beta))
+        diagonal += floor[..., None]
+    return Covariances(cell_tx=cell_tx, ul_tx=ul_tx, dl_rx=dl_rx, bs_rx=bs_rx,
+                       dl_csi=dl_csi, bs_csi=bs_csi)
+
+
+def transmit_grams(ch: ChannelStack, hw: HardwareProfile, s: StackedState):
+    """Interference-plus-distortion matrices seen from each transmitter.
+
+    For BS g this aggregates, over every receiver in the network, the f1
+    form of the estimated channel from g and that receiver's combiners (the
+    SI link contributes through its true matrix, stored as its estimate).
+    The uplink variant does the same from each uplink user's antennas.
+    Returns ((G, N_bs, N_bs), (G, K_u, N_ue, N_ue)).
+    """
+    cells, k_d = s.dl_coefficients.shape
+    # every downlink user, then every BS with the combiners of all the
+    # uplink users it decodes side by side: the receiver order of TransmitSide
+    dl_u = s.dl_combiners.reshape(cells * k_d, *s.dl_combiners.shape[2:])
+    bs_u = columns(s.ul_combiners)
+    weights = np.concatenate([hw.beta_ue * row_powers(dl_u).reshape(-1),
+                              hw.beta_bs * row_powers(bs_u).reshape(-1)])
+
+    def summed_f1(side: TransmitSide, kappa: float) -> np.ndarray:
+        yx = np.concatenate([columns(side.to_dl @ dl_u), columns(side.to_bs @ bs_u)], axis=-1)
+        return distortion_gram(yx, side.y, weights, kappa)
+
+    return summed_f1(ch.bs_side, hw.kappa_bs), summed_f1(ch.ul_side, hw.kappa_ue)
+
+
+# ---------------------------------------------------------------------------
+# per-node adapters
 # ---------------------------------------------------------------------------
 
 
 def tx_covariance_dl(alpha: float, precoder: np.ndarray, kappa: float) -> np.ndarray:
     """Per-user downlink transmit covariance alpha^2 (VV^H + kappa diag(VV^H))."""
-    gram = precoder @ precoder.conj().T
-    return alpha ** 2 * add_scaled_diag(gram, kappa)
+    return tx_gram(alpha * precoder, kappa)
 
 
 def tx_covariance_ul(gamma: float, precoder: np.ndarray, kappa: float) -> np.ndarray:
     """Uplink transmit covariance gamma^2 (VV^H + kappa diag(VV^H))."""
-    return tx_covariance_dl(gamma, precoder, kappa)
+    return tx_gram(gamma * precoder, kappa)
+
+
+def _of(realization: Realization, state: BeamformingState) -> Covariances:
+    return covariances(stack_channels(realization), realization.hardware,
+                       StackedState.from_state(realization, state))
 
 
 def cell_tx_covariance(realization: Realization, state: BeamformingState, g: int) -> np.ndarray:
     """Total transmit covariance of BS g (sum over its downlink users)."""
-    n = realization.antennas.bs_tx
-    total = np.zeros((n, n), dtype=complex)
-    for k in range(realization.topology.dl_counts[g]):
-        total += tx_covariance_dl(state.dl_coefficients[g][k], state.dl_precoders[g][k],
-                                  realization.hardware.kappa_bs)
-    return total
-
-
-def _tx_covariances(realization: Realization, state: BeamformingState):
-    """Transmit covariance of every transmitting node, keyed by node."""
-    out = {}
-    for g in range(realization.cell_count):
-        out[bs_node(g)] = cell_tx_covariance(realization, state, g)
-    for g, k in realization.ul_users():
-        out[ul_node(g, k)] = tx_covariance_ul(state.ul_coefficients[g][k],
-                                              state.ul_precoders[g][k],
-                                              realization.hardware.kappa_ue)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# aggregate CSI-error power
-# ---------------------------------------------------------------------------
+    return _of(realization, state).cell_tx[g]
 
 
 def csi_error_variance(realization: Realization, state: BeamformingState, rx) -> float:
-    """Aggregate estimation-error power seen at a receiver.
+    """Aggregate estimation-error power seen at receiver node `rx`.
 
     Each imperfectly known link contributes err_var * tr(T) of its
-    transmitter, which follows from E{Delta T Delta^H} = err_var tr(T) I for
-    an i.i.d. error matrix Delta.  Perfectly known links (the SI channel)
-    contribute nothing.
+    transmitter.  Perfectly known links (the SI channel) contribute nothing.
     """
-    tx_cov = _tx_covariances(realization, state)
-    total = 0.0
-    for tx, t in tx_cov.items():
-        if (rx, tx) in realization.channels.links:
-            total += realization.channels.err_var(rx, tx) * float(np.trace(t).real)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# receive side
-# ---------------------------------------------------------------------------
+    cov = _of(realization, state)
+    return float(cov.dl_csi[rx[1], rx[2]] if rx[0] == "dl" else cov.bs_csi[rx[1]])
 
 
 def rx_covariance_dl(realization: Realization, state: BeamformingState,
@@ -104,8 +168,7 @@ def rx_covariance_dl(realization: Realization, state: BeamformingState,
     channel, the receiver distortion diagonal, thermal noise, and the
     aggregate CSI-error power.
     """
-    return _rx_covariance(realization, state, dl_node(g, k),
-                          realization.hardware.beta_ue, realization.hardware.noise_ue_w)
+    return _of(realization, state).dl_rx[g, k]
 
 
 def rx_covariance_ul(realization: Realization, state: BeamformingState, g: int) -> np.ndarray:
@@ -114,32 +177,7 @@ def rx_covariance_ul(realization: Realization, state: BeamformingState, g: int) 
     Identical structure to the downlink case except that the perfectly known
     self-interference channel enters with its true matrix.
     """
-    return _rx_covariance(realization, state, bs_node(g),
-                          realization.hardware.beta_bs, realization.hardware.noise_bs_w)
-
-
-def _rx_covariance(realization, state, rx, beta, noise_w):
-    return _rx_covariance_given(_tx_covariances(realization, state), realization,
-                                rx, beta, noise_w)
-
-
-def _rx_covariance_given(tx_cov, realization, rx, beta, noise_w):
-    # shared-form assembly so batch evaluation can reuse one tx_cov dict
-    links = realization.channels
-    m = realization.antennas.ue_rx if rx[0] == "dl" else realization.antennas.bs_rx
-    base = np.zeros((m, m), dtype=complex)
-    sigma_hat = 0.0
-    for tx, t in tx_cov.items():
-        if (rx, tx) not in links.links:
-            continue
-        # the SI link stores its true matrix as the estimate (perfect CSI),
-        # so the estimate is the right channel for every term
-        h = links.est(rx, tx)
-        base += h @ t @ h.conj().T
-        sigma_hat += links.err_var(rx, tx) * float(np.trace(t).real)
-    add_scaled_diag(base, beta)
-    base.reshape(-1)[::m + 1] += noise_w + sigma_hat
-    return base
+    return _of(realization, state).bs_rx[g]
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +191,7 @@ def f1(y: np.ndarray, x: np.ndarray, sigma_t: float, sigma_r: float) -> np.ndarr
     sigma_t is the distortion factor of the node transmitting through the
     channel inside Y, sigma_r that of the receiving node represented by X.
     """
-    yx = y @ x
-    # ygy + sigma_r ydy with ydy = Y diag(XX^H) Y^H; the sigma_t diagonal of
-    # both terms is one diagonal of their sum
-    total = yx @ yx.conj().T + (sigma_r * y * row_powers(x)) @ y.conj().T
-    return add_scaled_diag(total, sigma_t)
+    return distortion_gram(y @ x, y, sigma_r * row_powers(x), sigma_t)
 
 
 def f2(z: np.ndarray, y: np.ndarray, x: np.ndarray,

@@ -11,6 +11,7 @@ explicitly requested via campaign.measure_timing.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 import multiprocessing
@@ -233,13 +234,25 @@ def _iteration_rows(seed: int, trace: jpaim.RunTrace, measure_timing: bool):
 
 
 def _run_seed(args):
-    """Worker body: build one realization, run every algorithm on it."""
+    """Worker body: build one realization, run every algorithm on it.
+
+    A failed draw is recorded once per configured algorithm; a failed run
+    only for its own algorithm.  Either way the campaign goes on.
+    """
     config, index = args
     seed = derive_seed(config.base_seed, index)
-    realization = build_realization(config.scenario, seed)
-    digest = realization_digest(realization)
+    try:
+        realization = build_realization(config.scenario, seed)
+        digest = realization_digest(realization)
+    except Exception as exc:  # a failed draw is recorded, not fatal
+        message = f"{type(exc).__name__}: {exc}"
+        return index, [], {}, [(seed, algo, message) for algo in config.algorithms]
     nsp_dim = config.nsp_subspace_dim or config.scenario.bs_tx_antennas // 2
     cells = config.scenario.cells
+
+    # the jpaim solve, run once however many algorithms use it
+    solve = functools.cache(
+        lambda: jpaim.run(realization, config.solver, collect_metrics=config.trace))
 
     rows = []
     traces = {}
@@ -248,7 +261,7 @@ def _run_seed(args):
         t0 = time.perf_counter()
         try:
             _run_algorithm(config, realization, algo, nsp_dim, cells, traces, rows,
-                           seed, digest, t0)
+                           seed, digest, t0, solve)
         except Exception as exc:  # a failed run is recorded, not fatal
             errors.append((seed, algo, f"{type(exc).__name__}: {exc}"))
     trace_rows = {name: _iteration_rows(seed, tr, config.measure_timing)
@@ -257,15 +270,17 @@ def _run_seed(args):
 
 
 def _run_algorithm(config, realization, algo, nsp_dim, cells, traces, rows,
-                   seed, digest, t0):
+                   seed, digest, t0, solve):
     if algo == "jpaim":
-        trace = jpaim.run(realization, config.solver, collect_metrics=config.trace)
+        trace = solve()
         rep, converged, iters = trace.final_report, trace.converged, trace.iterations
         rsi, asic = rep.rsi_watts, rep.asic_depth_db
         if config.trace:
             traces["jpaim"] = trace
     elif algo == "nsp-jpaim":
-        trace, _, rep = baselines.run_nsp(realization, config.solver, nsp_dim)
+        # the projection starts from jpaim's own solution: reuse it if jpaim runs too
+        shared = solve() if "jpaim" in config.algorithms else None
+        trace, _, rep = baselines.run_nsp(realization, config.solver, nsp_dim, trace=shared)
         converged, iters = trace.converged, trace.iterations
         rsi, asic = rep.rsi_watts, rep.asic_depth_db
         if config.trace:

@@ -2,10 +2,14 @@
 
 Alternating block-coordinate minimization of the penalized sum MSE: linear
 MMSE combiners, then downlink/uplink precoder directions through a single
-eigendecomposition per cell with a bisected power multiplier, then the scalar
+eigendecomposition per transmitter with a power multiplier, then the scalar
 power coefficients with their own multipliers (closed form on the uplink,
-bisection against the cell budget on the downlink).  Every block solves its
+a search against the cell budget on the downlink).  Every block solves its
 subproblem exactly for the same penalized loss, RSI penalty included.
+
+Every multiplier search solves a secular equation sum_i g_i/(d_i+w)^2 = P
+for the smallest feasible w >= 0; one vectorized, safeguarded Newton solve
+(secular_multiplier) serves every cell and uplink user at once.
 
 Near its fixed point the plain alternation contracts slowly, so each
 iteration also tries an extrapolated point V* + beta (V* - V_prev) beyond the
@@ -14,18 +18,26 @@ keeps it only if, after its combiner update, the loss lies at least the
 stopping threshold below the iteration's snapshot.  The tracked loss is
 therefore non-increasing, and the loop stops once the per-iteration
 improvement drops below the threshold.
+
+`run` stacks the channels once per call and then works on the stacked
+layout (module `stacked`) throughout: each block is a handful of batched
+numpy kernels over all cells and users.  The public block updates below
+take and return a BeamformingState and are thin adapters over the same
+kernels.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import covariance, objective
-from .model import Realization, bs_node, dl_node, ul_node
+from .model import HardwareProfile, Realization
+from .stacked import (ChannelStack, StackedState, columns, frobenius_sq, hermitian, re_inner,
+                      row_powers, stack_channels, uncolumns)
 from .state import BeamformingState
 
 
@@ -37,7 +49,7 @@ class SolverConfig:
     threshold: float = 1e-4           # stop once the loss decrease falls below this
     max_iterations: int = 100
     bisection_rel_tol: float = 1e-8   # relative power error at the budget
-    bisection_max_steps: int = 200    # doubling steps when hunting a bracket
+    bisection_max_steps: int = 200    # most power evaluations one multiplier search may take
     init_seed: int = 0                # seeds the random initial precoders
 
     def __post_init__(self):
@@ -68,6 +80,7 @@ class IterationRecord:
     ul_precoder_multipliers: tuple    # flattened over (cell, user)
     dl_power_multipliers: tuple       # per cell
     ul_power_multipliers: tuple       # flattened over (cell, user)
+    multiplier_evaluations: int = 0   # power evaluations over the iteration's searches
 
 
 @dataclass
@@ -100,7 +113,9 @@ class PrecoderUpdate:
     dl_matrix_power: tuple        # per cell, from the assembled precoders
     ul_scalar_power: tuple
     ul_matrix_power: tuple
-    quadratic: tuple = None       # (per-cell BS, [g][k] uplink) matrices of quadratic_terms
+    quadratic: tuple = None       # quadratic_terms: (BS (G, N, N), uplink (G, K_u, n, n))
+    dl_evaluations: tuple = ()    # power evaluations of each cell's multiplier search
+    ul_evaluations: tuple = ()    # flattened over (cell, user)
 
 
 @dataclass
@@ -108,6 +123,7 @@ class PowerUpdate:
     state: BeamformingState
     dl_multipliers: tuple         # per cell
     ul_multipliers: tuple         # flattened over (cell, user)
+    dl_evaluations: tuple = ()    # power evaluations of each cell's multiplier search
 
 
 def resolve_nu(realization: Realization, config: SolverConfig) -> np.ndarray:
@@ -157,35 +173,246 @@ def initialize(realization: Realization, config: SolverConfig,
     return BeamformingState(dl_pre, dl_comb, dl_coef, ul_pre, ul_comb, ul_coef)
 
 
+
+
 # ---------------------------------------------------------------------------
-# block updates
+# the multiplier search
 # ---------------------------------------------------------------------------
+
+
+def secular_multiplier(g, d, budget, rel_tol: float, max_steps: int):
+    """Smallest w >= 0 with P(w) = sum_i g_i / (d_i + w)^2 <= budget, every row at once.
+
+    g and d have shape (..., n) with g, d >= 0; budget is positive and
+    broadcasts to the rows (...).  Terms with g_i = 0 carry no power at any
+    w.  A row within its budget at w = 0 gets w = 0.  Any other row aims at
+    the target budget (1 - rel_tol) with a safeguarded Newton method on
+    phi(w) = P(w)^(-1/2), which is concave and increasing (the
+    secular-equation step of More & Sorensen, SIAM J. Sci. Stat. Comput.
+    1983).  It starts from the one-term lower bound
+    max_i(sqrt(g_i / target) - d_i) on the root, and every step lands on a
+    lower bound again (see _bound_step), so the iterates rise monotonically
+    and a row stops at the first with P(w) <= budget: feasible, and binding
+    to within rel_tol.
+
+    Returns (w, P(w), evaluations of P), each with the rows' shape.
+    """
+    g = np.asarray(g, dtype=float)
+    shape, n = g.shape[:-1], g.shape[-1]
+    g = g.reshape(math.prod(shape), n)
+    d = np.where(g > 0.0, np.reshape(d, g.shape), 1.0)   # an empty term stays finite at any w
+    # decreasing d, for the bounds of _bound_step
+    order = np.argsort(-d, axis=-1)
+    rows = np.arange(g.shape[0])[:, None]
+    g, d = g[rows, order], d[rows, order]
+    budget = np.broadcast_to(np.asarray(budget, dtype=float), shape).reshape(-1)
+    target = budget * (1.0 - rel_tol)
+    w = (np.sqrt(g / target[:, None]) - d).max(axis=-1, initial=0.0)
+    evaluations = np.zeros(g.shape[0], dtype=int)
+    searching = np.ones(g.shape[0], dtype=bool)
+    while True:
+        # rows already done keep their w, so their power repeats exactly
+        den = d + w[:, None]
+        terms = g / (den * den)
+        power = terms.sum(axis=-1)
+        evaluations += searching
+        searching &= power > budget
+        if not searching.any():
+            return w.reshape(shape), power.reshape(shape), evaluations.reshape(shape)
+        if evaluations.max() >= max_steps:
+            raise RuntimeError(f"power multiplier search: no feasible multiplier after "
+                               f"{max_steps} evaluations")
+        w = np.where(searching, w + _bound_step(terms, den, target), w)
+
+
+def _bound_step(terms, den, target):
+    """How far the root lies at least beyond w, from the terms t_i = g_i / den_i^2
+    at a point w left of it, with den_i = d_i + w sorted in decreasing order.
+
+    Dropping the other terms and Jensen's inequality give, for any set S of
+    terms and s >= 0, P(w + s) >= P_S (1 + s Q_S / P_S)^-2, where
+    P_S = sum_S t_i and Q_S = sum_S t_i / den_i.  So the root lies at least
+    (P_S / Q_S)(sqrt(P_S / target) - 1) beyond w.  The set of all terms
+    gives Newton's step on phi; taking the best over the prefixes of the
+    sorted terms also steps past a term that has a near-zero d but carries
+    little power, where Newton crawls.
+    """
+    p_s = terms.cumsum(axis=-1)
+    q_s = (terms / den).cumsum(axis=-1)
+    # an empty prefix has p_s = q_s = 0; flooring q_s only shortens the step
+    ratio = p_s / np.maximum(q_s, np.finfo(float).tiny)
+    return (ratio * (np.sqrt(p_s / target[:, None]) - 1.0)).max(axis=-1, initial=0.0)
+
+
+# ---------------------------------------------------------------------------
+# stacked block kernels
+# ---------------------------------------------------------------------------
+
+
+def _combiner_step(ch: ChannelStack, s: StackedState,
+                   cov: covariance.Covariances) -> StackedState:
+    """U = coefficient * C^-1 H V for every user; a BS solves once for all
+    the uplink users it decodes."""
+    try:
+        dl = np.linalg.solve(cov.dl_rx, ch.dl_own @ s.dl_precoders)
+        ul = np.linalg.solve(cov.bs_rx, columns(ch.ul_own @ s.ul_precoders))
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"singular received covariance ({exc}); check the noise configuration") from exc
+    ul = uncolumns(ul, s.ul_combiners.shape[-1])
+    return replace(s, dl_combiners=s.dl_coefficients[..., None, None] * dl,
+                   ul_combiners=s.ul_coefficients[..., None, None] * ul)
+
+
+def _quadratic(ch: ChannelStack, hw: HardwareProfile, s: StackedState, nu: np.ndarray):
+    """Omega of every transmitter plus nu_g S_g at BS g (see quadratic_terms)."""
+    omega_bs, omega_ul = covariance.transmit_grams(ch, hw, s)
+    return omega_bs + nu[:, None, None] * ch.si_gram, omega_ul
+
+
+@dataclass(eq=False)
+class _PrecoderStep:
+    state: StackedState
+    dl_multipliers: np.ndarray    # (G,)
+    ul_multipliers: np.ndarray    # (G, K_u)
+    dl_scalar_power: np.ndarray
+    ul_scalar_power: np.ndarray
+    dl_evaluations: np.ndarray
+    ul_evaluations: np.ndarray
+    quadratic: tuple
+
+
+def _precoder_step(ch: ChannelStack, hw: HardwareProfile, s: StackedState,
+                   nu: np.ndarray, config: SolverConfig) -> _PrecoderStep:
+    """V = (1/coefficient) Q (D + w I)^-1 Q^H H^H U per user, with Q D Q^H the
+    transmitter's quadratic-term matrix and w its power multiplier."""
+    m_bs, m_ul = _quadratic(ch, hw, s, nu)
+    d_bs, q_bs = np.linalg.eigh(m_bs)
+    d_ul, q_ul = np.linalg.eigh(m_ul)
+    d_bs, d_ul = np.maximum(d_bs, 0.0), np.maximum(d_ul, 0.0)   # PSD up to rounding
+    b_dl = hermitian(q_bs)[:, None] @ (ch.dl_own_h @ s.dl_combiners)
+    b_ul = hermitian(q_ul) @ (ch.ul_own_h @ s.ul_combiners)
+    # silenced users (coefficient 0) take no part and keep their precoders
+    dl_on = s.dl_coefficients > 0.0
+    ul_on = s.ul_coefficients > 0.0
+    g_dl = (row_powers(b_dl) * dl_on[..., None]).sum(axis=1)
+    g_ul = row_powers(b_ul) * ul_on[..., None]
+
+    # one search over every cell and uplink user, shorter rows padded with empty terms
+    cells, k_u, n_ue = g_ul.shape
+    width = max(g_dl.shape[1], n_ue)
+    g = np.zeros((cells + cells * k_u, width))
+    d = np.zeros_like(g)
+    g[:cells, :g_dl.shape[1]], d[:cells, :g_dl.shape[1]] = g_dl, d_bs
+    g[cells:, :n_ue], d[cells:, :n_ue] = g_ul.reshape(-1, n_ue), d_ul.reshape(-1, n_ue)
+    budget = np.repeat([hw.p_bs_w, hw.p_ue_w], [cells, cells * k_u])
+    w, power, evaluations = secular_multiplier(g, d, budget, config.bisection_rel_tol,
+                                               config.bisection_max_steps)
+    w_dl, w_ul = w[:cells], w[cells:].reshape(cells, k_u)
+
+    def assemble(q, b, den, coefficient, on, old):
+        positive = den > 0.0
+        scaled = np.where(positive[..., None], b / np.where(positive, den, 1.0)[..., None], 0.0)
+        safe = np.where(on, coefficient, 1.0)[..., None, None]
+        return np.where(on[..., None, None], (q @ scaled) / safe, old)
+
+    new = replace(
+        s,
+        dl_precoders=assemble(q_bs[:, None], b_dl, (d_bs + w_dl[:, None])[:, None],
+                              s.dl_coefficients, dl_on, s.dl_precoders),
+        ul_precoders=assemble(q_ul, b_ul, d_ul + w_ul[..., None], s.ul_coefficients, ul_on,
+                              s.ul_precoders))
+    return _PrecoderStep(new, w_dl, w_ul, power[:cells], power[cells:].reshape(cells, k_u),
+                         evaluations[:cells], evaluations[cells:].reshape(cells, k_u),
+                         (m_bs, m_ul))
+
+
+@dataclass(eq=False)
+class _PowerStep:
+    state: StackedState
+    dl_multipliers: np.ndarray    # (G,)
+    ul_multipliers: np.ndarray    # (G, K_u)
+    dl_evaluations: np.ndarray
+
+
+def _power_step(ch: ChannelStack, hw: HardwareProfile, s: StackedState, quadratic,
+                config: SolverConfig) -> _PowerStep:
+    """Penalized-MSE-optimal coefficients numer / (curvature + lambda ||V||^2).
+
+    numer = Re tr(U^H H V) on the user's own estimated link, clamped at zero
+    (a user whose combiner points away from its signal is silenced);
+    curvature = tr(V^H M V) with M the user's quadratic_terms matrix.  The
+    downlink power sum_k numer_k^2 / ||V_k||^2 / (curvature_k / ||V_k||^2 +
+    lambda)^2 is a secular function of the cell multiplier; the uplink
+    multiplier has a closed form.
+    """
+    m_bs, m_ul = quadratic
+
+    def terms(v, m, hv, u):
+        return re_inner(u, hv), re_inner(v, m @ v), frobenius_sq(v)
+
+    numer, chi, vpow = terms(s.dl_precoders, m_bs[:, None], ch.dl_own @ s.dl_precoders,
+                             s.dl_combiners)
+    chi = np.maximum(chi, 0.0)             # tr(V^H M V) of a PSD M, up to rounding
+    on = (numer > 0.0) & (vpow > 0.0)
+    vsafe = np.where(on, vpow, 1.0)
+    lam, _, evaluations = secular_multiplier(np.where(on, numer ** 2 / vsafe, 0.0),
+                                             np.where(on, chi / vsafe, 0.0), hw.p_bs_w,
+                                             config.bisection_rel_tol,
+                                             config.bisection_max_steps)
+    den = chi + lam[:, None] * vsafe
+    alpha = np.where(on & (den > 0.0), numer / np.where(den > 0.0, den, 1.0), 0.0)
+
+    numer, chi, vpow = terms(s.ul_precoders, m_ul, ch.ul_own @ s.ul_precoders, s.ul_combiners)
+    on = (numer > 0.0) & (vpow > 0.0)
+    vsafe = np.where(on, vpow, 1.0)
+    # sqrt factors kept apart: vpow * p_ue underflows for a collapsed user
+    lam_ul = np.where(on, np.maximum(0.0, -chi / vsafe + numer / (np.sqrt(vsafe)
+                                                                 * math.sqrt(hw.p_ue_w))), 0.0)
+    den = chi + lam_ul * vsafe
+    gamma = np.where(on & (den > 0.0), numer / np.where(den > 0.0, den, 1.0), 0.0)
+    return _PowerStep(replace(s, dl_coefficients=alpha, ul_coefficients=gamma), lam, lam_ul,
+                      evaluations)
+
+
+def _extrapolate(hw: HardwareProfile, s: StackedState, prev: StackedState,
+                 weight: float) -> StackedState:
+    """Trial point W + weight (W - W_prev) on every transmitted beamformer (see extrapolate)."""
+    def move(coefficient, precoder, prev_coefficient, prev_precoder, budget, per_cell):
+        on = coefficient > 0.0
+        beams = np.where(on[..., None, None],
+                         (1.0 + weight) * coefficient[..., None, None] * precoder
+                         - weight * prev_coefficient[..., None, None] * prev_precoder, 0.0)
+        power = frobenius_sq(beams)
+        if per_cell:
+            power = power.sum(axis=-1, keepdims=True)
+        scale = np.sqrt(budget / np.maximum(power, budget))    # 1 within the budget
+        safe = np.where(on, coefficient, 1.0)
+        return np.where(on[..., None, None],
+                        (scale / safe)[..., None, None] * beams, precoder)
+
+    return replace(
+        s,
+        dl_precoders=move(s.dl_coefficients, s.dl_precoders, prev.dl_coefficients,
+                          prev.dl_precoders, hw.p_bs_w, True),
+        ul_precoders=move(s.ul_coefficients, s.ul_precoders, prev.ul_coefficients,
+                          prev.ul_precoders, hw.p_ue_w, False))
+
+
+# ---------------------------------------------------------------------------
+# block updates on a BeamformingState
+# ---------------------------------------------------------------------------
+
+
+def _stacked(realization: Realization, *states: BeamformingState):
+    return (stack_channels(realization),
+            *(StackedState.from_state(realization, st) for st in states))
 
 
 def update_combiners(realization: Realization, state: BeamformingState) -> BeamformingState:
     """Linear MMSE combiners U = coef * C^-1 H V for every user."""
-    new = state.copy()
-    tx_cov = covariance._tx_covariances(realization, state)
-    hw = realization.hardware
-    links = realization.channels
-    try:
-        for g, k in realization.dl_users():
-            c = covariance._rx_covariance_given(tx_cov, realization, dl_node(g, k),
-                                                hw.beta_ue, hw.noise_ue_w)
-            hv = links.est(dl_node(g, k), bs_node(g)) @ state.dl_precoders[g][k]
-            new.dl_combiners[g][k] = state.dl_coefficients[g][k] * np.linalg.solve(c, hv)
-        for g in range(realization.cell_count):
-            if realization.topology.ul_counts[g] == 0:
-                continue
-            c = covariance._rx_covariance_given(tx_cov, realization, bs_node(g),
-                                                hw.beta_bs, hw.noise_bs_w)
-            for k in range(realization.topology.ul_counts[g]):
-                hv = links.est(bs_node(g), ul_node(g, k)) @ state.ul_precoders[g][k]
-                new.ul_combiners[g][k] = state.ul_coefficients[g][k] * np.linalg.solve(c, hv)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular received covariance ({exc}); check the noise configuration") from exc
-    return new
+    ch, s = _stacked(realization, state)
+    return _combiner_step(ch, s, covariance.covariances(ch, realization.hardware, s)).to_state()
 
 
 def compute_omegas(realization: Realization, state: BeamformingState):
@@ -194,97 +421,11 @@ def compute_omegas(realization: Realization, state: BeamformingState):
     For BS g this aggregates, over every receiver in the network, the f1 form
     of the estimated channel from g and that receiver's combiner (the SI link
     contributes through its true matrix, stored as its estimate).  The uplink
-    variant does the same from each uplink user's antennas.
+    variant does the same from each uplink user's antennas.  Returns arrays
+    indexed [g] and [g][k].
     """
-    hw = realization.hardware
-    links = realization.channels
-    ant = realization.antennas
-
-    omega_bs = []
-    for g in range(realization.cell_count):
-        total = np.zeros((ant.bs_tx, ant.bs_tx), dtype=complex)
-        for j, i in realization.dl_users():
-            h = links.est(dl_node(j, i), bs_node(g))
-            total += covariance.f1(h.conj().T, state.dl_combiners[j][i],
-                                   hw.kappa_bs, hw.beta_ue)
-        for j, i in realization.ul_users():
-            h = links.est(bs_node(j), bs_node(g))
-            total += covariance.f1(h.conj().T, state.ul_combiners[j][i],
-                                   hw.kappa_bs, hw.beta_bs)
-        omega_bs.append(total)
-
-    omega_ul = []
-    for g in range(realization.cell_count):
-        per_cell = []
-        for k in range(realization.topology.ul_counts[g]):
-            total = np.zeros((ant.ue_tx, ant.ue_tx), dtype=complex)
-            for j, i in realization.dl_users():
-                h = links.est(dl_node(j, i), ul_node(g, k))
-                total += covariance.f1(h.conj().T, state.dl_combiners[j][i],
-                                       hw.kappa_ue, hw.beta_ue)
-            for j, i in realization.ul_users():
-                h = links.est(bs_node(j), ul_node(g, k))
-                total += covariance.f1(h.conj().T, state.ul_combiners[j][i],
-                                       hw.kappa_ue, hw.beta_bs)
-            per_cell.append(total)
-        omega_ul.append(per_cell)
-    return omega_bs, omega_ul
-
-
-def _bisect_budget(power_fn, budget, rel_tol, max_steps, what):
-    """Smallest multiplier meeting a strictly decreasing power expression.
-
-    Assumes power_fn(0) > budget.  Doubles an upper bracket first, then
-    bisects until the power matches the budget to rel_tol; returns the
-    feasible endpoint if the interval degenerates first.
-    """
-    hi = 1.0
-    for _ in range(max_steps):
-        if power_fn(hi) <= budget:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError(f"{what}: no feasible multiplier after {max_steps} doublings "
-                           "(degenerate all-zero power expression?)")
-    lo = 0.0
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        val = power_fn(mid)
-        if abs(val - budget) <= rel_tol * budget:
-            return mid
-        if val > budget:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(hi, 1.0):
-            break
-    return hi  # feasible side
-
-
-def _eigen_domain_solution(m: np.ndarray, channels_combiners, budget, rel_tol, max_steps, what):
-    """Shared downlink/uplink precoder core.
-
-    Diagonalize the quadratic-term matrix once, express each user's power in
-    the eigenbasis, pick the multiplier by bisection if the unconstrained
-    solution overshoots the budget, and return the eigen-domain ingredients
-    for assembly.
-    """
-    d, q = np.linalg.eigh(m)
-    d = np.clip(d, 0.0, None)  # PSD up to rounding
-    b_list = [q.conj().T @ h.conj().T @ u for h, u in channels_combiners]
-    g_total = sum((covariance.row_powers(b) for b in b_list), np.zeros_like(d))
-    # eigen-directions no user excites carry no power, whatever d + w is
-    excited = g_total > 0.0
-    g_total, d_excited = g_total[excited], d[excited]
-
-    def scalar_power(w):
-        with np.errstate(divide="ignore"):
-            return float(np.sum(g_total / (d_excited + w) ** 2))
-
-    multiplier = 0.0
-    if scalar_power(0.0) > budget:
-        multiplier = _bisect_budget(scalar_power, budget, rel_tol, max_steps, what)
-    return d, q, b_list, multiplier, scalar_power(multiplier)
+    ch, s = _stacked(realization, state)
+    return covariance.transmit_grams(ch, realization.hardware, s)
 
 
 def quadratic_terms(realization: Realization, state: BeamformingState, nu):
@@ -293,14 +434,10 @@ def quadratic_terms(realization: Realization, state: BeamformingState, nu):
 
     That is the transmitter's omega, plus nu_g S_g at BS g, where
     S_g = H^H H + kappa diag(H^H H) is the distortion-aware Gram matrix of its
-    true SI channel.  Returns (per-cell BS matrices, [g][k] uplink matrices).
+    true SI channel.  Returns (BS matrices [g], uplink matrices [g][k]).
     """
-    hw = realization.hardware
-    omega_bs, omega_ul = compute_omegas(realization, state)
-    for g in range(realization.cell_count):
-        h_si = realization.channels.true(bs_node(g), bs_node(g))
-        omega_bs[g] += nu[g] * covariance.add_scaled_diag(h_si.conj().T @ h_si, hw.kappa_bs)
-    return omega_bs, omega_ul
+    ch, s = _stacked(realization, state)
+    return _quadratic(ch, realization.hardware, s, np.asarray(nu, dtype=float))
 
 
 def update_precoders(realization: Realization, state: BeamformingState,
@@ -312,84 +449,19 @@ def update_precoders(realization: Realization, state: BeamformingState,
     multiplier keeping the cell inside its power budget.  Uplink: the same
     form per user against P_ue without any SI term.
     """
-    hw = realization.hardware
-    links = realization.channels
-    m_bs, m_ul = quadratic_terms(realization, state, resolve_nu(realization, config))
-    new = state.copy()
-
-    dl_mult, dl_scalar, dl_matrix = [], [], []
-    for g in range(realization.cell_count):
-        k_d = realization.topology.dl_counts[g]
-        if k_d == 0:
-            dl_mult.append(0.0)
-            dl_scalar.append(0.0)
-            dl_matrix.append(0.0)
-            continue
-        active = [k for k in range(k_d) if state.dl_coefficients[g][k] > 0.0]
-        pairs = [(links.est(dl_node(g, k), bs_node(g)), state.dl_combiners[g][k])
-                 for k in active]
-        d, q, b_list, w, p_scalar = _eigen_domain_solution(
-            m_bs[g], pairs, hw.p_bs_w, config.bisection_rel_tol, config.bisection_max_steps,
-            f"downlink precoder cell {g}")
-        denom = d + w
-        safe = np.where(denom > 0.0, denom, 1.0)
-        for k, b in zip(active, b_list):
-            scaled = np.where(denom[:, None] > 0.0, b / safe[:, None], 0.0)
-            new.dl_precoders[g][k] = (q @ scaled) / state.dl_coefficients[g][k]
-        dl_mult.append(w)
-        dl_scalar.append(p_scalar)
-        dl_matrix.append(new.dl_cell_power(g))
-
-    ul_mult, ul_scalar, ul_matrix = [], [], []
-    for g, k in realization.ul_users():
-        gamma = state.ul_coefficients[g][k]
-        if gamma <= 0.0:
-            ul_mult.append(0.0)
-            ul_scalar.append(0.0)
-            ul_matrix.append(0.0)
-            continue
-        pairs = [(links.est(bs_node(g), ul_node(g, k)), state.ul_combiners[g][k])]
-        d, q, b_list, w, p_scalar = _eigen_domain_solution(
-            m_ul[g][k], pairs, hw.p_ue_w, config.bisection_rel_tol,
-            config.bisection_max_steps, f"uplink precoder user ({g},{k})")
-        denom = d + w
-        safe = np.where(denom > 0.0, denom, 1.0)
-        scaled = np.where(denom[:, None] > 0.0, b_list[0] / safe[:, None], 0.0)
-        new.ul_precoders[g][k] = (q @ scaled) / gamma
-        ul_mult.append(w)
-        ul_scalar.append(p_scalar)
-        ul_matrix.append(new.ul_power(g, k))
-
-    return PrecoderUpdate(state=new, dl_multipliers=tuple(dl_mult),
-                          ul_multipliers=tuple(ul_mult),
-                          dl_scalar_power=tuple(dl_scalar), dl_matrix_power=tuple(dl_matrix),
-                          ul_scalar_power=tuple(ul_scalar), ul_matrix_power=tuple(ul_matrix),
-                          quadratic=(m_bs, m_ul))
-
-
-def _coefficient_terms(realization: Realization, state: BeamformingState, quadratic):
-    """Per-user (numerator, curvature, precoder power) triples for the scalar update.
-
-    numerator = Re tr(U^H H V) on the user's own estimated link; curvature is
-    tr(V^H M V) with M the user's quadratic_terms matrix, i.e. the quadratic
-    coefficient of this user's scalar in the penalized loss: the f2 aggregate
-    over every receiver plus, on the downlink, nu_g times the user's RSI.
-    """
-    links = realization.channels
-    m_bs, m_ul = quadratic
-
-    def terms(v, m, h, u):
-        return (float(np.vdot(u, h @ v).real), float(np.vdot(v, m @ v).real),
-                float(np.linalg.norm(v) ** 2))
-
-    dl_terms = [[terms(state.dl_precoders[g][k], m_bs[g], links.est(dl_node(g, k), bs_node(g)),
-                       state.dl_combiners[g][k])
-                 for k in range(realization.topology.dl_counts[g])]
-                for g in range(realization.cell_count)]
-    ul_terms = [terms(state.ul_precoders[g][k], m_ul[g][k], links.est(bs_node(g), ul_node(g, k)),
-                      state.ul_combiners[g][k])
-                for g, k in realization.ul_users()]
-    return dl_terms, ul_terms
+    ch, s = _stacked(realization, state)
+    step = _precoder_step(ch, realization.hardware, s, resolve_nu(realization, config), config)
+    return PrecoderUpdate(
+        state=step.state.to_state(),
+        dl_multipliers=tuple(step.dl_multipliers.tolist()),
+        ul_multipliers=tuple(step.ul_multipliers.ravel().tolist()),
+        dl_scalar_power=tuple(step.dl_scalar_power.tolist()),
+        dl_matrix_power=tuple(step.state.dl_cell_powers().tolist()),
+        ul_scalar_power=tuple(step.ul_scalar_power.ravel().tolist()),
+        ul_matrix_power=tuple(step.state.ul_powers().ravel().tolist()),
+        quadratic=step.quadratic,
+        dl_evaluations=tuple(step.dl_evaluations.tolist()),
+        ul_evaluations=tuple(step.ul_evaluations.ravel().tolist()))
 
 
 def update_power_coefficients(realization: Realization, state: BeamformingState,
@@ -399,98 +471,20 @@ def update_power_coefficients(realization: Realization, state: BeamformingState,
     Each coefficient is numer / (curvature + lambda * ||V||_F^2) with numer
     clamped at zero (a user whose combiner points away from its signal is
     silenced).  The uplink multiplier has a closed form; the downlink cells
-    share one multiplier found by bisection, started from the quadratic-bound
-    upper end and widened by doubling if that bound is unavailable.
-    `quadratic` is quadratic_terms(realization, state, nu) if the caller has
-    it (the precoder step computes it from the same combiners); it is
-    computed afresh otherwise.
+    share one multiplier each, from secular_multiplier.  `quadratic` is
+    quadratic_terms(realization, state, nu) if the caller has it (the
+    precoder step computes it from the same combiners); it is computed
+    afresh otherwise.
     """
-    new = state.copy()
+    ch, s = _stacked(realization, state)
     hw = realization.hardware
     if quadratic is None:
-        quadratic = quadratic_terms(realization, state, resolve_nu(realization, config))
-    dl_terms, ul_terms = _coefficient_terms(realization, state, quadratic)
-
-    dl_mult = []
-    for g in range(realization.cell_count):
-        rows = dl_terms[g]
-        if not rows:
-            dl_mult.append(0.0)
-            continue
-
-        def coeffs(lam):
-            out = np.zeros(len(rows))
-            for k, (numer, chi, vpow) in enumerate(rows):
-                denom = chi + lam * vpow
-                if numer > 0.0 and denom > 0.0:
-                    out[k] = numer / denom
-            return out
-
-        def power(lam):
-            c = coeffs(lam)
-            return float(sum(c[k] ** 2 * rows[k][2] for k in range(len(rows))))
-
-        lam = 0.0
-        if power(0.0) > hw.p_bs_w:
-            lam = _downlink_multiplier(rows, hw.p_bs_w, power, config)
-        new.dl_coefficients[g] = coeffs(lam)
-        dl_mult.append(lam)
-
-    ul_mult = []
-    for (g, k), (numer, chi, vpow) in zip(realization.ul_users(), ul_terms):
-        if numer <= 0.0 or vpow <= 0.0:
-            new.ul_coefficients[g][k] = 0.0
-            ul_mult.append(0.0)
-            continue
-        # sqrt factors kept apart: vpow * p_ue underflows for a collapsed user
-        lam = max(0.0, -chi / vpow + numer / (math.sqrt(vpow) * math.sqrt(hw.p_ue_w)))
-        denom = chi + lam * vpow
-        new.ul_coefficients[g][k] = numer / denom if denom > 0.0 else 0.0
-        ul_mult.append(lam)
-
-    return PowerUpdate(state=new, dl_multipliers=tuple(dl_mult), ul_multipliers=tuple(ul_mult))
-
-
-def _downlink_multiplier(rows, budget, power_fn, config: SolverConfig) -> float:
-    """Bisect the common cell multiplier, bracketing with the quadratic bound.
-
-    The bound is the positive root of a*lam^2 + 2*b*lam + c with a the total
-    precoder power, b the total curvature, and c the curvature-to-power
-    mismatch against the budget; when the root is missing or does not bracket,
-    the bracket is widened by doubling instead.
-    """
-    a = sum(r[2] for r in rows)
-    b = sum(r[1] for r in rows)
-    c = sum(r[1] ** 2 / r[2] for r in rows if r[2] > 0.0) \
-        - sum(max(r[0], 0.0) ** 2 for r in rows) / budget
-    hi = None
-    disc = (b / a) ** 2 - c / a if a > 0.0 else -1.0
-    if disc >= 0.0:
-        root = -b / a + math.sqrt(disc)
-        if root > 0.0 and power_fn(root) <= budget:
-            hi = root
-    if hi is None:
-        hi = 1.0
-        for _ in range(config.bisection_max_steps):
-            if power_fn(hi) <= budget:
-                break
-            hi *= 2.0
-        else:
-            raise RuntimeError("downlink power multiplier: bracketing failed; "
-                               "power expression is inconsistent with the budget")
-    lo = 0.0
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        val = power_fn(mid)
-        if abs(val - budget) <= config.bisection_rel_tol * budget:
-            return mid
-        if val > budget:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(hi, 1.0):
-            break
-    return hi
+        quadratic = _quadratic(ch, hw, s, resolve_nu(realization, config))
+    step = _power_step(ch, hw, s, tuple(np.asarray(m) for m in quadratic), config)
+    return PowerUpdate(state=step.state.to_state(),
+                       dl_multipliers=tuple(step.dl_multipliers.tolist()),
+                       ul_multipliers=tuple(step.ul_multipliers.ravel().tolist()),
+                       dl_evaluations=tuple(step.dl_evaluations.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -510,31 +504,8 @@ def extrapolate(realization: Realization, state: BeamformingState,
     pushed over its budget is scaled back onto it.  Silenced users stay as
     they are.  Combiners are carried over unchanged.
     """
-    trial = state.copy()
-    hw = realization.hardware
-
-    def move(coef, prev_coef, precoder, prev_precoder):
-        return (1.0 + weight) * coef * precoder - weight * prev_coef * prev_precoder
-
-    def budget_scale(beams, budget):
-        power = sum(float(np.vdot(w, w).real) for w in beams)
-        return math.sqrt(budget / power) if power > budget else 1.0
-
-    for g in range(realization.cell_count):
-        alphas = state.dl_coefficients[g]
-        active = [k for k in range(len(alphas)) if alphas[k] > 0.0]
-        moved = [move(alphas[k], previous.dl_coefficients[g][k], state.dl_precoders[g][k],
-                      previous.dl_precoders[g][k]) for k in active]
-        scale = budget_scale(moved, hw.p_bs_w)
-        for k, w in zip(active, moved):
-            trial.dl_precoders[g][k] = scale * w / alphas[k]
-    for g, k in realization.ul_users():
-        gamma = state.ul_coefficients[g][k]
-        if gamma > 0.0:
-            w = move(gamma, previous.ul_coefficients[g][k], state.ul_precoders[g][k],
-                     previous.ul_precoders[g][k])
-            trial.ul_precoders[g][k] = budget_scale([w], hw.p_ue_w) * w / gamma
-    return trial
+    _, s, prev = _stacked(realization, state, previous)
+    return _extrapolate(realization.hardware, s, prev, weight).to_state()
 
 
 def run(realization: Realization, config: SolverConfig,
@@ -554,9 +525,23 @@ def run(realization: Realization, config: SolverConfig,
     last (converged or at max_iterations), so the final state is always an
     exact block result.  Non-convergence within max_iterations is reported
     in the trace, not raised.
+
+    The channels are stacked once per call; every iteration then runs on
+    arrays, and the covariances of a combiner update also serve the
+    evaluation after it.
     """
     nu = resolve_nu(realization, config)
-    state = initialize(realization, config, rng)
+    hw = realization.hardware
+    ch = stack_channels(realization)
+    state = StackedState.from_state(realization, initialize(realization, config, rng))
+    cells, k_u = state.ul_coefficients.shape
+    no_dl, no_ul = (0.0,) * cells, (0.0,) * (cells * k_u)
+
+    def refresh(s):
+        """Combiner update plus the report that shares its covariances."""
+        cov = covariance.covariances(ch, hw, s)
+        s = _combiner_step(ch, s, cov)
+        return s, objective.report(ch, hw, s, cov, nu, collect_metrics)
 
     def snapshot(iteration, rep, elapsed_ms, pre=None, pw=None):
         return IterationRecord(
@@ -566,18 +551,19 @@ def run(realization: Realization, config: SolverConfig,
             rsi_watts=rep.rsi_watts,
             sum_rate=rep.sum_rate,
             elapsed_ms=elapsed_ms,
-            dl_cell_power=tuple(state.dl_cell_power(g) for g in range(realization.cell_count)),
-            ul_user_power=tuple(state.ul_power(g, k) for g, k in realization.ul_users()),
-            dl_precoder_multipliers=pre.dl_multipliers if pre else (0.0,) * realization.cell_count,
-            ul_precoder_multipliers=pre.ul_multipliers if pre else tuple(
-                0.0 for _ in realization.ul_users()),
-            dl_power_multipliers=pw.dl_multipliers if pw else (0.0,) * realization.cell_count,
-            ul_power_multipliers=pw.ul_multipliers if pw else tuple(
-                0.0 for _ in realization.ul_users()),
+            dl_cell_power=tuple(state.dl_cell_powers().tolist()),
+            ul_user_power=tuple(state.ul_powers().ravel().tolist()),
+            dl_precoder_multipliers=tuple(pre.dl_multipliers.tolist()) if pre else no_dl,
+            ul_precoder_multipliers=tuple(pre.ul_multipliers.ravel().tolist()) if pre else no_ul,
+            dl_power_multipliers=tuple(pw.dl_multipliers.tolist()) if pw else no_dl,
+            ul_power_multipliers=tuple(pw.ul_multipliers.ravel().tolist()) if pw else no_ul,
+            multiplier_evaluations=int(pre.dl_evaluations.sum() + pre.ul_evaluations.sum()
+                                       + pw.dl_evaluations.sum()) if pre else 0,
         )
 
     t0 = time.perf_counter()
-    rep = objective.evaluate(realization, state, nu, with_rates=collect_metrics)
+    rep = objective.report(ch, hw, state, covariance.covariances(ch, hw, state), nu,
+                           collect_metrics)
     records = [snapshot(0, rep, (time.perf_counter() - t0) * 1e3)]
 
     converged = False
@@ -587,19 +573,16 @@ def run(realization: Realization, config: SolverConfig,
     for t in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
         if accepted is None:
-            state = update_combiners(realization, state)
-            rep = objective.evaluate(realization, state, nu, with_rates=collect_metrics)
+            state, rep = refresh(state)
         else:
             state, rep = accepted
             accepted = None
-        pre = update_precoders(realization, state, config)
-        pw = update_power_coefficients(realization, pre.state, config, pre.quadratic)
+        pre = _precoder_step(ch, hw, state, nu, config)
+        pw = _power_step(ch, hw, pre.state, pre.quadratic, config)
         iterations = t
         converged = prev_loss - rep.loss < config.threshold
         if not converged and 1 < t < config.max_iterations:
-            trial = update_combiners(realization, extrapolate(realization, pw.state, state,
-                                                              EXTRAPOLATION))
-            trial_rep = objective.evaluate(realization, trial, nu, with_rates=collect_metrics)
+            trial, trial_rep = refresh(_extrapolate(hw, pw.state, state, EXTRAPOLATION))
             if trial_rep.loss < rep.loss - config.threshold:
                 accepted = (trial, trial_rep)
         state = accepted[0] if accepted else pw.state
@@ -608,6 +591,7 @@ def run(realization: Realization, config: SolverConfig,
             break
         prev_loss = rep.loss
 
-    final_report = objective.evaluate(realization, state, nu, with_rates=True)
-    return RunTrace(records=records, final_state=state, final_report=final_report,
+    final_report = objective.report(ch, hw, state, covariance.covariances(ch, hw, state), nu,
+                                    True)
+    return RunTrace(records=records, final_state=state.to_state(), final_report=final_report,
                     converged=converged, iterations=iterations, nu=tuple(nu))

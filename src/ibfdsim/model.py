@@ -557,23 +557,44 @@ def save_realization(realization: Realization, path) -> None:
 
 
 def load_realization(path) -> Realization:
+    """Read a file written by save_realization.
+
+    Raises ValueError for a foreign file, an unsupported version, or a blob
+    whose length disagrees with its own header (cut short or padded).
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
+    fixed = len(_FORMAT_MAGIC) + 12          # magic, version, header length
+    if len(blob) < len(_FORMAT_MAGIC) and _FORMAT_MAGIC.startswith(blob):
+        raise ValueError(f"truncated realization file: {len(blob)} bytes, inside the magic")
     if blob[:8] != _FORMAT_MAGIC:
         raise ValueError("not a realization file (bad magic)")
+    if len(blob) < fixed:
+        raise ValueError(f"truncated realization file: {len(blob)} bytes, "
+                         f"shorter than its {fixed}-byte preamble")
     version = int.from_bytes(blob[8:12], "little")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported realization format version {version}")
     head_len = int.from_bytes(blob[12:20], "little")
-    meta = json.loads(blob[20:20 + head_len].decode())
-    offset = 20 + head_len
+    if len(blob) < fixed + head_len:
+        raise ValueError(f"truncated realization file: the header needs {head_len} bytes, "
+                         f"{len(blob) - fixed} remain")
+    meta = json.loads(blob[fixed:fixed + head_len].decode())
+    sizes = [(int(np.prod(spec["shape"])) if spec["shape"] else 1)
+             * np.dtype(spec["dtype"]).itemsize for spec in meta["arrays"]]
+    expected = fixed + head_len + sum(sizes)
+    if len(blob) < expected:
+        raise ValueError(f"truncated realization file: {len(blob)} bytes, "
+                         f"the header describes {expected}")
+    if len(blob) > expected:
+        raise ValueError(f"realization file has {len(blob) - expected} trailing bytes "
+                         f"after the {expected} its header describes")
+    offset = fixed + head_len
     data = {}
-    for spec in meta["arrays"]:
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-        itemsize = np.dtype(spec["dtype"]).itemsize
-        a = np.frombuffer(blob[offset:offset + count * itemsize], dtype=spec["dtype"])
+    for spec, size in zip(meta["arrays"], sizes):
+        a = np.frombuffer(blob[offset:offset + size], dtype=spec["dtype"])
         data[spec["name"]] = a.reshape(spec["shape"]).copy()
-        offset += count * itemsize
+        offset += size
 
     tm = meta["topology"]
     topo = Topology(

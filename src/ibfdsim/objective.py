@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance
-from .model import Realization, bs_node, dl_node, ul_node
+from .model import HardwareProfile, Realization
+from .stacked import ChannelStack, StackedState, hermitian, re_inner, stack_channels, trace
 from .state import BeamformingState
 
 log = logging.getLogger(__name__)
@@ -59,26 +60,74 @@ def _nu_per_cell(realization: Realization, nu) -> np.ndarray:
     return arr
 
 
-def _mse(c, channel, precoder, combiner, coefficient, streams):
-    quad = np.trace(combiner.conj().T @ c @ combiner).real
-    cross = np.trace(combiner.conj().T @ channel @ precoder).real
-    return float(quad - 2.0 * coefficient * cross + streams)
+def _mse(c, hv, combiner, coefficient, streams):
+    """tr(U^H C U) - 2 coefficient Re tr(U^H H V) + streams for every user of a stack."""
+    return re_inner(combiner, c @ combiner) - 2.0 * coefficient * re_inner(combiner, hv) + streams
+
+
+def _depth_db(numerator: float, rsi: float) -> float:
+    if numerator <= 0.0:
+        return 0.0
+    if rsi < 1e-30 * numerator:
+        return ASIC_DEPTH_CAP_DB
+    return min(10.0 * math.log10(numerator / rsi), ASIC_DEPTH_CAP_DB)
+
+
+def report(ch: ChannelStack, hw: HardwareProfile, s: StackedState,
+           cov: covariance.Covariances, nu_arr: np.ndarray, with_rates: bool) -> ObjectiveReport:
+    """Every figure of merit of a stacked state whose covariances are `cov`.
+
+    The RSI of cell g is tr(H_si T_g H_si^H) with T_g the cell's transmit
+    covariance, distortion diagonal included; it depends only on the cell's
+    own downlink precoders and coefficients.  The cancellation depth is
+    10 log10(l_g tr(T_g) / rsi), capped at +200 dB, 0 for a silent cell.
+    """
+    dl_streams, ul_streams = s.dl_precoders.shape[-1], s.ul_precoders.shape[-1]
+    hv_dl = ch.dl_own @ s.dl_precoders
+    hv_ul = ch.ul_own @ s.ul_precoders
+    bs_rx = cov.bs_rx[:, None]                   # each BS covariance, once per uplink user
+    sum_mse_dl = float(_mse(cov.dl_rx, hv_dl, s.dl_combiners, s.dl_coefficients,
+                            dl_streams).sum())
+    sum_mse_ul = float(_mse(bs_rx, hv_ul, s.ul_combiners, s.ul_coefficients,
+                            ul_streams).sum())
+    rsi = (ch.si @ cov.cell_tx * ch.si.conj()).real.sum(axis=(-2, -1))
+    tx_power = trace(cov.cell_tx)
+    depth = tuple(_depth_db(gain * p, r) for gain, p, r
+                  in zip(hw.si_gain, tx_power.tolist(), rsi.tolist()))
+    nan = float("nan")
+    rate_dl = rate_ul = nan
+    if with_rates:
+        def signal(coefficient, hv):
+            return (coefficient ** 2)[..., None, None] * (hv @ hermitian(hv))
+
+        rate_dl = float(_rate_bits(cov.dl_rx, signal(s.dl_coefficients, hv_dl)).sum())
+        rate_ul = float(_rate_bits(bs_rx, signal(s.ul_coefficients, hv_ul)).sum())
+    return ObjectiveReport(
+        sum_mse_dl=sum_mse_dl,
+        sum_mse_ul=sum_mse_ul,
+        rsi_watts=tuple(rsi.tolist()),
+        asic_depth_db=depth,
+        loss=sum_mse_dl + sum_mse_ul + float(np.dot(nu_arr, rsi)),
+        sum_rate=rate_dl + rate_ul,
+        sum_rate_dl=rate_dl,
+        sum_rate_ul=rate_ul,
+    )
 
 
 def mse_downlink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:
     """Stream-recovery MSE of downlink user (k, g) under its current combiner."""
-    c = covariance.rx_covariance_dl(realization, state, k, g)
-    return _mse(c, realization.channels.est(dl_node(g, k), bs_node(g)),
-                state.dl_precoders[g][k], state.dl_combiners[g][k],
-                state.dl_coefficients[g][k], realization.antennas.dl_streams)
+    ch, s, cov = _stacked(realization, state)
+    return float(_mse(cov.dl_rx[g, k], ch.dl_own[g, k] @ s.dl_precoders[g, k],
+                      s.dl_combiners[g, k], s.dl_coefficients[g, k],
+                      realization.antennas.dl_streams))
 
 
 def mse_uplink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:
     """Stream-recovery MSE of uplink user (k, g), decoded at BS g."""
-    c = covariance.rx_covariance_ul(realization, state, g)
-    return _mse(c, realization.channels.est(bs_node(g), ul_node(g, k)),
-                state.ul_precoders[g][k], state.ul_combiners[g][k],
-                state.ul_coefficients[g][k], realization.antennas.ul_streams)
+    ch, s, cov = _stacked(realization, state)
+    return float(_mse(cov.bs_rx[g], ch.ul_own[g, k] @ s.ul_precoders[g, k],
+                      s.ul_combiners[g, k], s.ul_coefficients[g, k],
+                      realization.antennas.ul_streams))
 
 
 def rsi_power(realization: Realization, state: BeamformingState, g: int) -> float:
@@ -87,17 +136,7 @@ def rsi_power(realization: Realization, state: BeamformingState, g: int) -> floa
     Depends only on the cell's own downlink precoders and coefficients; the
     transmit-distortion diagonal is included.
     """
-    h = realization.channels.true(bs_node(g), bs_node(g))
-    kappa = realization.hardware.kappa_bs
-    column_powers = covariance.row_powers(h.T)
-    total = 0.0
-    for k in range(realization.topology.dl_counts[g]):
-        v = state.dl_precoders[g][k]
-        hv = h @ v
-        # tr(H (VV^H + kappa diag(VV^H)) H^H)
-        total += state.dl_coefficients[g][k] ** 2 * (
-            np.vdot(hv, hv).real + kappa * (column_powers @ covariance.row_powers(v)))
-    return float(total)
+    return evaluate(realization, state, 0.0, with_rates=False).rsi_watts[g]
 
 
 def asic_depth(realization: Realization, state: BeamformingState, g: int) -> float:
@@ -107,42 +146,39 @@ def asic_depth(realization: Realization, state: BeamformingState, g: int) -> flo
     SI lands.  Returns the cap for a numerically vanished residual and 0 for
     a silent cell.
     """
-    t_g = covariance.cell_tx_covariance(realization, state, g)
-    numerator = realization.hardware.si_gain[g] * float(np.trace(t_g).real)
-    if numerator <= 0.0:
-        return 0.0
-    rsi = rsi_power(realization, state, g)
-    if rsi < 1e-30 * numerator:
-        return ASIC_DEPTH_CAP_DB
-    return min(10.0 * math.log10(numerator / rsi), ASIC_DEPTH_CAP_DB)
+    return evaluate(realization, state, 0.0, with_rates=False).asic_depth_db[g]
 
 
 def loss(realization: Realization, state: BeamformingState, nu) -> float:
     """Penalized sum MSE: all stream MSEs plus nu_g-weighted RSI powers."""
-    nu_arr = _nu_per_cell(realization, nu)
-    total = sum(mse_downlink(realization, state, k, g) for g, k in realization.dl_users())
-    total += sum(mse_uplink(realization, state, k, g) for g, k in realization.ul_users())
-    total += sum(nu_arr[g] * rsi_power(realization, state, g)
-                 for g in range(realization.cell_count))
-    return float(total)
+    return evaluate(realization, state, nu, with_rates=False).loss
 
 
-def _rate_bits(c: np.ndarray, signal: np.ndarray) -> float:
-    """log2 det(I + S Q^-1) with Q = C - S, regularized if Q is singular."""
+def _rate_bits(c: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    """log2 det(I + S Q^-1) with Q = C - S for every matrix pair of a stack;
+    a singular Q is regularized."""
     q = c - signal
     sign, logdet_q = np.linalg.slogdet(q)
-    if sign.real <= 0 or not np.isfinite(logdet_q):
-        q = q + 1e-15 * np.trace(q).real * np.eye(q.shape[0])
+    singular = (sign.real <= 0) | ~np.isfinite(logdet_q)
+    if np.any(singular):
         log.warning("singular noise covariance regularized in rate computation")
+        shift = np.where(singular, 1e-15 * trace(q), 0.0)
+        q = q + shift[..., None, None] * np.eye(q.shape[-1])
         sign, logdet_q = np.linalg.slogdet(q)
     _, logdet_c = np.linalg.slogdet(q + signal)
-    return float((logdet_c - logdet_q) / math.log(2.0))
+    return (logdet_c - logdet_q) / math.log(2.0)
 
 
 def sum_rate(realization: Realization, state: BeamformingState) -> float:
     """Network sum rate in bits/s/Hz with interference treated as noise."""
     report = evaluate(realization, state, nu=0.0)
     return report.sum_rate
+
+
+def _stacked(realization: Realization, state: BeamformingState):
+    ch = stack_channels(realization)
+    s = StackedState.from_state(realization, state)
+    return ch, s, covariance.covariances(ch, realization.hardware, s)
 
 
 def evaluate(realization: Realization, state: BeamformingState, nu,
@@ -153,51 +189,5 @@ def evaluate(realization: Realization, state: BeamformingState, nu,
     roughly halves the cost of per-iteration bookkeeping inside the solver.
     """
     nu_arr = _nu_per_cell(realization, nu)
-    ant = realization.antennas
-    hw = realization.hardware
-    links = realization.channels
-    tx_cov = covariance._tx_covariances(realization, state)
-
-    sum_mse_dl = 0.0
-    rate_dl = 0.0
-    for g, k in realization.dl_users():
-        c = covariance._rx_covariance_given(tx_cov, realization, dl_node(g, k),
-                                            hw.beta_ue, hw.noise_ue_w)
-        h = links.est(dl_node(g, k), bs_node(g))
-        alpha = state.dl_coefficients[g][k]
-        v = state.dl_precoders[g][k]
-        sum_mse_dl += _mse(c, h, v, state.dl_combiners[g][k], alpha, ant.dl_streams)
-        if with_rates:
-            hv = h @ v
-            rate_dl += _rate_bits(c, alpha ** 2 * (hv @ hv.conj().T))
-
-    sum_mse_ul = 0.0
-    rate_ul = 0.0
-    for g in range(realization.cell_count):
-        if realization.topology.ul_counts[g] == 0:
-            continue
-        c = covariance._rx_covariance_given(tx_cov, realization, bs_node(g),
-                                            hw.beta_bs, hw.noise_bs_w)
-        for k in range(realization.topology.ul_counts[g]):
-            h = links.est(bs_node(g), ul_node(g, k))
-            gamma = state.ul_coefficients[g][k]
-            v = state.ul_precoders[g][k]
-            sum_mse_ul += _mse(c, h, v, state.ul_combiners[g][k], gamma, ant.ul_streams)
-            if with_rates:
-                hv = h @ v
-                rate_ul += _rate_bits(c, gamma ** 2 * (hv @ hv.conj().T))
-
-    rsi = tuple(rsi_power(realization, state, g) for g in range(realization.cell_count))
-    depth = tuple(asic_depth(realization, state, g) for g in range(realization.cell_count))
-    total_loss = sum_mse_dl + sum_mse_ul + float(np.dot(nu_arr, rsi))
-    nan = float("nan")
-    return ObjectiveReport(
-        sum_mse_dl=float(sum_mse_dl),
-        sum_mse_ul=float(sum_mse_ul),
-        rsi_watts=rsi,
-        asic_depth_db=depth,
-        loss=total_loss,
-        sum_rate=float(rate_dl + rate_ul) if with_rates else nan,
-        sum_rate_dl=float(rate_dl) if with_rates else nan,
-        sum_rate_ul=float(rate_ul) if with_rates else nan,
-    )
+    ch, s, cov = _stacked(realization, state)
+    return report(ch, realization.hardware, s, cov, nu_arr, with_rates)

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Realization
-
 
 @dataclass(eq=False)
 class BeamformingState:
@@ -47,12 +45,3 @@ class BeamformingState:
         """Transmit power of uplink user (g, k) before distortion."""
         return float(self.ul_coefficients[g][k] ** 2
                      * np.linalg.norm(self.ul_precoders[g][k]) ** 2)
-
-
-def dl_powers(realization: Realization, state: BeamformingState) -> np.ndarray:
-    return np.array([state.dl_cell_power(g) for g in range(realization.cell_count)])
-
-
-def ul_powers(realization: Realization, state: BeamformingState) -> list:
-    return [np.array([state.ul_power(g, k) for k in range(realization.topology.ul_counts[g])])
-            for g in range(realization.cell_count)]

@@ -170,3 +170,38 @@ def test_rx_covariance_against_signal_chain():
     assert np.linalg.norm(cov_hat[bs_node(0)] - c) / np.linalg.norm(c) < 0.05
     c = covariance.rx_covariance_dl(real, state, 0, 0)
     assert np.linalg.norm(cov_hat[dl_node(0, 0)] - c) / np.linalg.norm(c) < 0.05
+
+
+def test_transmit_grams_match_per_link_f1_sums():
+    # reference: the per-link loop the stacked kernel replaced, over every
+    # receiver in the network, for each BS and each uplink user; distinct
+    # distortion factors so that a swapped one shows
+    from dataclasses import replace
+
+    from ibfdsim import jpaim
+    for seed, overrides in ((23, {}), (24, dict(cells=3, dl_users=2, ul_users=1))):
+        real = build_realization(helpers.small_config(asic_db=10.0, **overrides), seed)
+        real = replace(real, hardware=replace(real.hardware, kappa_bs=0.01, kappa_ue=0.02,
+                                              beta_bs=0.03, beta_ue=0.04))
+        state = helpers.random_state(real, seed + 1)
+        hw, links = real.hardware, real.channels
+        omega_bs, omega_ul = jpaim.compute_omegas(real, state)
+
+        def summed(tx, kappa):
+            total = 0.0
+            for j, i in real.dl_users():
+                h = links.est(dl_node(j, i), tx)
+                total = total + covariance.f1(h.conj().T, state.dl_combiners[j][i], kappa,
+                                              hw.beta_ue)
+            for j, i in real.ul_users():
+                h = links.est(bs_node(j), tx)
+                total = total + covariance.f1(h.conj().T, state.ul_combiners[j][i], kappa,
+                                              hw.beta_bs)
+            return total
+
+        for g in range(real.cell_count):
+            np.testing.assert_allclose(omega_bs[g], summed(bs_node(g), hw.kappa_bs),
+                                       rtol=1e-11, atol=1e-11 * np.abs(omega_bs[g]).max())
+        for g, k in real.ul_users():
+            np.testing.assert_allclose(omega_ul[g][k], summed(ul_node(g, k), hw.kappa_ue),
+                                       rtol=1e-11, atol=1e-11 * np.abs(omega_ul[g][k]).max())

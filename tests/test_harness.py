@@ -259,6 +259,63 @@ def test_run_campaign_records_failures_and_continues(tmp_path, monkeypatch):
     assert summary.algorithms[0].realizations == 2
 
 
+def test_run_campaign_solves_jpaim_once_for_nsp(tmp_path, monkeypatch):
+    # nsp-jpaim projects jpaim's own solution: with both configured, one
+    # jpaim.run per seed serves both, plus the two half-duplex phases
+    cfg = replace(parse_config(SMALL + "campaign.algorithms = jpaim, nsp-jpaim, half-duplex\n"
+                               "campaign.trace = true\n"),
+                  output_dir=str(tmp_path / "all"))
+    true_run = jpaim.run
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].seed)
+        return true_run(*args, **kwargs)
+
+    monkeypatch.setattr(harness.jpaim, "run", counted)
+    run_campaign(cfg)
+    assert len(calls) == cfg.realizations * 3
+    monkeypatch.setattr(harness.jpaim, "run", true_run)
+
+    alone = replace(cfg, algorithms=("nsp-jpaim",), output_dir=str(tmp_path / "nsp"))
+    run_campaign(alone)
+    _, rows = _read_csv(tmp_path / "all" / "realizations.csv")
+    _, nsp_rows = _read_csv(tmp_path / "nsp" / "realizations.csv")
+    shared = [r for r in rows if r["algorithm"] == "nsp-jpaim"]
+    assert len(shared) == len(nsp_rows) == cfg.realizations
+    for a, b in zip(shared, nsp_rows):
+        # the rate delta is taken against each campaign's first algorithm
+        a.pop("sum_rate_delta"), b.pop("sum_rate_delta")
+        assert a == b
+    # the iteration trace is jpaim's, rates included
+    _, irows = _read_csv(tmp_path / "all" / "iterations_nsp_jpaim.csv")
+    _, jrows = _read_csv(tmp_path / "all" / "iterations_jpaim.csv")
+    assert irows == jrows
+    assert all(np.isfinite(float(r["sum_rate"])) for r in irows)
+
+
+def test_run_campaign_records_a_failed_draw_and_continues(tmp_path, monkeypatch):
+    cfg = replace(parse_config(SMALL + "campaign.algorithms = jpaim, half-duplex\n"),
+                  output_dir=str(tmp_path / "out"))
+    bad_seed = derive_seed(cfg.base_seed, 1)
+    true_build = harness.build_realization
+
+    def flaky(scenario, seed):
+        if seed == bad_seed:
+            raise ValueError("synthetic draw failure")
+        return true_build(scenario, seed)
+
+    monkeypatch.setattr(harness, "build_realization", flaky)
+    summary = run_campaign(cfg)
+    _, rows = _read_csv(tmp_path / "out" / "realizations.csv")
+    assert sorted({int(r["seed"]) for r in rows}) == sorted(
+        derive_seed(cfg.base_seed, i) for i in (0, 2))
+    log = (tmp_path / "out" / "errors.log").read_text().splitlines()
+    assert log == [f"{bad_seed},jpaim,ValueError: synthetic draw failure",
+                   f"{bad_seed},half-duplex,ValueError: synthetic draw failure"]
+    assert [a.realizations for a in summary.algorithms] == [2, 2]
+
+
 def test_complexity_estimator_hand_goldens():
     # all-ones case expanded by hand from the counting polynomials:
     # precoder: 1*1*(3*1 + 1*(2+3+6) + 1*(1+2) + 1) + (1 + 1 + 1)

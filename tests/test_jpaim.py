@@ -280,3 +280,131 @@ def test_uplink_only_and_downlink_only_networks():
         trace = run(real, SolverConfig(max_iterations=20, nu=0.0))
         assert np.all(np.diff(trace.losses) <= 1e-10)
         assert trace.final_report.loss < trace.losses[0]
+
+
+# ---------------------------------------------------------------------------
+# the multiplier search
+# ---------------------------------------------------------------------------
+
+
+def test_secular_multiplier_single_term_in_one_evaluation():
+    # 4 / (1 + w)^2 = budget: the one-term lower bound is the root itself
+    tol = SolverConfig().bisection_rel_tol
+    w, power, evaluations = jpaim.secular_multiplier([[4.0]], [[1.0]], 1.0, tol, 200)
+    assert evaluations[0] == 1
+    assert w[0] == pytest.approx(1.0, rel=1e-8)
+    assert 1.0 - tol <= power[0] * (1.0 + 1e-15) and power[0] <= 1.0
+
+
+def test_secular_multiplier_zero_eigenvalue_and_empty_rows():
+    tol = SolverConfig().bisection_rel_tol
+    g = np.array([[1.0, 2.0, 0.0],        # d = 0 with g > 0: infinite power at w = 0
+                  [0.0, 0.0, 0.0],        # nothing excited: w = 0, power 0
+                  [1e-3, 1e-3, 0.0]])     # within the budget at w = 0
+    d = np.array([[0.0, 3.0, 0.0],
+                  [0.0, 1.0, 2.0],
+                  [1.0, 2.0, 0.0]])
+    w, power, evaluations = jpaim.secular_multiplier(g, d, 0.5, tol, 200)
+    assert w[0] > 0.0 and 0.5 * (1.0 - tol) <= power[0] <= 0.5
+    assert w[1] == 0.0 and power[1] == 0.0 and evaluations[1] == 1
+    assert w[2] == 0.0 and power[2] == pytest.approx(1e-3 + 1e-3 / 4.0, rel=1e-15)
+    assert evaluations[2] == 1
+
+
+def test_secular_multiplier_iterates_rise_to_the_root():
+    rng = np.random.default_rng(30)
+    tol = SolverConfig().bisection_rel_tol
+    for _ in range(200):
+        n = int(rng.integers(1, 17))
+        g = rng.exponential(size=(1, n)) * (rng.random((1, n)) < 0.8)
+        d = rng.exponential(size=(1, n)) * (rng.random((1, n)) < 0.7)
+        budget = float(rng.exponential()) * 0.1
+        if not np.any(g > 0.0):
+            continue
+        target = np.array([budget * (1.0 - tol)])
+        order = np.argsort(-np.where(g > 0.0, d, 1.0), axis=-1)
+        g_s = np.take_along_axis(g, order, -1)
+        d_s = np.take_along_axis(np.where(g > 0.0, d, 1.0), order, -1)
+
+        def power(w):
+            return float(np.sum(g_s / (d_s + w) ** 2))
+
+        w = np.max(np.sqrt(g_s / target) - d_s, axis=-1, initial=0.0)
+        while power(w[0]) > budget:
+            # every iterate lies left of the root (P >= target) and moves
+            # right, at least as far as Newton's step on P^(-1/2)
+            p = power(w[0])
+            assert p >= target[0] * (1.0 - 1e-12)
+            newton = w[0] + p / float(np.sum(g_s / (d_s + w[0]) ** 3)) * (
+                math.sqrt(p / target[0]) - 1.0)
+            den = d_s + w[:, None]
+            step = w + jpaim._bound_step(g_s / den ** 2, den, target)
+            assert step[0] >= newton * (1.0 - 1e-15) and step[0] > w[0]
+            w = step
+        solved = jpaim.secular_multiplier(g, d, budget, tol, 200)
+        assert solved[0][0] == pytest.approx(w[0], rel=1e-14)
+
+
+def test_secular_multiplier_binds_within_tolerance_in_few_evaluations():
+    # many random rows at once, zero curvatures and empty terms included
+    rng = np.random.default_rng(31)
+    tol = SolverConfig().bisection_rel_tol
+    rows, n = 5000, 16
+    g = rng.exponential(size=(rows, n)) ** 3 * (rng.random((rows, n)) < 0.7)
+    d = rng.exponential(size=(rows, n)) ** 3 * (rng.random((rows, n)) < 0.8)
+    budget = 10.0 ** rng.uniform(-3, 1, size=rows)
+    w, power, evaluations = jpaim.secular_multiplier(g, d, budget, tol, 200)
+    searched = w > 0.0
+    assert searched.sum() > rows // 2
+    assert np.all(power <= budget)
+    assert np.all(power[searched] >= budget[searched] * (1.0 - tol) * (1.0 - 1e-12))
+    assert evaluations.max() <= 8
+    np.testing.assert_allclose(power, np.sum(g / (d + w[:, None]) ** 2, axis=1), rtol=1e-12)
+
+
+def test_secular_multiplier_step_cap():
+    with pytest.raises(RuntimeError):
+        jpaim.secular_multiplier([[1.0, 1.0]], [[0.0, 1.0]], 1.0, 1e-8, 1)
+
+
+def test_multiplier_searches_stay_within_eight_evaluations():
+    # acceptance criterion 3's instances: every search of every block update
+    rng = np.random.default_rng(20240203)
+    cfg = SolverConfig()
+    worst = 0
+    for _ in range(20):
+        real = helpers.random_small_realization(rng)
+        state = jpaim.initialize(real, cfg)
+        for _ in range(6):
+            state = jpaim.update_combiners(real, state)
+            pre = jpaim.update_precoders(real, state, cfg)
+            pw = jpaim.update_power_coefficients(real, pre.state, cfg)
+            state = pw.state
+            worst = max(worst, *pre.dl_evaluations, *pre.ul_evaluations, *pw.dl_evaluations)
+    assert 1 <= worst <= 8
+    trace = run(build_realization(ScenarioConfig(), 3), cfg, collect_metrics=False)
+    assert trace.records[0].multiplier_evaluations == 0
+    assert all(r.multiplier_evaluations >= 3 for r in trace.records[1:])
+
+
+# Recorded with the per-link solver and its bisection multiplier searches
+# (the code before the stacked layout): (iterations, final loss) per seed.
+GOLDEN_DEFAULT = [(56, 4.648553458822719), (23, 1.952392760408255), (35, 1.0426166644234505),
+                  (44, 1.1467380751850134), (15, 5.18456041509331), (46, 1.281788046799273),
+                  (26, 1.6647181316612965), (40, 3.1582969596002624), (34, 2.264731910350466),
+                  (42, 2.2100729900956972)]
+GOLDEN_STRONG_SI = [(100, 7.546007950711318), (47, 8.587932204478848), (48, 7.02304816422896),
+                    (77, 7.7213196028593245), (48, 9.75273993284477), (41, 7.851377450061863),
+                    (44, 8.540821184741082), (19, 8.438798515310092), (34, 9.683096256234201),
+                    (32, 9.00515946481209)]
+
+
+@pytest.mark.parametrize("scenario, config, golden", [
+    (ScenarioConfig(), SolverConfig(), GOLDEN_DEFAULT),
+    (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0), GOLDEN_STRONG_SI),
+], ids=["default", "strong_si"])
+def test_run_matches_per_link_goldens(scenario, config, golden):
+    for seed, (iterations, final_loss) in enumerate(golden):
+        trace = run(build_realization(scenario, seed), config, collect_metrics=False)
+        assert trace.iterations == iterations, f"seed {seed}"
+        assert trace.final_report.loss == pytest.approx(final_loss, rel=1e-6), f"seed {seed}"

@@ -262,6 +262,23 @@ def test_serialization_rejects_garbage(tmp_path):
         load_realization(path)
 
 
+def test_load_realization_rejects_cut_and_padded_files(tmp_path):
+    real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
+    blob = serialize_realization(real)
+    head_len = int.from_bytes(blob[12:20], "little")
+    path = tmp_path / "real.bin"
+    # inside the magic, the version, the header length, the header, the arrays
+    for cut in (0, 5, 10, 16, 20 + head_len // 2, 20 + head_len + 3, len(blob) - 1):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_realization(path)
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_realization(path)
+    path.write_bytes(blob)
+    assert realization_digest(load_realization(path)) == realization_digest(real)
+
+
 def test_digest_is_stable_hex():
     real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 0)
     digest = realization_digest(real)
