@@ -193,21 +193,3 @@ def f1(y: np.ndarray, x: np.ndarray, sigma_t: float, sigma_r: float) -> np.ndarr
     """
     return distortion_gram(y @ x, y, sigma_r * row_powers(x), sigma_t)
 
-
-def f2(z: np.ndarray, y: np.ndarray, x: np.ndarray,
-       sigma_t: float, sigma_r: float) -> float:
-    """Scalar form tr(Z^H Y (XX^H + sigma_t diag) Y^H Z) plus its receive-side diagonal.
-
-    Equals tr(X^H f1(Y^H, Z, sigma_t, sigma_r) X): one receiver's share of a
-    power coefficient's curvature, which the solver takes from the summed
-    f1 forms instead.
-    """
-    # inner = Y (XX^H + sigma_t diag(XX^H)) Y^H is only needed through
-    # tr(Z^H inner Z) and its diagonal
-    yx = y @ x
-    zy = z.conj().T @ y
-    zyx = zy @ x
-    weights = sigma_t * row_powers(x)
-    quad = np.vdot(zyx, zyx).real + float(row_powers(zy.T) @ weights)
-    inner_diag = row_powers(yx) + np.abs(y) ** 2 @ weights
-    return float(quad + sigma_r * (inner_diag @ row_powers(z)))

@@ -67,6 +67,9 @@ class CampaignConfig:
         if self.nsp_subspace_dim is not None and not (
                 1 <= self.nsp_subspace_dim <= self.scenario.bs_tx_antennas):
             raise ConfigError("nsp.subspace_dim must lie in [1, bs_tx_antennas]")
+        if np.ndim(self.solver.nu) == 1 and len(self.solver.nu) != self.scenario.cells:
+            raise ConfigError(f"solver.nu has {len(self.solver.nu)} per-cell values, but "
+                              f"scenario.cells is {self.scenario.cells}")
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +104,10 @@ def _parse_typed(raw: str, typ, key: str):
     return raw
 
 
-def _parse_nu(raw: str):
+def _parse_nu(raw: str, key: str):
     if raw.strip().lower() == "auto":
         return None
-    parts = [p for p in raw.split(",") if p.strip()]
-    values = tuple(float(p) for p in parts)
+    values = tuple(_parse_typed(p, float, key) for p in raw.split(",") if p.strip())
     return values[0] if len(values) == 1 else values
 
 
@@ -133,7 +135,7 @@ def parse_config(text: str) -> CampaignConfig:
             if name not in _SOLVER_KEYS:
                 raise ConfigError(f"unknown key solver.{name}")
             if name == "nu":
-                solver_kwargs[name] = _parse_nu(raw)
+                solver_kwargs[name] = _parse_nu(raw, key)
             elif name in ("max_iterations", "bisection_max_steps", "init_seed"):
                 solver_kwargs[name] = _parse_typed(raw, int, key)
             else:
@@ -156,8 +158,12 @@ def parse_config(text: str) -> CampaignConfig:
         else:
             raise ConfigError(f"unknown section {section!r} in key {key}")
     try:
-        return CampaignConfig(scenario=ScenarioConfig(**scenario_kwargs),
-                              solver=SolverConfig(**solver_kwargs),
+        solver = SolverConfig(**solver_kwargs)
+    except ValueError as exc:
+        # every SolverConfig message starts with the field name
+        raise ConfigError(f"solver.{exc}") from exc
+    try:
+        return CampaignConfig(scenario=ScenarioConfig(**scenario_kwargs), solver=solver,
                               nsp_subspace_dim=nsp_dim, **campaign_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -480,7 +486,14 @@ def summarize(path) -> CampaignSummary:
 
 @dataclass(frozen=True)
 class ComplexityEstimate:
-    """Per-iteration complex multiplication counts of the two matrix updates."""
+    """Per-iteration complex multiplication counts of the paper's precoder and
+    power-allocation updates.
+
+    These are the paper's operation counts.  `jpaim.run` executes no separate
+    power-allocation update, since its precoder step already allocates the
+    power, so power_multiplications (and the part of `total` it adds) counts
+    work this solver does not do.
+    """
 
     precoder_multiplications: int
     power_multiplications: int
@@ -491,7 +504,8 @@ class ComplexityEstimate:
 
 def complexity_estimate(cells: int, users: int, bs_antennas: int,
                         ue_antennas: int, streams: int) -> ComplexityEstimate:
-    """Multiplication counts for one solver iteration at symmetric loading.
+    """Multiplication counts for one iteration of the paper's algorithm at
+    symmetric loading (see ComplexityEstimate for what `jpaim.run` skips).
 
     `users` is the per-cell count on each link direction and `streams` the
     per-user stream count; the dominant term scales with cells * users *

@@ -1,15 +1,20 @@
 """Joint power-allocation and interference-management (JPAIM) solver.
 
-Alternating block-coordinate minimization of the penalized sum MSE: linear
-MMSE combiners, then downlink/uplink precoder directions through a single
-eigendecomposition per transmitter with a power multiplier, then the scalar
-power coefficients with their own multipliers (closed form on the uplink,
-a search against the cell budget on the downlink).  Every block solves its
-subproblem exactly for the same penalized loss, RSI penalty included.
+Alternating two-block minimization of the penalized sum MSE, in the WMMSE
+family (Shi, Razaviyayn, Luo & He, IEEE TSP 2011): linear MMSE combiners,
+then the downlink/uplink precoders through a single eigendecomposition per
+transmitter with a power multiplier.  Both blocks solve their subproblem
+exactly for the same penalized loss, RSI penalty included.
+
+The precoder step minimizes over the transmitted beam W = coefficient * V
+under the power budgets, so it also allocates the power: the coefficients
+alpha and gamma that `initialize` sets stay fixed for the whole run, and a
+separate power-coefficient block would have nothing left to improve.
 
 Every multiplier search solves a secular equation sum_i g_i/(d_i+w)^2 = P
 for the smallest feasible w >= 0; one vectorized, safeguarded Newton solve
-(secular_multiplier) serves every cell and uplink user at once.
+(secular_multiplier) serves every cell and uplink user of an iteration at
+once.
 
 Near its fixed point the plain alternation contracts slowly, so each
 iteration also tries an extrapolated point V* + beta (V* - V_prev) beyond the
@@ -36,8 +41,8 @@ import numpy as np
 
 from . import covariance, objective
 from .model import HardwareProfile, Realization
-from .stacked import (ChannelStack, StackedState, columns, frobenius_sq, hermitian, re_inner,
-                      row_powers, stack_channels, uncolumns)
+from .stacked import (ChannelStack, StackedState, columns, frobenius_sq, hermitian, row_powers,
+                      stack_channels, uncolumns)
 from .state import BeamformingState
 
 
@@ -53,6 +58,15 @@ class SolverConfig:
     init_seed: int = 0                # seeds the random initial precoders
 
     def __post_init__(self):
+        if self.nu is not None:
+            try:
+                nu = np.asarray(self.nu, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"nu must be a number or a per-cell sequence: {exc}") from exc
+            if nu.ndim > 1 or nu.size == 0:
+                raise ValueError(f"nu must be scalar or a per-cell sequence, got shape {nu.shape}")
+            if not np.all(np.isfinite(nu)) or np.any(nu < 0.0):
+                raise ValueError(f"nu must be finite and >= 0, got {self.nu!r}")
         if not 0.0 < self.threshold <= 1e-3:
             raise ValueError("threshold must lie in (0, 1e-3]")
         if self.max_iterations < 0:
@@ -66,7 +80,14 @@ class SolverConfig:
 @dataclass
 class IterationRecord:
     """One solver iteration: loss after the combiner step, then that
-    iteration's multipliers and post-update powers."""
+    iteration's multipliers, post-update powers and per-block wall times.
+
+    The block times are parts of elapsed_ms, and no CSV writes them:
+    combiner_ms is the combiner update (0.0 when the previous iteration's
+    accepted trial supplied it), precoder_ms the precoder step, and trial_ms
+    the extrapolated trial with its combiner update (0.0 when the iteration
+    tries none).
+    """
 
     iteration: int
     loss: float
@@ -78,9 +99,10 @@ class IterationRecord:
     ul_user_power: tuple          # flattened over (cell, user)
     dl_precoder_multipliers: tuple    # per cell
     ul_precoder_multipliers: tuple    # flattened over (cell, user)
-    dl_power_multipliers: tuple       # per cell
-    ul_power_multipliers: tuple       # flattened over (cell, user)
-    multiplier_evaluations: int = 0   # power evaluations over the iteration's searches
+    multiplier_evaluations: int = 0   # power evaluations of the iteration's search
+    combiner_ms: float = 0.0
+    precoder_ms: float = 0.0
+    trial_ms: float = 0.0
 
 
 @dataclass
@@ -113,17 +135,8 @@ class PrecoderUpdate:
     dl_matrix_power: tuple        # per cell, from the assembled precoders
     ul_scalar_power: tuple
     ul_matrix_power: tuple
-    quadratic: tuple = None       # quadratic_terms: (BS (G, N, N), uplink (G, K_u, n, n))
     dl_evaluations: tuple = ()    # power evaluations of each cell's multiplier search
     ul_evaluations: tuple = ()    # flattened over (cell, user)
-
-
-@dataclass
-class PowerUpdate:
-    state: BeamformingState
-    dl_multipliers: tuple         # per cell
-    ul_multipliers: tuple         # flattened over (cell, user)
-    dl_evaluations: tuple = ()    # power evaluations of each cell's multiplier search
 
 
 def resolve_nu(realization: Realization, config: SolverConfig) -> np.ndarray:
@@ -264,12 +277,6 @@ def _combiner_step(ch: ChannelStack, s: StackedState,
                    ul_combiners=s.ul_coefficients[..., None, None] * ul)
 
 
-def _quadratic(ch: ChannelStack, hw: HardwareProfile, s: StackedState, nu: np.ndarray):
-    """Omega of every transmitter plus nu_g S_g at BS g (see quadratic_terms)."""
-    omega_bs, omega_ul = covariance.transmit_grams(ch, hw, s)
-    return omega_bs + nu[:, None, None] * ch.si_gram, omega_ul
-
-
 @dataclass(eq=False)
 class _PrecoderStep:
     state: StackedState
@@ -279,15 +286,16 @@ class _PrecoderStep:
     ul_scalar_power: np.ndarray
     dl_evaluations: np.ndarray
     ul_evaluations: np.ndarray
-    quadratic: tuple
 
 
 def _precoder_step(ch: ChannelStack, hw: HardwareProfile, s: StackedState,
                    nu: np.ndarray, config: SolverConfig) -> _PrecoderStep:
-    """V = (1/coefficient) Q (D + w I)^-1 Q^H H^H U per user, with Q D Q^H the
-    transmitter's quadratic-term matrix and w its power multiplier."""
-    m_bs, m_ul = _quadratic(ch, hw, s, nu)
-    d_bs, q_bs = np.linalg.eigh(m_bs)
+    """V = (1/coefficient) Q (D + w I)^-1 Q^H H^H U per user, with w the power
+    multiplier and Q D Q^H the transmitter's quadratic-term matrix: its omega,
+    plus nu_g S_g at BS g, where S_g = H^H H + kappa diag(H^H H) is the
+    distortion-aware Gram matrix of its true SI channel."""
+    omega_bs, m_ul = covariance.transmit_grams(ch, hw, s)
+    d_bs, q_bs = np.linalg.eigh(omega_bs + nu[:, None, None] * ch.si_gram)
     d_ul, q_ul = np.linalg.eigh(m_ul)
     d_bs, d_ul = np.maximum(d_bs, 0.0), np.maximum(d_ul, 0.0)   # PSD up to rounding
     b_dl = hermitian(q_bs)[:, None] @ (ch.dl_own_h @ s.dl_combiners)
@@ -323,56 +331,7 @@ def _precoder_step(ch: ChannelStack, hw: HardwareProfile, s: StackedState,
         ul_precoders=assemble(q_ul, b_ul, d_ul + w_ul[..., None], s.ul_coefficients, ul_on,
                               s.ul_precoders))
     return _PrecoderStep(new, w_dl, w_ul, power[:cells], power[cells:].reshape(cells, k_u),
-                         evaluations[:cells], evaluations[cells:].reshape(cells, k_u),
-                         (m_bs, m_ul))
-
-
-@dataclass(eq=False)
-class _PowerStep:
-    state: StackedState
-    dl_multipliers: np.ndarray    # (G,)
-    ul_multipliers: np.ndarray    # (G, K_u)
-    dl_evaluations: np.ndarray
-
-
-def _power_step(ch: ChannelStack, hw: HardwareProfile, s: StackedState, quadratic,
-                config: SolverConfig) -> _PowerStep:
-    """Penalized-MSE-optimal coefficients numer / (curvature + lambda ||V||^2).
-
-    numer = Re tr(U^H H V) on the user's own estimated link, clamped at zero
-    (a user whose combiner points away from its signal is silenced);
-    curvature = tr(V^H M V) with M the user's quadratic_terms matrix.  The
-    downlink power sum_k numer_k^2 / ||V_k||^2 / (curvature_k / ||V_k||^2 +
-    lambda)^2 is a secular function of the cell multiplier; the uplink
-    multiplier has a closed form.
-    """
-    m_bs, m_ul = quadratic
-
-    def terms(v, m, hv, u):
-        return re_inner(u, hv), re_inner(v, m @ v), frobenius_sq(v)
-
-    numer, chi, vpow = terms(s.dl_precoders, m_bs[:, None], ch.dl_own @ s.dl_precoders,
-                             s.dl_combiners)
-    chi = np.maximum(chi, 0.0)             # tr(V^H M V) of a PSD M, up to rounding
-    on = (numer > 0.0) & (vpow > 0.0)
-    vsafe = np.where(on, vpow, 1.0)
-    lam, _, evaluations = secular_multiplier(np.where(on, numer ** 2 / vsafe, 0.0),
-                                             np.where(on, chi / vsafe, 0.0), hw.p_bs_w,
-                                             config.bisection_rel_tol,
-                                             config.bisection_max_steps)
-    den = chi + lam[:, None] * vsafe
-    alpha = np.where(on & (den > 0.0), numer / np.where(den > 0.0, den, 1.0), 0.0)
-
-    numer, chi, vpow = terms(s.ul_precoders, m_ul, ch.ul_own @ s.ul_precoders, s.ul_combiners)
-    on = (numer > 0.0) & (vpow > 0.0)
-    vsafe = np.where(on, vpow, 1.0)
-    # sqrt factors kept apart: vpow * p_ue underflows for a collapsed user
-    lam_ul = np.where(on, np.maximum(0.0, -chi / vsafe + numer / (np.sqrt(vsafe)
-                                                                 * math.sqrt(hw.p_ue_w))), 0.0)
-    den = chi + lam_ul * vsafe
-    gamma = np.where(on & (den > 0.0), numer / np.where(den > 0.0, den, 1.0), 0.0)
-    return _PowerStep(replace(s, dl_coefficients=alpha, ul_coefficients=gamma), lam, lam_ul,
-                      evaluations)
+                         evaluations[:cells], evaluations[cells:].reshape(cells, k_u))
 
 
 def _extrapolate(hw: HardwareProfile, s: StackedState, prev: StackedState,
@@ -428,18 +387,6 @@ def compute_omegas(realization: Realization, state: BeamformingState):
     return covariance.transmit_grams(ch, realization.hardware, s)
 
 
-def quadratic_terms(realization: Realization, state: BeamformingState, nu):
-    """Matrices M with tr(V^H M V) the quadratic term of each precoder in the
-    penalized loss at fixed combiners.
-
-    That is the transmitter's omega, plus nu_g S_g at BS g, where
-    S_g = H^H H + kappa diag(H^H H) is the distortion-aware Gram matrix of its
-    true SI channel.  Returns (BS matrices [g], uplink matrices [g][k]).
-    """
-    ch, s = _stacked(realization, state)
-    return _quadratic(ch, realization.hardware, s, np.asarray(nu, dtype=float))
-
-
 def update_precoders(realization: Realization, state: BeamformingState,
                      config: SolverConfig) -> PrecoderUpdate:
     """Penalized-MSE-optimal precoder directions at fixed combiners and coefficients.
@@ -459,32 +406,8 @@ def update_precoders(realization: Realization, state: BeamformingState,
         dl_matrix_power=tuple(step.state.dl_cell_powers().tolist()),
         ul_scalar_power=tuple(step.ul_scalar_power.ravel().tolist()),
         ul_matrix_power=tuple(step.state.ul_powers().ravel().tolist()),
-        quadratic=step.quadratic,
         dl_evaluations=tuple(step.dl_evaluations.tolist()),
         ul_evaluations=tuple(step.ul_evaluations.ravel().tolist()))
-
-
-def update_power_coefficients(realization: Realization, state: BeamformingState,
-                              config: SolverConfig, quadratic=None) -> PowerUpdate:
-    """Penalized-MSE-optimal scalar coefficients under the power constraints.
-
-    Each coefficient is numer / (curvature + lambda * ||V||_F^2) with numer
-    clamped at zero (a user whose combiner points away from its signal is
-    silenced).  The uplink multiplier has a closed form; the downlink cells
-    share one multiplier each, from secular_multiplier.  `quadratic` is
-    quadratic_terms(realization, state, nu) if the caller has it (the
-    precoder step computes it from the same combiners); it is computed
-    afresh otherwise.
-    """
-    ch, s = _stacked(realization, state)
-    hw = realization.hardware
-    if quadratic is None:
-        quadratic = _quadratic(ch, hw, s, resolve_nu(realization, config))
-    step = _power_step(ch, hw, s, tuple(np.asarray(m) for m in quadratic), config)
-    return PowerUpdate(state=step.state.to_state(),
-                       dl_multipliers=tuple(step.dl_multipliers.tolist()),
-                       ul_multipliers=tuple(step.ul_multipliers.ravel().tolist()),
-                       dl_evaluations=tuple(step.dl_evaluations.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +435,13 @@ def run(realization: Realization, config: SolverConfig,
         rng: np.random.Generator | None = None, collect_metrics: bool = True) -> RunTrace:
     """Run the alternating solver until the loss decrease falls below threshold.
 
-    Per iteration: combiners, loss snapshot, precoders, power coefficients,
-    then a safeguarded extrapolation (block coordinate descent with
-    extrapolation, Xu & Yin 2013).  The trial point extrapolate(V*, V_prev,
-    EXTRAPOLATION) from the exact block result V* gets its own combiner
-    update; it replaces V* only if its loss then lies below the iteration's
-    snapshot by at least the threshold, and its combiners and report serve
-    as the next iteration's.  Otherwise V* is kept.  Either way the snapshot
+    Per iteration: combiners, loss snapshot, precoders, then a safeguarded
+    extrapolation (block coordinate descent with extrapolation, Xu & Yin
+    2013).  The trial point extrapolate(V*, V_prev, EXTRAPOLATION) from the
+    exact block result V* gets its own combiner update; it replaces V* only
+    if its loss then lies below the iteration's snapshot by at least the
+    threshold, and its combiners and report serve as the next iteration's.
+    Otherwise V* is kept.  Either way the snapshot
     sequence is non-increasing, and an accepted trial never looks converged.
     The first iteration tries no trial, since its V_prev is the random
     initial point and V* - V_prev no descent direction.  Neither does the
@@ -526,9 +449,10 @@ def run(realization: Realization, config: SolverConfig,
     exact block result.  Non-convergence within max_iterations is reported
     in the trace, not raised.
 
-    The channels are stacked once per call; every iteration then runs on
-    arrays, and the covariances of a combiner update also serve the
-    evaluation after it.
+    The coefficients keep the values `initialize` gives them; the precoders
+    carry all of the power allocation.  The channels are stacked once per
+    call; every iteration then runs on arrays, and the covariances of a
+    combiner update also serve the evaluation after it.
     """
     nu = resolve_nu(realization, config)
     hw = realization.hardware
@@ -543,7 +467,7 @@ def run(realization: Realization, config: SolverConfig,
         s = _combiner_step(ch, s, cov)
         return s, objective.report(ch, hw, s, cov, nu, collect_metrics)
 
-    def snapshot(iteration, rep, elapsed_ms, pre=None, pw=None):
+    def snapshot(iteration, rep, elapsed_ms, pre=None, block_ms=(0.0, 0.0, 0.0)):
         return IterationRecord(
             iteration=iteration,
             loss=rep.loss,
@@ -555,10 +479,11 @@ def run(realization: Realization, config: SolverConfig,
             ul_user_power=tuple(state.ul_powers().ravel().tolist()),
             dl_precoder_multipliers=tuple(pre.dl_multipliers.tolist()) if pre else no_dl,
             ul_precoder_multipliers=tuple(pre.ul_multipliers.ravel().tolist()) if pre else no_ul,
-            dl_power_multipliers=tuple(pw.dl_multipliers.tolist()) if pw else no_dl,
-            ul_power_multipliers=tuple(pw.ul_multipliers.ravel().tolist()) if pw else no_ul,
-            multiplier_evaluations=int(pre.dl_evaluations.sum() + pre.ul_evaluations.sum()
-                                       + pw.dl_evaluations.sum()) if pre else 0,
+            multiplier_evaluations=int(pre.dl_evaluations.sum() + pre.ul_evaluations.sum())
+            if pre else 0,
+            combiner_ms=block_ms[0],
+            precoder_ms=block_ms[1],
+            trial_ms=block_ms[2],
         )
 
     t0 = time.perf_counter()
@@ -572,21 +497,24 @@ def run(realization: Realization, config: SolverConfig,
     accepted = None          # (state, report) of the trial the last iteration kept
     for t in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
-        if accepted is None:
-            state, rep = refresh(state)
-        else:
-            state, rep = accepted
-            accepted = None
+        reused = accepted is not None
+        state, rep = accepted if reused else refresh(state)
+        accepted = None
+        t1 = time.perf_counter()
         pre = _precoder_step(ch, hw, state, nu, config)
-        pw = _power_step(ch, hw, pre.state, pre.quadratic, config)
+        t2 = time.perf_counter()
         iterations = t
         converged = prev_loss - rep.loss < config.threshold
-        if not converged and 1 < t < config.max_iterations:
-            trial, trial_rep = refresh(_extrapolate(hw, pw.state, state, EXTRAPOLATION))
+        tried = not converged and 1 < t < config.max_iterations
+        if tried:
+            trial, trial_rep = refresh(_extrapolate(hw, pre.state, state, EXTRAPOLATION))
             if trial_rep.loss < rep.loss - config.threshold:
                 accepted = (trial, trial_rep)
-        state = accepted[0] if accepted else pw.state
-        records.append(snapshot(t, rep, (time.perf_counter() - t0) * 1e3, pre, pw))
+        t3 = time.perf_counter()
+        state = accepted[0] if accepted else pre.state
+        block_ms = (0.0 if reused else (t1 - t0) * 1e3, (t2 - t1) * 1e3,
+                    (t3 - t2) * 1e3 if tried else 0.0)
+        records.append(snapshot(t, rep, (time.perf_counter() - t0) * 1e3, pre, block_ms))
         if converged:
             break
         prev_loss = rep.loss

@@ -200,9 +200,9 @@ def precoder_stationarity(realization, state, nu, update: jpaim.PrecoderUpdate) 
     return _fd_ratio(lagrangian, mats)
 
 
-def coefficient_stationarity(realization, state, nu, update: jpaim.PowerUpdate) -> float:
-    # the power sub-problem minimizes the same penalized loss as the other
-    # blocks (sum MSE plus the nu-weighted RSI) subject to the budgets
+def coefficient_stationarity(realization, state, nu, update: jpaim.PrecoderUpdate) -> float:
+    # the penalized loss (sum MSE plus the nu-weighted RSI) with the budgets'
+    # multipliers, differentiated in the coefficients alone
     hw = realization.hardware
 
     def lagrangian():

@@ -66,13 +66,12 @@ def test_criterion_02_block_stationarity():
         worst["combiners"] = max(worst["combiners"],
                                  helpers.combiner_stationarity(real, state, nu))
         pre = jpaim.update_precoders(real, state, cfg)
-        state = pre.state
         worst["precoders"] = max(worst["precoders"],
-                                 helpers.precoder_stationarity(real, state, nu, pre))
-        pw = jpaim.update_power_coefficients(real, state, cfg)
+                                 helpers.precoder_stationarity(real, pre.state, nu, pre))
+        # the precoder step optimizes W = coefficient * V, so its result is
+        # stationary in the coefficients too, with the same multipliers
         worst["coefficients"] = max(worst["coefficients"],
-                                    helpers.coefficient_stationarity(
-                                        real, pw.state, nu, pw))
+                                    helpers.coefficient_stationarity(real, pre.state, nu, pre))
     ok = all(v < 1e-5 for v in worst.values())
     detail = ("worst relative gradient norms: "
               + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
@@ -95,8 +94,6 @@ def test_criterion_03_feasibility_and_slackness():
             state = jpaim.update_combiners(real, state)
             pre = jpaim.update_precoders(real, state, cfg)
             state = pre.state
-            pw = jpaim.update_power_coefficients(real, state, cfg)
-            state = pw.state
             for g in range(real.cell_count):
                 if real.topology.dl_counts[g] == 0:
                     continue
@@ -105,18 +102,12 @@ def test_criterion_03_feasibility_and_slackness():
                 if pre.dl_multipliers[g] > 0.0:
                     worst_slack = max(worst_slack,
                                       abs(pre.dl_matrix_power[g] / hw.p_bs_w - 1.0))
-                if pw.dl_multipliers[g] > 0.0:
-                    worst_slack = max(worst_slack,
-                                      abs(state.dl_cell_power(g) / hw.p_bs_w - 1.0))
             for i, (g, k) in enumerate(real.ul_users()):
                 worst_excess = max(worst_excess,
                                    state.ul_power(g, k) / hw.p_ue_w - 1.0)
                 if pre.ul_multipliers[i] > 0.0:
                     worst_slack = max(worst_slack,
                                       abs(pre.ul_matrix_power[i] / hw.p_ue_w - 1.0))
-                if pw.ul_multipliers[i] > 0.0:
-                    worst_slack = max(worst_slack,
-                                      abs(state.ul_power(g, k) / hw.p_ue_w - 1.0))
             checked += 1
     ok = worst_excess <= 1e-6 and worst_slack <= 1e-6
     detail = (f"{int(checked)} iterations checked; worst constraint excess "

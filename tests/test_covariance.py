@@ -128,19 +128,6 @@ def test_f1_is_hermitian_psd():
     assert np.all(np.linalg.eigvalsh(out) >= -1e-12)
 
 
-def test_f2_matches_f1_contraction():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        a, b, c = rng.integers(1, 5, size=3)
-        z = helpers.cn(rng, (a, b))
-        y = helpers.cn(rng, (a, c))
-        x = helpers.cn(rng, (c, 2))
-        st, sr = rng.uniform(0.0, 0.5, size=2)
-        got = covariance.f2(z, y, x, st, sr)
-        expected = np.trace(x.conj().T @ covariance.f1(y.conj().T, z, st, sr) @ x)
-        assert got == pytest.approx(expected.real, rel=1e-11)
-
-
 def test_estimation_error_trace_identity_monte_carlo():
     # E{Delta T Delta^H} = err_var tr(T) I for i.i.d. complex normal errors
     rng = np.random.default_rng(13)

@@ -88,6 +88,13 @@ def test_parse_config_errors_name_the_key():
         ("scenario.cells 3", "key = value"),
         ("solver.max_iterations = many", "solver.max_iterations"),
         ("campaign.trace = maybe", "campaign.trace"),
+        ("solver.nu = -1", "solver.nu"),
+        ("solver.nu = nan", "solver.nu"),
+        ("solver.nu = inf", "solver.nu"),
+        ("solver.nu = 0.1, -0.2", "solver.nu"),
+        ("solver.nu = 1,2,3", "solver.nu"),     # three values for the default two cells
+        ("scenario.cells = 1\nsolver.nu = 1,2", "solver.nu"),
+        ("solver.nu = abc", "solver.nu"),
     ]:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
@@ -131,6 +138,19 @@ def _read_csv(path):
     lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("# schema: ")
     return lines[0], list(csv.DictReader(lines[1:]))
+
+
+def test_run_campaign_bytes_do_not_depend_on_workers(tmp_path):
+    text = SMALL + "scenario.cells = 2\nscenario.bs_tx_antennas = 8\nscenario.bs_rx_antennas = 8\n"
+    cfg = replace(parse_config(text), realizations=4, trace=True,
+                  algorithms=("jpaim", "nsp-jpaim", "half-duplex"))
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        run_campaign(replace(cfg, workers=workers, output_dir=str(out)))
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 5
+    assert outputs[0] == outputs[1]
 
 
 def test_run_campaign_writes_contractual_csv(tmp_path):
