@@ -7,10 +7,10 @@ CSI-error power.  The helper form f1 bundles the resulting quadratic
 contributions of a (channel, matrix) pair; summed over every receiver it is
 the transmit-side matrix omega that the precoder update diagonalizes.
 
-The kernels work on the stacked layout (module `stacked`) and treat every
-cell, user and link at once with batched `@`; the per-node functions below
-them are thin adapters for callers that hold a Realization and a
-BeamformingState.
+The kernels take the stacked channels (module `stacked`) and a
+BeamformingState, whose fields are arrays in the same layout, and treat
+every cell, user and link at once with batched `@`; the per-node functions
+below them are thin adapters for callers that hold a Realization.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HardwareProfile, Realization
-from .stacked import (ChannelStack, StackedState, TransmitSide, add_scaled_diag, columns,
-                      hermitian, row_powers, stack_channels, trace)
+from .stacked import (ChannelStack, TransmitSide, add_scaled_diag, columns, hermitian,
+                      row_powers, stack_channels, trace)
 from .state import BeamformingState
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def _received(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     return h @ t @ hermitian(h)
 
 
-def covariances(ch: ChannelStack, hw: HardwareProfile, s: StackedState) -> Covariances:
+def covariances(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState) -> Covariances:
     """All transmit covariances, then every receiver's covariance.
 
     A receiver sees each transmitter's covariance through its estimated
@@ -101,7 +101,7 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, s: StackedState) -> Covar
                        dl_csi=dl_csi, bs_csi=bs_csi)
 
 
-def transmit_grams(ch: ChannelStack, hw: HardwareProfile, s: StackedState):
+def transmit_grams(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState):
     """Interference-plus-distortion matrices seen from each transmitter.
 
     For BS g this aggregates, over every receiver in the network, the f1
@@ -130,24 +130,16 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, s: StackedState):
 # ---------------------------------------------------------------------------
 
 
-def tx_covariance_dl(alpha: float, precoder: np.ndarray, kappa: float) -> np.ndarray:
-    """Per-user downlink transmit covariance alpha^2 (VV^H + kappa diag(VV^H))."""
-    return tx_gram(alpha * precoder, kappa)
-
-
-def tx_covariance_ul(gamma: float, precoder: np.ndarray, kappa: float) -> np.ndarray:
-    """Uplink transmit covariance gamma^2 (VV^H + kappa diag(VV^H))."""
-    return tx_gram(gamma * precoder, kappa)
-
-
-def _of(realization: Realization, state: BeamformingState) -> Covariances:
-    return covariances(stack_channels(realization), realization.hardware,
-                       StackedState.from_state(realization, state))
+def assemble(realization: Realization,
+             state: BeamformingState) -> tuple[ChannelStack, Covariances]:
+    """Stack the channels of a realization and the covariances of a state on them."""
+    ch = stack_channels(realization)
+    return ch, covariances(ch, realization.hardware, state)
 
 
 def cell_tx_covariance(realization: Realization, state: BeamformingState, g: int) -> np.ndarray:
     """Total transmit covariance of BS g (sum over its downlink users)."""
-    return _of(realization, state).cell_tx[g]
+    return assemble(realization, state)[1].cell_tx[g]
 
 
 def csi_error_variance(realization: Realization, state: BeamformingState, rx) -> float:
@@ -156,7 +148,7 @@ def csi_error_variance(realization: Realization, state: BeamformingState, rx) ->
     Each imperfectly known link contributes err_var * tr(T) of its
     transmitter.  Perfectly known links (the SI channel) contribute nothing.
     """
-    cov = _of(realization, state)
+    cov = assemble(realization, state)[1]
     return float(cov.dl_csi[rx[1], rx[2]] if rx[0] == "dl" else cov.bs_csi[rx[1]])
 
 
@@ -168,7 +160,7 @@ def rx_covariance_dl(realization: Realization, state: BeamformingState,
     channel, the receiver distortion diagonal, thermal noise, and the
     aggregate CSI-error power.
     """
-    return _of(realization, state).dl_rx[g, k]
+    return assemble(realization, state)[1].dl_rx[g, k]
 
 
 def rx_covariance_ul(realization: Realization, state: BeamformingState, g: int) -> np.ndarray:
@@ -177,7 +169,7 @@ def rx_covariance_ul(realization: Realization, state: BeamformingState, g: int) 
     Identical structure to the downlink case except that the perfectly known
     self-interference channel enters with its true matrix.
     """
-    return _of(realization, state).bs_rx[g]
+    return assemble(realization, state)[1].bs_rx[g]
 
 
 # ---------------------------------------------------------------------------

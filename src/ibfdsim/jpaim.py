@@ -24,11 +24,11 @@ stopping threshold below the iteration's snapshot.  The tracked loss is
 therefore non-increasing, and the loop stops once the per-iteration
 improvement drops below the threshold.
 
-`run` stacks the channels once per call and then works on the stacked
-layout (module `stacked`) throughout: each block is a handful of batched
-numpy kernels over all cells and users.  The public block updates below
-take and return a BeamformingState and are thin adapters over the same
-kernels.
+`run` stacks the channels once per call (module `stacked`); the state is
+a BeamformingState, whose fields are arrays in the same layout, so each
+block is a handful of batched numpy kernels over all cells and users.  The
+public block updates below are thin adapters over the same kernels that
+stack the channels and return a state of fresh C-contiguous arrays.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import numpy as np
 
 from . import covariance, objective
 from .model import HardwareProfile, Realization
-from .stacked import (ChannelStack, StackedState, columns, frobenius_sq, hermitian, row_powers,
-                      stack_channels, uncolumns)
+from .stacked import (ChannelStack, columns, frobenius_sq, hermitian, row_powers,
+                      stack_channels, uncolumns, user_counts)
 from .state import BeamformingState
 
 
@@ -126,17 +126,30 @@ class RunTrace:
         return np.array([r.loss for r in self.records])
 
 
-@dataclass
+@dataclass(eq=False)
 class PrecoderUpdate:
+    """The precoder step's new state and its multiplier searches.
+
+    The uplink arrays are flattened over (cell, user).  The scalar powers
+    come from the eigen-domain expression of the search, the matrix powers
+    from the assembled precoders of the new state.
+    """
+
     state: BeamformingState
-    dl_multipliers: tuple         # per cell
-    ul_multipliers: tuple         # flattened over (cell, user)
-    dl_scalar_power: tuple        # per cell, from the eigen-domain expression
-    dl_matrix_power: tuple        # per cell, from the assembled precoders
-    ul_scalar_power: tuple
-    ul_matrix_power: tuple
-    dl_evaluations: tuple = ()    # power evaluations of each cell's multiplier search
-    ul_evaluations: tuple = ()    # flattened over (cell, user)
+    dl_multipliers: np.ndarray    # (G,)
+    ul_multipliers: np.ndarray    # (G K_u,)
+    dl_scalar_power: np.ndarray   # (G,)
+    ul_scalar_power: np.ndarray   # (G K_u,)
+    dl_evaluations: np.ndarray    # (G,) power evaluations of each cell's multiplier search
+    ul_evaluations: np.ndarray    # (G K_u,)
+
+    @property
+    def dl_matrix_power(self) -> np.ndarray:
+        return self.state.dl_cell_powers()
+
+    @property
+    def ul_matrix_power(self) -> np.ndarray:
+        return self.state.ul_powers().reshape(-1)
 
 
 def resolve_nu(realization: Realization, config: SolverConfig) -> np.ndarray:
@@ -160,32 +173,27 @@ def initialize(realization: Realization, config: SolverConfig,
     """
     if rng is None:
         rng = np.random.default_rng([config.init_seed, realization.seed])
-    ant = realization.antennas
-    hw = realization.hardware
-    topo = realization.topology
+    ant, hw = realization.antennas, realization.hardware
+    cells = realization.cell_count
+    k_d, k_u = user_counts(realization.topology)
 
-    def unit_matrix(rows, cols):
-        m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        return m / np.linalg.norm(m, axis=0, keepdims=True)
+    def unit_matrices(count, rows, cols):
+        # drawn user by user, real part then imaginary part
+        re, im = np.moveaxis(rng.standard_normal((cells, count, 2, rows, cols)), 2, 0)
+        m = re + 1j * im
+        return m / np.linalg.norm(m, axis=-2, keepdims=True)
 
-    dl_pre, dl_comb, dl_coef = [], [], []
-    ul_pre, ul_comb, ul_coef = [], [], []
-    for g in range(topo.cell_count):
-        k_d = topo.dl_counts[g]
-        dl_pre.append([unit_matrix(ant.bs_tx, ant.dl_streams) for _ in range(k_d)])
-        dl_comb.append([np.zeros((ant.ue_rx, ant.dl_streams), dtype=complex)
-                        for _ in range(k_d)])
-        alpha = math.sqrt(hw.p_bs_w / (ant.dl_streams * k_d)) if k_d else 0.0
-        dl_coef.append(np.full(k_d, alpha))
-    for g in range(topo.cell_count):
-        k_u = topo.ul_counts[g]
-        ul_pre.append([unit_matrix(ant.ue_tx, ant.ul_streams) for _ in range(k_u)])
-        ul_comb.append([np.zeros((ant.bs_rx, ant.ul_streams), dtype=complex)
-                        for _ in range(k_u)])
-        ul_coef.append(np.full(k_u, math.sqrt(hw.p_ue_w / ant.ul_streams)))
-    return BeamformingState(dl_pre, dl_comb, dl_coef, ul_pre, ul_comb, ul_coef)
-
-
+    # every downlink user draws before the first uplink user
+    dl_precoders = unit_matrices(k_d, ant.bs_tx, ant.dl_streams)
+    alpha = math.sqrt(hw.p_bs_w / (ant.dl_streams * k_d)) if k_d else 0.0
+    return BeamformingState(
+        dl_precoders=dl_precoders,
+        dl_combiners=np.zeros((cells, k_d, ant.ue_rx, ant.dl_streams), dtype=complex),
+        dl_coefficients=np.full((cells, k_d), alpha),
+        ul_precoders=unit_matrices(k_u, ant.ue_tx, ant.ul_streams),
+        ul_combiners=np.zeros((cells, k_u, ant.bs_rx, ant.ul_streams), dtype=complex),
+        ul_coefficients=np.full((cells, k_u), math.sqrt(hw.p_ue_w / ant.ul_streams)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +270,8 @@ def _bound_step(terms, den, target):
 # ---------------------------------------------------------------------------
 
 
-def _combiner_step(ch: ChannelStack, s: StackedState,
-                   cov: covariance.Covariances) -> StackedState:
+def _combiner_step(ch: ChannelStack, s: BeamformingState,
+                   cov: covariance.Covariances) -> BeamformingState:
     """U = coefficient * C^-1 H V for every user; a BS solves once for all
     the uplink users it decodes."""
     try:
@@ -277,19 +285,8 @@ def _combiner_step(ch: ChannelStack, s: StackedState,
                    ul_combiners=s.ul_coefficients[..., None, None] * ul)
 
 
-@dataclass(eq=False)
-class _PrecoderStep:
-    state: StackedState
-    dl_multipliers: np.ndarray    # (G,)
-    ul_multipliers: np.ndarray    # (G, K_u)
-    dl_scalar_power: np.ndarray
-    ul_scalar_power: np.ndarray
-    dl_evaluations: np.ndarray
-    ul_evaluations: np.ndarray
-
-
-def _precoder_step(ch: ChannelStack, hw: HardwareProfile, s: StackedState,
-                   nu: np.ndarray, config: SolverConfig) -> _PrecoderStep:
+def _precoder_step(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState,
+                   nu: np.ndarray, config: SolverConfig) -> PrecoderUpdate:
     """V = (1/coefficient) Q (D + w I)^-1 Q^H H^H U per user, with w the power
     multiplier and Q D Q^H the transmitter's quadratic-term matrix: its omega,
     plus nu_g S_g at BS g, where S_g = H^H H + kappa diag(H^H H) is the
@@ -330,12 +327,12 @@ def _precoder_step(ch: ChannelStack, hw: HardwareProfile, s: StackedState,
                               s.dl_coefficients, dl_on, s.dl_precoders),
         ul_precoders=assemble(q_ul, b_ul, d_ul + w_ul[..., None], s.ul_coefficients, ul_on,
                               s.ul_precoders))
-    return _PrecoderStep(new, w_dl, w_ul, power[:cells], power[cells:].reshape(cells, k_u),
-                         evaluations[:cells], evaluations[cells:].reshape(cells, k_u))
+    return PrecoderUpdate(new, w_dl, w[cells:], power[:cells], power[cells:],
+                          evaluations[:cells], evaluations[cells:])
 
 
-def _extrapolate(hw: HardwareProfile, s: StackedState, prev: StackedState,
-                 weight: float) -> StackedState:
+def _extrapolate(hw: HardwareProfile, s: BeamformingState, prev: BeamformingState,
+                 weight: float) -> BeamformingState:
     """Trial point W + weight (W - W_prev) on every transmitted beamformer (see extrapolate)."""
     def move(coefficient, precoder, prev_coefficient, prev_precoder, budget, per_cell):
         on = coefficient > 0.0
@@ -363,28 +360,10 @@ def _extrapolate(hw: HardwareProfile, s: StackedState, prev: StackedState,
 # ---------------------------------------------------------------------------
 
 
-def _stacked(realization: Realization, *states: BeamformingState):
-    return (stack_channels(realization),
-            *(StackedState.from_state(realization, st) for st in states))
-
-
 def update_combiners(realization: Realization, state: BeamformingState) -> BeamformingState:
     """Linear MMSE combiners U = coef * C^-1 H V for every user."""
-    ch, s = _stacked(realization, state)
-    return _combiner_step(ch, s, covariance.covariances(ch, realization.hardware, s)).to_state()
-
-
-def compute_omegas(realization: Realization, state: BeamformingState):
-    """Interference-plus-distortion matrices seen from each transmitter.
-
-    For BS g this aggregates, over every receiver in the network, the f1 form
-    of the estimated channel from g and that receiver's combiner (the SI link
-    contributes through its true matrix, stored as its estimate).  The uplink
-    variant does the same from each uplink user's antennas.  Returns arrays
-    indexed [g] and [g][k].
-    """
-    ch, s = _stacked(realization, state)
-    return covariance.transmit_grams(ch, realization.hardware, s)
+    ch, cov = covariance.assemble(realization, state)
+    return _combiner_step(ch, state, cov).copy()
 
 
 def update_precoders(realization: Realization, state: BeamformingState,
@@ -396,18 +375,9 @@ def update_precoders(realization: Realization, state: BeamformingState,
     multiplier keeping the cell inside its power budget.  Uplink: the same
     form per user against P_ue without any SI term.
     """
-    ch, s = _stacked(realization, state)
-    step = _precoder_step(ch, realization.hardware, s, resolve_nu(realization, config), config)
-    return PrecoderUpdate(
-        state=step.state.to_state(),
-        dl_multipliers=tuple(step.dl_multipliers.tolist()),
-        ul_multipliers=tuple(step.ul_multipliers.ravel().tolist()),
-        dl_scalar_power=tuple(step.dl_scalar_power.tolist()),
-        dl_matrix_power=tuple(step.state.dl_cell_powers().tolist()),
-        ul_scalar_power=tuple(step.ul_scalar_power.ravel().tolist()),
-        ul_matrix_power=tuple(step.state.ul_powers().ravel().tolist()),
-        dl_evaluations=tuple(step.dl_evaluations.tolist()),
-        ul_evaluations=tuple(step.ul_evaluations.ravel().tolist()))
+    pre = _precoder_step(stack_channels(realization), realization.hardware, state,
+                         resolve_nu(realization, config), config)
+    return replace(pre, state=pre.state.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +397,7 @@ def extrapolate(realization: Realization, state: BeamformingState,
     pushed over its budget is scaled back onto it.  Silenced users stay as
     they are.  Combiners are carried over unchanged.
     """
-    _, s, prev = _stacked(realization, state, previous)
-    return _extrapolate(realization.hardware, s, prev, weight).to_state()
+    return _extrapolate(realization.hardware, state, previous, weight).copy()
 
 
 def run(realization: Realization, config: SolverConfig,
@@ -457,7 +426,7 @@ def run(realization: Realization, config: SolverConfig,
     nu = resolve_nu(realization, config)
     hw = realization.hardware
     ch = stack_channels(realization)
-    state = StackedState.from_state(realization, initialize(realization, config, rng))
+    state = initialize(realization, config, rng)
     cells, k_u = state.ul_coefficients.shape
     no_dl, no_ul = (0.0,) * cells, (0.0,) * (cells * k_u)
 
@@ -478,7 +447,7 @@ def run(realization: Realization, config: SolverConfig,
             dl_cell_power=tuple(state.dl_cell_powers().tolist()),
             ul_user_power=tuple(state.ul_powers().ravel().tolist()),
             dl_precoder_multipliers=tuple(pre.dl_multipliers.tolist()) if pre else no_dl,
-            ul_precoder_multipliers=tuple(pre.ul_multipliers.ravel().tolist()) if pre else no_ul,
+            ul_precoder_multipliers=tuple(pre.ul_multipliers.tolist()) if pre else no_ul,
             multiplier_evaluations=int(pre.dl_evaluations.sum() + pre.ul_evaluations.sum())
             if pre else 0,
             combiner_ms=block_ms[0],
@@ -521,5 +490,5 @@ def run(realization: Realization, config: SolverConfig,
 
     final_report = objective.report(ch, hw, state, covariance.covariances(ch, hw, state), nu,
                                     True)
-    return RunTrace(records=records, final_state=state.to_state(), final_report=final_report,
+    return RunTrace(records=records, final_state=state.copy(), final_report=final_report,
                     converged=converged, iterations=iterations, nu=tuple(nu))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import covariance
 from .model import HardwareProfile, Realization
-from .stacked import ChannelStack, StackedState, hermitian, re_inner, stack_channels, trace
+from .stacked import ChannelStack, hermitian, re_inner, trace
 from .state import BeamformingState
 
 log = logging.getLogger(__name__)
@@ -73,9 +73,9 @@ def _depth_db(numerator: float, rsi: float) -> float:
     return min(10.0 * math.log10(numerator / rsi), ASIC_DEPTH_CAP_DB)
 
 
-def report(ch: ChannelStack, hw: HardwareProfile, s: StackedState,
+def report(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState,
            cov: covariance.Covariances, nu_arr: np.ndarray, with_rates: bool) -> ObjectiveReport:
-    """Every figure of merit of a stacked state whose covariances are `cov`.
+    """Every figure of merit of a state whose covariances on the channels `ch` are `cov`.
 
     The RSI of cell g is tr(H_si T_g H_si^H) with T_g the cell's transmit
     covariance, distortion diagonal included; it depends only on the cell's
@@ -116,17 +116,17 @@ def report(ch: ChannelStack, hw: HardwareProfile, s: StackedState,
 
 def mse_downlink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:
     """Stream-recovery MSE of downlink user (k, g) under its current combiner."""
-    ch, s, cov = _stacked(realization, state)
-    return float(_mse(cov.dl_rx[g, k], ch.dl_own[g, k] @ s.dl_precoders[g, k],
-                      s.dl_combiners[g, k], s.dl_coefficients[g, k],
+    ch, cov = covariance.assemble(realization, state)
+    return float(_mse(cov.dl_rx[g, k], ch.dl_own[g, k] @ state.dl_precoders[g, k],
+                      state.dl_combiners[g, k], state.dl_coefficients[g, k],
                       realization.antennas.dl_streams))
 
 
 def mse_uplink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:
     """Stream-recovery MSE of uplink user (k, g), decoded at BS g."""
-    ch, s, cov = _stacked(realization, state)
-    return float(_mse(cov.bs_rx[g], ch.ul_own[g, k] @ s.ul_precoders[g, k],
-                      s.ul_combiners[g, k], s.ul_coefficients[g, k],
+    ch, cov = covariance.assemble(realization, state)
+    return float(_mse(cov.bs_rx[g], ch.ul_own[g, k] @ state.ul_precoders[g, k],
+                      state.ul_combiners[g, k], state.ul_coefficients[g, k],
                       realization.antennas.ul_streams))
 
 
@@ -175,12 +175,6 @@ def sum_rate(realization: Realization, state: BeamformingState) -> float:
     return report.sum_rate
 
 
-def _stacked(realization: Realization, state: BeamformingState):
-    ch = stack_channels(realization)
-    s = StackedState.from_state(realization, state)
-    return ch, s, covariance.covariances(ch, realization.hardware, s)
-
-
 def evaluate(realization: Realization, state: BeamformingState, nu,
              with_rates: bool = True) -> ObjectiveReport:
     """Compute every reported metric, sharing covariance assembly.
@@ -189,5 +183,5 @@ def evaluate(realization: Realization, state: BeamformingState, nu,
     roughly halves the cost of per-iteration bookkeeping inside the solver.
     """
     nu_arr = _nu_per_cell(realization, nu)
-    ch, s, cov = _stacked(realization, state)
-    return report(ch, realization.hardware, s, cov, nu_arr, with_rates)
+    ch, cov = covariance.assemble(realization, state)
+    return report(ch, realization.hardware, state, cov, nu_arr, with_rates)

@@ -1,12 +1,14 @@
-"""The stacked layout: every channel and every state matrix as a dense array.
+"""The stacked layout: every channel as a dense array, and batched matrix helpers.
 
 The solver kernels (covariance, objective, jpaim) treat all cells, users
 and links at once with batched `@`, `solve` and `eigh` over these arrays
-instead of looping over per-link dictionaries.  Arrays are grouped by
-(receiver kind, transmitter kind) with the receiver indices first, the
-transmitter indices next and the matrix axes last.  The layout needs the
-same downlink and the same uplink user count in every cell, which is what
-build_realization and the single-direction restrictions produce.
+and over the (cell, user, rows, streams) arrays of a BeamformingState
+(module `state`), instead of looping over per-link dictionaries.  Channel
+arrays are grouped by (receiver kind, transmitter kind) with the receiver
+indices first, the transmitter indices next and the matrix axes last.  The
+layout needs the same downlink and the same uplink user count in every
+cell, which is what build_realization and the single-direction
+restrictions produce.
 
 A ChannelStack copies the link matrices of one realization.  It is built
 per call and never cached on the realization, whose links callers may edit
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Realization, bs_node, dl_node, ul_node
-from .state import BeamformingState
+from .model import Realization, Topology, bs_node, dl_node, ul_node
 
 # ---------------------------------------------------------------------------
 # batched matrix helpers
@@ -139,13 +140,18 @@ class ChannelStack:
             np.moveaxis(self.bs_ul, (1, 2), (0, 1)))
 
 
+def user_counts(topo: Topology) -> tuple[int, int]:
+    """(K_d, K_u), the downlink and uplink users of every cell."""
+    if len(set(topo.dl_counts)) > 1 or len(set(topo.ul_counts)) > 1:
+        raise ValueError("the stacked layout needs equal user counts in every cell")
+    return topo.dl_counts[0], topo.ul_counts[0]
+
+
 def stack_channels(realization: Realization) -> ChannelStack:
     """Copy every link of a realization into the stacked layout."""
     topo, ant = realization.topology, realization.antennas
-    if len(set(topo.dl_counts)) > 1 or len(set(topo.ul_counts)) > 1:
-        raise ValueError("the stacked channel layout needs equal user counts in every cell")
     cells = topo.cell_count
-    k_d, k_u = topo.dl_counts[0], topo.ul_counts[0]
+    k_d, k_u = user_counts(topo)
     links = realization.channels.links
     dl = [dl_node(g, k) for g in range(cells) for k in range(k_d)]
     bs = [bs_node(g) for g in range(cells)]
@@ -180,73 +186,3 @@ def stack_channels(realization: Realization) -> ChannelStack:
         si=si,
         si_gram=add_scaled_diag(hermitian(si) @ si, realization.hardware.kappa_bs),
     )
-
-
-# ---------------------------------------------------------------------------
-# state
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class StackedState:
-    """A BeamformingState as dense arrays.
-
-    Axes are (cell, user, rows, streams) for the matrices and (cell, user)
-    for the coefficients, matching ChannelStack.
-    """
-
-    dl_precoders: np.ndarray      # (G, K_d, N_bs, b_d)
-    dl_combiners: np.ndarray      # (G, K_d, M_ue, b_d)
-    dl_coefficients: np.ndarray   # (G, K_d)
-    ul_precoders: np.ndarray      # (G, K_u, N_ue, b_u)
-    ul_combiners: np.ndarray      # (G, K_u, M_bs, b_u)
-    ul_coefficients: np.ndarray   # (G, K_u)
-
-    @classmethod
-    def from_state(cls, realization: Realization, state: BeamformingState) -> "StackedState":
-        ant, topo = realization.antennas, realization.topology
-        cells, k_d, k_u = topo.cell_count, topo.dl_counts[0], topo.ul_counts[0]
-
-        def stack(cell_lists, rows, cols, count):
-            out = np.zeros((cells, count, rows, cols), dtype=complex)
-            for g, cell in enumerate(cell_lists):
-                for k, m in enumerate(cell):
-                    out[g, k] = m
-            return out
-
-        def coefficients(cell_arrays, count):
-            out = np.zeros((cells, count))
-            for g, a in enumerate(cell_arrays):
-                out[g] = a
-            return out
-
-        return cls(
-            dl_precoders=stack(state.dl_precoders, ant.bs_tx, ant.dl_streams, k_d),
-            dl_combiners=stack(state.dl_combiners, ant.ue_rx, ant.dl_streams, k_d),
-            dl_coefficients=coefficients(state.dl_coefficients, k_d),
-            ul_precoders=stack(state.ul_precoders, ant.ue_tx, ant.ul_streams, k_u),
-            ul_combiners=stack(state.ul_combiners, ant.bs_rx, ant.ul_streams, k_u),
-            ul_coefficients=coefficients(state.ul_coefficients, k_u),
-        )
-
-    def to_state(self) -> BeamformingState:
-        """Per-user lists holding copies of the arrays' slices."""
-        def cells(a):
-            return [list(cell) for cell in a.copy()]
-
-        return BeamformingState(
-            dl_precoders=cells(self.dl_precoders),
-            dl_combiners=cells(self.dl_combiners),
-            dl_coefficients=list(self.dl_coefficients.copy()),
-            ul_precoders=cells(self.ul_precoders),
-            ul_combiners=cells(self.ul_combiners),
-            ul_coefficients=list(self.ul_coefficients.copy()),
-        )
-
-    def dl_cell_powers(self) -> np.ndarray:
-        """(G,) transmit power of each BS before distortion."""
-        return (self.dl_coefficients ** 2 * frobenius_sq(self.dl_precoders)).sum(axis=-1)
-
-    def ul_powers(self) -> np.ndarray:
-        """(G, K_u) transmit power of each uplink user before distortion."""
-        return self.ul_coefficients ** 2 * frobenius_sq(self.ul_precoders)

@@ -49,7 +49,8 @@ def random_state(realization: Realization, seed: int, coef_scale=1.0) -> Beamfor
     hw = realization.hardware
 
     def block(rows, cols, count):
-        return [cn(rng, (rows, cols)) for _ in range(count)]
+        return np.array([cn(rng, (rows, cols)) for _ in range(count)],
+                        dtype=complex).reshape(count, rows, cols)
 
     dl_pre, dl_comb, dl_coef, ul_pre, ul_comb, ul_coef = [], [], [], [], [], []
     for g in range(topo.cell_count):
@@ -62,7 +63,7 @@ def random_state(realization: Realization, seed: int, coef_scale=1.0) -> Beamfor
         ul_comb.append(block(ant.bs_rx, ant.ul_streams, k_u))
         ul_coef.append(coef_scale * math.sqrt(hw.p_ue_w / ant.ul_streams)
                        * rng.uniform(0.3, 1.0, size=k_u))
-    return BeamformingState(dl_pre, dl_comb, dl_coef, ul_pre, ul_comb, ul_coef)
+    return BeamformingState(*map(np.stack, (dl_pre, dl_comb, dl_coef, ul_pre, ul_comb, ul_coef)))
 
 
 def solved_state(realization: Realization, iterations=3, nu=None) -> BeamformingState:
@@ -164,6 +165,8 @@ def _fd_ratio(fun, mats, skip_zero=False):
         rms = float(np.sqrt(np.mean(np.abs(m) ** 2)))
         h = 1e-3 * max(rms, block_rms, 1e-9)
         flat = m.reshape(-1)
+        # a copy (reshape of a non-contiguous view) would never reach the loss
+        assert np.shares_memory(flat, m), "perturbed block is a copy of the state"
         for i in range(flat.size):
             if skip_zero and flat[i] == 0.0:
                 continue  # clamped at the boundary; one-sided optimality only

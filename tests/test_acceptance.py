@@ -127,8 +127,8 @@ def test_criterion_04_scalar_matrix_power_equivalence():
         real = helpers.random_small_realization(rng)
         state = jpaim.update_combiners(real, jpaim.initialize(real, cfg))
         pre = jpaim.update_precoders(real, state, cfg)
-        for a, b in zip(pre.dl_scalar_power + pre.ul_scalar_power,
-                        pre.dl_matrix_power + pre.ul_matrix_power):
+        for a, b in zip((*pre.dl_scalar_power, *pre.ul_scalar_power),
+                        (*pre.dl_matrix_power, *pre.ul_matrix_power)):
             if max(a, b) > 0.0:
                 worst = max(worst, abs(a - b) / max(a, b))
     ok = worst <= 1e-10

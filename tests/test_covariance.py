@@ -10,13 +10,11 @@ from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node, u
 
 def test_tx_covariance_hand_case():
     v = np.array([[1.0 + 0j], [2.0j]])
-    t = covariance.tx_covariance_dl(0.5, v, kappa=0.1)
+    t = covariance.tx_gram(0.5 * v, kappa=0.1)
     gram = v @ v.conj().T
     expected = 0.25 * (gram + 0.1 * np.diag(np.diag(gram)))
     np.testing.assert_allclose(t, expected)
     np.testing.assert_allclose(np.trace(t).real, 0.25 * 5.0 * 1.1)
-    # uplink variant shares the form
-    np.testing.assert_allclose(covariance.tx_covariance_ul(0.5, v, 0.1), expected)
 
 
 def test_cell_tx_covariance_sums_users():
@@ -25,8 +23,7 @@ def test_cell_tx_covariance_sums_users():
     kappa = real.hardware.kappa_bs
     for g in range(real.cell_count):
         expected = sum(
-            covariance.tx_covariance_dl(state.dl_coefficients[g][k],
-                                        state.dl_precoders[g][k], kappa)
+            covariance.tx_gram(state.dl_coefficients[g][k] * state.dl_precoders[g][k], kappa)
             for k in range(real.topology.dl_counts[g]))
         np.testing.assert_allclose(covariance.cell_tx_covariance(real, state, g),
                                    expected, rtol=1e-12)
@@ -41,9 +38,8 @@ def test_csi_error_variance_hand_sum():
         t = covariance.cell_tx_covariance(real, state, g)
         expected += real.channels.err_var(rx, bs_node(g)) * np.trace(t).real
     for g, k in real.ul_users():
-        t = covariance.tx_covariance_ul(state.ul_coefficients[g][k],
-                                        state.ul_precoders[g][k],
-                                        real.hardware.kappa_ue)
+        t = covariance.tx_gram(state.ul_coefficients[g][k] * state.ul_precoders[g][k],
+                               real.hardware.kappa_ue)
         expected += real.channels.err_var(rx, ul_node(g, k)) * np.trace(t).real
     assert covariance.csi_error_variance(real, state, rx) == pytest.approx(
         expected, rel=1e-12)
@@ -63,8 +59,8 @@ def test_rx_covariance_explicit_assembly():
             base += h @ t @ h.conj().T
             sig_hat += real.channels.err_var(rx, bs_node(g)) * np.trace(t).real
         for g, k in real.ul_users():
-            t = covariance.tx_covariance_ul(state.ul_coefficients[g][k],
-                                            state.ul_precoders[g][k], hw.kappa_ue)
+            t = covariance.tx_gram(state.ul_coefficients[g][k] * state.ul_precoders[g][k],
+                                   hw.kappa_ue)
             h = real.channels.est(rx, ul_node(g, k))
             base += h @ t @ h.conj().T
             sig_hat += real.channels.err_var(rx, ul_node(g, k)) * np.trace(t).real
@@ -165,14 +161,14 @@ def test_transmit_grams_match_per_link_f1_sums():
     # distortion factors so that a swapped one shows
     from dataclasses import replace
 
-    from ibfdsim import jpaim
+    from ibfdsim.stacked import stack_channels
     for seed, overrides in ((23, {}), (24, dict(cells=3, dl_users=2, ul_users=1))):
         real = build_realization(helpers.small_config(asic_db=10.0, **overrides), seed)
         real = replace(real, hardware=replace(real.hardware, kappa_bs=0.01, kappa_ue=0.02,
                                               beta_bs=0.03, beta_ue=0.04))
         state = helpers.random_state(real, seed + 1)
         hw, links = real.hardware, real.channels
-        omega_bs, omega_ul = jpaim.compute_omegas(real, state)
+        omega_bs, omega_ul = covariance.transmit_grams(stack_channels(real), hw, state)
 
         def summed(tx, kappa):
             total = 0.0

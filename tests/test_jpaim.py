@@ -1,12 +1,13 @@
 """Alternating solver: initialization, block updates, and the full loop."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import helpers
-from ibfdsim import covariance, jpaim, objective
+from ibfdsim import baselines, covariance, jpaim, objective
 from ibfdsim.jpaim import SolverConfig, initialize, resolve_nu, run, update_combiners
 from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node, ul_node
 
@@ -52,10 +53,10 @@ def test_initialize_meets_budgets_exactly():
         assert state.dl_cell_power(g) == pytest.approx(hw.p_bs_w, rel=1e-12)
     for g, k in real.ul_users():
         assert state.ul_power(g, k) == pytest.approx(hw.p_ue_w, rel=1e-12)
-    for cell in state.dl_combiners + state.ul_combiners:
+    for cell in (*state.dl_combiners, *state.ul_combiners):
         for u in cell:
             assert np.all(u == 0.0)
-    for cell in state.dl_precoders + state.ul_precoders:
+    for cell in (*state.dl_precoders, *state.ul_precoders):
         for v in cell:
             np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, rtol=1e-12)
 
@@ -70,6 +71,24 @@ def test_initialize_deterministic_and_seeded():
     rng = np.random.default_rng(99)
     d = initialize(real, SolverConfig(), rng=rng)
     assert not np.allclose(a.dl_precoders[0][0], d.dl_precoders[0][0])
+
+
+def test_initialize_draws_user_by_user():
+    # reference: one unit-column matrix per user, real part then imaginary
+    # part, every downlink user before the first uplink user
+    for scenario in (ScenarioConfig(), helpers.small_config(cells=3, dl_users=2)):
+        real = build_realization(scenario, 4)
+        cfg = SolverConfig()
+        state = initialize(real, cfg)
+        rng = np.random.default_rng([cfg.init_seed, real.seed])
+        ant = real.antennas
+        for precoders, rows, cols in ((state.dl_precoders, ant.bs_tx, ant.dl_streams),
+                                      (state.ul_precoders, ant.ue_tx, ant.ul_streams)):
+            for cell in precoders:
+                for v in cell:
+                    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+                    np.testing.assert_array_equal(
+                        v, m / np.linalg.norm(m, axis=0, keepdims=True))
 
 
 def test_update_combiners_solves_mmse_system():
@@ -169,6 +188,45 @@ def test_extrapolate_moves_beamformers_within_budgets():
     scale = min(1.0, math.sqrt(hw.p_ue_w) / np.linalg.norm(moved))
     np.testing.assert_allclose(trial.ul_coefficients[0][0] * trial.ul_precoders[0][0],
                                scale * moved, rtol=1e-12)
+
+
+def test_returned_states_are_c_contiguous_and_share_no_memory():
+    # the kernels return views and non-C-contiguous layouts (the uplink
+    # combiners come out of a swapaxes), and carry unchanged fields over from
+    # their input; the public functions hand out arrays of their own
+    real = build_realization(ScenarioConfig(), 5)
+    cfg = SolverConfig(max_iterations=3)
+    previous = update_combiners(real, initialize(real, cfg))
+    state = jpaim.update_precoders(real, previous, cfg).state
+    inputs = (previous, state)
+    saved = [s.copy() for s in inputs]
+    results = {
+        "initialize": initialize(real, cfg),
+        "update_combiners": update_combiners(real, state),
+        "update_precoders": jpaim.update_precoders(real, state, cfg).state,
+        "extrapolate": jpaim.extrapolate(real, state, previous, 4.0),
+        "run": run(real, cfg, collect_metrics=False).final_state,
+        "project_state": baselines.project_state(real, state, 4),
+    }
+    for name, out in results.items():
+        for field in fields(out):
+            array = getattr(out, field.name)
+            assert array.flags.c_contiguous, (name, field.name)
+            array[...] = 7.0
+    for before, after in zip(saved, inputs):
+        for field in fields(before):
+            np.testing.assert_array_equal(getattr(after, field.name),
+                                          getattr(before, field.name), err_msg=field.name)
+
+
+def test_stationarity_check_refuses_a_copied_block():
+    # reshaping a non-contiguous matrix copies it, so a perturbation of the
+    # copy would never reach the loss and the gradient would read 0
+    real = build_realization(helpers.small_config(dl_streams=2), 1)
+    state = helpers.random_state(real, 2)
+    state.dl_combiners = np.swapaxes(np.swapaxes(state.dl_combiners, -1, -2).copy(), -1, -2)
+    with pytest.raises(AssertionError, match="copy"):
+        helpers.combiner_stationarity(real, state, 0.0)
 
 
 def test_run_monotone_and_recorded():

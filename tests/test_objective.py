@@ -88,13 +88,13 @@ def test_rsi_power_ignores_combiners_and_uplink():
     state = helpers.random_state(real, 10)
     before = [rsi_power(real, state, g) for g in range(real.cell_count)]
     rng = np.random.default_rng(11)
-    for cell in state.dl_combiners + state.ul_combiners:
+    for cell in (*state.dl_combiners, *state.ul_combiners):
         for u in cell:
             u[:] = helpers.cn(rng, u.shape)
     for cell in state.ul_precoders:
         for v in cell:
             v[:] = helpers.cn(rng, v.shape)
-    state.ul_coefficients = [a * 0.1 for a in state.ul_coefficients]
+    state.ul_coefficients = state.ul_coefficients * 0.1
     after = [rsi_power(real, state, g) for g in range(real.cell_count)]
     np.testing.assert_allclose(after, before, rtol=0.0)
 
@@ -120,12 +120,12 @@ def test_asic_depth_properties():
 
     # invariant to a common scaling of the transmit coefficients
     scaled = state.copy()
-    scaled.dl_coefficients = [a * 3.7 for a in scaled.dl_coefficients]
+    scaled.dl_coefficients = scaled.dl_coefficients * 3.7
     assert asic_depth(real, scaled, 0) == pytest.approx(depth, rel=1e-9)
 
     # silent cell reports zero depth
     silent = state.copy()
-    silent.dl_coefficients = [a * 0.0 for a in silent.dl_coefficients]
+    silent.dl_coefficients = silent.dl_coefficients * 0.0
     assert asic_depth(real, silent, 0) == 0.0
 
 
