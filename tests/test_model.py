@@ -285,3 +285,28 @@ def test_digest_is_stable_hex():
     assert len(digest) == 64
     int(digest, 16)
     assert serialize_realization(real)[:8] == b"IBFDREAL"
+
+
+# sha256 of serialize_realization for fixed (config, seed) pairs.  They pin
+# the draw order, the stored bits and the on-disk format at once, so any
+# change to how a realization is drawn or stored must leave them unchanged.
+_DIGEST_GOLDENS = {
+    "default": "f394eb0f002211fdcb72575f08886cedb9f75953138ee685c45d5f26ffa58ca4",
+    "three_cells": "c4c361ed0c767f84f558498c1b45ee0ab8ee629dd9c9d55060a4057d63e4883d",
+    "perfect_csi": "d774daf1978faa977accac4a7ac246382ab23413c6e68aece7a17af74a9b7073",
+    "downlink_only": "52559765f1faf7cee03631c0e28275343c271e40d5cee7dd9da42ff20b5615cd",
+    "uplink_only": "3c0acf98d11e71cd231cd6c9c9919016e6b752beb7194cf49e6e642be366c89f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIGEST_GOLDENS))
+def test_digest_goldens(case):
+    real = {
+        "default": lambda: build_realization(ScenarioConfig(), 7),
+        "three_cells": lambda: build_realization(
+            ScenarioConfig(cells=3, dl_users=2, ul_users=1, csi_error_factor=1e-2), 5),
+        "perfect_csi": lambda: build_realization(ScenarioConfig(csi_error_factor=0.0), 9),
+        "downlink_only": lambda: restrict_to_downlink(build_realization(ScenarioConfig(), 11)),
+        "uplink_only": lambda: restrict_to_uplink(build_realization(ScenarioConfig(), 11)),
+    }[case]()
+    assert realization_digest(real) == _DIGEST_GOLDENS[case]
