@@ -38,7 +38,7 @@ def project_state(realization: Realization, state: BeamformingState,
     """Apply nsp_project to every downlink precoder of a solved state."""
     new = state.copy()
     for g, k in realization.dl_users():
-        h_si = realization.channels.true(bs_node(g), bs_node(g))
+        h_si = realization.link(bs_node(g), bs_node(g)).true
         new.dl_precoders[g][k] = nsp_project(state.dl_precoders[g][k], h_si,
                                              realization.hardware.kappa_bs, subspace_dim)
     return new

@@ -132,7 +132,7 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState):
 
 def assemble(realization: Realization,
              state: BeamformingState) -> tuple[ChannelStack, Covariances]:
-    """Stack the channels of a realization and the covariances of a state on them."""
+    """The ChannelStack of a realization and the covariances of a state on it."""
     ch = stack_channels(realization)
     return ch, covariances(ch, realization.hardware, state)
 

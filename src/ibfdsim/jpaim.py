@@ -24,11 +24,11 @@ stopping threshold below the iteration's snapshot.  The tracked loss is
 therefore non-increasing, and the loop stops once the per-iteration
 improvement drops below the threshold.
 
-`run` stacks the channels once per call (module `stacked`); the state is
+`run` builds the ChannelStack once per call (module `stacked`); the state is
 a BeamformingState, whose fields are arrays in the same layout, so each
 block is a handful of batched numpy kernels over all cells and users.  The
 public block updates below are thin adapters over the same kernels that
-stack the channels and return a state of fresh C-contiguous arrays.
+build the ChannelStack and return a state of fresh C-contiguous arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from . import covariance, objective
 from .model import HardwareProfile, Realization
 from .stacked import (ChannelStack, columns, frobenius_sq, hermitian, row_powers,
-                      stack_channels, uncolumns, user_counts)
+                      stack_channels, uncolumns)
 from .state import BeamformingState
 
 
@@ -59,14 +59,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.nu is not None:
-            try:
-                nu = np.asarray(self.nu, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"nu must be a number or a per-cell sequence: {exc}") from exc
-            if nu.ndim > 1 or nu.size == 0:
-                raise ValueError(f"nu must be scalar or a per-cell sequence, got shape {nu.shape}")
-            if not np.all(np.isfinite(nu)) or np.any(nu < 0.0):
-                raise ValueError(f"nu must be finite and >= 0, got {self.nu!r}")
+            objective.checked_nu(self.nu)
         if not 0.0 < self.threshold <= 1e-3:
             raise ValueError("threshold must lie in (0, 1e-3]")
         if self.max_iterations < 0:
@@ -175,7 +168,7 @@ def initialize(realization: Realization, config: SolverConfig,
         rng = np.random.default_rng([config.init_seed, realization.seed])
     ant, hw = realization.antennas, realization.hardware
     cells = realization.cell_count
-    k_d, k_u = user_counts(realization.topology)
+    k_d, k_u = realization.topology.dl_counts[0], realization.topology.ul_counts[0]
 
     def unit_matrices(count, rows, cols):
         # drawn user by user, real part then imaginary part
@@ -419,7 +412,7 @@ def run(realization: Realization, config: SolverConfig,
     in the trace, not raised.
 
     The coefficients keep the values `initialize` gives them; the precoders
-    carry all of the power allocation.  The channels are stacked once per
+    carry all of the power allocation.  The ChannelStack is built once per
     call; every iteration then runs on arrays, and the covariances of a
     combiner update also serve the evaluation after it.
     """

@@ -8,6 +8,8 @@ plus a self-interference (SI) channel at each BS.
 
 All channels are stored both as the true matrix and as an estimated copy with
 a known per-element error variance; SI channels are assumed perfectly known.
+A realization keeps them in the stacked layout of module `stacked`, which
+the solver kernels read directly; `Realization.link` reads one link.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+
+from .stacked import Channels
 
 # ---------------------------------------------------------------------------
 # unit helpers
@@ -322,29 +327,12 @@ def ul_node(g: int, k: int) -> Node:
 
 
 @dataclass(eq=False)
-class ChannelLink:
+class LinkView:
+    """One receiver <- transmitter link as views into a realization's channels."""
+
     true: np.ndarray
     est: np.ndarray
-    err_var: float   # per-element estimation-error variance
-
-
-@dataclass(eq=False)
-class ChannelSet:
-    """All receiver<-transmitter links of a realization, keyed by node pair."""
-
-    links: dict
-
-    def true(self, rx: Node, tx: Node) -> np.ndarray:
-        return self.links[(rx, tx)].true
-
-    def est(self, rx: Node, tx: Node) -> np.ndarray:
-        return self.links[(rx, tx)].est
-
-    def err_var(self, rx: Node, tx: Node) -> float:
-        return self.links[(rx, tx)].err_var
-
-    def sorted_keys(self):
-        return sorted(self.links.keys())
+    err_var: np.ndarray      # 0-d, the per-element estimation-error variance
 
 
 @dataclass(eq=False)
@@ -354,7 +342,7 @@ class Realization:
     topology: Topology
     antennas: AntennaConfig
     hardware: HardwareProfile
-    channels: ChannelSet
+    channels: Channels
     seed: int
 
     def dl_users(self):
@@ -371,23 +359,44 @@ class Realization:
     def cell_count(self) -> int:
         return self.topology.cell_count
 
+    def links(self) -> list:
+        """Every (receiver, transmitter) node pair, sorted by key."""
+        bs = [bs_node(g) for g in range(self.cell_count)]
+        return sorted((rx, tx) for rx in bs + [dl_node(g, k) for g, k in self.dl_users()]
+                      for tx in bs + [ul_node(g, k) for g, k in self.ul_users()])
 
-def _node_xy(topology: Topology, node: Node) -> np.ndarray:
-    kind = node[0]
-    if kind == "bs":
-        return topology.bs_xy[node[1]]
-    if kind == "dl":
-        return topology.dl_xy[node[1]][node[2]]
-    return topology.ul_xy[node[1]][node[2]]
+    def link(self, rx: Node, tx: Node) -> LinkView:
+        """The link rx <- tx; an in-place edit of its arrays edits the realization.
+
+        The SI link has one matrix, so its `true` and `est` are the same view.
+        """
+        group, index = f"{rx[0]}_{tx[0]}", rx[1:] + tx[1:]
+        est = getattr(self.channels, group)[index]
+        return LinkView(true=est if rx == tx else getattr(self.channels, "true_" + group)[index],
+                        est=est, err_var=getattr(self.channels, "err_" + group)[index + (...,)])
+
+
+def _zero_channels(cells: int, dl_users: int, ul_users: int, ant: AntennaConfig) -> Channels:
+    """All-zero channel arrays for the given sizes."""
+    index = {"dl": (cells, dl_users), "bs": (cells,), "ul": (cells, ul_users)}
+    rows, cols = {"dl": ant.ue_rx, "bs": ant.bs_rx}, {"bs": ant.bs_tx, "ul": ant.ue_tx}
+    est = {f"{rx}_{tx}": np.zeros(index[rx] + index[tx] + (rows[rx], cols[tx]), dtype=complex)
+           for rx in ("dl", "bs") for tx in ("bs", "ul")}
+    return Channels(**est, **{f"true_{name}": np.zeros_like(a) for name, a in est.items()},
+                    **{f"err_{name}": np.zeros(a.shape[:-2]) for name, a in est.items()})
 
 
 def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     """Draw a full network realization from a scenario config and a seed.
 
-    The draw order (geometry, then links sorted by (receiver, transmitter)
-    key) is fixed so that identical (config, seed) pairs are bit-reproducible
-    and so that scenario fields which only rescale channels (e.g. the SI gain)
-    do not perturb unrelated draws.
+    The draw order is fixed so that identical (config, seed) pairs are
+    bit-reproducible and so that scenario fields which only rescale channels
+    (e.g. the SI gain) do not perturb unrelated draws: the geometry first,
+    then one link per (receiver, transmitter) pair, receivers in the outer
+    loop (every downlink user, cell by cell, then every BS) and transmitters
+    in the inner one (every BS, then every uplink user, cell by cell).  Each
+    link draws its matrix, then its estimation error.  This is not the order
+    of serialization, which sorts the links by key.
     """
     rng = np.random.default_rng(seed)
     topo = generate_topology(config.cells, config.dl_users, config.ul_users,
@@ -410,35 +419,32 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     )
     rician_k = db_to_linear(config.rician_k_db)
 
+    real = Realization(topology=topo, antennas=ant, hardware=hw, seed=seed,
+                       channels=_zero_channels(config.cells, config.dl_users,
+                                               config.ul_users, ant))
     cells = range(config.cells)
-    receivers = [dl_node(g, k) for g in cells for k in range(config.dl_users)] \
-        + [bs_node(g) for g in cells]
-    transmitters = [bs_node(g) for g in cells] \
-        + [ul_node(g, k) for g in cells for k in range(config.ul_users)]
-    rx_size = {"dl": config.ue_rx_antennas, "bs": config.bs_rx_antennas}
-    tx_size = {"bs": config.bs_tx_antennas, "ul": config.ue_tx_antennas}
-
-    links = {}
-    for rx in receivers:
-        for tx in transmitters:
-            rows, cols = rx_size[rx[0]], tx_size[tx[0]]
-            if rx[0] == "bs" and tx[0] == "bs" and rx[1] == tx[1]:
+    dl = [(dl_node(g, k), topo.dl_xy[g][k]) for g in cells for k in range(config.dl_users)]
+    bs = [(bs_node(g), topo.bs_xy[g]) for g in cells]
+    ul = [(ul_node(g, k), topo.ul_xy[g][k]) for g in cells for k in range(config.ul_users)]
+    for rx, rx_xy in dl + bs:
+        for tx, tx_xy in bs + ul:
+            link = real.link(rx, tx)
+            rows, cols = link.est.shape
+            if rx == tx:
                 # self-interference: Rayleigh at the residual gain, perfect CSI
-                h = generate_channel(hw.si_gain[rx[1]], rician_k, False, rows, cols, rng)
-                links[(rx, tx)] = ChannelLink(true=h, est=h, err_var=0.0)
+                link.est[...] = generate_channel(hw.si_gain[rx[1]], rician_k, False,
+                                                 rows, cols, rng)
                 continue
-            d = float(np.linalg.norm(_node_xy(topo, rx) - _node_xy(topo, tx)))
+            d = float(np.linalg.norm(rx_xy - tx_xy))
             los = los_probability(d) >= 0.5
             gain = pathloss_umi(d, config.carrier_ghz, los)
             # stated fading rule pairs LOS geometry with Rayleigh draws; the
             # swap flag restores the conventional LOS -> Rician mapping
             use_rician = (not los) if not config.swap_los_fading else los
             h = generate_channel(gain, rician_k, use_rician, rows, cols, rng)
-            est, err_var = apply_uncertainty(h, config.csi_error_factor, rng)
-            links[(rx, tx)] = ChannelLink(true=h, est=est, err_var=err_var)
-
-    return Realization(topology=topo, antennas=ant, hardware=hw,
-                       channels=ChannelSet(links), seed=seed)
+            link.true[...] = h
+            link.est[...], link.err_var[...] = apply_uncertainty(h, config.csi_error_factor, rng)
+    return real
 
 
 # ---------------------------------------------------------------------------
@@ -448,27 +454,22 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
 
 def _restrict(realization: Realization, keep_dl: bool, keep_ul: bool) -> Realization:
     topo = realization.topology
-    new_topo = Topology(
-        cell_count=topo.cell_count,
-        dl_counts=topo.dl_counts if keep_dl else (0,) * topo.cell_count,
-        ul_counts=topo.ul_counts if keep_ul else (0,) * topo.cell_count,
-        bs_xy=topo.bs_xy,
-        dl_xy=topo.dl_xy if keep_dl else tuple(np.empty((0, 2)) for _ in range(topo.cell_count)),
-        ul_xy=topo.ul_xy if keep_ul else tuple(np.empty((0, 2)) for _ in range(topo.cell_count)),
-        inter_site_distance_m=topo.inter_site_distance_m,
-        min_bs_user_distance_m=topo.min_bs_user_distance_m,
-    )
+    none = (0,) * topo.cell_count
+    nowhere = tuple(np.empty((0, 2)) for _ in none)
+    new_topo = replace(topo, dl_counts=topo.dl_counts if keep_dl else none,
+                       dl_xy=topo.dl_xy if keep_dl else nowhere,
+                       ul_counts=topo.ul_counts if keep_ul else none,
+                       ul_xy=topo.ul_xy if keep_ul else nowhere)
+    # every user axis of a dropped direction sliced to length 0
+    keep = {"bs": (slice(None),), "dl": (slice(None), slice(None if keep_dl else 0)),
+            "ul": (slice(None), slice(None if keep_ul else 0))}
 
-    def alive(node: Node) -> bool:
-        if node[0] == "dl":
-            return keep_dl
-        if node[0] == "ul":
-            return keep_ul
-        return True
+    def cut(name):
+        rx, tx = name.split("_")[-2:]
+        return getattr(realization.channels, name)[keep[rx] + keep[tx]]
 
-    links = {key: link for key, link in realization.channels.links.items()
-             if alive(key[0]) and alive(key[1])}
-    return replace(realization, topology=new_topo, channels=ChannelSet(links))
+    channels = Channels(**{f.name: cut(f.name) for f in fields(Channels)})
+    return replace(realization, topology=new_topo, channels=channels)
 
 
 def restrict_to_downlink(realization: Realization) -> Realization:
@@ -493,9 +494,8 @@ def _node_name(node: Node) -> str:
     return ":".join(str(part) for part in node)
 
 
-def _parse_node(name: str) -> Node:
-    parts = name.split(":")
-    return (parts[0],) + tuple(int(p) for p in parts[1:])
+def _link_name(rx: Node, tx: Node) -> str:
+    return f"{_node_name(rx)}<{_node_name(tx)}"
 
 
 def _payload(realization: Realization):
@@ -506,13 +506,13 @@ def _payload(realization: Realization):
         arrays.append((f"topology/dl_xy/{g}", topo.dl_xy[g]))
         arrays.append((f"topology/ul_xy/{g}", topo.ul_xy[g]))
     link_meta = []
-    for rx, tx in realization.channels.sorted_keys():
-        link = realization.channels.links[(rx, tx)]
-        name = f"{_node_name(rx)}<{_node_name(tx)}"
+    for rx, tx in realization.links():
+        link = realization.link(rx, tx)
+        name = _link_name(rx, tx)
         arrays.append((f"channel/{name}/true", link.true))
         arrays.append((f"channel/{name}/est", link.est))
         link_meta.append({"rx": _node_name(rx), "tx": _node_name(tx),
-                          "err_var": link.err_var})
+                          "err_var": float(link.err_var)})
     meta = {
         "version": _FORMAT_VERSION,
         "seed": realization.seed,
@@ -559,8 +559,11 @@ def save_realization(realization: Realization, path) -> None:
 def load_realization(path) -> Realization:
     """Read a file written by save_realization.
 
-    Raises ValueError for a foreign file, an unsupported version, or a blob
-    whose length disagrees with its own header (cut short or padded).
+    Raises ValueError for a foreign file, an unsupported version, a blob
+    whose length disagrees with its own header (cut short or padded), user
+    counts that differ between cells, a link set other than the one the
+    topology implies, a matrix whose shape disagrees with the antennas, or
+    an SI link whose truth differs from its estimate.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -597,6 +600,10 @@ def load_realization(path) -> Realization:
         offset += size
 
     tm = meta["topology"]
+    if any(len(counts) != tm["cell_count"] or len(set(counts)) > 1
+           for counts in (tm["dl_counts"], tm["ul_counts"])):
+        raise ValueError(f"realization file needs one user count for every cell, got "
+                         f"downlink {tm['dl_counts']}, uplink {tm['ul_counts']}")
     topo = Topology(
         cell_count=tm["cell_count"],
         dl_counts=tuple(tm["dl_counts"]),
@@ -611,12 +618,25 @@ def load_realization(path) -> Realization:
     hwm = dict(meta["hardware"])
     hwm["si_gain"] = tuple(hwm["si_gain"])
     hw = HardwareProfile(**hwm)
-    links = {}
-    for lm in meta["links"]:
-        rx, tx = _parse_node(lm["rx"]), _parse_node(lm["tx"])
-        name = f"{lm['rx']}<{lm['tx']}"
-        links[(rx, tx)] = ChannelLink(true=data[f"channel/{name}/true"],
-                                      est=data[f"channel/{name}/est"],
-                                      err_var=lm["err_var"])
-    return Realization(topology=topo, antennas=ant, hardware=hw,
-                       channels=ChannelSet(links), seed=meta["seed"])
+    real = Realization(topology=topo, antennas=ant, hardware=hw, seed=meta["seed"],
+                       channels=_zero_channels(topo.cell_count, topo.dl_counts[0],
+                                               topo.ul_counts[0], ant))
+    names = [f"{lm['rx']}<{lm['tx']}" for lm in meta["links"]]
+    found, wanted = Counter(names), Counter(_link_name(rx, tx) for rx, tx in real.links())
+    if found != wanted:
+        raise ValueError(f"realization file's links do not fit its topology: "
+                         f"missing {sorted(wanted - found)}, "
+                         f"extra or repeated {sorted(found - wanted)}")
+    err_var = dict(zip(names, (lm["err_var"] for lm in meta["links"])))
+    for rx, tx in real.links():
+        link, name = real.link(rx, tx), _link_name(rx, tx)
+        true, est = data.get(f"channel/{name}/true"), data.get(f"channel/{name}/est")
+        shapes = [getattr(a, "shape", None) for a in (true, est)]
+        if shapes != [link.est.shape] * 2:
+            raise ValueError(f"realization file: link {name} has true and est shapes "
+                             f"{shapes}, the antennas give {link.est.shape}")
+        if rx == tx and not np.array_equal(true, est):
+            raise ValueError(f"realization file: the SI link {name} has an estimate "
+                             f"that differs from its truth")
+        link.true[...], link.est[...], link.err_var[...] = true, est, err_var[name]
+    return real

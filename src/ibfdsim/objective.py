@@ -49,14 +49,26 @@ def nu_from_asic(l_db: float) -> float:
     return 10.0 ** (-l_db / 5.0)
 
 
+def checked_nu(nu) -> np.ndarray:
+    """nu as a float array; ValueError unless it is one finite value >= 0 or
+    a non-empty sequence of them."""
+    try:
+        arr = np.asarray(nu, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"nu must be a number or a per-cell sequence: {exc}") from exc
+    if arr.ndim > 1 or arr.size == 0:
+        raise ValueError(f"nu must be scalar or a per-cell sequence, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        raise ValueError(f"nu must be finite and >= 0, got {nu!r}")
+    return arr
+
+
 def _nu_per_cell(realization: Realization, nu) -> np.ndarray:
-    arr = np.asarray(nu, dtype=float)
+    arr = checked_nu(nu)
     if arr.ndim == 0:
         arr = np.full(realization.cell_count, float(arr))
     if arr.shape != (realization.cell_count,):
         raise ValueError(f"nu must be scalar or per-cell, got shape {arr.shape}")
-    if np.any(arr < 0):
-        raise ValueError("nu must be >= 0")
     return arr
 
 

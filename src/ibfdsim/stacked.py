@@ -10,18 +10,17 @@ layout needs the same downlink and the same uplink user count in every
 cell, which is what build_realization and the single-direction
 restrictions produce.
 
-A ChannelStack copies the link matrices of one realization.  It is built
-per call and never cached on the realization, whose links callers may edit
-in place.
+A realization stores its links once, as the arrays of a Channels.  A
+ChannelStack shares those arrays and adds what the kernels derive from
+them; it is built per call, so an in-place edit of a stored link reaches
+the next call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
-
-from .model import Realization, Topology, bs_node, dl_node, ul_node
 
 # ---------------------------------------------------------------------------
 # batched matrix helpers
@@ -100,14 +99,15 @@ class TransmitSide:
 
 
 @dataclass(eq=False)
-class ChannelStack:
-    """Dense channel arrays of one realization.
+class Channels:
+    """Every link of one realization, stored once.
 
     `dl_bs[g, k, j]` is the estimated channel from BS j to downlink user
     (g, k), `bs_ul[g, j, k]` the one from uplink user (j, k) to BS g.  Each
     `err_*` array holds the per-element estimation-error variances of its
-    stack.  The SI link keeps its true matrix as its estimate, so the
-    diagonal of `bs_bs` is the SI channel; `si` holds the true SI matrices.
+    group, each `true_*` array the true matrices.  The SI link of BS g is
+    known exactly and has one matrix, `bs_bs[g, g]`, both its estimate and
+    its truth; the block `true_bs_bs[g, g]` is not used and stays zero.
     """
 
     dl_bs: np.ndarray        # (G, K_d, G, M_ue, N_bs)
@@ -118,15 +118,28 @@ class ChannelStack:
     err_dl_ul: np.ndarray    # (G, K_d, G, K_u)
     err_bs_bs: np.ndarray    # (G, G)
     err_bs_ul: np.ndarray    # (G, G, K_u)
-    si: np.ndarray           # (G, M_bs, N_bs) true SI channels
-    si_gram: np.ndarray      # (G, N_bs, N_bs) H^H H + kappa_bs diag(H^H H) of each SI channel
+    true_dl_bs: np.ndarray   # the true matrices, laid out as the estimates
+    true_dl_ul: np.ndarray
+    true_bs_bs: np.ndarray
+    true_bs_ul: np.ndarray
 
-    def __post_init__(self):
-        # layouts derived once per stack: serving links, and the links seen
-        # from each transmitter
+
+@dataclass(eq=False)
+class ChannelStack(Channels):
+    """The channels as the kernels read them: the stored arrays, shared and
+    not copied, plus the layouts derived from them, among them `si`, the SI
+    channels, and `si_gram`, H^H H + kappa_bs diag(H^H H) of each."""
+
+    kappa_bs: InitVar[float]     # BS transmit distortion factor, for the SI Gram
+
+    def __post_init__(self, kappa_bs: float):
         cells, k_d = self.dl_bs.shape[:2]
         k_u = self.bs_ul.shape[2]
         diag = np.arange(cells)
+        # layouts derived once per stack: SI channels, serving links, and the
+        # links seen from each transmitter
+        self.si = self.bs_bs[diag, diag]            # (G, M_bs, N_bs)
+        self.si_gram = add_scaled_diag(hermitian(self.si) @ self.si, kappa_bs)
         self.dl_own = self.dl_bs[diag, :, diag]     # (G, K_d, M_ue, N_bs)
         self.ul_own = self.bs_ul[diag, diag]        # (G, K_u, M_bs, N_ue)
         self.dl_own_h = hermitian(self.dl_own)
@@ -140,49 +153,8 @@ class ChannelStack:
             np.moveaxis(self.bs_ul, (1, 2), (0, 1)))
 
 
-def user_counts(topo: Topology) -> tuple[int, int]:
-    """(K_d, K_u), the downlink and uplink users of every cell."""
-    if len(set(topo.dl_counts)) > 1 or len(set(topo.ul_counts)) > 1:
-        raise ValueError("the stacked layout needs equal user counts in every cell")
-    return topo.dl_counts[0], topo.ul_counts[0]
-
-
-def stack_channels(realization: Realization) -> ChannelStack:
-    """Copy every link of a realization into the stacked layout."""
-    topo, ant = realization.topology, realization.antennas
-    cells = topo.cell_count
-    k_d, k_u = user_counts(topo)
-    links = realization.channels.links
-    dl = [dl_node(g, k) for g in range(cells) for k in range(k_d)]
-    bs = [bs_node(g) for g in range(cells)]
-    ul = [ul_node(g, k) for g in range(cells) for k in range(k_u)]
-
-    def block(receivers, transmitters, rows, cols):
-        est = np.zeros((len(receivers), len(transmitters), rows, cols), dtype=complex)
-        err = np.zeros((len(receivers), len(transmitters)))
-        for i, rx in enumerate(receivers):
-            for j, tx in enumerate(transmitters):
-                link = links[(rx, tx)]
-                est[i, j] = link.est
-                err[i, j] = link.err_var
-        return est, err
-
-    dl_bs, err_dl_bs = block(dl, bs, ant.ue_rx, ant.bs_tx)
-    dl_ul, err_dl_ul = block(dl, ul, ant.ue_rx, ant.ue_tx)
-    bs_bs, err_bs_bs = block(bs, bs, ant.bs_rx, ant.bs_tx)
-    bs_ul, err_bs_ul = block(bs, ul, ant.bs_rx, ant.ue_tx)
-    si = np.zeros((cells, ant.bs_rx, ant.bs_tx), dtype=complex)
-    for g in range(cells):
-        si[g] = links[(bs_node(g), bs_node(g))].true
-    return ChannelStack(
-        dl_bs=dl_bs.reshape(cells, k_d, cells, ant.ue_rx, ant.bs_tx),
-        dl_ul=dl_ul.reshape(cells, k_d, cells, k_u, ant.ue_rx, ant.ue_tx),
-        bs_bs=bs_bs,
-        bs_ul=bs_ul.reshape(cells, cells, k_u, ant.bs_rx, ant.ue_tx),
-        err_dl_bs=err_dl_bs.reshape(cells, k_d, cells),
-        err_dl_ul=err_dl_ul.reshape(cells, k_d, cells, k_u),
-        err_bs_bs=err_bs_bs,
-        err_bs_ul=err_bs_ul.reshape(cells, cells, k_u),
-        si=si,
-        si_gram=add_scaled_diag(hermitian(si) @ si, realization.hardware.kappa_bs),
-    )
+def stack_channels(realization) -> ChannelStack:
+    """The ChannelStack of a realization (module `model`) and its hardware."""
+    stored = realization.channels
+    return ChannelStack(**{f.name: getattr(stored, f.name) for f in fields(Channels)},
+                        kappa_bs=realization.hardware.kappa_bs)

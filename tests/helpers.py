@@ -89,7 +89,6 @@ def mc_estimates(realization: Realization, state: BeamformingState, draws: int, 
     rng = np.random.default_rng(seed)
     hw = realization.hardware
     ant = realization.antennas
-    links = realization.channels
 
     tx, sym = {}, {}
     for g in range(realization.cell_count):
@@ -115,9 +114,10 @@ def mc_estimates(realization: Realization, state: BeamformingState, draws: int, 
 
     def receive(rx, rows, beta, noise_w):
         y = cn(rng, (draws, rows)) * math.sqrt(noise_w)
-        for (r, t), link in sorted(links.links.items()):
+        for r, t in realization.links():
             if r != rx:
                 continue
+            link = realization.link(r, t)
             y = y + tx[t] @ link.est.T
             if link.err_var > 0.0:
                 delta = cn(rng, (draws,) + link.est.shape) * math.sqrt(link.err_var)

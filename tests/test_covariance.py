@@ -36,11 +36,11 @@ def test_csi_error_variance_hand_sum():
     expected = 0.0
     for g in range(real.cell_count):
         t = covariance.cell_tx_covariance(real, state, g)
-        expected += real.channels.err_var(rx, bs_node(g)) * np.trace(t).real
+        expected += real.link(rx, bs_node(g)).err_var * np.trace(t).real
     for g, k in real.ul_users():
         t = covariance.tx_gram(state.ul_coefficients[g][k] * state.ul_precoders[g][k],
                                real.hardware.kappa_ue)
-        expected += real.channels.err_var(rx, ul_node(g, k)) * np.trace(t).real
+        expected += real.link(rx, ul_node(g, k)).err_var * np.trace(t).real
     assert covariance.csi_error_variance(real, state, rx) == pytest.approx(
         expected, rel=1e-12)
 
@@ -55,15 +55,15 @@ def test_rx_covariance_explicit_assembly():
         sig_hat = 0.0
         for g in range(real.cell_count):
             t = covariance.cell_tx_covariance(real, state, g)
-            h = real.channels.est(rx, bs_node(g))
+            h = real.link(rx, bs_node(g)).est
             base += h @ t @ h.conj().T
-            sig_hat += real.channels.err_var(rx, bs_node(g)) * np.trace(t).real
+            sig_hat += real.link(rx, bs_node(g)).err_var * np.trace(t).real
         for g, k in real.ul_users():
             t = covariance.tx_gram(state.ul_coefficients[g][k] * state.ul_precoders[g][k],
                                    hw.kappa_ue)
-            h = real.channels.est(rx, ul_node(g, k))
+            h = real.link(rx, ul_node(g, k)).est
             base += h @ t @ h.conj().T
-            sig_hat += real.channels.err_var(rx, ul_node(g, k)) * np.trace(t).real
+            sig_hat += real.link(rx, ul_node(g, k)).err_var * np.trace(t).real
         return (base + beta * np.diag(np.diag(base))
                 + (noise_w + sig_hat) * np.eye(m))
 
@@ -87,7 +87,7 @@ def test_rx_covariance_uses_true_si_channel():
     real = build_realization(helpers.small_config(cells=1, asic_db=0.0), 3)
     state = helpers.random_state(real, 4)
     before = covariance.rx_covariance_ul(real, state, 0)
-    link = real.channels.links[(bs_node(0), bs_node(0))]
+    link = real.link(bs_node(0), bs_node(0))
     link.true *= 2.0
     after = covariance.rx_covariance_ul(real, state, 0)
     t = covariance.cell_tx_covariance(real, state, 0)
@@ -167,17 +167,17 @@ def test_transmit_grams_match_per_link_f1_sums():
         real = replace(real, hardware=replace(real.hardware, kappa_bs=0.01, kappa_ue=0.02,
                                               beta_bs=0.03, beta_ue=0.04))
         state = helpers.random_state(real, seed + 1)
-        hw, links = real.hardware, real.channels
+        hw = real.hardware
         omega_bs, omega_ul = covariance.transmit_grams(stack_channels(real), hw, state)
 
         def summed(tx, kappa):
             total = 0.0
             for j, i in real.dl_users():
-                h = links.est(dl_node(j, i), tx)
+                h = real.link(dl_node(j, i), tx).est
                 total = total + covariance.f1(h.conj().T, state.dl_combiners[j][i], kappa,
                                               hw.beta_ue)
             for j, i in real.ul_users():
-                h = links.est(bs_node(j), tx)
+                h = real.link(bs_node(j), tx).est
                 total = total + covariance.f1(h.conj().T, state.ul_combiners[j][i], kappa,
                                               hw.beta_bs)
             return total

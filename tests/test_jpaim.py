@@ -97,12 +97,12 @@ def test_update_combiners_solves_mmse_system():
     for g, k in real.dl_users():
         c = covariance.rx_covariance_dl(real, state, k, g)
         rhs = (state.dl_coefficients[g][k]
-               * real.channels.est(dl_node(g, k), bs_node(g)) @ state.dl_precoders[g][k])
+               * real.link(dl_node(g, k), bs_node(g)).est @ state.dl_precoders[g][k])
         np.testing.assert_allclose(c @ state.dl_combiners[g][k], rhs, rtol=1e-9)
     for g, k in real.ul_users():
         c = covariance.rx_covariance_ul(real, state, g)
         rhs = (state.ul_coefficients[g][k]
-               * real.channels.est(bs_node(g), ul_node(g, k)) @ state.ul_precoders[g][k])
+               * real.link(bs_node(g), ul_node(g, k)).est @ state.ul_precoders[g][k])
         np.testing.assert_allclose(c @ state.ul_combiners[g][k], rhs, rtol=1e-9)
 
 

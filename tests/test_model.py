@@ -146,10 +146,10 @@ def test_build_realization_structure():
     assert list(real.dl_users()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert list(real.ul_users()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # every receiver sees every transmitter: (4 dl + 2 bs) x (2 bs + 4 ul)
-    assert len(real.channels.links) == 6 * 6
-    h = real.channels.true(dl_node(0, 0), bs_node(1))
+    assert len(real.links()) == 6 * 6
+    h = real.link(dl_node(0, 0), bs_node(1)).true
     assert h.shape == (2, 16)
-    h_ul = real.channels.est(bs_node(0), ul_node(1, 1))
+    h_ul = real.link(bs_node(0), ul_node(1, 1)).est
     assert h_ul.shape == (16, 2)
     # hardware derived from the table entries
     assert real.hardware.p_bs_w == pytest.approx(0.25118864315095796, rel=1e-14)
@@ -159,7 +159,7 @@ def test_build_realization_structure():
 
 def test_self_interference_link_properties():
     real = build_realization(ScenarioConfig(asic_db=30.0, cells=1), 5)
-    link = real.channels.links[(bs_node(0), bs_node(0))]
+    link = real.link(bs_node(0), bs_node(0))
     assert link.err_var == 0.0
     np.testing.assert_array_equal(link.true, link.est)
     # scattered draw at the residual gain: average element power ~ 1e-3
@@ -169,14 +169,15 @@ def test_self_interference_link_properties():
 def test_si_channel_power_tracks_asic_depth():
     strong = build_realization(ScenarioConfig(asic_db=20.0, cells=1), 9)
     weak = build_realization(ScenarioConfig(asic_db=40.0, cells=1), 9)
-    p_strong = np.mean(np.abs(strong.channels.true(bs_node(0), bs_node(0))) ** 2)
-    p_weak = np.mean(np.abs(weak.channels.true(bs_node(0), bs_node(0))) ** 2)
+    p_strong = np.mean(np.abs(strong.link(bs_node(0), bs_node(0)).true) ** 2)
+    p_weak = np.mean(np.abs(weak.link(bs_node(0), bs_node(0)).true) ** 2)
     assert p_strong / p_weak == pytest.approx(100.0, rel=1e-9)
 
 
 def test_estimate_error_variance_consistency():
     real = build_realization(ScenarioConfig(csi_error_factor=1e-2), 6)
-    for (rx, tx), link in real.channels.links.items():
+    for rx, tx in real.links():
+        link = real.link(rx, tx)
         if rx == tx:
             continue  # self-interference carries perfect estimates
         expected = 1e-2 * np.linalg.norm(link.true) ** 2 / link.true.size
@@ -192,8 +193,8 @@ def test_fading_rule_and_swap_flag():
                 min_bs_user_distance_m=2.0, rician_k_db=30.0)
     plain = build_realization(ScenarioConfig(**base), 3)
     swapped = build_realization(ScenarioConfig(**base, swap_los_fading=True), 3)
-    h_plain = plain.channels.true(dl_node(0, 0), bs_node(0))
-    h_swap = swapped.channels.true(dl_node(0, 0), bs_node(0))
+    h_plain = plain.link(dl_node(0, 0), bs_node(0)).true
+    h_swap = swapped.link(dl_node(0, 0), bs_node(0)).true
     gain = np.mean(np.abs(h_swap) ** 2)
     # K = 1000: swapped draw is almost deterministic (all-ones scaled)
     spread_swap = np.std(np.abs(h_swap)) / np.sqrt(gain)
@@ -206,9 +207,8 @@ def test_build_realization_deterministic():
     a = build_realization(cfg, 123)
     b = build_realization(cfg, 123)
     assert realization_digest(a) == realization_digest(b)
-    for key in a.channels.links:
-        np.testing.assert_array_equal(a.channels.links[key].true,
-                                      b.channels.links[key].true)
+    for key in a.links():
+        np.testing.assert_array_equal(a.link(*key).true, b.link(*key).true)
     c = build_realization(cfg, 124)
     assert realization_digest(a) != realization_digest(c)
 
@@ -216,8 +216,8 @@ def test_build_realization_deterministic():
 def test_si_gain_change_leaves_other_draws_alone():
     a = build_realization(ScenarioConfig(asic_db=120.0), 77)
     b = build_realization(ScenarioConfig(asic_db=30.0), 77)
-    np.testing.assert_array_equal(a.channels.true(dl_node(1, 1), bs_node(0)),
-                                  b.channels.true(dl_node(1, 1), bs_node(0)))
+    np.testing.assert_array_equal(a.link(dl_node(1, 1), bs_node(0)).true,
+                                  b.link(dl_node(1, 1), bs_node(0)).true)
     np.testing.assert_array_equal(a.topology.dl_xy[0], b.topology.dl_xy[0])
 
 
@@ -227,14 +227,30 @@ def test_restrict_to_single_direction():
     assert list(dl.ul_users()) == []
     assert list(dl.dl_users()) == list(real.dl_users())
     # no link touches an uplink user, SI links survive
-    assert all(key[0][0] != "ul" and key[1][0] != "ul" for key in dl.channels.links)
-    assert (bs_node(0), bs_node(0)) in dl.channels.links
+    assert all(key[0][0] != "ul" and key[1][0] != "ul" for key in dl.links())
+    assert (bs_node(0), bs_node(0)) in dl.links()
 
     ul = restrict_to_uplink(real)
     assert list(ul.dl_users()) == []
-    assert all(key[0][0] != "dl" and key[1][0] != "dl" for key in ul.channels.links)
-    np.testing.assert_array_equal(ul.channels.true(bs_node(1), ul_node(0, 0)),
-                                  real.channels.true(bs_node(1), ul_node(0, 0)))
+    assert all(key[0][0] != "dl" and key[1][0] != "dl" for key in ul.links())
+    np.testing.assert_array_equal(ul.link(bs_node(1), ul_node(0, 0)).true,
+                                  real.link(bs_node(1), ul_node(0, 0)).true)
+
+
+def test_link_views_edit_the_stored_arrays():
+    real = build_realization(ScenarioConfig(csi_error_factor=1e-2), 12)
+    cross = real.link(dl_node(1, 0), ul_node(0, 1))
+    cross.est[:] = 0.0
+    cross.err_var[...] = 0.5
+    assert not real.channels.dl_ul[1, 0, 0, 1].any()
+    assert real.channels.err_dl_ul[1, 0, 0, 1] == 0.5
+    assert real.link(dl_node(1, 0), ul_node(0, 1)).err_var == 0.5
+    # the SI link has one matrix: its truth is its estimate
+    si = real.link(bs_node(1), bs_node(1))
+    assert si.true is si.est and np.shares_memory(si.est, real.channels.bs_bs)
+    # a restriction slices the same storage
+    assert np.shares_memory(restrict_to_uplink(real).link(bs_node(0), ul_node(1, 0)).est,
+                            real.channels.bs_ul)
 
 
 def test_serialization_roundtrip(tmp_path):
@@ -248,10 +264,11 @@ def test_serialization_roundtrip(tmp_path):
     assert back.topology.dl_counts == real.topology.dl_counts
     assert back.hardware == real.hardware
     assert back.antennas == real.antennas
-    for key, link in real.channels.links.items():
-        np.testing.assert_array_equal(back.channels.links[key].true, link.true)
-        np.testing.assert_array_equal(back.channels.links[key].est, link.est)
-        assert back.channels.links[key].err_var == link.err_var
+    for key in real.links():
+        link, loaded = real.link(*key), back.link(*key)
+        np.testing.assert_array_equal(loaded.true, link.true)
+        np.testing.assert_array_equal(loaded.est, link.est)
+        assert loaded.err_var == link.err_var
     np.testing.assert_array_equal(back.topology.bs_xy, real.topology.bs_xy)
 
 
@@ -277,6 +294,77 @@ def test_load_realization_rejects_cut_and_padded_files(tmp_path):
         load_realization(path)
     path.write_bytes(blob)
     assert realization_digest(load_realization(path)) == realization_digest(real)
+
+
+def _save_edited(real, path, monkeypatch, edit):
+    """Save `real` after `edit(meta, arrays)` has changed its file payload."""
+    meta, arrays = model._payload(real)
+    edit(meta, arrays)
+    meta["arrays"] = [{"name": name, "dtype": "<c16" if np.iscomplexobj(a) else "<f8",
+                       "shape": list(a.shape)} for name, a in arrays]
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_payload", lambda _: (meta, arrays))
+        save_realization(real, path)
+
+
+def test_load_realization_rejects_a_missing_link(tmp_path, monkeypatch):
+    real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
+    gone = "channel/dl:0:0<ul:0:0/"
+
+    def drop(meta, arrays):
+        meta["links"] = [lm for lm in meta["links"]
+                         if (lm["rx"], lm["tx"]) != ("dl:0:0", "ul:0:0")]
+        arrays[:] = [(name, a) for name, a in arrays if not name.startswith(gone)]
+
+    _save_edited(real, tmp_path / "real.bin", monkeypatch, drop)
+    with pytest.raises(ValueError, match=r"missing \['dl:0:0<ul:0:0'\]"):
+        load_realization(tmp_path / "real.bin")
+
+
+def test_load_realization_rejects_an_extra_link(tmp_path, monkeypatch):
+    real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
+
+    def no_uplink_users(meta, arrays):
+        meta["topology"]["ul_counts"] = [0]
+
+    _save_edited(real, tmp_path / "real.bin", monkeypatch, no_uplink_users)
+    with pytest.raises(ValueError, match=r"extra or repeated \['bs:0<ul:0:0'"):
+        load_realization(tmp_path / "real.bin")
+
+
+def test_load_realization_rejects_a_shape_the_antennas_contradict(tmp_path, monkeypatch):
+    real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
+
+    def fewer_bs_antennas(meta, arrays):
+        meta["antennas"]["bs_rx"] = 15
+
+    _save_edited(real, tmp_path / "real.bin", monkeypatch, fewer_bs_antennas)
+    with pytest.raises(ValueError,
+                       match=r"\[\(16, 16\), \(16, 16\)\], the antennas give \(15, 16\)"):
+        load_realization(tmp_path / "real.bin")
+
+
+def test_load_realization_rejects_unequal_user_counts(tmp_path, monkeypatch):
+    real = build_realization(ScenarioConfig(cells=2, dl_users=1, ul_users=1), 3)
+
+    def uneven(meta, arrays):
+        meta["topology"]["dl_counts"] = [1, 0]
+
+    _save_edited(real, tmp_path / "real.bin", monkeypatch, uneven)
+    with pytest.raises(ValueError, match="one user count for every cell"):
+        load_realization(tmp_path / "real.bin")
+
+
+def test_load_realization_rejects_an_si_link_with_two_matrices(tmp_path, monkeypatch):
+    real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
+
+    def perturb_si(meta, arrays):
+        arrays[:] = [(name, 2.0 * a if name == "channel/bs:0<bs:0/true" else a)
+                     for name, a in arrays]
+
+    _save_edited(real, tmp_path / "real.bin", monkeypatch, perturb_si)
+    with pytest.raises(ValueError, match="SI link"):
+        load_realization(tmp_path / "real.bin")
 
 
 def test_digest_is_stable_hex():

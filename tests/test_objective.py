@@ -31,6 +31,11 @@ def test_nu_per_cell_validation():
         objective._nu_per_cell(real, (0.1, 0.2, 0.3))
     with pytest.raises(ValueError):
         objective._nu_per_cell(real, -1.0)
+    for bad in (float("nan"), float("inf"), (0.1, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            objective._nu_per_cell(real, bad)
+        with pytest.raises(ValueError, match="finite"):
+            objective.evaluate(real, helpers.random_state(real, 1), bad)
 
 
 def test_mse_zero_combiner_equals_streams():
@@ -54,7 +59,7 @@ def test_mse_formula_against_covariance():
     g, k = 1, 0
     c = covariance.rx_covariance_dl(real, state, k, g)
     u = state.dl_combiners[g][k]
-    h = real.channels.est(dl_node(g, k), bs_node(g))
+    h = real.link(dl_node(g, k), bs_node(g)).est
     v = state.dl_precoders[g][k]
     a = state.dl_coefficients[g][k]
     expected = (np.trace(u.conj().T @ c @ u).real
@@ -77,7 +82,7 @@ def test_rsi_power_matches_tx_covariance_form():
     real = build_realization(helpers.small_config(asic_db=20.0), 7)
     state = helpers.random_state(real, 8)
     for g in range(real.cell_count):
-        h = real.channels.true(bs_node(g), bs_node(g))
+        h = real.link(bs_node(g), bs_node(g)).true
         t = covariance.cell_tx_covariance(real, state, g)
         expected = np.trace(h @ t @ h.conj().T).real
         assert rsi_power(real, state, g) == pytest.approx(expected, rel=1e-11)
@@ -132,7 +137,7 @@ def test_asic_depth_properties():
 def test_asic_depth_cap_on_vanished_residual():
     real = build_realization(helpers.small_config(cells=1), 16)
     state = helpers.random_state(real, 17)
-    link = real.channels.links[(bs_node(0), bs_node(0))]
+    link = real.link(bs_node(0), bs_node(0))
     link.true[:] = 0.0
     assert asic_depth(real, state, 0) == ASIC_DEPTH_CAP_DB
 
