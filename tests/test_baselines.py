@@ -148,3 +148,41 @@ def test_half_duplex_phases_stay_feasible():
     dl_state = result.dl_trace.final_state
     for g in range(real.cell_count):
         assert dl_state.dl_cell_power(g) <= real.hardware.p_bs_w * (1.0 + 1e-6)
+
+
+# Recorded before the solver kernels took beams: (iterations, converged,
+# loss, sum_rate) per seed 0-4, for run_half_duplex (the restricted
+# realizations, with user axes of length 0) and for run_nsp at subspace_dim 8
+# (the public adapter chain after the solve).
+GOLDEN_HALF_DUPLEX = [(80, True, 0.27836157918322635, 65.44642659125043),
+                      (31, True, 0.41965335815523686, 55.930210717213654),
+                      (33, True, 0.17247920376000248, 72.97126335473497),
+                      (63, True, 0.27702072137310996, 63.70217004525104),
+                      (43, True, 0.790680763462732, 44.1701379349356)]
+GOLDEN_NSP_DEFAULT = [(56, True, 5.535181843021187, 69.805431193213),
+                      (23, True, 4.246002950306863, 39.12701532403955),
+                      (35, True, 3.4141149715331793, 60.00100360248213),
+                      (44, True, 4.247492506612422, 52.92138497103291),
+                      (15, True, 7.016271673808155, 30.818310907878086)]
+GOLDEN_NSP_STRONG_SI = [(100, False, 8.091342722272275, 36.122502085160534),
+                        (47, True, 8.794907484397532, 36.668505300512685),
+                        (48, True, 8.147687824631914, 24.91832173812829),
+                        (77, True, 9.423118241663289, 17.730059527187073),
+                        (48, True, 10.560619479330803, 19.18772018877321)]
+
+
+@pytest.mark.parametrize("scenario, config, half_duplex, nsp", [
+    (ScenarioConfig(), SolverConfig(), GOLDEN_HALF_DUPLEX, GOLDEN_NSP_DEFAULT),
+    (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0), GOLDEN_HALF_DUPLEX,
+     GOLDEN_NSP_STRONG_SI),
+], ids=["default", "strong_si"])
+def test_baselines_match_goldens(scenario, config, half_duplex, nsp):
+    for seed in range(5):
+        real = build_realization(scenario, seed)
+        hd = run_half_duplex(real, config)
+        trace, _, report = run_nsp(real, config, subspace_dim=8)
+        for got, want in (((hd.iterations, hd.converged, hd.loss, hd.sum_rate), half_duplex[seed]),
+                          ((trace.iterations, trace.converged, report.loss, report.sum_rate),
+                           nsp[seed])):
+            assert got[:2] == want[:2], f"seed {seed}"
+            assert got[2:] == pytest.approx(want[2:], rel=1e-6), f"seed {seed}"

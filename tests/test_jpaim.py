@@ -156,15 +156,25 @@ def test_update_precoders_stationary_for_its_lagrangian():
     assert helpers.precoder_stationarity(real, pre.state, nu, pre) < 1e-5
 
 
-def test_update_precoders_keeps_a_silenced_cell_silent():
+@pytest.mark.parametrize("silence_first", [False, True],
+                         ids=["after_combiners", "before_combiners"])
+def test_update_precoders_keeps_a_silenced_cell_silent(silence_first):
+    # silenced after the combiner update, cell 0's users keep nonzero
+    # combiners: they still shape every BS's quadratic term, but carry no
+    # linear term; silenced before it, their combiners come out exactly 0
     real = build_realization(ScenarioConfig(), 16)
     cfg = SolverConfig()
-    state = update_combiners(real, initialize(real, cfg))
+    state = initialize(real, cfg)
+    if silence_first:
+        state.dl_coefficients[0][:] = 0.0
+    state = update_combiners(real, state)
     state.dl_coefficients[0][:] = 0.0
+    assert np.any(state.dl_combiners[0] != 0.0) != silence_first
     pre = jpaim.update_precoders(real, state, cfg)
     assert pre.dl_multipliers[0] == 0.0
     assert pre.dl_scalar_power[0] == pre.dl_matrix_power[0] == 0.0
     np.testing.assert_array_equal(pre.state.dl_precoders[0][0], state.dl_precoders[0][0])
+    assert helpers.precoder_stationarity(real, pre.state, resolve_nu(real, cfg), pre) < 1e-5
 
 
 def test_extrapolate_moves_beamformers_within_budgets():
