@@ -13,7 +13,7 @@ from .model import (
     save_realization,
 )
 from .state import BeamformingState
-from .objective import ObjectiveReport, evaluate, nu_from_asic, sum_rate
+from .objective import ObjectiveReport, evaluate, nu_from_asic
 from .jpaim import RunTrace, SolverConfig, run
 from .baselines import half_duplex_reference, nsp_project, run_half_duplex
 from .harness import (
@@ -35,5 +35,5 @@ __all__ = [
     "complexity_estimate", "evaluate", "half_duplex_reference", "load_config",
     "load_realization", "nsp_project", "nu_from_asic", "realization_digest",
     "run", "run_campaign", "run_half_duplex", "save_config", "save_realization",
-    "sum_rate", "summarize",
+    "summarize",
 ]

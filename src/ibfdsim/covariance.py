@@ -7,10 +7,11 @@ CSI-error power.  The helper form f1 bundles the resulting quadratic
 contributions of a (channel, matrix) pair; summed over every receiver it is
 the transmit-side matrix omega that the precoder update diagonalizes.
 
-The kernels take the stacked channels (module `stacked`) and a
-BeamformingState, whose fields are arrays in the same layout, and treat
-every cell, user and link at once with batched `@`; the per-node functions
-below them are thin adapters for callers that hold a Realization.
+The kernels take the stacked channels (module `stacked`) and the one
+(downlink, uplink) pair of arrays they read, the beams W = coefficient * V
+or the combiners U, and treat every cell, user and link at once with
+batched `@`; the per-node functions below them are thin adapters for
+callers that hold a Realization and a BeamformingState.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ def tx_gram(beams: np.ndarray, kappa: float) -> np.ndarray:
 class Covariances:
     """Transmit and receive covariances of every node of one state.
 
-    They depend on the precoders and coefficients only, never on the
-    combiners, so one assembly serves a combiner update and the evaluation
-    that follows it.
+    They depend on the beams only, never on the combiners, so one assembly
+    serves a combiner update and the evaluation that follows it.
     """
 
     cell_tx: np.ndarray     # (G, N_bs, N_bs) per BS, summed over its users
@@ -71,8 +71,8 @@ def _received(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     return h @ t @ hermitian(h)
 
 
-def covariances(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState) -> Covariances:
-    """All transmit covariances, then every receiver's covariance.
+def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
+    """Transmit covariances of the beams (W_dl, W_ul), then every receiver's.
 
     A receiver sees each transmitter's covariance through its estimated
     channel (the SI link stores its true matrix as the estimate), its own
@@ -80,9 +80,8 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState) -> C
     sum err_var * tr(T), which follows from E{Delta T Delta^H} = err_var
     tr(T) I for an i.i.d. error matrix Delta.
     """
-    cell_tx = tx_gram(columns(s.dl_coefficients[..., None, None] * s.dl_precoders),
-                      hw.kappa_bs)
-    ul_tx = tx_gram(s.ul_coefficients[..., None, None] * s.ul_precoders, hw.kappa_ue)
+    cell_tx = tx_gram(columns(beams[0]), hw.kappa_bs)
+    ul_tx = tx_gram(beams[1], hw.kappa_ue)
     cell_power = trace(cell_tx)
     ul_power = trace(ul_tx)
     dl_csi = ((ch.err_dl_bs * cell_power).sum(axis=-1)
@@ -101,20 +100,20 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState) -> C
                        dl_csi=dl_csi, bs_csi=bs_csi)
 
 
-def transmit_grams(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState):
+def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
     """Interference-plus-distortion matrices seen from each transmitter.
 
     For BS g this aggregates, over every receiver in the network, the f1
-    form of the estimated channel from g and that receiver's combiners (the
-    SI link contributes through its true matrix, stored as its estimate).
-    The uplink variant does the same from each uplink user's antennas.
-    Returns ((G, N_bs, N_bs), (G, K_u, N_ue, N_ue)).
+    form of the estimated channel from g and that receiver's combiners in
+    (U_dl, U_ul) (the SI link contributes through its true matrix, stored
+    as its estimate).  The uplink variant does the same from each uplink
+    user's antennas.  Returns ((G, N_bs, N_bs), (G, K_u, N_ue, N_ue)).
     """
-    cells, k_d = s.dl_coefficients.shape
+    u_dl, u_ul = combiners
     # every downlink user, then every BS with the combiners of all the
     # uplink users it decodes side by side: the receiver order of TransmitSide
-    dl_u = s.dl_combiners.reshape(cells * k_d, *s.dl_combiners.shape[2:])
-    bs_u = columns(s.ul_combiners)
+    dl_u = u_dl.reshape(-1, *u_dl.shape[2:])
+    bs_u = columns(u_ul)
     weights = np.concatenate([hw.beta_ue * row_powers(dl_u).reshape(-1),
                               hw.beta_bs * row_powers(bs_u).reshape(-1)])
 
@@ -134,7 +133,7 @@ def assemble(realization: Realization,
              state: BeamformingState) -> tuple[ChannelStack, Covariances]:
     """The ChannelStack of a realization and the covariances of a state on it."""
     ch = stack_channels(realization)
-    return ch, covariances(ch, realization.hardware, state)
+    return ch, covariances(ch, realization.hardware, state.beams())
 
 
 def cell_tx_covariance(realization: Realization, state: BeamformingState, g: int) -> np.ndarray:

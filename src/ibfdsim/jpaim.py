@@ -17,18 +17,18 @@ for the smallest feasible w >= 0; one vectorized, safeguarded Newton solve
 once.
 
 Near its fixed point the plain alternation contracts slowly, so each
-iteration also tries an extrapolated point V* + beta (V* - V_prev) beyond the
-exact precoder result V*, scaled back into the power budgets.  A safeguard
+iteration also tries an extrapolated point W* + beta (W* - W_prev) beyond the
+exact precoder result W*, scaled back into the power budgets.  A safeguard
 keeps it only if, after its combiner update, the loss lies at least the
 stopping threshold below the iteration's snapshot.  The tracked loss is
 therefore non-increasing, and the loop stops once the per-iteration
 improvement drops below the threshold.
 
-`run` builds the ChannelStack once per call (module `stacked`); the state is
-a BeamformingState, whose fields are arrays in the same layout, so each
-block is a handful of batched numpy kernels over all cells and users.  The
-public block updates below are thin adapters over the same kernels that
-build the ChannelStack and return a state of fresh C-contiguous arrays.
+`run` builds the ChannelStack once per call (module `stacked`) and iterates
+on the beams W and the combiners U, (downlink, uplink) pairs of arrays in
+the same layout: each block is a few batched numpy kernels over all cells
+and users, and none reads a coefficient.  The public block updates below
+are adapters that convert a BeamformingState to beams and back.
 """
 
 from __future__ import annotations
@@ -263,38 +263,34 @@ def _bound_step(terms, den, target):
 # ---------------------------------------------------------------------------
 
 
-def _combiner_step(ch: ChannelStack, s: BeamformingState,
-                   cov: covariance.Covariances) -> BeamformingState:
-    """U = coefficient * C^-1 H V for every user; a BS solves once for all
-    the uplink users it decodes."""
+def _combiner_step(ch: ChannelStack, beams, cov: covariance.Covariances):
+    """U = C^-1 H W for every user; a BS solves once for all the uplink users
+    it decodes.  Maps the beams (W_dl, W_ul) to the combiners (U_dl, U_ul)."""
+    w_dl, w_ul = beams
     try:
-        dl = np.linalg.solve(cov.dl_rx, ch.dl_own @ s.dl_precoders)
-        ul = np.linalg.solve(cov.bs_rx, columns(ch.ul_own @ s.ul_precoders))
+        dl = np.linalg.solve(cov.dl_rx, ch.dl_own @ w_dl)
+        ul = np.linalg.solve(cov.bs_rx, columns(ch.ul_own @ w_ul))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular received covariance ({exc}); check the noise configuration") from exc
-    ul = uncolumns(ul, s.ul_combiners.shape[-1])
-    return replace(s, dl_combiners=s.dl_coefficients[..., None, None] * dl,
-                   ul_combiners=s.ul_coefficients[..., None, None] * ul)
+    return dl, uncolumns(ul, w_ul.shape[-1])
 
 
-def _precoder_step(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState,
-                   nu: np.ndarray, config: SolverConfig) -> PrecoderUpdate:
-    """V = (1/coefficient) Q (D + w I)^-1 Q^H H^H U per user, with w the power
-    multiplier and Q D Q^H the transmitter's quadratic-term matrix: its omega,
+def _precoder_step(ch: ChannelStack, hw: HardwareProfile, grams, combiners,
+                   nu: np.ndarray, config: SolverConfig):
+    """W = Q (D + w I)^-1 Q^H H^H U per user, with w the power multiplier and
+    Q D Q^H the transmitter's quadratic-term matrix: its omega from `grams`,
     plus nu_g S_g at BS g, where S_g = H^H H + kappa diag(H^H H) is the
-    distortion-aware Gram matrix of its true SI channel."""
-    omega_bs, m_ul = covariance.transmit_grams(ch, hw, s)
+    distortion-aware Gram matrix of its true SI channel.  Returns the beams
+    and the (w, power, evaluations) of the search, cells first."""
+    omega_bs, m_ul = grams
     d_bs, q_bs = np.linalg.eigh(omega_bs + nu[:, None, None] * ch.si_gram)
     d_ul, q_ul = np.linalg.eigh(m_ul)
     d_bs, d_ul = np.maximum(d_bs, 0.0), np.maximum(d_ul, 0.0)   # PSD up to rounding
-    b_dl = hermitian(q_bs)[:, None] @ (ch.dl_own_h @ s.dl_combiners)
-    b_ul = hermitian(q_ul) @ (ch.ul_own_h @ s.ul_combiners)
-    # silenced users (coefficient 0) take no part and keep their precoders
-    dl_on = s.dl_coefficients > 0.0
-    ul_on = s.ul_coefficients > 0.0
-    g_dl = (row_powers(b_dl) * dl_on[..., None]).sum(axis=1)
-    g_ul = row_powers(b_ul) * ul_on[..., None]
+    b_dl = hermitian(q_bs)[:, None] @ (ch.dl_own_h @ combiners[0])
+    b_ul = hermitian(q_ul) @ (ch.ul_own_h @ combiners[1])
+    g_dl = row_powers(b_dl).sum(axis=1)
+    g_ul = row_powers(b_ul)
 
     # one search over every cell and uplink user, shorter rows padded with empty terms
     cells, k_u, n_ue = g_ul.shape
@@ -304,48 +300,28 @@ def _precoder_step(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState,
     g[:cells, :g_dl.shape[1]], d[:cells, :g_dl.shape[1]] = g_dl, d_bs
     g[cells:, :n_ue], d[cells:, :n_ue] = g_ul.reshape(-1, n_ue), d_ul.reshape(-1, n_ue)
     budget = np.repeat([hw.p_bs_w, hw.p_ue_w], [cells, cells * k_u])
-    w, power, evaluations = secular_multiplier(g, d, budget, config.bisection_rel_tol,
-                                               config.bisection_max_steps)
-    w_dl, w_ul = w[:cells], w[cells:].reshape(cells, k_u)
+    search = secular_multiplier(g, d, budget, config.bisection_rel_tol,
+                                config.bisection_max_steps)
+    w_dl, w_ul = search[0][:cells], search[0][cells:].reshape(cells, k_u)
 
-    def assemble(q, b, den, coefficient, on, old):
+    def beam(q, b, den):
         positive = den > 0.0
-        scaled = np.where(positive[..., None], b / np.where(positive, den, 1.0)[..., None], 0.0)
-        safe = np.where(on, coefficient, 1.0)[..., None, None]
-        return np.where(on[..., None, None], (q @ scaled) / safe, old)
+        return q @ np.where(positive[..., None], b / np.where(positive, den, 1.0)[..., None], 0.0)
 
-    new = replace(
-        s,
-        dl_precoders=assemble(q_bs[:, None], b_dl, (d_bs + w_dl[:, None])[:, None],
-                              s.dl_coefficients, dl_on, s.dl_precoders),
-        ul_precoders=assemble(q_ul, b_ul, d_ul + w_ul[..., None], s.ul_coefficients, ul_on,
-                              s.ul_precoders))
-    return PrecoderUpdate(new, w_dl, w[cells:], power[:cells], power[cells:],
-                          evaluations[:cells], evaluations[cells:])
+    return (beam(q_bs[:, None], b_dl, (d_bs + w_dl[:, None])[:, None]),
+            beam(q_ul, b_ul, d_ul + w_ul[..., None])), search
 
 
-def _extrapolate(hw: HardwareProfile, s: BeamformingState, prev: BeamformingState,
-                 weight: float) -> BeamformingState:
-    """Trial point W + weight (W - W_prev) on every transmitted beamformer (see extrapolate)."""
-    def move(coefficient, precoder, prev_coefficient, prev_precoder, budget, per_cell):
-        on = coefficient > 0.0
-        beams = np.where(on[..., None, None],
-                         (1.0 + weight) * coefficient[..., None, None] * precoder
-                         - weight * prev_coefficient[..., None, None] * prev_precoder, 0.0)
-        power = frobenius_sq(beams)
-        if per_cell:
-            power = power.sum(axis=-1, keepdims=True)
+def _extrapolate(hw: HardwareProfile, beams, previous, weight: float):
+    """Trial point W + weight (W - W_prev) on each beam pair (see extrapolate)."""
+    def move(w, w_prev, budget, shared_axes):
+        moved = (1.0 + weight) * w - weight * w_prev
+        power = frobenius_sq(moved).sum(axis=shared_axes, keepdims=True)
         scale = np.sqrt(budget / np.maximum(power, budget))    # 1 within the budget
-        safe = np.where(on, coefficient, 1.0)
-        return np.where(on[..., None, None],
-                        (scale / safe)[..., None, None] * beams, precoder)
+        return scale[..., None, None] * moved
 
-    return replace(
-        s,
-        dl_precoders=move(s.dl_coefficients, s.dl_precoders, prev.dl_coefficients,
-                          prev.dl_precoders, hw.p_bs_w, True),
-        ul_precoders=move(s.ul_coefficients, s.ul_precoders, prev.ul_coefficients,
-                          prev.ul_precoders, hw.p_ue_w, False))
+    return (move(beams[0], previous[0], hw.p_bs_w, -1),
+            move(beams[1], previous[1], hw.p_ue_w, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +332,8 @@ def _extrapolate(hw: HardwareProfile, s: BeamformingState, prev: BeamformingStat
 def update_combiners(realization: Realization, state: BeamformingState) -> BeamformingState:
     """Linear MMSE combiners U = coef * C^-1 H V for every user."""
     ch, cov = covariance.assemble(realization, state)
-    return _combiner_step(ch, state, cov).copy()
+    dl, ul = _combiner_step(ch, state.beams(), cov)
+    return replace(state, dl_combiners=dl, ul_combiners=ul).copy()
 
 
 def update_precoders(realization: Realization, state: BeamformingState,
@@ -366,11 +343,20 @@ def update_precoders(realization: Realization, state: BeamformingState,
     Downlink: per cell, V_k = (1/alpha_k) (Omega_g + nu_g S_g + w_g I)^-1 H^H U_k
     with S_g the distortion-aware SI Gram matrix and w_g >= 0 the smallest
     multiplier keeping the cell inside its power budget.  Uplink: the same
-    form per user against P_ue without any SI term.
+    form per user against P_ue without any SI term.  A silenced user
+    (coefficient 0) keeps its precoder; its combiners still enter every
+    transmitter's quadratic term, but not the linear one.
     """
-    pre = _precoder_step(stack_channels(realization), realization.hardware, state,
-                         resolve_nu(realization, config), config)
-    return replace(pre, state=pre.state.copy())
+    ch, hw = stack_channels(realization), realization.hardware
+    combiners = (state.dl_combiners, state.ul_combiners)
+    linear = tuple(u * (coefficient > 0.0)[..., None, None] for u, coefficient
+                   in zip(combiners, (state.dl_coefficients, state.ul_coefficients)))
+    beams, (w, power, evaluations) = _precoder_step(
+        ch, hw, covariance.transmit_grams(ch, hw, combiners), linear,
+        resolve_nu(realization, config), config)
+    cells = realization.cell_count
+    return PrecoderUpdate(state.with_beams(beams).copy(), w[:cells], w[cells:],
+                          power[:cells], power[cells:], evaluations[:cells], evaluations[cells:])
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +376,8 @@ def extrapolate(realization: Realization, state: BeamformingState,
     pushed over its budget is scaled back onto it.  Silenced users stay as
     they are.  Combiners are carried over unchanged.
     """
-    return _extrapolate(realization.hardware, state, previous, weight).copy()
+    return state.with_beams(_extrapolate(realization.hardware, state.beams(),
+                                         previous.beams(), weight)).copy()
 
 
 def run(realization: Realization, config: SolverConfig,
@@ -399,37 +386,38 @@ def run(realization: Realization, config: SolverConfig,
 
     Per iteration: combiners, loss snapshot, precoders, then a safeguarded
     extrapolation (block coordinate descent with extrapolation, Xu & Yin
-    2013).  The trial point extrapolate(V*, V_prev, EXTRAPOLATION) from the
-    exact block result V* gets its own combiner update; it replaces V* only
+    2013).  The trial point extrapolate(W*, W_prev, EXTRAPOLATION) from the
+    exact block result W* gets its own combiner update; it replaces W* only
     if its loss then lies below the iteration's snapshot by at least the
     threshold, and its combiners and report serve as the next iteration's.
-    Otherwise V* is kept.  Either way the snapshot
+    Otherwise W* is kept.  Either way the snapshot
     sequence is non-increasing, and an accepted trial never looks converged.
-    The first iteration tries no trial, since its V_prev is the random
-    initial point and V* - V_prev no descent direction.  Neither does the
+    The first iteration tries no trial, since its W_prev is the random
+    initial point and W* - W_prev no descent direction.  Neither does the
     last (converged or at max_iterations), so the final state is always an
     exact block result.  Non-convergence within max_iterations is reported
     in the trace, not raised.
 
-    The coefficients keep the values `initialize` gives them; the precoders
-    carry all of the power allocation.  The ChannelStack is built once per
-    call; every iteration then runs on arrays, and the covariances of a
-    combiner update also serve the evaluation after it.
+    The loop runs on the beams W = coefficient * V of `initialize`'s state
+    and returns V = W / coefficient, so the coefficients keep their initial
+    values and the precoders carry all of the power allocation.  The
+    covariances of a combiner update also serve the evaluation after it.
     """
     nu = resolve_nu(realization, config)
     hw = realization.hardware
     ch = stack_channels(realization)
-    state = initialize(realization, config, rng)
-    cells, k_u = state.ul_coefficients.shape
-    no_dl, no_ul = (0.0,) * cells, (0.0,) * (cells * k_u)
+    start = initialize(realization, config, rng)
+    beams, cells = start.beams(), realization.cell_count
+    idle = (np.zeros(cells * (1 + beams[1].shape[1])), None, 0)   # record 0 has no search
 
-    def refresh(s):
-        """Combiner update plus the report that shares its covariances."""
-        cov = covariance.covariances(ch, hw, s)
-        s = _combiner_step(ch, s, cov)
-        return s, objective.report(ch, hw, s, cov, nu, collect_metrics)
+    def refresh(beams, combiners=None, with_rates=collect_metrics):
+        """Combiner update (unless given) plus the report sharing its covariances."""
+        cov = covariance.covariances(ch, hw, beams)
+        combiners = _combiner_step(ch, beams, cov) if combiners is None else combiners
+        return combiners, objective.report(ch, hw, beams, combiners, cov, nu, with_rates)
 
-    def snapshot(iteration, rep, elapsed_ms, pre=None, block_ms=(0.0, 0.0, 0.0)):
+    def snapshot(iteration, rep, elapsed_ms, search=idle, block_ms=(0.0, 0.0, 0.0)):
+        w, _, evaluations = search
         return IterationRecord(
             iteration=iteration,
             loss=rep.loss,
@@ -437,51 +425,48 @@ def run(realization: Realization, config: SolverConfig,
             rsi_watts=rep.rsi_watts,
             sum_rate=rep.sum_rate,
             elapsed_ms=elapsed_ms,
-            dl_cell_power=tuple(state.dl_cell_powers().tolist()),
-            ul_user_power=tuple(state.ul_powers().ravel().tolist()),
-            dl_precoder_multipliers=tuple(pre.dl_multipliers.tolist()) if pre else no_dl,
-            ul_precoder_multipliers=tuple(pre.ul_multipliers.tolist()) if pre else no_ul,
-            multiplier_evaluations=int(pre.dl_evaluations.sum() + pre.ul_evaluations.sum())
-            if pre else 0,
+            dl_cell_power=tuple(frobenius_sq(beams[0]).sum(axis=-1).tolist()),
+            ul_user_power=tuple(frobenius_sq(beams[1]).ravel().tolist()),
+            dl_precoder_multipliers=tuple(w[:cells].tolist()),
+            ul_precoder_multipliers=tuple(w[cells:].tolist()),
+            multiplier_evaluations=int(np.sum(evaluations)),
             combiner_ms=block_ms[0],
             precoder_ms=block_ms[1],
             trial_ms=block_ms[2],
         )
 
     t0 = time.perf_counter()
-    rep = objective.report(ch, hw, state, covariance.covariances(ch, hw, state), nu,
-                           collect_metrics)
+    combiners, rep = refresh(beams, (start.dl_combiners, start.ul_combiners))
     records = [snapshot(0, rep, (time.perf_counter() - t0) * 1e3)]
 
     converged = False
-    iterations = 0
-    prev_loss = rep.loss
-    accepted = None          # (state, report) of the trial the last iteration kept
+    accepted = None          # (beams, combiners, report) of the trial the last iteration kept
     for t in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
         reused = accepted is not None
-        state, rep = accepted if reused else refresh(state)
+        combiners, rep = accepted[1:] if reused else refresh(beams)
         accepted = None
         t1 = time.perf_counter()
-        pre = _precoder_step(ch, hw, state, nu, config)
+        exact, search = _precoder_step(ch, hw, covariance.transmit_grams(ch, hw, combiners),
+                                       combiners, nu, config)
         t2 = time.perf_counter()
-        iterations = t
-        converged = prev_loss - rep.loss < config.threshold
+        converged = records[-1].loss - rep.loss < config.threshold
         tried = not converged and 1 < t < config.max_iterations
         if tried:
-            trial, trial_rep = refresh(_extrapolate(hw, pre.state, state, EXTRAPOLATION))
+            trial = _extrapolate(hw, exact, beams, EXTRAPOLATION)
+            trial_combiners, trial_rep = refresh(trial)
             if trial_rep.loss < rep.loss - config.threshold:
-                accepted = (trial, trial_rep)
+                accepted = (trial, trial_combiners, trial_rep)
         t3 = time.perf_counter()
-        state = accepted[0] if accepted else pre.state
+        beams = accepted[0] if accepted else exact
         block_ms = (0.0 if reused else (t1 - t0) * 1e3, (t2 - t1) * 1e3,
                     (t3 - t2) * 1e3 if tried else 0.0)
-        records.append(snapshot(t, rep, (time.perf_counter() - t0) * 1e3, pre, block_ms))
+        records.append(snapshot(t, rep, (time.perf_counter() - t0) * 1e3, search, block_ms))
         if converged:
             break
-        prev_loss = rep.loss
 
-    final_report = objective.report(ch, hw, state, covariance.covariances(ch, hw, state), nu,
-                                    True)
-    return RunTrace(records=records, final_state=state.copy(), final_report=final_report,
-                    converged=converged, iterations=iterations, nu=tuple(nu))
+    final_report = refresh(beams, combiners, with_rates=True)[1]
+    final_state = replace(start.with_beams(beams), dl_combiners=combiners[0],
+                          ul_combiners=combiners[1])
+    return RunTrace(records=records, final_state=final_state.copy(), final_report=final_report,
+                    converged=converged, iterations=len(records) - 1, nu=tuple(nu))

@@ -561,7 +561,8 @@ def load_realization(path) -> Realization:
 
     Raises ValueError for a foreign file, an unsupported version, a blob
     whose length disagrees with its own header (cut short or padded), user
-    counts that differ between cells, a link set other than the one the
+    counts that differ between cells, a missing position array or one whose
+    shape disagrees with the user counts, a link set other than the one the
     topology implies, a matrix whose shape disagrees with the antennas, or
     an SI link whose truth differs from its estimate.
     """
@@ -604,13 +605,14 @@ def load_realization(path) -> Realization:
            for counts in (tm["dl_counts"], tm["ul_counts"])):
         raise ValueError(f"realization file needs one user count for every cell, got "
                          f"downlink {tm['dl_counts']}, uplink {tm['ul_counts']}")
+    cells = range(tm["cell_count"])
     topo = Topology(
         cell_count=tm["cell_count"],
         dl_counts=tuple(tm["dl_counts"]),
         ul_counts=tuple(tm["ul_counts"]),
-        bs_xy=data["topology/bs_xy"],
-        dl_xy=tuple(data[f"topology/dl_xy/{g}"] for g in range(tm["cell_count"])),
-        ul_xy=tuple(data[f"topology/ul_xy/{g}"] for g in range(tm["cell_count"])),
+        bs_xy=data.get("topology/bs_xy"),
+        dl_xy=tuple(data.get(f"topology/dl_xy/{g}") for g in cells),
+        ul_xy=tuple(data.get(f"topology/ul_xy/{g}") for g in cells),
         inter_site_distance_m=tm["inter_site_distance_m"],
         min_bs_user_distance_m=tm["min_bs_user_distance_m"],
     )
@@ -639,4 +641,13 @@ def load_realization(path) -> Realization:
             raise ValueError(f"realization file: the SI link {name} has an estimate "
                              f"that differs from its truth")
         link.true[...], link.est[...], link.err_var[...] = true, est, err_var[name]
+    rows = {"bs_xy": topo.cell_count, **{f"dl_xy/{g}": n for g, n in enumerate(topo.dl_counts)},
+            **{f"ul_xy/{g}": n for g, n in enumerate(topo.ul_counts)}}
+    for name, count in rows.items():
+        xy = data.get(f"topology/{name}")
+        if xy is None:
+            raise ValueError(f"realization file lacks topology/{name}")
+        if xy.shape != (count, 2):
+            raise ValueError(f"realization file: topology/{name} has shape {xy.shape}, "
+                             f"the topology gives {(count, 2)}")
     return real

@@ -72,9 +72,11 @@ def _nu_per_cell(realization: Realization, nu) -> np.ndarray:
     return arr
 
 
-def _mse(c, hv, combiner, coefficient, streams):
-    """tr(U^H C U) - 2 coefficient Re tr(U^H H V) + streams for every user of a stack."""
-    return re_inner(combiner, c @ combiner) - 2.0 * coefficient * re_inner(combiner, hv) + streams
+def _mse(c, received, combiner):
+    """tr(U^H C U) - 2 Re tr(U^H H W) + streams for every user of a stack,
+    given the received beams H W; U has one column per stream."""
+    return (re_inner(combiner, c @ combiner) - 2.0 * re_inner(combiner, received)
+            + combiner.shape[-1])
 
 
 def _depth_db(numerator: float, rsi: float) -> float:
@@ -85,23 +87,21 @@ def _depth_db(numerator: float, rsi: float) -> float:
     return min(10.0 * math.log10(numerator / rsi), ASIC_DEPTH_CAP_DB)
 
 
-def report(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState,
+def report(ch: ChannelStack, hw: HardwareProfile, beams, combiners,
            cov: covariance.Covariances, nu_arr: np.ndarray, with_rates: bool) -> ObjectiveReport:
-    """Every figure of merit of a state whose covariances on the channels `ch` are `cov`.
+    """Every figure of merit of the beams (W_dl, W_ul) and combiners
+    (U_dl, U_ul) whose covariances on the channels `ch` are `cov`.
 
     The RSI of cell g is tr(H_si T_g H_si^H) with T_g the cell's transmit
     covariance, distortion diagonal included; it depends only on the cell's
-    own downlink precoders and coefficients.  The cancellation depth is
-    10 log10(l_g tr(T_g) / rsi), capped at +200 dB, 0 for a silent cell.
+    own downlink beams.  The cancellation depth is 10 log10(l_g tr(T_g) / rsi),
+    capped at +200 dB, 0 for a silent cell.
     """
-    dl_streams, ul_streams = s.dl_precoders.shape[-1], s.ul_precoders.shape[-1]
-    hv_dl = ch.dl_own @ s.dl_precoders
-    hv_ul = ch.ul_own @ s.ul_precoders
+    sig_dl = ch.dl_own @ beams[0]
+    sig_ul = ch.ul_own @ beams[1]
     bs_rx = cov.bs_rx[:, None]                   # each BS covariance, once per uplink user
-    sum_mse_dl = float(_mse(cov.dl_rx, hv_dl, s.dl_combiners, s.dl_coefficients,
-                            dl_streams).sum())
-    sum_mse_ul = float(_mse(bs_rx, hv_ul, s.ul_combiners, s.ul_coefficients,
-                            ul_streams).sum())
+    sum_mse_dl = float(_mse(cov.dl_rx, sig_dl, combiners[0]).sum())
+    sum_mse_ul = float(_mse(bs_rx, sig_ul, combiners[1]).sum())
     rsi = (ch.si @ cov.cell_tx * ch.si.conj()).real.sum(axis=(-2, -1))
     tx_power = trace(cov.cell_tx)
     depth = tuple(_depth_db(gain * p, r) for gain, p, r
@@ -109,11 +109,8 @@ def report(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState,
     nan = float("nan")
     rate_dl = rate_ul = nan
     if with_rates:
-        def signal(coefficient, hv):
-            return (coefficient ** 2)[..., None, None] * (hv @ hermitian(hv))
-
-        rate_dl = float(_rate_bits(cov.dl_rx, signal(s.dl_coefficients, hv_dl)).sum())
-        rate_ul = float(_rate_bits(bs_rx, signal(s.ul_coefficients, hv_ul)).sum())
+        rate_dl = float(_rate_bits(cov.dl_rx, sig_dl @ hermitian(sig_dl)).sum())
+        rate_ul = float(_rate_bits(bs_rx, sig_ul @ hermitian(sig_ul)).sum())
     return ObjectiveReport(
         sum_mse_dl=sum_mse_dl,
         sum_mse_ul=sum_mse_ul,
@@ -129,24 +126,22 @@ def report(ch: ChannelStack, hw: HardwareProfile, s: BeamformingState,
 def mse_downlink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:
     """Stream-recovery MSE of downlink user (k, g) under its current combiner."""
     ch, cov = covariance.assemble(realization, state)
-    return float(_mse(cov.dl_rx[g, k], ch.dl_own[g, k] @ state.dl_precoders[g, k],
-                      state.dl_combiners[g, k], state.dl_coefficients[g, k],
-                      realization.antennas.dl_streams))
+    return float(_mse(cov.dl_rx[g, k], ch.dl_own[g, k] @ state.beams()[0][g, k],
+                      state.dl_combiners[g, k]))
 
 
 def mse_uplink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:
     """Stream-recovery MSE of uplink user (k, g), decoded at BS g."""
     ch, cov = covariance.assemble(realization, state)
-    return float(_mse(cov.bs_rx[g], ch.ul_own[g, k] @ state.ul_precoders[g, k],
-                      state.ul_combiners[g, k], state.ul_coefficients[g, k],
-                      realization.antennas.ul_streams))
+    return float(_mse(cov.bs_rx[g], ch.ul_own[g, k] @ state.beams()[1][g, k],
+                      state.ul_combiners[g, k]))
 
 
 def rsi_power(realization: Realization, state: BeamformingState, g: int) -> float:
     """Self-interference power received at BS g through the true SI channel.
 
-    Depends only on the cell's own downlink precoders and coefficients; the
-    transmit-distortion diagonal is included.
+    Depends only on the cell's own downlink beams; the transmit-distortion
+    diagonal is included.
     """
     return evaluate(realization, state, 0.0, with_rates=False).rsi_watts[g]
 
@@ -181,12 +176,6 @@ def _rate_bits(c: np.ndarray, signal: np.ndarray) -> np.ndarray:
     return (logdet_c - logdet_q) / math.log(2.0)
 
 
-def sum_rate(realization: Realization, state: BeamformingState) -> float:
-    """Network sum rate in bits/s/Hz with interference treated as noise."""
-    report = evaluate(realization, state, nu=0.0)
-    return report.sum_rate
-
-
 def evaluate(realization: Realization, state: BeamformingState, nu,
              with_rates: bool = True) -> ObjectiveReport:
     """Compute every reported metric, sharing covariance assembly.
@@ -196,4 +185,5 @@ def evaluate(realization: Realization, state: BeamformingState, nu,
     """
     nu_arr = _nu_per_cell(realization, nu)
     ch, cov = covariance.assemble(realization, state)
-    return report(ch, realization.hardware, state, cov, nu_arr, with_rates)
+    return report(ch, realization.hardware, state.beams(),
+                  (state.dl_combiners, state.ul_combiners), cov, nu_arr, with_rates)

@@ -1,8 +1,9 @@
-"""Transceiver state shared by the objective and the solver."""
+"""Transceiver state at the public boundary of the objective and the solver,
+whose kernels run on the beams W = coefficient * V and the combiners U."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -20,8 +21,8 @@ class BeamformingState:
     user (g, k) is alpha[g, k] * dl_precoders[g, k] @ symbols, and likewise
     gamma[g, k] * ul_precoders[g, k] for uplink users.  Precoder matrices are
     kept apart from their scalar coefficients as in the paper's model; the
-    solver keeps the coefficients at their initial values, and a coefficient
-    of 0 silences its user.
+    solver keeps the coefficients at their initial values and works on the
+    beams alone.  A coefficient of 0 silences its user.
     """
 
     dl_precoders: np.ndarray      # (G, K_d, N_bs, b_d) complex
@@ -34,6 +35,22 @@ class BeamformingState:
     def copy(self) -> "BeamformingState":
         """A state of C-contiguous arrays that share no memory with this one."""
         return BeamformingState(*(getattr(self, f.name).copy() for f in fields(self)))
+
+    def beams(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W_dl, W_ul): the transmitted beams coefficient * precoder of every user."""
+        return (self.dl_coefficients[..., None, None] * self.dl_precoders,
+                self.ul_coefficients[..., None, None] * self.ul_precoders)
+
+    def with_beams(self, beams) -> "BeamformingState":
+        """This state with precoders V = W / coefficient for the beams
+        (W_dl, W_ul); a silenced user (coefficient 0) keeps its old V."""
+        def precoders(w, coefficient, old):
+            on = (coefficient > 0.0)[..., None, None]
+            return np.where(on, w / np.where(on, coefficient[..., None, None], 1.0), old)
+
+        return replace(self,
+                       dl_precoders=precoders(beams[0], self.dl_coefficients, self.dl_precoders),
+                       ul_precoders=precoders(beams[1], self.ul_coefficients, self.ul_precoders))
 
     def dl_cell_powers(self) -> np.ndarray:
         """(G,) transmit power of each BS before distortion, sum_k alpha^2 ||V||_F^2."""

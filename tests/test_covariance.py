@@ -168,7 +168,8 @@ def test_transmit_grams_match_per_link_f1_sums():
                                               beta_bs=0.03, beta_ue=0.04))
         state = helpers.random_state(real, seed + 1)
         hw = real.hardware
-        omega_bs, omega_ul = covariance.transmit_grams(stack_channels(real), hw, state)
+        omega_bs, omega_ul = covariance.transmit_grams(stack_channels(real), hw,
+                                                     (state.dl_combiners, state.ul_combiners))
 
         def summed(tx, kappa):
             total = 0.0

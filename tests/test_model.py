@@ -1,6 +1,7 @@
 """Scenario construction: units, geometry, channel statistics, serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +319,34 @@ def test_load_realization_rejects_a_missing_link(tmp_path, monkeypatch):
 
     _save_edited(real, tmp_path / "real.bin", monkeypatch, drop)
     with pytest.raises(ValueError, match=r"missing \['dl:0:0<ul:0:0'\]"):
+        load_realization(tmp_path / "real.bin")
+
+
+@pytest.mark.parametrize("name", ["topology/bs_xy", "topology/dl_xy/0", "topology/ul_xy/1"])
+def test_load_realization_rejects_a_missing_position_array(tmp_path, monkeypatch, name):
+    real = build_realization(ScenarioConfig(cells=2, dl_users=2, ul_users=1), 3)
+
+    def drop(meta, arrays):
+        arrays[:] = [(n, a) for n, a in arrays if n != name]
+
+    _save_edited(real, tmp_path / "real.bin", monkeypatch, drop)
+    with pytest.raises(ValueError, match=f"lacks {name}$"):
+        load_realization(tmp_path / "real.bin")
+
+
+@pytest.mark.parametrize("name, shape", [("topology/bs_xy", (3, 2)),
+                                         ("topology/dl_xy/0", (3, 2)),
+                                         ("topology/ul_xy/1", (1, 3))])
+def test_load_realization_rejects_a_position_array_of_the_wrong_shape(
+        tmp_path, monkeypatch, name, shape):
+    # G = 2 cells, K_d = 2 and K_u = 1 users per cell
+    real = build_realization(ScenarioConfig(cells=2, dl_users=2, ul_users=1), 3)
+
+    def reshape(meta, arrays):
+        arrays[:] = [(n, np.zeros(shape) if n == name else a) for n, a in arrays]
+
+    _save_edited(real, tmp_path / "real.bin", monkeypatch, reshape)
+    with pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}")):
         load_realization(tmp_path / "real.bin")
 
 

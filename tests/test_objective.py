@@ -9,8 +9,7 @@ import helpers
 from ibfdsim import covariance, objective
 from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node
 from ibfdsim.objective import (ASIC_DEPTH_CAP_DB, asic_depth, evaluate, loss,
-                               mse_downlink, mse_uplink, nu_from_asic, rsi_power,
-                               sum_rate)
+                               mse_downlink, mse_uplink, nu_from_asic, rsi_power)
 
 
 def test_nu_from_asic_values():
@@ -182,7 +181,6 @@ def test_evaluate_consistency():
         rep.rsi_watts, [rsi_power(real, state, g) for g in range(2)], rtol=1e-12)
     np.testing.assert_allclose(
         rep.asic_depth_db, [asic_depth(real, state, g) for g in range(2)], rtol=1e-9)
-    assert rep.sum_rate == pytest.approx(sum_rate(real, state), rel=1e-12)
 
     lean = evaluate(real, state, nu, with_rates=False)
     assert lean.loss == rep.loss
