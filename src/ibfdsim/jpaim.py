@@ -349,10 +349,8 @@ def update_precoders(realization: Realization, state: BeamformingState,
     """
     ch, hw = stack_channels(realization), realization.hardware
     combiners = (state.dl_combiners, state.ul_combiners)
-    linear = tuple(u * (coefficient > 0.0)[..., None, None] for u, coefficient
-                   in zip(combiners, (state.dl_coefficients, state.ul_coefficients)))
     beams, (w, power, evaluations) = _precoder_step(
-        ch, hw, covariance.transmit_grams(ch, hw, combiners), linear,
+        ch, hw, covariance.transmit_grams(ch, hw, combiners), state.zero_silenced(combiners),
         resolve_nu(realization, config), config)
     cells = realization.cell_count
     return PrecoderUpdate(state.with_beams(beams).copy(), w[:cells], w[cells:],
@@ -373,11 +371,12 @@ def extrapolate(realization: Realization, state: BeamformingState,
 
     W = coefficient * precoder is what the loss sees.  The trial keeps the
     coefficients of `state` and moves its precoders; a cell or uplink user
-    pushed over its budget is scaled back onto it.  Silenced users stay as
-    they are.  Combiners are carried over unchanged.
+    pushed over its budget is scaled back onto it.  Users silenced in
+    `state` stay as they are and count toward no budget.  Combiners are
+    carried over unchanged.
     """
     return state.with_beams(_extrapolate(realization.hardware, state.beams(),
-                                         previous.beams(), weight)).copy()
+                                         state.zero_silenced(previous.beams()), weight)).copy()
 
 
 def run(realization: Realization, config: SolverConfig,

@@ -52,6 +52,12 @@ class BeamformingState:
                        dl_precoders=precoders(beams[0], self.dl_coefficients, self.dl_precoders),
                        ul_precoders=precoders(beams[1], self.ul_coefficients, self.ul_precoders))
 
+    def zero_silenced(self, pair) -> tuple[np.ndarray, np.ndarray]:
+        """The (downlink, uplink) arrays `pair`, laid out as the precoders,
+        with the entries of this state's silenced users set to 0."""
+        return tuple(x * (c > 0.0)[..., None, None]
+                     for x, c in zip(pair, (self.dl_coefficients, self.ul_coefficients)))
+
     def dl_cell_powers(self) -> np.ndarray:
         """(G,) transmit power of each BS before distortion, sum_k alpha^2 ||V||_F^2."""
         return (self.dl_coefficients ** 2 * frobenius_sq(self.dl_precoders)).sum(axis=-1)

@@ -200,6 +200,25 @@ def test_extrapolate_moves_beamformers_within_budgets():
                                scale * moved, rtol=1e-12)
 
 
+def test_extrapolate_leaves_users_silenced_in_state_out_of_the_budgets():
+    # a user silenced in `state` but not in `previous` moves to a beam the
+    # trial drops, so it must not shrink the rest of its cell
+    real = build_realization(ScenarioConfig(), 15)
+    cfg = SolverConfig()
+    previous = update_combiners(real, initialize(real, cfg))
+    state = jpaim.update_precoders(real, previous, cfg).state
+    state.dl_coefficients[0][0] = 0.0
+    state.ul_coefficients[1][0] = 0.0
+    both = previous.copy()
+    both.dl_coefficients[0][0] = 0.0
+    both.ul_coefficients[1][0] = 0.0
+    trial = jpaim.extrapolate(real, state, previous, 4.0)
+    for field in fields(trial):
+        np.testing.assert_array_equal(getattr(trial, field.name),
+                                      getattr(jpaim.extrapolate(real, state, both, 4.0),
+                                              field.name), err_msg=field.name)
+
+
 def test_returned_states_are_c_contiguous_and_share_no_memory():
     # the kernels return views and non-C-contiguous layouts (the uplink
     # combiners come out of a swapaxes), and carry unchanged fields over from
