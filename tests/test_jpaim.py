@@ -1,7 +1,9 @@
 """Alternating solver: initialization, block updates, and the full loop."""
 
+import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +376,27 @@ def test_run_metrics_toggle():
     # the final report always carries rates
     assert lean.final_report.sum_rate == pytest.approx(rich.final_report.sum_rate,
                                                        rel=1e-12)
+
+
+# Recorded with the M x M log-det rate form log2 det(C) - log2 det(C - S),
+# before rates came from the MMSE error matrices: records[t].sum_rate of
+# run(..., collect_metrics=True) and the final report's (sum_rate_dl,
+# sum_rate_ul), for seeds 0-2.
+RATE_GOLDENS = json.loads((Path(__file__).parent / "rate_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("scenario, config, key", [
+    (ScenarioConfig(), SolverConfig(), "default"),
+    (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0), "strong_si"),
+], ids=["default", "strong_si"])
+def test_run_rates_match_goldens(scenario, config, key):
+    for seed, golden in enumerate(RATE_GOLDENS[key]):
+        trace = run(build_realization(scenario, seed), config)
+        got = [r.sum_rate for r in trace.records]
+        assert len(got) == len(golden["records"]), f"seed {seed}"
+        assert got == pytest.approx(golden["records"], rel=1e-8, abs=1e-9), f"seed {seed}"
+        final = [trace.final_report.sum_rate_dl, trace.final_report.sum_rate_ul]
+        assert final == pytest.approx(golden["final"], rel=1e-8, abs=1e-9), f"seed {seed}"
 
 
 def test_uplink_only_and_downlink_only_networks():

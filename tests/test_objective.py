@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from ibfdsim import covariance, objective
-from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node
+from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node, ul_node
 from ibfdsim.objective import (ASIC_DEPTH_CAP_DB, asic_depth, evaluate, loss,
                                mse_downlink, mse_uplink, nu_from_asic, rsi_power)
 
@@ -167,6 +167,33 @@ def test_rate_bits_regularizes_singular_noise():
     c = np.diag([1.0, 1.0]).astype(complex)
     out = objective._rate_bits(c, s)  # C - S = diag(1, 0) is exactly singular
     assert np.isfinite(out) and out > 0.0
+
+
+def _explicit_rate_bits(c, received):
+    """log2 det(C) - log2 det(C - A A^H) of one user, straight from the definition."""
+    _, logdet_c = np.linalg.slogdet(c)
+    _, logdet_q = np.linalg.slogdet(c - received @ received.conj().T)
+    return (logdet_c - logdet_q) / math.log(2.0)
+
+
+@pytest.mark.parametrize("scenario", [
+    ScenarioConfig(), helpers.small_config(ul_users=3, asic_db=0.0),
+], ids=["default", "three_ul_users"])
+def test_rates_match_explicit_log_det(scenario):
+    # every uplink user of a cell shares its BS covariance
+    for seed in range(3):
+        real = build_realization(scenario, seed)
+        state = helpers.random_state(real, 30 + seed)
+        w_dl, w_ul = state.beams()
+        dl = [_explicit_rate_bits(covariance.rx_covariance_dl(real, state, k, g),
+                                  real.link(dl_node(g, k), bs_node(g)).est @ w_dl[g, k])
+              for g, k in real.dl_users()]
+        ul = [_explicit_rate_bits(covariance.rx_covariance_ul(real, state, g),
+                                  real.link(bs_node(g), ul_node(g, k)).est @ w_ul[g, k])
+              for g, k in real.ul_users()]
+        rep = evaluate(real, state, 0.0)
+        assert rep.sum_rate_dl == pytest.approx(sum(dl), rel=1e-9)
+        assert rep.sum_rate_ul == pytest.approx(sum(ul), rel=1e-9)
 
 
 def test_evaluate_consistency():
