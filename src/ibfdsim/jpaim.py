@@ -41,8 +41,7 @@ import numpy as np
 
 from . import covariance, objective
 from .model import HardwareProfile, Realization
-from .stacked import (ChannelStack, columns, frobenius_sq, hermitian, row_powers,
-                      stack_channels, uncolumns)
+from .stacked import ChannelStack, frobenius_sq, hermitian, row_powers, stack_channels
 from .state import BeamformingState
 
 
@@ -264,16 +263,11 @@ def _bound_step(terms, den, target):
 
 
 def _combiner_step(ch: ChannelStack, beams, cov: covariance.Covariances):
-    """U = C^-1 H W for every user; a BS solves once for all the uplink users
-    it decodes.  Maps the beams (W_dl, W_ul) to the combiners (U_dl, U_ul)."""
-    w_dl, w_ul = beams
-    try:
-        dl = np.linalg.solve(cov.dl_rx, ch.dl_own @ w_dl)
-        ul = np.linalg.solve(cov.bs_rx, columns(ch.ul_own @ w_ul))
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular received covariance ({exc}); check the noise configuration") from exc
-    return dl, uncolumns(ul, w_ul.shape[-1])
+    """Maps the beams (W_dl, W_ul) to the MMSE combiners (U_dl, U_ul),
+    U = C^-1 H W for every user.  Returns them with the received beams
+    (H W_dl, H W_ul) they solve against."""
+    received = objective.received_beams(ch, beams)
+    return objective.mmse_combiners(cov, received), received
 
 
 def _precoder_step(ch: ChannelStack, hw: HardwareProfile, grams, combiners,
@@ -332,7 +326,7 @@ def _extrapolate(hw: HardwareProfile, beams, previous, weight: float):
 def update_combiners(realization: Realization, state: BeamformingState) -> BeamformingState:
     """Linear MMSE combiners U = coef * C^-1 H V for every user."""
     ch, cov = covariance.assemble(realization, state)
-    dl, ul = _combiner_step(ch, state.beams(), cov)
+    (dl, ul), _ = _combiner_step(ch, state.beams(), cov)
     return replace(state, dl_combiners=dl, ul_combiners=ul).copy()
 
 
@@ -409,11 +403,16 @@ def run(realization: Realization, config: SolverConfig,
     beams, cells = start.beams(), realization.cell_count
     idle = (np.zeros(cells * (1 + beams[1].shape[1])), None, 0)   # record 0 has no search
 
-    def refresh(beams, combiners=None, with_rates=collect_metrics):
-        """Combiner update (unless given) plus the report sharing its covariances."""
+    def refresh(beams, combiners=None, with_rates=False):
+        """Combiner update (unless given) plus the report sharing its
+        covariances; returns the combiners, the received beams and the report."""
         cov = covariance.covariances(ch, hw, beams)
-        combiners = _combiner_step(ch, beams, cov) if combiners is None else combiners
-        return combiners, objective.report(ch, hw, beams, combiners, cov, nu, with_rates)
+        if combiners is None:
+            combiners, received = _combiner_step(ch, beams, cov)
+        else:
+            received = objective.received_beams(ch, beams)
+        return combiners, received, objective.report(ch, hw, received, combiners, cov, nu,
+                                                     with_rates)
 
     def snapshot(iteration, rep, elapsed_ms, search=idle, block_ms=(0.0, 0.0, 0.0)):
         w, _, evaluations = search
@@ -435,15 +434,16 @@ def run(realization: Realization, config: SolverConfig,
         )
 
     t0 = time.perf_counter()
-    combiners, rep = refresh(beams, (start.dl_combiners, start.ul_combiners))
+    combiners, _, rep = refresh(beams, (start.dl_combiners, start.ul_combiners),
+                                collect_metrics)
     records = [snapshot(0, rep, (time.perf_counter() - t0) * 1e3)]
 
     converged = False
-    accepted = None          # (beams, combiners, report) of the trial the last iteration kept
+    accepted = None    # (beams, combiners, received, report) of the trial the last iteration kept
     for t in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
         reused = accepted is not None
-        combiners, rep = accepted[1:] if reused else refresh(beams)
+        combiners, received, rep = accepted[1:] if reused else refresh(beams)
         accepted = None
         t1 = time.perf_counter()
         exact, search = _precoder_step(ch, hw, covariance.transmit_grams(ch, hw, combiners),
@@ -453,18 +453,20 @@ def run(realization: Realization, config: SolverConfig,
         tried = not converged and 1 < t < config.max_iterations
         if tried:
             trial = _extrapolate(hw, exact, beams, EXTRAPOLATION)
-            trial_combiners, trial_rep = refresh(trial)
+            trial_combiners, trial_received, trial_rep = refresh(trial)
             if trial_rep.loss < rep.loss - config.threshold:
-                accepted = (trial, trial_combiners, trial_rep)
+                accepted = (trial, trial_combiners, trial_received, trial_rep)
         t3 = time.perf_counter()
         beams = accepted[0] if accepted else exact
         block_ms = (0.0 if reused else (t1 - t0) * 1e3, (t2 - t1) * 1e3,
                     (t3 - t2) * 1e3 if tried else 0.0)
+        if collect_metrics:
+            rep = objective.with_sum_rates(rep, received, combiners)
         records.append(snapshot(t, rep, (time.perf_counter() - t0) * 1e3, search, block_ms))
         if converged:
             break
 
-    final_report = refresh(beams, combiners, with_rates=True)[1]
+    final_report = refresh(beams, combiners, with_rates=True)[2]
     final_state = replace(start.with_beams(beams), dl_combiners=combiners[0],
                           ul_combiners=combiners[1])
     return RunTrace(records=records, final_state=final_state.copy(), final_report=final_report,

@@ -5,20 +5,20 @@ user's stream-recovery MSE plus a per-cell penalty nu_g times the residual
 self-interference (RSI) power that the cell's precoders leave at its own
 receive array.  Sum rate is reported alongside as the conventional
 log-det measure with everything that is not the desired signal treated as
-noise.
+noise, taken from the b x b error matrices of the MMSE combiners.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import covariance
 from .model import HardwareProfile, Realization
-from .stacked import ChannelStack, hermitian, re_inner, trace
+from .stacked import ChannelStack, columns, hermitian, re_inner, trace, uncolumns
 from .state import BeamformingState
 
 log = logging.getLogger(__name__)
@@ -87,40 +87,82 @@ def _depth_db(numerator: float, rsi: float) -> float:
     return min(10.0 * math.log10(numerator / rsi), ASIC_DEPTH_CAP_DB)
 
 
-def report(ch: ChannelStack, hw: HardwareProfile, beams, combiners,
+def received_beams(ch: ChannelStack, beams):
+    """The received beams (H W_dl, H W_ul) of every user through its serving link."""
+    return ch.dl_own @ beams[0], ch.ul_own @ beams[1]
+
+
+def mmse_combiners(cov: covariance.Covariances, received):
+    """U = C^-1 H W for every user, given the received beams H W; a BS solves
+    once for all the uplink users it decodes."""
+    try:
+        dl = np.linalg.solve(cov.dl_rx, received[0])
+        ul = np.linalg.solve(cov.bs_rx, columns(received[1]))
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"singular received covariance ({exc}); check the noise configuration") from exc
+    return dl, uncolumns(ul, received[1].shape[-1])
+
+
+def _rate_bits(received: np.ndarray, mmse: np.ndarray) -> np.ndarray:
+    """log2 det(C) - log2 det(C - A A^H) for every user of a stack, from its
+    received beam A = H W and MMSE combiner U = C^-1 A.
+
+    By the matrix determinant lemma, det(C - A A^H) = det(C) det(E) with
+    E = I - A^H U the b x b MMSE error matrix, so the rate is -log2 det E.
+    E is Hermitian with eigenvalues in (0, 1]; a singular one is shifted by
+    1e-15 I.
+    """
+    eye = np.eye(received.shape[-1])
+    error = eye - hermitian(received) @ mmse
+    sign, logdet = np.linalg.slogdet(error)
+    singular = (sign.real <= 0) | ~np.isfinite(logdet)
+    if np.any(singular):
+        log.warning("singular noise covariance regularized in rate computation")
+        error = error + np.where(singular, 1e-15, 0.0)[..., None, None] * eye
+        _, logdet = np.linalg.slogdet(error)
+    return -logdet / math.log(2.0)
+
+
+def with_sum_rates(rep: ObjectiveReport, received, mmse) -> ObjectiveReport:
+    """`rep` with the downlink and uplink sum rates of the received beams
+    (A_dl, A_ul) and their MMSE combiners (U_dl, U_ul)."""
+    rate_dl, rate_ul = (float(_rate_bits(a, u).sum()) for a, u in zip(received, mmse))
+    return replace(rep, sum_rate=rate_dl + rate_ul, sum_rate_dl=rate_dl, sum_rate_ul=rate_ul)
+
+
+def report(ch: ChannelStack, hw: HardwareProfile, received, combiners,
            cov: covariance.Covariances, nu_arr: np.ndarray, with_rates: bool) -> ObjectiveReport:
-    """Every figure of merit of the beams (W_dl, W_ul) and combiners
-    (U_dl, U_ul) whose covariances on the channels `ch` are `cov`.
+    """Every figure of merit of the beams whose covariances on the channels
+    `ch` are `cov` and whose received beams (H W_dl, H W_ul) are `received`,
+    under the combiners (U_dl, U_ul).
 
     The RSI of cell g is tr(H_si T_g H_si^H) with T_g the cell's transmit
     covariance, distortion diagonal included; it depends only on the cell's
     own downlink beams.  The cancellation depth is 10 log10(l_g tr(T_g) / rsi),
-    capped at +200 dB, 0 for a silent cell.
+    capped at +200 dB, 0 for a silent cell.  The rates do not depend on the
+    combiners: with_rates=True solves for the MMSE combiners to get them,
+    with_rates=False reports them as nan.
     """
-    sig_dl = ch.dl_own @ beams[0]
-    sig_ul = ch.ul_own @ beams[1]
     bs_rx = cov.bs_rx[:, None]                   # each BS covariance, once per uplink user
-    sum_mse_dl = float(_mse(cov.dl_rx, sig_dl, combiners[0]).sum())
-    sum_mse_ul = float(_mse(bs_rx, sig_ul, combiners[1]).sum())
+    sum_mse_dl = float(_mse(cov.dl_rx, received[0], combiners[0]).sum())
+    sum_mse_ul = float(_mse(bs_rx, received[1], combiners[1]).sum())
     rsi = (ch.si @ cov.cell_tx * ch.si.conj()).real.sum(axis=(-2, -1))
     tx_power = trace(cov.cell_tx)
     depth = tuple(_depth_db(gain * p, r) for gain, p, r
                   in zip(hw.si_gain, tx_power.tolist(), rsi.tolist()))
     nan = float("nan")
-    rate_dl = rate_ul = nan
-    if with_rates:
-        rate_dl = float(_rate_bits(cov.dl_rx, sig_dl @ hermitian(sig_dl)).sum())
-        rate_ul = float(_rate_bits(bs_rx, sig_ul @ hermitian(sig_ul)).sum())
-    return ObjectiveReport(
+    rep = ObjectiveReport(
         sum_mse_dl=sum_mse_dl,
         sum_mse_ul=sum_mse_ul,
         rsi_watts=tuple(rsi.tolist()),
         asic_depth_db=depth,
         loss=sum_mse_dl + sum_mse_ul + float(np.dot(nu_arr, rsi)),
-        sum_rate=rate_dl + rate_ul,
-        sum_rate_dl=rate_dl,
-        sum_rate_ul=rate_ul,
+        sum_rate=nan,
+        sum_rate_dl=nan,
+        sum_rate_ul=nan,
     )
+    return with_sum_rates(rep, received, mmse_combiners(cov, received)) if with_rates else rep
 
 
 def mse_downlink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:
@@ -161,29 +203,14 @@ def loss(realization: Realization, state: BeamformingState, nu) -> float:
     return evaluate(realization, state, nu, with_rates=False).loss
 
 
-def _rate_bits(c: np.ndarray, signal: np.ndarray) -> np.ndarray:
-    """log2 det(I + S Q^-1) with Q = C - S for every matrix pair of a stack;
-    a singular Q is regularized."""
-    q = c - signal
-    sign, logdet_q = np.linalg.slogdet(q)
-    singular = (sign.real <= 0) | ~np.isfinite(logdet_q)
-    if np.any(singular):
-        log.warning("singular noise covariance regularized in rate computation")
-        shift = np.where(singular, 1e-15 * trace(q), 0.0)
-        q = q + shift[..., None, None] * np.eye(q.shape[-1])
-        sign, logdet_q = np.linalg.slogdet(q)
-    _, logdet_c = np.linalg.slogdet(q + signal)
-    return (logdet_c - logdet_q) / math.log(2.0)
-
-
 def evaluate(realization: Realization, state: BeamformingState, nu,
              with_rates: bool = True) -> ObjectiveReport:
     """Compute every reported metric, sharing covariance assembly.
 
-    with_rates=False skips the log-det rate terms (reported as nan), which
-    roughly halves the cost of per-iteration bookkeeping inside the solver.
+    with_rates=False skips the rates (reported as nan), and with them the
+    MMSE combiner solve they need.
     """
     nu_arr = _nu_per_cell(realization, nu)
     ch, cov = covariance.assemble(realization, state)
-    return report(ch, realization.hardware, state.beams(),
+    return report(ch, realization.hardware, received_beams(ch, state.beams()),
                   (state.dl_combiners, state.ul_combiners), cov, nu_arr, with_rates)

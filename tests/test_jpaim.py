@@ -399,6 +399,28 @@ def test_run_rates_match_goldens(scenario, config, key):
         assert final == pytest.approx(golden["final"], rel=1e-8, abs=1e-9), f"seed {seed}"
 
 
+def test_run_computes_rates_once_per_record(monkeypatch):
+    # one rate evaluation per record and one for the final report; a
+    # rejected trial costs none, an accepted one only when it becomes a record
+    calls = []
+    kernel = objective.with_sum_rates
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(objective, "with_sum_rates", counted)
+    real = build_realization(helpers.small_config(), 13)
+    rich = run(real, SolverConfig(max_iterations=20))
+    tried = sum(r.trial_ms > 0.0 for r in rich.records)
+    accepted = sum(r.combiner_ms == 0.0 for r in rich.records[2:])
+    assert 0 < accepted < tried
+    assert len(calls) == rich.iterations + 2
+    calls.clear()
+    run(real, SolverConfig(max_iterations=20), collect_metrics=False)
+    assert len(calls) == 1
+
+
 def test_uplink_only_and_downlink_only_networks():
     # solver handles empty directions (used by the half-duplex baseline)
     for kwargs in (dict(dl_users=0), dict(ul_users=0)):

@@ -156,16 +156,18 @@ def test_rate_bits_closed_form():
     rng = np.random.default_rng(20)
     q = helpers.cn(rng, (3, 3))
     q = q @ q.conj().T + np.eye(3)
-    s = helpers.cn(rng, (3, 2))
-    s = s @ s.conj().T
+    a = helpers.cn(rng, (3, 2))
+    s = a @ a.conj().T
     expected = math.log2(np.linalg.det(np.eye(3) + s @ np.linalg.inv(q)).real)
-    assert objective._rate_bits(q + s, s) == pytest.approx(expected, rel=1e-10)
+    assert objective._rate_bits(a, np.linalg.solve(q + s, a)) == pytest.approx(expected, rel=1e-10)
 
 
 def test_rate_bits_regularizes_singular_noise():
-    s = np.diag([0.0, 1.0]).astype(complex)
+    # C = I and S = diag(0, 1): C - S = diag(1, 0) is exactly singular, and
+    # so is the error matrix E = 1 - A^H C^-1 A = 0
+    a = np.array([[0.0], [1.0]], dtype=complex)
     c = np.diag([1.0, 1.0]).astype(complex)
-    out = objective._rate_bits(c, s)  # C - S = diag(1, 0) is exactly singular
+    out = objective._rate_bits(a, np.linalg.solve(c, a))
     assert np.isfinite(out) and out > 0.0
 
 
@@ -177,23 +179,31 @@ def _explicit_rate_bits(c, received):
 
 
 @pytest.mark.parametrize("scenario", [
-    ScenarioConfig(), helpers.small_config(ul_users=3, asic_db=0.0),
+    ScenarioConfig(), helpers.small_config(ul_users=3),
 ], ids=["default", "three_ul_users"])
 def test_rates_match_explicit_log_det(scenario):
-    # every uplink user of a cell shares its BS covariance
+    # every downlink user, and every uplink user of a cell against the one
+    # covariance of its BS
     for seed in range(3):
         real = build_realization(scenario, seed)
         state = helpers.random_state(real, 30 + seed)
+        ch, cov = covariance.assemble(real, state)
+        received = objective.received_beams(ch, state.beams())
+        mmse = objective.mmse_combiners(cov, received)
+        bits_dl = objective._rate_bits(received[0], mmse[0])
+        bits_ul = objective._rate_bits(received[1], mmse[1])
         w_dl, w_ul = state.beams()
-        dl = [_explicit_rate_bits(covariance.rx_covariance_dl(real, state, k, g),
-                                  real.link(dl_node(g, k), bs_node(g)).est @ w_dl[g, k])
-              for g, k in real.dl_users()]
-        ul = [_explicit_rate_bits(covariance.rx_covariance_ul(real, state, g),
-                                  real.link(bs_node(g), ul_node(g, k)).est @ w_ul[g, k])
-              for g, k in real.ul_users()]
+        for g, k in real.dl_users():
+            expected = _explicit_rate_bits(covariance.rx_covariance_dl(real, state, k, g),
+                                           real.link(dl_node(g, k), bs_node(g)).est @ w_dl[g, k])
+            assert bits_dl[g, k] == pytest.approx(expected, rel=1e-9), (seed, g, k)
+        for g, k in real.ul_users():
+            expected = _explicit_rate_bits(covariance.rx_covariance_ul(real, state, g),
+                                           real.link(bs_node(g), ul_node(g, k)).est @ w_ul[g, k])
+            assert bits_ul[g, k] == pytest.approx(expected, rel=1e-9), (seed, g, k)
         rep = evaluate(real, state, 0.0)
-        assert rep.sum_rate_dl == pytest.approx(sum(dl), rel=1e-9)
-        assert rep.sum_rate_ul == pytest.approx(sum(ul), rel=1e-9)
+        assert rep.sum_rate_dl == pytest.approx(float(bits_dl.sum()), rel=1e-12)
+        assert rep.sum_rate_ul == pytest.approx(float(bits_ul.sum()), rel=1e-12)
 
 
 def test_evaluate_consistency():
