@@ -16,14 +16,14 @@ import logging
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, jpaim, objective
+from . import baselines, jpaim
 from .jpaim import SolverConfig
-from .model import Realization, ScenarioConfig, build_realization, realization_digest
+from .model import ScenarioConfig, build_realization, realization_digest
 
 log = logging.getLogger(__name__)
 
