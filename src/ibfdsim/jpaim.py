@@ -262,14 +262,6 @@ def _bound_step(terms, den, target):
 # ---------------------------------------------------------------------------
 
 
-def _combiner_step(ch: ChannelStack, beams, cov: covariance.Covariances):
-    """Maps the beams (W_dl, W_ul) to the MMSE combiners (U_dl, U_ul),
-    U = C^-1 H W for every user.  Returns them with the received beams
-    (H W_dl, H W_ul) they solve against."""
-    received = objective.received_beams(ch, beams)
-    return objective.mmse_combiners(cov, received), received
-
-
 def _precoder_step(ch: ChannelStack, hw: HardwareProfile, grams, combiners,
                    nu: np.ndarray, config: SolverConfig):
     """W = Q (D + w I)^-1 Q^H H^H U per user, with w the power multiplier and
@@ -326,7 +318,7 @@ def _extrapolate(hw: HardwareProfile, beams, previous, weight: float):
 def update_combiners(realization: Realization, state: BeamformingState) -> BeamformingState:
     """Linear MMSE combiners U = coef * C^-1 H V for every user."""
     ch, cov = covariance.assemble(realization, state)
-    (dl, ul), _ = _combiner_step(ch, state.beams(), cov)
+    dl, ul = objective.mmse_combiners(cov, objective.received_beams(ch, state.beams()))
     return replace(state, dl_combiners=dl, ul_combiners=ul).copy()
 
 
@@ -395,6 +387,13 @@ def run(realization: Realization, config: SolverConfig,
     and returns V = W / coefficient, so the coefficients keep their initial
     values and the precoders carry all of the power allocation.  The
     covariances of a combiner update also serve the evaluation after it.
+
+    Rates are computed only for what is reported.  With collect_metrics, a
+    record's rate comes from its own combiner update, whose MMSE combiners
+    and received beams H W give it without another solve, once per record
+    (an accepted trial's when it becomes the next iteration's record); a
+    rejected trial costs no rate.  Without it, records carry nan.  The final
+    report always carries rates.
     """
     nu = resolve_nu(realization, config)
     hw = realization.hardware
@@ -405,12 +404,12 @@ def run(realization: Realization, config: SolverConfig,
 
     def refresh(beams, combiners=None, with_rates=False):
         """Combiner update (unless given) plus the report sharing its
-        covariances; returns the combiners, the received beams and the report."""
+        covariances and received beams H W; returns the combiners, the
+        received beams and the report."""
         cov = covariance.covariances(ch, hw, beams)
+        received = objective.received_beams(ch, beams)
         if combiners is None:
-            combiners, received = _combiner_step(ch, beams, cov)
-        else:
-            received = objective.received_beams(ch, beams)
+            combiners = objective.mmse_combiners(cov, received)
         return combiners, received, objective.report(ch, hw, received, combiners, cov, nu,
                                                      with_rates)
 

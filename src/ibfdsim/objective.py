@@ -1,4 +1,4 @@
-"""Mean-square errors, residual self-interference, and rate reporting.
+"""Mean-square errors, MMSE combiners, residual self-interference, and rate reporting.
 
 The solver's tracked quantity is the penalized sum MSE: the sum of every
 user's stream-recovery MSE plus a per-cell penalty nu_g times the residual
