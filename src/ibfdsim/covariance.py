@@ -53,7 +53,8 @@ def tx_gram(beams: np.ndarray, kappa: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class Covariances:
-    """Transmit and receive covariances of every node of one state.
+    """Transmit and receive covariances of every node of one state, and
+    every user's desired signal.
 
     They depend on the beams only, never on the combiners, so one assembly
     serves a combiner update and the evaluation that follows it.
@@ -65,6 +66,7 @@ class Covariances:
     bs_rx: np.ndarray       # (G, M_bs, M_bs)
     dl_csi: np.ndarray      # (G, K_d) aggregate CSI-error power at each downlink user
     bs_csi: np.ndarray      # (G,) the same at each BS
+    signal: tuple           # (H W_dl, H W_ul): each user's beams through its serving link
 
 
 def _received(h: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -72,7 +74,8 @@ def _received(h: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
-    """Transmit covariances of the beams (W_dl, W_ul), then every receiver's.
+    """Transmit covariances of the beams (W_dl, W_ul), then every receiver's,
+    and the desired signals H W.
 
     A receiver sees each transmitter's covariance through its estimated
     channel (the SI link stores its true matrix as the estimate), its own
@@ -97,7 +100,8 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
         diagonal = np.einsum("...ii->...i", add_scaled_diag(rx, beta))
         diagonal += floor[..., None]
     return Covariances(cell_tx=cell_tx, ul_tx=ul_tx, dl_rx=dl_rx, bs_rx=bs_rx,
-                       dl_csi=dl_csi, bs_csi=bs_csi)
+                       dl_csi=dl_csi, bs_csi=bs_csi,
+                       signal=(ch.dl_own @ beams[0], ch.ul_own @ beams[1]))
 
 
 def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):

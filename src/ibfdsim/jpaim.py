@@ -317,8 +317,7 @@ def _extrapolate(hw: HardwareProfile, beams, previous, weight: float):
 
 def update_combiners(realization: Realization, state: BeamformingState) -> BeamformingState:
     """Linear MMSE combiners U = coef * C^-1 H V for every user."""
-    ch, cov = covariance.assemble(realization, state)
-    dl, ul = objective.mmse_combiners(cov, objective.received_beams(ch, state.beams()))
+    dl, ul = objective.mmse_combiners(covariance.assemble(realization, state)[1])
     return replace(state, dl_combiners=dl, ul_combiners=ul).copy()
 
 
@@ -390,7 +389,7 @@ def run(realization: Realization, config: SolverConfig,
 
     Rates are computed only for what is reported.  With collect_metrics, a
     record's rate comes from its own combiner update, whose MMSE combiners
-    and received beams H W give it without another solve, once per record
+    and desired signals H W give it without another solve, once per record
     (an accepted trial's when it becomes the next iteration's record); a
     rejected trial costs no rate.  Without it, records carry nan.  The final
     report always carries rates.
@@ -404,14 +403,10 @@ def run(realization: Realization, config: SolverConfig,
 
     def refresh(beams, combiners=None, with_rates=False):
         """Combiner update (unless given) plus the report sharing its
-        covariances and received beams H W; returns the combiners, the
-        received beams and the report."""
+        covariances; returns the combiners, the covariances and the report."""
         cov = covariance.covariances(ch, hw, beams)
-        received = objective.received_beams(ch, beams)
-        if combiners is None:
-            combiners = objective.mmse_combiners(cov, received)
-        return combiners, received, objective.report(ch, hw, received, combiners, cov, nu,
-                                                     with_rates)
+        combiners = objective.mmse_combiners(cov) if combiners is None else combiners
+        return combiners, cov, objective.report(ch, hw, combiners, cov, nu, with_rates)
 
     def snapshot(iteration, rep, elapsed_ms, search=idle, block_ms=(0.0, 0.0, 0.0)):
         w, _, evaluations = search
@@ -438,11 +433,11 @@ def run(realization: Realization, config: SolverConfig,
     records = [snapshot(0, rep, (time.perf_counter() - t0) * 1e3)]
 
     converged = False
-    accepted = None    # (beams, combiners, received, report) of the trial the last iteration kept
+    accepted = None          # (beams, combiners, covariances, report) of the kept trial
     for t in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
         reused = accepted is not None
-        combiners, received, rep = accepted[1:] if reused else refresh(beams)
+        combiners, cov, rep = accepted[1:] if reused else refresh(beams)
         accepted = None
         t1 = time.perf_counter()
         exact, search = _precoder_step(ch, hw, covariance.transmit_grams(ch, hw, combiners),
@@ -452,15 +447,15 @@ def run(realization: Realization, config: SolverConfig,
         tried = not converged and 1 < t < config.max_iterations
         if tried:
             trial = _extrapolate(hw, exact, beams, EXTRAPOLATION)
-            trial_combiners, trial_received, trial_rep = refresh(trial)
+            trial_combiners, trial_cov, trial_rep = refresh(trial)
             if trial_rep.loss < rep.loss - config.threshold:
-                accepted = (trial, trial_combiners, trial_received, trial_rep)
+                accepted = (trial, trial_combiners, trial_cov, trial_rep)
         t3 = time.perf_counter()
         beams = accepted[0] if accepted else exact
         block_ms = (0.0 if reused else (t1 - t0) * 1e3, (t2 - t1) * 1e3,
                     (t3 - t2) * 1e3 if tried else 0.0)
         if collect_metrics:
-            rep = objective.with_sum_rates(rep, received, combiners)
+            rep = objective.with_sum_rates(rep, cov.signal, combiners)
         records.append(snapshot(t, rep, (time.perf_counter() - t0) * 1e3, search, block_ms))
         if converged:
             break

@@ -87,34 +87,30 @@ def _depth_db(numerator: float, rsi: float) -> float:
     return min(10.0 * math.log10(numerator / rsi), ASIC_DEPTH_CAP_DB)
 
 
-def received_beams(ch: ChannelStack, beams):
-    """The received beams (H W_dl, H W_ul) of every user through its serving link."""
-    return ch.dl_own @ beams[0], ch.ul_own @ beams[1]
-
-
-def mmse_combiners(cov: covariance.Covariances, received):
-    """U = C^-1 H W for every user, given the received beams H W; a BS solves
-    once for all the uplink users it decodes."""
+def mmse_combiners(cov: covariance.Covariances):
+    """U = C^-1 H W for every user, from the covariances and desired signals
+    `cov`; a BS solves once for all the uplink users it decodes."""
+    signal_dl, signal_ul = cov.signal
     try:
-        dl = np.linalg.solve(cov.dl_rx, received[0])
-        ul = np.linalg.solve(cov.bs_rx, columns(received[1]))
+        dl = np.linalg.solve(cov.dl_rx, signal_dl)
+        ul = np.linalg.solve(cov.bs_rx, columns(signal_ul))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular received covariance ({exc}); check the noise configuration") from exc
-    return dl, uncolumns(ul, received[1].shape[-1])
+    return dl, uncolumns(ul, signal_ul.shape[-1])
 
 
-def _rate_bits(received: np.ndarray, mmse: np.ndarray) -> np.ndarray:
+def _rate_bits(signal: np.ndarray, mmse: np.ndarray) -> np.ndarray:
     """log2 det(C) - log2 det(C - A A^H) for every user of a stack, from its
-    received beam A = H W and MMSE combiner U = C^-1 A.
+    desired signal A = H W and MMSE combiner U = C^-1 A.
 
     By the matrix determinant lemma, det(C - A A^H) = det(C) det(E) with
     E = I - A^H U the b x b MMSE error matrix, so the rate is -log2 det E.
     E is Hermitian with eigenvalues in (0, 1]; a singular one is shifted by
     1e-15 I.
     """
-    eye = np.eye(received.shape[-1])
-    error = eye - hermitian(received) @ mmse
+    eye = np.eye(signal.shape[-1])
+    error = eye - hermitian(signal) @ mmse
     sign, logdet = np.linalg.slogdet(error)
     singular = (sign.real <= 0) | ~np.isfinite(logdet)
     if np.any(singular):
@@ -124,18 +120,17 @@ def _rate_bits(received: np.ndarray, mmse: np.ndarray) -> np.ndarray:
     return -logdet / math.log(2.0)
 
 
-def with_sum_rates(rep: ObjectiveReport, received, mmse) -> ObjectiveReport:
-    """`rep` with the downlink and uplink sum rates of the received beams
-    (A_dl, A_ul) and their MMSE combiners (U_dl, U_ul)."""
-    rate_dl, rate_ul = (float(_rate_bits(a, u).sum()) for a, u in zip(received, mmse))
+def with_sum_rates(rep: ObjectiveReport, signal, mmse) -> ObjectiveReport:
+    """`rep` with the downlink and uplink sum rates of the desired signals
+    (H W_dl, H W_ul) and their MMSE combiners (U_dl, U_ul)."""
+    rate_dl, rate_ul = (float(_rate_bits(a, u).sum()) for a, u in zip(signal, mmse))
     return replace(rep, sum_rate=rate_dl + rate_ul, sum_rate_dl=rate_dl, sum_rate_ul=rate_ul)
 
 
-def report(ch: ChannelStack, hw: HardwareProfile, received, combiners,
-           cov: covariance.Covariances, nu_arr: np.ndarray, with_rates: bool) -> ObjectiveReport:
-    """Every figure of merit of the beams whose covariances on the channels
-    `ch` are `cov` and whose received beams (H W_dl, H W_ul) are `received`,
-    under the combiners (U_dl, U_ul).
+def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Covariances,
+           nu_arr: np.ndarray, with_rates: bool) -> ObjectiveReport:
+    """Every figure of merit of the beams whose covariances and desired
+    signals on the channels `ch` are `cov`, under the combiners (U_dl, U_ul).
 
     The RSI of cell g is tr(H_si T_g H_si^H) with T_g the cell's transmit
     covariance, distortion diagonal included; it depends only on the cell's
@@ -145,8 +140,8 @@ def report(ch: ChannelStack, hw: HardwareProfile, received, combiners,
     with_rates=False reports them as nan.
     """
     bs_rx = cov.bs_rx[:, None]                   # each BS covariance, once per uplink user
-    sum_mse_dl = float(_mse(cov.dl_rx, received[0], combiners[0]).sum())
-    sum_mse_ul = float(_mse(bs_rx, received[1], combiners[1]).sum())
+    sum_mse_dl = float(_mse(cov.dl_rx, cov.signal[0], combiners[0]).sum())
+    sum_mse_ul = float(_mse(bs_rx, cov.signal[1], combiners[1]).sum())
     rsi = (ch.si @ cov.cell_tx * ch.si.conj()).real.sum(axis=(-2, -1))
     tx_power = trace(cov.cell_tx)
     depth = tuple(_depth_db(gain * p, r) for gain, p, r
@@ -162,21 +157,19 @@ def report(ch: ChannelStack, hw: HardwareProfile, received, combiners,
         sum_rate_dl=nan,
         sum_rate_ul=nan,
     )
-    return with_sum_rates(rep, received, mmse_combiners(cov, received)) if with_rates else rep
+    return with_sum_rates(rep, cov.signal, mmse_combiners(cov)) if with_rates else rep
 
 
 def mse_downlink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:
     """Stream-recovery MSE of downlink user (k, g) under its current combiner."""
-    ch, cov = covariance.assemble(realization, state)
-    return float(_mse(cov.dl_rx[g, k], ch.dl_own[g, k] @ state.beams()[0][g, k],
-                      state.dl_combiners[g, k]))
+    cov = covariance.assemble(realization, state)[1]
+    return float(_mse(cov.dl_rx[g, k], cov.signal[0][g, k], state.dl_combiners[g, k]))
 
 
 def mse_uplink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:
     """Stream-recovery MSE of uplink user (k, g), decoded at BS g."""
-    ch, cov = covariance.assemble(realization, state)
-    return float(_mse(cov.bs_rx[g], ch.ul_own[g, k] @ state.beams()[1][g, k],
-                      state.ul_combiners[g, k]))
+    cov = covariance.assemble(realization, state)[1]
+    return float(_mse(cov.bs_rx[g], cov.signal[1][g, k], state.ul_combiners[g, k]))
 
 
 def rsi_power(realization: Realization, state: BeamformingState, g: int) -> float:
@@ -212,5 +205,5 @@ def evaluate(realization: Realization, state: BeamformingState, nu,
     """
     nu_arr = _nu_per_cell(realization, nu)
     ch, cov = covariance.assemble(realization, state)
-    return report(ch, realization.hardware, received_beams(ch, state.beams()),
-                  (state.dl_combiners, state.ul_combiners), cov, nu_arr, with_rates)
+    return report(ch, realization.hardware, (state.dl_combiners, state.ul_combiners), cov,
+                  nu_arr, with_rates)

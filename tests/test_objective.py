@@ -171,10 +171,10 @@ def test_rate_bits_regularizes_singular_noise():
     assert np.isfinite(out) and out > 0.0
 
 
-def _explicit_rate_bits(c, received):
+def _explicit_rate_bits(c, signal):
     """log2 det(C) - log2 det(C - A A^H) of one user, straight from the definition."""
     _, logdet_c = np.linalg.slogdet(c)
-    _, logdet_q = np.linalg.slogdet(c - received @ received.conj().T)
+    _, logdet_q = np.linalg.slogdet(c - signal @ signal.conj().T)
     return (logdet_c - logdet_q) / math.log(2.0)
 
 
@@ -187,11 +187,10 @@ def test_rates_match_explicit_log_det(scenario):
     for seed in range(3):
         real = build_realization(scenario, seed)
         state = helpers.random_state(real, 30 + seed)
-        ch, cov = covariance.assemble(real, state)
-        received = objective.received_beams(ch, state.beams())
-        mmse = objective.mmse_combiners(cov, received)
-        bits_dl = objective._rate_bits(received[0], mmse[0])
-        bits_ul = objective._rate_bits(received[1], mmse[1])
+        cov = covariance.assemble(real, state)[1]
+        mmse = objective.mmse_combiners(cov)
+        bits_dl = objective._rate_bits(cov.signal[0], mmse[0])
+        bits_ul = objective._rate_bits(cov.signal[1], mmse[1])
         w_dl, w_ul = state.beams()
         for g, k in real.dl_users():
             expected = _explicit_rate_bits(covariance.rx_covariance_dl(real, state, k, g),
