@@ -403,10 +403,11 @@ def run(realization: Realization, config: SolverConfig,
 
     def refresh(beams, combiners=None, with_rates=False):
         """Combiner update (unless given) plus the report sharing its
-        covariances; returns the combiners, the covariances and the report."""
+        covariances; returns the combiners, the desired signals H W and the
+        report."""
         cov = covariance.covariances(ch, hw, beams)
         combiners = objective.mmse_combiners(cov) if combiners is None else combiners
-        return combiners, cov, objective.report(ch, hw, combiners, cov, nu, with_rates)
+        return combiners, cov.signal, objective.report(ch, hw, combiners, cov, nu, with_rates)
 
     def snapshot(iteration, rep, elapsed_ms, search=idle, block_ms=(0.0, 0.0, 0.0)):
         w, _, evaluations = search
@@ -433,11 +434,11 @@ def run(realization: Realization, config: SolverConfig,
     records = [snapshot(0, rep, (time.perf_counter() - t0) * 1e3)]
 
     converged = False
-    accepted = None          # (beams, combiners, covariances, report) of the kept trial
+    accepted = None          # (beams, combiners, signals, report) of the kept trial
     for t in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
         reused = accepted is not None
-        combiners, cov, rep = accepted[1:] if reused else refresh(beams)
+        combiners, signal, rep = accepted[1:] if reused else refresh(beams)
         accepted = None
         t1 = time.perf_counter()
         exact, search = _precoder_step(ch, hw, covariance.transmit_grams(ch, hw, combiners),
@@ -447,15 +448,15 @@ def run(realization: Realization, config: SolverConfig,
         tried = not converged and 1 < t < config.max_iterations
         if tried:
             trial = _extrapolate(hw, exact, beams, EXTRAPOLATION)
-            trial_combiners, trial_cov, trial_rep = refresh(trial)
+            trial_combiners, trial_signal, trial_rep = refresh(trial)
             if trial_rep.loss < rep.loss - config.threshold:
-                accepted = (trial, trial_combiners, trial_cov, trial_rep)
+                accepted = (trial, trial_combiners, trial_signal, trial_rep)
         t3 = time.perf_counter()
         beams = accepted[0] if accepted else exact
         block_ms = (0.0 if reused else (t1 - t0) * 1e3, (t2 - t1) * 1e3,
                     (t3 - t2) * 1e3 if tried else 0.0)
         if collect_metrics:
-            rep = objective.with_sum_rates(rep, cov.signal, combiners)
+            rep = objective.with_sum_rates(rep, signal, combiners)
         records.append(snapshot(t, rep, (time.perf_counter() - t0) * 1e3, search, block_ms))
         if converged:
             break
