@@ -409,14 +409,14 @@ def run(realization: Realization, config: SolverConfig,
         combiners = objective.mmse_combiners(cov) if combiners is None else combiners
         return combiners, cov.signal, objective.report(ch, hw, combiners, cov, nu, with_rates)
 
-    def snapshot(iteration, rep, elapsed_ms, search=idle, block_ms=(0.0, 0.0, 0.0)):
+    def snapshot(iteration, rep, sum_rate, elapsed_ms, search=idle, block_ms=(0.0, 0.0, 0.0)):
         w, _, evaluations = search
         return IterationRecord(
             iteration=iteration,
             loss=rep.loss,
             sum_mse=rep.sum_mse,
             rsi_watts=rep.rsi_watts,
-            sum_rate=rep.sum_rate,
+            sum_rate=sum_rate,
             elapsed_ms=elapsed_ms,
             dl_cell_power=tuple(frobenius_sq(beams[0]).sum(axis=-1).tolist()),
             ul_user_power=tuple(frobenius_sq(beams[1]).ravel().tolist()),
@@ -431,7 +431,7 @@ def run(realization: Realization, config: SolverConfig,
     t0 = time.perf_counter()
     combiners, _, rep = refresh(beams, (start.dl_combiners, start.ul_combiners),
                                 collect_metrics)
-    records = [snapshot(0, rep, (time.perf_counter() - t0) * 1e3)]
+    records = [snapshot(0, rep, rep.sum_rate, (time.perf_counter() - t0) * 1e3)]
 
     converged = False
     accepted = None          # (beams, combiners, signals, report) of the kept trial
@@ -455,9 +455,10 @@ def run(realization: Realization, config: SolverConfig,
         beams = accepted[0] if accepted else exact
         block_ms = (0.0 if reused else (t1 - t0) * 1e3, (t2 - t1) * 1e3,
                     (t3 - t2) * 1e3 if tried else 0.0)
-        if collect_metrics:
-            rep = objective.with_sum_rates(rep, signal, combiners)
-        records.append(snapshot(t, rep, (time.perf_counter() - t0) * 1e3, search, block_ms))
+        rate_dl, rate_ul = (objective.sum_rates(signal, combiners) if collect_metrics
+                            else (rep.sum_rate_dl, rep.sum_rate_ul))
+        records.append(snapshot(t, rep, rate_dl + rate_ul, (time.perf_counter() - t0) * 1e3,
+                                search, block_ms))
         if converged:
             break
 

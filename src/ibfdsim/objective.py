@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,11 +120,11 @@ def _rate_bits(signal: np.ndarray, mmse: np.ndarray) -> np.ndarray:
     return -logdet / math.log(2.0)
 
 
-def with_sum_rates(rep: ObjectiveReport, signal, mmse) -> ObjectiveReport:
-    """`rep` with the downlink and uplink sum rates of the desired signals
+def sum_rates(signal, mmse) -> tuple[float, float]:
+    """Downlink and uplink sum rates in bits/s/Hz of the desired signals
     (H W_dl, H W_ul) and their MMSE combiners (U_dl, U_ul)."""
-    rate_dl, rate_ul = (float(_rate_bits(a, u).sum()) for a, u in zip(signal, mmse))
-    return replace(rep, sum_rate=rate_dl + rate_ul, sum_rate_dl=rate_dl, sum_rate_ul=rate_ul)
+    return (float(_rate_bits(signal[0], mmse[0]).sum()),
+            float(_rate_bits(signal[1], mmse[1]).sum()))
 
 
 def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Covariances,
@@ -147,17 +147,17 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     depth = tuple(_depth_db(gain * p, r) for gain, p, r
                   in zip(hw.si_gain, tx_power.tolist(), rsi.tolist()))
     nan = float("nan")
-    rep = ObjectiveReport(
+    rate_dl, rate_ul = sum_rates(cov.signal, mmse_combiners(cov)) if with_rates else (nan, nan)
+    return ObjectiveReport(
         sum_mse_dl=sum_mse_dl,
         sum_mse_ul=sum_mse_ul,
         rsi_watts=tuple(rsi.tolist()),
         asic_depth_db=depth,
         loss=sum_mse_dl + sum_mse_ul + float(np.dot(nu_arr, rsi)),
-        sum_rate=nan,
-        sum_rate_dl=nan,
-        sum_rate_ul=nan,
+        sum_rate=rate_dl + rate_ul,
+        sum_rate_dl=rate_dl,
+        sum_rate_ul=rate_ul,
     )
-    return with_sum_rates(rep, cov.signal, mmse_combiners(cov)) if with_rates else rep
 
 
 def mse_downlink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:

@@ -403,13 +403,13 @@ def test_run_computes_rates_once_per_record(monkeypatch):
     # one rate evaluation per record and one for the final report; a
     # rejected trial costs none, an accepted one only when it becomes a record
     calls = []
-    kernel = objective.with_sum_rates
+    kernel = objective.sum_rates
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(objective, "with_sum_rates", counted)
+    monkeypatch.setattr(objective, "sum_rates", counted)
     real = build_realization(helpers.small_config(), 13)
     rich = run(real, SolverConfig(max_iterations=20))
     tried = sum(r.trial_ms > 0.0 for r in rich.records)
