@@ -112,7 +112,11 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class AntennaConfig:
-    """Antenna and stream counts shared by every node of a realization."""
+    """Antenna and stream counts shared by every node of a realization.
+
+    A BS chain of 0 antennas is switched off, as in a half-duplex phase,
+    and bounds no stream count.
+    """
 
     bs_tx: int
     bs_rx: int
@@ -122,9 +126,9 @@ class AntennaConfig:
     ul_streams: int
 
     def __post_init__(self):
-        if self.dl_streams > min(self.bs_tx, self.ue_rx):
+        if self.bs_tx and self.dl_streams > min(self.bs_tx, self.ue_rx):
             raise ValueError("dl_streams exceeds min(bs_tx, ue_rx)")
-        if self.ul_streams > min(self.ue_tx, self.bs_rx):
+        if self.bs_rx and self.ul_streams > min(self.ue_tx, self.bs_rx):
             raise ValueError("ul_streams exceeds min(ue_tx, bs_rx)")
 
 
@@ -452,34 +456,45 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
 # ---------------------------------------------------------------------------
 
 
-def _restrict(realization: Realization, keep_dl: bool, keep_ul: bool) -> Realization:
+def _restrict(realization: Realization, keep_dl: bool) -> Realization:
+    """The realization with one direction's users dropped and the BS radio
+    that direction needs switched off: a downlink phase keeps no BS receive
+    rows, an uplink phase no BS transmit columns.  Every kept link is a view
+    of the full realization's arrays."""
     topo = realization.topology
     none = (0,) * topo.cell_count
     nowhere = tuple(np.empty((0, 2)) for _ in none)
     new_topo = replace(topo, dl_counts=topo.dl_counts if keep_dl else none,
                        dl_xy=topo.dl_xy if keep_dl else nowhere,
-                       ul_counts=topo.ul_counts if keep_ul else none,
-                       ul_xy=topo.ul_xy if keep_ul else nowhere)
-    # every user axis of a dropped direction sliced to length 0
-    keep = {"bs": (slice(None),), "dl": (slice(None), slice(None if keep_dl else 0)),
-            "ul": (slice(None), slice(None if keep_ul else 0))}
+                       ul_counts=none if keep_dl else topo.ul_counts,
+                       ul_xy=nowhere if keep_dl else topo.ul_xy)
+    everything = slice(None)
+    # the user axes of the dropped direction sliced to length 0, and the
+    # matrix axis of the switched-off BS chain
+    users = {"bs": (everything,), "dl": (everything, slice(None if keep_dl else 0)),
+             "ul": (everything, slice(0 if keep_dl else None))}
+    rows = {"dl": everything, "bs": slice(0 if keep_dl else None)}
+    cols = {"ul": everything, "bs": slice(None if keep_dl else 0)}
 
     def cut(name):
         rx, tx = name.split("_")[-2:]
-        return getattr(realization.channels, name)[keep[rx] + keep[tx]]
+        matrix = () if name.startswith("err_") else (rows[rx], cols[tx])
+        return getattr(realization.channels, name)[users[rx] + users[tx] + matrix]
 
     channels = Channels(**{f.name: cut(f.name) for f in fields(Channels)})
-    return replace(realization, topology=new_topo, channels=channels)
+    off = {"bs_rx": 0} if keep_dl else {"bs_tx": 0}
+    return replace(realization, topology=new_topo, channels=channels,
+                   antennas=replace(realization.antennas, **off))
 
 
 def restrict_to_downlink(realization: Realization) -> Realization:
-    """Drop all uplink users (half-duplex downlink phase)."""
-    return _restrict(realization, keep_dl=True, keep_ul=False)
+    """Drop all uplink users and the BS receive chains (half-duplex downlink phase)."""
+    return _restrict(realization, keep_dl=True)
 
 
 def restrict_to_uplink(realization: Realization) -> Realization:
-    """Drop all downlink users (half-duplex uplink phase)."""
-    return _restrict(realization, keep_dl=False, keep_ul=True)
+    """Drop all downlink users and the BS transmit chains (half-duplex uplink phase)."""
+    return _restrict(realization, keep_dl=False)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,25 @@ def test_restrict_to_single_direction():
     np.testing.assert_array_equal(ul.link(bs_node(1), ul_node(0, 0)).true,
                                   real.link(bs_node(1), ul_node(0, 0)).true)
 
+    # a phase switches off the BS chain it does not use: the downlink phase
+    # keeps no BS receive rows, the uplink phase no BS transmit columns
+    ant = real.antennas
+    assert (dl.antennas.bs_rx, dl.antennas.bs_tx) == (0, ant.bs_tx)
+    assert (ul.antennas.bs_tx, ul.antennas.bs_rx) == (0, ant.bs_rx)
+    for part in (dl, ul):
+        for rx, tx in part.links():
+            kept, full = part.link(rx, tx), real.link(rx, tx)
+            rows = 0 if part is dl and rx[0] == "bs" else full.est.shape[0]
+            cols = 0 if part is ul and tx[0] == "bs" else full.est.shape[1]
+            assert kept.est.shape == (rows, cols)
+            # each kept link is a view of the full realization's arrays, at
+            # the same start (an empty one shares no bytes, only the start)
+            for a, b in ((kept.true, full.true), (kept.est, full.est),
+                         (kept.err_var, full.err_var)):
+                assert a.base is not None
+                assert a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+                assert a.size == 0 or np.shares_memory(a, b)
+
 
 def test_link_views_edit_the_stored_arrays():
     real = build_realization(ScenarioConfig(csi_error_factor=1e-2), 12)
@@ -271,6 +290,16 @@ def test_serialization_roundtrip(tmp_path):
         np.testing.assert_array_equal(loaded.est, link.est)
         assert loaded.err_var == link.err_var
     np.testing.assert_array_equal(back.topology.bs_xy, real.topology.bs_xy)
+
+
+@pytest.mark.parametrize("restrict", [restrict_to_downlink, restrict_to_uplink])
+def test_serialization_roundtrip_of_a_single_direction(tmp_path, restrict):
+    # a switched-off BS chain (0 antennas) survives the file format
+    real = restrict(build_realization(ScenarioConfig(cells=2, csi_error_factor=1e-2), 32))
+    save_realization(real, tmp_path / "real.bin")
+    back = load_realization(tmp_path / "real.bin")
+    assert back.antennas == real.antennas
+    assert realization_digest(back) == realization_digest(real)
 
 
 def test_serialization_rejects_garbage(tmp_path):
@@ -407,12 +436,13 @@ def test_digest_is_stable_hex():
 # sha256 of serialize_realization for fixed (config, seed) pairs.  They pin
 # the draw order, the stored bits and the on-disk format at once, so any
 # change to how a realization is drawn or stored must leave them unchanged.
+# The two single-direction ones also pin which BS chain a phase switches off.
 _DIGEST_GOLDENS = {
     "default": "f394eb0f002211fdcb72575f08886cedb9f75953138ee685c45d5f26ffa58ca4",
     "three_cells": "c4c361ed0c767f84f558498c1b45ee0ab8ee629dd9c9d55060a4057d63e4883d",
     "perfect_csi": "d774daf1978faa977accac4a7ac246382ab23413c6e68aece7a17af74a9b7073",
-    "downlink_only": "52559765f1faf7cee03631c0e28275343c271e40d5cee7dd9da42ff20b5615cd",
-    "uplink_only": "3c0acf98d11e71cd231cd6c9c9919016e6b752beb7194cf49e6e642be366c89f",
+    "downlink_only": "4111a12fb680fa262fc2dd4a379817364e403ad45303d28befbb46a4f2f27579",
+    "uplink_only": "99d2e49a95cd629a7fb4ea3bd383a148070df29d77f200b137a49301dc889c06",
 }
 
 
