@@ -1,11 +1,13 @@
-"""Transmit and receive covariance assembly under hardware distortion.
+"""Receive covariance assembly under hardware distortion.
 
 Every transmitter injects a distortion term proportional to the diagonal of
 its transmit covariance, and every receiver adds a distortion proportional to
 the diagonal of what it receives, plus thermal noise and an aggregate
 CSI-error power.  The helper form f1 bundles the resulting quadratic
 contributions of a (channel, matrix) pair; summed over every receiver it is
-the transmit-side matrix omega that the precoder update diagonalizes.
+the transmit-side matrix omega that the precoder update diagonalizes.  The
+receive covariances take the same form from the receive side, so the
+kernels never form a transmit covariance.
 
 The kernels take the stacked channels (module `stacked`) and the one
 (downlink, uplink) pair of arrays they read, the beams W = coefficient * V
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HardwareProfile, Realization
-from .stacked import (ChannelStack, TransmitSide, add_scaled_diag, columns, hermitian,
-                      row_powers, stack_channels, trace)
+from .stacked import (ChannelStack, TransmitSide, add_scaled_diag, columns,
+                      hermitian, row_powers, side_by_side, stack_channels, uncolumns)
 from .state import BeamformingState
 
 # ---------------------------------------------------------------------------
@@ -31,14 +33,15 @@ from .state import BeamformingState
 
 
 def distortion_gram(yx: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                    sigma_t: float) -> np.ndarray:
-    """(YX)(YX)^H + Y diag(weights) Y^H plus sigma_t times its own diagonal.
+                    sigma: float) -> np.ndarray:
+    """(YX)(YX)^H + Y diag(weights) Y^H plus sigma times its own diagonal.
 
-    The shared form of f1 and of its sums over receivers: the columns of Y
-    and the entries of `weights` may run over many receivers at once.
+    The shared form of f1, of its sums over receivers and of the receive
+    covariances: the columns of Y and the entries of `weights` may run over
+    many receivers, or many transmitters, at once.
     """
     total = yx @ hermitian(yx) + (y * weights) @ hermitian(y)
-    return add_scaled_diag(total, sigma_t)
+    return add_scaled_diag(total, sigma)
 
 
 def tx_gram(beams: np.ndarray, kappa: float) -> np.ndarray:
@@ -53,55 +56,66 @@ def tx_gram(beams: np.ndarray, kappa: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class Covariances:
-    """Transmit and receive covariances of every node of one state, and
-    every user's desired signal.
+    """Receive covariances of every node of one state, every user's desired
+    signal, and what the residual self-interference needs.
 
     They depend on the beams only, never on the combiners, so one assembly
     serves a combiner update and the evaluation that follows it.
     """
 
-    cell_tx: np.ndarray     # (G, N_bs, N_bs) per BS, summed over its users
-    ul_tx: np.ndarray       # (G, K_u, N_ue, N_ue)
     dl_rx: np.ndarray       # (G, K_d, M_ue, M_ue)
     bs_rx: np.ndarray       # (G, M_bs, M_bs)
     dl_csi: np.ndarray      # (G, K_d) aggregate CSI-error power at each downlink user
     bs_csi: np.ndarray      # (G,) the same at each BS
     signal: tuple           # (H W_dl, H W_ul): each user's beams through its serving link
-
-
-def _received(h: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return h @ t @ hermitian(h)
+    si_signal: np.ndarray   # (G, M_bs, K_d b_d) H_si W_g: each cell's beams through its SI link
+    cell_load: np.ndarray   # (G, N_bs) each BS's per-antenna power before distortion
 
 
 def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
-    """Transmit covariances of the beams (W_dl, W_ul), then every receiver's,
-    and the desired signals H W.
+    """Every receiver's covariance under the beams (W_dl, W_ul), and the
+    desired signals H W.
 
-    A receiver sees each transmitter's covariance through its estimated
-    channel (the SI link stores its true matrix as the estimate), its own
-    distortion diagonal, thermal noise, and the CSI-error power
-    sum err_var * tr(T), which follows from E{Delta T Delta^H} = err_var
-    tr(T) I for an i.i.d. error matrix Delta.
+    A transmitter with beams W sends T = W W^H + kappa diag(W W^H).  Summed
+    over the transmitters, H T H^H is R R^H + X diag(t) X^H, with X the
+    receiver's channels from every transmitter side by side (the SI link
+    stores its true matrix as the estimate), R = X blockdiag(W) the
+    received beams and t the kappa-scaled per-antenna transmit power.  The
+    receiver adds its own distortion diagonal, thermal noise, and the
+    CSI-error power sum err_var * tr(T), which follows from
+    E{Delta T Delta^H} = err_var tr(T) I for an i.i.d. error matrix Delta;
+    tr(T) = (1 + kappa) ||W||_F^2.  Each user's desired signal, and each
+    cell's beams through its SI link, are column blocks of R.
     """
-    cell_tx = tx_gram(columns(beams[0]), hw.kappa_bs)
-    ul_tx = tx_gram(beams[1], hw.kappa_ue)
-    cell_power = trace(cell_tx)
-    ul_power = trace(ul_tx)
-    dl_csi = ((ch.err_dl_bs * cell_power).sum(axis=-1)
-              + (ch.err_dl_ul * ul_power).sum(axis=(-2, -1)))
-    bs_csi = ((ch.err_bs_bs * cell_power).sum(axis=-1)
-              + (ch.err_bs_ul * ul_power).sum(axis=(-2, -1)))
-    dl_rx = (_received(ch.dl_bs, cell_tx).sum(axis=2)
-             + _received(ch.dl_ul, ul_tx).sum(axis=(2, 3)))
-    bs_rx = (_received(ch.bs_bs, cell_tx).sum(axis=1)
-             + _received(ch.bs_ul, ul_tx).sum(axis=(1, 2)))
-    for rx, beta, floor in ((dl_rx, hw.beta_ue, hw.noise_ue_w + dl_csi),
-                            (bs_rx, hw.beta_bs, hw.noise_bs_w + bs_csi)):
-        diagonal = np.einsum("...ii->...i", add_scaled_diag(rx, beta))
-        diagonal += floor[..., None]
-    return Covariances(cell_tx=cell_tx, ul_tx=ul_tx, dl_rx=dl_rx, bs_rx=bs_rx,
-                       dl_csi=dl_csi, bs_csi=bs_csi,
-                       signal=(ch.dl_own @ beams[0], ch.ul_own @ beams[1]))
+    cells, k_d, _, b_d = beams[0].shape
+    k_u, n_ue, b_u = beams[1].shape[1:]
+    side = ch.rx
+    w_bs = columns(beams[0])                         # (G, N_bs, K_d b_d) per BS
+    w_ul = beams[1].reshape(cells * k_u, n_ue, b_u)
+    cell_load, ul_load = row_powers(w_bs), row_powers(w_ul)
+    weights = np.concatenate([hw.kappa_bs * cell_load, hw.kappa_ue * ul_load], axis=None)
+    power = np.concatenate([(1.0 + hw.kappa_bs) * cell_load.sum(axis=-1),
+                            (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
+    csi = side.err @ power
+    # the received beams R of every receiver, transmitters in the order of x
+    received = side_by_side([side.from_bs @ w_bs, side.from_ul @ w_ul])[0]
+    m_ue, m_bs, width = side.dl.shape[2], side.bs.shape[1], received.shape[1]
+    r_dl = received[:cells * k_d * m_ue].reshape(cells, k_d, m_ue, width)
+    r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)
+    dl_rx = distortion_gram(r_dl, side.dl, weights, hw.beta_ue)
+    bs_rx = distortion_gram(r_bs, side.bs, weights, hw.beta_bs)
+    dl_csi, bs_csi = csi[:cells * k_d].reshape(cells, k_d), csi[cells * k_d:]
+    for rx, floor in ((dl_rx, hw.noise_ue_w + dl_csi), (bs_rx, hw.noise_bs_w + bs_csi)):
+        np.einsum("...ii->...i", rx)[...] += floor[..., None]
+    # the column blocks of R that a receiver's own cell sends it
+    diag, users, dl_cols = np.arange(cells), np.arange(k_d), cells * k_d * b_d
+    signal_dl = r_dl[..., :dl_cols].reshape(cells, k_d, m_ue, cells, k_d, b_d)[
+        diag[:, None], users, :, diag[:, None], users]
+    si_signal = r_bs[..., :dl_cols].reshape(cells, m_bs, cells, k_d * b_d)[diag, :, diag]
+    signal_ul = r_bs[..., dl_cols:].reshape(cells, m_bs, cells, k_u * b_u)[diag, :, diag]
+    return Covariances(dl_rx=dl_rx, bs_rx=bs_rx, dl_csi=dl_csi, bs_csi=bs_csi,
+                       signal=(signal_dl, uncolumns(signal_ul, b_u)),
+                       si_signal=si_signal, cell_load=cell_load)
 
 
 def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
@@ -125,7 +139,7 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
         yx = np.concatenate([columns(side.to_dl @ dl_u), columns(side.to_bs @ bs_u)], axis=-1)
         return distortion_gram(yx, side.y, weights, kappa)
 
-    return summed_f1(ch.bs_side, hw.kappa_bs), summed_f1(ch.ul_side, hw.kappa_ue)
+    return summed_f1(ch.tx_bs, hw.kappa_bs), summed_f1(ch.tx_ul, hw.kappa_ue)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +156,7 @@ def assemble(realization: Realization,
 
 def cell_tx_covariance(realization: Realization, state: BeamformingState, g: int) -> np.ndarray:
     """Total transmit covariance of BS g (sum over its downlink users)."""
-    return assemble(realization, state)[1].cell_tx[g]
+    return tx_gram(columns(state.beams()[0][g]), realization.hardware.kappa_bs)
 
 
 def csi_error_variance(realization: Realization, state: BeamformingState, rx) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import covariance
 from .model import HardwareProfile, Realization
-from .stacked import ChannelStack, columns, hermitian, re_inner, trace, uncolumns
+from .stacked import ChannelStack, columns, frobenius_sq, hermitian, re_inner, uncolumns
 from .state import BeamformingState
 
 log = logging.getLogger(__name__)
@@ -134,16 +134,19 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
 
     The RSI of cell g is tr(H_si T_g H_si^H) with T_g the cell's transmit
     covariance, distortion diagonal included; it depends only on the cell's
-    own downlink beams.  The cancellation depth is 10 log10(l_g tr(T_g) / rsi),
-    capped at +200 dB, 0 for a silent cell.  The rates do not depend on the
+    own downlink beams W_g, and equals ||H_si W_g||_F^2 plus kappa times the
+    column powers of H_si weighted by the row powers of W_g.  The
+    cancellation depth is 10 log10(l_g tr(T_g) / rsi), capped at +200 dB, 0
+    for a silent cell, with tr(T_g) = (1 + kappa) ||W_g||_F^2.  The rates do not depend on the
     combiners: with_rates=True solves for the MMSE combiners to get them,
     with_rates=False reports them as nan.
     """
     bs_rx = cov.bs_rx[:, None]                   # each BS covariance, once per uplink user
     sum_mse_dl = float(_mse(cov.dl_rx, cov.signal[0], combiners[0]).sum())
     sum_mse_ul = float(_mse(bs_rx, cov.signal[1], combiners[1]).sum())
-    rsi = (ch.si @ cov.cell_tx * ch.si.conj()).real.sum(axis=(-2, -1))
-    tx_power = trace(cov.cell_tx)
+    rsi = (frobenius_sq(cov.si_signal)
+           + hw.kappa_bs * (ch.si_colpow * cov.cell_load).sum(axis=-1))
+    tx_power = (1.0 + hw.kappa_bs) * cov.cell_load.sum(axis=-1)
     depth = tuple(_depth_db(gain * p, r) for gain, p, r
                   in zip(hw.si_gain, tx_power.tolist(), rsi.tolist()))
     nan = float("nan")

@@ -53,11 +53,6 @@ def add_scaled_diag(matrix: np.ndarray, factor) -> np.ndarray:
     return matrix
 
 
-def trace(x: np.ndarray) -> np.ndarray:
-    """Real part of the trace of every matrix in a stack."""
-    return np.einsum("...ii->...", x).real
-
-
 def row_powers(x: np.ndarray) -> np.ndarray:
     """Diagonal of X X^H, i.e. the squared norm of every row of X."""
     return (x.real ** 2 + x.imag ** 2).sum(axis=-1)
@@ -78,25 +73,96 @@ def frobenius_sq(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def side_by_side(blocks, conjugate: bool = False):
+    """columns() of stacks (..., K_i, n, b_i) with the same leading axes, written
+    side by side into one new array (..., n, sum_i K_i b_i), conjugated if asked.
+
+    Returns that array and, for each block, the view of it that holds the
+    block, laid out as the block.  Unlike uncolumns, an empty b_i is fine.
+    """
+    lead, rows = blocks[0].shape[:-3], blocks[0].shape[-2]
+    out = np.empty((*lead, rows, sum(b.shape[-3] * b.shape[-1] for b in blocks)), dtype=complex)
+    views, start = [], 0
+    for block in blocks:
+        count, cols = block.shape[-3], block.shape[-1]
+        view = np.swapaxes(out[..., start:start + count * cols].reshape(
+            *lead, rows, count, cols), -3, -2)
+        if conjugate:
+            np.conjugate(block, out=view)
+        else:
+            view[...] = block
+        views.append(view)
+        start += count * cols
+    return out, views
+
+
 @dataclass(eq=False)
 class TransmitSide:
     """The links leaving every transmitter of one kind, transmitter axes first.
 
-    `to_dl` holds H^H for every downlink user, `to_bs` for every BS, the
-    receivers flattened into one axis; `y` puts all of them side by side,
+    `y` puts H^H of every downlink user, then of every BS, side by side:
     the Y of the f1 form summed over every receiver in the network.
+    `to_dl` and `to_bs` are views of `y`, its two parts per receiver, with
+    the receivers flattened into one axis.
     """
 
+    y: np.ndarray        # (..., N, G K_d M_ue + G M_bs)
     to_dl: np.ndarray    # (..., G K_d, N, M_ue)
     to_bs: np.ndarray    # (..., G, N, M_bs)
-    y: np.ndarray        # (..., N, G K_d M_ue + G M_bs)
 
     @classmethod
     def of(cls, to_dl: np.ndarray, to_bs: np.ndarray) -> "TransmitSide":
         """From the channels (..., R, M, N) to each receiver group."""
-        to_dl, to_bs = hermitian(to_dl), hermitian(to_bs)
-        return cls(to_dl=to_dl, to_bs=to_bs,
-                   y=np.concatenate([columns(to_dl), columns(to_bs)], axis=-1))
+        y, views = side_by_side([np.swapaxes(to_dl, -1, -2), np.swapaxes(to_bs, -1, -2)],
+                                conjugate=True)
+        return cls(y, *views)
+
+
+@dataclass(eq=False)
+class ReceiveSide:
+    """The links into every receiver of the network, receive antennas as rows.
+
+    `x` holds every transmitter's channel into every receiver side by side:
+    its rows run over the antennas of every downlink user, then of every
+    BS, its columns over the antennas of every BS, then of every uplink
+    user.  x times the block diagonal of the transmitters' beams gives the
+    received beams.  `err` holds the links' per-element error variances in
+    the same order, one row per receiver and one column per transmitter.
+    The other fields are views of `x`: its rows per receiver kind, and its
+    columns per transmitter, transmitters first.
+    """
+
+    x: np.ndarray          # (G K_d M_ue + G M_bs, G N_bs + G K_u N_ue)
+    err: np.ndarray        # (G K_d + G, G + G K_u)
+    dl: np.ndarray         # (G, K_d, M_ue, columns of x)
+    bs: np.ndarray         # (G, M_bs, columns of x)
+    from_bs: np.ndarray    # (G, rows of x, N_bs)
+    from_ul: np.ndarray    # (G K_u, rows of x, N_ue)
+
+    @classmethod
+    def of(cls, ch: "Channels") -> "ReceiveSide":
+        cells, k_d, _, m_ue, n_bs = ch.dl_bs.shape
+        k_u, m_bs, n_ue = ch.bs_ul.shape[2:]
+        dl_rows, bs_cols = cells * k_d * m_ue, cells * n_bs
+        x = np.empty((dl_rows + cells * m_bs, bs_cols + cells * k_u * n_ue), dtype=complex)
+        receivers = ((slice(None, dl_rows), 2, ch.dl_bs, ch.dl_ul),
+                     (slice(dl_rows, None), 1, ch.bs_bs, ch.bs_ul))
+        for rows, rx_axes, from_bs, from_ul in receivers:
+            for cols, link in ((slice(None, bs_cols), from_bs), (slice(bs_cols, None), from_ul)):
+                # (receiver..., transmitter..., M, N) into rows (receiver..., M)
+                # and columns (transmitter..., N), a view of x
+                m, n = link.shape[-2:]
+                x[rows, cols].reshape(*link.shape[:rx_axes], m, *link.shape[rx_axes:-2], n)[
+                    ...] = np.moveaxis(link, -2, rx_axes)
+        err = np.block([[ch.err_dl_bs.reshape(cells * k_d, cells),
+                         ch.err_dl_ul.reshape(cells * k_d, cells * k_u)],
+                        [ch.err_bs_bs, ch.err_bs_ul.reshape(cells, cells * k_u)]])
+        rows, cols = x.shape
+        return cls(x=x, err=err,
+                   dl=x[:dl_rows].reshape(cells, k_d, m_ue, cols),
+                   bs=x[dl_rows:].reshape(cells, m_bs, cols),
+                   from_bs=np.moveaxis(x[:, :bs_cols].reshape(rows, cells, n_bs), 1, 0),
+                   from_ul=np.moveaxis(x[:, bs_cols:].reshape(rows, cells * k_u, n_ue), 1, 0))
 
 
 @dataclass(eq=False)
@@ -129,7 +195,8 @@ class Channels:
 class ChannelStack(Channels):
     """The channels as the kernels read them: the stored arrays, shared and
     not copied, plus the layouts derived from them, among them `si`, the SI
-    channels, and `si_gram`, H^H H + kappa_bs diag(H^H H) of each."""
+    channels, `si_colpow`, the squared norm of each of their columns, and
+    `si_gram`, H^H H + kappa_bs diag(H^H H) of each."""
 
     kappa_bs: InitVar[float]     # BS transmit distortion factor, for the SI Gram
 
@@ -138,21 +205,21 @@ class ChannelStack(Channels):
         k_u = self.bs_ul.shape[2]
         diag = np.arange(cells)
         # layouts derived once per stack: SI channels, serving links, and the
-        # links seen from each transmitter
+        # links seen from each transmitter and into each receiver
         self.si = self.bs_bs[diag, diag]            # (G, M_bs, N_bs)
+        self.si_colpow = row_powers(np.swapaxes(self.si, -1, -2))    # (G, N_bs)
         self.si_gram = add_scaled_diag(hermitian(self.si) @ self.si, kappa_bs)
-        self.dl_own = self.dl_bs[diag, :, diag]     # (G, K_d, M_ue, N_bs)
-        self.ul_own = self.bs_ul[diag, diag]        # (G, K_u, M_bs, N_ue)
-        self.dl_own_h = hermitian(self.dl_own)
-        self.ul_own_h = hermitian(self.ul_own)
-        self.bs_side = TransmitSide.of(
+        # H^H of each serving link
+        self.dl_own_h = hermitian(self.dl_bs[diag, :, diag])    # (G, K_d, N_bs, M_ue)
+        self.ul_own_h = hermitian(self.bs_ul[diag, diag])       # (G, K_u, N_ue, M_bs)
+        self.tx_bs = TransmitSide.of(
             np.moveaxis(self.dl_bs, 2, 0).reshape(cells, cells * k_d, *self.dl_bs.shape[-2:]),
             np.moveaxis(self.bs_bs, 1, 0))
-        self.ul_side = TransmitSide.of(
+        self.tx_ul = TransmitSide.of(
             np.moveaxis(self.dl_ul, (2, 3), (0, 1)).reshape(cells, k_u, cells * k_d,
                                                              *self.dl_ul.shape[-2:]),
             np.moveaxis(self.bs_ul, (1, 2), (0, 1)))
-
+        self.rx = ReceiveSide.of(self)
 
 def stack_channels(realization) -> ChannelStack:
     """The ChannelStack of a realization (module `model`) and its hardware."""

@@ -5,7 +5,8 @@ import pytest
 
 import helpers
 from ibfdsim import covariance
-from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node, ul_node
+from ibfdsim.model import (ScenarioConfig, bs_node, build_realization, dl_node,
+                           restrict_to_downlink, restrict_to_uplink, ul_node)
 
 
 def test_tx_covariance_hand_case():
@@ -189,3 +190,76 @@ def test_transmit_grams_match_per_link_f1_sums():
         for g, k in real.ul_users():
             np.testing.assert_allclose(omega_ul[g][k], summed(ul_node(g, k), hw.kappa_ue),
                                        rtol=1e-11, atol=1e-11 * np.abs(omega_ul[g][k]).max())
+
+
+_SCENARIOS = {
+    "default": lambda: build_realization(ScenarioConfig(), 1),
+    "three_cells_csi": lambda: build_realization(
+        ScenarioConfig(cells=3, dl_users=3, ul_users=1, csi_error_factor=1e-2), 2),
+    "strong_si": lambda: build_realization(ScenarioConfig(asic_db=0.0), 3),
+    "wide_array": lambda: build_realization(
+        ScenarioConfig(bs_tx_antennas=64, bs_rx_antennas=64), 4),
+    "downlink_phase": lambda: restrict_to_downlink(build_realization(ScenarioConfig(), 5)),
+    "uplink_phase": lambda: restrict_to_uplink(build_realization(ScenarioConfig(), 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCENARIOS))
+def test_covariances_match_per_link_sums(case):
+    # every field of the stacked assembly against the explicit per-link sums
+    # sum_tx H T H^H with T = tx_gram(W) per transmitter; distinct distortion
+    # factors, so that a swapped one shows
+    from dataclasses import replace
+
+    from ibfdsim.objective import report
+    from ibfdsim.stacked import stack_channels
+    real = _SCENARIOS[case]()
+    real = replace(real, hardware=replace(real.hardware, kappa_bs=0.01, kappa_ue=0.02,
+                                          beta_bs=0.03, beta_ue=0.04))
+    hw = real.hardware
+    w_dl, w_ul = helpers.random_state(real, 7).beams()
+    ch = stack_channels(real)
+    cov = covariance.covariances(ch, hw, (w_dl, w_ul))
+    tx = {bs_node(g): sum((covariance.tx_gram(w, hw.kappa_bs) for w in w_dl[g]),
+                          np.zeros((real.antennas.bs_tx,) * 2, dtype=complex))
+          for g in range(real.cell_count)}
+    tx.update({ul_node(g, k): covariance.tx_gram(w_ul[g, k], hw.kappa_ue)
+               for g, k in real.ul_users()})
+
+    def close(got, expected):
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def check(rx, got_rx, got_csi, beta, noise_w):
+        m = got_rx.shape[-1]
+        base, csi = np.zeros((m, m), dtype=complex), 0.0
+        for node, t in tx.items():
+            link = real.link(rx, node)
+            base += link.est @ t @ link.est.conj().T
+            csi += link.err_var * np.trace(t).real
+        close(np.asarray(got_csi), np.asarray(csi))
+        close(got_rx, base + beta * np.diag(np.diag(base)) + (noise_w + csi) * np.eye(m))
+
+    for g, k in real.dl_users():
+        check(dl_node(g, k), cov.dl_rx[g, k], cov.dl_csi[g, k], hw.beta_ue, hw.noise_ue_w)
+        close(cov.signal[0][g, k], real.link(dl_node(g, k), bs_node(g)).est @ w_dl[g, k])
+    for g in range(real.cell_count):
+        check(bs_node(g), cov.bs_rx[g], cov.bs_csi[g], hw.beta_bs, hw.noise_bs_w)
+    for g, k in real.ul_users():
+        close(cov.signal[1][g, k], real.link(bs_node(g), ul_node(g, k)).est @ w_ul[g, k])
+    assert cov.signal[0].shape == w_dl.shape[:2] + (real.antennas.ue_rx, w_dl.shape[-1])
+    assert cov.signal[1].shape == w_ul.shape[:2] + (real.antennas.bs_rx, w_ul.shape[-1])
+
+    # RSI and transmit power, as the report reads them from the beams
+    cells = real.cell_count
+    rep = report(ch, hw, (np.zeros_like(cov.signal[0]), np.zeros_like(cov.signal[1])), cov,
+                 np.ones(cells), with_rates=False)
+    for g in range(cells):
+        si = real.link(bs_node(g), bs_node(g)).true
+        rsi = np.trace(si @ tx[bs_node(g)] @ si.conj().T).real
+        power = np.trace(tx[bs_node(g)]).real
+        close(np.asarray(rep.rsi_watts[g]), np.asarray(rsi))
+        close((1.0 + hw.kappa_bs) * cov.cell_load[g].sum(), np.asarray(power))
+        if rsi > 0.0:
+            assert rep.asic_depth_db[g] == pytest.approx(
+                10.0 * np.log10(hw.si_gain[g] * power / rsi), rel=1e-12)
