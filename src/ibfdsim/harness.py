@@ -326,17 +326,26 @@ def run_campaign(config: CampaignConfig):
 
     Returns the CampaignSummary computed from the same rows that were
     written.  Output is ordered by (seed index, algorithm) no matter how many
-    workers executed, so identical configs give identical bytes.
+    workers executed, so identical configs give identical bytes.  Each
+    finished realization logs one INFO line with its index, seed and error
+    count, in index order.
     """
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     tasks = [(config, i) for i in range(config.realizations)]
+
+    def logged(finished):
+        for result in finished:
+            index, errors = result[0], result[3]
+            log.info("realization %d/%d finished: seed %d, %d error(s)", index + 1,
+                     config.realizations, derive_seed(config.base_seed, index), len(errors))
+            yield result
+
     if config.workers > 1:
         with multiprocessing.get_context("spawn").Pool(config.workers) as pool:
-            results = pool.map(_run_seed, tasks)
+            results = list(logged(pool.imap(_run_seed, tasks)))
     else:
-        results = [_run_seed(task) for task in tasks]
-    results.sort(key=lambda item: item[0])
+        results = list(logged(map(_run_seed, tasks)))
 
     cells = config.scenario.cells
     columns = _realization_columns(cells)

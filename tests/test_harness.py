@@ -153,6 +153,31 @@ def test_run_campaign_bytes_do_not_depend_on_workers(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_campaign_logs_progress(tmp_path, monkeypatch, caplog, workers):
+    # one INFO line per finished realization, in index order, whatever the
+    # worker count; a failed draw counts its errors
+    cfg = replace(parse_config(SMALL + "campaign.algorithms = jpaim, half-duplex\n"),
+                  output_dir=str(tmp_path / "out"), workers=workers)
+    bad_seed = derive_seed(cfg.base_seed, 1)
+    true_build = harness.build_realization
+
+    def flaky(scenario, seed):
+        if seed == bad_seed:
+            raise ValueError("synthetic draw failure")
+        return true_build(scenario, seed)
+
+    if workers == 1:
+        monkeypatch.setattr(harness, "build_realization", flaky)
+    with caplog.at_level("INFO", logger="ibfdsim.harness"):
+        run_campaign(cfg)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "ibfdsim.harness" and r.levelname == "INFO"]
+    errors = [0, 2, 0] if workers == 1 else [0, 0, 0]
+    assert lines == [f"realization {i + 1}/3 finished: seed {derive_seed(7, i)}, "
+                     f"{errors[i]} error(s)" for i in range(3)]
+
+
 def test_run_campaign_writes_contractual_csv(tmp_path):
     cfg = parse_config(SMALL)
     cfg = replace(cfg, algorithms=("jpaim", "nsp-jpaim", "half-duplex"),
