@@ -72,6 +72,23 @@ def solved_state(realization: Realization, iterations=3, nu=None) -> Beamforming
     return jpaim.run(realization, cfg, collect_metrics=False).final_state
 
 
+def best_asic_depth_db(realization: Realization, g: int) -> float:
+    """The deepest cancellation any precoder of BS g can reach, in dB.
+
+    From the SI link alone: with S = H^H H + kappa diag(H^H H) the
+    distortion-aware SI Gram matrix, any beams W give the RSI
+    tr(W^H S W) >= lambda_min(S) ||W||_F^2 and the transmit power
+    tr(T) = (1 + kappa) ||W||_F^2, so the depth 10 log10(l tr(T) / rsi) is at
+    most 10 log10(l (1 + kappa) / lambda_min(S)): all power on the weakest
+    eigen-direction of S.
+    """
+    h = realization.link(bs_node(g), bs_node(g)).true
+    kappa = realization.hardware.kappa_bs
+    gram = h.conj().T @ h
+    weakest = np.linalg.eigvalsh(gram + kappa * np.diag(np.diag(gram)))[0]
+    return 10.0 * math.log10(realization.hardware.si_gain[g] * (1.0 + kappa) / weakest)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo oracle for receive covariances and stream MSEs
 # ---------------------------------------------------------------------------
