@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HardwareProfile, Realization
-from .stacked import (ChannelStack, TransmitSide, add_scaled_diag, columns,
-                      hermitian, row_powers, side_by_side, stack_channels, uncolumns)
+from .stacked import (ChannelStack, add_scaled_diag, columns, hermitian, row_powers,
+                      side_by_side, stack_channels, uncolumns)
 from .state import BeamformingState
 
 # ---------------------------------------------------------------------------
@@ -36,9 +36,8 @@ def distortion_gram(yx: np.ndarray, y: np.ndarray, weights: np.ndarray,
                     sigma: float) -> np.ndarray:
     """(YX)(YX)^H + Y diag(weights) Y^H plus sigma times its own diagonal.
 
-    The shared form of f1, of its sums over receivers and of the receive
-    covariances: the columns of Y and the entries of `weights` may run over
-    many receivers, or many transmitters, at once.
+    The shared form of f1 and of the receive covariances: the columns of Y
+    and the entries of `weights` may run over many transmitters at once.
     """
     total = yx @ hermitian(yx) + (y * weights) @ hermitian(y)
     return add_scaled_diag(total, sigma)
@@ -98,7 +97,7 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
                             (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
     csi = side.err @ power
     # the received beams R of every receiver, transmitters in the order of x
-    received = side_by_side([side.from_bs @ w_bs, side.from_ul @ w_ul])[0]
+    received = side_by_side([side.from_bs @ w_bs, side.from_ul @ w_ul])
     m_ue, m_bs, width = side.dl.shape[2], side.bs.shape[1], received.shape[1]
     r_dl = received[:cells * k_d * m_ue].reshape(cells, k_d, m_ue, width)
     r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)
@@ -126,20 +125,37 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
     (U_dl, U_ul) (the SI link contributes through its true matrix, stored
     as its estimate).  The uplink variant does the same from each uplink
     user's antennas.  Returns ((G, N_bs, N_bs), (G, K_u, N_ue, N_ue)).
+
+    Both read the transmitter's columns X_t of the receive side: the sum is
+    Z^H Z + X_t^H diag(w) X_t plus kappa times its diagonal, with
+    Z = blockdiag(U)^H X_t and w the beta-scaled row powers of the combiners.
     """
     u_dl, u_ul = combiners
-    # every downlink user, then every BS with the combiners of all the
-    # uplink users it decodes side by side: the receiver order of TransmitSide
-    dl_u = u_dl.reshape(-1, *u_dl.shape[2:])
+    cells, k_d, m_ue, b_d = u_dl.shape
+    k_u, m_bs, b_u = u_ul.shape[1:]
+    side, dl_rows = ch.rx, cells * k_d * m_ue
+    # every downlink user, then every BS with the combiners of all the uplink
+    # users it decodes side by side: the row order of the receive side
     bs_u = columns(u_ul)
-    weights = np.concatenate([hw.beta_ue * row_powers(dl_u).reshape(-1),
-                              hw.beta_bs * row_powers(bs_u).reshape(-1)])
+    dl_uh, bs_uh = hermitian(u_dl.reshape(cells * k_d, m_ue, b_d)), hermitian(bs_u)
+    weights = np.concatenate([hw.beta_ue * row_powers(u_dl), hw.beta_bs * row_powers(bs_u)],
+                             axis=None)
 
-    def summed_f1(side: TransmitSide, kappa: float) -> np.ndarray:
-        yx = np.concatenate([columns(side.to_dl @ dl_u), columns(side.to_bs @ bs_u)], axis=-1)
-        return distortion_gram(yx, side.y, weights, kappa)
+    def summed_f1(x: np.ndarray, kappa: float) -> np.ndarray:
+        # x: (transmitters, rows of the receive side, N)
+        count, _, n = x.shape
+        z = np.concatenate(
+            [(dl_uh @ x[:, :dl_rows].reshape(count, cells * k_d, m_ue, n)).reshape(
+                count, cells * k_d * b_d, n),
+             (bs_uh @ x[:, dl_rows:].reshape(count, cells, m_bs, n)).reshape(
+                count, cells * k_u * b_u, n)], axis=1)
+        weighted = np.swapaxes(x, -1, -2) * weights
+        total = hermitian(z) @ z + np.conjugate(weighted, out=weighted) @ x
+        return add_scaled_diag(total, kappa)
 
-    return summed_f1(ch.tx_bs, hw.kappa_bs), summed_f1(ch.tx_ul, hw.kappa_ue)
+    omega_ul = summed_f1(side.from_ul, hw.kappa_ue)
+    return (summed_f1(side.from_bs, hw.kappa_bs),
+            omega_ul.reshape(cells, k_u, *omega_ul.shape[-2:]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ restrictions produce.
 
 A realization stores its links once, as the arrays of a Channels.  A
 ChannelStack shares those arrays and adds what the kernels derive from
-them; it is built per call, so an in-place edit of a stored link reaches
+them, chiefly one matrix X of every link side by side (ReceiveSide), from
+which both the receive covariances and the transmit-side Gram matrices are
+formed; it is built per call, so an in-place edit of a stored link reaches
 the next call.
 """
 
@@ -73,49 +75,19 @@ def frobenius_sq(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def side_by_side(blocks, conjugate: bool = False):
-    """columns() of stacks (..., K_i, n, b_i) with the same leading axes, written
-    side by side into one new array (..., n, sum_i K_i b_i), conjugated if asked.
-
-    Returns that array and, for each block, the view of it that holds the
-    block, laid out as the block.  Unlike uncolumns, an empty b_i is fine.
-    """
+def side_by_side(blocks) -> np.ndarray:
+    """columns() of stacks (..., K_i, n, b_i) with the same leading axes,
+    written side by side into one new array (..., n, sum_i K_i b_i).  Unlike
+    uncolumns, an empty b_i is fine."""
     lead, rows = blocks[0].shape[:-3], blocks[0].shape[-2]
     out = np.empty((*lead, rows, sum(b.shape[-3] * b.shape[-1] for b in blocks)), dtype=complex)
-    views, start = [], 0
+    start = 0
     for block in blocks:
         count, cols = block.shape[-3], block.shape[-1]
-        view = np.swapaxes(out[..., start:start + count * cols].reshape(
-            *lead, rows, count, cols), -3, -2)
-        if conjugate:
-            np.conjugate(block, out=view)
-        else:
-            view[...] = block
-        views.append(view)
+        np.swapaxes(out[..., start:start + count * cols].reshape(*lead, rows, count, cols),
+                    -3, -2)[...] = block
         start += count * cols
-    return out, views
-
-
-@dataclass(eq=False)
-class TransmitSide:
-    """The links leaving every transmitter of one kind, transmitter axes first.
-
-    `y` puts H^H of every downlink user, then of every BS, side by side:
-    the Y of the f1 form summed over every receiver in the network.
-    `to_dl` and `to_bs` are views of `y`, its two parts per receiver, with
-    the receivers flattened into one axis.
-    """
-
-    y: np.ndarray        # (..., N, G K_d M_ue + G M_bs)
-    to_dl: np.ndarray    # (..., G K_d, N, M_ue)
-    to_bs: np.ndarray    # (..., G, N, M_bs)
-
-    @classmethod
-    def of(cls, to_dl: np.ndarray, to_bs: np.ndarray) -> "TransmitSide":
-        """From the channels (..., R, M, N) to each receiver group."""
-        y, views = side_by_side([np.swapaxes(to_dl, -1, -2), np.swapaxes(to_bs, -1, -2)],
-                                conjugate=True)
-        return cls(y, *views)
+    return out
 
 
 @dataclass(eq=False)
@@ -145,24 +117,27 @@ class ReceiveSide:
         k_u, m_bs, n_ue = ch.bs_ul.shape[2:]
         dl_rows, bs_cols = cells * k_d * m_ue, cells * n_bs
         x = np.empty((dl_rows + cells * m_bs, bs_cols + cells * k_u * n_ue), dtype=complex)
-        receivers = ((slice(None, dl_rows), 2, ch.dl_bs, ch.dl_ul),
-                     (slice(dl_rows, None), 1, ch.bs_bs, ch.bs_ul))
-        for rows, rx_axes, from_bs, from_ul in receivers:
-            for cols, link in ((slice(None, bs_cols), from_bs), (slice(bs_cols, None), from_ul)):
-                # (receiver..., transmitter..., M, N) into rows (receiver..., M)
-                # and columns (transmitter..., N), a view of x
-                m, n = link.shape[-2:]
-                x[rows, cols].reshape(*link.shape[:rx_axes], m, *link.shape[rx_axes:-2], n)[
-                    ...] = np.moveaxis(link, -2, rx_axes)
-        err = np.block([[ch.err_dl_bs.reshape(cells * k_d, cells),
-                         ch.err_dl_ul.reshape(cells * k_d, cells * k_u)],
-                        [ch.err_bs_bs, ch.err_bs_ul.reshape(cells, cells * k_u)]])
+        # each link group (receiver..., transmitter..., M, N) into rows
+        # (receiver..., M) and columns (transmitter..., N), views of x
+        dl, bs = x[:dl_rows], x[dl_rows:]
+        dl[:, :bs_cols].reshape(cells, k_d, m_ue, cells, n_bs)[...] = \
+            ch.dl_bs.transpose(0, 1, 3, 2, 4)
+        dl[:, bs_cols:].reshape(cells, k_d, m_ue, cells, k_u, n_ue)[...] = \
+            ch.dl_ul.transpose(0, 1, 4, 2, 3, 5)
+        bs[:, :bs_cols].reshape(cells, m_bs, cells, n_bs)[...] = ch.bs_bs.transpose(0, 2, 1, 3)
+        bs[:, bs_cols:].reshape(cells, m_bs, cells, k_u, n_ue)[...] = \
+            ch.bs_ul.transpose(0, 3, 1, 2, 4)
+        # the error variances in the same order, one entry per link
+        err = np.empty((cells * k_d + cells, cells + cells * k_u))
+        err[:cells * k_d, :cells] = ch.err_dl_bs.reshape(cells * k_d, cells)
+        err[:cells * k_d, cells:] = ch.err_dl_ul.reshape(cells * k_d, cells * k_u)
+        err[cells * k_d:, :cells] = ch.err_bs_bs
+        err[cells * k_d:, cells:] = ch.err_bs_ul.reshape(cells, cells * k_u)
         rows, cols = x.shape
         return cls(x=x, err=err,
-                   dl=x[:dl_rows].reshape(cells, k_d, m_ue, cols),
-                   bs=x[dl_rows:].reshape(cells, m_bs, cols),
-                   from_bs=np.moveaxis(x[:, :bs_cols].reshape(rows, cells, n_bs), 1, 0),
-                   from_ul=np.moveaxis(x[:, bs_cols:].reshape(rows, cells * k_u, n_ue), 1, 0))
+                   dl=dl.reshape(cells, k_d, m_ue, cols), bs=bs.reshape(cells, m_bs, cols),
+                   from_bs=np.swapaxes(x[:, :bs_cols].reshape(rows, cells, n_bs), 0, 1),
+                   from_ul=np.swapaxes(x[:, bs_cols:].reshape(rows, cells * k_u, n_ue), 0, 1))
 
 
 @dataclass(eq=False)
@@ -194,32 +169,22 @@ class Channels:
 @dataclass(eq=False)
 class ChannelStack(Channels):
     """The channels as the kernels read them: the stored arrays, shared and
-    not copied, plus the layouts derived from them, among them `si`, the SI
-    channels, `si_colpow`, the squared norm of each of their columns, and
-    `si_gram`, H^H H + kappa_bs diag(H^H H) of each."""
+    not copied, plus the layouts derived from them: `rx`, every link side by
+    side (ReceiveSide); `si_colpow`, the squared norm of each column of each
+    SI channel; `si_gram`, H^H H + kappa_bs diag(H^H H) of each SI channel
+    H; and H^H of each serving link."""
 
     kappa_bs: InitVar[float]     # BS transmit distortion factor, for the SI Gram
 
     def __post_init__(self, kappa_bs: float):
-        cells, k_d = self.dl_bs.shape[:2]
-        k_u = self.bs_ul.shape[2]
-        diag = np.arange(cells)
-        # layouts derived once per stack: SI channels, serving links, and the
-        # links seen from each transmitter and into each receiver
-        self.si = self.bs_bs[diag, diag]            # (G, M_bs, N_bs)
-        self.si_colpow = row_powers(np.swapaxes(self.si, -1, -2))    # (G, N_bs)
-        self.si_gram = add_scaled_diag(hermitian(self.si) @ self.si, kappa_bs)
-        # H^H of each serving link
+        diag = np.arange(self.dl_bs.shape[0])
+        si = self.bs_bs[diag, diag]                              # (G, M_bs, N_bs)
+        self.si_colpow = row_powers(np.swapaxes(si, -1, -2))     # (G, N_bs)
+        self.si_gram = add_scaled_diag(hermitian(si) @ si, kappa_bs)
         self.dl_own_h = hermitian(self.dl_bs[diag, :, diag])    # (G, K_d, N_bs, M_ue)
         self.ul_own_h = hermitian(self.bs_ul[diag, diag])       # (G, K_u, N_ue, M_bs)
-        self.tx_bs = TransmitSide.of(
-            np.moveaxis(self.dl_bs, 2, 0).reshape(cells, cells * k_d, *self.dl_bs.shape[-2:]),
-            np.moveaxis(self.bs_bs, 1, 0))
-        self.tx_ul = TransmitSide.of(
-            np.moveaxis(self.dl_ul, (2, 3), (0, 1)).reshape(cells, k_u, cells * k_d,
-                                                             *self.dl_ul.shape[-2:]),
-            np.moveaxis(self.bs_ul, (1, 2), (0, 1)))
         self.rx = ReceiveSide.of(self)
+
 
 def stack_channels(realization) -> ChannelStack:
     """The ChannelStack of a realization (module `model`) and its hardware."""

@@ -382,10 +382,10 @@ def test_run_metrics_toggle():
 # before rates came from the MMSE error matrices: records[t].sum_rate of
 # run(..., collect_metrics=True) and the final report's (sum_rate_dl,
 # sum_rate_ul), for seeds 0-2.  The strong-SI seed 0 entry was re-recorded
-# when the receive covariances moved to the received-beam form R R^H +
-# X diag(t) X^H: that run stops at max_iterations and carries the changed
+# when the covariances moved to the one receive-side matrix X (R R^H +
+# X diag(t) X^H): that run stops at max_iterations and carries the changed
 # rounding of ill-conditioned BS covariances (record 0 moved 6.2e-10
-# relative, records 54 on past 1e-8, at most 2.3e-7).
+# relative, records 55 on past 1e-8, at most 2.0e-7).
 RATE_GOLDENS = json.loads((Path(__file__).parent / "rate_goldens.json").read_text())
 
 
