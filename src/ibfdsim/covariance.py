@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import HardwareProfile, Realization
 from .stacked import (ChannelStack, add_scaled_diag, columns, hermitian, row_powers,
-                      side_by_side, stack_channels, uncolumns)
+                      stack_channels, uncolumns)
 from .state import BeamformingState
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,8 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
                             (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
     csi = side.err @ power
     # the received beams R of every receiver, transmitters in the order of x
-    received = side_by_side([side.from_bs @ w_bs, side.from_ul @ w_ul])
+    received = np.concatenate([columns(side.from_bs @ w_bs), columns(side.from_ul @ w_ul)],
+                              axis=-1)
     m_ue, m_bs, width = side.dl.shape[2], side.bs.shape[1], received.shape[1]
     r_dl = received[:cells * k_d * m_ue].reshape(cells, k_d, m_ue, width)
     r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)

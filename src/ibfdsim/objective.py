@@ -137,9 +137,9 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     own downlink beams W_g, and equals ||H_si W_g||_F^2 plus kappa times the
     column powers of H_si weighted by the row powers of W_g.  The
     cancellation depth is 10 log10(l_g tr(T_g) / rsi), capped at +200 dB, 0
-    for a silent cell, with tr(T_g) = (1 + kappa) ||W_g||_F^2.  The rates do not depend on the
-    combiners: with_rates=True solves for the MMSE combiners to get them,
-    with_rates=False reports them as nan.
+    for a silent cell, with tr(T_g) = (1 + kappa) ||W_g||_F^2.  The rates do
+    not depend on the combiners: with_rates=True solves for the MMSE
+    combiners to get them, with_rates=False reports them as nan.
     """
     bs_rx = cov.bs_rx[:, None]                   # each BS covariance, once per uplink user
     sum_mse_dl = float(_mse(cov.dl_rx, cov.signal[0], combiners[0]).sum())

@@ -75,21 +75,6 @@ def frobenius_sq(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def side_by_side(blocks) -> np.ndarray:
-    """columns() of stacks (..., K_i, n, b_i) with the same leading axes,
-    written side by side into one new array (..., n, sum_i K_i b_i).  Unlike
-    uncolumns, an empty b_i is fine."""
-    lead, rows = blocks[0].shape[:-3], blocks[0].shape[-2]
-    out = np.empty((*lead, rows, sum(b.shape[-3] * b.shape[-1] for b in blocks)), dtype=complex)
-    start = 0
-    for block in blocks:
-        count, cols = block.shape[-3], block.shape[-1]
-        np.swapaxes(out[..., start:start + count * cols].reshape(*lead, rows, count, cols),
-                    -3, -2)[...] = block
-        start += count * cols
-    return out
-
-
 @dataclass(eq=False)
 class ReceiveSide:
     """The links into every receiver of the network, receive antennas as rows.
