@@ -69,6 +69,7 @@ class Covariances:
     signal: tuple           # (H W_dl, H W_ul): each user's beams through its serving link
     si_signal: np.ndarray   # (G, M_bs, K_d b_d) H_si W_g: each cell's beams through its SI link
     cell_load: np.ndarray   # (G, N_bs) each BS's per-antenna power before distortion
+    cell_power: np.ndarray  # (G,) tr(T_g): each BS's transmit power, distortion included
 
 
 def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
@@ -93,9 +94,8 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
     w_ul = beams[1].reshape(cells * k_u, n_ue, b_u)
     cell_load, ul_load = row_powers(w_bs), row_powers(w_ul)
     weights = np.concatenate([hw.kappa_bs * cell_load, hw.kappa_ue * ul_load], axis=None)
-    power = np.concatenate([(1.0 + hw.kappa_bs) * cell_load.sum(axis=-1),
-                            (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
-    csi = side.err @ power
+    cell_power = (1.0 + hw.kappa_bs) * cell_load.sum(axis=-1)
+    csi = side.err @ np.concatenate([cell_power, (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
     # the received beams R of every receiver, transmitters in the order of x
     received = np.concatenate([columns(side.from_bs @ w_bs), columns(side.from_ul @ w_ul)],
                               axis=-1)
@@ -115,7 +115,7 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
     signal_ul = r_bs[..., dl_cols:].reshape(cells, m_bs, cells, k_u * b_u)[diag, :, diag]
     return Covariances(dl_rx=dl_rx, bs_rx=bs_rx, dl_csi=dl_csi, bs_csi=bs_csi,
                        signal=(signal_dl, uncolumns(signal_ul, b_u)),
-                       si_signal=si_signal, cell_load=cell_load)
+                       si_signal=si_signal, cell_load=cell_load, cell_power=cell_power)
 
 
 def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):

@@ -146,9 +146,8 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     sum_mse_ul = float(_mse(bs_rx, cov.signal[1], combiners[1]).sum())
     rsi = (frobenius_sq(cov.si_signal)
            + hw.kappa_bs * (ch.si_colpow * cov.cell_load).sum(axis=-1))
-    tx_power = (1.0 + hw.kappa_bs) * cov.cell_load.sum(axis=-1)
     depth = tuple(_depth_db(gain * p, r) for gain, p, r
-                  in zip(hw.si_gain, tx_power.tolist(), rsi.tolist()))
+                  in zip(hw.si_gain, cov.cell_power.tolist(), rsi.tolist()))
     nan = float("nan")
     rate_dl, rate_ul = sum_rates(cov.signal, mmse_combiners(cov)) if with_rates else (nan, nan)
     return ObjectiveReport(

@@ -259,7 +259,8 @@ def test_covariances_match_per_link_sums(case):
         rsi = np.trace(si @ tx[bs_node(g)] @ si.conj().T).real
         power = np.trace(tx[bs_node(g)]).real
         close(np.asarray(rep.rsi_watts[g]), np.asarray(rsi))
-        close((1.0 + hw.kappa_bs) * cov.cell_load[g].sum(), np.asarray(power))
+        close(cov.cell_power[g], np.asarray(power))
+        close(cov.cell_load[g], np.diag(tx[bs_node(g)]).real / (1.0 + hw.kappa_bs))
         if rsi > 0.0:
             assert rep.asic_depth_db[g] == pytest.approx(
                 10.0 * np.log10(hw.si_gain[g] * power / rsi), rel=1e-12)
