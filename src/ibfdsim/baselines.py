@@ -7,51 +7,52 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import jpaim, objective
-from .model import Realization, bs_node, restrict_to_downlink, restrict_to_uplink
+from .model import Realization, restrict_to_downlink, restrict_to_uplink
+from .stacked import hermitian
 from .state import BeamformingState
 
 
-def nsp_project(precoder: np.ndarray, h_si: np.ndarray, kappa_bs: float,
+def nsp_project(beams: np.ndarray, h_si: np.ndarray, kappa_bs: float,
                 subspace_dim: int) -> np.ndarray:
-    """Project a downlink precoder onto the weakest SI directions.
+    """Project downlink beams onto the weakest SI directions.
 
     Null-space projection picks the `subspace_dim` eigenvectors of the
     distortion-aware transmit-side SI Gram matrix H^H H + kappa diag(H^H H)
-    with the smallest eigenvalues and projects the precoder columns onto
-    their span.  subspace_dim equal to the full transmit dimension is the
-    identity map.
+    with the smallest eigenvalues and projects the beam columns onto their
+    span.  subspace_dim equal to the full transmit dimension is the identity
+    map.  Leading axes broadcast: beams (..., N, b) against SI channels
+    (..., M, N).
     """
-    n = h_si.shape[1]
+    n = h_si.shape[-1]
     if not 1 <= subspace_dim <= n:
         raise ValueError(f"subspace_dim must lie in [1, {n}], got {subspace_dim}")
-    if precoder.shape[0] != n:
-        raise ValueError("precoder rows do not match the SI channel's transmit dimension")
-    gram = h_si.conj().T @ h_si
-    m = gram + kappa_bs * np.diag(np.diag(gram))
+    if beams.shape[-2] != n:
+        raise ValueError("beam rows do not match the SI channel's transmit dimension")
+    gram = hermitian(h_si) @ h_si
+    m = gram + kappa_bs * (gram * np.eye(n))    # kappa times the diagonal of gram
     _, vecs = np.linalg.eigh(m)          # ascending eigenvalues
-    basis = vecs[:, :subspace_dim]
-    return basis @ (basis.conj().T @ precoder)
+    basis = vecs[..., :subspace_dim]
+    return basis @ (hermitian(basis) @ beams)
 
 
 def project_state(realization: Realization, state: BeamformingState,
                   subspace_dim: int) -> BeamformingState:
-    """Apply nsp_project to every downlink precoder of a solved state."""
-    new = state.copy()
-    for g, k in realization.dl_users():
-        h_si = realization.link(bs_node(g), bs_node(g)).true
-        new.dl_precoders[g][k] = nsp_project(state.dl_precoders[g][k], h_si,
-                                             realization.hardware.kappa_bs, subspace_dim)
-    return new
+    """Apply nsp_project to the downlink beams of a solved state, with one
+    projection per cell for all of its users."""
+    cells = np.arange(realization.cell_count)
+    si = realization.channels.bs_bs[cells, cells][:, None]    # (G, 1, M_bs, N_bs)
+    projected = nsp_project(state.dl_beams, si, realization.hardware.kappa_bs, subspace_dim)
+    return replace(state, dl_beams=projected).copy()
 
 
 def run_nsp(realization: Realization, config: jpaim.SolverConfig, subspace_dim: int,
             trace: jpaim.RunTrace | None = None,
             ) -> tuple[jpaim.RunTrace, BeamformingState, objective.ObjectiveReport]:
-    """Solve, project the downlink precoders, refresh combiners, re-evaluate.
+    """Solve, project the downlink beams, refresh combiners, re-evaluate.
 
     Projection only ever shrinks the transmitted power, so the power
     constraints stay satisfied; one combiner refresh lets the receivers react
-    to the projected precoders before the state is scored.  `trace` is a
+    to the projected beams before the state is scored.  `trace` is a
     finished jpaim.run of the same realization and config, if the caller has
     one; the solve is skipped then.
     """

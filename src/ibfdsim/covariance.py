@@ -10,8 +10,8 @@ receive covariances take the same form from the receive side, so the
 kernels never form a transmit covariance.
 
 The kernels take the stacked channels (module `stacked`) and the one
-(downlink, uplink) pair of arrays they read, the beams W = coefficient * V
-or the combiners U, and treat every cell, user and link at once with
+(downlink, uplink) pair of arrays they read, the beams W or the
+combiners U, and treat every cell, user and link at once with
 batched `@`; the per-node functions below them are thin adapters for
 callers that hold a Realization and a BeamformingState.
 """
@@ -168,12 +168,12 @@ def assemble(realization: Realization,
              state: BeamformingState) -> tuple[ChannelStack, Covariances]:
     """The ChannelStack of a realization and the covariances of a state on it."""
     ch = stack_channels(realization)
-    return ch, covariances(ch, realization.hardware, state.beams())
+    return ch, covariances(ch, realization.hardware, (state.dl_beams, state.ul_beams))
 
 
 def cell_tx_covariance(realization: Realization, state: BeamformingState, g: int) -> np.ndarray:
     """Total transmit covariance of BS g (sum over its downlink users)."""
-    return tx_gram(columns(state.beams()[0][g]), realization.hardware.kappa_bs)
+    return tx_gram(columns(state.dl_beams[g]), realization.hardware.kappa_bs)
 
 
 def csi_error_variance(realization: Realization, state: BeamformingState, rx) -> float:

@@ -6,10 +6,10 @@ then the downlink/uplink precoders through a single eigendecomposition per
 transmitter with a power multiplier.  Both blocks solve their subproblem
 exactly for the same penalized loss, RSI penalty included.
 
-The precoder step minimizes over the transmitted beam W = coefficient * V
-under the power budgets, so it also allocates the power: the coefficients
-alpha and gamma that `initialize` sets stay fixed for the whole run, and a
-separate power-coefficient block would have nothing left to improve.
+The precoder step minimizes over the transmitted beams W under the power
+budgets, so it also allocates the power.  The paper splits each beam into
+a precoder and a scalar amplitude; a separate block for the amplitudes
+would have nothing left to improve, so the state holds the beams alone.
 
 Every multiplier search solves a secular equation sum_i g_i/(d_i+w)^2 = P
 for the smallest feasible w >= 0; one vectorized, safeguarded Newton solve
@@ -27,8 +27,8 @@ improvement drops below the threshold.
 `run` builds the ChannelStack once per call (module `stacked`) and iterates
 on the beams W and the combiners U, (downlink, uplink) pairs of arrays in
 the same layout: each block is a few batched numpy kernels over all cells
-and users, and none reads a coefficient.  The public block updates below
-are adapters that convert a BeamformingState to beams and back.
+and users.  The public block updates below are adapters that read and
+write the same arrays in a BeamformingState.
 """
 
 from __future__ import annotations
@@ -49,16 +49,18 @@ from .state import BeamformingState
 class SolverConfig:
     """Solver knobs; nu=None derives the RSI penalty from the cell's SI gain."""
 
-    nu: object = None                 # scalar, per-cell sequence, or None
+    nu: object = None                 # float, tuple of per-cell floats, or None
     threshold: float = 1e-4           # stop once the loss decrease falls below this
     max_iterations: int = 100
     bisection_rel_tol: float = 1e-8   # relative power error at the budget
     bisection_max_steps: int = 200    # most power evaluations one multiplier search may take
-    init_seed: int = 0                # seeds the random initial precoders
+    init_seed: int = 0                # seeds the random initial beams
 
     def __post_init__(self):
         if self.nu is not None:
-            objective.checked_nu(self.nu)
+            # a float or a tuple of floats, whatever numeric form was given
+            nu = objective.checked_nu(self.nu)
+            object.__setattr__(self, "nu", float(nu) if nu.ndim == 0 else tuple(nu.tolist()))
         if not 0.0 < self.threshold <= 1e-3:
             raise ValueError("threshold must lie in (0, 1e-3]")
         if self.max_iterations < 0:
@@ -124,7 +126,7 @@ class PrecoderUpdate:
 
     The uplink arrays are flattened over (cell, user).  The scalar powers
     come from the eigen-domain expression of the search, the matrix powers
-    from the assembled precoders of the new state.
+    from the assembled beams of the new state.
     """
 
     state: BeamformingState
@@ -157,11 +159,12 @@ def resolve_nu(realization: Realization, config: SolverConfig) -> np.ndarray:
 
 def initialize(realization: Realization, config: SolverConfig,
                rng: np.random.Generator | None = None) -> BeamformingState:
-    """Random unit-column precoders, zero combiners, budget-splitting coefficients.
+    """Random beams that meet the power budgets exactly, and zero combiners.
 
-    alpha = sqrt(P_bs / (b_d K_d)) shares the cell budget over users and
-    streams; gamma = sqrt(P_ue / b_u).  With unit-norm precoder columns the
-    initial state meets the power budgets exactly.
+    Every beam is a random matrix with unit-norm columns, scaled by
+    alpha = sqrt(P_bs / (b_d K_d)) in the downlink, which shares the cell
+    budget over users and streams, and by gamma = sqrt(P_ue / b_u) in the
+    uplink.
     """
     if rng is None:
         rng = np.random.default_rng([config.init_seed, realization.seed])
@@ -175,16 +178,15 @@ def initialize(realization: Realization, config: SolverConfig,
         m = re + 1j * im
         return m / np.linalg.norm(m, axis=-2, keepdims=True)
 
-    # every downlink user draws before the first uplink user
-    dl_precoders = unit_matrices(k_d, ant.bs_tx, ant.dl_streams)
     alpha = math.sqrt(hw.p_bs_w / (ant.dl_streams * k_d)) if k_d else 0.0
+    gamma = math.sqrt(hw.p_ue_w / ant.ul_streams)
+    # every downlink user draws before the first uplink user
+    dl_beams = alpha * unit_matrices(k_d, ant.bs_tx, ant.dl_streams)
     return BeamformingState(
-        dl_precoders=dl_precoders,
+        dl_beams=dl_beams,
         dl_combiners=np.zeros((cells, k_d, ant.ue_rx, ant.dl_streams), dtype=complex),
-        dl_coefficients=np.full((cells, k_d), alpha),
-        ul_precoders=unit_matrices(k_u, ant.ue_tx, ant.ul_streams),
+        ul_beams=gamma * unit_matrices(k_u, ant.ue_tx, ant.ul_streams),
         ul_combiners=np.zeros((cells, k_u, ant.bs_rx, ant.ul_streams), dtype=complex),
-        ul_coefficients=np.full((cells, k_u), math.sqrt(hw.p_ue_w / ant.ul_streams)),
     )
 
 
@@ -316,30 +318,29 @@ def _extrapolate(hw: HardwareProfile, beams, previous, weight: float):
 
 
 def update_combiners(realization: Realization, state: BeamformingState) -> BeamformingState:
-    """Linear MMSE combiners U = coef * C^-1 H V for every user."""
+    """Linear MMSE combiners U = C^-1 H W for every user."""
     dl, ul = objective.mmse_combiners(covariance.assemble(realization, state)[1])
     return replace(state, dl_combiners=dl, ul_combiners=ul).copy()
 
 
 def update_precoders(realization: Realization, state: BeamformingState,
                      config: SolverConfig) -> PrecoderUpdate:
-    """Penalized-MSE-optimal precoder directions at fixed combiners and coefficients.
+    """Penalized-MSE-optimal beams at fixed combiners.
 
-    Downlink: per cell, V_k = (1/alpha_k) (Omega_g + nu_g S_g + w_g I)^-1 H^H U_k
-    with S_g the distortion-aware SI Gram matrix and w_g >= 0 the smallest
+    Downlink: per cell, W_k = (Omega_g + nu_g S_g + w_g I)^-1 H^H U_k with
+    S_g the distortion-aware SI Gram matrix and w_g >= 0 the smallest
     multiplier keeping the cell inside its power budget.  Uplink: the same
-    form per user against P_ue without any SI term.  A silenced user
-    (coefficient 0) keeps its precoder; its combiners still enter every
-    transmitter's quadratic term, but not the linear one.
+    form per user against P_ue without any SI term.
     """
     ch, hw = stack_channels(realization), realization.hardware
     combiners = (state.dl_combiners, state.ul_combiners)
     beams, (w, power, evaluations) = _precoder_step(
-        ch, hw, covariance.transmit_grams(ch, hw, combiners), state.zero_silenced(combiners),
+        ch, hw, covariance.transmit_grams(ch, hw, combiners), combiners,
         resolve_nu(realization, config), config)
     cells = realization.cell_count
-    return PrecoderUpdate(state.with_beams(beams).copy(), w[:cells], w[cells:],
-                          power[:cells], power[cells:], evaluations[:cells], evaluations[cells:])
+    new = replace(state, dl_beams=beams[0], ul_beams=beams[1]).copy()
+    return PrecoderUpdate(new, w[:cells], w[cells:], power[:cells], power[cells:],
+                          evaluations[:cells], evaluations[cells:])
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +353,15 @@ EXTRAPOLATION = 4.0    # weight beta of the extrapolated trial point
 
 def extrapolate(realization: Realization, state: BeamformingState,
                 previous: BeamformingState, weight: float) -> BeamformingState:
-    """Trial point W + weight (W - W_prev) on every transmitted beamformer.
+    """Trial point W + weight (W - W_prev) on every transmitted beam.
 
-    W = coefficient * precoder is what the loss sees.  The trial keeps the
-    coefficients of `state` and moves its precoders; a cell or uplink user
-    pushed over its budget is scaled back onto it.  Users silenced in
-    `state` stay as they are and count toward no budget.  Combiners are
-    carried over unchanged.
+    W comes from `state` and W_prev from `previous`; a cell or uplink user
+    pushed over its budget is scaled back onto it.  Combiners are carried
+    over from `state` unchanged.
     """
-    return state.with_beams(_extrapolate(realization.hardware, state.beams(),
-                                         state.zero_silenced(previous.beams()), weight)).copy()
+    dl, ul = _extrapolate(realization.hardware, (state.dl_beams, state.ul_beams),
+                          (previous.dl_beams, previous.ul_beams), weight)
+    return replace(state, dl_beams=dl, ul_beams=ul).copy()
 
 
 def run(realization: Realization, config: SolverConfig,
@@ -382,10 +382,9 @@ def run(realization: Realization, config: SolverConfig,
     exact block result.  Non-convergence within max_iterations is reported
     in the trace, not raised.
 
-    The loop runs on the beams W = coefficient * V of `initialize`'s state
-    and returns V = W / coefficient, so the coefficients keep their initial
-    values and the precoders carry all of the power allocation.  The
-    covariances of a combiner update also serve the evaluation after it.
+    The loop runs on the beams W of `initialize`'s state, and the final
+    state holds the very beams and combiners that the final report scores.
+    The covariances of a combiner update also serve the evaluation after it.
 
     Rates are computed only for what is reported.  With collect_metrics, a
     record's rate comes from its own combiner update, whose MMSE combiners
@@ -398,7 +397,7 @@ def run(realization: Realization, config: SolverConfig,
     hw = realization.hardware
     ch = stack_channels(realization)
     start = initialize(realization, config, rng)
-    beams, cells = start.beams(), realization.cell_count
+    beams, cells = (start.dl_beams, start.ul_beams), realization.cell_count
     idle = (np.zeros(cells * (1 + beams[1].shape[1])), None, 0)   # record 0 has no search
 
     def refresh(beams, combiners=None, with_rates=False):
@@ -463,7 +462,7 @@ def run(realization: Realization, config: SolverConfig,
             break
 
     final_report = refresh(beams, combiners, with_rates=True)[2]
-    final_state = replace(start.with_beams(beams), dl_combiners=combiners[0],
-                          ul_combiners=combiners[1])
+    final_state = BeamformingState(dl_beams=beams[0], dl_combiners=combiners[0],
+                                   ul_beams=beams[1], ul_combiners=combiners[1])
     return RunTrace(records=records, final_state=final_state.copy(), final_report=final_report,
                     converged=converged, iterations=len(records) - 1, nu=tuple(nu))

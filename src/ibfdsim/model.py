@@ -104,10 +104,21 @@ class ScenarioConfig:
             raise ValueError("dl_streams exceeds min(bs_tx_antennas, ue_rx_antennas)")
         if self.ul_streams > min(self.ue_tx_antennas, self.bs_rx_antennas):
             raise ValueError("ul_streams exceeds min(ue_tx_antennas, bs_rx_antennas)")
+        for f in fields(self):
+            if f.type == "float" and math.isnan(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a number, got nan")
+        for name in ("carrier_ghz", "bandwidth_hz", "adc_bits"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.csi_error_factor < 0:
             raise ValueError("csi_error_factor must be >= 0")
         if not 0 < self.min_bs_user_distance_m:
             raise ValueError("min_bs_user_distance_m must be positive")
+        radius = self.inter_site_distance_m / math.sqrt(3.0)
+        if self.min_bs_user_distance_m >= radius:
+            raise ValueError(f"min_bs_user_distance_m {self.min_bs_user_distance_m} m leaves "
+                             f"no room in a cell of radius inter_site_distance_m/sqrt(3) = "
+                             f"{radius:.3f} m")
 
 
 @dataclass(frozen=True)
@@ -578,8 +589,9 @@ def load_realization(path) -> Realization:
     whose length disagrees with its own header (cut short or padded), user
     counts that differ between cells, a missing position array or one whose
     shape disagrees with the user counts, a link set other than the one the
-    topology implies, a matrix whose shape disagrees with the antennas, or
-    an SI link whose truth differs from its estimate.
+    topology implies, an SI gain count other than the cell count, a matrix
+    whose shape disagrees with the antennas, or an SI link whose truth
+    differs from its estimate.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -634,6 +646,9 @@ def load_realization(path) -> Realization:
     ant = AntennaConfig(**meta["antennas"])
     hwm = dict(meta["hardware"])
     hwm["si_gain"] = tuple(hwm["si_gain"])
+    if len(hwm["si_gain"]) != tm["cell_count"]:
+        raise ValueError(f"realization file has {len(hwm['si_gain'])} SI gains for "
+                         f"{tm['cell_count']} cells")
     hw = HardwareProfile(**hwm)
     real = Realization(topology=topo, antennas=ant, hardware=hw, seed=meta["seed"],
                        channels=_zero_channels(topo.cell_count, topo.dl_counts[0],

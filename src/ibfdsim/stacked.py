@@ -3,7 +3,7 @@
 The solver kernels (covariance, objective, jpaim) treat all cells, users
 and links at once with batched `@`, `solve` and `eigh` over these arrays
 and over the (cell, user, rows, streams) arrays of the beams and combiners
-(module `state` converts a BeamformingState to them), instead of looping
+(the fields of a BeamformingState, module `state`), instead of looping
 over per-link dictionaries.  Channel
 arrays are grouped by (receiver kind, transmitter kind) with the receiver
 indices first, the transmitter indices next and the matrix axes last.  The

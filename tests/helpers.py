@@ -41,8 +41,11 @@ def random_small_realization(rng, **overrides) -> Realization:
     return build_realization(cfg, int(rng.integers(0, 2 ** 31)))
 
 
-def random_state(realization: Realization, seed: int, coef_scale=1.0) -> BeamformingState:
-    """Arbitrary dense state (nonzero combiners) for algebraic identity tests."""
+def random_state(realization: Realization, seed: int, beam_scale=1.0) -> BeamformingState:
+    """Arbitrary dense state (nonzero combiners) for algebraic identity tests.
+
+    Each beam is a random matrix times a random per-user amplitude up to
+    beam_scale times the one that splits the power budget evenly."""
     rng = np.random.default_rng(seed)
     ant = realization.antennas
     topo = realization.topology
@@ -52,18 +55,20 @@ def random_state(realization: Realization, seed: int, coef_scale=1.0) -> Beamfor
         return np.array([cn(rng, (rows, cols)) for _ in range(count)],
                         dtype=complex).reshape(count, rows, cols)
 
-    dl_pre, dl_comb, dl_coef, ul_pre, ul_comb, ul_coef = [], [], [], [], [], []
+    def amplitudes(budget, count):
+        return (beam_scale * budget * rng.uniform(0.3, 1.0, size=count))[:, None, None]
+
+    dl_beams, dl_comb, ul_beams, ul_comb = [], [], [], []
     for g in range(topo.cell_count):
         k_d, k_u = topo.dl_counts[g], topo.ul_counts[g]
-        dl_pre.append(block(ant.bs_tx, ant.dl_streams, k_d))
+        dl_pre = block(ant.bs_tx, ant.dl_streams, k_d)
         dl_comb.append(block(ant.ue_rx, ant.dl_streams, k_d))
-        scale = math.sqrt(hw.p_bs_w / max(ant.dl_streams * k_d, 1))
-        dl_coef.append(coef_scale * scale * rng.uniform(0.3, 1.0, size=k_d))
-        ul_pre.append(block(ant.ue_tx, ant.ul_streams, k_u))
+        dl_beams.append(amplitudes(math.sqrt(hw.p_bs_w / max(ant.dl_streams * k_d, 1)), k_d)
+                        * dl_pre)
+        ul_pre = block(ant.ue_tx, ant.ul_streams, k_u)
         ul_comb.append(block(ant.bs_rx, ant.ul_streams, k_u))
-        ul_coef.append(coef_scale * math.sqrt(hw.p_ue_w / ant.ul_streams)
-                       * rng.uniform(0.3, 1.0, size=k_u))
-    return BeamformingState(*map(np.stack, (dl_pre, dl_comb, dl_coef, ul_pre, ul_comb, ul_coef)))
+        ul_beams.append(amplitudes(math.sqrt(hw.p_ue_w / ant.ul_streams), k_u) * ul_pre)
+    return BeamformingState(*map(np.stack, (dl_beams, dl_comb, ul_beams, ul_comb)))
 
 
 def solved_state(realization: Realization, iterations=3, nu=None) -> BeamformingState:
@@ -112,22 +117,20 @@ def mc_estimates(realization: Realization, state: BeamformingState, draws: int, 
         x = np.zeros((draws, ant.bs_tx), dtype=complex)
         dvar = np.zeros(ant.bs_tx)
         for k in range(realization.topology.dl_counts[g]):
-            v = state.dl_precoders[g][k]
-            a = state.dl_coefficients[g][k]
-            s = cn(rng, (draws, v.shape[1]))
+            w = state.dl_beams[g][k]
+            s = cn(rng, (draws, w.shape[1]))
             sym[("dl", g, k)] = s
-            x += s @ (a * v).T
-            dvar += a * a * np.sum(np.abs(v) ** 2, axis=1)
+            x += s @ w.T
+            dvar += np.sum(np.abs(w) ** 2, axis=1)
         x += cn(rng, (draws, ant.bs_tx)) * np.sqrt(hw.kappa_bs * dvar)
         tx[bs_node(g)] = x
     for g, k in realization.ul_users():
-        v = state.ul_precoders[g][k]
-        gam = state.ul_coefficients[g][k]
-        s = cn(rng, (draws, v.shape[1]))
+        w = state.ul_beams[g][k]
+        s = cn(rng, (draws, w.shape[1]))
         sym[("ul", g, k)] = s
-        x = s @ (gam * v).T
-        dvar = hw.kappa_ue * gam * gam * np.sum(np.abs(v) ** 2, axis=1)
-        tx[ul_node(g, k)] = x + cn(rng, (draws, v.shape[0])) * np.sqrt(dvar)
+        x = s @ w.T
+        dvar = hw.kappa_ue * np.sum(np.abs(w) ** 2, axis=1)
+        tx[ul_node(g, k)] = x + cn(rng, (draws, w.shape[0])) * np.sqrt(dvar)
 
     def receive(rx, rows, beta, noise_w):
         y = cn(rng, (draws, rows)) * math.sqrt(noise_w)
@@ -162,7 +165,7 @@ def mc_estimates(realization: Realization, state: BeamformingState, draws: int, 
 # ---------------------------------------------------------------------------
 
 
-def _fd_ratio(fun, mats, skip_zero=False):
+def _fd_ratio(fun, mats):
     """Central-difference gradient of `fun` over the real/imag parts of `mats`,
     reported as ||grad|| * ||block|| / |fun| (dimensionless).
 
@@ -172,7 +175,7 @@ def _fd_ratio(fun, mats, skip_zero=False):
     SI-dominated instances is assembled from large canceling terms).  A
     generous step tied to the block-wide scale keeps the difference well
     above that floor; a per-matrix step would shrink to nothing on a nearly
-    silenced user's matrix and report pure cancellation noise."""
+    zero user's matrix and report pure cancellation noise."""
     block_norm = math.sqrt(sum(float(np.sum(np.abs(m) ** 2)) for m in mats))
     sizes = sum(m.size for m in mats)
     block_rms = block_norm / math.sqrt(sizes) if sizes else 0.0
@@ -185,8 +188,6 @@ def _fd_ratio(fun, mats, skip_zero=False):
         # a copy (reshape of a non-contiguous view) would never reach the loss
         assert np.shares_memory(flat, m), "perturbed block is a copy of the state"
         for i in range(flat.size):
-            if skip_zero and flat[i] == 0.0:
-                continue  # clamped at the boundary; one-sided optimality only
             for step in (h, 1j * h) if np.iscomplexobj(m) else (h,):
                 orig = flat[i]
                 flat[i] = orig + step
@@ -204,37 +205,35 @@ def combiner_stationarity(realization, state, nu) -> float:
     return _fd_ratio(lambda: objective.loss(realization, state, nu), mats)
 
 
+def _precoder_lagrangian(realization, state, nu, update: jpaim.PrecoderUpdate) -> float:
+    """The penalized loss (sum MSE plus the nu-weighted RSI) with the power
+    budgets' multipliers from `update`."""
+    hw = realization.hardware
+    val = objective.loss(realization, state, nu)
+    for g in range(realization.cell_count):
+        val += update.dl_multipliers[g] * (state.dl_cell_power(g) - hw.p_bs_w)
+    for i, (g, k) in enumerate(realization.ul_users()):
+        val += update.ul_multipliers[i] * (state.ul_power(g, k) - hw.p_ue_w)
+    return val
+
+
 def precoder_stationarity(realization, state, nu, update: jpaim.PrecoderUpdate) -> float:
-    hw = realization.hardware
+    mats = [w for cell in state.dl_beams for w in cell]
+    mats += [w for cell in state.ul_beams for w in cell]
+    return _fd_ratio(lambda: _precoder_lagrangian(realization, state, nu, update), mats)
+
+
+def beam_scale_stationarity(realization, state, nu, update: jpaim.PrecoderUpdate) -> float:
+    """The precoder step's Lagrangian differentiated in one real scale s per
+    user, W -> s W, at s = 1: the derivative in the paper's power amplitude
+    of that user, times the amplitude."""
+    scales = (np.ones(state.dl_beams.shape[:2]), np.ones(state.ul_beams.shape[:2]))
 
     def lagrangian():
-        val = objective.loss(realization, state, nu)
-        for g in range(realization.cell_count):
-            val += update.dl_multipliers[g] * (state.dl_cell_power(g) - hw.p_bs_w)
-        for i, (g, k) in enumerate(realization.ul_users()):
-            val += update.ul_multipliers[i] * (state.ul_power(g, k) - hw.p_ue_w)
-        return val
+        scaled = BeamformingState(scales[0][..., None, None] * state.dl_beams,
+                                  state.dl_combiners,
+                                  scales[1][..., None, None] * state.ul_beams,
+                                  state.ul_combiners)
+        return _precoder_lagrangian(realization, scaled, nu, update)
 
-    mats = [v for cell in state.dl_precoders for v in cell]
-    mats += [v for cell in state.ul_precoders for v in cell]
-    return _fd_ratio(lagrangian, mats)
-
-
-def coefficient_stationarity(realization, state, nu, update: jpaim.PrecoderUpdate) -> float:
-    # the penalized loss (sum MSE plus the nu-weighted RSI) with the budgets'
-    # multipliers, differentiated in the coefficients alone
-    hw = realization.hardware
-
-    def lagrangian():
-        val = objective.loss(realization, state, nu)
-        for g in range(realization.cell_count):
-            val += update.dl_multipliers[g] * (state.dl_cell_power(g) - hw.p_bs_w)
-        for i, (g, k) in enumerate(realization.ul_users()):
-            val += update.ul_multipliers[i] * (state.ul_power(g, k) - hw.p_ue_w)
-        return val
-
-    mats = [a for a in state.dl_coefficients if a.size]
-    mats += [a for a in state.ul_coefficients if a.size]
-    if not mats:
-        return 0.0
-    return _fd_ratio(lagrangian, mats, skip_zero=True)
+    return _fd_ratio(lagrangian, scales)

@@ -57,7 +57,7 @@ def test_criterion_02_block_stationarity():
     # Lagrangian right after that block's update, relative norm < 1e-5
     rng = np.random.default_rng(20240201)
     cfg = SolverConfig()
-    worst = {"combiners": 0.0, "precoders": 0.0, "coefficients": 0.0}
+    worst = {"combiners": 0.0, "precoders": 0.0, "beam scales": 0.0}
     for _ in range(25):
         real = helpers.random_small_realization(rng)
         nu = jpaim.resolve_nu(real, cfg)
@@ -68,10 +68,11 @@ def test_criterion_02_block_stationarity():
         pre = jpaim.update_precoders(real, state, cfg)
         worst["precoders"] = max(worst["precoders"],
                                  helpers.precoder_stationarity(real, pre.state, nu, pre))
-        # the precoder step optimizes W = coefficient * V, so its result is
-        # stationary in the coefficients too, with the same multipliers
-        worst["coefficients"] = max(worst["coefficients"],
-                                    helpers.coefficient_stationarity(real, pre.state, nu, pre))
+        # the precoder step optimizes the beams W, power included, so its
+        # result is stationary in a real scale s_k of each user's W_k too,
+        # with the same multipliers
+        worst["beam scales"] = max(worst["beam scales"],
+                                   helpers.beam_scale_stationarity(real, pre.state, nu, pre))
     ok = all(v < 1e-5 for v in worst.values())
     detail = ("worst relative gradient norms: "
               + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())

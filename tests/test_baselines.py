@@ -74,12 +74,9 @@ def test_project_state_touches_only_downlink_precoders():
     real = build_realization(helpers.small_config(asic_db=0.0), 5)
     state = helpers.solved_state(real, iterations=2)
     projected = project_state(real, state, subspace_dim=2)
-    for g, k in real.ul_users():
-        np.testing.assert_array_equal(projected.ul_precoders[g][k],
-                                      state.ul_precoders[g][k])
-    np.testing.assert_array_equal(projected.dl_coefficients[0],
-                                  state.dl_coefficients[0])
-    assert not np.allclose(projected.dl_precoders[0][0], state.dl_precoders[0][0])
+    for name in ("dl_combiners", "ul_beams", "ul_combiners"):
+        np.testing.assert_array_equal(getattr(projected, name), getattr(state, name))
+    assert not np.allclose(projected.dl_beams[0][0], state.dl_beams[0][0])
     # projection reduces RSI on this strongly coupled instance
     for g in range(real.cell_count):
         assert (objective.rsi_power(real, projected, g)
@@ -93,8 +90,8 @@ def test_run_nsp_full_dimension_matches_plain_solver():
     plain = jpaim.run(real, cfg, collect_metrics=False)
     # identity projection, then one extra combiner refresh
     refreshed = jpaim.update_combiners(real, plain.final_state)
-    np.testing.assert_allclose(projected.dl_precoders[0][0],
-                               refreshed.dl_precoders[0][0], atol=1e-12)
+    np.testing.assert_allclose(projected.dl_beams[0][0],
+                               refreshed.dl_beams[0][0], atol=1e-12)
     nu = jpaim.resolve_nu(real, cfg)
     assert report.loss == pytest.approx(objective.loss(real, refreshed, nu), rel=1e-10)
 
@@ -140,9 +137,7 @@ def test_half_duplex_phases_stay_feasible():
     real = build_realization(helpers.small_config(), 10)
     result = run_half_duplex(real, SolverConfig(max_iterations=5))
     ul_state = result.ul_trace.final_state
-    powers = [ul_state.ul_power(g, k)
-              for g in range(len(ul_state.ul_coefficients))
-              for k in range(len(ul_state.ul_coefficients[g]))]
+    powers = ul_state.ul_powers().ravel().tolist()
     assert all(p <= real.hardware.p_ue_w * (1.0 + 1e-6) for p in powers)
     assert max(powers) > 0.0
     dl_state = result.dl_trace.final_state

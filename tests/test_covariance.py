@@ -24,7 +24,7 @@ def test_cell_tx_covariance_sums_users():
     kappa = real.hardware.kappa_bs
     for g in range(real.cell_count):
         expected = sum(
-            covariance.tx_gram(state.dl_coefficients[g][k] * state.dl_precoders[g][k], kappa)
+            covariance.tx_gram(state.dl_beams[g][k], kappa)
             for k in range(real.topology.dl_counts[g]))
         np.testing.assert_allclose(covariance.cell_tx_covariance(real, state, g),
                                    expected, rtol=1e-12)
@@ -39,8 +39,7 @@ def test_csi_error_variance_hand_sum():
         t = covariance.cell_tx_covariance(real, state, g)
         expected += real.link(rx, bs_node(g)).err_var * np.trace(t).real
     for g, k in real.ul_users():
-        t = covariance.tx_gram(state.ul_coefficients[g][k] * state.ul_precoders[g][k],
-                               real.hardware.kappa_ue)
+        t = covariance.tx_gram(state.ul_beams[g][k], real.hardware.kappa_ue)
         expected += real.link(rx, ul_node(g, k)).err_var * np.trace(t).real
     assert covariance.csi_error_variance(real, state, rx) == pytest.approx(
         expected, rel=1e-12)
@@ -60,8 +59,7 @@ def test_rx_covariance_explicit_assembly():
             base += h @ t @ h.conj().T
             sig_hat += real.link(rx, bs_node(g)).err_var * np.trace(t).real
         for g, k in real.ul_users():
-            t = covariance.tx_gram(state.ul_coefficients[g][k] * state.ul_precoders[g][k],
-                                   hw.kappa_ue)
+            t = covariance.tx_gram(state.ul_beams[g][k], hw.kappa_ue)
             h = real.link(rx, ul_node(g, k)).est
             base += h @ t @ h.conj().T
             sig_hat += real.link(rx, ul_node(g, k)).err_var * np.trace(t).real
@@ -217,7 +215,8 @@ def test_covariances_match_per_link_sums(case):
     real = replace(real, hardware=replace(real.hardware, kappa_bs=0.01, kappa_ue=0.02,
                                           beta_bs=0.03, beta_ue=0.04))
     hw = real.hardware
-    w_dl, w_ul = helpers.random_state(real, 7).beams()
+    state = helpers.random_state(real, 7)
+    w_dl, w_ul = state.dl_beams, state.ul_beams
     ch = stack_channels(real)
     cov = covariance.covariances(ch, hw, (w_dl, w_ul))
     tx = {bs_node(g): sum((covariance.tx_gram(w, hw.kappa_bs) for w in w_dl[g]),

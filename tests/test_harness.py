@@ -95,6 +95,14 @@ def test_parse_config_errors_name_the_key():
         ("solver.nu = 1,2,3", "solver.nu"),     # three values for the default two cells
         ("scenario.cells = 1\nsolver.nu = 1,2", "solver.nu"),
         ("solver.nu = abc", "solver.nu"),
+        # values every draw would reject
+        ("scenario.bandwidth_hz = 0", "bandwidth_hz"),
+        ("scenario.carrier_ghz = -1", "carrier_ghz"),
+        ("scenario.adc_bits = 0", "adc_bits"),
+        ("scenario.inter_site_distance_m = 5", "min_bs_user_distance_m"),
+        ("scenario.rician_k_db = nan", "rician_k_db"),
+        ("scenario.bs_power_dbm = nan", "bs_power_dbm"),
+        ("scenario.asic_db = nan", "asic_db"),
     ]:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
@@ -127,6 +135,19 @@ def test_save_load_config_roundtrip(tmp_path):
     auto = parse_config("solver.nu = auto")
     save_config(auto, path)
     assert load_config(path) == auto
+
+
+@pytest.mark.parametrize("nu", [[0.1, 0.2], np.array([0.1, 0.2]), np.float64(0.5)],
+                         ids=["list", "ndarray", "float64"])
+def test_save_load_config_roundtrip_of_numeric_nu_forms(tmp_path, nu):
+    # SolverConfig keeps nu as a float or a tuple of floats, which save_config
+    # writes in a form load_config reads back
+    cfg = CampaignConfig(solver=jpaim.SolverConfig(nu=nu))
+    assert type(cfg.solver.nu) in (float, tuple)
+    assert all(type(v) is float for v in np.atleast_1d(cfg.solver.nu).tolist())
+    path = tmp_path / "campaign.cfg"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
 
 
 def test_load_config_missing_file(tmp_path):

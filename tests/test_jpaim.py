@@ -50,7 +50,6 @@ def test_initialize_meets_budgets_exactly():
     real = build_realization(ScenarioConfig(), 7)
     state = initialize(real, SolverConfig())
     hw = real.hardware
-    assert state.dl_coefficients[0][0] == pytest.approx(0.2505936168136361, rel=1e-13)
     for g in range(real.cell_count):
         assert state.dl_cell_power(g) == pytest.approx(hw.p_bs_w, rel=1e-12)
     for g, k in real.ul_users():
@@ -58,53 +57,58 @@ def test_initialize_meets_budgets_exactly():
     for cell in (*state.dl_combiners, *state.ul_combiners):
         for u in cell:
             assert np.all(u == 0.0)
-    for cell in (*state.dl_precoders, *state.ul_precoders):
-        for v in cell:
-            np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, rtol=1e-12)
+    # every column carries the same share of its budget
+    gamma = math.sqrt(hw.p_ue_w / real.antennas.ul_streams)
+    for beams, norm in ((state.dl_beams, 0.2505936168136361), (state.ul_beams, gamma)):
+        for cell in beams:
+            for w in cell:
+                np.testing.assert_allclose(np.linalg.norm(w, axis=0), norm, rtol=1e-12)
 
 
 def test_initialize_deterministic_and_seeded():
     real = build_realization(ScenarioConfig(), 7)
     a = initialize(real, SolverConfig())
     b = initialize(real, SolverConfig())
-    np.testing.assert_array_equal(a.dl_precoders[0][0], b.dl_precoders[0][0])
+    np.testing.assert_array_equal(a.dl_beams[0][0], b.dl_beams[0][0])
     c = initialize(real, SolverConfig(init_seed=1))
-    assert not np.allclose(a.dl_precoders[0][0], c.dl_precoders[0][0])
+    assert not np.allclose(a.dl_beams[0][0], c.dl_beams[0][0])
     rng = np.random.default_rng(99)
     d = initialize(real, SolverConfig(), rng=rng)
-    assert not np.allclose(a.dl_precoders[0][0], d.dl_precoders[0][0])
+    assert not np.allclose(a.dl_beams[0][0], d.dl_beams[0][0])
 
 
 def test_initialize_draws_user_by_user():
     # reference: one unit-column matrix per user, real part then imaginary
-    # part, every downlink user before the first uplink user
+    # part, every downlink user before the first uplink user, times the
+    # amplitude that splits the budget
     for scenario in (ScenarioConfig(), helpers.small_config(cells=3, dl_users=2)):
         real = build_realization(scenario, 4)
         cfg = SolverConfig()
         state = initialize(real, cfg)
         rng = np.random.default_rng([cfg.init_seed, real.seed])
-        ant = real.antennas
-        for precoders, rows, cols in ((state.dl_precoders, ant.bs_tx, ant.dl_streams),
-                                      (state.ul_precoders, ant.ue_tx, ant.ul_streams)):
-            for cell in precoders:
-                for v in cell:
+        ant, hw = real.antennas, real.hardware
+        alpha = math.sqrt(hw.p_bs_w / (ant.dl_streams * real.topology.dl_counts[0]))
+        gamma = math.sqrt(hw.p_ue_w / ant.ul_streams)
+        for beams, rows, cols, amplitude in (
+                (state.dl_beams, ant.bs_tx, ant.dl_streams, alpha),
+                (state.ul_beams, ant.ue_tx, ant.ul_streams, gamma)):
+            for cell in beams:
+                for w in cell:
                     m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
                     np.testing.assert_array_equal(
-                        v, m / np.linalg.norm(m, axis=0, keepdims=True))
+                        w, amplitude * (m / np.linalg.norm(m, axis=0, keepdims=True)))
 
 
 def test_update_combiners_solves_mmse_system():
     real = build_realization(helpers.small_config(), 1)
-    state = update_combiners(real, helpers.random_state(real, 2, coef_scale=0.7))
+    state = update_combiners(real, helpers.random_state(real, 2, beam_scale=0.7))
     for g, k in real.dl_users():
         c = covariance.rx_covariance_dl(real, state, k, g)
-        rhs = (state.dl_coefficients[g][k]
-               * real.link(dl_node(g, k), bs_node(g)).est @ state.dl_precoders[g][k])
+        rhs = real.link(dl_node(g, k), bs_node(g)).est @ state.dl_beams[g][k]
         np.testing.assert_allclose(c @ state.dl_combiners[g][k], rhs, rtol=1e-9)
     for g, k in real.ul_users():
         c = covariance.rx_covariance_ul(real, state, g)
-        rhs = (state.ul_coefficients[g][k]
-               * real.link(bs_node(g), ul_node(g, k)).est @ state.ul_precoders[g][k])
+        rhs = real.link(bs_node(g), ul_node(g, k)).est @ state.ul_beams[g][k]
         np.testing.assert_allclose(c @ state.ul_combiners[g][k], rhs, rtol=1e-9)
 
 
@@ -158,24 +162,21 @@ def test_update_precoders_stationary_for_its_lagrangian():
     assert helpers.precoder_stationarity(real, pre.state, nu, pre) < 1e-5
 
 
-@pytest.mark.parametrize("silence_first", [False, True],
-                         ids=["after_combiners", "before_combiners"])
-def test_update_precoders_keeps_a_silenced_cell_silent(silence_first):
-    # silenced after the combiner update, cell 0's users keep nonzero
-    # combiners: they still shape every BS's quadratic term, but carry no
-    # linear term; silenced before it, their combiners come out exactly 0
+@pytest.mark.parametrize("case", ["before_combiners"])
+def test_update_precoders_keeps_a_silenced_cell_silent(case):
+    # zero beams give zero combiners and stay zero: cell 0 sends nothing,
+    # so its users' combiners come out exactly 0, the precoder step has no
+    # linear term for them, and its multiplier search has nothing to bound
     real = build_realization(ScenarioConfig(), 16)
     cfg = SolverConfig()
     state = initialize(real, cfg)
-    if silence_first:
-        state.dl_coefficients[0][:] = 0.0
+    state.dl_beams[0] = 0.0
     state = update_combiners(real, state)
-    state.dl_coefficients[0][:] = 0.0
-    assert np.any(state.dl_combiners[0] != 0.0) != silence_first
+    assert np.all(state.dl_combiners[0] == 0.0)
     pre = jpaim.update_precoders(real, state, cfg)
     assert pre.dl_multipliers[0] == 0.0
     assert pre.dl_scalar_power[0] == pre.dl_matrix_power[0] == 0.0
-    np.testing.assert_array_equal(pre.state.dl_precoders[0][0], state.dl_precoders[0][0])
+    assert np.all(pre.state.dl_beams[0] == 0.0)
     assert helpers.precoder_stationarity(real, pre.state, resolve_nu(real, cfg), pre) < 1e-5
 
 
@@ -185,40 +186,18 @@ def test_extrapolate_moves_beamformers_within_budgets():
     hw = real.hardware
     previous = update_combiners(real, initialize(real, cfg))
     state = jpaim.update_precoders(real, previous, cfg).state
-    assert jpaim.extrapolate(real, state, previous, 0.0).dl_precoders[0][0] == \
-        pytest.approx(state.dl_precoders[0][0], rel=1e-15)
+    np.testing.assert_array_equal(jpaim.extrapolate(real, state, previous, 0.0).dl_beams,
+                                  state.dl_beams)
     trial = jpaim.extrapolate(real, state, previous, 4.0)
     for g in range(real.cell_count):
         assert trial.dl_cell_power(g) <= hw.p_bs_w * (1.0 + 1e-12)
     for g, k in real.ul_users():
         assert trial.ul_power(g, k) <= hw.p_ue_w * (1.0 + 1e-12)
-        np.testing.assert_array_equal(trial.ul_coefficients[g], state.ul_coefficients[g])
+    np.testing.assert_array_equal(trial.dl_combiners, state.dl_combiners)
     # inside the budget the move is exactly W + 4 (W - W_prev) per user
-    w = state.ul_coefficients[0][0] * state.ul_precoders[0][0]
-    w_prev = previous.ul_coefficients[0][0] * previous.ul_precoders[0][0]
-    moved = 5.0 * w - 4.0 * w_prev
+    moved = 5.0 * state.ul_beams[0][0] - 4.0 * previous.ul_beams[0][0]
     scale = min(1.0, math.sqrt(hw.p_ue_w) / np.linalg.norm(moved))
-    np.testing.assert_allclose(trial.ul_coefficients[0][0] * trial.ul_precoders[0][0],
-                               scale * moved, rtol=1e-12)
-
-
-def test_extrapolate_leaves_users_silenced_in_state_out_of_the_budgets():
-    # a user silenced in `state` but not in `previous` moves to a beam the
-    # trial drops, so it must not shrink the rest of its cell
-    real = build_realization(ScenarioConfig(), 15)
-    cfg = SolverConfig()
-    previous = update_combiners(real, initialize(real, cfg))
-    state = jpaim.update_precoders(real, previous, cfg).state
-    state.dl_coefficients[0][0] = 0.0
-    state.ul_coefficients[1][0] = 0.0
-    both = previous.copy()
-    both.dl_coefficients[0][0] = 0.0
-    both.ul_coefficients[1][0] = 0.0
-    trial = jpaim.extrapolate(real, state, previous, 4.0)
-    for field in fields(trial):
-        np.testing.assert_array_equal(getattr(trial, field.name),
-                                      getattr(jpaim.extrapolate(real, state, both, 4.0),
-                                              field.name), err_msg=field.name)
+    np.testing.assert_allclose(trial.ul_beams[0][0], scale * moved, rtol=1e-12)
 
 
 def test_returned_states_are_c_contiguous_and_share_no_memory():
@@ -292,20 +271,6 @@ def test_run_monotone_under_heavy_rsi_penalty():
         assert np.all(np.diff(losses) <= slack), f"seed {seed}"
 
 
-def test_run_keeps_the_initial_coefficients():
-    # the precoder step allocates the power; no block changes a coefficient
-    for scenario, cfg in ((helpers.small_config(), SolverConfig(max_iterations=30)),
-                          (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0))):
-        for seed in range(3):
-            real = build_realization(scenario, seed)
-            start = initialize(real, cfg)
-            final = run(real, cfg, collect_metrics=False).final_state
-            for got, want in ((final.dl_coefficients, start.dl_coefficients),
-                              (final.ul_coefficients, start.ul_coefficients)):
-                for a, b in zip(got, want):
-                    np.testing.assert_array_equal(a, b)
-
-
 def test_run_records_block_times():
     real = build_realization(ScenarioConfig(), 3)
     trace = run(real, SolverConfig(), collect_metrics=False)
@@ -351,8 +316,24 @@ def test_run_deterministic():
     a = run(real, SolverConfig(max_iterations=20))
     b = run(real, SolverConfig(max_iterations=20))
     np.testing.assert_array_equal(a.losses, b.losses)
-    np.testing.assert_array_equal(a.final_state.dl_precoders[0][0],
-                                  b.final_state.dl_precoders[0][0])
+    np.testing.assert_array_equal(a.final_state.dl_beams[0][0],
+                                  b.final_state.dl_beams[0][0])
+
+
+@pytest.mark.parametrize("scenario, config", [
+    (ScenarioConfig(), SolverConfig()),
+    (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0)),
+], ids=["default", "strong_si"])
+def test_run_final_state_reproduces_the_final_report(scenario, config):
+    # the final state holds the very beams and combiners the report scored
+    for seed in range(4):
+        real = build_realization(scenario, seed)
+        trace = run(real, config, collect_metrics=False)
+        again = objective.evaluate(real, trace.final_state, trace.nu)
+        for field in fields(again):
+            got, want = getattr(again, field.name), getattr(trace.final_report, field.name)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0,
+                                       err_msg=f"seed {seed} {field.name}")
 
 
 def test_run_feasible_at_every_iteration():

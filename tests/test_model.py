@@ -138,6 +138,8 @@ def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(csi_error_factor=-1.0)
     ScenarioConfig(dl_users=0)                  # uplink-only scenarios are legal
+    ScenarioConfig(adc_bits=math.inf)           # ideal converters
+    ScenarioConfig(inter_site_distance_m=17.33)  # radius 10.006 m, just past the keep-out
 
 
 def test_build_realization_structure():
@@ -422,6 +424,19 @@ def test_load_realization_rejects_an_si_link_with_two_matrices(tmp_path, monkeyp
 
     _save_edited(real, tmp_path / "real.bin", monkeypatch, perturb_si)
     with pytest.raises(ValueError, match="SI link"):
+        load_realization(tmp_path / "real.bin")
+
+
+@pytest.mark.parametrize("gains", [1, 3])
+def test_load_realization_rejects_an_si_gain_count_other_than_the_cells(
+        tmp_path, monkeypatch, gains):
+    real = build_realization(ScenarioConfig(cells=2, dl_users=1, ul_users=1), 3)
+
+    def resize(meta, arrays):
+        meta["hardware"]["si_gain"] = [1e-6] * gains
+
+    _save_edited(real, tmp_path / "real.bin", monkeypatch, resize)
+    with pytest.raises(ValueError, match=f"{gains} SI gains for 2 cells"):
         load_realization(tmp_path / "real.bin")
 
 

@@ -59,10 +59,9 @@ def test_mse_formula_against_covariance():
     c = covariance.rx_covariance_dl(real, state, k, g)
     u = state.dl_combiners[g][k]
     h = real.link(dl_node(g, k), bs_node(g)).est
-    v = state.dl_precoders[g][k]
-    a = state.dl_coefficients[g][k]
+    w = state.dl_beams[g][k]
     expected = (np.trace(u.conj().T @ c @ u).real
-                - 2.0 * a * np.trace(u.conj().T @ h @ v).real
+                - 2.0 * np.trace(u.conj().T @ h @ w).real
                 + real.antennas.dl_streams)
     assert mse_downlink(real, state, k, g) == pytest.approx(expected, rel=1e-12)
 
@@ -70,7 +69,7 @@ def test_mse_formula_against_covariance():
 def test_mse_positive_at_mmse_combiner():
     from ibfdsim import jpaim
     real = build_realization(helpers.small_config(), 5)
-    state = jpaim.update_combiners(real, helpers.random_state(real, 6, coef_scale=0.5))
+    state = jpaim.update_combiners(real, helpers.random_state(real, 6, beam_scale=0.5))
     for g, k in real.dl_users():
         assert 0.0 < mse_downlink(real, state, k, g) < real.antennas.dl_streams
     for g, k in real.ul_users():
@@ -95,10 +94,9 @@ def test_rsi_power_ignores_combiners_and_uplink():
     for cell in (*state.dl_combiners, *state.ul_combiners):
         for u in cell:
             u[:] = helpers.cn(rng, u.shape)
-    for cell in state.ul_precoders:
-        for v in cell:
-            v[:] = helpers.cn(rng, v.shape)
-    state.ul_coefficients = state.ul_coefficients * 0.1
+    for cell in state.ul_beams:
+        for w in cell:
+            w[:] = 0.1 * helpers.cn(rng, w.shape)
     after = [rsi_power(real, state, g) for g in range(real.cell_count)]
     np.testing.assert_allclose(after, before, rtol=0.0)
 
@@ -122,14 +120,14 @@ def test_asic_depth_properties():
                                  / rsi_power(real, state, 0))
     assert depth == pytest.approx(expected, rel=1e-9)
 
-    # invariant to a common scaling of the transmit coefficients
+    # invariant to a common scaling of the transmitted beams
     scaled = state.copy()
-    scaled.dl_coefficients = scaled.dl_coefficients * 3.7
+    scaled.dl_beams = scaled.dl_beams * 3.7
     assert asic_depth(real, scaled, 0) == pytest.approx(depth, rel=1e-9)
 
     # silent cell reports zero depth
     silent = state.copy()
-    silent.dl_coefficients = silent.dl_coefficients * 0.0
+    silent.dl_beams = silent.dl_beams * 0.0
     assert asic_depth(real, silent, 0) == 0.0
 
 
@@ -191,7 +189,7 @@ def test_rates_match_explicit_log_det(scenario):
         mmse = objective.mmse_combiners(cov)
         bits_dl = objective._rate_bits(cov.signal[0], mmse[0])
         bits_ul = objective._rate_bits(cov.signal[1], mmse[1])
-        w_dl, w_ul = state.beams()
+        w_dl, w_ul = state.dl_beams, state.ul_beams
         for g, k in real.dl_users():
             expected = _explicit_rate_bits(covariance.rx_covariance_dl(real, state, k, g),
                                            real.link(dl_node(g, k), bs_node(g)).est @ w_dl[g, k])
