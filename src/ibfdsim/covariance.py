@@ -12,8 +12,10 @@ kernels never form a transmit covariance.
 The kernels take the stacked channels (module `stacked`) and the one
 (downlink, uplink) pair of arrays they read, the beams W or the
 combiners U, and treat every cell, user and link at once with
-batched `@`; the per-node functions below them are thin adapters for
-callers that hold a Realization and a BeamformingState.
+batched `@`.  Their Gram products pair blocks of the stack's X with the
+matching blocks of its stored conjugate transpose X^H, so no call
+conjugates a channel.  The per-node functions below them are thin adapters
+for callers that hold a Realization and a BeamformingState.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HardwareProfile, Realization
-from .stacked import (ChannelStack, add_scaled_diag, columns, hermitian, row_powers,
-                      stack_channels, uncolumns)
+from .stacked import (ChannelStack, add_scaled_diag, columns, diagonal, hermitian,
+                      row_powers, stack_channels, uncolumns)
 from .state import BeamformingState
 
 # ---------------------------------------------------------------------------
@@ -32,14 +34,15 @@ from .state import BeamformingState
 # ---------------------------------------------------------------------------
 
 
-def distortion_gram(yx: np.ndarray, y: np.ndarray, weights: np.ndarray,
+def distortion_gram(yx: np.ndarray, y: np.ndarray, y_h: np.ndarray, weights: np.ndarray,
                     sigma: float) -> np.ndarray:
-    """(YX)(YX)^H + Y diag(weights) Y^H plus sigma times its own diagonal.
+    """(YX)(YX)^H + Y diag(weights) Y^H plus sigma times its own diagonal,
+    given Y and y_h = Y^H.
 
     The shared form of f1 and of the receive covariances: the columns of Y
     and the entries of `weights` may run over many transmitters at once.
     """
-    total = yx @ hermitian(yx) + (y * weights) @ hermitian(y)
+    total = yx @ hermitian(yx) + (y * weights) @ y_h
     return add_scaled_diag(total, sigma)
 
 
@@ -102,11 +105,11 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
     m_ue, m_bs, width = side.dl.shape[2], side.bs.shape[1], received.shape[1]
     r_dl = received[:cells * k_d * m_ue].reshape(cells, k_d, m_ue, width)
     r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)
-    dl_rx = distortion_gram(r_dl, side.dl, weights, hw.beta_ue)
-    bs_rx = distortion_gram(r_bs, side.bs, weights, hw.beta_bs)
+    dl_rx = distortion_gram(r_dl, side.dl, side.dl_h, weights, hw.beta_ue)
+    bs_rx = distortion_gram(r_bs, side.bs, side.bs_h, weights, hw.beta_bs)
     dl_csi, bs_csi = csi[:cells * k_d].reshape(cells, k_d), csi[cells * k_d:]
     for rx, floor in ((dl_rx, hw.noise_ue_w + dl_csi), (bs_rx, hw.noise_bs_w + bs_csi)):
-        np.einsum("...ii->...i", rx)[...] += floor[..., None]
+        diagonal(rx)[...] += floor[..., None]
     # the column blocks of R that a receiver's own cell sends it
     diag, users, dl_cols = np.arange(cells), np.arange(k_d), cells * k_d * b_d
     signal_dl = r_dl[..., :dl_cols].reshape(cells, k_d, m_ue, cells, k_d, b_d)[
@@ -127,9 +130,10 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
     as its estimate).  The uplink variant does the same from each uplink
     user's antennas.  Returns ((G, N_bs, N_bs), (G, K_u, N_ue, N_ue)).
 
-    Both read the transmitter's columns X_t of the receive side: the sum is
-    Z^H Z + X_t^H diag(w) X_t plus kappa times its diagonal, with
-    Z = blockdiag(U)^H X_t and w the beta-scaled row powers of the combiners.
+    Both read the transmitter's columns X_t of the receive side and their
+    stored conjugate transpose X_t^H: the sum is Z^H Z + X_t^H diag(w) X_t
+    plus kappa times its diagonal, with Z = blockdiag(U)^H X_t and w the
+    beta-scaled row powers of the combiners.
     """
     u_dl, u_ul = combiners
     cells, k_d, m_ue, b_d = u_dl.shape
@@ -142,20 +146,19 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
     weights = np.concatenate([hw.beta_ue * row_powers(u_dl), hw.beta_bs * row_powers(bs_u)],
                              axis=None)
 
-    def summed_f1(x: np.ndarray, kappa: float) -> np.ndarray:
-        # x: (transmitters, rows of the receive side, N)
+    def summed_f1(x: np.ndarray, x_h: np.ndarray, kappa: float) -> np.ndarray:
+        # x: (transmitters, rows of the receive side, N), x_h its conjugate transpose
         count, _, n = x.shape
         z = np.concatenate(
             [(dl_uh @ x[:, :dl_rows].reshape(count, cells * k_d, m_ue, n)).reshape(
                 count, cells * k_d * b_d, n),
              (bs_uh @ x[:, dl_rows:].reshape(count, cells, m_bs, n)).reshape(
                 count, cells * k_u * b_u, n)], axis=1)
-        weighted = np.swapaxes(x, -1, -2) * weights
-        total = hermitian(z) @ z + np.conjugate(weighted, out=weighted) @ x
+        total = hermitian(z) @ z + (x_h * weights) @ x
         return add_scaled_diag(total, kappa)
 
-    omega_ul = summed_f1(side.from_ul, hw.kappa_ue)
-    return (summed_f1(side.from_bs, hw.kappa_bs),
+    omega_ul = summed_f1(side.from_ul, side.from_ul_h, hw.kappa_ue)
+    return (summed_f1(side.from_bs, side.from_bs_h, hw.kappa_bs),
             omega_ul.reshape(cells, k_u, *omega_ul.shape[-2:]))
 
 
@@ -217,5 +220,5 @@ def f1(y: np.ndarray, x: np.ndarray, sigma_t: float, sigma_r: float) -> np.ndarr
     sigma_t is the distortion factor of the node transmitting through the
     channel inside Y, sigma_r that of the receiving node represented by X.
     """
-    return distortion_gram(y @ x, y, sigma_r * row_powers(x), sigma_t)
+    return distortion_gram(y @ x, y, hermitian(y), sigma_r * row_powers(x), sigma_t)
 

@@ -105,10 +105,13 @@ def _parse_typed(raw: str, typ, key: str):
 
 
 def _parse_nu(raw: str, key: str):
+    """`auto`, one float, or per-cell floats: a value with a comma is always a
+    sequence, so a one-cell sequence is written with a trailing comma."""
     if raw.strip().lower() == "auto":
         return None
-    values = tuple(_parse_typed(p, float, key) for p in raw.split(",") if p.strip())
-    return values[0] if len(values) == 1 else values
+    if "," not in raw:
+        return _parse_typed(raw, float, key)
+    return tuple(_parse_typed(p, float, key) for p in raw.split(",") if p.strip())
 
 
 def parse_config(text: str) -> CampaignConfig:
@@ -186,7 +189,8 @@ def save_config(config: CampaignConfig, path) -> None:
         value = getattr(config.solver, f.name)
         if f.name == "nu":
             value = "auto" if value is None else (
-                ",".join(repr(v) for v in value) if isinstance(value, tuple) else repr(value))
+                ",".join(repr(v) for v in value) + ("," if len(value) == 1 else "")
+                if isinstance(value, tuple) else repr(value))
         lines.append(f"solver.{f.name} = {value}")
     nsp = "auto" if config.nsp_subspace_dim is None else config.nsp_subspace_dim
     lines.append(f"nsp.subspace_dim = {nsp}")

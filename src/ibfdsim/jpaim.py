@@ -24,11 +24,13 @@ stopping threshold below the iteration's snapshot.  The tracked loss is
 therefore non-increasing, and the loop stops once the per-iteration
 improvement drops below the threshold.
 
-`run` builds the ChannelStack once per call (module `stacked`) and iterates
-on the beams W and the combiners U, (downlink, uplink) pairs of arrays in
-the same layout: each block is a few batched numpy kernels over all cells
-and users.  The public block updates below are adapters that read and
-write the same arrays in a BeamformingState.
+`run` builds the ChannelStack (module `stacked`) and the precoder step's
+constants (the SI penalties and the search budgets) once per call and
+iterates on the beams W and the combiners U, (downlink, uplink) pairs of
+arrays in the same layout: each block is a few batched numpy kernels over
+all cells and users.  The public block updates below are adapters that
+read and write the same arrays in a BeamformingState, and derive the same
+constants per call.
 """
 
 from __future__ import annotations
@@ -213,28 +215,40 @@ def secular_multiplier(g, d, budget, rel_tol: float, max_steps: int):
     Returns (w, P(w), evaluations of P), each with the rows' shape.
     """
     g = np.asarray(g, dtype=float)
-    shape, n = g.shape[:-1], g.shape[-1]
-    g = g.reshape(math.prod(shape), n)
-    d = np.where(g > 0.0, np.reshape(d, g.shape), 1.0)   # an empty term stays finite at any w
+    shape = g.shape[:-1]
+    g = g.reshape(math.prod(shape), g.shape[-1])
+    budget = np.broadcast_to(np.asarray(budget, dtype=float), shape).reshape(-1)
+    w, power, evaluations = _search(g, np.reshape(d, g.shape), budget,
+                                    (budget * (1.0 - rel_tol))[:, None], max_steps)
+    return w.reshape(shape), power.reshape(shape), evaluations.reshape(shape)
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _search(g, d, budget, target, max_steps: int):
+    """secular_multiplier on float rows g and d of shape (rows, n), given
+    each row's budget (rows,) and its target as a column (rows, 1)."""
+    d = np.where(g > 0.0, d, 1.0)    # an empty term stays finite at any w
     # decreasing d, for the bounds of _bound_step
     order = np.argsort(-d, axis=-1)
     rows = np.arange(g.shape[0])[:, None]
     g, d = g[rows, order], d[rows, order]
-    budget = np.broadcast_to(np.asarray(budget, dtype=float), shape).reshape(-1)
-    target = budget * (1.0 - rel_tol)
-    w = (np.sqrt(g / target[:, None]) - d).max(axis=-1, initial=0.0)
+    w = np.maximum.reduce(np.sqrt(g / target) - d, axis=-1, initial=0.0)
     evaluations = np.zeros(g.shape[0], dtype=int)
     searching = np.ones(g.shape[0], dtype=bool)
+    passes = 0    # the most evaluations of any row: one still searching had all of them
     while True:
         # rows already done keep their w, so their power repeats exactly
         den = d + w[:, None]
         terms = g / (den * den)
-        power = terms.sum(axis=-1)
+        power = np.add.reduce(terms, axis=-1)
         evaluations += searching
+        passes += 1
         searching &= power > budget
-        if not searching.any():
-            return w.reshape(shape), power.reshape(shape), evaluations.reshape(shape)
-        if evaluations.max() >= max_steps:
+        if not np.logical_or.reduce(searching):
+            return w, power, evaluations
+        if passes >= max_steps:
             raise RuntimeError(f"power multiplier search: no feasible multiplier after "
                                f"{max_steps} evaluations")
         w = np.where(searching, w + _bound_step(terms, den, target), w)
@@ -242,7 +256,8 @@ def secular_multiplier(g, d, budget, rel_tol: float, max_steps: int):
 
 def _bound_step(terms, den, target):
     """How far the root lies at least beyond w, from the terms t_i = g_i / den_i^2
-    at a point w left of it, with den_i = d_i + w sorted in decreasing order.
+    at a point w left of it, with den_i = d_i + w sorted in decreasing order,
+    and each row's target as a column.
 
     Dropping the other terms and Jensen's inequality give, for any set S of
     terms and s >= 0, P(w + s) >= P_S (1 + s Q_S / P_S)^-2, where
@@ -252,11 +267,11 @@ def _bound_step(terms, den, target):
     sorted terms also steps past a term that has a near-zero d but carries
     little power, where Newton crawls.
     """
-    p_s = terms.cumsum(axis=-1)
-    q_s = (terms / den).cumsum(axis=-1)
+    p_s = np.add.accumulate(terms, axis=-1)
+    q_s = np.add.accumulate(terms / den, axis=-1)
     # an empty prefix has p_s = q_s = 0; flooring q_s only shortens the step
-    ratio = p_s / np.maximum(q_s, np.finfo(float).tiny)
-    return (ratio * (np.sqrt(p_s / target[:, None]) - 1.0)).max(axis=-1, initial=0.0)
+    ratio = p_s / np.maximum(q_s, _TINY)
+    return np.maximum.reduce(ratio * (np.sqrt(p_s / target) - 1.0), axis=-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +279,28 @@ def _bound_step(terms, den, target):
 # ---------------------------------------------------------------------------
 
 
-def _precoder_step(ch: ChannelStack, hw: HardwareProfile, grams, combiners,
-                   nu: np.ndarray, config: SolverConfig):
+def _precoder_constants(ch: ChannelStack, hw: HardwareProfile, nu: np.ndarray,
+                        config: SolverConfig):
+    """What the precoder step reads that no iterate changes: the SI penalty
+    nu_g S_g of every cell, the budget of every search row (cells, then
+    uplink users) with its target (1 - bisection_rel_tol) budget as a
+    column, and the most evaluations one search may take."""
+    cells, k_u = ch.bs_ul.shape[1:3]     # (G, G, K_u, M_bs, N_ue)
+    budget = np.repeat([hw.p_bs_w, hw.p_ue_w], [cells, cells * k_u])
+    return (nu[:, None, None] * ch.si_gram, budget,
+            (budget * (1.0 - config.bisection_rel_tol))[:, None], config.bisection_max_steps)
+
+
+def _precoder_step(ch: ChannelStack, grams, combiners, constants):
     """W = Q (D + w I)^-1 Q^H H^H U per user, with w the power multiplier and
     Q D Q^H the transmitter's quadratic-term matrix: its omega from `grams`,
     plus nu_g S_g at BS g, where S_g = H^H H + kappa diag(H^H H) is the
-    distortion-aware Gram matrix of its true SI channel.  Returns the beams
-    and the (w, power, evaluations) of the search, cells first."""
+    distortion-aware Gram matrix of its true SI channel.  `constants` are
+    _precoder_constants'.  Returns the beams and the (w, power, evaluations)
+    of the search, cells first."""
     omega_bs, m_ul = grams
-    d_bs, q_bs = np.linalg.eigh(omega_bs + nu[:, None, None] * ch.si_gram)
+    penalty, budget, target, max_steps = constants
+    d_bs, q_bs = np.linalg.eigh(omega_bs + penalty)
     d_ul, q_ul = np.linalg.eigh(m_ul)
     d_bs, d_ul = np.maximum(d_bs, 0.0), np.maximum(d_ul, 0.0)   # PSD up to rounding
     b_dl = hermitian(q_bs)[:, None] @ (ch.dl_own_h @ combiners[0])
@@ -287,9 +315,7 @@ def _precoder_step(ch: ChannelStack, hw: HardwareProfile, grams, combiners,
     d = np.zeros_like(g)
     g[:cells, :g_dl.shape[1]], d[:cells, :g_dl.shape[1]] = g_dl, d_bs
     g[cells:, :n_ue], d[cells:, :n_ue] = g_ul.reshape(-1, n_ue), d_ul.reshape(-1, n_ue)
-    budget = np.repeat([hw.p_bs_w, hw.p_ue_w], [cells, cells * k_u])
-    search = secular_multiplier(g, d, budget, config.bisection_rel_tol,
-                                config.bisection_max_steps)
+    search = _search(g, d, budget, target, max_steps)
     w_dl, w_ul = search[0][:cells], search[0][cells:].reshape(cells, k_u)
 
     def beam(q, b, den):
@@ -335,8 +361,8 @@ def update_precoders(realization: Realization, state: BeamformingState,
     ch, hw = stack_channels(realization), realization.hardware
     combiners = (state.dl_combiners, state.ul_combiners)
     beams, (w, power, evaluations) = _precoder_step(
-        ch, hw, covariance.transmit_grams(ch, hw, combiners), combiners,
-        resolve_nu(realization, config), config)
+        ch, covariance.transmit_grams(ch, hw, combiners), combiners,
+        _precoder_constants(ch, hw, resolve_nu(realization, config), config))
     cells = realization.cell_count
     new = replace(state, dl_beams=beams[0], ul_beams=beams[1]).copy()
     return PrecoderUpdate(new, w[:cells], w[cells:], power[:cells], power[cells:],
@@ -396,6 +422,7 @@ def run(realization: Realization, config: SolverConfig,
     nu = resolve_nu(realization, config)
     hw = realization.hardware
     ch = stack_channels(realization)
+    constants = _precoder_constants(ch, hw, nu, config)
     start = initialize(realization, config, rng)
     beams, cells = (start.dl_beams, start.ul_beams), realization.cell_count
     idle = (np.zeros(cells * (1 + beams[1].shape[1])), None, 0)   # record 0 has no search
@@ -440,8 +467,8 @@ def run(realization: Realization, config: SolverConfig,
         combiners, signal, rep = accepted[1:] if reused else refresh(beams)
         accepted = None
         t1 = time.perf_counter()
-        exact, search = _precoder_step(ch, hw, covariance.transmit_grams(ch, hw, combiners),
-                                       combiners, nu, config)
+        exact, search = _precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
+                                       combiners, constants)
         t2 = time.perf_counter()
         converged = records[-1].loss - rep.loss < config.threshold
         tried = not converged and 1 < t < config.max_iterations

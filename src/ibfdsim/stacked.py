@@ -13,10 +13,13 @@ restrictions produce.
 
 A realization stores its links once, as the arrays of a Channels.  A
 ChannelStack shares those arrays and adds what the kernels derive from
-them, chiefly one matrix X of every link side by side (ReceiveSide), from
-which both the receive covariances and the transmit-side Gram matrices are
-formed; it is built per call, so an in-place edit of a stored link reaches
-the next call.
+them, chiefly one matrix X of every link side by side and one copy of its
+conjugate transpose X^H (ReceiveSide), from which both the receive
+covariances and the transmit-side Gram matrices are formed: every such
+product multiplies a block of X by a block of X^H, so X^H is conjugated
+once per stack rather than once per kernel call.  A ChannelStack is built
+per call of the solver, so an in-place edit of a stored link reaches the
+next call.
 """
 
 from __future__ import annotations
@@ -32,42 +35,52 @@ import numpy as np
 
 def hermitian(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every matrix in a stack."""
-    return np.swapaxes(x, -1, -2).conj()
+    return x.swapaxes(-1, -2).conj()
 
 
 def columns(x: np.ndarray) -> np.ndarray:
     """(..., K, n, b) -> (..., n, K*b): the K matrices side by side."""
     *lead, count, rows, cols = x.shape
-    return np.swapaxes(x, -3, -2).reshape(*lead, rows, count * cols)
+    return x.swapaxes(-3, -2).reshape(*lead, rows, count * cols)
 
 
 def uncolumns(x: np.ndarray, cols: int) -> np.ndarray:
     """Inverse of columns: (..., n, K*b) -> (..., K, n, b) for b = cols."""
     *lead, rows, width = x.shape
-    return np.swapaxes(x.reshape(*lead, rows, width // cols, cols), -3, -2)
+    return x.reshape(*lead, rows, width // cols, cols).swapaxes(-3, -2)
+
+
+def diagonal(matrix: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of every matrix of a C-contiguous stack,
+    such as a fresh result of `@`."""
+    if not matrix.flags.c_contiguous:
+        raise ValueError("diagonal needs a C-contiguous stack of matrices")
+    *lead, n, _ = matrix.shape
+    return matrix.reshape(*lead, n * n)[..., ::n + 1]
 
 
 def add_scaled_diag(matrix: np.ndarray, factor) -> np.ndarray:
-    """matrix + factor * diag(matrix) for every matrix of a stack, in place on
-    `matrix`, which is returned.  `factor` is a scalar or one value per matrix."""
-    diagonal = np.einsum("...ii->...i", matrix)      # a writable view
-    diagonal *= 1.0 + np.asarray(factor)[..., None]
+    """matrix + factor * diag(matrix) for every matrix of a C-contiguous
+    stack, in place on `matrix`, which is returned.  `factor` is a scalar or
+    one value per matrix."""
+    scaled = diagonal(matrix)
+    scaled *= 1.0 + np.asarray(factor)[..., None]
     return matrix
 
 
 def row_powers(x: np.ndarray) -> np.ndarray:
     """Diagonal of X X^H, i.e. the squared norm of every row of X."""
-    return (x.real ** 2 + x.imag ** 2).sum(axis=-1)
+    return np.add.reduce(x.real ** 2 + x.imag ** 2, axis=-1)
 
 
 def re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re tr(A^H B) for every matrix pair of a stack."""
-    return (a.conj() * b).real.sum(axis=(-2, -1))
+    return np.add.reduce((a.conj() * b).real, axis=(-2, -1))
 
 
 def frobenius_sq(x: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of every matrix in a stack."""
-    return (x.real ** 2 + x.imag ** 2).sum(axis=(-2, -1))
+    return np.add.reduce(x.real ** 2 + x.imag ** 2, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +98,18 @@ class ReceiveSide:
     user.  x times the block diagonal of the transmitters' beams gives the
     received beams.  `err` holds the links' per-element error variances in
     the same order, one row per receiver and one column per transmitter.
-    The other fields are views of `x`: its rows per receiver kind, and its
-    columns per transmitter, transmitters first.
+    `dl`, `bs`, `from_bs` and `from_ul` are views of `x`: its rows per
+    receiver kind, and its columns per transmitter, transmitters first.
+
+    `xh` holds X^H once, and the `*_h` fields are its views, each the
+    conjugate transpose of the view of `x` it is named after.  Every
+    covariance and transmit-side Gram matrix multiplies by such a block, so
+    the kernels read it instead of conjugating X again on every call.  `xh`
+    is the transpose of a C-contiguous conj(X), so each block keeps the
+    memory layout that a conjugated copy of the block of `x` has: numpy then
+    makes the same BLAS calls on it, and every product rounds as it would
+    on that copy.  (A C-contiguous X^H rounds the covariance of a receiver
+    with one antenna differently in the last bits.)
     """
 
     x: np.ndarray          # (G K_d M_ue + G M_bs, G N_bs + G K_u N_ue)
@@ -95,6 +118,11 @@ class ReceiveSide:
     bs: np.ndarray         # (G, M_bs, columns of x)
     from_bs: np.ndarray    # (G, rows of x, N_bs)
     from_ul: np.ndarray    # (G K_u, rows of x, N_ue)
+    xh: np.ndarray         # (columns of x, rows of x), the transpose of conj(x)
+    dl_h: np.ndarray       # (G, K_d, columns of x, M_ue)
+    bs_h: np.ndarray       # (G, columns of x, M_bs)
+    from_bs_h: np.ndarray  # (G, N_bs, rows of x)
+    from_ul_h: np.ndarray  # (G K_u, N_ue, rows of x)
 
     @classmethod
     def of(cls, ch: "Channels") -> "ReceiveSide":
@@ -119,10 +147,16 @@ class ReceiveSide:
         err[cells * k_d:, :cells] = ch.err_bs_bs
         err[cells * k_d:, cells:] = ch.err_bs_ul.reshape(cells, cells * k_u)
         rows, cols = x.shape
+        xh = x.conj().T
         return cls(x=x, err=err,
                    dl=dl.reshape(cells, k_d, m_ue, cols), bs=bs.reshape(cells, m_bs, cols),
                    from_bs=np.swapaxes(x[:, :bs_cols].reshape(rows, cells, n_bs), 0, 1),
-                   from_ul=np.swapaxes(x[:, bs_cols:].reshape(rows, cells * k_u, n_ue), 0, 1))
+                   from_ul=np.swapaxes(x[:, bs_cols:].reshape(rows, cells * k_u, n_ue), 0, 1),
+                   xh=xh,
+                   dl_h=xh[:, :dl_rows].reshape(cols, cells, k_d, m_ue).transpose(1, 2, 0, 3),
+                   bs_h=xh[:, dl_rows:].reshape(cols, cells, m_bs).swapaxes(0, 1),
+                   from_bs_h=xh[:bs_cols].reshape(cells, n_bs, rows),
+                   from_ul_h=xh[bs_cols:].reshape(cells * k_u, n_ue, rows))
 
 
 @dataclass(eq=False)

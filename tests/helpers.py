@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
-from ibfdsim import jpaim, objective
+from ibfdsim import covariance, jpaim, objective
 from ibfdsim.model import (Realization, ScenarioConfig, bs_node, build_realization,
                            dl_node, ul_node)
+from ibfdsim.stacked import columns, hermitian, row_powers, uncolumns
 from ibfdsim.state import BeamformingState
 
 
@@ -237,3 +238,74 @@ def beam_scale_stationarity(realization, state, nu, update: jpaim.PrecoderUpdate
         return _precoder_lagrangian(realization, scaled, nu, update)
 
     return _fd_ratio(lagrangian, scales)
+
+
+def _per_call_gram(yx, y, weights, sigma):
+    """distortion_gram with Y^H conjugated on every call and its diagonal
+    scaled through einsum."""
+    total = yx @ hermitian(yx) + (y * weights) @ hermitian(y)
+    np.einsum("...ii->...i", total)[...] *= 1.0 + np.asarray(sigma)[..., None]
+    return total
+
+
+def per_call_covariances(ch, hw, beams) -> covariance.Covariances:
+    """covariance.covariances as written before the stack stored X^H: each
+    call conjugates the rows of X it needs.  An oracle for the stored form,
+    which must give the same bits."""
+    cells, k_d, _, b_d = beams[0].shape
+    k_u, n_ue, b_u = beams[1].shape[1:]
+    side = ch.rx
+    w_bs = columns(beams[0])
+    w_ul = beams[1].reshape(cells * k_u, n_ue, b_u)
+    cell_load, ul_load = row_powers(w_bs), row_powers(w_ul)
+    weights = np.concatenate([hw.kappa_bs * cell_load, hw.kappa_ue * ul_load], axis=None)
+    cell_power = (1.0 + hw.kappa_bs) * cell_load.sum(axis=-1)
+    csi = side.err @ np.concatenate([cell_power, (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
+    received = np.concatenate([columns(side.from_bs @ w_bs), columns(side.from_ul @ w_ul)],
+                              axis=-1)
+    m_ue, m_bs, width = side.dl.shape[2], side.bs.shape[1], received.shape[1]
+    r_dl = received[:cells * k_d * m_ue].reshape(cells, k_d, m_ue, width)
+    r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)
+    dl_rx = _per_call_gram(r_dl, side.dl, weights, hw.beta_ue)
+    bs_rx = _per_call_gram(r_bs, side.bs, weights, hw.beta_bs)
+    dl_csi, bs_csi = csi[:cells * k_d].reshape(cells, k_d), csi[cells * k_d:]
+    for rx, floor in ((dl_rx, hw.noise_ue_w + dl_csi), (bs_rx, hw.noise_bs_w + bs_csi)):
+        np.einsum("...ii->...i", rx)[...] += floor[..., None]
+    diag, users, dl_cols = np.arange(cells), np.arange(k_d), cells * k_d * b_d
+    signal_dl = r_dl[..., :dl_cols].reshape(cells, k_d, m_ue, cells, k_d, b_d)[
+        diag[:, None], users, :, diag[:, None], users]
+    si_signal = r_bs[..., :dl_cols].reshape(cells, m_bs, cells, k_d * b_d)[diag, :, diag]
+    signal_ul = r_bs[..., dl_cols:].reshape(cells, m_bs, cells, k_u * b_u)[diag, :, diag]
+    return covariance.Covariances(dl_rx=dl_rx, bs_rx=bs_rx, dl_csi=dl_csi, bs_csi=bs_csi,
+                                  signal=(signal_dl, uncolumns(signal_ul, b_u)),
+                                  si_signal=si_signal, cell_load=cell_load,
+                                  cell_power=cell_power)
+
+
+def per_call_transmit_grams(ch, hw, combiners):
+    """covariance.transmit_grams as written before the stack stored X^H:
+    each call forms the weighted X_t^T and conjugates it in place."""
+    u_dl, u_ul = combiners
+    cells, k_d, m_ue, b_d = u_dl.shape
+    k_u, m_bs, b_u = u_ul.shape[1:]
+    side, dl_rows = ch.rx, cells * k_d * m_ue
+    bs_u = columns(u_ul)
+    dl_uh, bs_uh = hermitian(u_dl.reshape(cells * k_d, m_ue, b_d)), hermitian(bs_u)
+    weights = np.concatenate([hw.beta_ue * row_powers(u_dl), hw.beta_bs * row_powers(bs_u)],
+                             axis=None)
+
+    def summed_f1(x, kappa):
+        count, _, n = x.shape
+        z = np.concatenate(
+            [(dl_uh @ x[:, :dl_rows].reshape(count, cells * k_d, m_ue, n)).reshape(
+                count, cells * k_d * b_d, n),
+             (bs_uh @ x[:, dl_rows:].reshape(count, cells, m_bs, n)).reshape(
+                count, cells * k_u * b_u, n)], axis=1)
+        weighted = np.swapaxes(x, -1, -2) * weights
+        total = hermitian(z) @ z + np.conjugate(weighted, out=weighted) @ x
+        np.einsum("...ii->...i", total)[...] *= 1.0 + kappa
+        return total
+
+    omega_ul = summed_f1(side.from_ul, hw.kappa_ue)
+    return (summed_f1(side.from_bs, hw.kappa_bs),
+            omega_ul.reshape(cells, k_u, *omega_ul.shape[-2:]))

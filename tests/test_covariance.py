@@ -190,6 +190,39 @@ def test_transmit_grams_match_per_link_f1_sums():
                                        rtol=1e-11, atol=1e-11 * np.abs(omega_ul[g][k]).max())
 
 
+@pytest.mark.parametrize("case", ["random_small", "one_antenna_users", "downlink_phase",
+                                  "uplink_phase"])
+def test_stored_conjugate_matches_per_call_hermitian(case):
+    # the stack stores X^H once; its blocks, and the kernels that read them,
+    # give the same bits as conjugating X on every call
+    from dataclasses import fields
+
+    from ibfdsim.stacked import hermitian, stack_channels
+    rng = np.random.default_rng(40)
+    overrides = dict(ue_rx_antennas=1, ue_tx_antennas=1) if case == "one_antenna_users" else {}
+    real = helpers.random_small_realization(rng, **overrides)
+    real = {"downlink_phase": restrict_to_downlink,
+            "uplink_phase": restrict_to_uplink}.get(case, lambda r: r)(real)
+    ch, hw = stack_channels(real), real.hardware
+    side = ch.rx
+    for stored, block in ((side.dl_h, side.dl), (side.bs_h, side.bs),
+                          (side.from_bs_h, side.from_bs), (side.from_ul_h, side.from_ul)):
+        np.testing.assert_array_equal(stored, hermitian(block))
+        assert stored.size == 0 or np.shares_memory(stored, side.xh)
+    state = helpers.random_state(real, 41)
+    beams = (state.dl_beams, state.ul_beams)
+    got, want = covariance.covariances(ch, hw, beams), helpers.per_call_covariances(ch, hw, beams)
+    for field in fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        pairs = zip(a, b) if field.name == "signal" else [(a, b)]    # signal: (H W_dl, H W_ul)
+        for a, b in pairs:
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+    combiners = (state.dl_combiners, state.ul_combiners)
+    for a, b in zip(covariance.transmit_grams(ch, hw, combiners),
+                    helpers.per_call_transmit_grams(ch, hw, combiners)):
+        np.testing.assert_array_equal(a, b)
+
+
 _SCENARIOS = {
     "default": lambda: build_realization(ScenarioConfig(), 1),
     "three_cells_csi": lambda: build_realization(

@@ -137,12 +137,13 @@ def test_save_load_config_roundtrip(tmp_path):
     assert load_config(path) == auto
 
 
-@pytest.mark.parametrize("nu", [[0.1, 0.2], np.array([0.1, 0.2]), np.float64(0.5)],
-                         ids=["list", "ndarray", "float64"])
-def test_save_load_config_roundtrip_of_numeric_nu_forms(tmp_path, nu):
+@pytest.mark.parametrize("nu, cells", [([0.1, 0.2], 2), (np.array([0.1, 0.2]), 2),
+                                       (np.float64(0.5), 2), ((0.5,), 1)],
+                         ids=["list", "ndarray", "float64", "one_cell_tuple"])
+def test_save_load_config_roundtrip_of_numeric_nu_forms(tmp_path, nu, cells):
     # SolverConfig keeps nu as a float or a tuple of floats, which save_config
-    # writes in a form load_config reads back
-    cfg = CampaignConfig(solver=jpaim.SolverConfig(nu=nu))
+    # writes in a form load_config reads back; a one-cell tuple stays a tuple
+    cfg = CampaignConfig(scenario=ScenarioConfig(cells=cells), solver=jpaim.SolverConfig(nu=nu))
     assert type(cfg.solver.nu) in (float, tuple)
     assert all(type(v) is float for v in np.atleast_1d(cfg.solver.nu).tolist())
     path = tmp_path / "campaign.cfg"

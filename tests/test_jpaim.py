@@ -336,6 +336,29 @@ def test_run_final_state_reproduces_the_final_report(scenario, config):
                                        err_msg=f"seed {seed} {field.name}")
 
 
+@pytest.mark.parametrize("scenario, config", [
+    (ScenarioConfig(), SolverConfig(max_iterations=1)),
+    (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0, max_iterations=1)),
+], ids=["default", "strong_si"])
+def test_run_iteration_matches_public_block_updates(scenario, config):
+    # run forms its precoder constants once per solve; the public block
+    # updates derive them per call, and both give the same bits
+    for seed in range(3):
+        real = build_realization(scenario, seed)
+        trace = run(real, config)
+        update = jpaim.update_precoders(
+            real, update_combiners(real, initialize(real, config)), config)
+        for name in ("dl_beams", "dl_combiners", "ul_beams", "ul_combiners"):
+            np.testing.assert_array_equal(getattr(trace.final_state, name),
+                                          getattr(update.state, name),
+                                          err_msg=f"seed {seed} {name}")
+        record = trace.records[1]
+        assert record.dl_precoder_multipliers == tuple(update.dl_multipliers.tolist())
+        assert record.ul_precoder_multipliers == tuple(update.ul_multipliers.tolist())
+        assert record.multiplier_evaluations == (update.dl_evaluations.sum()
+                                                 + update.ul_evaluations.sum())
+
+
 def test_run_feasible_at_every_iteration():
     real = build_realization(helpers.small_config(), 12)
     trace = run(real, SolverConfig(max_iterations=15))
