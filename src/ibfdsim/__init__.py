@@ -15,7 +15,7 @@ from .model import (
 from .state import BeamformingState
 from .objective import ObjectiveReport, evaluate, nu_from_asic
 from .jpaim import RunTrace, SolverConfig, run
-from .baselines import half_duplex_reference, nsp_project, run_half_duplex
+from .baselines import nsp_project, run_half_duplex
 from .harness import (
     CampaignConfig,
     CampaignSummary,
@@ -32,8 +32,7 @@ __all__ = [
     "AntennaConfig", "BeamformingState", "CampaignConfig", "CampaignSummary",
     "HardwareProfile", "ObjectiveReport", "Realization", "RunTrace",
     "ScenarioConfig", "SolverConfig", "Topology", "build_realization",
-    "complexity_estimate", "evaluate", "half_duplex_reference", "load_config",
-    "load_realization", "nsp_project", "nu_from_asic", "realization_digest",
-    "run", "run_campaign", "run_half_duplex", "save_config", "save_realization",
-    "summarize",
+    "complexity_estimate", "evaluate", "load_config", "load_realization",
+    "nsp_project", "nu_from_asic", "realization_digest", "run", "run_campaign",
+    "run_half_duplex", "save_config", "save_realization", "summarize",
 ]

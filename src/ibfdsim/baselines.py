@@ -99,8 +99,3 @@ def run_half_duplex(realization: Realization, config: jpaim.SolverConfig) -> Hal
         dl_trace=dl_trace,
         ul_trace=ul_trace,
     )
-
-
-def half_duplex_reference(realization: Realization, config: jpaim.SolverConfig) -> float:
-    """Half-duplex sum rate 0.5 (R_dl + R_ul) on the same realization."""
-    return run_half_duplex(realization, config).sum_rate

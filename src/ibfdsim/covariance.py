@@ -14,8 +14,10 @@ The kernels take the stacked channels (module `stacked`) and the one
 combiners U, and treat every cell, user and link at once with
 batched `@`.  Their Gram products pair blocks of the stack's X with the
 matching blocks of its stored conjugate transpose X^H, so no call
-conjugates a channel.  The per-node functions below them are thin adapters
-for callers that hold a Realization and a BeamformingState.
+conjugates a channel.  `assemble` runs them for a Realization and a
+BeamformingState; one node's covariance or CSI-error power is a field of its
+result, and the per-node forms that the tests check the kernels against (the
+transmit covariance and f1) live in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ def distortion_gram(yx: np.ndarray, y: np.ndarray, y_h: np.ndarray, weights: np.
     """
     total = yx @ hermitian(yx) + (y * weights) @ y_h
     return add_scaled_diag(total, sigma)
-
-
-def tx_gram(beams: np.ndarray, kappa: float) -> np.ndarray:
-    """Transmit covariance W W^H + kappa diag(W W^H) of beamformers W."""
-    return add_scaled_diag(beams @ hermitian(beams), kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +160,7 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
 
 
 # ---------------------------------------------------------------------------
-# per-node adapters
+# entry point
 # ---------------------------------------------------------------------------
 
 
@@ -172,53 +169,3 @@ def assemble(realization: Realization,
     """The ChannelStack of a realization and the covariances of a state on it."""
     ch = stack_channels(realization)
     return ch, covariances(ch, realization.hardware, (state.dl_beams, state.ul_beams))
-
-
-def cell_tx_covariance(realization: Realization, state: BeamformingState, g: int) -> np.ndarray:
-    """Total transmit covariance of BS g (sum over its downlink users)."""
-    return tx_gram(columns(state.dl_beams[g]), realization.hardware.kappa_bs)
-
-
-def csi_error_variance(realization: Realization, state: BeamformingState, rx) -> float:
-    """Aggregate estimation-error power seen at receiver node `rx`.
-
-    Each imperfectly known link contributes err_var * tr(T) of its
-    transmitter.  Perfectly known links (the SI channel) contribute nothing.
-    """
-    cov = assemble(realization, state)[1]
-    return float(cov.dl_csi[rx[1], rx[2]] if rx[0] == "dl" else cov.bs_csi[rx[1]])
-
-
-def rx_covariance_dl(realization: Realization, state: BeamformingState,
-                     k: int, g: int) -> np.ndarray:
-    """Received-signal covariance at downlink user (k, g), estimated channels.
-
-    Sum of every transmitter's covariance propagated through its estimated
-    channel, the receiver distortion diagonal, thermal noise, and the
-    aggregate CSI-error power.
-    """
-    return assemble(realization, state)[1].dl_rx[g, k]
-
-
-def rx_covariance_ul(realization: Realization, state: BeamformingState, g: int) -> np.ndarray:
-    """Received-signal covariance at BS g.
-
-    Identical structure to the downlink case except that the perfectly known
-    self-interference channel enters with its true matrix.
-    """
-    return assemble(realization, state)[1].bs_rx[g]
-
-
-# ---------------------------------------------------------------------------
-# distortion-aware quadratic forms
-# ---------------------------------------------------------------------------
-
-
-def f1(y: np.ndarray, x: np.ndarray, sigma_t: float, sigma_r: float) -> np.ndarray:
-    """Matrix form Y X X^H Y^H with transmit/receive distortion diagonals.
-
-    sigma_t is the distortion factor of the node transmitting through the
-    channel inside Y, sigma_r that of the receiving node represented by X.
-    """
-    return distortion_gram(y @ x, y, hermitian(y), sigma_r * row_powers(x), sigma_t)
-

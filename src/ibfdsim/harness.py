@@ -64,6 +64,8 @@ class CampaignConfig:
         for name in self.algorithms:
             if name not in KNOWN_ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}; choose from {KNOWN_ALGORITHMS}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigError(f"campaign.algorithms repeats a name: {self.algorithms}")
         if self.nsp_subspace_dim is not None and not (
                 1 <= self.nsp_subspace_dim <= self.scenario.bs_tx_antennas):
             raise ConfigError("nsp.subspace_dim must lie in [1, bs_tx_antennas]")
@@ -111,7 +113,12 @@ def _parse_nu(raw: str, key: str):
         return None
     if "," not in raw:
         return _parse_typed(raw, float, key)
-    return tuple(_parse_typed(p, float, key) for p in raw.split(",") if p.strip())
+    parts = raw.split(",")
+    if len(parts) == 2 and not parts[1].strip():    # the one-cell form `0.5,`
+        del parts[1]
+    if not all(p.strip() for p in parts):
+        raise ConfigError(f"key {key}: empty per-cell value in {raw!r}")
+    return tuple(_parse_typed(p, float, key) for p in parts)
 
 
 def parse_config(text: str) -> CampaignConfig:

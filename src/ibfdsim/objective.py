@@ -6,6 +6,9 @@ self-interference (RSI) power that the cell's precoders leave at its own
 receive array.  Sum rate is reported alongside as the conventional
 log-det measure with everything that is not the desired signal treated as
 noise, taken from the b x b error matrices of the MMSE combiners.
+
+Every figure comes from `report`, on the covariance assembly the solver runs;
+`evaluate` runs both for a Realization and a BeamformingState.
 """
 
 from __future__ import annotations
@@ -160,42 +163,6 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
         sum_rate_dl=rate_dl,
         sum_rate_ul=rate_ul,
     )
-
-
-def mse_downlink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:
-    """Stream-recovery MSE of downlink user (k, g) under its current combiner."""
-    cov = covariance.assemble(realization, state)[1]
-    return float(_mse(cov.dl_rx[g, k], cov.signal[0][g, k], state.dl_combiners[g, k]))
-
-
-def mse_uplink(realization: Realization, state: BeamformingState, k: int, g: int) -> float:
-    """Stream-recovery MSE of uplink user (k, g), decoded at BS g."""
-    cov = covariance.assemble(realization, state)[1]
-    return float(_mse(cov.bs_rx[g], cov.signal[1][g, k], state.ul_combiners[g, k]))
-
-
-def rsi_power(realization: Realization, state: BeamformingState, g: int) -> float:
-    """Self-interference power received at BS g through the true SI channel.
-
-    Depends only on the cell's own downlink beams; the transmit-distortion
-    diagonal is included.
-    """
-    return evaluate(realization, state, 0.0, with_rates=False).rsi_watts[g]
-
-
-def asic_depth(realization: Realization, state: BeamformingState, g: int) -> float:
-    """Cancellation depth 10 log10(l_g tr(T_g) / rsi) in dB, capped at +200.
-
-    Measures how far below the (path-scaled) transmitted power the residual
-    SI lands.  Returns the cap for a numerically vanished residual and 0 for
-    a silent cell.
-    """
-    return evaluate(realization, state, 0.0, with_rates=False).asic_depth_db[g]
-
-
-def loss(realization: Realization, state: BeamformingState, nu) -> float:
-    """Penalized sum MSE: all stream MSEs plus nu_g-weighted RSI powers."""
-    return evaluate(realization, state, nu, with_rates=False).loss
 
 
 def evaluate(realization: Realization, state: BeamformingState, nu,

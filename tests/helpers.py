@@ -13,7 +13,7 @@ import numpy as np
 from ibfdsim import covariance, jpaim, objective
 from ibfdsim.model import (Realization, ScenarioConfig, bs_node, build_realization,
                            dl_node, ul_node)
-from ibfdsim.stacked import columns, hermitian, row_powers, uncolumns
+from ibfdsim.stacked import add_scaled_diag, columns, hermitian, row_powers, uncolumns
 from ibfdsim.state import BeamformingState
 
 
@@ -93,6 +93,35 @@ def best_asic_depth_db(realization: Realization, g: int) -> float:
     gram = h.conj().T @ h
     weakest = np.linalg.eigvalsh(gram + kappa * np.diag(np.diag(gram)))[0]
     return 10.0 * math.log10(realization.hardware.si_gain[g] * (1.0 + kappa) / weakest)
+
+
+# ---------------------------------------------------------------------------
+# per-node reference forms for the stacked kernels
+# ---------------------------------------------------------------------------
+
+
+def tx_gram(beams: np.ndarray, kappa: float) -> np.ndarray:
+    """Transmit covariance W W^H + kappa diag(W W^H) of beamformers W."""
+    return add_scaled_diag(beams @ hermitian(beams), kappa)
+
+
+def f1(y: np.ndarray, x: np.ndarray, sigma_t: float, sigma_r: float) -> np.ndarray:
+    """Matrix form Y X X^H Y^H with transmit/receive distortion diagonals:
+    sigma_t is the distortion factor of the node transmitting through the
+    channel inside Y, sigma_r that of the receiving node represented by X."""
+    return covariance.distortion_gram(y @ x, y, hermitian(y), sigma_r * row_powers(x), sigma_t)
+
+
+def user_mse(realization: Realization, state: BeamformingState, direction: str,
+             k: int, g: int) -> float:
+    """Stream-recovery MSE of user (k, g) of `direction` ("dl" or "ul") under
+    its current combiner; an uplink user is decoded at BS g."""
+    cov = covariance.assemble(realization, state)[1]
+    if direction == "dl":
+        args = cov.dl_rx[g, k], cov.signal[0][g, k], state.dl_combiners[g, k]
+    else:
+        args = cov.bs_rx[g], cov.signal[1][g, k], state.ul_combiners[g, k]
+    return float(objective._mse(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +232,15 @@ def _fd_ratio(fun, mats):
 def combiner_stationarity(realization, state, nu) -> float:
     mats = [u for cell in state.dl_combiners for u in cell]
     mats += [u for cell in state.ul_combiners for u in cell]
-    return _fd_ratio(lambda: objective.loss(realization, state, nu), mats)
+    return _fd_ratio(lambda: objective.evaluate(realization, state, nu, with_rates=False).loss,
+                     mats)
 
 
 def _precoder_lagrangian(realization, state, nu, update: jpaim.PrecoderUpdate) -> float:
     """The penalized loss (sum MSE plus the nu-weighted RSI) with the power
     budgets' multipliers from `update`."""
     hw = realization.hardware
-    val = objective.loss(realization, state, nu)
+    val = objective.evaluate(realization, state, nu, with_rates=False).loss
     for g in range(realization.cell_count):
         val += update.dl_multipliers[g] * (state.dl_cell_power(g) - hw.p_bs_w)
     for i, (g, k) in enumerate(realization.ul_users()):

@@ -150,18 +150,19 @@ def test_criterion_05_monte_carlo_oracles():
         state = helpers.solved_state(real, iterations=2)
         cov_hat, mse_hat = helpers.mc_estimates(real, state, draws=100_000,
                                                 seed=1000 + i)
+        cov = covariance.assemble(real, state)[1]
         for g, k in real.dl_users():
-            c = covariance.rx_covariance_dl(real, state, k, g)
+            c = cov.dl_rx[g, k]
             worst_cov = max(worst_cov, np.linalg.norm(cov_hat[dl_node(g, k)] - c)
                             / np.linalg.norm(c))
-            m = objective.mse_downlink(real, state, k, g)
+            m = helpers.user_mse(real, state, "dl", k, g)
             worst_mse = max(worst_mse, abs(mse_hat[("dl", g, k)] - m) / m)
         for g in range(real.cell_count):
-            c = covariance.rx_covariance_ul(real, state, g)
+            c = cov.bs_rx[g]
             worst_cov = max(worst_cov, np.linalg.norm(cov_hat[bs_node(g)] - c)
                             / np.linalg.norm(c))
         for g, k in real.ul_users():
-            m = objective.mse_uplink(real, state, k, g)
+            m = helpers.user_mse(real, state, "ul", k, g)
             worst_mse = max(worst_mse, abs(mse_hat[("ul", g, k)] - m) / m)
 
     # E{Delta T Delta^H} = err_var tr(T) I
@@ -293,7 +294,8 @@ def test_criterion_08_nsp_properties():
         state = jpaim.run(real, cfg, collect_metrics=False).final_state
         for d in dims:
             projected = baselines.project_state(real, state, d)
-            rsi_by_dim[d].append(objective.rsi_power(real, projected, 0))
+            rsi_by_dim[d].append(
+                objective.evaluate(real, projected, 0.0, with_rates=False).rsi_watts[0])
     means = [float(np.mean(rsi_by_dim[d])) for d in dims]
     monotone = all(a >= b * (1.0 - 1e-12) for a, b in zip(means, means[1:]))
 

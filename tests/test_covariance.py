@@ -7,11 +7,12 @@ import helpers
 from ibfdsim import covariance
 from ibfdsim.model import (ScenarioConfig, bs_node, build_realization, dl_node,
                            restrict_to_downlink, restrict_to_uplink, ul_node)
+from ibfdsim.stacked import columns
 
 
 def test_tx_covariance_hand_case():
     v = np.array([[1.0 + 0j], [2.0j]])
-    t = covariance.tx_gram(0.5 * v, kappa=0.1)
+    t = helpers.tx_gram(0.5 * v, kappa=0.1)
     gram = v @ v.conj().T
     expected = 0.25 * (gram + 0.1 * np.diag(np.diag(gram)))
     np.testing.assert_allclose(t, expected)
@@ -22,12 +23,14 @@ def test_cell_tx_covariance_sums_users():
     real = build_realization(helpers.small_config(), 1)
     state = helpers.random_state(real, 2)
     kappa = real.hardware.kappa_bs
+    cov = covariance.assemble(real, state)[1]
     for g in range(real.cell_count):
         expected = sum(
-            covariance.tx_gram(state.dl_beams[g][k], kappa)
+            helpers.tx_gram(state.dl_beams[g][k], kappa)
             for k in range(real.topology.dl_counts[g]))
-        np.testing.assert_allclose(covariance.cell_tx_covariance(real, state, g),
+        np.testing.assert_allclose(helpers.tx_gram(columns(state.dl_beams[g]), kappa),
                                    expected, rtol=1e-12)
+        assert cov.cell_power[g] == pytest.approx(np.trace(expected).real, rel=1e-12)
 
 
 def test_csi_error_variance_hand_sum():
@@ -36,12 +39,12 @@ def test_csi_error_variance_hand_sum():
     rx = dl_node(0, 0)
     expected = 0.0
     for g in range(real.cell_count):
-        t = covariance.cell_tx_covariance(real, state, g)
+        t = helpers.tx_gram(columns(state.dl_beams[g]), real.hardware.kappa_bs)
         expected += real.link(rx, bs_node(g)).err_var * np.trace(t).real
     for g, k in real.ul_users():
-        t = covariance.tx_gram(state.ul_beams[g][k], real.hardware.kappa_ue)
+        t = helpers.tx_gram(state.ul_beams[g][k], real.hardware.kappa_ue)
         expected += real.link(rx, ul_node(g, k)).err_var * np.trace(t).real
-    assert covariance.csi_error_variance(real, state, rx) == pytest.approx(
+    assert float(covariance.assemble(real, state)[1].dl_csi[0, 0]) == pytest.approx(
         expected, rel=1e-12)
 
 
@@ -54,27 +57,28 @@ def test_rx_covariance_explicit_assembly():
         base = np.zeros((m, m), dtype=complex)
         sig_hat = 0.0
         for g in range(real.cell_count):
-            t = covariance.cell_tx_covariance(real, state, g)
+            t = helpers.tx_gram(columns(state.dl_beams[g]), hw.kappa_bs)
             h = real.link(rx, bs_node(g)).est
             base += h @ t @ h.conj().T
             sig_hat += real.link(rx, bs_node(g)).err_var * np.trace(t).real
         for g, k in real.ul_users():
-            t = covariance.tx_gram(state.ul_beams[g][k], hw.kappa_ue)
+            t = helpers.tx_gram(state.ul_beams[g][k], hw.kappa_ue)
             h = real.link(rx, ul_node(g, k)).est
             base += h @ t @ h.conj().T
             sig_hat += real.link(rx, ul_node(g, k)).err_var * np.trace(t).real
         return (base + beta * np.diag(np.diag(base))
                 + (noise_w + sig_hat) * np.eye(m))
 
+    cov = covariance.assemble(real, state)[1]
     for g, k in real.dl_users():
-        got = covariance.rx_covariance_dl(real, state, k, g)
+        got = cov.dl_rx[g, k]
         np.testing.assert_allclose(
             got, manual(dl_node(g, k), real.antennas.ue_rx, hw.beta_ue, hw.noise_ue_w),
             rtol=1e-11)
         assert np.allclose(got, got.conj().T)
         assert np.all(np.linalg.eigvalsh(got) > 0)
     for g in range(real.cell_count):
-        got = covariance.rx_covariance_ul(real, state, g)
+        got = cov.bs_rx[g]
         np.testing.assert_allclose(
             got, manual(bs_node(g), real.antennas.bs_rx, hw.beta_bs, hw.noise_bs_w),
             rtol=1e-11)
@@ -85,11 +89,11 @@ def test_rx_covariance_uses_true_si_channel():
     # move one-for-one with a manual edit of that stored matrix
     real = build_realization(helpers.small_config(cells=1, asic_db=0.0), 3)
     state = helpers.random_state(real, 4)
-    before = covariance.rx_covariance_ul(real, state, 0)
+    before = covariance.assemble(real, state)[1].bs_rx[0]
     link = real.link(bs_node(0), bs_node(0))
     link.true *= 2.0
-    after = covariance.rx_covariance_ul(real, state, 0)
-    t = covariance.cell_tx_covariance(real, state, 0)
+    after = covariance.assemble(real, state)[1].bs_rx[0]
+    t = helpers.tx_gram(columns(state.dl_beams[0]), real.hardware.kappa_bs)
     h = link.true / 2.0
     delta = 3.0 * (h @ t @ h.conj().T)
     np.testing.assert_allclose(after - before,
@@ -110,7 +114,7 @@ def test_f1_transmit_side_duality():
         t = v @ v.conj().T + st * np.diag(np.diag(v @ v.conj().T))
         inner = h @ t @ h.conj().T
         expected = np.trace(u.conj().T @ (inner + sr * np.diag(np.diag(inner))) @ u)
-        quad = (v.conj().T @ covariance.f1(h.conj().T, u, st, sr) @ v)[0, 0]
+        quad = (v.conj().T @ helpers.f1(h.conj().T, u, st, sr) @ v)[0, 0]
         assert quad.real == pytest.approx(expected.real, rel=1e-11)
 
 
@@ -118,7 +122,7 @@ def test_f1_is_hermitian_psd():
     rng = np.random.default_rng(11)
     y = helpers.cn(rng, (3, 4))
     x = helpers.cn(rng, (4, 2))
-    out = covariance.f1(y, x, 0.2, 0.3)
+    out = helpers.f1(y, x, 0.2, 0.3)
     np.testing.assert_allclose(out, out.conj().T, atol=1e-14)
     assert np.all(np.linalg.eigvalsh(out) >= -1e-12)
 
@@ -148,9 +152,10 @@ def test_rx_covariance_against_signal_chain():
     real = build_realization(cfg, 21)
     state = helpers.solved_state(real, iterations=2)
     cov_hat, mse_hat = helpers.mc_estimates(real, state, draws=40_000, seed=22)
-    c = covariance.rx_covariance_ul(real, state, 0)
+    cov = covariance.assemble(real, state)[1]
+    c = cov.bs_rx[0]
     assert np.linalg.norm(cov_hat[bs_node(0)] - c) / np.linalg.norm(c) < 0.05
-    c = covariance.rx_covariance_dl(real, state, 0, 0)
+    c = cov.dl_rx[0, 0]
     assert np.linalg.norm(cov_hat[dl_node(0, 0)] - c) / np.linalg.norm(c) < 0.05
 
 
@@ -174,12 +179,12 @@ def test_transmit_grams_match_per_link_f1_sums():
             total = 0.0
             for j, i in real.dl_users():
                 h = real.link(dl_node(j, i), tx).est
-                total = total + covariance.f1(h.conj().T, state.dl_combiners[j][i], kappa,
-                                              hw.beta_ue)
+                total = total + helpers.f1(h.conj().T, state.dl_combiners[j][i], kappa,
+                                           hw.beta_ue)
             for j, i in real.ul_users():
                 h = real.link(bs_node(j), tx).est
-                total = total + covariance.f1(h.conj().T, state.ul_combiners[j][i], kappa,
-                                              hw.beta_bs)
+                total = total + helpers.f1(h.conj().T, state.ul_combiners[j][i], kappa,
+                                           hw.beta_bs)
             return total
 
         for g in range(real.cell_count):
@@ -252,10 +257,10 @@ def test_covariances_match_per_link_sums(case):
     w_dl, w_ul = state.dl_beams, state.ul_beams
     ch = stack_channels(real)
     cov = covariance.covariances(ch, hw, (w_dl, w_ul))
-    tx = {bs_node(g): sum((covariance.tx_gram(w, hw.kappa_bs) for w in w_dl[g]),
+    tx = {bs_node(g): sum((helpers.tx_gram(w, hw.kappa_bs) for w in w_dl[g]),
                           np.zeros((real.antennas.bs_tx,) * 2, dtype=complex))
           for g in range(real.cell_count)}
-    tx.update({ul_node(g, k): covariance.tx_gram(w_ul[g, k], hw.kappa_ue)
+    tx.update({ul_node(g, k): helpers.tx_gram(w_ul[g, k], hw.kappa_ue)
                for g, k in real.ul_users()})
 
     def close(got, expected):

@@ -95,6 +95,11 @@ def test_parse_config_errors_name_the_key():
         ("solver.nu = 1,2,3", "solver.nu"),     # three values for the default two cells
         ("scenario.cells = 1\nsolver.nu = 1,2", "solver.nu"),
         ("solver.nu = abc", "solver.nu"),
+        # an empty per-cell item; only the one-cell form `0.5,` ends in a comma
+        ("solver.nu = 1,,2", "solver.nu"),
+        ("solver.nu = 1,2,", "solver.nu"),
+        ("solver.nu = ,1", "solver.nu"),
+        ("campaign.algorithms = jpaim, jpaim", "campaign.algorithms"),
         # values every draw would reject
         ("scenario.bandwidth_hz = 0", "bandwidth_hz"),
         ("scenario.carrier_ghz = -1", "carrier_ghz"),
@@ -107,6 +112,14 @@ def test_parse_config_errors_name_the_key():
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert needle in str(err.value)
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Config files", 1)[1].split("```", 2)[1]
+    config = parse_config(block)
+    assert config.scenario.cells == 3
+    assert config.algorithms == ("jpaim", "nsp-jpaim", "half-duplex")
 
 
 def test_campaign_config_validation():

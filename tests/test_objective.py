@@ -8,8 +8,12 @@ import pytest
 import helpers
 from ibfdsim import covariance, objective
 from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node, ul_node
-from ibfdsim.objective import (ASIC_DEPTH_CAP_DB, asic_depth, evaluate, loss,
-                               mse_downlink, mse_uplink, nu_from_asic, rsi_power)
+from ibfdsim.objective import ASIC_DEPTH_CAP_DB, evaluate, nu_from_asic
+from ibfdsim.stacked import columns
+
+
+def _unpenalized(real, state):
+    return evaluate(real, state, 0.0, with_rates=False)
 
 
 def test_nu_from_asic_values():
@@ -47,23 +51,23 @@ def test_mse_zero_combiner_equals_streams():
         for u in cell:
             u[:] = 0.0
     for g, k in real.dl_users():
-        assert mse_downlink(real, state, k, g) == pytest.approx(2.0)
+        assert helpers.user_mse(real, state, "dl", k, g) == pytest.approx(2.0)
     for g, k in real.ul_users():
-        assert mse_uplink(real, state, k, g) == pytest.approx(2.0)
+        assert helpers.user_mse(real, state, "ul", k, g) == pytest.approx(2.0)
 
 
 def test_mse_formula_against_covariance():
     real = build_realization(helpers.small_config(), 3)
     state = helpers.random_state(real, 4)
     g, k = 1, 0
-    c = covariance.rx_covariance_dl(real, state, k, g)
+    c = covariance.assemble(real, state)[1].dl_rx[g, k]
     u = state.dl_combiners[g][k]
     h = real.link(dl_node(g, k), bs_node(g)).est
     w = state.dl_beams[g][k]
     expected = (np.trace(u.conj().T @ c @ u).real
                 - 2.0 * np.trace(u.conj().T @ h @ w).real
                 + real.antennas.dl_streams)
-    assert mse_downlink(real, state, k, g) == pytest.approx(expected, rel=1e-12)
+    assert helpers.user_mse(real, state, "dl", k, g) == pytest.approx(expected, rel=1e-12)
 
 
 def test_mse_positive_at_mmse_combiner():
@@ -71,25 +75,26 @@ def test_mse_positive_at_mmse_combiner():
     real = build_realization(helpers.small_config(), 5)
     state = jpaim.update_combiners(real, helpers.random_state(real, 6, beam_scale=0.5))
     for g, k in real.dl_users():
-        assert 0.0 < mse_downlink(real, state, k, g) < real.antennas.dl_streams
+        assert 0.0 < helpers.user_mse(real, state, "dl", k, g) < real.antennas.dl_streams
     for g, k in real.ul_users():
-        assert 0.0 < mse_uplink(real, state, k, g) < real.antennas.ul_streams
+        assert 0.0 < helpers.user_mse(real, state, "ul", k, g) < real.antennas.ul_streams
 
 
 def test_rsi_power_matches_tx_covariance_form():
     real = build_realization(helpers.small_config(asic_db=20.0), 7)
     state = helpers.random_state(real, 8)
+    rsi = _unpenalized(real, state).rsi_watts
     for g in range(real.cell_count):
         h = real.link(bs_node(g), bs_node(g)).true
-        t = covariance.cell_tx_covariance(real, state, g)
+        t = helpers.tx_gram(columns(state.dl_beams[g]), real.hardware.kappa_bs)
         expected = np.trace(h @ t @ h.conj().T).real
-        assert rsi_power(real, state, g) == pytest.approx(expected, rel=1e-11)
+        assert rsi[g] == pytest.approx(expected, rel=1e-11)
 
 
 def test_rsi_power_ignores_combiners_and_uplink():
     real = build_realization(helpers.small_config(asic_db=10.0), 9)
     state = helpers.random_state(real, 10)
-    before = [rsi_power(real, state, g) for g in range(real.cell_count)]
+    before = _unpenalized(real, state).rsi_watts
     rng = np.random.default_rng(11)
     for cell in (*state.dl_combiners, *state.ul_combiners):
         for u in cell:
@@ -97,7 +102,7 @@ def test_rsi_power_ignores_combiners_and_uplink():
     for cell in state.ul_beams:
         for w in cell:
             w[:] = 0.1 * helpers.cn(rng, w.shape)
-    after = [rsi_power(real, state, g) for g in range(real.cell_count)]
+    after = _unpenalized(real, state).rsi_watts
     np.testing.assert_allclose(after, before, rtol=0.0)
 
 
@@ -106,29 +111,30 @@ def test_rsi_power_scales_with_si_gain():
     a = build_realization(ScenarioConfig(asic_db=20.0), 12)
     b = build_realization(ScenarioConfig(asic_db=40.0), 12)
     state = helpers.random_state(a, 13)
+    rsi_a, rsi_b = _unpenalized(a, state).rsi_watts, _unpenalized(b, state).rsi_watts
     for g in range(a.cell_count):
-        assert rsi_power(a, state, g) / rsi_power(b, state, g) == pytest.approx(
-            100.0, rel=1e-9)
+        assert rsi_a[g] / rsi_b[g] == pytest.approx(100.0, rel=1e-9)
 
 
 def test_asic_depth_properties():
     real = build_realization(helpers.small_config(cells=1, asic_db=0.0), 14)
     state = helpers.random_state(real, 15)
-    depth = asic_depth(real, state, 0)
-    t = covariance.cell_tx_covariance(real, state, 0)
+    rep = _unpenalized(real, state)
+    depth = rep.asic_depth_db[0]
+    t = helpers.tx_gram(columns(state.dl_beams[0]), real.hardware.kappa_bs)
     expected = 10.0 * math.log10(real.hardware.si_gain[0] * np.trace(t).real
-                                 / rsi_power(real, state, 0))
+                                 / rep.rsi_watts[0])
     assert depth == pytest.approx(expected, rel=1e-9)
 
     # invariant to a common scaling of the transmitted beams
     scaled = state.copy()
     scaled.dl_beams = scaled.dl_beams * 3.7
-    assert asic_depth(real, scaled, 0) == pytest.approx(depth, rel=1e-9)
+    assert _unpenalized(real, scaled).asic_depth_db[0] == pytest.approx(depth, rel=1e-9)
 
     # silent cell reports zero depth
     silent = state.copy()
     silent.dl_beams = silent.dl_beams * 0.0
-    assert asic_depth(real, silent, 0) == 0.0
+    assert _unpenalized(real, silent).asic_depth_db[0] == 0.0
 
 
 def test_asic_depth_cap_on_vanished_residual():
@@ -136,17 +142,19 @@ def test_asic_depth_cap_on_vanished_residual():
     state = helpers.random_state(real, 17)
     link = real.link(bs_node(0), bs_node(0))
     link.true[:] = 0.0
-    assert asic_depth(real, state, 0) == ASIC_DEPTH_CAP_DB
+    assert _unpenalized(real, state).asic_depth_db[0] == ASIC_DEPTH_CAP_DB
 
 
 def test_loss_composition():
     real = build_realization(helpers.small_config(asic_db=30.0), 18)
     state = helpers.random_state(real, 19)
     nu = (0.3, 0.7)
-    expected = sum(mse_downlink(real, state, k, g) for g, k in real.dl_users())
-    expected += sum(mse_uplink(real, state, k, g) for g, k in real.ul_users())
-    expected += sum(nu[g] * rsi_power(real, state, g) for g in range(2))
-    assert loss(real, state, nu) == pytest.approx(expected, rel=1e-12)
+    rsi = _unpenalized(real, state).rsi_watts
+    expected = sum(helpers.user_mse(real, state, "dl", k, g) for g, k in real.dl_users())
+    expected += sum(helpers.user_mse(real, state, "ul", k, g) for g, k in real.ul_users())
+    expected += sum(nu[g] * rsi[g] for g in range(2))
+    assert evaluate(real, state, nu, with_rates=False).loss == pytest.approx(expected,
+                                                                             rel=1e-12)
 
 
 def test_rate_bits_closed_form():
@@ -191,11 +199,11 @@ def test_rates_match_explicit_log_det(scenario):
         bits_ul = objective._rate_bits(cov.signal[1], mmse[1])
         w_dl, w_ul = state.dl_beams, state.ul_beams
         for g, k in real.dl_users():
-            expected = _explicit_rate_bits(covariance.rx_covariance_dl(real, state, k, g),
+            expected = _explicit_rate_bits(cov.dl_rx[g, k],
                                            real.link(dl_node(g, k), bs_node(g)).est @ w_dl[g, k])
             assert bits_dl[g, k] == pytest.approx(expected, rel=1e-9), (seed, g, k)
         for g, k in real.ul_users():
-            expected = _explicit_rate_bits(covariance.rx_covariance_ul(real, state, g),
+            expected = _explicit_rate_bits(cov.bs_rx[g],
                                            real.link(bs_node(g), ul_node(g, k)).est @ w_ul[g, k])
             assert bits_ul[g, k] == pytest.approx(expected, rel=1e-9), (seed, g, k)
         rep = evaluate(real, state, 0.0)
@@ -208,15 +216,13 @@ def test_evaluate_consistency():
     state = helpers.solved_state(real, iterations=2)
     nu = 0.5
     rep = evaluate(real, state, nu)
-    assert rep.loss == pytest.approx(loss(real, state, nu), rel=1e-12)
+    lean = evaluate(real, state, nu, with_rates=False)
     assert rep.sum_mse == pytest.approx(rep.sum_mse_dl + rep.sum_mse_ul, rel=1e-12)
     assert rep.sum_rate == pytest.approx(rep.sum_rate_dl + rep.sum_rate_ul, rel=1e-12)
-    np.testing.assert_allclose(
-        rep.rsi_watts, [rsi_power(real, state, g) for g in range(2)], rtol=1e-12)
-    np.testing.assert_allclose(
-        rep.asic_depth_db, [asic_depth(real, state, g) for g in range(2)], rtol=1e-9)
+    unpenalized = _unpenalized(real, state)
+    np.testing.assert_allclose(rep.rsi_watts, unpenalized.rsi_watts, rtol=1e-12)
+    np.testing.assert_allclose(rep.asic_depth_db, unpenalized.asic_depth_db, rtol=1e-9)
 
-    lean = evaluate(real, state, nu, with_rates=False)
     assert lean.loss == rep.loss
     assert math.isnan(lean.sum_rate)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import ibfdsim
 
 SOURCES = sorted(Path(ibfdsim.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -30,3 +31,34 @@ def test_no_unused_imports():
     unused = {path.name: found for path in SOURCES
               if (found := _unused_imports(ast.parse(path.read_text())))}
     assert unused == {}
+
+
+def _references(tree: ast.Module) -> set:
+    """Every name a module reads, imports or looks up as an attribute, apart
+    from a module-level function's or class's uses of its own name."""
+    refs = set()
+    for top in tree.body:
+        found = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rsplit(".", 1)[-1])
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            found.discard(top.name)
+        refs |= found
+    return refs
+
+
+def test_exports_resolve_and_no_definition_is_dead():
+    assert [name for name in ibfdsim.__all__ if not hasattr(ibfdsim, name)] == []
+    defined = {(path.name, node.name) for path in SOURCES
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    referenced = set()
+    for folder in ("src", "bench", "tests"):
+        for path in (ROOT / folder).rglob("*.py"):
+            referenced |= _references(ast.parse(path.read_text()))
+    assert sorted(item for item in defined if item[1] not in referenced) == []
