@@ -24,7 +24,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--asic-db", type=float, help="override scenario.asic_db")
     sim.add_argument("--out", help="override campaign.output_dir")
     sim.add_argument("--workers", type=int, help="override campaign.workers")
-    sim.add_argument("--trace", action="store_true", help="write per-iteration CSVs")
+    sim.add_argument("--trace", action="store_true", default=None,
+                     help="write per-iteration CSVs")
 
     comp = sub.add_parser("complexity", help="print per-iteration multiplication counts")
     comp.add_argument("--cells", type=int, required=True)
@@ -39,25 +40,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# simulate flag -> the config field it overrides, under `scenario.` for a scenario field
+_OVERRIDES = {"seed": "base_seed", "realizations": "realizations", "algorithm": "algorithms",
+              "asic_db": "scenario.asic_db", "out": "output_dir", "workers": "workers",
+              "trace": "trace"}
+
+
 def _simulate(args) -> int:
     config = harness.load_config(args.config) if args.config else harness.CampaignConfig()
-    if args.asic_db is not None:
-        config = replace(config, scenario=replace(config.scenario, asic_db=args.asic_db))
-    overrides = {}
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.realizations is not None:
-        overrides["realizations"] = args.realizations
-    if args.algorithm:
-        overrides["algorithms"] = tuple(args.algorithm)
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.trace:
-        overrides["trace"] = True
-    if overrides:
-        config = replace(config, **overrides)
+    scenario, campaign = {}, {}
+    for flag, field in _OVERRIDES.items():
+        value = getattr(args, flag)
+        if value is not None:   # an unset flag is None; 0 is a value
+            section, _, name = field.rpartition(".")
+            (scenario if section else campaign)[name] = value
+    config = replace(config, scenario=replace(config.scenario, **scenario), **campaign)
     summary = harness.run_campaign(config)
     print(summary.table())
     print(f"wrote {config.output_dir}/realizations.csv")

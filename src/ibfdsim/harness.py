@@ -48,11 +48,12 @@ class CampaignConfig:
     algorithms: tuple = ("jpaim",)
     workers: int = 1
     output_dir: str = "out"
-    nsp_subspace_dim: int | None = None      # None -> half the BS transmit antennas
+    nsp_subspace_dim: int | None = None      # None -> max(1, bs_tx_antennas // 2)
     measure_timing: bool = False             # real elapsed_ms breaks byte determinism
     trace: bool = False                      # also write per-iteration CSVs
 
     def __post_init__(self):
+        object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if self.realizations < 1:
             raise ConfigError(f"campaign.realizations must be >= 1, got {self.realizations}")
         if self.workers < 1:
@@ -78,54 +79,55 @@ class CampaignConfig:
 # config file parsing
 # ---------------------------------------------------------------------------
 
-_SOLVER_KEYS = {"nu", "threshold", "max_iterations", "bisection_rel_tol",
-                "bisection_max_steps", "init_seed"}
-_CAMPAIGN_KEYS = {"realizations", "base_seed", "algorithms", "workers", "output_dir",
-                  "measure_timing", "trace"}
+
+def _split_list(raw: str) -> list:
+    """Comma-separated items; a lone trailing comma marks a one-item list (`0.5,`)."""
+    items = [item.strip() for item in raw.split(",")]
+    if len(items) == 2 and not items[1]:
+        del items[1]
+    if not all(items):
+        raise ValueError(f"empty item in {raw!r}")
+    return items
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"key {key}: expected a boolean, got {raw!r}")
+def _parse_flag(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return lowered in ("true", "1", "yes")
 
 
-def _parse_typed(raw: str, typ, key: str):
-    try:
-        if typ is bool:
-            return _parse_bool(raw, key)
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key}: {exc}") from exc
-    return raw
+def _auto(parse):
+    return lambda raw: None if raw.lower() == "auto" else parse(raw)
 
 
-def _parse_nu(raw: str, key: str):
-    """`auto`, one float, or per-cell floats: a value with a comma is always a
-    sequence, so a one-cell sequence is written with a trailing comma."""
-    if raw.strip().lower() == "auto":
-        return None
-    if "," not in raw:
-        return _parse_typed(raw, float, key)
-    parts = raw.split(",")
-    if len(parts) == 2 and not parts[1].strip():    # the one-cell form `0.5,`
-        del parts[1]
-    if not all(p.strip() for p in parts):
-        raise ConfigError(f"key {key}: empty per-cell value in {raw!r}")
-    return tuple(_parse_typed(p, float, key) for p in parts)
+# field annotation -> parser of a config value; a ValueError names the defect
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": _parse_flag,
+    "str": str,
+    "tuple": lambda raw: tuple(_split_list(raw)),
+    # solver.nu: a value with a comma is always a per-cell sequence
+    "object": _auto(lambda raw: tuple(map(float, _split_list(raw))) if "," in raw
+                    else float(raw)),
+    "int | None": _auto(int),
+}
+
+_CAMPAIGN_FIELDS = [f for f in fields(CampaignConfig) if f.name not in ("scenario", "solver")]
+# every config key, in the order save_config writes them -> (section, field);
+# section None marks a CampaignConfig field
+_KEYS = {
+    **{f"scenario.{f.name}": ("scenario", f) for f in fields(ScenarioConfig)},
+    **{f"solver.{f.name}": ("solver", f) for f in fields(SolverConfig)},
+    **{"nsp.subspace_dim": (None, f) for f in _CAMPAIGN_FIELDS if f.name == "nsp_subspace_dim"},
+    **{f"campaign.{f.name}": (None, f) for f in _CAMPAIGN_FIELDS if f.name != "nsp_subspace_dim"},
+}
 
 
 def parse_config(text: str) -> CampaignConfig:
     """Parse flat `section.key = value` lines into a CampaignConfig."""
-    scenario_types = {f.name: f.type for f in fields(ScenarioConfig)}
-    scenario_kwargs, solver_kwargs, campaign_kwargs = {}, {}, {}
-    nsp_dim = None
+    kwargs = {"scenario": {}, "solver": {}, None: {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -133,48 +135,21 @@ def parse_config(text: str) -> CampaignConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if "." not in key:
-            raise ConfigError(f"line {lineno}: key {key!r} lacks a section prefix")
-        section, name = key.split(".", 1)
-        if section == "scenario":
-            if name not in scenario_types:
-                raise ConfigError(f"unknown key scenario.{name}")
-            typ = {"int": int, "float": float, "bool": bool}[scenario_types[name]]
-            scenario_kwargs[name] = _parse_typed(raw, typ, key)
-        elif section == "solver":
-            if name not in _SOLVER_KEYS:
-                raise ConfigError(f"unknown key solver.{name}")
-            if name == "nu":
-                solver_kwargs[name] = _parse_nu(raw, key)
-            elif name in ("max_iterations", "bisection_max_steps", "init_seed"):
-                solver_kwargs[name] = _parse_typed(raw, int, key)
-            else:
-                solver_kwargs[name] = _parse_typed(raw, float, key)
-        elif section == "campaign":
-            if name not in _CAMPAIGN_KEYS:
-                raise ConfigError(f"unknown key campaign.{name}")
-            if name == "algorithms":
-                campaign_kwargs[name] = tuple(p.strip() for p in raw.split(",") if p.strip())
-            elif name == "output_dir":
-                campaign_kwargs[name] = raw
-            elif name in ("measure_timing", "trace"):
-                campaign_kwargs[name] = _parse_bool(raw, key)
-            else:
-                campaign_kwargs[name] = _parse_typed(raw, int, key)
-        elif section == "nsp":
-            if name != "subspace_dim":
-                raise ConfigError(f"unknown key nsp.{name}")
-            nsp_dim = None if raw.strip().lower() == "auto" else _parse_typed(raw, int, key)
-        else:
-            raise ConfigError(f"unknown section {section!r} in key {key}")
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        section, f = _KEYS[key]
+        try:
+            kwargs[section][f.name] = _PARSERS[f.type](raw)
+        except ValueError as exc:
+            raise ConfigError(f"key {key}: {exc}") from exc
     try:
-        solver = SolverConfig(**solver_kwargs)
+        solver = SolverConfig(**kwargs["solver"])
     except ValueError as exc:
         # every SolverConfig message starts with the field name
         raise ConfigError(f"solver.{exc}") from exc
     try:
-        return CampaignConfig(scenario=ScenarioConfig(**scenario_kwargs), solver=solver,
-                              nsp_subspace_dim=nsp_dim, **campaign_kwargs)
+        return CampaignConfig(scenario=ScenarioConfig(**kwargs["scenario"]), solver=solver,
+                              **kwargs[None])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -187,27 +162,22 @@ def load_config(path) -> CampaignConfig:
     return parse_config(p.read_text())
 
 
+def _format_setting(value, annotation: str) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        # a one-cell nu keeps its comma, which makes it read back as a tuple
+        return ",".join(map(str, value)) + ("," if annotation == "object" and len(value) == 1
+                                             else "")
+    return str(value)
+
+
 def save_config(config: CampaignConfig, path) -> None:
     """Write every key back out; load_config(save_config(c)) == c."""
     lines = []
-    for f in fields(ScenarioConfig):
-        lines.append(f"scenario.{f.name} = {getattr(config.scenario, f.name)}")
-    for f in fields(SolverConfig):
-        value = getattr(config.solver, f.name)
-        if f.name == "nu":
-            value = "auto" if value is None else (
-                ",".join(repr(v) for v in value) + ("," if len(value) == 1 else "")
-                if isinstance(value, tuple) else repr(value))
-        lines.append(f"solver.{f.name} = {value}")
-    nsp = "auto" if config.nsp_subspace_dim is None else config.nsp_subspace_dim
-    lines.append(f"nsp.subspace_dim = {nsp}")
-    lines.append(f"campaign.realizations = {config.realizations}")
-    lines.append(f"campaign.base_seed = {config.base_seed}")
-    lines.append(f"campaign.algorithms = {','.join(config.algorithms)}")
-    lines.append(f"campaign.workers = {config.workers}")
-    lines.append(f"campaign.output_dir = {config.output_dir}")
-    lines.append(f"campaign.measure_timing = {config.measure_timing}")
-    lines.append(f"campaign.trace = {config.trace}")
+    for key, (section, f) in _KEYS.items():
+        owner = config if section is None else getattr(config, section)
+        lines.append(f"{key} = {_format_setting(getattr(owner, f.name), f.type)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -233,25 +203,15 @@ def derive_seed(base_seed: int, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
-
-
-def _iteration_rows(seed: int, trace: jpaim.RunTrace, measure_timing: bool):
-    rows = []
-    for rec in trace.records:
-        rows.append([seed, rec.iteration, rec.loss, rec.sum_mse,
-                     *rec.rsi_watts, rec.sum_rate,
-                     rec.elapsed_ms if measure_timing else 0.0])
-    return rows
+def _csv_line(values) -> str:
+    """Floats as repr, which reads back exactly; booleans as 1/0."""
+    return ",".join(repr(v) if isinstance(v, float) else str(int(v)) if isinstance(v, bool)
+                    else str(v) for v in values)
 
 
 def _run_seed(args):
-    """Worker body: build one realization, run every algorithm on it.
+    """Worker body: build one realization, run every algorithm on it, and
+    return its finished `realizations.csv` lines and iteration-CSV lines.
 
     A failed draw is recorded once per configured algorithm; a failed run
     only for its own algorithm.  Either way the campaign goes on.
@@ -264,82 +224,66 @@ def _run_seed(args):
     except Exception as exc:  # a failed draw is recorded, not fatal
         message = f"{type(exc).__name__}: {exc}"
         return index, [], {}, [(seed, algo, message) for algo in config.algorithms]
-    nsp_dim = config.nsp_subspace_dim or config.scenario.bs_tx_antennas // 2
-    cells = config.scenario.cells
 
     # the jpaim solve, run once however many algorithms use it
     solve = functools.cache(
         lambda: jpaim.run(realization, config.solver, collect_metrics=config.trace))
 
     rows = []
-    traces = {}
+    trace_rows = {}
     errors = []
+    base_rate = float("nan")    # stays nan when the first configured algorithm fails
     for algo in config.algorithms:
         t0 = time.perf_counter()
         try:
-            _run_algorithm(config, realization, algo, nsp_dim, cells, traces, rows,
-                           seed, digest, t0, solve)
+            rep, converged, iters, rsi, asic, traces = _run_algorithm(
+                config, realization, algo, solve)
         except Exception as exc:  # a failed run is recorded, not fatal
             errors.append((seed, algo, f"{type(exc).__name__}: {exc}"))
-    trace_rows = {name: _iteration_rows(seed, tr, config.measure_timing)
-                  for name, tr in traces.items()}
+            continue
+        elapsed_ms = (time.perf_counter() - t0) * 1e3 if config.measure_timing else 0.0
+        if algo == config.algorithms[0]:
+            base_rate = rep.sum_rate
+        rows.append(_csv_line([
+            seed, algo, digest, converged, iters, rep.loss,
+            getattr(rep, "sum_mse_dl", float("nan")), getattr(rep, "sum_mse_ul", float("nan")),
+            rep.sum_rate, rep.sum_rate_dl, rep.sum_rate_ul, rep.sum_rate - base_rate,
+            *rsi, *asic, elapsed_ms]))
+        if config.trace:
+            for name, trace in traces.items():
+                trace_rows[name] = [_csv_line([
+                    seed, rec.iteration, rec.loss, rec.sum_mse, *rec.rsi_watts, rec.sum_rate,
+                    rec.elapsed_ms if config.measure_timing else 0.0]) for rec in trace.records]
     return index, rows, trace_rows, errors
 
 
-def _run_algorithm(config, realization, algo, nsp_dim, cells, traces, rows,
-                   seed, digest, t0, solve):
+def _run_algorithm(config, realization, algo, solve):
+    """One algorithm on one realization: (report, converged, iterations,
+    per-cell RSI, per-cell ASIC depth, iteration traces by CSV name)."""
+    if algo == "half-duplex":  # no simultaneous transmit/receive, so no RSI
+        result = baselines.run_half_duplex(realization, config.solver)
+        cells = config.scenario.cells
+        return (result, result.converged, result.iterations, (0.0,) * cells,
+                (float("nan"),) * cells,
+                {"half_duplex_dl": result.dl_trace, "half_duplex_ul": result.ul_trace})
     if algo == "jpaim":
         trace = solve()
-        rep, converged, iters = trace.final_report, trace.converged, trace.iterations
-        rsi, asic = rep.rsi_watts, rep.asic_depth_db
-        if config.trace:
-            traces["jpaim"] = trace
-    elif algo == "nsp-jpaim":
-        # the projection starts from jpaim's own solution: reuse it if jpaim runs too
+        rep = trace.final_report
+    else:  # nsp-jpaim projects jpaim's own solution: reuse it if jpaim runs too
         shared = solve() if "jpaim" in config.algorithms else None
+        nsp_dim = config.nsp_subspace_dim or max(1, config.scenario.bs_tx_antennas // 2)
         trace, _, rep = baselines.run_nsp(realization, config.solver, nsp_dim, trace=shared)
-        converged, iters = trace.converged, trace.iterations
-        rsi, asic = rep.rsi_watts, rep.asic_depth_db
-        if config.trace:
-            traces["nsp_jpaim"] = trace
-    else:  # half-duplex: no simultaneous transmit/receive, so no RSI
-        result = baselines.run_half_duplex(realization, config.solver)
-        rep, converged, iters = result, result.converged, result.iterations
-        rsi = (0.0,) * cells
-        asic = (float("nan"),) * cells
-        if config.trace:
-            traces["half_duplex_dl"] = result.dl_trace
-            traces["half_duplex_ul"] = result.ul_trace
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
-    rows.append({
-        "seed": seed, "algorithm": algo, "digest": digest,
-        "converged": converged, "iterations": iters,
-        "loss": rep.loss,
-        "sum_mse_dl": getattr(rep, "sum_mse_dl", float("nan")),
-        "sum_mse_ul": getattr(rep, "sum_mse_ul", float("nan")),
-        "sum_rate": rep.sum_rate, "sum_rate_dl": rep.sum_rate_dl,
-        "sum_rate_ul": rep.sum_rate_ul,
-        "rsi": rsi, "asic": asic, "elapsed_ms": elapsed_ms,
-    })
-
-
-def _realization_columns(cells: int):
-    return (["seed", "algorithm", "digest", "converged", "iterations", "loss",
-             "sum_mse_dl", "sum_mse_ul", "sum_rate", "sum_rate_dl", "sum_rate_ul",
-             "sum_rate_delta"]
-            + [f"rsi_w_{g}" for g in range(cells)]
-            + [f"asic_db_{g}" for g in range(cells)]
-            + ["elapsed_ms"])
+    return (rep, trace.converged, trace.iterations, rep.rsi_watts, rep.asic_depth_db,
+            {algo.replace("-", "_"): trace})
 
 
 def run_campaign(config: CampaignConfig):
     """Run all configured algorithms over all seeds and write the CSVs.
 
-    Returns the CampaignSummary computed from the same rows that were
-    written.  Output is ordered by (seed index, algorithm) no matter how many
-    workers executed, so identical configs give identical bytes.  Each
-    finished realization logs one INFO line with its index, seed and error
-    count, in index order.
+    Returns `summarize` of the written directory.  Output is ordered by
+    (seed index, algorithm) no matter how many workers executed, so
+    identical configs give identical bytes.  Each finished realization logs
+    one INFO line with its index, seed and error count, in index order.
     """
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -358,46 +302,29 @@ def run_campaign(config: CampaignConfig):
     else:
         results = list(logged(map(_run_seed, tasks)))
 
-    cells = config.scenario.cells
-    columns = _realization_columns(cells)
-    lines = [f"# schema: {_REALIZATIONS_SCHEMA}", ",".join(columns)]
-    flat_rows = []
     all_errors = [err for _, _, _, errs in results for err in errs]
     if all_errors:
         elines = [f"{seed},{algo},{msg}" for seed, algo, msg in all_errors]
         (outdir / "errors.log").write_text("\n".join(elines) + "\n")
         log.warning("%d solver run(s) failed; see errors.log", len(all_errors))
-    for _, rows, _tr, _errs in results:
-        if not rows:
-            continue
-        base_rate = rows[0]["sum_rate"]
-        for row in rows:
-            row = dict(row)
-            row["sum_rate_delta"] = row["sum_rate"] - base_rate
-            if not config.measure_timing:
-                row["elapsed_ms"] = 0.0
-            flat_rows.append(row)
-            values = ([row["seed"], row["algorithm"], row["digest"],
-                       row["converged"], row["iterations"], row["loss"],
-                       row["sum_mse_dl"], row["sum_mse_ul"], row["sum_rate"],
-                       row["sum_rate_dl"], row["sum_rate_ul"], row["sum_rate_delta"]]
-                      + list(row["rsi"]) + list(row["asic"]) + [row["elapsed_ms"]])
-            lines.append(",".join(_format_value(v) for v in values))
+
+    cells = range(config.scenario.cells)
+    lines = [f"# schema: {_REALIZATIONS_SCHEMA}",
+             ",".join(["seed", "algorithm", "digest", "converged", "iterations", "loss",
+                       "sum_mse_dl", "sum_mse_ul", "sum_rate", "sum_rate_dl", "sum_rate_ul",
+                       "sum_rate_delta", *(f"rsi_w_{g}" for g in cells),
+                       *(f"asic_db_{g}" for g in cells), "elapsed_ms"])]
+    lines += [row for _, rows, _, _ in results for row in rows]
     (outdir / "realizations.csv").write_text("\n".join(lines) + "\n")
 
-    if config.trace:
-        names = sorted({name for _, _, tr, _ in results for name in tr})
-        for name in names:
-            header = (["seed", "iter", "loss", "sum_mse"]
-                      + [f"rsi_w_{g}" for g in range(cells)]
-                      + ["sum_rate", "elapsed_ms"])
-            tlines = [f"# schema: {_ITERATIONS_SCHEMA}", ",".join(header)]
-            for _, _, tr, _ in results:
-                for vals in tr.get(name, []):
-                    tlines.append(",".join(_format_value(v) for v in vals))
-            (outdir / f"iterations_{name}.csv").write_text("\n".join(tlines) + "\n")
+    for name in sorted({name for _, _, traces, _ in results for name in traces}):
+        lines = [f"# schema: {_ITERATIONS_SCHEMA}",
+                 ",".join(["seed", "iter", "loss", "sum_mse", *(f"rsi_w_{g}" for g in cells),
+                           "sum_rate", "elapsed_ms"])]
+        lines += [row for _, _, traces, _ in results for row in traces.get(name, ())]
+        (outdir / f"iterations_{name}.csv").write_text("\n".join(lines) + "\n")
 
-    return _summarize_rows(flat_rows)
+    return summarize(outdir)
 
 
 # ---------------------------------------------------------------------------

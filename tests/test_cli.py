@@ -72,6 +72,13 @@ def test_simulate_overrides(tmp_path):
     assert len(body) == 3  # schema + header + one row
     from ibfdsim.harness import derive_seed
     assert body[2].startswith(str(derive_seed(3, 0)))
+    # 0 is a seed like any other: it overrides the config's base seed too
+    cfg.write_text(CFG + "campaign.base_seed = 5\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--realizations", "1", "--seed", "0"])
+    assert code == 0
+    body = (out / "realizations.csv").read_text().splitlines()
+    assert body[2].startswith(str(derive_seed(0, 0)))
 
 
 def test_exit_code_validation_errors(tmp_path, capsys):

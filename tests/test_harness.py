@@ -1,7 +1,7 @@
 """Campaign harness: config files, seeds, CSV outputs, summaries, complexity."""
 
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +100,9 @@ def test_parse_config_errors_name_the_key():
         ("solver.nu = 1,2,", "solver.nu"),
         ("solver.nu = ,1", "solver.nu"),
         ("campaign.algorithms = jpaim, jpaim", "campaign.algorithms"),
+        # the list rule of solver.nu holds for campaign.algorithms too
+        ("campaign.algorithms = jpaim,,half-duplex", "campaign.algorithms"),
+        ("campaign.algorithms = jpaim, half-duplex,", "campaign.algorithms"),
         # values every draw would reject
         ("scenario.bandwidth_hz = 0", "bandwidth_hz"),
         ("scenario.carrier_ghz = -1", "carrier_ghz"),
@@ -148,6 +151,30 @@ def test_save_load_config_roundtrip(tmp_path):
     auto = parse_config("solver.nu = auto")
     save_config(auto, path)
     assert load_config(path) == auto
+
+
+def test_save_load_config_roundtrip_of_every_key(tmp_path):
+    scenario = ScenarioConfig(
+        cells=3, dl_users=1, ul_users=3, bs_tx_antennas=6, bs_rx_antennas=5,
+        ue_tx_antennas=3, ue_rx_antennas=4, dl_streams=1, ul_streams=3,
+        inter_site_distance_m=150.5, min_bs_user_distance_m=12.25, carrier_ghz=3.5,
+        bandwidth_hz=2e7, bs_power_dbm=30.0, ue_power_dbm=20.0, noise_density_dbm_hz=-170.0,
+        bs_noise_figure_db=7.0, ue_noise_figure_db=5.0, adc_bits=10.0, csi_error_factor=1e-6,
+        rician_k_db=3.0, asic_db=60.0, swap_los_fading=True)
+    solver = jpaim.SolverConfig(nu=(0.1, 0.2, 0.3), threshold=5e-5, max_iterations=7,
+                                bisection_rel_tol=1e-9, bisection_max_steps=50, init_seed=11)
+    cfg = CampaignConfig(scenario=scenario, solver=solver, realizations=9, base_seed=0,
+                         algorithms=("half-duplex", "nsp-jpaim"), workers=3,
+                         output_dir="runs/every key", nsp_subspace_dim=4,
+                         measure_timing=True, trace=True)
+    # every field differs from its default, so a key that save_config drops shows
+    default = CampaignConfig()
+    for ours, theirs in ((cfg, default), (cfg.scenario, default.scenario),
+                         (cfg.solver, default.solver)):
+        assert all(getattr(ours, f.name) != getattr(theirs, f.name) for f in fields(ours))
+    path = tmp_path / "campaign.cfg"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
 
 
 @pytest.mark.parametrize("nu, cells", [([0.1, 0.2], 2), (np.array([0.1, 0.2]), 2),
@@ -222,6 +249,16 @@ def test_run_campaign_writes_contractual_csv(tmp_path):
     schema, rows = _read_csv(tmp_path / "out" / "realizations.csv")
     assert schema == "# schema: ibfdsim-realizations-v1"
     assert len(rows) == 9
+    # the full header, per-cell columns included, of a one- and a two-cell campaign
+    common = ["seed", "algorithm", "digest", "converged", "iterations", "loss",
+              "sum_mse_dl", "sum_mse_ul", "sum_rate", "sum_rate_dl", "sum_rate_ul",
+              "sum_rate_delta"]
+    assert list(rows[0].keys()) == common + ["rsi_w_0", "asic_db_0", "elapsed_ms"]
+    run_campaign(replace(cfg, scenario=replace(cfg.scenario, cells=2), realizations=1,
+                         trace=False, output_dir=str(tmp_path / "two")))
+    header = (tmp_path / "two" / "realizations.csv").read_text().splitlines()[1]
+    assert header.split(",") == common + ["rsi_w_0", "rsi_w_1", "asic_db_0", "asic_db_1",
+                                          "elapsed_ms"]
     seeds = [derive_seed(7, i) for i in range(3)]
     assert [int(r["seed"]) for r in rows] == [s for s in seeds for _ in range(3)]
     assert [r["algorithm"] for r in rows[:3]] == ["jpaim", "nsp-jpaim", "half-duplex"]
@@ -337,6 +374,45 @@ def test_run_campaign_records_failures_and_continues(tmp_path, monkeypatch):
     log = (tmp_path / "out" / "errors.log").read_text()
     assert f"{bad_seed},jpaim,RuntimeError: synthetic failure" in log
     assert summary.algorithms[0].realizations == 2
+
+
+def test_rate_delta_is_nan_when_the_first_algorithm_failed(tmp_path, monkeypatch):
+    # the delta is taken against the first configured algorithm, not against
+    # whichever row of the seed happens to come first
+    cfg = replace(parse_config(SMALL + "campaign.algorithms = jpaim, nsp-jpaim, half-duplex\n"),
+                  output_dir=str(tmp_path / "out"))
+    bad_seed = derive_seed(cfg.base_seed, 1)
+    true_run = jpaim.run
+
+    def flaky(realization, config, rng=None, collect_metrics=True):
+        # the full-duplex solve fails; the half-duplex phases switch a BS chain off
+        full_duplex = realization.antennas.bs_tx and realization.antennas.bs_rx
+        if realization.seed == bad_seed and full_duplex:
+            raise RuntimeError("synthetic failure")
+        return true_run(realization, config, rng, collect_metrics)
+
+    monkeypatch.setattr(harness.jpaim, "run", flaky)
+    run_campaign(cfg)
+    _, rows = _read_csv(tmp_path / "out" / "realizations.csv")
+    assert [(int(r["seed"]), r["algorithm"]) for r in rows if int(r["seed"]) == bad_seed] \
+        == [(bad_seed, "half-duplex")]
+    for r in rows:
+        delta = float(r["sum_rate_delta"])
+        assert np.isnan(delta) if int(r["seed"]) == bad_seed else np.isfinite(delta)
+
+
+def test_automatic_nsp_dimension_is_at_least_one(tmp_path):
+    # with one BS transmit antenna, half of it rounds down to 0
+    text = SMALL + "scenario.bs_tx_antennas = 1\ncampaign.algorithms = nsp-jpaim\n"
+    outputs = []
+    for dim in ("auto", "1"):
+        out = tmp_path / dim
+        run_campaign(replace(parse_config(text + f"nsp.subspace_dim = {dim}\n"),
+                             output_dir=str(out)))
+        assert not (out / "errors.log").exists()
+        outputs.append((out / "realizations.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 2 + 3
 
 
 def test_run_campaign_solves_jpaim_once_for_nsp(tmp_path, monkeypatch):
