@@ -40,21 +40,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# simulate flag -> the config field it overrides, under `scenario.` for a scenario field
-_OVERRIDES = {"seed": "base_seed", "realizations": "realizations", "algorithm": "algorithms",
-              "asic_db": "scenario.asic_db", "out": "output_dir", "workers": "workers",
-              "trace": "trace"}
+# simulate flag -> the CampaignConfig field it overrides
+_OVERRIDES = {"seed": "base_seed", "realizations": "realizations", "out": "output_dir",
+              "workers": "workers", "trace": "trace"}
 
 
 def _simulate(args) -> int:
     config = harness.load_config(args.config) if args.config else harness.CampaignConfig()
-    scenario, campaign = {}, {}
-    for flag, field in _OVERRIDES.items():
-        value = getattr(args, flag)
-        if value is not None:   # an unset flag is None; 0 is a value
-            section, _, name = field.rpartition(".")
-            (scenario if section else campaign)[name] = value
-    config = replace(config, scenario=replace(config.scenario, **scenario), **campaign)
+    overrides = {field: getattr(args, flag) for flag, field in _OVERRIDES.items()
+                 if getattr(args, flag) is not None}   # an unset flag is None; 0 is a value
+    if args.algorithm:
+        overrides["algorithms"] = tuple(args.algorithm)
+    if args.asic_db is not None:
+        overrides["scenario"] = replace(config.scenario, asic_db=args.asic_db)
+    config = replace(config, **overrides)
     summary = harness.run_campaign(config)
     print(summary.table())
     print(f"wrote {config.output_dir}/realizations.csv")

@@ -53,7 +53,6 @@ class CampaignConfig:
     trace: bool = False                      # also write per-iteration CSVs
 
     def __post_init__(self):
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if self.realizations < 1:
             raise ConfigError(f"campaign.realizations must be >= 1, got {self.realizations}")
         if self.workers < 1:
@@ -114,14 +113,15 @@ _PARSERS = {
     "int | None": _auto(int),
 }
 
-_CAMPAIGN_FIELDS = [f for f in fields(CampaignConfig) if f.name not in ("scenario", "solver")]
+_CAMPAIGN_FIELDS = {f.name: f for f in fields(CampaignConfig)}
 # every config key, in the order save_config writes them -> (section, field);
 # section None marks a CampaignConfig field
 _KEYS = {
     **{f"scenario.{f.name}": ("scenario", f) for f in fields(ScenarioConfig)},
     **{f"solver.{f.name}": ("solver", f) for f in fields(SolverConfig)},
-    **{"nsp.subspace_dim": (None, f) for f in _CAMPAIGN_FIELDS if f.name == "nsp_subspace_dim"},
-    **{f"campaign.{f.name}": (None, f) for f in _CAMPAIGN_FIELDS if f.name != "nsp_subspace_dim"},
+    "nsp.subspace_dim": (None, _CAMPAIGN_FIELDS["nsp_subspace_dim"]),
+    **{f"campaign.{name}": (None, f) for name, f in _CAMPAIGN_FIELDS.items()
+       if name not in ("scenario", "solver", "nsp_subspace_dim")},
 }
 
 
@@ -232,7 +232,7 @@ def _run_seed(args):
     rows = []
     trace_rows = {}
     errors = []
-    base_rate = float("nan")    # stays nan when the first configured algorithm fails
+    base_rate = None    # the delta is taken against the seed's first row
     for algo in config.algorithms:
         t0 = time.perf_counter()
         try:
@@ -242,7 +242,7 @@ def _run_seed(args):
             errors.append((seed, algo, f"{type(exc).__name__}: {exc}"))
             continue
         elapsed_ms = (time.perf_counter() - t0) * 1e3 if config.measure_timing else 0.0
-        if algo == config.algorithms[0]:
+        if base_rate is None:
             base_rate = rep.sum_rate
         rows.append(_csv_line([
             seed, algo, digest, converged, iters, rep.loss,

@@ -376,31 +376,6 @@ def test_run_campaign_records_failures_and_continues(tmp_path, monkeypatch):
     assert summary.algorithms[0].realizations == 2
 
 
-def test_rate_delta_is_nan_when_the_first_algorithm_failed(tmp_path, monkeypatch):
-    # the delta is taken against the first configured algorithm, not against
-    # whichever row of the seed happens to come first
-    cfg = replace(parse_config(SMALL + "campaign.algorithms = jpaim, nsp-jpaim, half-duplex\n"),
-                  output_dir=str(tmp_path / "out"))
-    bad_seed = derive_seed(cfg.base_seed, 1)
-    true_run = jpaim.run
-
-    def flaky(realization, config, rng=None, collect_metrics=True):
-        # the full-duplex solve fails; the half-duplex phases switch a BS chain off
-        full_duplex = realization.antennas.bs_tx and realization.antennas.bs_rx
-        if realization.seed == bad_seed and full_duplex:
-            raise RuntimeError("synthetic failure")
-        return true_run(realization, config, rng, collect_metrics)
-
-    monkeypatch.setattr(harness.jpaim, "run", flaky)
-    run_campaign(cfg)
-    _, rows = _read_csv(tmp_path / "out" / "realizations.csv")
-    assert [(int(r["seed"]), r["algorithm"]) for r in rows if int(r["seed"]) == bad_seed] \
-        == [(bad_seed, "half-duplex")]
-    for r in rows:
-        delta = float(r["sum_rate_delta"])
-        assert np.isnan(delta) if int(r["seed"]) == bad_seed else np.isfinite(delta)
-
-
 def test_automatic_nsp_dimension_is_at_least_one(tmp_path):
     # with one BS transmit antenna, half of it rounds down to 0
     text = SMALL + "scenario.bs_tx_antennas = 1\ncampaign.algorithms = nsp-jpaim\n"
