@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,57 +45,39 @@ def project_state(realization: Realization, state: BeamformingState,
     return replace(state, dl_beams=projected).copy()
 
 
-def run_nsp(realization: Realization, config: jpaim.SolverConfig, subspace_dim: int,
-            trace: jpaim.RunTrace | None = None,
-            ) -> tuple[jpaim.RunTrace, BeamformingState, objective.ObjectiveReport]:
-    """Solve, project the downlink beams, refresh combiners, re-evaluate.
+def run_nsp(realization: Realization, trace: jpaim.RunTrace, subspace_dim: int,
+            ) -> tuple[objective.ObjectiveReport, BeamformingState]:
+    """Project the downlink beams of a finished jpaim.run of `realization`,
+    refresh the combiners, and score the projected state.
 
     Projection only ever shrinks the transmitted power, so the power
     constraints stay satisfied; one combiner refresh lets the receivers react
-    to the projected beams before the state is scored.  `trace` is a
-    finished jpaim.run of the same realization and config, if the caller has
-    one; the solve is skipped then.
+    to the projected beams before the state is scored with the solve's nu.
     """
-    if trace is None:
-        trace = jpaim.run(realization, config, collect_metrics=False)
     projected = project_state(realization, trace.final_state, subspace_dim)
     projected = jpaim.update_combiners(realization, projected)
-    report = objective.evaluate(realization, projected, jpaim.resolve_nu(realization, config))
-    return trace, projected, report
+    return objective.evaluate(realization, projected, trace.nu), projected
 
 
-@dataclass(frozen=True)
-class HalfDuplexResult:
-    """Time-split reference: each phase gets half the airtime."""
-
-    sum_rate: float
-    sum_rate_dl: float
-    sum_rate_ul: float
-    loss: float                 # sum of the two phases' final losses
-    iterations: int             # total over both phases
-    converged: bool
-    dl_trace: jpaim.RunTrace
-    ul_trace: jpaim.RunTrace
-
-
-def run_half_duplex(realization: Realization, config: jpaim.SolverConfig) -> HalfDuplexResult:
+def run_half_duplex(realization: Realization, config: jpaim.SolverConfig,
+                    ) -> tuple[objective.ObjectiveReport, jpaim.RunTrace, jpaim.RunTrace]:
     """Run the solver on downlink-only and uplink-only halves of the network.
 
-    The BS never transmits and receives at once, so there is no SI and the
-    RSI penalty is dropped; cross-cell interference within each phase is
-    kept.  Rates are halved to account for the time split.
+    The BS never transmits and receives at once, so there is no SI: the RSI
+    penalty is dropped, the report's RSI is 0 and its ASIC depth nan in every
+    cell.  Cross-cell interference within each phase is kept.  Each phase
+    gets half the airtime, so the rates are halved; each direction's MSE
+    comes from its own phase, and the loss is the sum of the phase losses.
+    Returns (report, downlink trace, uplink trace).
     """
     hd_config = replace(config, nu=0.0)
     dl_trace = jpaim.run(restrict_to_downlink(realization), hd_config, collect_metrics=False)
     ul_trace = jpaim.run(restrict_to_uplink(realization), hd_config, collect_metrics=False)
-    dl_rep, ul_rep = dl_trace.final_report, ul_trace.final_report
-    return HalfDuplexResult(
-        sum_rate=0.5 * (dl_rep.sum_rate + ul_rep.sum_rate),
-        sum_rate_dl=0.5 * dl_rep.sum_rate_dl,
-        sum_rate_ul=0.5 * ul_rep.sum_rate_ul,
-        loss=dl_rep.loss + ul_rep.loss,
-        iterations=dl_trace.iterations + ul_trace.iterations,
-        converged=dl_trace.converged and ul_trace.converged,
-        dl_trace=dl_trace,
-        ul_trace=ul_trace,
-    )
+    dl, ul = dl_trace.final_report, ul_trace.final_report
+    cells = realization.cell_count
+    report = objective.ObjectiveReport(
+        sum_mse_dl=dl.sum_mse_dl, sum_mse_ul=ul.sum_mse_ul,
+        rsi_watts=(0.0,) * cells, asic_depth_db=(float("nan"),) * cells,
+        loss=dl.loss + ul.loss, sum_rate=0.5 * (dl.sum_rate + ul.sum_rate),
+        sum_rate_dl=0.5 * dl.sum_rate_dl, sum_rate_ul=0.5 * ul.sum_rate_ul)
+    return report, dl_trace, ul_trace

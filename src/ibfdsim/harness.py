@@ -236,8 +236,7 @@ def _run_seed(args):
     for algo in config.algorithms:
         t0 = time.perf_counter()
         try:
-            rep, converged, iters, rsi, asic, traces = _run_algorithm(
-                config, realization, algo, solve)
+            rep, traces = _run_algorithm(config, realization, algo, solve)
         except Exception as exc:  # a failed run is recorded, not fatal
             errors.append((seed, algo, f"{type(exc).__name__}: {exc}"))
             continue
@@ -245,10 +244,10 @@ def _run_seed(args):
         if base_rate is None:
             base_rate = rep.sum_rate
         rows.append(_csv_line([
-            seed, algo, digest, converged, iters, rep.loss,
-            getattr(rep, "sum_mse_dl", float("nan")), getattr(rep, "sum_mse_ul", float("nan")),
-            rep.sum_rate, rep.sum_rate_dl, rep.sum_rate_ul, rep.sum_rate - base_rate,
-            *rsi, *asic, elapsed_ms]))
+            seed, algo, digest, all(t.converged for t in traces.values()),
+            sum(t.iterations for t in traces.values()), rep.loss, rep.sum_mse_dl,
+            rep.sum_mse_ul, rep.sum_rate, rep.sum_rate_dl, rep.sum_rate_ul,
+            rep.sum_rate - base_rate, *rep.rsi_watts, *rep.asic_depth_db, elapsed_ms]))
         if config.trace:
             for name, trace in traces.items():
                 trace_rows[name] = [_csv_line([
@@ -258,29 +257,23 @@ def _run_seed(args):
 
 
 def _run_algorithm(config, realization, algo, solve):
-    """One algorithm on one realization: (report, converged, iterations,
-    per-cell RSI, per-cell ASIC depth, iteration traces by CSV name)."""
-    if algo == "half-duplex":  # no simultaneous transmit/receive, so no RSI
-        result = baselines.run_half_duplex(realization, config.solver)
-        cells = config.scenario.cells
-        return (result, result.converged, result.iterations, (0.0,) * cells,
-                (float("nan"),) * cells,
-                {"half_duplex_dl": result.dl_trace, "half_duplex_ul": result.ul_trace})
+    """One algorithm on one realization: (report, its solve traces by
+    iteration-CSV name).  nsp-jpaim projects the seed's one jpaim solve."""
+    if algo == "half-duplex":
+        report, dl_trace, ul_trace = baselines.run_half_duplex(realization, config.solver)
+        return report, {"half_duplex_dl": dl_trace, "half_duplex_ul": ul_trace}
+    trace = solve()
     if algo == "jpaim":
-        trace = solve()
-        rep = trace.final_report
-    else:  # nsp-jpaim projects jpaim's own solution: reuse it if jpaim runs too
-        shared = solve() if "jpaim" in config.algorithms else None
-        nsp_dim = config.nsp_subspace_dim or max(1, config.scenario.bs_tx_antennas // 2)
-        trace, _, rep = baselines.run_nsp(realization, config.solver, nsp_dim, trace=shared)
-    return (rep, trace.converged, trace.iterations, rep.rsi_watts, rep.asic_depth_db,
-            {algo.replace("-", "_"): trace})
+        return trace.final_report, {"jpaim": trace}
+    nsp_dim = config.nsp_subspace_dim or max(1, config.scenario.bs_tx_antennas // 2)
+    return baselines.run_nsp(realization, trace, nsp_dim)[0], {"nsp_jpaim": trace}
 
 
 def run_campaign(config: CampaignConfig):
     """Run all configured algorithms over all seeds and write the CSVs.
 
-    Returns `summarize` of the written directory.  Output is ordered by
+    Returns `summarize` of the written directory, or raises RuntimeError
+    once the files are written if every run failed.  Output is ordered by
     (seed index, algorithm) no matter how many workers executed, so
     identical configs give identical bytes.  Each finished realization logs
     one INFO line with its index, seed and error count, in index order.
@@ -324,6 +317,9 @@ def run_campaign(config: CampaignConfig):
         lines += [row for _, _, traces, _ in results for row in traces.get(name, ())]
         (outdir / f"iterations_{name}.csv").write_text("\n".join(lines) + "\n")
 
+    if not any(rows for _, rows, _, _ in results):
+        raise RuntimeError(f"all {len(all_errors)} run(s) failed; see "
+                           f"{outdir / 'errors.log'}")
     return summarize(outdir)
 
 

@@ -320,7 +320,7 @@ def test_criterion_09_ibfd_gain_over_half_duplex():
     for seed in range(200):
         real = build_realization(sc, seed)
         rep = jpaim.run(real, cfg, collect_metrics=False).final_report
-        half = baselines.run_half_duplex(real, cfg)
+        half = baselines.run_half_duplex(real, cfg)[0]
         ibfd.append(rep.sum_rate)
         hd.append(half.sum_rate)
         ibfd_dl.append(rep.sum_rate_dl)

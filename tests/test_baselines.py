@@ -86,8 +86,8 @@ def test_project_state_touches_only_downlink_precoders():
 def test_run_nsp_full_dimension_matches_plain_solver():
     real = build_realization(helpers.small_config(), 6)
     cfg = SolverConfig(max_iterations=10)
-    trace, projected, report = run_nsp(real, cfg, subspace_dim=real.antennas.bs_tx)
     plain = jpaim.run(real, cfg, collect_metrics=False)
+    report, projected = run_nsp(real, plain, subspace_dim=real.antennas.bs_tx)
     # identity projection, then one extra combiner refresh
     refreshed = jpaim.update_combiners(real, plain.final_state)
     np.testing.assert_allclose(projected.dl_beams[0][0],
@@ -99,7 +99,8 @@ def test_run_nsp_full_dimension_matches_plain_solver():
 
 def test_run_nsp_keeps_power_feasible():
     real = build_realization(helpers.small_config(asic_db=0.0), 7)
-    _, projected, _ = run_nsp(real, SolverConfig(max_iterations=10), subspace_dim=1)
+    trace = jpaim.run(real, SolverConfig(max_iterations=10), collect_metrics=False)
+    _, projected = run_nsp(real, trace, subspace_dim=1)
     hw = real.hardware
     for g in range(real.cell_count):
         assert projected.dl_cell_power(g) <= hw.p_bs_w * (1.0 + 1e-9)
@@ -108,18 +109,20 @@ def test_run_nsp_keeps_power_feasible():
 def test_half_duplex_structure():
     real = build_realization(helpers.small_config(), 8)
     cfg = SolverConfig(max_iterations=40)
-    result = run_half_duplex(real, cfg)
-    dl_rep = result.dl_trace.final_report
-    ul_rep = result.ul_trace.final_report
+    result, dl_trace, ul_trace = run_half_duplex(real, cfg)
+    dl_rep = dl_trace.final_report
+    ul_rep = ul_trace.final_report
     assert result.sum_rate == pytest.approx(0.5 * (dl_rep.sum_rate + ul_rep.sum_rate),
                                             rel=1e-12)
     assert result.sum_rate_dl == pytest.approx(0.5 * dl_rep.sum_rate_dl, rel=1e-12)
     assert result.sum_rate_ul == pytest.approx(0.5 * ul_rep.sum_rate_ul, rel=1e-12)
-    assert result.iterations == result.dl_trace.iterations + result.ul_trace.iterations
+    # each direction's MSE comes from its own phase; the losses add
+    assert (result.sum_mse_dl, result.sum_mse_ul) == (dl_rep.sum_mse_dl, ul_rep.sum_mse_ul)
+    assert result.loss == dl_rep.loss + ul_rep.loss
     # each phase sees only its own direction
     assert dl_rep.sum_rate_ul == 0.0
     assert ul_rep.sum_rate_dl == 0.0
-    assert run_half_duplex(real, cfg).sum_rate == pytest.approx(result.sum_rate)
+    assert run_half_duplex(real, cfg)[0].sum_rate == pytest.approx(result.sum_rate)
 
 
 def test_half_duplex_has_no_self_interference_penalty():
@@ -129,19 +132,19 @@ def test_half_duplex_has_no_self_interference_penalty():
     weak = build_realization(ScenarioConfig(**base, asic_db=120.0), 9)
     strong = build_realization(ScenarioConfig(**base, asic_db=0.0), 9)
     cfg = SolverConfig(max_iterations=30)
-    a = run_half_duplex(weak, cfg)
-    b = run_half_duplex(strong, cfg)
+    a = run_half_duplex(weak, cfg)[0]
+    b = run_half_duplex(strong, cfg)[0]
     assert a.sum_rate_dl == pytest.approx(b.sum_rate_dl, rel=1e-9)
 
 
 def test_half_duplex_phases_stay_feasible():
     real = build_realization(helpers.small_config(), 10)
-    result = run_half_duplex(real, SolverConfig(max_iterations=5))
-    ul_state = result.ul_trace.final_state
+    _, dl_trace, ul_trace = run_half_duplex(real, SolverConfig(max_iterations=5))
+    ul_state = ul_trace.final_state
     powers = ul_state.ul_powers().ravel().tolist()
     assert all(p <= real.hardware.p_ue_w * (1.0 + 1e-6) for p in powers)
     assert max(powers) > 0.0
-    dl_state = result.dl_trace.final_state
+    dl_state = dl_trace.final_state
     for g in range(real.cell_count):
         assert dl_state.dl_cell_power(g) <= real.hardware.p_bs_w * (1.0 + 1e-6)
 
@@ -175,9 +178,11 @@ GOLDEN_NSP_STRONG_SI = [(100, False, 8.091342722272275, 36.122502085160534),
 def test_baselines_match_goldens(scenario, config, half_duplex, nsp):
     for seed in range(5):
         real = build_realization(scenario, seed)
-        hd = run_half_duplex(real, config)
-        trace, _, report = run_nsp(real, config, subspace_dim=8)
-        for got, want in (((hd.iterations, hd.converged, hd.loss, hd.sum_rate), half_duplex[seed]),
+        hd, dl, ul = run_half_duplex(real, config)
+        trace = jpaim.run(real, config, collect_metrics=False)
+        report, _ = run_nsp(real, trace, subspace_dim=8)
+        for got, want in (((dl.iterations + ul.iterations, dl.converged and ul.converged,
+                            hd.loss, hd.sum_rate), half_duplex[seed]),
                           ((trace.iterations, trace.converged, report.loss, report.sum_rate),
                            nsp[seed])):
             assert got[:2] == want[:2], f"seed {seed}"

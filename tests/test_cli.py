@@ -104,6 +104,15 @@ def test_exit_code_runtime_failure(tmp_path, capsys):
                  "--out", str(blocker / "nested")])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err
+    # every run fails: both files are written, and the exit names the count
+    cfg.write_text("solver.bisection_max_steps = 1\ncampaign.realizations = 2\n"
+                   "campaign.algorithms = jpaim, half-duplex\n")
+    out = tmp_path / "failed"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "all 4 run(s) failed" in err and "errors.log" in err
+    assert len((out / "errors.log").read_text().splitlines()) == 4
+    assert len((out / "realizations.csv").read_text().splitlines()) == 2
 
 
 def test_help_exits_zero(capsys):

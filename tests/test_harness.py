@@ -275,10 +275,19 @@ def test_run_campaign_writes_contractual_csv(tmp_path):
         assert float(chunk[2]["sum_rate_delta"]) == pytest.approx(
             float(chunk[2]["sum_rate"]) - float(chunk[0]["sum_rate"]), rel=1e-9)
         assert len({r["digest"] for r in chunk}) == 1  # same realization
-    # half-duplex rows: no RSI, no ASIC depth
+    # half-duplex rows: no RSI, no ASIC depth, each direction's MSE from its
+    # own phase, and the iterations of both phases
+    phase_rows = [_read_csv(tmp_path / "out" / f"iterations_half_duplex_{d}.csv")[1]
+                  for d in ("dl", "ul")]
     for r in rows[2::3]:
         assert float(r["rsi_w_0"]) == 0.0
         assert r["asic_db_0"] == "nan"
+        mse = float(r["sum_mse_dl"]), float(r["sum_mse_ul"])
+        assert np.isfinite(mse).all()
+        assert sum(mse) == pytest.approx(float(r["loss"]), rel=1e-12)
+        # each phase trace has a record 0 before its first iteration
+        assert int(r["iterations"]) == sum(
+            sum(int(p["seed"]) == int(r["seed"]) for p in phase) - 1 for phase in phase_rows)
 
     for name in ("jpaim", "nsp_jpaim", "half_duplex_dl", "half_duplex_ul"):
         schema, irows = _read_csv(tmp_path / "out" / f"iterations_{name}.csv")
@@ -406,10 +415,12 @@ def test_run_campaign_solves_jpaim_once_for_nsp(tmp_path, monkeypatch):
     monkeypatch.setattr(harness.jpaim, "run", counted)
     run_campaign(cfg)
     assert len(calls) == cfg.realizations * 3
-    monkeypatch.setattr(harness.jpaim, "run", true_run)
 
+    # alone, nsp-jpaim makes the same one solve per seed
+    calls.clear()
     alone = replace(cfg, algorithms=("nsp-jpaim",), output_dir=str(tmp_path / "nsp"))
     run_campaign(alone)
+    assert calls == [derive_seed(cfg.base_seed, i) for i in range(cfg.realizations)]
     _, rows = _read_csv(tmp_path / "all" / "realizations.csv")
     _, nsp_rows = _read_csv(tmp_path / "nsp" / "realizations.csv")
     shared = [r for r in rows if r["algorithm"] == "nsp-jpaim"]
@@ -423,6 +434,8 @@ def test_run_campaign_solves_jpaim_once_for_nsp(tmp_path, monkeypatch):
     _, jrows = _read_csv(tmp_path / "all" / "iterations_jpaim.csv")
     assert irows == jrows
     assert all(np.isfinite(float(r["sum_rate"])) for r in irows)
+    assert (tmp_path / "nsp" / "iterations_nsp_jpaim.csv").read_bytes() == \
+        (tmp_path / "all" / "iterations_nsp_jpaim.csv").read_bytes()
 
 
 def test_run_campaign_records_a_failed_draw_and_continues(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """Package-wide source checks."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import ibfdsim
@@ -62,3 +64,17 @@ def test_exports_resolve_and_no_definition_is_dead():
         for path in (ROOT / folder).rglob("*.py"):
             referenced |= _references(ast.parse(path.read_text()))
     assert sorted(item for item in defined if item[1] not in referenced) == []
+
+
+def test_bench_hooks_name_package_functions():
+    # the benchmark's RunLog hooks these names to attribute solves and check
+    # powers; a renamed target would switch those checks off without an error
+    spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    names = list(checks.RunLog().hooks())
+    assert names
+    unresolved = [name for name in names if not inspect.isfunction(getattr(
+        importlib.import_module(f"ibfdsim.{name.rpartition('.')[0]}"),
+        name.rpartition(".")[2], None))]
+    assert unresolved == []
