@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import jpaim, objective
-from .model import Realization, restrict_to_downlink, restrict_to_uplink
+from .model import Realization, bs_node, restrict_to_downlink, restrict_to_uplink
 from .stacked import hermitian
 from .state import BeamformingState
 
@@ -39,8 +39,8 @@ def project_state(realization: Realization, state: BeamformingState,
                   subspace_dim: int) -> BeamformingState:
     """Apply nsp_project to the downlink beams of a solved state, with one
     projection per cell for all of its users."""
-    cells = np.arange(realization.cell_count)
-    si = realization.channels.bs_bs[cells, cells][:, None]    # (G, 1, M_bs, N_bs)
+    si = np.stack([realization.link(bs_node(g), bs_node(g)).est
+                   for g in range(realization.cell_count)])[:, None]    # (G, 1, M_bs, N_bs)
     projected = nsp_project(state.dl_beams, si, realization.hardware.kappa_bs, subspace_dim)
     return replace(state, dl_beams=projected).copy()
 

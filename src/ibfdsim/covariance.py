@@ -95,11 +95,11 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
     cell_load, ul_load = row_powers(w_bs), row_powers(w_ul)
     weights = np.concatenate([hw.kappa_bs * cell_load, hw.kappa_ue * ul_load], axis=None)
     cell_power = (1.0 + hw.kappa_bs) * cell_load.sum(axis=-1)
-    csi = side.err @ np.concatenate([cell_power, (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
+    csi = ch.err @ np.concatenate([cell_power, (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
     # the received beams R of every receiver, transmitters in the order of x
     received = np.concatenate([columns(side.from_bs @ w_bs), columns(side.from_ul @ w_ul)],
                               axis=-1)
-    m_ue, m_bs, width = side.dl.shape[2], side.bs.shape[1], received.shape[1]
+    m_ue, m_bs, width = ch.m_ue, ch.m_bs, received.shape[1]
     r_dl = received[:cells * k_d * m_ue].reshape(cells, k_d, m_ue, width)
     r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)
     dl_rx = distortion_gram(r_dl, side.dl, side.dl_h, weights, hw.beta_ue)

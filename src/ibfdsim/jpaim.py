@@ -285,8 +285,7 @@ def _precoder_constants(ch: ChannelStack, hw: HardwareProfile, nu: np.ndarray,
     nu_g S_g of every cell, the budget of every search row (cells, then
     uplink users) with its target (1 - bisection_rel_tol) budget as a
     column, and the most evaluations one search may take."""
-    cells, k_u = ch.bs_ul.shape[1:3]     # (G, G, K_u, M_bs, N_ue)
-    budget = np.repeat([hw.p_bs_w, hw.p_ue_w], [cells, cells * k_u])
+    budget = np.repeat([hw.p_bs_w, hw.p_ue_w], [ch.cells, ch.cells * ch.k_u])
     return (nu[:, None, None] * ch.si_gram, budget,
             (budget * (1.0 - config.bisection_rel_tol))[:, None], config.bisection_max_steps)
 
@@ -390,8 +389,7 @@ def extrapolate(realization: Realization, state: BeamformingState,
     return replace(state, dl_beams=dl, ul_beams=ul).copy()
 
 
-def run(realization: Realization, config: SolverConfig,
-        rng: np.random.Generator | None = None, collect_metrics: bool = True) -> RunTrace:
+def run(realization: Realization, config: SolverConfig, collect_metrics: bool = True) -> RunTrace:
     """Run the alternating solver until the loss decrease falls below threshold.
 
     Per iteration: combiners, loss snapshot, precoders, then a safeguarded
@@ -423,7 +421,7 @@ def run(realization: Realization, config: SolverConfig,
     hw = realization.hardware
     ch = stack_channels(realization)
     constants = _precoder_constants(ch, hw, nu, config)
-    start = initialize(realization, config, rng)
+    start = initialize(realization, config)
     beams, cells = (start.dl_beams, start.ul_beams), realization.cell_count
     idle = (np.zeros(cells * (1 + beams[1].shape[1])), None, 0)   # record 0 has no search
 

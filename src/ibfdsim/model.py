@@ -8,8 +8,8 @@ plus a self-interference (SI) channel at each BS.
 
 All channels are stored both as the true matrix and as an estimated copy with
 a known per-element error variance; SI channels are assumed perfectly known.
-A realization keeps them in the stacked layout of module `stacked`, which
-the solver kernels read directly; `Realization.link` reads one link.
+A realization keeps them in one matrix X (module `stacked`), which the
+solver kernels read directly; `Realization.link` views one link's blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .stacked import Channels
+from .stacked import Channels, LinkView
 
 # ---------------------------------------------------------------------------
 # unit helpers
@@ -104,9 +104,11 @@ class ScenarioConfig:
             raise ValueError("dl_streams exceeds min(bs_tx_antennas, ue_rx_antennas)")
         if self.ul_streams > min(self.ue_tx_antennas, self.bs_rx_antennas):
             raise ValueError("ul_streams exceeds min(ue_tx_antennas, bs_rx_antennas)")
+        ideal = ("adc_bits", "asic_db")      # inf: an ideal converter, ideal SI cancellation
         for f in fields(self):
-            if f.type == "float" and math.isnan(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be a number, got nan")
+            value = getattr(self, f.name)
+            if f.type == "float" and not (math.isfinite(value) or f.name in ideal and value > 0):
+                raise ValueError(f"{f.name} must be a finite number, got {value}")
         for name in ("carrier_ghz", "bandwidth_hz", "adc_bits"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -342,15 +344,6 @@ def ul_node(g: int, k: int) -> Node:
 
 
 @dataclass(eq=False)
-class LinkView:
-    """One receiver <- transmitter link as views into a realization's channels."""
-
-    true: np.ndarray
-    est: np.ndarray
-    err_var: np.ndarray      # 0-d, the per-element estimation-error variance
-
-
-@dataclass(eq=False)
 class Realization:
     """One drawn network: geometry, hardware, and every channel matrix."""
 
@@ -381,24 +374,9 @@ class Realization:
                       for tx in bs + [ul_node(g, k) for g, k in self.ul_users()])
 
     def link(self, rx: Node, tx: Node) -> LinkView:
-        """The link rx <- tx; an in-place edit of its arrays edits the realization.
-
-        The SI link has one matrix, so its `true` and `est` are the same view.
-        """
-        group, index = f"{rx[0]}_{tx[0]}", rx[1:] + tx[1:]
-        est = getattr(self.channels, group)[index]
-        return LinkView(true=est if rx == tx else getattr(self.channels, "true_" + group)[index],
-                        est=est, err_var=getattr(self.channels, "err_" + group)[index + (...,)])
-
-
-def _zero_channels(cells: int, dl_users: int, ul_users: int, ant: AntennaConfig) -> Channels:
-    """All-zero channel arrays for the given sizes."""
-    index = {"dl": (cells, dl_users), "bs": (cells,), "ul": (cells, ul_users)}
-    rows, cols = {"dl": ant.ue_rx, "bs": ant.bs_rx}, {"bs": ant.bs_tx, "ul": ant.ue_tx}
-    est = {f"{rx}_{tx}": np.zeros(index[rx] + index[tx] + (rows[rx], cols[tx]), dtype=complex)
-           for rx in ("dl", "bs") for tx in ("bs", "ul")}
-    return Channels(**est, **{f"true_{name}": np.zeros_like(a) for name, a in est.items()},
-                    **{f"err_{name}": np.zeros(a.shape[:-2]) for name, a in est.items()})
+        """The link rx <- tx as views of the stored arrays (see Channels.link), so
+        an in-place edit of them edits the realization."""
+        return self.channels.link(rx, tx)
 
 
 def build_realization(config: ScenarioConfig, seed: int) -> Realization:
@@ -435,8 +413,9 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     rician_k = db_to_linear(config.rician_k_db)
 
     real = Realization(topology=topo, antennas=ant, hardware=hw, seed=seed,
-                       channels=_zero_channels(config.cells, config.dl_users,
-                                               config.ul_users, ant))
+                       channels=Channels.zeros(config.cells, config.dl_users, ant.ue_rx,
+                                               ant.bs_rx, ant.bs_tx, config.ul_users,
+                                               ant.ue_tx))
     cells = range(config.cells)
     dl = [(dl_node(g, k), topo.dl_xy[g][k]) for g in cells for k in range(config.dl_users)]
     bs = [(bs_node(g), topo.bs_xy[g]) for g in cells]
@@ -470,32 +449,22 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
 def _restrict(realization: Realization, keep_dl: bool) -> Realization:
     """The realization with one direction's users dropped and the BS radio
     that direction needs switched off: a downlink phase keeps no BS receive
-    rows, an uplink phase no BS transmit columns.  Every kept link is a view
-    of the full realization's arrays."""
-    topo = realization.topology
+    rows, an uplink phase no BS transmit columns.  Each stored array of the
+    result is one block of the full realization's."""
+    topo, ch = realization.topology, realization.channels
     none = (0,) * topo.cell_count
     nowhere = tuple(np.empty((0, 2)) for _ in none)
     new_topo = replace(topo, dl_counts=topo.dl_counts if keep_dl else none,
                        dl_xy=topo.dl_xy if keep_dl else nowhere,
                        ul_counts=none if keep_dl else topo.ul_counts,
                        ul_xy=nowhere if keep_dl else topo.ul_xy)
-    everything = slice(None)
-    # the user axes of the dropped direction sliced to length 0, and the
-    # matrix axis of the switched-off BS chain
-    users = {"bs": (everything,), "dl": (everything, slice(None if keep_dl else 0)),
-             "ul": (everything, slice(0 if keep_dl else None))}
-    rows = {"dl": everything, "bs": slice(0 if keep_dl else None)}
-    cols = {"ul": everything, "bs": slice(None if keep_dl else 0)}
-
-    def cut(name):
-        rx, tx = name.split("_")[-2:]
-        matrix = () if name.startswith("err_") else (rows[rx], cols[tx])
-        return getattr(realization.channels, name)[users[rx] + users[tx] + matrix]
-
-    channels = Channels(**{f.name: cut(f.name) for f in fields(Channels)})
-    off = {"bs_rx": 0} if keep_dl else {"bs_tx": 0}
-    return replace(realization, topology=new_topo, channels=channels,
-                   antennas=replace(realization.antennas, **off))
+    dl_rows, bs_cols = ch.cells * ch.k_d * ch.m_ue, ch.cells * ch.n_bs
+    cut = np.s_[:dl_rows, :bs_cols] if keep_dl else np.s_[dl_rows:, bs_cols:]
+    err = ch.err[:, :ch.cells] if keep_dl else ch.err[ch.cells * ch.k_d:]
+    off = dict(m_bs=0, k_u=0) if keep_dl else dict(k_d=0, n_bs=0)
+    channels = replace(ch, x=ch.x[cut], x_true=ch.x_true[cut], err=err, **off)
+    antennas = replace(realization.antennas, **({"bs_rx": 0} if keep_dl else {"bs_tx": 0}))
+    return replace(realization, topology=new_topo, channels=channels, antennas=antennas)
 
 
 def restrict_to_downlink(realization: Realization) -> Realization:
@@ -651,8 +620,9 @@ def load_realization(path) -> Realization:
                          f"{tm['cell_count']} cells")
     hw = HardwareProfile(**hwm)
     real = Realization(topology=topo, antennas=ant, hardware=hw, seed=meta["seed"],
-                       channels=_zero_channels(topo.cell_count, topo.dl_counts[0],
-                                               topo.ul_counts[0], ant))
+                       channels=Channels.zeros(topo.cell_count, topo.dl_counts[0], ant.ue_rx,
+                                               ant.bs_rx, ant.bs_tx, topo.ul_counts[0],
+                                               ant.ue_tx))
     names = [f"{lm['rx']}<{lm['tx']}" for lm in meta["links"]]
     found, wanted = Counter(names), Counter(_link_name(rx, tx) for rx, tx in real.links())
     if found != wanted:

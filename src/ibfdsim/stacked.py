@@ -1,30 +1,28 @@
-"""The stacked layout: every channel as a dense array, and batched matrix helpers.
+"""The stacked layout: every channel as one dense matrix, and batched matrix helpers.
 
 The solver kernels (covariance, objective, jpaim) treat all cells, users
-and links at once with batched `@`, `solve` and `eigh` over these arrays
+and links at once with batched `@`, `solve` and `eigh` over the channels
 and over the (cell, user, rows, streams) arrays of the beams and combiners
 (the fields of a BeamformingState, module `state`), instead of looping
-over per-link dictionaries.  Channel
-arrays are grouped by (receiver kind, transmitter kind) with the receiver
-indices first, the transmitter indices next and the matrix axes last.  The
-layout needs the same downlink and the same uplink user count in every
-cell, which is what build_realization and the single-direction
-restrictions produce.
+over per-link dictionaries.  The layout needs the same downlink and the
+same uplink user count in every cell, which is what build_realization and
+the single-direction restrictions produce.
 
-A realization stores its links once, as the arrays of a Channels.  A
-ChannelStack shares those arrays and adds what the kernels derive from
-them, chiefly one matrix X of every link side by side and one copy of its
-conjugate transpose X^H (ReceiveSide), from which both the receive
-covariances and the transmit-side Gram matrices are formed: every such
-product multiplies a block of X by a block of X^H, so X^H is conjugated
-once per stack rather than once per kernel call.  A ChannelStack is built
-per call of the solver, so an in-place edit of a stored link reaches the
-next call.
+A realization stores its links once, as the matrix X of a Channels: every
+transmitter's channel into every receiver side by side, receive antennas
+as rows and transmit antennas as columns, with the true matrices and the
+error variances in the same order.  A ChannelStack shares X and adds what
+the kernels derive from it, chiefly one copy of its conjugate transpose
+X^H (ReceiveSide), from which both the receive covariances and the
+transmit-side Gram matrices are formed: every such product multiplies a
+block of X by a block of X^H, so X^H is conjugated once per stack rather
+than once per kernel call.  A ChannelStack is built per call of the
+solver, so an in-place edit of a stored link reaches the next call.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -89,15 +87,76 @@ def frobenius_sq(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class ReceiveSide:
-    """The links into every receiver of the network, receive antennas as rows.
+class LinkView:
+    """One receiver <- transmitter link as views into a realization's channels."""
 
-    `x` holds every transmitter's channel into every receiver side by side:
-    its rows run over the antennas of every downlink user, then of every
-    BS, its columns over the antennas of every BS, then of every uplink
-    user.  x times the block diagonal of the transmitters' beams gives the
-    received beams.  `err` holds the links' per-element error variances in
-    the same order, one row per receiver and one column per transmitter.
+    true: np.ndarray
+    est: np.ndarray
+    err_var: np.ndarray      # 0-d, the per-element estimation-error variance
+
+
+@dataclass(eq=False)
+class Channels:
+    """Every link of one realization, stored once.
+
+    `x` holds every transmitter's estimated channel into every receiver,
+    rows over the antennas of every downlink user, then of every BS, and
+    columns over those of every BS, then of every uplink user.  `x_true`
+    holds the true matrices and `err` each link's per-element error variance
+    (one row per receiver, one column per transmitter) in the same order.
+    The SI link of BS g is known exactly: its block of `x` is its estimate
+    and its truth, and its block of `x_true` stays zero.
+    """
+
+    x: np.ndarray          # (G K_d M_ue + G M_bs, G N_bs + G K_u N_ue)
+    x_true: np.ndarray     # the true matrices, laid out as x
+    err: np.ndarray        # (G K_d + G, G + G K_u)
+    cells: int             # G
+    k_d: int               # downlink users per cell
+    m_ue: int              # receive antennas per downlink user
+    m_bs: int              # receive antennas per BS
+    n_bs: int              # transmit antennas per BS
+    k_u: int               # uplink users per cell
+    n_ue: int              # transmit antennas per uplink user
+
+    @classmethod
+    def zeros(cls, cells, k_d, m_ue, m_bs, n_bs, k_u, n_ue) -> "Channels":
+        """All-zero channels for the given sizes."""
+        shape = (cells * (k_d * m_ue + m_bs), cells * (n_bs + k_u * n_ue))
+        return cls(np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex),
+                   np.zeros((cells * (k_d + 1), cells * (1 + k_u))),
+                   cells, k_d, m_ue, m_bs, n_bs, k_u, n_ue)
+
+    def link(self, rx: tuple, tx: tuple) -> LinkView:
+        """Views of the blocks of the link rx <- tx, with nodes ("bs", g),
+        ("dl", g, k) and ("ul", g, k) as in module model; raises IndexError
+        for a node outside the topology.  The SI link's truth is its estimate."""
+        r, rows = _locate(rx, (("dl", self.k_d, self.m_ue), ("bs", 1, self.m_bs)), self.cells)
+        t, cols = _locate(tx, (("bs", 1, self.n_bs), ("ul", self.k_u, self.n_ue)), self.cells)
+        est = self.x[rows, cols]
+        return LinkView(true=est if rx == tx else self.x_true[rows, cols], est=est,
+                        err_var=self.err[r, t, ...])
+
+
+def _locate(node: tuple, side, cells: int) -> tuple[int, slice]:
+    """Entry and antenna slice of `node` on one side of X, whose node kinds
+    `side` lists in order as (kind, nodes per cell, antennas per node)."""
+    entry = first = 0
+    for kind, per_cell, antennas in side:
+        if node[0] == kind:
+            g, k = (*node[1:], 0) if kind == "bs" else node[1:]
+            if not (0 <= g < cells and 0 <= k < per_cell):
+                break
+            at = g * per_cell + k
+            return entry + at, slice(first + at * antennas, first + (at + 1) * antennas)
+        entry, first = entry + cells * per_cell, first + cells * per_cell * antennas
+    raise IndexError(f"no {'/'.join(s[0] for s in side)} node {node} in this topology")
+
+
+@dataclass(eq=False)
+class ReceiveSide:
+    """Views of the stored X of a Channels, and its conjugate transpose.
+
     `dl`, `bs`, `from_bs` and `from_ul` are views of `x`: its rows per
     receiver kind, and its columns per transmitter, transmitters first.
 
@@ -112,8 +171,6 @@ class ReceiveSide:
     with one antenna differently in the last bits.)
     """
 
-    x: np.ndarray          # (G K_d M_ue + G M_bs, G N_bs + G K_u N_ue)
-    err: np.ndarray        # (G K_d + G, G + G K_u)
     dl: np.ndarray         # (G, K_d, M_ue, columns of x)
     bs: np.ndarray         # (G, M_bs, columns of x)
     from_bs: np.ndarray    # (G, rows of x, N_bs)
@@ -125,88 +182,47 @@ class ReceiveSide:
     from_ul_h: np.ndarray  # (G K_u, N_ue, rows of x)
 
     @classmethod
-    def of(cls, ch: "Channels") -> "ReceiveSide":
-        cells, k_d, _, m_ue, n_bs = ch.dl_bs.shape
-        k_u, m_bs, n_ue = ch.bs_ul.shape[2:]
-        dl_rows, bs_cols = cells * k_d * m_ue, cells * n_bs
-        x = np.empty((dl_rows + cells * m_bs, bs_cols + cells * k_u * n_ue), dtype=complex)
-        # each link group (receiver..., transmitter..., M, N) into rows
-        # (receiver..., M) and columns (transmitter..., N), views of x
-        dl, bs = x[:dl_rows], x[dl_rows:]
-        dl[:, :bs_cols].reshape(cells, k_d, m_ue, cells, n_bs)[...] = \
-            ch.dl_bs.transpose(0, 1, 3, 2, 4)
-        dl[:, bs_cols:].reshape(cells, k_d, m_ue, cells, k_u, n_ue)[...] = \
-            ch.dl_ul.transpose(0, 1, 4, 2, 3, 5)
-        bs[:, :bs_cols].reshape(cells, m_bs, cells, n_bs)[...] = ch.bs_bs.transpose(0, 2, 1, 3)
-        bs[:, bs_cols:].reshape(cells, m_bs, cells, k_u, n_ue)[...] = \
-            ch.bs_ul.transpose(0, 3, 1, 2, 4)
-        # the error variances in the same order, one entry per link
-        err = np.empty((cells * k_d + cells, cells + cells * k_u))
-        err[:cells * k_d, :cells] = ch.err_dl_bs.reshape(cells * k_d, cells)
-        err[:cells * k_d, cells:] = ch.err_dl_ul.reshape(cells * k_d, cells * k_u)
-        err[cells * k_d:, :cells] = ch.err_bs_bs
-        err[cells * k_d:, cells:] = ch.err_bs_ul.reshape(cells, cells * k_u)
-        rows, cols = x.shape
-        xh = x.conj().T
-        return cls(x=x, err=err,
-                   dl=dl.reshape(cells, k_d, m_ue, cols), bs=bs.reshape(cells, m_bs, cols),
-                   from_bs=np.swapaxes(x[:, :bs_cols].reshape(rows, cells, n_bs), 0, 1),
-                   from_ul=np.swapaxes(x[:, bs_cols:].reshape(rows, cells * k_u, n_ue), 0, 1),
+    def of(cls, ch: Channels) -> "ReceiveSide":
+        x, cells, k_d, k_u = ch.x, ch.cells, ch.k_d, ch.k_u
+        dl_rows, bs_cols = cells * k_d * ch.m_ue, cells * ch.n_bs
+        (rows, cols), xh = x.shape, x.conj().T
+        return cls(dl=x[:dl_rows].reshape(cells, k_d, ch.m_ue, cols),
+                   bs=x[dl_rows:].reshape(cells, ch.m_bs, cols),
+                   from_bs=np.swapaxes(x[:, :bs_cols].reshape(rows, cells, ch.n_bs), 0, 1),
+                   from_ul=np.swapaxes(x[:, bs_cols:].reshape(rows, cells * k_u, ch.n_ue), 0, 1),
                    xh=xh,
-                   dl_h=xh[:, :dl_rows].reshape(cols, cells, k_d, m_ue).transpose(1, 2, 0, 3),
-                   bs_h=xh[:, dl_rows:].reshape(cols, cells, m_bs).swapaxes(0, 1),
-                   from_bs_h=xh[:bs_cols].reshape(cells, n_bs, rows),
-                   from_ul_h=xh[bs_cols:].reshape(cells * k_u, n_ue, rows))
-
-
-@dataclass(eq=False)
-class Channels:
-    """Every link of one realization, stored once.
-
-    `dl_bs[g, k, j]` is the estimated channel from BS j to downlink user
-    (g, k), `bs_ul[g, j, k]` the one from uplink user (j, k) to BS g.  Each
-    `err_*` array holds the per-element estimation-error variances of its
-    group, each `true_*` array the true matrices.  The SI link of BS g is
-    known exactly and has one matrix, `bs_bs[g, g]`, both its estimate and
-    its truth; the block `true_bs_bs[g, g]` is not used and stays zero.
-    """
-
-    dl_bs: np.ndarray        # (G, K_d, G, M_ue, N_bs)
-    dl_ul: np.ndarray        # (G, K_d, G, K_u, M_ue, N_ue)
-    bs_bs: np.ndarray        # (G, G, M_bs, N_bs)
-    bs_ul: np.ndarray        # (G, G, K_u, M_bs, N_ue)
-    err_dl_bs: np.ndarray    # (G, K_d, G)
-    err_dl_ul: np.ndarray    # (G, K_d, G, K_u)
-    err_bs_bs: np.ndarray    # (G, G)
-    err_bs_ul: np.ndarray    # (G, G, K_u)
-    true_dl_bs: np.ndarray   # the true matrices, laid out as the estimates
-    true_dl_ul: np.ndarray
-    true_bs_bs: np.ndarray
-    true_bs_ul: np.ndarray
+                   dl_h=xh[:, :dl_rows].reshape(cols, cells, k_d, ch.m_ue).transpose(1, 2, 0, 3),
+                   bs_h=xh[:, dl_rows:].reshape(cols, cells, ch.m_bs).swapaxes(0, 1),
+                   from_bs_h=xh[:bs_cols].reshape(cells, ch.n_bs, rows),
+                   from_ul_h=xh[bs_cols:].reshape(cells * k_u, ch.n_ue, rows))
 
 
 @dataclass(eq=False)
 class ChannelStack(Channels):
     """The channels as the kernels read them: the stored arrays, shared and
-    not copied, plus the layouts derived from them: `rx`, every link side by
-    side (ReceiveSide); `si_colpow`, the squared norm of each column of each
-    SI channel; `si_gram`, H^H H + kappa_bs diag(H^H H) of each SI channel
-    H; and H^H of each serving link."""
+    not copied, plus what the kernels derive from them: `rx`, the views of
+    X and its conjugate transpose (ReceiveSide); `si_colpow`, the squared
+    norm of each column of each SI channel; `si_gram`, H^H H + kappa_bs
+    diag(H^H H) of each SI channel H; and H^H of each serving link."""
 
     kappa_bs: InitVar[float]     # BS transmit distortion factor, for the SI Gram
 
     def __post_init__(self, kappa_bs: float):
-        diag = np.arange(self.dl_bs.shape[0])
-        si = self.bs_bs[diag, diag]                              # (G, M_bs, N_bs)
+        self.rx = ReceiveSide.of(self)
+        cells, diag, bs_cols = self.cells, np.arange(self.cells), self.cells * self.n_bs
+        # each BS's SI link and each user's serving link, copied out of X into
+        # C-contiguous (cell, [user,] receive antennas, transmit antennas) arrays
+        si = self.rx.bs[..., :bs_cols].reshape(cells, self.m_bs, cells, self.n_bs)[diag, :, diag]
+        dl_own = self.rx.dl[..., :bs_cols].reshape(
+            cells, self.k_d, self.m_ue, cells, self.n_bs)[diag, :, :, diag]
+        ul_own = self.rx.bs[..., bs_cols:].reshape(
+            cells, self.m_bs, cells, self.k_u, self.n_ue)[diag, :, diag].swapaxes(1, 2)
         self.si_colpow = row_powers(np.swapaxes(si, -1, -2))     # (G, N_bs)
         self.si_gram = add_scaled_diag(hermitian(si) @ si, kappa_bs)
-        self.dl_own_h = hermitian(self.dl_bs[diag, :, diag])    # (G, K_d, N_bs, M_ue)
-        self.ul_own_h = hermitian(self.bs_ul[diag, diag])       # (G, K_u, N_ue, M_bs)
-        self.rx = ReceiveSide.of(self)
+        self.dl_own_h = hermitian(dl_own)                        # (G, K_d, N_bs, M_ue)
+        self.ul_own_h = hermitian(np.ascontiguousarray(ul_own))  # (G, K_u, N_ue, M_bs)
 
 
 def stack_channels(realization) -> ChannelStack:
     """The ChannelStack of a realization (module `model`) and its hardware."""
-    stored = realization.channels
-    return ChannelStack(**{f.name: getattr(stored, f.name) for f in fields(Channels)},
-                        kappa_bs=realization.hardware.kappa_bs)
+    return ChannelStack(**vars(realization.channels), kappa_bs=realization.hardware.kappa_bs)

@@ -290,7 +290,7 @@ def per_call_covariances(ch, hw, beams) -> covariance.Covariances:
     cell_load, ul_load = row_powers(w_bs), row_powers(w_ul)
     weights = np.concatenate([hw.kappa_bs * cell_load, hw.kappa_ue * ul_load], axis=None)
     cell_power = (1.0 + hw.kappa_bs) * cell_load.sum(axis=-1)
-    csi = side.err @ np.concatenate([cell_power, (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
+    csi = ch.err @ np.concatenate([cell_power, (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
     received = np.concatenate([columns(side.from_bs @ w_bs), columns(side.from_ul @ w_ul)],
                               axis=-1)
     m_ue, m_bs, width = side.dl.shape[2], side.bs.shape[1], received.shape[1]

@@ -1,6 +1,7 @@
 """Campaign harness: config files, seeds, CSV outputs, summaries, complexity."""
 
 import csv
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -111,10 +112,28 @@ def test_parse_config_errors_name_the_key():
         ("scenario.rician_k_db = nan", "rician_k_db"),
         ("scenario.bs_power_dbm = nan", "bs_power_dbm"),
         ("scenario.asic_db = nan", "asic_db"),
+        # every float but an ideal converter or an ideal cancellation must be finite
+        ("scenario.bs_power_dbm = inf", "bs_power_dbm"),
+        ("scenario.csi_error_factor = inf", "csi_error_factor"),
+        ("scenario.rician_k_db = inf", "rician_k_db"),
+        ("scenario.noise_density_dbm_hz = -inf", "noise_density_dbm_hz"),
+        ("scenario.ue_power_dbm = -inf", "ue_power_dbm"),
+        ("scenario.asic_db = -inf", "asic_db"),
+        ("scenario.adc_bits = -inf", "adc_bits"),
+        ("scenario.carrier_ghz = inf", "carrier_ghz"),
+        ("scenario.bandwidth_hz = inf", "bandwidth_hz"),
+        ("scenario.inter_site_distance_m = inf", "inter_site_distance_m"),
+        ("scenario.bs_noise_figure_db = -inf", "bs_noise_figure_db"),
     ]:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert needle in str(err.value)
+
+
+def test_parse_config_keeps_ideal_hardware_infinities():
+    # an ideal converter and an ideal SI cancellation are the two infinite floats
+    config = parse_config("scenario.adc_bits = inf\nscenario.asic_db = inf")
+    assert config.scenario.adc_bits == config.scenario.asic_db == math.inf
 
 
 def test_readme_config_example_loads():
@@ -123,6 +142,14 @@ def test_readme_config_example_loads():
     config = parse_config(block)
     assert config.scenario.cells == 3
     assert config.algorithms == ("jpaim", "nsp-jpaim", "half-duplex")
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    converged, iterations, *_ = capsys.readouterr().out.split()
+    assert converged == "True" and int(iterations) > 0
 
 
 def test_campaign_config_validation():
@@ -370,10 +397,10 @@ def test_run_campaign_records_failures_and_continues(tmp_path, monkeypatch):
     bad_seed = derive_seed(cfg.base_seed, 1)
     true_run = jpaim.run
 
-    def flaky(realization, config, rng=None, collect_metrics=True):
+    def flaky(realization, config, collect_metrics=True):
         if realization.seed == bad_seed:
             raise RuntimeError("synthetic failure")
-        return true_run(realization, config, rng, collect_metrics)
+        return true_run(realization, config, collect_metrics)
 
     monkeypatch.setattr(harness.jpaim, "run", flaky)
     summary = run_campaign(cfg)

@@ -250,12 +250,13 @@ def test_restrict_to_single_direction():
             rows = 0 if part is dl and rx[0] == "bs" else full.est.shape[0]
             cols = 0 if part is ul and tx[0] == "bs" else full.est.shape[1]
             assert kept.est.shape == (rows, cols)
-            # each kept link is a view of the full realization's arrays, at
-            # the same start (an empty one shares no bytes, only the start)
+            # each kept link is a view of the full realization's arrays, a
+            # non-empty one at the same start
             for a, b in ((kept.true, full.true), (kept.est, full.est),
                          (kept.err_var, full.err_var)):
                 assert a.base is not None
-                assert a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+                assert a.size == 0 or (a.__array_interface__["data"][0]
+                                       == b.__array_interface__["data"][0])
                 assert a.size == 0 or np.shares_memory(a, b)
 
 
@@ -264,15 +265,103 @@ def test_link_views_edit_the_stored_arrays():
     cross = real.link(dl_node(1, 0), ul_node(0, 1))
     cross.est[:] = 0.0
     cross.err_var[...] = 0.5
-    assert not real.channels.dl_ul[1, 0, 0, 1].any()
-    assert real.channels.err_dl_ul[1, 0, 0, 1] == 0.5
+    # rows of DL user (1, 0), columns of UL user (0, 1); err row 1*K_d + 0, column G + 1
+    ch = real.channels
+    rows, cols = slice(2 * ch.m_ue, 3 * ch.m_ue), ch.cells * ch.n_bs + ch.n_ue
+    assert not ch.x[rows, cols:cols + ch.n_ue].any()
+    assert ch.x_true[rows, cols:cols + ch.n_ue].any()
+    assert ch.err[2, ch.cells + 1] == 0.5
     assert real.link(dl_node(1, 0), ul_node(0, 1)).err_var == 0.5
     # the SI link has one matrix: its truth is its estimate
     si = real.link(bs_node(1), bs_node(1))
-    assert si.true is si.est and np.shares_memory(si.est, real.channels.bs_bs)
+    assert si.true is si.est and np.shares_memory(si.est, ch.x)
     # a restriction slices the same storage
-    assert np.shares_memory(restrict_to_uplink(real).link(bs_node(0), ul_node(1, 0)).est,
-                            real.channels.bs_ul)
+    ul_link = restrict_to_uplink(real).link(bs_node(0), ul_node(1, 0))
+    assert np.shares_memory(ul_link.est, ch.x) and np.shares_memory(ul_link.true, ch.x_true)
+
+
+# unequal sizes everywhere, so that a swapped size or offset shows
+_UNEVEN = ScenarioConfig(cells=3, dl_users=2, ul_users=3, bs_tx_antennas=5, bs_rx_antennas=4,
+                         ue_tx_antennas=3, ue_rx_antennas=2, dl_streams=1, ul_streams=1,
+                         csi_error_factor=1e-2)
+
+
+def test_link_views_tile_the_stored_arrays():
+    # a distinct value through every link reads back from its own link, and
+    # the non-empty links cover x and err exactly once; x_true stays zero
+    # only on the SI blocks, whose truth is their estimate
+    for real in (build_realization(_UNEVEN, 13),
+                 restrict_to_downlink(build_realization(_UNEVEN, 14)),
+                 restrict_to_uplink(build_realization(_UNEVEN, 15))):
+        ch, links = real.channels, real.links()
+        ch.x[...], ch.x_true[...], ch.err[...] = 0.0, 0.0, 0.0
+        for n, key in enumerate(links, start=1):
+            link = real.link(*key)
+            if key[0] != key[1]:
+                link.true[...] = -n
+            link.est[...], link.err_var[...] = n + 1j * n, n
+        for n, key in enumerate(links, start=1):
+            link = real.link(*key)
+            assert (link.est == n + 1j * n).all() and link.err_var == n
+            assert (link.true == (n + 1j * n if key[0] == key[1] else -n)).all()
+        assert sum(real.link(*key).est.size for key in links) == ch.x.size
+        assert ch.x.all() and ch.err.all() and len(links) == ch.err.size
+        si_size = sum(real.link(rx, tx).est.size for rx, tx in links if rx == tx)
+        assert np.count_nonzero(ch.x_true == 0) == si_size
+
+
+def test_link_rejects_nodes_outside_the_topology():
+    real = build_realization(_UNEVEN, 16)
+    cells, k_d, k_u = 3, 2, 3
+    inside = real.link(dl_node(cells - 1, k_d - 1), ul_node(cells - 1, k_u - 1))
+    assert inside.est.shape == (2, 3)
+    for rx, tx in [(dl_node(0, k_d), bs_node(0)),     # not user (1, 0) of the next cell
+                   (dl_node(cells, 0), bs_node(0)), (dl_node(-1, 0), bs_node(0)),
+                   (dl_node(0, -1), bs_node(0)), (bs_node(cells), bs_node(0)),
+                   (bs_node(-1), bs_node(0)), (bs_node(0), bs_node(cells)),
+                   (bs_node(0), ul_node(0, k_u)), (bs_node(0), ul_node(cells, 0)),
+                   (bs_node(0), ul_node(-1, 0)), (ul_node(0, 0), bs_node(0)),
+                   (bs_node(0), dl_node(0, 0))]:
+        with pytest.raises(IndexError):
+            real.link(rx, tx)
+    # a restriction drops the other direction's users
+    with pytest.raises(IndexError):
+        restrict_to_downlink(real).link(bs_node(0), ul_node(0, 0))
+    with pytest.raises(IndexError):
+        restrict_to_uplink(real).link(dl_node(0, 0), bs_node(0))
+
+
+def test_restriction_keeps_one_block_of_each_stored_array():
+    real = build_realization(_UNEVEN, 17)
+    full, cells = real.channels, 3
+    dl_rows, bs_cols = cells * 2 * 2, cells * 5         # G K_d M_ue, G N_bs
+
+    def same_view(part, whole):
+        assert part.shape == whole.shape and part.strides == whole.strides
+        assert part.__array_interface__["data"][0] == whole.__array_interface__["data"][0]
+
+    dl, ul = restrict_to_downlink(real).channels, restrict_to_uplink(real).channels
+    for name in ("x", "x_true"):
+        same_view(getattr(dl, name), getattr(full, name)[:dl_rows, :bs_cols])
+        same_view(getattr(ul, name), getattr(full, name)[dl_rows:, bs_cols:])
+    same_view(dl.err, full.err[:, :cells])
+    same_view(ul.err, full.err[cells * 2:, :])
+    assert (dl.m_bs, dl.k_u, ul.k_d, ul.n_bs) == (0, 0, 0, 0)
+
+
+def test_stack_reads_the_stored_x():
+    # the stack shares the realization's X, so an edit through a link view
+    # reaches the next stack
+    from ibfdsim.stacked import stack_channels
+    real = build_realization(_UNEVEN, 18)
+    ch = stack_channels(real)
+    assert ch.x is real.channels.x and ch.err is real.channels.err
+    for view in (ch.rx.dl, ch.rx.bs, ch.rx.from_bs, ch.rx.from_ul):
+        assert np.shares_memory(view, real.channels.x)
+    assert ch.si_gram[1].any()
+    real.link(bs_node(1), bs_node(1)).est[...] = 0.0
+    after = stack_channels(real)
+    assert not after.si_gram[1].any() and after.si_gram[0].any()
 
 
 def test_serialization_roundtrip(tmp_path):
