@@ -6,9 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import jpaim, objective
+from . import covariance, jpaim, objective
 from .model import Realization, bs_node, restrict_to_downlink, restrict_to_uplink
-from .stacked import hermitian
+from .stacked import hermitian, stack_channels
 from .state import BeamformingState
 
 
@@ -53,10 +53,17 @@ def run_nsp(realization: Realization, trace: jpaim.RunTrace, subspace_dim: int,
     Projection only ever shrinks the transmitted power, so the power
     constraints stay satisfied; one combiner refresh lets the receivers react
     to the projected beams before the state is scored with the solve's nu.
+    One covariance assembly serves the refresh and the score, which is
+    objective.evaluate of the returned state.  Returns (report, projected
+    state).
     """
     projected = project_state(realization, trace.final_state, subspace_dim)
-    projected = jpaim.update_combiners(realization, projected)
-    return objective.evaluate(realization, projected, trace.nu), projected
+    ch, hw = stack_channels(realization), realization.hardware
+    cov = covariance.covariances(ch, hw, (projected.dl_beams, projected.ul_beams))
+    # the report scores the state's C-contiguous copies, which round as evaluate's do
+    dl, ul = (u.copy() for u in objective.mmse_combiners(cov))
+    projected = replace(projected, dl_combiners=dl, ul_combiners=ul)
+    return objective.report(ch, hw, (dl, ul), cov, np.asarray(trace.nu), True), projected
 
 
 def run_half_duplex(realization: Realization, config: jpaim.SolverConfig,

@@ -14,10 +14,10 @@ The kernels take the stacked channels (module `stacked`) and the one
 combiners U, and treat every cell, user and link at once with
 batched `@`.  Their Gram products pair blocks of the stack's X with the
 matching blocks of its stored conjugate transpose X^H, so no call
-conjugates a channel.  `assemble` runs them for a Realization and a
-BeamformingState; one node's covariance or CSI-error power is a field of its
-result, and the per-node forms that the tests check the kernels against (the
-transmit covariance and f1) live in tests/helpers.py.
+conjugates a channel.  One node's covariance or CSI-error power is a field
+of the Covariances that `covariances` returns, and the per-node forms that
+the tests check the kernels against (the transmit covariance and f1) live
+in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HardwareProfile, Realization
+from .model import HardwareProfile
 from .stacked import (ChannelStack, add_scaled_diag, columns, diagonal, hermitian,
-                      row_powers, stack_channels, uncolumns)
-from .state import BeamformingState
+                      row_powers, uncolumns)
 
 # ---------------------------------------------------------------------------
 # distortion-aware Gram forms
@@ -157,15 +156,3 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
     omega_ul = summed_f1(side.from_ul, side.from_ul_h, hw.kappa_ue)
     return (summed_f1(side.from_bs, side.from_bs_h, hw.kappa_bs),
             omega_ul.reshape(cells, k_u, *omega_ul.shape[-2:]))
-
-
-# ---------------------------------------------------------------------------
-# entry point
-# ---------------------------------------------------------------------------
-
-
-def assemble(realization: Realization,
-             state: BeamformingState) -> tuple[ChannelStack, Covariances]:
-    """The ChannelStack of a realization and the covariances of a state on it."""
-    ch = stack_channels(realization)
-    return ch, covariances(ch, realization.hardware, (state.dl_beams, state.ul_beams))

@@ -13,8 +13,7 @@ would have nothing left to improve, so the state holds the beams alone.
 
 Every multiplier search solves a secular equation sum_i g_i/(d_i+w)^2 = P
 for the smallest feasible w >= 0; one vectorized, safeguarded Newton solve
-(secular_multiplier) serves every cell and uplink user of an iteration at
-once.
+(_search) serves every cell and uplink user of an iteration at once.
 
 Near its fixed point the plain alternation contracts slowly, so each
 iteration also tries an extrapolated point W* + beta (W* - W_prev) beyond the
@@ -28,16 +27,15 @@ improvement drops below the threshold.
 constants (the SI penalties and the search budgets) once per call and
 iterates on the beams W and the combiners U, (downlink, uplink) pairs of
 arrays in the same layout: each block is a few batched numpy kernels over
-all cells and users.  The public block updates below are adapters that
-read and write the same arrays in a BeamformingState, and derive the same
-constants per call.
+all cells and users.  A BeamformingState holds them only at the ends of a
+solve: the start that `initialize` draws and the final state.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,32 +120,6 @@ class RunTrace:
         return np.array([r.loss for r in self.records])
 
 
-@dataclass(eq=False)
-class PrecoderUpdate:
-    """The precoder step's new state and its multiplier searches.
-
-    The uplink arrays are flattened over (cell, user).  The scalar powers
-    come from the eigen-domain expression of the search, the matrix powers
-    from the assembled beams of the new state.
-    """
-
-    state: BeamformingState
-    dl_multipliers: np.ndarray    # (G,)
-    ul_multipliers: np.ndarray    # (G K_u,)
-    dl_scalar_power: np.ndarray   # (G,)
-    ul_scalar_power: np.ndarray   # (G K_u,)
-    dl_evaluations: np.ndarray    # (G,) power evaluations of each cell's multiplier search
-    ul_evaluations: np.ndarray    # (G K_u,)
-
-    @property
-    def dl_matrix_power(self) -> np.ndarray:
-        return self.state.dl_cell_powers()
-
-    @property
-    def ul_matrix_power(self) -> np.ndarray:
-        return self.state.ul_powers().reshape(-1)
-
-
 def resolve_nu(realization: Realization, config: SolverConfig) -> np.ndarray:
     """Per-cell RSI penalty weights; the default ties them to the SI gain.
 
@@ -159,17 +131,15 @@ def resolve_nu(realization: Realization, config: SolverConfig) -> np.ndarray:
     return objective._nu_per_cell(realization, config.nu)
 
 
-def initialize(realization: Realization, config: SolverConfig,
-               rng: np.random.Generator | None = None) -> BeamformingState:
+def initialize(realization: Realization, config: SolverConfig) -> BeamformingState:
     """Random beams that meet the power budgets exactly, and zero combiners.
 
     Every beam is a random matrix with unit-norm columns, scaled by
     alpha = sqrt(P_bs / (b_d K_d)) in the downlink, which shares the cell
     budget over users and streams, and by gamma = sqrt(P_ue / b_u) in the
-    uplink.
+    uplink.  The draws come from default_rng([config.init_seed, realization.seed]).
     """
-    if rng is None:
-        rng = np.random.default_rng([config.init_seed, realization.seed])
+    rng = np.random.default_rng([config.init_seed, realization.seed])
     ant, hw = realization.antennas, realization.hardware
     cells = realization.cell_count
     k_d, k_u = realization.topology.dl_counts[0], realization.topology.ul_counts[0]
@@ -197,38 +167,27 @@ def initialize(realization: Realization, config: SolverConfig,
 # ---------------------------------------------------------------------------
 
 
-def secular_multiplier(g, d, budget, rel_tol: float, max_steps: int):
-    """Smallest w >= 0 with P(w) = sum_i g_i / (d_i + w)^2 <= budget, every row at once.
-
-    g and d have shape (..., n) with g, d >= 0; budget is positive and
-    broadcasts to the rows (...).  Terms with g_i = 0 carry no power at any
-    w.  A row within its budget at w = 0 gets w = 0.  Any other row aims at
-    the target budget (1 - rel_tol) with a safeguarded Newton method on
-    phi(w) = P(w)^(-1/2), which is concave and increasing (the
-    secular-equation step of More & Sorensen, SIAM J. Sci. Stat. Comput.
-    1983).  It starts from the one-term lower bound
-    max_i(sqrt(g_i / target) - d_i) on the root, and every step lands on a
-    lower bound again (see _bound_step), so the iterates rise monotonically
-    and a row stops at the first with P(w) <= budget: feasible, and binding
-    to within rel_tol.
-
-    Returns (w, P(w), evaluations of P), each with the rows' shape.
-    """
-    g = np.asarray(g, dtype=float)
-    shape = g.shape[:-1]
-    g = g.reshape(math.prod(shape), g.shape[-1])
-    budget = np.broadcast_to(np.asarray(budget, dtype=float), shape).reshape(-1)
-    w, power, evaluations = _search(g, np.reshape(d, g.shape), budget,
-                                    (budget * (1.0 - rel_tol))[:, None], max_steps)
-    return w.reshape(shape), power.reshape(shape), evaluations.reshape(shape)
-
-
 _TINY = np.finfo(float).tiny
 
 
 def _search(g, d, budget, target, max_steps: int):
-    """secular_multiplier on float rows g and d of shape (rows, n), given
-    each row's budget (rows,) and its target as a column (rows, 1)."""
+    """Smallest w >= 0 with P(w) = sum_i g_i / (d_i + w)^2 <= budget, every row at once.
+
+    g and d are float rows of shape (rows, n) with g, d >= 0, `budget` is
+    each row's budget (rows,) and `target` its target as a column (rows, 1),
+    the budget times (1 - rel_tol).  Terms with g_i = 0 carry no power at
+    any w.  A row within its budget at w = 0 gets w = 0.  Any other row aims
+    at its target with a safeguarded Newton method on phi(w) = P(w)^(-1/2),
+    which is concave and increasing (the secular-equation step of More &
+    Sorensen, SIAM J. Sci. Stat. Comput. 1983).  It starts from the one-term
+    lower bound max_i(sqrt(g_i / target) - d_i) on the root, and every step
+    lands on a lower bound again (see _bound_step), so the iterates rise
+    monotonically and a row stops at the first with P(w) <= budget:
+    feasible, and binding to within rel_tol.  A row still over its budget
+    after max_steps evaluations raises RuntimeError.
+
+    Returns (w, P(w), evaluations of P), each of shape (rows,).
+    """
     d = np.where(g > 0.0, d, 1.0)    # an empty term stays finite at any w
     # decreasing d, for the bounds of _bound_step
     order = np.argsort(-d, axis=-1)
@@ -326,7 +285,9 @@ def _precoder_step(ch: ChannelStack, grams, combiners, constants):
 
 
 def _extrapolate(hw: HardwareProfile, beams, previous, weight: float):
-    """Trial point W + weight (W - W_prev) on each beam pair (see extrapolate)."""
+    """Trial point W + weight (W - W_prev) on the beam pairs W = `beams` and
+    W_prev = `previous`; a cell or uplink user pushed over its budget is
+    scaled back onto it."""
     def move(w, w_prev, budget, shared_axes):
         moved = (1.0 + weight) * w - weight * w_prev
         power = frobenius_sq(moved).sum(axis=shared_axes, keepdims=True)
@@ -338,37 +299,6 @@ def _extrapolate(hw: HardwareProfile, beams, previous, weight: float):
 
 
 # ---------------------------------------------------------------------------
-# block updates on a BeamformingState
-# ---------------------------------------------------------------------------
-
-
-def update_combiners(realization: Realization, state: BeamformingState) -> BeamformingState:
-    """Linear MMSE combiners U = C^-1 H W for every user."""
-    dl, ul = objective.mmse_combiners(covariance.assemble(realization, state)[1])
-    return replace(state, dl_combiners=dl, ul_combiners=ul).copy()
-
-
-def update_precoders(realization: Realization, state: BeamformingState,
-                     config: SolverConfig) -> PrecoderUpdate:
-    """Penalized-MSE-optimal beams at fixed combiners.
-
-    Downlink: per cell, W_k = (Omega_g + nu_g S_g + w_g I)^-1 H^H U_k with
-    S_g the distortion-aware SI Gram matrix and w_g >= 0 the smallest
-    multiplier keeping the cell inside its power budget.  Uplink: the same
-    form per user against P_ue without any SI term.
-    """
-    ch, hw = stack_channels(realization), realization.hardware
-    combiners = (state.dl_combiners, state.ul_combiners)
-    beams, (w, power, evaluations) = _precoder_step(
-        ch, covariance.transmit_grams(ch, hw, combiners), combiners,
-        _precoder_constants(ch, hw, resolve_nu(realization, config), config))
-    cells = realization.cell_count
-    new = replace(state, dl_beams=beams[0], ul_beams=beams[1]).copy()
-    return PrecoderUpdate(new, w[:cells], w[cells:], power[:cells], power[cells:],
-                          evaluations[:cells], evaluations[cells:])
-
-
-# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -376,25 +306,12 @@ def update_precoders(realization: Realization, state: BeamformingState,
 EXTRAPOLATION = 4.0    # weight beta of the extrapolated trial point
 
 
-def extrapolate(realization: Realization, state: BeamformingState,
-                previous: BeamformingState, weight: float) -> BeamformingState:
-    """Trial point W + weight (W - W_prev) on every transmitted beam.
-
-    W comes from `state` and W_prev from `previous`; a cell or uplink user
-    pushed over its budget is scaled back onto it.  Combiners are carried
-    over from `state` unchanged.
-    """
-    dl, ul = _extrapolate(realization.hardware, (state.dl_beams, state.ul_beams),
-                          (previous.dl_beams, previous.ul_beams), weight)
-    return replace(state, dl_beams=dl, ul_beams=ul).copy()
-
-
 def run(realization: Realization, config: SolverConfig, collect_metrics: bool = True) -> RunTrace:
     """Run the alternating solver until the loss decrease falls below threshold.
 
     Per iteration: combiners, loss snapshot, precoders, then a safeguarded
     extrapolation (block coordinate descent with extrapolation, Xu & Yin
-    2013).  The trial point extrapolate(W*, W_prev, EXTRAPOLATION) from the
+    2013).  The trial point _extrapolate(W*, W_prev, EXTRAPOLATION) from the
     exact block result W* gets its own combiner update; it replaces W* only
     if its loss then lies below the iteration's snapshot by at least the
     threshold, and its combiners and report serve as the next iteration's.

@@ -7,8 +7,9 @@ receive array.  Sum rate is reported alongside as the conventional
 log-det measure with everything that is not the desired signal treated as
 noise, taken from the b x b error matrices of the MMSE combiners.
 
-Every figure comes from `report`, on the covariance assembly the solver runs;
-`evaluate` runs both for a Realization and a BeamformingState.
+Every figure comes from `report`, on the covariances (module `covariance`)
+of the beams.  `evaluate` scores a Realization and a BeamformingState: it
+stacks the channels, assembles the covariances and calls `report`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import covariance
 from .model import HardwareProfile, Realization
-from .stacked import ChannelStack, columns, frobenius_sq, hermitian, re_inner, uncolumns
+from .stacked import (ChannelStack, columns, frobenius_sq, hermitian, re_inner,
+                      stack_channels, uncolumns)
 from .state import BeamformingState
 
 log = logging.getLogger(__name__)
@@ -82,10 +84,11 @@ def _mse(c, received, combiner):
             + combiner.shape[-1])
 
 
-def _depth_db(numerator: float, rsi: float) -> float:
-    if numerator <= 0.0:
+def _depth_db(gain: float, power: float, rsi: float) -> float:
+    if power <= 0.0:
         return 0.0
-    if rsi < 1e-30 * numerator:
+    numerator = gain * power
+    if numerator <= 0.0 or rsi < 1e-30 * numerator:
         return ASIC_DEPTH_CAP_DB
     return min(10.0 * math.log10(numerator / rsi), ASIC_DEPTH_CAP_DB)
 
@@ -139,9 +142,11 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     covariance, distortion diagonal included; it depends only on the cell's
     own downlink beams W_g, and equals ||H_si W_g||_F^2 plus kappa times the
     column powers of H_si weighted by the row powers of W_g.  The
-    cancellation depth is 10 log10(l_g tr(T_g) / rsi), capped at +200 dB, 0
-    for a silent cell, with tr(T_g) = (1 + kappa) ||W_g||_F^2.  The rates do
-    not depend on the combiners: with_rates=True solves for the MMSE
+    cancellation depth is 10 log10(l_g tr(T_g) / rsi), capped at +200 dB,
+    with tr(T_g) = (1 + kappa) ||W_g||_F^2.  It is 0 for a silent cell,
+    tr(T_g) = 0, and the cap for a transmitting cell whose residual vanishes
+    against l_g tr(T_g), ideal cancellation (l_g = 0) included.  The rates
+    do not depend on the combiners: with_rates=True solves for the MMSE
     combiners to get them, with_rates=False reports them as nan.
     """
     bs_rx = cov.bs_rx[:, None]                   # each BS covariance, once per uplink user
@@ -149,7 +154,7 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     sum_mse_ul = float(_mse(bs_rx, cov.signal[1], combiners[1]).sum())
     rsi = (frobenius_sq(cov.si_signal)
            + hw.kappa_bs * (ch.si_colpow * cov.cell_load).sum(axis=-1))
-    depth = tuple(_depth_db(gain * p, r) for gain, p, r
+    depth = tuple(_depth_db(gain, p, r) for gain, p, r
                   in zip(hw.si_gain, cov.cell_power.tolist(), rsi.tolist()))
     nan = float("nan")
     rate_dl, rate_ul = sum_rates(cov.signal, mmse_combiners(cov)) if with_rates else (nan, nan)
@@ -167,12 +172,13 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
 
 def evaluate(realization: Realization, state: BeamformingState, nu,
              with_rates: bool = True) -> ObjectiveReport:
-    """Compute every reported metric, sharing covariance assembly.
+    """Compute every reported metric of `state`: the report on the
+    covariances of its beams.
 
     with_rates=False skips the rates (reported as nan), and with them the
     MMSE combiner solve they need.
     """
     nu_arr = _nu_per_cell(realization, nu)
-    ch, cov = covariance.assemble(realization, state)
-    return report(ch, realization.hardware, (state.dl_combiners, state.ul_combiners), cov,
-                  nu_arr, with_rates)
+    ch, hw = stack_channels(realization), realization.hardware
+    cov = covariance.covariances(ch, hw, (state.dl_beams, state.ul_beams))
+    return report(ch, hw, (state.dl_combiners, state.ul_combiners), cov, nu_arr, with_rates)

@@ -7,13 +7,15 @@ independent oracle for it.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from ibfdsim import covariance, jpaim, objective
 from ibfdsim.model import (Realization, ScenarioConfig, bs_node, build_realization,
                            dl_node, ul_node)
-from ibfdsim.stacked import add_scaled_diag, columns, hermitian, row_powers, uncolumns
+from ibfdsim.stacked import (add_scaled_diag, columns, hermitian, row_powers, stack_channels,
+                             uncolumns)
 from ibfdsim.state import BeamformingState
 
 
@@ -112,16 +114,70 @@ def f1(y: np.ndarray, x: np.ndarray, sigma_t: float, sigma_r: float) -> np.ndarr
     return covariance.distortion_gram(y @ x, y, hermitian(y), sigma_r * row_powers(x), sigma_t)
 
 
+def state_covariances(realization: Realization,
+                      state: BeamformingState) -> covariance.Covariances:
+    """The covariances of the beams of `state` on the channels of `realization`."""
+    return covariance.covariances(stack_channels(realization), realization.hardware,
+                                  (state.dl_beams, state.ul_beams))
+
+
 def user_mse(realization: Realization, state: BeamformingState, direction: str,
              k: int, g: int) -> float:
     """Stream-recovery MSE of user (k, g) of `direction` ("dl" or "ul") under
     its current combiner; an uplink user is decoded at BS g."""
-    cov = covariance.assemble(realization, state)[1]
+    cov = state_covariances(realization, state)
     if direction == "dl":
         args = cov.dl_rx[g, k], cov.signal[0][g, k], state.dl_combiners[g, k]
     else:
         args = cov.bs_rx[g], cov.signal[1][g, k], state.ul_combiners[g, k]
     return float(objective._mse(*args))
+
+
+# ---------------------------------------------------------------------------
+# the solver's blocks on a BeamformingState, through the kernels `run` calls
+# ---------------------------------------------------------------------------
+
+
+def refresh_combiners(realization: Realization, state: BeamformingState) -> BeamformingState:
+    """`state` with the MMSE combiners U = C^-1 H W of its beams, every array
+    a C-contiguous copy."""
+    dl, ul = objective.mmse_combiners(state_covariances(realization, state))
+    return replace(state, dl_combiners=dl, ul_combiners=ul).copy()
+
+
+def precoder_step(realization: Realization, state: BeamformingState,
+                  config: jpaim.SolverConfig):
+    """One precoder step from the combiners of `state`: the penalized-MSE-optimal
+    beams under the power budgets, with the constants `run` forms per solve.
+
+    Returns (new state, multipliers, scalar powers, evaluations), the last
+    three (downlink, uplink) pairs with the uplink flattened over (cell,
+    user): each search's multiplier, its power from the eigen-domain
+    expression, and its number of power evaluations.  The new state's arrays
+    are C-contiguous copies.
+    """
+    ch, hw = stack_channels(realization), realization.hardware
+    combiners = (state.dl_combiners, state.ul_combiners)
+    constants = jpaim._precoder_constants(ch, hw, jpaim.resolve_nu(realization, config), config)
+    beams, search = jpaim._precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
+                                         combiners, constants)
+    cells = realization.cell_count
+    new = replace(state, dl_beams=beams[0], ul_beams=beams[1]).copy()
+    return (new, *((a[:cells], a[cells:]) for a in search))
+
+
+def secular_multiplier(g, d, budget, rel_tol: float, max_steps: int):
+    """The multiplier search on rows of any shape: jpaim._search with g and d
+    of shape (..., n), a budget that broadcasts to the rows (...), and the
+    target budget (1 - rel_tol).  Returns (w, P(w), evaluations), each with
+    the rows' shape."""
+    g = np.asarray(g, dtype=float)
+    shape = g.shape[:-1]
+    g = g.reshape(math.prod(shape), g.shape[-1])
+    budget = np.broadcast_to(np.asarray(budget, dtype=float), shape).reshape(-1)
+    w, power, evaluations = jpaim._search(g, np.reshape(d, g.shape), budget,
+                                          (budget * (1.0 - rel_tol))[:, None], max_steps)
+    return w.reshape(shape), power.reshape(shape), evaluations.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +292,25 @@ def combiner_stationarity(realization, state, nu) -> float:
                      mats)
 
 
-def _precoder_lagrangian(realization, state, nu, update: jpaim.PrecoderUpdate) -> float:
+def _precoder_lagrangian(realization, state, nu, multipliers) -> float:
     """The penalized loss (sum MSE plus the nu-weighted RSI) with the power
-    budgets' multipliers from `update`."""
+    budgets' (downlink, uplink) multipliers of precoder_step."""
     hw = realization.hardware
     val = objective.evaluate(realization, state, nu, with_rates=False).loss
     for g in range(realization.cell_count):
-        val += update.dl_multipliers[g] * (state.dl_cell_power(g) - hw.p_bs_w)
+        val += multipliers[0][g] * (state.dl_cell_power(g) - hw.p_bs_w)
     for i, (g, k) in enumerate(realization.ul_users()):
-        val += update.ul_multipliers[i] * (state.ul_power(g, k) - hw.p_ue_w)
+        val += multipliers[1][i] * (state.ul_power(g, k) - hw.p_ue_w)
     return val
 
 
-def precoder_stationarity(realization, state, nu, update: jpaim.PrecoderUpdate) -> float:
+def precoder_stationarity(realization, state, nu, multipliers) -> float:
     mats = [w for cell in state.dl_beams for w in cell]
     mats += [w for cell in state.ul_beams for w in cell]
-    return _fd_ratio(lambda: _precoder_lagrangian(realization, state, nu, update), mats)
+    return _fd_ratio(lambda: _precoder_lagrangian(realization, state, nu, multipliers), mats)
 
 
-def beam_scale_stationarity(realization, state, nu, update: jpaim.PrecoderUpdate) -> float:
+def beam_scale_stationarity(realization, state, nu, multipliers) -> float:
     """The precoder step's Lagrangian differentiated in one real scale s per
     user, W -> s W, at s = 1: the derivative in the paper's power amplitude
     of that user, times the amplitude."""
@@ -265,7 +321,7 @@ def beam_scale_stationarity(realization, state, nu, update: jpaim.PrecoderUpdate
                                   state.dl_combiners,
                                   scales[1][..., None, None] * state.ul_beams,
                                   state.ul_combiners)
-        return _precoder_lagrangian(realization, scaled, nu, update)
+        return _precoder_lagrangian(realization, scaled, nu, multipliers)
 
     return _fd_ratio(lagrangian, scales)
 

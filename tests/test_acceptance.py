@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import helpers
-from ibfdsim import baselines, covariance, harness, jpaim, objective
+from ibfdsim import baselines, harness, jpaim, objective
 from ibfdsim.jpaim import SolverConfig
 from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node
 
@@ -62,17 +62,17 @@ def test_criterion_02_block_stationarity():
         real = helpers.random_small_realization(rng)
         nu = jpaim.resolve_nu(real, cfg)
         state = helpers.solved_state(real, iterations=2)
-        state = jpaim.update_combiners(real, state)
+        state = helpers.refresh_combiners(real, state)
         worst["combiners"] = max(worst["combiners"],
                                  helpers.combiner_stationarity(real, state, nu))
-        pre = jpaim.update_precoders(real, state, cfg)
+        state, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
         worst["precoders"] = max(worst["precoders"],
-                                 helpers.precoder_stationarity(real, pre.state, nu, pre))
+                                 helpers.precoder_stationarity(real, state, nu, multipliers))
         # the precoder step optimizes the beams W, power included, so its
         # result is stationary in a real scale s_k of each user's W_k too,
         # with the same multipliers
-        worst["beam scales"] = max(worst["beam scales"],
-                                   helpers.beam_scale_stationarity(real, pre.state, nu, pre))
+        worst["beam scales"] = max(worst["beam scales"], helpers.beam_scale_stationarity(
+            real, state, nu, multipliers))
     ok = all(v < 1e-5 for v in worst.values())
     detail = ("worst relative gradient norms: "
               + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
@@ -92,23 +92,22 @@ def test_criterion_03_feasibility_and_slackness():
         hw = real.hardware
         state = jpaim.initialize(real, cfg)
         for _ in range(6):
-            state = jpaim.update_combiners(real, state)
-            pre = jpaim.update_precoders(real, state, cfg)
-            state = pre.state
+            state = helpers.refresh_combiners(real, state)
+            state, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
             for g in range(real.cell_count):
                 if real.topology.dl_counts[g] == 0:
                     continue
                 worst_excess = max(worst_excess,
                                    state.dl_cell_power(g) / hw.p_bs_w - 1.0)
-                if pre.dl_multipliers[g] > 0.0:
+                if multipliers[0][g] > 0.0:
                     worst_slack = max(worst_slack,
-                                      abs(pre.dl_matrix_power[g] / hw.p_bs_w - 1.0))
+                                      abs(state.dl_cell_power(g) / hw.p_bs_w - 1.0))
             for i, (g, k) in enumerate(real.ul_users()):
                 worst_excess = max(worst_excess,
                                    state.ul_power(g, k) / hw.p_ue_w - 1.0)
-                if pre.ul_multipliers[i] > 0.0:
+                if multipliers[1][i] > 0.0:
                     worst_slack = max(worst_slack,
-                                      abs(pre.ul_matrix_power[i] / hw.p_ue_w - 1.0))
+                                      abs(state.ul_power(g, k) / hw.p_ue_w - 1.0))
             checked += 1
     ok = worst_excess <= 1e-6 and worst_slack <= 1e-6
     detail = (f"{int(checked)} iterations checked; worst constraint excess "
@@ -126,10 +125,10 @@ def test_criterion_04_scalar_matrix_power_equivalence():
     worst = 0.0
     for _ in range(100):
         real = helpers.random_small_realization(rng)
-        state = jpaim.update_combiners(real, jpaim.initialize(real, cfg))
-        pre = jpaim.update_precoders(real, state, cfg)
-        for a, b in zip((*pre.dl_scalar_power, *pre.ul_scalar_power),
-                        (*pre.dl_matrix_power, *pre.ul_matrix_power)):
+        state = helpers.refresh_combiners(real, jpaim.initialize(real, cfg))
+        state, _, scalar_power, _ = helpers.precoder_step(real, state, cfg)
+        for a, b in zip((*scalar_power[0], *scalar_power[1]),
+                        (*state.dl_cell_powers(), *state.ul_powers().reshape(-1))):
             if max(a, b) > 0.0:
                 worst = max(worst, abs(a - b) / max(a, b))
     ok = worst <= 1e-10
@@ -150,7 +149,7 @@ def test_criterion_05_monte_carlo_oracles():
         state = helpers.solved_state(real, iterations=2)
         cov_hat, mse_hat = helpers.mc_estimates(real, state, draws=100_000,
                                                 seed=1000 + i)
-        cov = covariance.assemble(real, state)[1]
+        cov = helpers.state_covariances(real, state)
         for g, k in real.dl_users():
             c = cov.dl_rx[g, k]
             worst_cov = max(worst_cov, np.linalg.norm(cov_hat[dl_node(g, k)] - c)

@@ -1,13 +1,17 @@
 """Null-space projection and half-duplex reference schemes."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 import helpers
-from ibfdsim import baselines, jpaim, objective
+from ibfdsim import baselines, covariance, jpaim, objective, stacked
 from ibfdsim.baselines import nsp_project, project_state, run_half_duplex, run_nsp
 from ibfdsim.jpaim import SolverConfig
-from ibfdsim.model import ScenarioConfig, bs_node, build_realization
+from ibfdsim.model import (ScenarioConfig, bs_node, build_realization, restrict_to_downlink,
+                           restrict_to_uplink)
+from ibfdsim.state import BeamformingState
 
 
 def test_nsp_full_dimension_is_identity():
@@ -89,12 +93,38 @@ def test_run_nsp_full_dimension_matches_plain_solver():
     plain = jpaim.run(real, cfg, collect_metrics=False)
     report, projected = run_nsp(real, plain, subspace_dim=real.antennas.bs_tx)
     # identity projection, then one extra combiner refresh
-    refreshed = jpaim.update_combiners(real, plain.final_state)
+    refreshed = helpers.refresh_combiners(real, plain.final_state)
     np.testing.assert_allclose(projected.dl_beams[0][0],
                                refreshed.dl_beams[0][0], atol=1e-12)
     nu = jpaim.resolve_nu(real, cfg)
     assert report.loss == pytest.approx(
         objective.evaluate(real, refreshed, nu, with_rates=False).loss, rel=1e-10)
+
+
+def test_run_nsp_assembles_once_and_reports_evaluate(monkeypatch):
+    # one channel stack and one covariance assembly serve the combiner
+    # refresh and the score, and the score is evaluate's on the returned state
+    real = build_realization(ScenarioConfig(), 3)
+    trace = jpaim.run(real, SolverConfig(), collect_metrics=False)
+    calls = {"stack_channels": 0, "covariances": 0}
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    # wherever a module binds the name, so no call path escapes the count
+    for name in calls:
+        for module in (stacked, covariance, objective, jpaim, baselines):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    report, projected = run_nsp(real, trace, subspace_dim=8)
+    assert calls == {"stack_channels": 1, "covariances": 1}
+    monkeypatch.undo()
+    want = objective.evaluate(real, projected, trace.nu)
+    for field in fields(want):
+        assert getattr(report, field.name) == getattr(want, field.name), field.name
 
 
 def test_run_nsp_keeps_power_feasible():
@@ -123,6 +153,35 @@ def test_half_duplex_structure():
     assert dl_rep.sum_rate_ul == 0.0
     assert ul_rep.sum_rate_dl == 0.0
     assert run_half_duplex(real, cfg)[0].sum_rate == pytest.approx(result.sum_rate)
+
+
+@pytest.mark.parametrize("scenario", [
+    ScenarioConfig(), helpers.small_config(cells=3, dl_users=2, csi_error_factor=1e-2),
+], ids=["default", "three_cells_csi_error"])
+def test_half_duplex_split_of_the_full_duplex_objective(scenario):
+    # with the cross-direction blocks of X, x_true and err zeroed (downlink
+    # users from uplink users, BSs from BSs, SI included) and nu = 0, the
+    # full-duplex network is the two half-duplex phases side by side: its
+    # objective on their beams and combiners equals theirs, bit for bit
+    real = build_realization(scenario, 4)
+    _, dl_trace, ul_trace = run_half_duplex(real, SolverConfig(max_iterations=5))
+    ch = real.channels
+    dl_rows, bs_cols, dl_users = ch.cells * ch.k_d * ch.m_ue, ch.cells * ch.n_bs, ch.cells * ch.k_d
+    x, x_true, err = ch.x.copy(), ch.x_true.copy(), ch.err.copy()
+    for matrix in (x, x_true):
+        matrix[:dl_rows, bs_cols:] = 0.0
+        matrix[dl_rows:, :bs_cols] = 0.0
+    err[:dl_users, ch.cells:] = 0.0
+    err[dl_users:, :ch.cells] = 0.0
+    split = replace(real, channels=replace(ch, x=x, x_true=x_true, err=err))
+    dl, ul = dl_trace.final_state, ul_trace.final_state
+    got = objective.evaluate(split, BeamformingState(dl.dl_beams, dl.dl_combiners,
+                                                     ul.ul_beams, ul.ul_combiners), 0.0)
+    dl_rep = objective.evaluate(restrict_to_downlink(real), dl, 0.0)
+    ul_rep = objective.evaluate(restrict_to_uplink(real), ul, 0.0)
+    assert got.loss == dl_rep.loss + ul_rep.loss
+    assert (got.sum_mse_dl, got.sum_mse_ul) == (dl_rep.sum_mse_dl, ul_rep.sum_mse_ul)
+    assert (got.sum_rate_dl, got.sum_rate_ul) == (dl_rep.sum_rate_dl, ul_rep.sum_rate_ul)
 
 
 def test_half_duplex_has_no_self_interference_penalty():

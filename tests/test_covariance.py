@@ -23,7 +23,7 @@ def test_cell_tx_covariance_sums_users():
     real = build_realization(helpers.small_config(), 1)
     state = helpers.random_state(real, 2)
     kappa = real.hardware.kappa_bs
-    cov = covariance.assemble(real, state)[1]
+    cov = helpers.state_covariances(real, state)
     for g in range(real.cell_count):
         expected = sum(
             helpers.tx_gram(state.dl_beams[g][k], kappa)
@@ -44,7 +44,7 @@ def test_csi_error_variance_hand_sum():
     for g, k in real.ul_users():
         t = helpers.tx_gram(state.ul_beams[g][k], real.hardware.kappa_ue)
         expected += real.link(rx, ul_node(g, k)).err_var * np.trace(t).real
-    assert float(covariance.assemble(real, state)[1].dl_csi[0, 0]) == pytest.approx(
+    assert float(helpers.state_covariances(real, state).dl_csi[0, 0]) == pytest.approx(
         expected, rel=1e-12)
 
 
@@ -69,7 +69,7 @@ def test_rx_covariance_explicit_assembly():
         return (base + beta * np.diag(np.diag(base))
                 + (noise_w + sig_hat) * np.eye(m))
 
-    cov = covariance.assemble(real, state)[1]
+    cov = helpers.state_covariances(real, state)
     for g, k in real.dl_users():
         got = cov.dl_rx[g, k]
         np.testing.assert_allclose(
@@ -89,10 +89,10 @@ def test_rx_covariance_uses_true_si_channel():
     # move one-for-one with a manual edit of that stored matrix
     real = build_realization(helpers.small_config(cells=1, asic_db=0.0), 3)
     state = helpers.random_state(real, 4)
-    before = covariance.assemble(real, state)[1].bs_rx[0]
+    before = helpers.state_covariances(real, state).bs_rx[0]
     link = real.link(bs_node(0), bs_node(0))
     link.true *= 2.0
-    after = covariance.assemble(real, state)[1].bs_rx[0]
+    after = helpers.state_covariances(real, state).bs_rx[0]
     t = helpers.tx_gram(columns(state.dl_beams[0]), real.hardware.kappa_bs)
     h = link.true / 2.0
     delta = 3.0 * (h @ t @ h.conj().T)
@@ -152,7 +152,7 @@ def test_rx_covariance_against_signal_chain():
     real = build_realization(cfg, 21)
     state = helpers.solved_state(real, iterations=2)
     cov_hat, mse_hat = helpers.mc_estimates(real, state, draws=40_000, seed=22)
-    cov = covariance.assemble(real, state)[1]
+    cov = helpers.state_covariances(real, state)
     c = cov.bs_rx[0]
     assert np.linalg.norm(cov_hat[bs_node(0)] - c) / np.linalg.norm(c) < 0.05
     c = cov.dl_rx[0, 0]

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import helpers
-from ibfdsim import baselines, covariance, jpaim, objective
-from ibfdsim.jpaim import SolverConfig, initialize, resolve_nu, run, update_combiners
+from ibfdsim import baselines, jpaim, objective
+from ibfdsim.jpaim import SolverConfig, initialize, resolve_nu, run
 from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node, ul_node
+from ibfdsim.state import BeamformingState
 
 
 def test_solver_config_validation():
@@ -72,9 +73,6 @@ def test_initialize_deterministic_and_seeded():
     np.testing.assert_array_equal(a.dl_beams[0][0], b.dl_beams[0][0])
     c = initialize(real, SolverConfig(init_seed=1))
     assert not np.allclose(a.dl_beams[0][0], c.dl_beams[0][0])
-    rng = np.random.default_rng(99)
-    d = initialize(real, SolverConfig(), rng=rng)
-    assert not np.allclose(a.dl_beams[0][0], d.dl_beams[0][0])
 
 
 def test_initialize_draws_user_by_user():
@@ -101,8 +99,8 @@ def test_initialize_draws_user_by_user():
 
 def test_update_combiners_solves_mmse_system():
     real = build_realization(helpers.small_config(), 1)
-    state = update_combiners(real, helpers.random_state(real, 2, beam_scale=0.7))
-    cov = covariance.assemble(real, state)[1]
+    state = helpers.refresh_combiners(real, helpers.random_state(real, 2, beam_scale=0.7))
+    cov = helpers.state_covariances(real, state)
     for g, k in real.dl_users():
         c = cov.dl_rx[g, k]
         rhs = real.link(dl_node(g, k), bs_node(g)).est @ state.dl_beams[g][k]
@@ -120,7 +118,7 @@ def test_update_combiners_never_increases_loss():
         nu = resolve_nu(real, SolverConfig())
         state = helpers.solved_state(real, iterations=1)
         before = objective.evaluate(real, state, nu, with_rates=False).loss
-        after = objective.evaluate(real, update_combiners(real, state), nu,
+        after = objective.evaluate(real, helpers.refresh_combiners(real, state), nu,
                                    with_rates=False).loss
         assert after <= before * (1.0 + 1e-12)
 
@@ -130,15 +128,15 @@ def test_update_precoders_respects_budgets():
     for _ in range(5):
         real = helpers.random_small_realization(rng)
         cfg = SolverConfig()
-        state = update_combiners(real, initialize(real, cfg))
-        pre = jpaim.update_precoders(real, state, cfg)
+        state = helpers.refresh_combiners(real, initialize(real, cfg))
+        state, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
         hw = real.hardware
         for g in range(real.cell_count):
-            assert pre.dl_matrix_power[g] <= hw.p_bs_w * (1.0 + 1e-7)
-            assert pre.dl_multipliers[g] >= 0.0
+            assert state.dl_cell_power(g) <= hw.p_bs_w * (1.0 + 1e-7)
+            assert multipliers[0][g] >= 0.0
         for i, (g, k) in enumerate(real.ul_users()):
-            assert pre.ul_matrix_power[i] <= hw.p_ue_w * (1.0 + 1e-7)
-            assert pre.ul_multipliers[i] >= 0.0
+            assert state.ul_power(g, k) <= hw.p_ue_w * (1.0 + 1e-7)
+            assert multipliers[1][i] >= 0.0
 
 
 def test_update_precoders_scalar_matches_matrix_power():
@@ -146,11 +144,11 @@ def test_update_precoders_scalar_matches_matrix_power():
     for _ in range(10):
         real = helpers.random_small_realization(rng)
         cfg = SolverConfig()
-        state = update_combiners(real, initialize(real, cfg))
-        pre = jpaim.update_precoders(real, state, cfg)
-        for a, b in zip(pre.dl_scalar_power, pre.dl_matrix_power):
+        state = helpers.refresh_combiners(real, initialize(real, cfg))
+        state, _, scalar_power, _ = helpers.precoder_step(real, state, cfg)
+        for a, b in zip(scalar_power[0], state.dl_cell_powers()):
             assert a == pytest.approx(b, rel=1e-10, abs=1e-30)
-        for a, b in zip(pre.ul_scalar_power, pre.ul_matrix_power):
+        for a, b in zip(scalar_power[1], state.ul_powers().reshape(-1)):
             assert a == pytest.approx(b, rel=1e-10, abs=1e-30)
 
 
@@ -159,9 +157,9 @@ def test_update_precoders_stationary_for_its_lagrangian():
     cfg = SolverConfig()
     nu = resolve_nu(real, cfg)
     state = helpers.solved_state(real, iterations=2)
-    state = update_combiners(real, state)
-    pre = jpaim.update_precoders(real, state, cfg)
-    assert helpers.precoder_stationarity(real, pre.state, nu, pre) < 1e-5
+    state = helpers.refresh_combiners(real, state)
+    state, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
+    assert helpers.precoder_stationarity(real, state, nu, multipliers) < 1e-5
 
 
 @pytest.mark.parametrize("case", ["before_combiners"])
@@ -173,29 +171,31 @@ def test_update_precoders_keeps_a_silenced_cell_silent(case):
     cfg = SolverConfig()
     state = initialize(real, cfg)
     state.dl_beams[0] = 0.0
-    state = update_combiners(real, state)
+    state = helpers.refresh_combiners(real, state)
     assert np.all(state.dl_combiners[0] == 0.0)
-    pre = jpaim.update_precoders(real, state, cfg)
-    assert pre.dl_multipliers[0] == 0.0
-    assert pre.dl_scalar_power[0] == pre.dl_matrix_power[0] == 0.0
-    assert np.all(pre.state.dl_beams[0] == 0.0)
-    assert helpers.precoder_stationarity(real, pre.state, resolve_nu(real, cfg), pre) < 1e-5
+    state, multipliers, scalar_power, _ = helpers.precoder_step(real, state, cfg)
+    assert multipliers[0][0] == 0.0
+    assert scalar_power[0][0] == state.dl_cell_powers()[0] == 0.0
+    assert np.all(state.dl_beams[0] == 0.0)
+    assert helpers.precoder_stationarity(real, state, resolve_nu(real, cfg), multipliers) < 1e-5
 
 
 def test_extrapolate_moves_beamformers_within_budgets():
     real = build_realization(ScenarioConfig(), 15)
     cfg = SolverConfig()
     hw = real.hardware
-    previous = update_combiners(real, initialize(real, cfg))
-    state = jpaim.update_precoders(real, previous, cfg).state
-    np.testing.assert_array_equal(jpaim.extrapolate(real, state, previous, 0.0).dl_beams,
+    previous = helpers.refresh_combiners(real, initialize(real, cfg))
+    state = helpers.precoder_step(real, previous, cfg)[0]
+    beams = (state.dl_beams, state.ul_beams)
+    previous_beams = (previous.dl_beams, previous.ul_beams)
+    np.testing.assert_array_equal(jpaim._extrapolate(hw, beams, previous_beams, 0.0)[0],
                                   state.dl_beams)
-    trial = jpaim.extrapolate(real, state, previous, 4.0)
+    trial_dl, trial_ul = jpaim._extrapolate(hw, beams, previous_beams, 4.0)
+    trial = BeamformingState(trial_dl, state.dl_combiners, trial_ul, state.ul_combiners)
     for g in range(real.cell_count):
         assert trial.dl_cell_power(g) <= hw.p_bs_w * (1.0 + 1e-12)
     for g, k in real.ul_users():
         assert trial.ul_power(g, k) <= hw.p_ue_w * (1.0 + 1e-12)
-    np.testing.assert_array_equal(trial.dl_combiners, state.dl_combiners)
     # inside the budget the move is exactly W + 4 (W - W_prev) per user
     moved = 5.0 * state.ul_beams[0][0] - 4.0 * previous.ul_beams[0][0]
     scale = min(1.0, math.sqrt(hw.p_ue_w) / np.linalg.norm(moved))
@@ -208,27 +208,23 @@ def test_returned_states_are_c_contiguous_and_share_no_memory():
     # their input; the public functions hand out arrays of their own
     real = build_realization(ScenarioConfig(), 5)
     cfg = SolverConfig(max_iterations=3)
-    previous = update_combiners(real, initialize(real, cfg))
-    state = jpaim.update_precoders(real, previous, cfg).state
-    inputs = (previous, state)
-    saved = [s.copy() for s in inputs]
+    trace = run(real, cfg, collect_metrics=False)
+    state = trace.final_state
+    saved = state.copy()
     results = {
         "initialize": initialize(real, cfg),
-        "update_combiners": update_combiners(real, state),
-        "update_precoders": jpaim.update_precoders(real, state, cfg).state,
-        "extrapolate": jpaim.extrapolate(real, state, previous, 4.0),
         "run": run(real, cfg, collect_metrics=False).final_state,
         "project_state": baselines.project_state(real, state, 4),
+        "run_nsp": baselines.run_nsp(real, trace, 4)[1],
     }
     for name, out in results.items():
         for field in fields(out):
             array = getattr(out, field.name)
             assert array.flags.c_contiguous, (name, field.name)
             array[...] = 7.0
-    for before, after in zip(saved, inputs):
-        for field in fields(before):
-            np.testing.assert_array_equal(getattr(after, field.name),
-                                          getattr(before, field.name), err_msg=field.name)
+    for field in fields(saved):
+        np.testing.assert_array_equal(getattr(state, field.name), getattr(saved, field.name),
+                                      err_msg=field.name)
 
 
 def test_stationarity_check_refuses_a_copied_block():
@@ -343,22 +339,22 @@ def test_run_final_state_reproduces_the_final_report(scenario, config):
     (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0, max_iterations=1)),
 ], ids=["default", "strong_si"])
 def test_run_iteration_matches_public_block_updates(scenario, config):
-    # run forms its precoder constants once per solve; the public block
-    # updates derive them per call, and both give the same bits
+    # run forms its precoder constants once per solve; the block oracles of
+    # tests/helpers.py derive them per call on a state, and both give the
+    # same bits
     for seed in range(3):
         real = build_realization(scenario, seed)
         trace = run(real, config)
-        update = jpaim.update_precoders(
-            real, update_combiners(real, initialize(real, config)), config)
+        state, multipliers, _, evaluations = helpers.precoder_step(
+            real, helpers.refresh_combiners(real, initialize(real, config)), config)
         for name in ("dl_beams", "dl_combiners", "ul_beams", "ul_combiners"):
             np.testing.assert_array_equal(getattr(trace.final_state, name),
-                                          getattr(update.state, name),
+                                          getattr(state, name),
                                           err_msg=f"seed {seed} {name}")
         record = trace.records[1]
-        assert record.dl_precoder_multipliers == tuple(update.dl_multipliers.tolist())
-        assert record.ul_precoder_multipliers == tuple(update.ul_multipliers.tolist())
-        assert record.multiplier_evaluations == (update.dl_evaluations.sum()
-                                                 + update.ul_evaluations.sum())
+        assert record.dl_precoder_multipliers == tuple(multipliers[0].tolist())
+        assert record.ul_precoder_multipliers == tuple(multipliers[1].tolist())
+        assert record.multiplier_evaluations == evaluations[0].sum() + evaluations[1].sum()
 
 
 def test_run_feasible_at_every_iteration():
@@ -448,7 +444,7 @@ def test_uplink_only_and_downlink_only_networks():
 def test_secular_multiplier_single_term_in_one_evaluation():
     # 4 / (1 + w)^2 = budget: the one-term lower bound is the root itself
     tol = SolverConfig().bisection_rel_tol
-    w, power, evaluations = jpaim.secular_multiplier([[4.0]], [[1.0]], 1.0, tol, 200)
+    w, power, evaluations = helpers.secular_multiplier([[4.0]], [[1.0]], 1.0, tol, 200)
     assert evaluations[0] == 1
     assert w[0] == pytest.approx(1.0, rel=1e-8)
     assert 1.0 - tol <= power[0] * (1.0 + 1e-15) and power[0] <= 1.0
@@ -462,7 +458,7 @@ def test_secular_multiplier_zero_eigenvalue_and_empty_rows():
     d = np.array([[0.0, 3.0, 0.0],
                   [0.0, 1.0, 2.0],
                   [1.0, 2.0, 0.0]])
-    w, power, evaluations = jpaim.secular_multiplier(g, d, 0.5, tol, 200)
+    w, power, evaluations = helpers.secular_multiplier(g, d, 0.5, tol, 200)
     assert w[0] > 0.0 and 0.5 * (1.0 - tol) <= power[0] <= 0.5
     assert w[1] == 0.0 and power[1] == 0.0 and evaluations[1] == 1
     assert w[2] == 0.0 and power[2] == pytest.approx(1e-3 + 1e-3 / 4.0, rel=1e-15)
@@ -499,7 +495,7 @@ def test_secular_multiplier_iterates_rise_to_the_root():
             step = w + jpaim._bound_step(g_s / den ** 2, den, target)
             assert step[0] >= newton * (1.0 - 1e-15) and step[0] > w[0]
             w = step
-        solved = jpaim.secular_multiplier(g, d, budget, tol, 200)
+        solved = helpers.secular_multiplier(g, d, budget, tol, 200)
         assert solved[0][0] == pytest.approx(w[0], rel=1e-14)
 
 
@@ -511,7 +507,7 @@ def test_secular_multiplier_binds_within_tolerance_in_few_evaluations():
     g = rng.exponential(size=(rows, n)) ** 3 * (rng.random((rows, n)) < 0.7)
     d = rng.exponential(size=(rows, n)) ** 3 * (rng.random((rows, n)) < 0.8)
     budget = 10.0 ** rng.uniform(-3, 1, size=rows)
-    w, power, evaluations = jpaim.secular_multiplier(g, d, budget, tol, 200)
+    w, power, evaluations = helpers.secular_multiplier(g, d, budget, tol, 200)
     searched = w > 0.0
     assert searched.sum() > rows // 2
     assert np.all(power <= budget)
@@ -522,7 +518,7 @@ def test_secular_multiplier_binds_within_tolerance_in_few_evaluations():
 
 def test_secular_multiplier_step_cap():
     with pytest.raises(RuntimeError):
-        jpaim.secular_multiplier([[1.0, 1.0]], [[0.0, 1.0]], 1.0, 1e-8, 1)
+        helpers.secular_multiplier([[1.0, 1.0]], [[0.0, 1.0]], 1.0, 1e-8, 1)
 
 
 def test_multiplier_searches_stay_within_eight_evaluations():
@@ -534,10 +530,9 @@ def test_multiplier_searches_stay_within_eight_evaluations():
         real = helpers.random_small_realization(rng)
         state = jpaim.initialize(real, cfg)
         for _ in range(6):
-            state = jpaim.update_combiners(real, state)
-            pre = jpaim.update_precoders(real, state, cfg)
-            state = pre.state
-            worst = max(worst, *pre.dl_evaluations, *pre.ul_evaluations)
+            state = helpers.refresh_combiners(real, state)
+            state, _, _, evaluations = helpers.precoder_step(real, state, cfg)
+            worst = max(worst, *evaluations[0], *evaluations[1])
     assert 1 <= worst <= 8
     trace = run(build_realization(ScenarioConfig(), 3), cfg, collect_metrics=False)
     assert trace.records[0].multiplier_evaluations == 0

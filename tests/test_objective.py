@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from ibfdsim import covariance, objective
+from ibfdsim import jpaim, objective
 from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node, ul_node
 from ibfdsim.objective import ASIC_DEPTH_CAP_DB, evaluate, nu_from_asic
 from ibfdsim.stacked import columns
@@ -60,7 +60,7 @@ def test_mse_formula_against_covariance():
     real = build_realization(helpers.small_config(), 3)
     state = helpers.random_state(real, 4)
     g, k = 1, 0
-    c = covariance.assemble(real, state)[1].dl_rx[g, k]
+    c = helpers.state_covariances(real, state).dl_rx[g, k]
     u = state.dl_combiners[g][k]
     h = real.link(dl_node(g, k), bs_node(g)).est
     w = state.dl_beams[g][k]
@@ -71,9 +71,8 @@ def test_mse_formula_against_covariance():
 
 
 def test_mse_positive_at_mmse_combiner():
-    from ibfdsim import jpaim
     real = build_realization(helpers.small_config(), 5)
-    state = jpaim.update_combiners(real, helpers.random_state(real, 6, beam_scale=0.5))
+    state = helpers.refresh_combiners(real, helpers.random_state(real, 6, beam_scale=0.5))
     for g, k in real.dl_users():
         assert 0.0 < helpers.user_mse(real, state, "dl", k, g) < real.antennas.dl_streams
     for g, k in real.ul_users():
@@ -145,6 +144,17 @@ def test_asic_depth_cap_on_vanished_residual():
     assert _unpenalized(real, state).asic_depth_db[0] == ASIC_DEPTH_CAP_DB
 
 
+def test_asic_depth_cap_under_ideal_cancellation():
+    # asic_db = inf leaves the analog stage no SI gain (l_g = 0) and no
+    # residual: a transmitting cell reports the cap, not a silent cell's 0
+    scenario = ScenarioConfig(cells=1, asic_db=math.inf, adc_bits=math.inf)
+    real = build_realization(scenario, 3)
+    rep = jpaim.run(real, jpaim.SolverConfig(), collect_metrics=False).final_report
+    assert real.hardware.si_gain == (0.0,)
+    assert rep.rsi_watts == (0.0,)
+    assert rep.asic_depth_db == (ASIC_DEPTH_CAP_DB,)
+
+
 def test_loss_composition():
     real = build_realization(helpers.small_config(asic_db=30.0), 18)
     state = helpers.random_state(real, 19)
@@ -193,7 +203,7 @@ def test_rates_match_explicit_log_det(scenario):
     for seed in range(3):
         real = build_realization(scenario, seed)
         state = helpers.random_state(real, 30 + seed)
-        cov = covariance.assemble(real, state)[1]
+        cov = helpers.state_covariances(real, state)
         mmse = objective.mmse_combiners(cov)
         bits_dl = objective._rate_bits(cov.signal[0], mmse[0])
         bits_ul = objective._rate_bits(cov.signal[1], mmse[1])

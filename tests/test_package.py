@@ -55,12 +55,14 @@ def _references(tree: ast.Module) -> set:
 
 
 def test_exports_resolve_and_no_definition_is_dead():
+    # a test alone keeps no definition alive: each one is exported, or used
+    # by the package or the benchmark
     assert [name for name in ibfdsim.__all__ if not hasattr(ibfdsim, name)] == []
     defined = {(path.name, node.name) for path in SOURCES
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    referenced = set()
-    for folder in ("src", "bench", "tests"):
+    referenced = set(ibfdsim.__all__)
+    for folder in ("src", "bench"):
         for path in (ROOT / folder).rglob("*.py"):
             referenced |= _references(ast.parse(path.read_text()))
     assert sorted(item for item in defined if item[1] not in referenced) == []
