@@ -2,7 +2,6 @@
 in-band full-duplex multi-cell MIMO networks."""
 
 from .model import (
-    AntennaConfig,
     HardwareProfile,
     Realization,
     ScenarioConfig,
@@ -29,9 +28,9 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaConfig", "BeamformingState", "CampaignConfig", "CampaignSummary",
-    "HardwareProfile", "ObjectiveReport", "Realization", "RunTrace",
-    "ScenarioConfig", "SolverConfig", "Topology", "build_realization",
+    "BeamformingState", "CampaignConfig", "CampaignSummary", "HardwareProfile",
+    "ObjectiveReport", "Realization", "RunTrace", "ScenarioConfig", "SolverConfig",
+    "Topology", "build_realization",
     "complexity_estimate", "evaluate", "load_config", "load_realization",
     "nsp_project", "nu_from_asic", "realization_digest", "run", "run_campaign",
     "run_half_duplex", "save_config", "save_realization", "summarize",

@@ -88,7 +88,6 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
     """
     cells, k_d, _, b_d = beams[0].shape
     k_u, n_ue, b_u = beams[1].shape[1:]
-    side = ch.rx
     w_bs = columns(beams[0])                         # (G, N_bs, K_d b_d) per BS
     w_ul = beams[1].reshape(cells * k_u, n_ue, b_u)
     cell_load, ul_load = row_powers(w_bs), row_powers(w_ul)
@@ -96,13 +95,13 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
     cell_power = (1.0 + hw.kappa_bs) * cell_load.sum(axis=-1)
     csi = ch.err @ np.concatenate([cell_power, (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
     # the received beams R of every receiver, transmitters in the order of x
-    received = np.concatenate([columns(side.from_bs @ w_bs), columns(side.from_ul @ w_ul)],
+    received = np.concatenate([columns(ch.from_bs @ w_bs), columns(ch.from_ul @ w_ul)],
                               axis=-1)
     m_ue, m_bs, width = ch.m_ue, ch.m_bs, received.shape[1]
     r_dl = received[:cells * k_d * m_ue].reshape(cells, k_d, m_ue, width)
     r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)
-    dl_rx = distortion_gram(r_dl, side.dl, side.dl_h, weights, hw.beta_ue)
-    bs_rx = distortion_gram(r_bs, side.bs, side.bs_h, weights, hw.beta_bs)
+    dl_rx = distortion_gram(r_dl, ch.dl, ch.dl_h, weights, hw.beta_ue)
+    bs_rx = distortion_gram(r_bs, ch.bs, ch.bs_h, weights, hw.beta_bs)
     dl_csi, bs_csi = csi[:cells * k_d].reshape(cells, k_d), csi[cells * k_d:]
     for rx, floor in ((dl_rx, hw.noise_ue_w + dl_csi), (bs_rx, hw.noise_bs_w + bs_csi)):
         diagonal(rx)[...] += floor[..., None]
@@ -126,24 +125,24 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
     as its estimate).  The uplink variant does the same from each uplink
     user's antennas.  Returns ((G, N_bs, N_bs), (G, K_u, N_ue, N_ue)).
 
-    Both read the transmitter's columns X_t of the receive side and their
-    stored conjugate transpose X_t^H: the sum is Z^H Z + X_t^H diag(w) X_t
-    plus kappa times its diagonal, with Z = blockdiag(U)^H X_t and w the
-    beta-scaled row powers of the combiners.
+    Both read the transmitter's columns X_t of X and their stored conjugate
+    transpose X_t^H: the sum is Z^H Z + X_t^H diag(w) X_t plus kappa times
+    its diagonal, with Z = blockdiag(U)^H X_t and w the beta-scaled row
+    powers of the combiners.
     """
     u_dl, u_ul = combiners
     cells, k_d, m_ue, b_d = u_dl.shape
     k_u, m_bs, b_u = u_ul.shape[1:]
-    side, dl_rows = ch.rx, cells * k_d * m_ue
+    dl_rows = cells * k_d * m_ue
     # every downlink user, then every BS with the combiners of all the uplink
-    # users it decodes side by side: the row order of the receive side
+    # users it decodes side by side: the row order of X
     bs_u = columns(u_ul)
     dl_uh, bs_uh = hermitian(u_dl.reshape(cells * k_d, m_ue, b_d)), hermitian(bs_u)
     weights = np.concatenate([hw.beta_ue * row_powers(u_dl), hw.beta_bs * row_powers(bs_u)],
                              axis=None)
 
     def summed_f1(x: np.ndarray, x_h: np.ndarray, kappa: float) -> np.ndarray:
-        # x: (transmitters, rows of the receive side, N), x_h its conjugate transpose
+        # x: (transmitters, rows of X, N), x_h its conjugate transpose
         count, _, n = x.shape
         z = np.concatenate(
             [(dl_uh @ x[:, :dl_rows].reshape(count, cells * k_d, m_ue, n)).reshape(
@@ -153,6 +152,6 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
         total = hermitian(z) @ z + (x_h * weights) @ x
         return add_scaled_diag(total, kappa)
 
-    omega_ul = summed_f1(side.from_ul, side.from_ul_h, hw.kappa_ue)
-    return (summed_f1(side.from_bs, side.from_bs_h, hw.kappa_bs),
+    omega_ul = summed_f1(ch.from_ul, ch.from_ul_h, hw.kappa_ue)
+    return (summed_f1(ch.from_bs, ch.from_bs_h, hw.kappa_bs),
             omega_ul.reshape(cells, k_u, *omega_ul.shape[-2:]))

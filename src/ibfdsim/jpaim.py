@@ -140,9 +140,9 @@ def initialize(realization: Realization, config: SolverConfig) -> BeamformingSta
     uplink.  The draws come from default_rng([config.init_seed, realization.seed]).
     """
     rng = np.random.default_rng([config.init_seed, realization.seed])
-    ant, hw = realization.antennas, realization.hardware
-    cells = realization.cell_count
-    k_d, k_u = realization.topology.dl_counts[0], realization.topology.ul_counts[0]
+    ch, hw = realization.channels, realization.hardware
+    cells, k_d, k_u = ch.cells, ch.k_d, ch.k_u
+    b_d, b_u = realization.dl_streams, realization.ul_streams
 
     def unit_matrices(count, rows, cols):
         # drawn user by user, real part then imaginary part
@@ -150,15 +150,15 @@ def initialize(realization: Realization, config: SolverConfig) -> BeamformingSta
         m = re + 1j * im
         return m / np.linalg.norm(m, axis=-2, keepdims=True)
 
-    alpha = math.sqrt(hw.p_bs_w / (ant.dl_streams * k_d)) if k_d else 0.0
-    gamma = math.sqrt(hw.p_ue_w / ant.ul_streams)
+    alpha = math.sqrt(hw.p_bs_w / (b_d * k_d)) if k_d else 0.0
+    gamma = math.sqrt(hw.p_ue_w / b_u)
     # every downlink user draws before the first uplink user
-    dl_beams = alpha * unit_matrices(k_d, ant.bs_tx, ant.dl_streams)
+    dl_beams = alpha * unit_matrices(k_d, ch.n_bs, b_d)
     return BeamformingState(
         dl_beams=dl_beams,
-        dl_combiners=np.zeros((cells, k_d, ant.ue_rx, ant.dl_streams), dtype=complex),
-        ul_beams=gamma * unit_matrices(k_u, ant.ue_tx, ant.ul_streams),
-        ul_combiners=np.zeros((cells, k_u, ant.bs_rx, ant.ul_streams), dtype=complex),
+        dl_combiners=np.zeros((cells, k_d, ch.m_ue, b_d), dtype=complex),
+        ul_beams=gamma * unit_matrices(k_u, ch.n_ue, b_u),
+        ul_combiners=np.zeros((cells, k_u, ch.m_bs, b_u), dtype=complex),
     )
 
 

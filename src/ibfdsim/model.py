@@ -10,6 +10,9 @@ All channels are stored both as the true matrix and as an estimated copy with
 a known per-element error variance; SI channels are assumed perfectly known.
 A realization keeps them in one matrix X (module `stacked`), which the
 solver kernels read directly; `Realization.link` views one link's blocks.
+The Channels holding X are also the one record of the realization's sizes
+(cells, users per cell, antennas per node); the realization adds only the
+geometry, the hardware, and the two stream counts.
 """
 
 from __future__ import annotations
@@ -124,28 +127,6 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class AntennaConfig:
-    """Antenna and stream counts shared by every node of a realization.
-
-    A BS chain of 0 antennas is switched off, as in a half-duplex phase,
-    and bounds no stream count.
-    """
-
-    bs_tx: int
-    bs_rx: int
-    ue_tx: int
-    ue_rx: int
-    dl_streams: int
-    ul_streams: int
-
-    def __post_init__(self):
-        if self.bs_tx and self.dl_streams > min(self.bs_tx, self.ue_rx):
-            raise ValueError("dl_streams exceeds min(bs_tx, ue_rx)")
-        if self.bs_rx and self.ul_streams > min(self.ue_tx, self.bs_rx):
-            raise ValueError("ul_streams exceeds min(ue_tx, bs_rx)")
-
-
-@dataclass(frozen=True)
 class HardwareProfile:
     """Impairment factors, noise floors, and power budgets (all linear units)."""
 
@@ -168,6 +149,9 @@ class HardwareProfile:
                 raise ValueError(f"{name} must be positive")
         if any(g < 0 for g in self.si_gain):
             raise ValueError("si_gain entries must be >= 0")
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +193,6 @@ def _in_hexagon(offset: np.ndarray, isd: float) -> bool:
 class Topology:
     """Node placement for one scenario: BS sites plus per-cell user drops."""
 
-    cell_count: int
-    dl_counts: tuple[int, ...]         # downlink users per cell
-    ul_counts: tuple[int, ...]         # uplink users per cell
     bs_xy: np.ndarray                  # (G, 2) metres
     dl_xy: tuple[np.ndarray, ...]      # per cell (K_d, 2)
     ul_xy: tuple[np.ndarray, ...]      # per cell (K_u, 2)
@@ -249,9 +230,6 @@ def generate_topology(cells: int, dl_users: int, ul_users: int,
         dl_xy.append(bs_xy[g] + drop(dl_users))
         ul_xy.append(bs_xy[g] + drop(ul_users))
     return Topology(
-        cell_count=cells,
-        dl_counts=(dl_users,) * cells,
-        ul_counts=(ul_users,) * cells,
         bs_xy=bs_xy,
         dl_xy=tuple(dl_xy),
         ul_xy=tuple(ul_xy),
@@ -345,27 +323,44 @@ def ul_node(g: int, k: int) -> Node:
 
 @dataclass(eq=False)
 class Realization:
-    """One drawn network: geometry, hardware, and every channel matrix."""
+    """One drawn network: geometry, hardware, channels, and stream counts.
+
+    `channels` is the one record of the network's sizes: its cell, user and
+    antenna counts (see Channels).  Each stream count is at least 1 and at
+    most the smaller antenna count of its link; a BS chain of 0 antennas is
+    switched off, as in a half-duplex phase, and bounds no stream count.
+    """
 
     topology: Topology
-    antennas: AntennaConfig
     hardware: HardwareProfile
     channels: Channels
+    dl_streams: int          # b_d, streams per downlink user
+    ul_streams: int          # b_u, streams per uplink user
     seed: int
 
+    def __post_init__(self):
+        ch = self.channels
+        for name, streams, bs, ue in (("dl_streams", self.dl_streams, ch.n_bs, ch.m_ue),
+                                      ("ul_streams", self.ul_streams, ch.m_bs, ch.n_ue)):
+            if streams < 1:
+                raise ValueError(f"{name} must be >= 1, got {streams}")
+            if bs and streams > min(bs, ue):
+                raise ValueError(f"{name} = {streams} exceeds {min(bs, ue)}, the smaller "
+                                 f"antenna count of its link")
+
     def dl_users(self):
-        for g in range(self.topology.cell_count):
-            for k in range(self.topology.dl_counts[g]):
+        for g in range(self.channels.cells):
+            for k in range(self.channels.k_d):
                 yield g, k
 
     def ul_users(self):
-        for g in range(self.topology.cell_count):
-            for k in range(self.topology.ul_counts[g]):
+        for g in range(self.channels.cells):
+            for k in range(self.channels.k_u):
                 yield g, k
 
     @property
     def cell_count(self) -> int:
-        return self.topology.cell_count
+        return self.channels.cells
 
     def links(self) -> list:
         """Every (receiver, transmitter) node pair, sorted by key."""
@@ -394,9 +389,6 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     rng = np.random.default_rng(seed)
     topo = generate_topology(config.cells, config.dl_users, config.ul_users,
                              config.inter_site_distance_m, config.min_bs_user_distance_m, rng)
-    ant = AntennaConfig(config.bs_tx_antennas, config.bs_rx_antennas,
-                        config.ue_tx_antennas, config.ue_rx_antennas,
-                        config.dl_streams, config.ul_streams)
     hw = HardwareProfile(
         kappa_bs=distortion_factor_from_bits(config.adc_bits),
         kappa_ue=distortion_factor_from_bits(config.adc_bits),
@@ -412,10 +404,12 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     )
     rician_k = db_to_linear(config.rician_k_db)
 
-    real = Realization(topology=topo, antennas=ant, hardware=hw, seed=seed,
-                       channels=Channels.zeros(config.cells, config.dl_users, ant.ue_rx,
-                                               ant.bs_rx, ant.bs_tx, config.ul_users,
-                                               ant.ue_tx))
+    real = Realization(topology=topo, hardware=hw, seed=seed,
+                       dl_streams=config.dl_streams, ul_streams=config.ul_streams,
+                       channels=Channels.zeros(config.cells, config.dl_users,
+                                               config.ue_rx_antennas, config.bs_rx_antennas,
+                                               config.bs_tx_antennas, config.ul_users,
+                                               config.ue_tx_antennas))
     cells = range(config.cells)
     dl = [(dl_node(g, k), topo.dl_xy[g][k]) for g in cells for k in range(config.dl_users)]
     bs = [(bs_node(g), topo.bs_xy[g]) for g in cells]
@@ -452,19 +446,15 @@ def _restrict(realization: Realization, keep_dl: bool) -> Realization:
     rows, an uplink phase no BS transmit columns.  Each stored array of the
     result is one block of the full realization's."""
     topo, ch = realization.topology, realization.channels
-    none = (0,) * topo.cell_count
-    nowhere = tuple(np.empty((0, 2)) for _ in none)
-    new_topo = replace(topo, dl_counts=topo.dl_counts if keep_dl else none,
-                       dl_xy=topo.dl_xy if keep_dl else nowhere,
-                       ul_counts=none if keep_dl else topo.ul_counts,
+    nowhere = tuple(np.empty((0, 2)) for _ in range(ch.cells))
+    new_topo = replace(topo, dl_xy=topo.dl_xy if keep_dl else nowhere,
                        ul_xy=nowhere if keep_dl else topo.ul_xy)
     dl_rows, bs_cols = ch.cells * ch.k_d * ch.m_ue, ch.cells * ch.n_bs
     cut = np.s_[:dl_rows, :bs_cols] if keep_dl else np.s_[dl_rows:, bs_cols:]
     err = ch.err[:, :ch.cells] if keep_dl else ch.err[ch.cells * ch.k_d:]
     off = dict(m_bs=0, k_u=0) if keep_dl else dict(k_d=0, n_bs=0)
     channels = replace(ch, x=ch.x[cut], x_true=ch.x_true[cut], err=err, **off)
-    antennas = replace(realization.antennas, **({"bs_rx": 0} if keep_dl else {"bs_tx": 0}))
-    return replace(realization, topology=new_topo, channels=channels, antennas=antennas)
+    return replace(realization, topology=new_topo, channels=channels)
 
 
 def restrict_to_downlink(realization: Realization) -> Realization:
@@ -483,6 +473,7 @@ def restrict_to_uplink(realization: Realization) -> Realization:
 
 _FORMAT_MAGIC = b"IBFDREAL"
 _FORMAT_VERSION = 1
+_ANTENNA_KEYS = ("bs_tx", "bs_rx", "ue_tx", "ue_rx", "dl_streams", "ul_streams")
 
 
 def _node_name(node: Node) -> str:
@@ -495,9 +486,9 @@ def _link_name(rx: Node, tx: Node) -> str:
 
 def _payload(realization: Realization):
     """Canonical (metadata, arrays) pair; array order follows the metadata manifest."""
-    topo, ant, hw = realization.topology, realization.antennas, realization.hardware
+    topo, ch, hw = realization.topology, realization.channels, realization.hardware
     arrays: list[tuple[str, np.ndarray]] = [("topology/bs_xy", topo.bs_xy)]
-    for g in range(topo.cell_count):
+    for g in range(ch.cells):
         arrays.append((f"topology/dl_xy/{g}", topo.dl_xy[g]))
         arrays.append((f"topology/ul_xy/{g}", topo.ul_xy[g]))
     link_meta = []
@@ -512,13 +503,14 @@ def _payload(realization: Realization):
         "version": _FORMAT_VERSION,
         "seed": realization.seed,
         "topology": {
-            "cell_count": topo.cell_count,
-            "dl_counts": list(topo.dl_counts),
-            "ul_counts": list(topo.ul_counts),
+            "cell_count": ch.cells,
+            "dl_counts": [ch.k_d] * ch.cells,
+            "ul_counts": [ch.k_u] * ch.cells,
             "inter_site_distance_m": topo.inter_site_distance_m,
             "min_bs_user_distance_m": topo.min_bs_user_distance_m,
         },
-        "antennas": {f.name: getattr(ant, f.name) for f in fields(ant)},
+        "antennas": dict(zip(_ANTENNA_KEYS, (ch.n_bs, ch.m_bs, ch.n_ue, ch.m_ue,
+                                             realization.dl_streams, realization.ul_streams))),
         "hardware": {f.name: (list(v) if isinstance(v := getattr(hw, f.name), tuple) else v)
                      for f in fields(hw)},
         "links": link_meta,
@@ -556,11 +548,14 @@ def load_realization(path) -> Realization:
 
     Raises ValueError for a foreign file, an unsupported version, a blob
     whose length disagrees with its own header (cut short or padded), user
-    counts that differ between cells, a missing position array or one whose
-    shape disagrees with the user counts, a link set other than the one the
-    topology implies, an SI gain count other than the cell count, a matrix
-    whose shape disagrees with the antennas, or an SI link whose truth
-    differs from its estimate.
+    counts that differ between cells, antenna keys other than the six it
+    writes, a stream count below 1 or above the antennas of its link, a
+    hardware value that is out of range or not finite, a missing position
+    array or one whose shape disagrees with the user counts, a link set
+    other than the one the topology implies, an SI gain count other than
+    the cell count, a matrix whose shape disagrees with the antennas, an SI
+    link whose truth differs from its estimate, or an error variance that
+    is negative or not finite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -596,33 +591,33 @@ def load_realization(path) -> Realization:
         data[spec["name"]] = a.reshape(spec["shape"]).copy()
         offset += size
 
-    tm = meta["topology"]
+    tm, am = meta["topology"], meta["antennas"]
     if any(len(counts) != tm["cell_count"] or len(set(counts)) > 1
            for counts in (tm["dl_counts"], tm["ul_counts"])):
         raise ValueError(f"realization file needs one user count for every cell, got "
                          f"downlink {tm['dl_counts']}, uplink {tm['ul_counts']}")
+    if sorted(am) != sorted(_ANTENNA_KEYS):
+        raise ValueError(f"realization file has antenna keys {sorted(am)}, "
+                         f"not {sorted(_ANTENNA_KEYS)}")
     cells = range(tm["cell_count"])
     topo = Topology(
-        cell_count=tm["cell_count"],
-        dl_counts=tuple(tm["dl_counts"]),
-        ul_counts=tuple(tm["ul_counts"]),
         bs_xy=data.get("topology/bs_xy"),
         dl_xy=tuple(data.get(f"topology/dl_xy/{g}") for g in cells),
         ul_xy=tuple(data.get(f"topology/ul_xy/{g}") for g in cells),
         inter_site_distance_m=tm["inter_site_distance_m"],
         min_bs_user_distance_m=tm["min_bs_user_distance_m"],
     )
-    ant = AntennaConfig(**meta["antennas"])
     hwm = dict(meta["hardware"])
     hwm["si_gain"] = tuple(hwm["si_gain"])
     if len(hwm["si_gain"]) != tm["cell_count"]:
         raise ValueError(f"realization file has {len(hwm['si_gain'])} SI gains for "
                          f"{tm['cell_count']} cells")
     hw = HardwareProfile(**hwm)
-    real = Realization(topology=topo, antennas=ant, hardware=hw, seed=meta["seed"],
-                       channels=Channels.zeros(topo.cell_count, topo.dl_counts[0], ant.ue_rx,
-                                               ant.bs_rx, ant.bs_tx, topo.ul_counts[0],
-                                               ant.ue_tx))
+    real = Realization(topology=topo, hardware=hw, seed=meta["seed"],
+                       dl_streams=am["dl_streams"], ul_streams=am["ul_streams"],
+                       channels=Channels.zeros(tm["cell_count"], tm["dl_counts"][0], am["ue_rx"],
+                                               am["bs_rx"], am["bs_tx"], tm["ul_counts"][0],
+                                               am["ue_tx"]))
     names = [f"{lm['rx']}<{lm['tx']}" for lm in meta["links"]]
     found, wanted = Counter(names), Counter(_link_name(rx, tx) for rx, tx in real.links())
     if found != wanted:
@@ -640,9 +635,13 @@ def load_realization(path) -> Realization:
         if rx == tx and not np.array_equal(true, est):
             raise ValueError(f"realization file: the SI link {name} has an estimate "
                              f"that differs from its truth")
+        if not 0.0 <= err_var[name] < math.inf:
+            raise ValueError(f"realization file: link {name} has the error variance "
+                             f"{err_var[name]}, not a finite number >= 0")
         link.true[...], link.est[...], link.err_var[...] = true, est, err_var[name]
-    rows = {"bs_xy": topo.cell_count, **{f"dl_xy/{g}": n for g, n in enumerate(topo.dl_counts)},
-            **{f"ul_xy/{g}": n for g, n in enumerate(topo.ul_counts)}}
+    ch = real.channels
+    rows = {"bs_xy": ch.cells, **{f"dl_xy/{g}": ch.k_d for g in cells},
+            **{f"ul_xy/{g}": ch.k_u for g in cells}}
     for name, count in rows.items():
         xy = data.get(f"topology/{name}")
         if xy is None:

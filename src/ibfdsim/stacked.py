@@ -11,18 +11,21 @@ the single-direction restrictions produce.
 A realization stores its links once, as the matrix X of a Channels: every
 transmitter's channel into every receiver side by side, receive antennas
 as rows and transmit antennas as columns, with the true matrices and the
-error variances in the same order.  A ChannelStack shares X and adds what
-the kernels derive from it, chiefly one copy of its conjugate transpose
-X^H (ReceiveSide), from which both the receive covariances and the
-transmit-side Gram matrices are formed: every such product multiplies a
-block of X by a block of X^H, so X^H is conjugated once per stack rather
-than once per kernel call.  A ChannelStack is built per call of the
-solver, so an in-place edit of a stored link reaches the next call.
+error variances in the same order.  Its size fields (cells, users per
+cell, antennas per node) are the realization's one record of its sizes.
+A ChannelStack shares X and adds what the kernels derive from it: views
+of X per receiver and per transmitter, and one copy of its conjugate
+transpose X^H with the matching views, from which both the receive
+covariances and the transmit-side Gram matrices are formed: every such
+product multiplies a block of X by a block of X^H, so X^H is conjugated
+once per stack rather than once per kernel call.  A ChannelStack is built
+per call of the solver, so an in-place edit of a stored link reaches the
+next call.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -154,8 +157,9 @@ def _locate(node: tuple, side, cells: int) -> tuple[int, slice]:
 
 
 @dataclass(eq=False)
-class ReceiveSide:
-    """Views of the stored X of a Channels, and its conjugate transpose.
+class ChannelStack(Channels):
+    """The channels as the kernels read them: the stored arrays, shared and
+    not copied, plus what the kernels derive from them.
 
     `dl`, `bs`, `from_bs` and `from_ul` are views of `x`: its rows per
     receiver kind, and its columns per transmitter, transmitters first.
@@ -169,54 +173,43 @@ class ReceiveSide:
     makes the same BLAS calls on it, and every product rounds as it would
     on that copy.  (A C-contiguous X^H rounds the covariance of a receiver
     with one antenna differently in the last bits.)
+
+    `si_colpow` is the squared norm of each column of each SI channel,
+    `si_gram` is H^H H + kappa_bs diag(H^H H) of each SI channel H, and
+    `dl_own_h` and `ul_own_h` are H^H of each serving link.
     """
 
-    dl: np.ndarray         # (G, K_d, M_ue, columns of x)
-    bs: np.ndarray         # (G, M_bs, columns of x)
-    from_bs: np.ndarray    # (G, rows of x, N_bs)
-    from_ul: np.ndarray    # (G K_u, rows of x, N_ue)
-    xh: np.ndarray         # (columns of x, rows of x), the transpose of conj(x)
-    dl_h: np.ndarray       # (G, K_d, columns of x, M_ue)
-    bs_h: np.ndarray       # (G, columns of x, M_bs)
-    from_bs_h: np.ndarray  # (G, N_bs, rows of x)
-    from_ul_h: np.ndarray  # (G K_u, N_ue, rows of x)
-
-    @classmethod
-    def of(cls, ch: Channels) -> "ReceiveSide":
-        x, cells, k_d, k_u = ch.x, ch.cells, ch.k_d, ch.k_u
-        dl_rows, bs_cols = cells * k_d * ch.m_ue, cells * ch.n_bs
-        (rows, cols), xh = x.shape, x.conj().T
-        return cls(dl=x[:dl_rows].reshape(cells, k_d, ch.m_ue, cols),
-                   bs=x[dl_rows:].reshape(cells, ch.m_bs, cols),
-                   from_bs=np.swapaxes(x[:, :bs_cols].reshape(rows, cells, ch.n_bs), 0, 1),
-                   from_ul=np.swapaxes(x[:, bs_cols:].reshape(rows, cells * k_u, ch.n_ue), 0, 1),
-                   xh=xh,
-                   dl_h=xh[:, :dl_rows].reshape(cols, cells, k_d, ch.m_ue).transpose(1, 2, 0, 3),
-                   bs_h=xh[:, dl_rows:].reshape(cols, cells, ch.m_bs).swapaxes(0, 1),
-                   from_bs_h=xh[:bs_cols].reshape(cells, ch.n_bs, rows),
-                   from_ul_h=xh[bs_cols:].reshape(cells * k_u, ch.n_ue, rows))
-
-
-@dataclass(eq=False)
-class ChannelStack(Channels):
-    """The channels as the kernels read them: the stored arrays, shared and
-    not copied, plus what the kernels derive from them: `rx`, the views of
-    X and its conjugate transpose (ReceiveSide); `si_colpow`, the squared
-    norm of each column of each SI channel; `si_gram`, H^H H + kappa_bs
-    diag(H^H H) of each SI channel H; and H^H of each serving link."""
-
     kappa_bs: InitVar[float]     # BS transmit distortion factor, for the SI Gram
+    dl: np.ndarray = field(init=False)         # (G, K_d, M_ue, columns of x)
+    bs: np.ndarray = field(init=False)         # (G, M_bs, columns of x)
+    from_bs: np.ndarray = field(init=False)    # (G, rows of x, N_bs)
+    from_ul: np.ndarray = field(init=False)    # (G K_u, rows of x, N_ue)
+    xh: np.ndarray = field(init=False)         # (columns of x, rows of x), conj(x).T
+    dl_h: np.ndarray = field(init=False)       # (G, K_d, columns of x, M_ue)
+    bs_h: np.ndarray = field(init=False)       # (G, columns of x, M_bs)
+    from_bs_h: np.ndarray = field(init=False)  # (G, N_bs, rows of x)
+    from_ul_h: np.ndarray = field(init=False)  # (G K_u, N_ue, rows of x)
 
     def __post_init__(self, kappa_bs: float):
-        self.rx = ReceiveSide.of(self)
-        cells, diag, bs_cols = self.cells, np.arange(self.cells), self.cells * self.n_bs
+        x, cells, k_d, k_u, diag = self.x, self.cells, self.k_d, self.k_u, np.arange(self.cells)
+        dl_rows, bs_cols = cells * k_d * self.m_ue, cells * self.n_bs
+        rows, cols = x.shape
+        self.xh = xh = x.conj().T
+        self.dl = x[:dl_rows].reshape(cells, k_d, self.m_ue, cols)
+        self.bs = x[dl_rows:].reshape(cells, self.m_bs, cols)
+        self.from_bs = np.swapaxes(x[:, :bs_cols].reshape(rows, cells, self.n_bs), 0, 1)
+        self.from_ul = np.swapaxes(x[:, bs_cols:].reshape(rows, cells * k_u, self.n_ue), 0, 1)
+        self.dl_h = xh[:, :dl_rows].reshape(cols, cells, k_d, self.m_ue).transpose(1, 2, 0, 3)
+        self.bs_h = xh[:, dl_rows:].reshape(cols, cells, self.m_bs).swapaxes(0, 1)
+        self.from_bs_h = xh[:bs_cols].reshape(cells, self.n_bs, rows)
+        self.from_ul_h = xh[bs_cols:].reshape(cells * k_u, self.n_ue, rows)
         # each BS's SI link and each user's serving link, copied out of X into
         # C-contiguous (cell, [user,] receive antennas, transmit antennas) arrays
-        si = self.rx.bs[..., :bs_cols].reshape(cells, self.m_bs, cells, self.n_bs)[diag, :, diag]
-        dl_own = self.rx.dl[..., :bs_cols].reshape(
-            cells, self.k_d, self.m_ue, cells, self.n_bs)[diag, :, :, diag]
-        ul_own = self.rx.bs[..., bs_cols:].reshape(
-            cells, self.m_bs, cells, self.k_u, self.n_ue)[diag, :, diag].swapaxes(1, 2)
+        si = self.bs[..., :bs_cols].reshape(cells, self.m_bs, cells, self.n_bs)[diag, :, diag]
+        dl_own = self.dl[..., :bs_cols].reshape(
+            cells, k_d, self.m_ue, cells, self.n_bs)[diag, :, :, diag]
+        ul_own = self.bs[..., bs_cols:].reshape(
+            cells, self.m_bs, cells, k_u, self.n_ue)[diag, :, diag].swapaxes(1, 2)
         self.si_colpow = row_powers(np.swapaxes(si, -1, -2))     # (G, N_bs)
         self.si_gram = add_scaled_diag(hermitian(si) @ si, kappa_bs)
         self.dl_own_h = hermitian(dl_own)                        # (G, K_d, N_bs, M_ue)

@@ -50,9 +50,8 @@ def random_state(realization: Realization, seed: int, beam_scale=1.0) -> Beamfor
     Each beam is a random matrix times a random per-user amplitude up to
     beam_scale times the one that splits the power budget evenly."""
     rng = np.random.default_rng(seed)
-    ant = realization.antennas
-    topo = realization.topology
-    hw = realization.hardware
+    ch, hw = realization.channels, realization.hardware
+    k_d, k_u, b_d, b_u = ch.k_d, ch.k_u, realization.dl_streams, realization.ul_streams
 
     def block(rows, cols, count):
         return np.array([cn(rng, (rows, cols)) for _ in range(count)],
@@ -62,15 +61,13 @@ def random_state(realization: Realization, seed: int, beam_scale=1.0) -> Beamfor
         return (beam_scale * budget * rng.uniform(0.3, 1.0, size=count))[:, None, None]
 
     dl_beams, dl_comb, ul_beams, ul_comb = [], [], [], []
-    for g in range(topo.cell_count):
-        k_d, k_u = topo.dl_counts[g], topo.ul_counts[g]
-        dl_pre = block(ant.bs_tx, ant.dl_streams, k_d)
-        dl_comb.append(block(ant.ue_rx, ant.dl_streams, k_d))
-        dl_beams.append(amplitudes(math.sqrt(hw.p_bs_w / max(ant.dl_streams * k_d, 1)), k_d)
-                        * dl_pre)
-        ul_pre = block(ant.ue_tx, ant.ul_streams, k_u)
-        ul_comb.append(block(ant.bs_rx, ant.ul_streams, k_u))
-        ul_beams.append(amplitudes(math.sqrt(hw.p_ue_w / ant.ul_streams), k_u) * ul_pre)
+    for g in range(ch.cells):
+        dl_pre = block(ch.n_bs, b_d, k_d)
+        dl_comb.append(block(ch.m_ue, b_d, k_d))
+        dl_beams.append(amplitudes(math.sqrt(hw.p_bs_w / max(b_d * k_d, 1)), k_d) * dl_pre)
+        ul_pre = block(ch.n_ue, b_u, k_u)
+        ul_comb.append(block(ch.m_bs, b_u, k_u))
+        ul_beams.append(amplitudes(math.sqrt(hw.p_ue_w / b_u), k_u) * ul_pre)
     return BeamformingState(*map(np.stack, (dl_beams, dl_comb, ul_beams, ul_comb)))
 
 
@@ -195,20 +192,19 @@ def mc_estimates(realization: Realization, state: BeamformingState, draws: int, 
     empirical undistorted receive power.  Returns ({node: C_hat}, {user: mse}).
     """
     rng = np.random.default_rng(seed)
-    hw = realization.hardware
-    ant = realization.antennas
+    hw, ch = realization.hardware, realization.channels
 
     tx, sym = {}, {}
     for g in range(realization.cell_count):
-        x = np.zeros((draws, ant.bs_tx), dtype=complex)
-        dvar = np.zeros(ant.bs_tx)
-        for k in range(realization.topology.dl_counts[g]):
+        x = np.zeros((draws, ch.n_bs), dtype=complex)
+        dvar = np.zeros(ch.n_bs)
+        for k in range(ch.k_d):
             w = state.dl_beams[g][k]
             s = cn(rng, (draws, w.shape[1]))
             sym[("dl", g, k)] = s
             x += s @ w.T
             dvar += np.sum(np.abs(w) ** 2, axis=1)
-        x += cn(rng, (draws, ant.bs_tx)) * np.sqrt(hw.kappa_bs * dvar)
+        x += cn(rng, (draws, ch.n_bs)) * np.sqrt(hw.kappa_bs * dvar)
         tx[bs_node(g)] = x
     for g, k in realization.ul_users():
         w = state.ul_beams[g][k]
@@ -233,14 +229,14 @@ def mc_estimates(realization: Realization, state: BeamformingState, draws: int, 
 
     cov, mse = {}, {}
     for g, k in realization.dl_users():
-        y = receive(dl_node(g, k), ant.ue_rx, hw.beta_ue, hw.noise_ue_w)
+        y = receive(dl_node(g, k), ch.m_ue, hw.beta_ue, hw.noise_ue_w)
         cov[dl_node(g, k)] = np.einsum("di,dj->ij", y, y.conj()) / draws
         err = y @ state.dl_combiners[g][k].conj() - sym[("dl", g, k)]
         mse[("dl", g, k)] = float(np.mean(np.sum(np.abs(err) ** 2, axis=1)))
     for g in range(realization.cell_count):
-        y = receive(bs_node(g), ant.bs_rx, hw.beta_bs, hw.noise_bs_w)
+        y = receive(bs_node(g), ch.m_bs, hw.beta_bs, hw.noise_bs_w)
         cov[bs_node(g)] = np.einsum("di,dj->ij", y, y.conj()) / draws
-        for k in range(realization.topology.ul_counts[g]):
+        for k in range(ch.k_u):
             err = y @ state.ul_combiners[g][k].conj() - sym[("ul", g, k)]
             mse[("ul", g, k)] = float(np.mean(np.sum(np.abs(err) ** 2, axis=1)))
     return cov, mse
@@ -340,20 +336,19 @@ def per_call_covariances(ch, hw, beams) -> covariance.Covariances:
     which must give the same bits."""
     cells, k_d, _, b_d = beams[0].shape
     k_u, n_ue, b_u = beams[1].shape[1:]
-    side = ch.rx
     w_bs = columns(beams[0])
     w_ul = beams[1].reshape(cells * k_u, n_ue, b_u)
     cell_load, ul_load = row_powers(w_bs), row_powers(w_ul)
     weights = np.concatenate([hw.kappa_bs * cell_load, hw.kappa_ue * ul_load], axis=None)
     cell_power = (1.0 + hw.kappa_bs) * cell_load.sum(axis=-1)
     csi = ch.err @ np.concatenate([cell_power, (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
-    received = np.concatenate([columns(side.from_bs @ w_bs), columns(side.from_ul @ w_ul)],
+    received = np.concatenate([columns(ch.from_bs @ w_bs), columns(ch.from_ul @ w_ul)],
                               axis=-1)
-    m_ue, m_bs, width = side.dl.shape[2], side.bs.shape[1], received.shape[1]
+    m_ue, m_bs, width = ch.dl.shape[2], ch.bs.shape[1], received.shape[1]
     r_dl = received[:cells * k_d * m_ue].reshape(cells, k_d, m_ue, width)
     r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)
-    dl_rx = _per_call_gram(r_dl, side.dl, weights, hw.beta_ue)
-    bs_rx = _per_call_gram(r_bs, side.bs, weights, hw.beta_bs)
+    dl_rx = _per_call_gram(r_dl, ch.dl, weights, hw.beta_ue)
+    bs_rx = _per_call_gram(r_bs, ch.bs, weights, hw.beta_bs)
     dl_csi, bs_csi = csi[:cells * k_d].reshape(cells, k_d), csi[cells * k_d:]
     for rx, floor in ((dl_rx, hw.noise_ue_w + dl_csi), (bs_rx, hw.noise_bs_w + bs_csi)):
         np.einsum("...ii->...i", rx)[...] += floor[..., None]
@@ -374,7 +369,7 @@ def per_call_transmit_grams(ch, hw, combiners):
     u_dl, u_ul = combiners
     cells, k_d, m_ue, b_d = u_dl.shape
     k_u, m_bs, b_u = u_ul.shape[1:]
-    side, dl_rows = ch.rx, cells * k_d * m_ue
+    dl_rows = cells * k_d * m_ue
     bs_u = columns(u_ul)
     dl_uh, bs_uh = hermitian(u_dl.reshape(cells * k_d, m_ue, b_d)), hermitian(bs_u)
     weights = np.concatenate([hw.beta_ue * row_powers(u_dl), hw.beta_bs * row_powers(bs_u)],
@@ -392,6 +387,6 @@ def per_call_transmit_grams(ch, hw, combiners):
         np.einsum("...ii->...i", total)[...] *= 1.0 + kappa
         return total
 
-    omega_ul = summed_f1(side.from_ul, hw.kappa_ue)
-    return (summed_f1(side.from_bs, hw.kappa_bs),
+    omega_ul = summed_f1(ch.from_ul, hw.kappa_ue)
+    return (summed_f1(ch.from_bs, hw.kappa_bs),
             omega_ul.reshape(cells, k_u, *omega_ul.shape[-2:]))

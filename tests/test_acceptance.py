@@ -95,7 +95,7 @@ def test_criterion_03_feasibility_and_slackness():
             state = helpers.refresh_combiners(real, state)
             state, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
             for g in range(real.cell_count):
-                if real.topology.dl_counts[g] == 0:
+                if real.channels.k_d == 0:
                     continue
                 worst_excess = max(worst_excess,
                                    state.dl_cell_power(g) / hw.p_bs_w - 1.0)

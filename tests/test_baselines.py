@@ -91,7 +91,7 @@ def test_run_nsp_full_dimension_matches_plain_solver():
     real = build_realization(helpers.small_config(), 6)
     cfg = SolverConfig(max_iterations=10)
     plain = jpaim.run(real, cfg, collect_metrics=False)
-    report, projected = run_nsp(real, plain, subspace_dim=real.antennas.bs_tx)
+    report, projected = run_nsp(real, plain, subspace_dim=real.channels.n_bs)
     # identity projection, then one extra combiner refresh
     refreshed = helpers.refresh_combiners(real, plain.final_state)
     np.testing.assert_allclose(projected.dl_beams[0][0],

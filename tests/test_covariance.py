@@ -27,7 +27,7 @@ def test_cell_tx_covariance_sums_users():
     for g in range(real.cell_count):
         expected = sum(
             helpers.tx_gram(state.dl_beams[g][k], kappa)
-            for k in range(real.topology.dl_counts[g]))
+            for k in range(real.channels.k_d))
         np.testing.assert_allclose(helpers.tx_gram(columns(state.dl_beams[g]), kappa),
                                    expected, rtol=1e-12)
         assert cov.cell_power[g] == pytest.approx(np.trace(expected).real, rel=1e-12)
@@ -73,14 +73,14 @@ def test_rx_covariance_explicit_assembly():
     for g, k in real.dl_users():
         got = cov.dl_rx[g, k]
         np.testing.assert_allclose(
-            got, manual(dl_node(g, k), real.antennas.ue_rx, hw.beta_ue, hw.noise_ue_w),
+            got, manual(dl_node(g, k), real.channels.m_ue, hw.beta_ue, hw.noise_ue_w),
             rtol=1e-11)
         assert np.allclose(got, got.conj().T)
         assert np.all(np.linalg.eigvalsh(got) > 0)
     for g in range(real.cell_count):
         got = cov.bs_rx[g]
         np.testing.assert_allclose(
-            got, manual(bs_node(g), real.antennas.bs_rx, hw.beta_bs, hw.noise_bs_w),
+            got, manual(bs_node(g), real.channels.m_bs, hw.beta_bs, hw.noise_bs_w),
             rtol=1e-11)
 
 
@@ -209,11 +209,10 @@ def test_stored_conjugate_matches_per_call_hermitian(case):
     real = {"downlink_phase": restrict_to_downlink,
             "uplink_phase": restrict_to_uplink}.get(case, lambda r: r)(real)
     ch, hw = stack_channels(real), real.hardware
-    side = ch.rx
-    for stored, block in ((side.dl_h, side.dl), (side.bs_h, side.bs),
-                          (side.from_bs_h, side.from_bs), (side.from_ul_h, side.from_ul)):
+    for stored, block in ((ch.dl_h, ch.dl), (ch.bs_h, ch.bs),
+                          (ch.from_bs_h, ch.from_bs), (ch.from_ul_h, ch.from_ul)):
         np.testing.assert_array_equal(stored, hermitian(block))
-        assert stored.size == 0 or np.shares_memory(stored, side.xh)
+        assert stored.size == 0 or np.shares_memory(stored, ch.xh)
     state = helpers.random_state(real, 41)
     beams = (state.dl_beams, state.ul_beams)
     got, want = covariance.covariances(ch, hw, beams), helpers.per_call_covariances(ch, hw, beams)
@@ -258,7 +257,7 @@ def test_covariances_match_per_link_sums(case):
     ch = stack_channels(real)
     cov = covariance.covariances(ch, hw, (w_dl, w_ul))
     tx = {bs_node(g): sum((helpers.tx_gram(w, hw.kappa_bs) for w in w_dl[g]),
-                          np.zeros((real.antennas.bs_tx,) * 2, dtype=complex))
+                          np.zeros((real.channels.n_bs,) * 2, dtype=complex))
           for g in range(real.cell_count)}
     tx.update({ul_node(g, k): helpers.tx_gram(w_ul[g, k], hw.kappa_ue)
                for g, k in real.ul_users()})
@@ -284,8 +283,8 @@ def test_covariances_match_per_link_sums(case):
         check(bs_node(g), cov.bs_rx[g], cov.bs_csi[g], hw.beta_bs, hw.noise_bs_w)
     for g, k in real.ul_users():
         close(cov.signal[1][g, k], real.link(bs_node(g), ul_node(g, k)).est @ w_ul[g, k])
-    assert cov.signal[0].shape == w_dl.shape[:2] + (real.antennas.ue_rx, w_dl.shape[-1])
-    assert cov.signal[1].shape == w_ul.shape[:2] + (real.antennas.bs_rx, w_ul.shape[-1])
+    assert cov.signal[0].shape == w_dl.shape[:2] + (real.channels.m_ue, w_dl.shape[-1])
+    assert cov.signal[1].shape == w_ul.shape[:2] + (real.channels.m_bs, w_ul.shape[-1])
 
     # RSI and transmit power, as the report reads them from the beams
     cells = real.cell_count

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ import helpers
 from ibfdsim import baselines, jpaim, objective
 from ibfdsim.jpaim import SolverConfig, initialize, resolve_nu, run
 from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node, ul_node
+from ibfdsim.stacked import Channels, uncolumns
 from ibfdsim.state import BeamformingState
 
 
@@ -59,7 +60,7 @@ def test_initialize_meets_budgets_exactly():
         for u in cell:
             assert np.all(u == 0.0)
     # every column carries the same share of its budget
-    gamma = math.sqrt(hw.p_ue_w / real.antennas.ul_streams)
+    gamma = math.sqrt(hw.p_ue_w / real.ul_streams)
     for beams, norm in ((state.dl_beams, 0.2505936168136361), (state.ul_beams, gamma)):
         for cell in beams:
             for w in cell:
@@ -84,12 +85,12 @@ def test_initialize_draws_user_by_user():
         cfg = SolverConfig()
         state = initialize(real, cfg)
         rng = np.random.default_rng([cfg.init_seed, real.seed])
-        ant, hw = real.antennas, real.hardware
-        alpha = math.sqrt(hw.p_bs_w / (ant.dl_streams * real.topology.dl_counts[0]))
-        gamma = math.sqrt(hw.p_ue_w / ant.ul_streams)
+        ch, hw = real.channels, real.hardware
+        alpha = math.sqrt(hw.p_bs_w / (real.dl_streams * ch.k_d))
+        gamma = math.sqrt(hw.p_ue_w / real.ul_streams)
         for beams, rows, cols, amplitude in (
-                (state.dl_beams, ant.bs_tx, ant.dl_streams, alpha),
-                (state.ul_beams, ant.ue_tx, ant.ul_streams, gamma)):
+                (state.dl_beams, ch.n_bs, real.dl_streams, alpha),
+                (state.ul_beams, ch.n_ue, real.ul_streams, gamma)):
             for cell in beams:
                 for w in cell:
                     m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
@@ -160,6 +161,71 @@ def test_update_precoders_stationary_for_its_lagrangian():
     state = helpers.refresh_combiners(real, state)
     state, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
     assert helpers.precoder_stationarity(real, state, nu, multipliers) < 1e-5
+
+
+def test_cell_and_user_relabelling_permutes_every_output():
+    # relabel the cells of a 3-cell realization as [2, 0, 1], and swap the
+    # downlink and the uplink users of one cell, through link(): every
+    # per-cell and per-user output must come out relabelled the same way,
+    # and every scalar unchanged.  Only the order of the sums differs, which
+    # moves one precoder step by about 1e-9 relative.
+    real = build_realization(helpers.small_config(
+        cells=3, dl_users=2, ul_users=2, dl_streams=2, ul_streams=2, csi_error_factor=1e-2,
+        asic_db=40.0), 21)
+    cells, users = np.array([2, 0, 1]), np.array([[1, 0], [0, 1], [0, 1]])
+    at = (cells[:, None], users)     # new (g, k) is old (cells[g], users[g, k])
+
+    def old(node):
+        kind, g, *k = node
+        return (kind, int(cells[g]), *(int(users[g, i]) for i in k))
+
+    ch = real.channels
+    moved = replace(real, hardware=replace(real.hardware, si_gain=tuple(
+                        np.array(real.hardware.si_gain)[cells].tolist())),
+                    channels=Channels.zeros(ch.cells, ch.k_d, ch.m_ue, ch.m_bs, ch.n_bs,
+                                            ch.k_u, ch.n_ue))
+    for rx, tx in moved.links():
+        new, was = moved.link(rx, tx), real.link(old(rx), old(tx))
+        new.true[...], new.est[...], new.err_var[...] = was.true, was.est, was.err_var
+
+    def relabel(state):
+        return BeamformingState(*(getattr(state, f.name)[at] for f in fields(state)))
+
+    def close(got, expected):
+        got, expected = np.asarray(got), np.asarray(expected)
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-7 * np.linalg.norm(expected)
+
+    state = helpers.refresh_combiners(real, helpers.solved_state(real, iterations=2))
+    cov, cov_moved = (helpers.state_covariances(r, s)
+                      for r, s in ((real, state), (moved, relabel(state))))
+    for name in ("dl_rx", "dl_csi"):
+        close(getattr(cov_moved, name), getattr(cov, name)[at])
+    for name in ("bs_rx", "bs_csi", "cell_load", "cell_power"):
+        close(getattr(cov_moved, name), getattr(cov, name)[cells])
+    for got, expected in zip(cov_moved.signal, cov.signal):
+        close(got, expected[at])
+    b_d = real.dl_streams
+    close(uncolumns(cov_moved.si_signal, b_d), uncolumns(cov.si_signal, b_d)[at])
+    for got, expected in zip(objective.mmse_combiners(cov_moved), objective.mmse_combiners(cov)):
+        close(got, expected[at])
+
+    nu = np.array([1.0, 0.5, 0.25])
+    rep = objective.evaluate(real, state, nu)
+    rep_moved = objective.evaluate(moved, relabel(state), nu[cells])
+    for f in fields(rep):
+        expected = getattr(rep, f.name)
+        close(getattr(rep_moved, f.name),
+              np.array(expected)[cells] if isinstance(expected, tuple) else expected)
+
+    cfg = SolverConfig(nu=tuple(nu.tolist()))
+    step, (dl_mult, ul_mult), _, _ = helpers.precoder_step(real, state, cfg)
+    step_moved, (dl_moved, ul_moved), _, _ = helpers.precoder_step(
+        moved, relabel(state), replace(cfg, nu=tuple(nu[cells].tolist())))
+    close(step_moved.dl_beams, step.dl_beams[at])
+    close(step_moved.ul_beams, step.ul_beams[at])
+    close(dl_moved, dl_mult[cells])
+    close(ul_moved.reshape(users.shape), ul_mult.reshape(users.shape)[at])
 
 
 @pytest.mark.parametrize("case", ["before_combiners"])
@@ -245,7 +311,7 @@ def test_run_monotone_and_recorded():
     assert len(trace.records) == trace.iterations + 1
     assert np.all(np.diff(losses) <= 1e-8 * np.maximum(np.abs(losses[:-1]), 1.0))
     # initial loss: zero combiners leave exactly one unit of MSE per stream
-    streams = sum(real.topology.dl_counts) + sum(real.topology.ul_counts)
+    streams = real.cell_count * (real.channels.k_d + real.channels.k_u)
     assert losses[0] == pytest.approx(streams, rel=1e-6)
     rec = trace.records[-1]
     assert len(rec.dl_cell_power) == real.cell_count
@@ -305,7 +371,7 @@ def test_run_zero_iterations_returns_initial_state():
     assert trace.iterations == 0
     assert not trace.converged
     assert len(trace.records) == 1
-    streams = sum(real.topology.dl_counts) + sum(real.topology.ul_counts)
+    streams = real.cell_count * (real.channels.k_d + real.channels.k_u)
     assert trace.records[0].loss == pytest.approx(streams, rel=1e-6)
 
 

@@ -66,7 +66,7 @@ def test_mse_formula_against_covariance():
     w = state.dl_beams[g][k]
     expected = (np.trace(u.conj().T @ c @ u).real
                 - 2.0 * np.trace(u.conj().T @ h @ w).real
-                + real.antennas.dl_streams)
+                + real.dl_streams)
     assert helpers.user_mse(real, state, "dl", k, g) == pytest.approx(expected, rel=1e-12)
 
 
@@ -74,9 +74,9 @@ def test_mse_positive_at_mmse_combiner():
     real = build_realization(helpers.small_config(), 5)
     state = helpers.refresh_combiners(real, helpers.random_state(real, 6, beam_scale=0.5))
     for g, k in real.dl_users():
-        assert 0.0 < helpers.user_mse(real, state, "dl", k, g) < real.antennas.dl_streams
+        assert 0.0 < helpers.user_mse(real, state, "dl", k, g) < real.dl_streams
     for g, k in real.ul_users():
-        assert 0.0 < helpers.user_mse(real, state, "ul", k, g) < real.antennas.ul_streams
+        assert 0.0 < helpers.user_mse(real, state, "ul", k, g) < real.ul_streams
 
 
 def test_rsi_power_matches_tx_covariance_form():

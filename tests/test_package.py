@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import ibfdsim
@@ -80,3 +81,11 @@ def test_bench_hooks_name_package_functions():
         importlib.import_module(f"ibfdsim.{name.rpartition('.')[0]}"),
         name.rpartition(".")[2], None))]
     assert unresolved == []
+
+
+def test_readme_quick_start_runs():
+    # the README's library quick start runs as written, so the names it
+    # shows cannot drift away from the package
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
