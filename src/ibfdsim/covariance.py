@@ -18,6 +18,12 @@ conjugates a channel.  One node's covariance or CSI-error power is a field
 of the Covariances that `covariances` returns, and the per-node forms that
 the tests check the kernels against (the transmit covariance and f1) live
 in tests/helpers.py.
+
+A node kind without users costs no kernel call, so a half-duplex phase or
+a network without downlink or uplink users pays only for what it has: a
+transmitter kind that sends no stream adds no received beams and gets zero
+transmit-side matrices, and a receiver kind that decodes no user adds no
+rows to Z and gets a zero covariance, which nothing reads.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ class Covariances:
     """
 
     dl_rx: np.ndarray       # (G, K_d, M_ue, M_ue)
-    bs_rx: np.ndarray       # (G, M_bs, M_bs)
+    bs_rx: np.ndarray       # (G, M_bs, M_bs), zero when no BS decodes an uplink user
     dl_csi: np.ndarray      # (G, K_d) aggregate CSI-error power at each downlink user
     bs_csi: np.ndarray      # (G,) the same at each BS
     signal: tuple           # (H W_dl, H W_ul): each user's beams through its serving link
@@ -94,17 +100,23 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
     weights = np.concatenate([hw.kappa_bs * cell_load, hw.kappa_ue * ul_load], axis=None)
     cell_power = (1.0 + hw.kappa_bs) * cell_load.sum(axis=-1)
     csi = ch.err @ np.concatenate([cell_power, (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
-    # the received beams R of every receiver, transmitters in the order of x
-    received = np.concatenate([columns(ch.from_bs @ w_bs), columns(ch.from_ul @ w_ul)],
-                              axis=-1)
+    # the received beams R of every receiver, transmitters in the order of x; a
+    # transmitter kind that sends no stream adds no columns
+    parts = [columns(x @ w) for x, w in ((ch.from_bs, w_bs), (ch.from_ul, w_ul)) if w.size]
+    received = np.concatenate(parts or [np.zeros((len(ch.x), 0), complex)], axis=-1)
     m_ue, m_bs, width = ch.m_ue, ch.m_bs, received.shape[1]
     r_dl = received[:cells * k_d * m_ue].reshape(cells, k_d, m_ue, width)
     r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)
-    dl_rx = distortion_gram(r_dl, ch.dl, ch.dl_h, weights, hw.beta_ue)
-    bs_rx = distortion_gram(r_bs, ch.bs, ch.bs_h, weights, hw.beta_bs)
     dl_csi, bs_csi = csi[:cells * k_d].reshape(cells, k_d), csi[cells * k_d:]
-    for rx, floor in ((dl_rx, hw.noise_ue_w + dl_csi), (bs_rx, hw.noise_bs_w + bs_csi)):
-        diagonal(rx)[...] += floor[..., None]
+    # a receiver kind that decodes no user gets a zero covariance: nothing reads it
+    dl_rx = (distortion_gram(r_dl, ch.dl, ch.dl_h, weights, hw.beta_ue) if k_d
+             else np.zeros((cells, 0, m_ue, m_ue), complex))
+    bs_rx = (distortion_gram(r_bs, ch.bs, ch.bs_h, weights, hw.beta_bs) if k_u
+             else np.zeros((cells, m_bs, m_bs), complex))
+    for k, rx, noise_w, err_power in ((k_d, dl_rx, hw.noise_ue_w, dl_csi),
+                                      (k_u, bs_rx, hw.noise_bs_w, bs_csi)):
+        if k:
+            diagonal(rx)[...] += (noise_w + err_power)[..., None]
     # the column blocks of R that a receiver's own cell sends it
     diag, users, dl_cols = np.arange(cells), np.arange(k_d), cells * k_d * b_d
     signal_dl = r_dl[..., :dl_cols].reshape(cells, k_d, m_ue, cells, k_d, b_d)[
@@ -132,7 +144,7 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
     """
     u_dl, u_ul = combiners
     cells, k_d, m_ue, b_d = u_dl.shape
-    k_u, m_bs, b_u = u_ul.shape[1:]
+    k_u = u_ul.shape[1]
     dl_rows = cells * k_d * m_ue
     # every downlink user, then every BS with the combiners of all the uplink
     # users it decodes side by side: the row order of X
@@ -140,18 +152,21 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
     dl_uh, bs_uh = hermitian(u_dl.reshape(cells * k_d, m_ue, b_d)), hermitian(bs_u)
     weights = np.concatenate([hw.beta_ue * row_powers(u_dl), hw.beta_bs * row_powers(bs_u)],
                              axis=None)
+    # the rows of Z: a block for each receiver kind that decodes a user
+    blocks = [block for block in ((dl_uh, slice(dl_rows)), (bs_uh, slice(dl_rows, None)))
+              if block[0].size]
 
-    def summed_f1(x: np.ndarray, x_h: np.ndarray, kappa: float) -> np.ndarray:
-        # x: (transmitters, rows of X, N), x_h its conjugate transpose
+    def summed_f1(x: np.ndarray, x_h: np.ndarray, kappa: float, users: int) -> np.ndarray:
+        # x: (transmitters, rows of X, N), x_h its conjugate transpose; zero when
+        # the transmitters serve no users, as nothing reads it then
         count, _, n = x.shape
-        z = np.concatenate(
-            [(dl_uh @ x[:, :dl_rows].reshape(count, cells * k_d, m_ue, n)).reshape(
-                count, cells * k_d * b_d, n),
-             (bs_uh @ x[:, dl_rows:].reshape(count, cells, m_bs, n)).reshape(
-                count, cells * k_u * b_u, n)], axis=1)
+        if not users:
+            return np.zeros((count, n, n), complex)
+        z = np.concatenate([(u_h @ x[:, rows].reshape(count, len(u_h), -1, n)).reshape(
+            count, -1, n) for u_h, rows in blocks], axis=1)
         total = hermitian(z) @ z + (x_h * weights) @ x
         return add_scaled_diag(total, kappa)
 
-    omega_ul = summed_f1(ch.from_ul, ch.from_ul_h, hw.kappa_ue)
-    return (summed_f1(ch.from_bs, ch.from_bs_h, hw.kappa_bs),
+    omega_ul = summed_f1(ch.from_ul, ch.from_ul_h, hw.kappa_ue, k_u)
+    return (summed_f1(ch.from_bs, ch.from_bs_h, hw.kappa_bs, k_d),
             omega_ul.reshape(cells, k_u, *omega_ul.shape[-2:]))

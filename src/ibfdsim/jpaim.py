@@ -29,6 +29,11 @@ iterates on the beams W and the combiners U, (downlink, uplink) pairs of
 arrays in the same layout: each block is a few batched numpy kernels over
 all cells and users.  A BeamformingState holds them only at the ends of a
 solve: the start that `initialize` draws and the final state.
+
+A direction without users (the other one of a half-duplex phase, or of a
+network without downlink or uplink users) runs no kernel: its transmitters
+get no eigendecomposition, beam or extrapolated move, their search rows
+hold no terms, so their multipliers are 0, and their beams stay empty.
 """
 
 from __future__ import annotations
@@ -258,21 +263,24 @@ def _precoder_step(ch: ChannelStack, grams, combiners, constants):
     of the search, cells first."""
     omega_bs, m_ul = grams
     penalty, budget, target, max_steps = constants
-    d_bs, q_bs = np.linalg.eigh(omega_bs + penalty)
-    d_ul, q_ul = np.linalg.eigh(m_ul)
-    d_bs, d_ul = np.maximum(d_bs, 0.0), np.maximum(d_ul, 0.0)   # PSD up to rounding
-    b_dl = hermitian(q_bs)[:, None] @ (ch.dl_own_h @ combiners[0])
-    b_ul = hermitian(q_ul) @ (ch.ul_own_h @ combiners[1])
-    g_dl = row_powers(b_dl).sum(axis=1)
-    g_ul = row_powers(b_ul)
-
-    # one search over every cell and uplink user, shorter rows padded with empty terms
-    cells, k_u, n_ue = g_ul.shape
-    width = max(g_dl.shape[1], n_ue)
-    g = np.zeros((cells + cells * k_u, width))
+    cells, k_d, n_bs, k_u, n_ue = ch.cells, ch.k_d, ch.n_bs, ch.k_u, ch.n_ue
+    if k_d:
+        d_bs, q_bs = np.linalg.eigh(omega_bs + penalty)
+        d_bs = np.maximum(d_bs, 0.0)     # PSD up to rounding
+        b_dl = hermitian(q_bs)[:, None] @ (ch.dl_own_h @ combiners[0])
+    if k_u:
+        d_ul, q_ul = np.linalg.eigh(m_ul)
+        d_ul = np.maximum(d_ul, 0.0)
+        b_ul = hermitian(q_ul) @ (ch.ul_own_h @ combiners[1])
+    # one search over every cell and uplink user, shorter rows padded with empty
+    # terms; the rows of a transmitter kind without users stay empty, so w = 0
+    g = np.zeros((cells + cells * k_u, max(n_bs, n_ue)))
     d = np.zeros_like(g)
-    g[:cells, :g_dl.shape[1]], d[:cells, :g_dl.shape[1]] = g_dl, d_bs
-    g[cells:, :n_ue], d[cells:, :n_ue] = g_ul.reshape(-1, n_ue), d_ul.reshape(-1, n_ue)
+    if k_d:
+        g[:cells, :n_bs], d[:cells, :n_bs] = row_powers(b_dl).sum(axis=1), d_bs
+    if k_u:
+        g[cells:, :n_ue] = row_powers(b_ul).reshape(-1, n_ue)
+        d[cells:, :n_ue] = d_ul.reshape(-1, n_ue)
     search = _search(g, d, budget, target, max_steps)
     w_dl, w_ul = search[0][:cells], search[0][cells:].reshape(cells, k_u)
 
@@ -280,8 +288,12 @@ def _precoder_step(ch: ChannelStack, grams, combiners, constants):
         positive = den > 0.0
         return q @ np.where(positive[..., None], b / np.where(positive, den, 1.0)[..., None], 0.0)
 
-    return (beam(q_bs[:, None], b_dl, (d_bs + w_dl[:, None])[:, None]),
-            beam(q_ul, b_ul, d_ul + w_ul[..., None])), search
+    # a transmitter kind without users keeps empty beams
+    dl = (beam(q_bs[:, None], b_dl, (d_bs + w_dl[:, None])[:, None]) if k_d
+          else np.zeros((cells, 0, n_bs, combiners[0].shape[-1]), complex))
+    ul = (beam(q_ul, b_ul, d_ul + w_ul[..., None]) if k_u
+          else np.zeros((cells, 0, n_ue, combiners[1].shape[-1]), complex))
+    return (dl, ul), search
 
 
 def _extrapolate(hw: HardwareProfile, beams, previous, weight: float):
@@ -289,6 +301,8 @@ def _extrapolate(hw: HardwareProfile, beams, previous, weight: float):
     W_prev = `previous`; a cell or uplink user pushed over its budget is
     scaled back onto it."""
     def move(w, w_prev, budget, shared_axes):
+        if not w.size:
+            return w
         moved = (1.0 + weight) * w - weight * w_prev
         power = frobenius_sq(moved).sum(axis=shared_axes, keepdims=True)
         scale = np.sqrt(budget / np.maximum(power, budget))    # 1 within the budget

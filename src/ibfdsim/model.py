@@ -547,15 +547,16 @@ def load_realization(path) -> Realization:
     """Read a file written by save_realization.
 
     Raises ValueError for a foreign file, an unsupported version, a blob
-    whose length disagrees with its own header (cut short or padded), user
-    counts that differ between cells, antenna keys other than the six it
-    writes, a stream count below 1 or above the antennas of its link, a
-    hardware value that is out of range or not finite, a missing position
-    array or one whose shape disagrees with the user counts, a link set
-    other than the one the topology implies, an SI gain count other than
+    whose length disagrees with its own header (cut short or padded), a cell
+    count below 1, a cell, user, antenna or stream count that is not a whole
+    number, user counts that differ between cells, antenna keys other than
+    the six it writes, a stream count below 1 or above the antennas of its
+    link, a hardware value that is out of range or not finite, a missing
+    position array or one whose shape disagrees with the user counts, a link
+    set other than the one the topology implies, an SI gain count other than
     the cell count, a matrix whose shape disagrees with the antennas, an SI
-    link whose truth differs from its estimate, or an error variance that
-    is negative or not finite.
+    link whose truth differs from its estimate, or an error variance that is
+    negative or not finite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -592,13 +593,19 @@ def load_realization(path) -> Realization:
         offset += size
 
     tm, am = meta["topology"], meta["antennas"]
+    if sorted(am) != sorted(_ANTENNA_KEYS):
+        raise ValueError(f"realization file has antenna keys {sorted(am)}, "
+                         f"not {sorted(_ANTENNA_KEYS)}")
+    for key, value, least in (("cell_count", tm["cell_count"], 1),
+                              *((key, n, 0) for key in ("dl_counts", "ul_counts") for n in tm[key]),
+                              *((key, value, 0) for key, value in am.items())):
+        if type(value) is not int or value < least:
+            raise ValueError(f"realization file has {key} = {value!r}, not an integer "
+                             f">= {least}")
     if any(len(counts) != tm["cell_count"] or len(set(counts)) > 1
            for counts in (tm["dl_counts"], tm["ul_counts"])):
         raise ValueError(f"realization file needs one user count for every cell, got "
                          f"downlink {tm['dl_counts']}, uplink {tm['ul_counts']}")
-    if sorted(am) != sorted(_ANTENNA_KEYS):
-        raise ValueError(f"realization file has antenna keys {sorted(am)}, "
-                         f"not {sorted(_ANTENNA_KEYS)}")
     cells = range(tm["cell_count"])
     topo = Topology(
         bs_xy=data.get("topology/bs_xy"),

@@ -98,12 +98,14 @@ def mmse_combiners(cov: covariance.Covariances):
     `cov`; a BS solves once for all the uplink users it decodes."""
     signal_dl, signal_ul = cov.signal
     try:
-        dl = np.linalg.solve(cov.dl_rx, signal_dl)
-        ul = np.linalg.solve(cov.bs_rx, columns(signal_ul))
+        # a direction without users has empty combiners, shaped as its signals
+        dl = np.linalg.solve(cov.dl_rx, signal_dl) if signal_dl.size else signal_dl
+        ul = (uncolumns(np.linalg.solve(cov.bs_rx, columns(signal_ul)), signal_ul.shape[-1])
+              if signal_ul.size else signal_ul)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular received covariance ({exc}); check the noise configuration") from exc
-    return dl, uncolumns(ul, signal_ul.shape[-1])
+    return dl, ul
 
 
 def _rate_bits(signal: np.ndarray, mmse: np.ndarray) -> np.ndarray:
@@ -149,9 +151,10 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     do not depend on the combiners: with_rates=True solves for the MMSE
     combiners to get them, with_rates=False reports them as nan.
     """
-    bs_rx = cov.bs_rx[:, None]                   # each BS covariance, once per uplink user
-    sum_mse_dl = float(_mse(cov.dl_rx, cov.signal[0], combiners[0]).sum())
-    sum_mse_ul = float(_mse(bs_rx, cov.signal[1], combiners[1]).sum())
+    u_dl, u_ul = combiners    # no users, no MSE; a BS covariance serves each uplink user
+    sum_mse_dl = float(_mse(cov.dl_rx, cov.signal[0], u_dl).sum()) if u_dl.size else 0.0
+    sum_mse_ul = (float(_mse(cov.bs_rx[:, None], cov.signal[1], u_ul).sum()) if u_ul.size
+                  else 0.0)
     rsi = (frobenius_sq(cov.si_signal)
            + hw.kappa_bs * (ch.si_colpow * cov.cell_load).sum(axis=-1))
     depth = tuple(_depth_db(gain, p, r) for gain, p, r

@@ -208,6 +208,45 @@ def test_half_duplex_phases_stay_feasible():
         assert dl_state.dl_cell_power(g) <= real.hardware.p_bs_w * (1.0 + 1e-6)
 
 
+def test_no_solver_kernel_runs_on_an_empty_block(monkeypatch):
+    # a direction without users costs no eigh or solve: neither a half-duplex
+    # phase, whose other direction has zero-size axes, nor a full-duplex
+    # network without downlink or without uplink users
+    operands = []
+
+    def recorded(kernel):
+        def wrapper(*args, **kwargs):
+            operands.extend(np.shape(a) for a in args)
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    config = SolverConfig(max_iterations=3)
+    run_half_duplex(build_realization(ScenarioConfig(), 11), config)
+    for users in (dict(dl_users=0), dict(ul_users=0)):
+        jpaim.run(build_realization(ScenarioConfig(**users), 11), config)
+    assert operands
+    assert [shape for shape in operands if 0 in shape] == []
+
+
+@pytest.mark.parametrize("empty, kept", [("dl", "ul"), ("ul", "dl")])
+def test_half_duplex_with_the_users_of_one_direction(empty, kept):
+    # one phase has no users at all; with no BS both sending and receiving,
+    # the other phase solves the full-duplex network without the RSI penalty
+    real = build_realization(ScenarioConfig(**{f"{empty}_users": 0}), 12)
+    report, dl_trace, ul_trace = run_half_duplex(real, SolverConfig())
+    phases = {"dl": dl_trace, "ul": ul_trace}
+    assert phases[empty].converged and phases[empty].final_report.loss == 0.0
+    assert getattr(report, f"sum_mse_{empty}") == 0.0 == getattr(report, f"sum_rate_{empty}")
+    full = jpaim.run(real, SolverConfig(nu=0.0))
+    assert phases[kept].iterations == full.iterations
+    for name in ("loss", f"sum_mse_{kept}"):
+        assert getattr(report, name) == pytest.approx(getattr(full.final_report, name),
+                                                      rel=1e-12)
+    assert report.sum_rate == pytest.approx(0.5 * full.final_report.sum_rate, rel=1e-12)
+
+
 # Recorded before the solver kernels took beams: (iterations, converged,
 # loss, sum_rate) per seed 0-4, for run_half_duplex (the restricted
 # realizations, with user axes of length 0) and for run_nsp at subspace_dim 8

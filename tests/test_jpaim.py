@@ -228,6 +228,37 @@ def test_cell_and_user_relabelling_permutes_every_output():
     close(ul_moved.reshape(users.shape), ul_mult.reshape(users.shape)[at])
 
 
+def test_stream_rotation_leaves_every_figure_and_rotates_the_step():
+    # W -> W Q and U -> U Q with a unitary b x b Q per user leave every MSE,
+    # the loss and the rates unchanged, and the precoder step from the
+    # rotated combiners returns the rotated beams W*(U) Q.  The coarse ADC
+    # and the CSI error make the per-antenna distortion terms matter, so a
+    # transmit-side weight taken per stream instead of per antenna shows.
+    real = build_realization(ScenarioConfig(adc_bits=4.0, csi_error_factor=1e-3), 13)
+    state = helpers.solved_state(real, iterations=3, nu=1.0)
+    rng = np.random.default_rng(14)
+    q_dl, q_ul = (np.linalg.qr(helpers.cn(rng, w.shape[:2] + (w.shape[-1],) * 2))[0]
+                  for w in (state.dl_beams, state.ul_beams))
+    rotated = BeamformingState(state.dl_beams @ q_dl, state.dl_combiners @ q_dl,
+                               state.ul_beams @ q_ul, state.ul_combiners @ q_ul)
+
+    def close(got, expected):
+        got, expected = np.asarray(got), np.asarray(expected)
+        assert np.all(np.abs(got - expected) <= 1e-10 * np.abs(expected))
+
+    rep, rep_rotated = (objective.evaluate(real, s, 1.0) for s in (state, rotated))
+    for f in fields(rep):
+        close(getattr(rep_rotated, f.name), getattr(rep, f.name))
+    cfg = SolverConfig(nu=1.0)
+    step, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
+    step_rotated, multipliers_rotated, _, _ = helpers.precoder_step(real, rotated, cfg)
+    for got, expected in ((step_rotated.dl_beams, step.dl_beams @ q_dl),
+                          (step_rotated.ul_beams, step.ul_beams @ q_ul)):
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+    for got, expected in zip(multipliers_rotated, multipliers):
+        close(got, expected)
+
+
 @pytest.mark.parametrize("case", ["before_combiners"])
 def test_update_precoders_keeps_a_silenced_cell_silent(case):
     # zero beams give zero combiners and stay zero: cell 0 sends nothing,

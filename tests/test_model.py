@@ -527,9 +527,15 @@ def _set_err_var(link, value):
     (lambda meta, _: meta["antennas"].update(dl_streams=0), "dl_streams must be >= 1, got 0"),
     (lambda meta, _: meta["antennas"].update(ul_streams=3), "ul_streams = 3 exceeds 2"),
     (lambda meta, _: meta["antennas"].update(spare=1), "antenna keys"),
+    (lambda meta, _: (meta["topology"].update(cell_count=0, dl_counts=[], ul_counts=[]),
+                      meta["hardware"].update(si_gain=[])), "cell_count = 0, not an integer >= 1"),
+    (lambda meta, _: meta["antennas"].update(ue_rx=2.0), "ue_rx = 2.0, not an integer"),
+    (lambda meta, _: meta["antennas"].update(dl_streams="2"), "dl_streams = '2', not an integer"),
+    (lambda meta, _: meta["topology"].update(dl_counts=[1.0]), "dl_counts = 1.0, not an integer"),
 ], ids=["nan_noise", "inf_budget", "nan_kappa", "nan_si_gain", "negative_err_var",
         "nan_err_var", "inf_err_var", "no_streams", "more_streams_than_antennas",
-        "extra_antenna_key"])
+        "extra_antenna_key", "no_cells", "float_antennas", "string_streams",
+        "float_user_count"])
 def test_load_realization_rejects_corrupt_values(tmp_path, monkeypatch, edit, match):
     # each of these once loaded, and every solve on it then failed or
     # quietly scored a meaningless loss
