@@ -1,4 +1,6 @@
-"""Reference schemes the full-duplex solver is compared against."""
+"""Reference schemes the full-duplex solver is compared against: null-space
+projection, which reads the SI channels of the ChannelStack (module
+`stacked`) that scores its beams, and the half-duplex time split."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import covariance, jpaim, objective
-from .model import Realization, bs_node, restrict_to_downlink, restrict_to_uplink
+from .model import Realization, restrict_to_downlink, restrict_to_uplink
 from .stacked import hermitian, stack_channels
 from .state import BeamformingState
 
@@ -35,16 +37,6 @@ def nsp_project(beams: np.ndarray, h_si: np.ndarray, kappa_bs: float,
     return basis @ (hermitian(basis) @ beams)
 
 
-def project_state(realization: Realization, state: BeamformingState,
-                  subspace_dim: int) -> BeamformingState:
-    """Apply nsp_project to the downlink beams of a solved state, with one
-    projection per cell for all of its users."""
-    si = np.stack([realization.link(bs_node(g), bs_node(g)).est
-                   for g in range(realization.cell_count)])[:, None]    # (G, 1, M_bs, N_bs)
-    projected = nsp_project(state.dl_beams, si, realization.hardware.kappa_bs, subspace_dim)
-    return replace(state, dl_beams=projected).copy()
-
-
 def run_nsp(realization: Realization, trace: jpaim.RunTrace, subspace_dim: int,
             ) -> tuple[objective.ObjectiveReport, BeamformingState]:
     """Project the downlink beams of a finished jpaim.run of `realization`,
@@ -53,17 +45,19 @@ def run_nsp(realization: Realization, trace: jpaim.RunTrace, subspace_dim: int,
     Projection only ever shrinks the transmitted power, so the power
     constraints stay satisfied; one combiner refresh lets the receivers react
     to the projected beams before the state is scored with the solve's nu.
-    One covariance assembly serves the refresh and the score, which is
-    objective.evaluate of the returned state.  Returns (report, projected
-    state).
+    One stack's SI channels, one covariance assembly and one MMSE solve serve
+    the projection, the refresh and the report, which is objective.evaluate
+    of the returned state.  Returns (report, projected state).
     """
-    projected = project_state(realization, trace.final_state, subspace_dim)
     ch, hw = stack_channels(realization), realization.hardware
-    cov = covariance.covariances(ch, hw, (projected.dl_beams, projected.ul_beams))
-    # the report scores the state's C-contiguous copies, which round as evaluate's do
-    dl, ul = (u.copy() for u in objective.mmse_combiners(cov))
-    projected = replace(projected, dl_combiners=dl, ul_combiners=ul)
-    return objective.report(ch, hw, (dl, ul), cov, np.asarray(trace.nu), True), projected
+    final = trace.final_state
+    dl_beams = nsp_project(final.dl_beams, ch.si[:, None], hw.kappa_bs, subspace_dim)
+    cov = covariance.covariances(ch, hw, (dl_beams, final.ul_beams))
+    mmse = objective.mmse_combiners(cov)
+    # the MSE scores the state's C-contiguous copies, which round as evaluate's do
+    dl, ul = (u.copy() for u in mmse)
+    projected = BeamformingState(dl_beams, dl, final.ul_beams.copy(), ul)
+    return objective.report(ch, hw, (dl, ul), cov, np.asarray(trace.nu), mmse), projected
 
 
 def run_half_duplex(realization: Realization, config: jpaim.SolverConfig,
@@ -85,6 +79,5 @@ def run_half_duplex(realization: Realization, config: jpaim.SolverConfig,
     report = objective.ObjectiveReport(
         sum_mse_dl=dl.sum_mse_dl, sum_mse_ul=ul.sum_mse_ul,
         rsi_watts=(0.0,) * cells, asic_depth_db=(float("nan"),) * cells,
-        loss=dl.loss + ul.loss, sum_rate=0.5 * (dl.sum_rate + ul.sum_rate),
-        sum_rate_dl=0.5 * dl.sum_rate_dl, sum_rate_ul=0.5 * ul.sum_rate_ul)
+        loss=dl.loss + ul.loss, sum_rate_dl=0.5 * dl.sum_rate_dl, sum_rate_ul=0.5 * ul.sum_rate_ul)
     return report, dl_trace, ul_trace

@@ -41,15 +41,15 @@ from .stacked import (ChannelStack, add_scaled_diag, columns, diagonal, hermitia
 # ---------------------------------------------------------------------------
 
 
-def distortion_gram(yx: np.ndarray, y: np.ndarray, y_h: np.ndarray, weights: np.ndarray,
-                    sigma: float) -> np.ndarray:
-    """(YX)(YX)^H + Y diag(weights) Y^H plus sigma times its own diagonal,
-    given Y and y_h = Y^H.
+def distortion_gram(a: np.ndarray, a_h: np.ndarray, y: np.ndarray, y_h: np.ndarray,
+                    weights: np.ndarray, sigma: float) -> np.ndarray:
+    """A A^H + Y diag(weights) Y^H plus sigma times its own diagonal, given
+    a_h = A^H and y_h = Y^H.
 
-    The shared form of f1 and of the receive covariances: the columns of Y
-    and the entries of `weights` may run over many transmitters at once.
+    The shared form of the receive covariances, with A = Y blockdiag(W), and
+    of the transmit-side sums of f1, with Y = X_t^H and A = Z^H.
     """
-    total = yx @ hermitian(yx) + (y * weights) @ y_h
+    total = a @ a_h + (y * weights) @ y_h
     return add_scaled_diag(total, sigma)
 
 
@@ -109,10 +109,10 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
     r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)
     dl_csi, bs_csi = csi[:cells * k_d].reshape(cells, k_d), csi[cells * k_d:]
     # a receiver kind that decodes no user gets a zero covariance: nothing reads it
-    dl_rx = (distortion_gram(r_dl, ch.dl, ch.dl_h, weights, hw.beta_ue) if k_d
-             else np.zeros((cells, 0, m_ue, m_ue), complex))
-    bs_rx = (distortion_gram(r_bs, ch.bs, ch.bs_h, weights, hw.beta_bs) if k_u
-             else np.zeros((cells, m_bs, m_bs), complex))
+    dl_rx = (distortion_gram(r_dl, hermitian(r_dl), ch.dl, ch.dl_h, weights, hw.beta_ue)
+             if k_d else np.zeros((cells, 0, m_ue, m_ue), complex))
+    bs_rx = (distortion_gram(r_bs, hermitian(r_bs), ch.bs, ch.bs_h, weights, hw.beta_bs)
+             if k_u else np.zeros((cells, m_bs, m_bs), complex))
     for k, rx, noise_w, err_power in ((k_d, dl_rx, hw.noise_ue_w, dl_csi),
                                       (k_u, bs_rx, hw.noise_bs_w, bs_csi)):
         if k:
@@ -164,8 +164,7 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
             return np.zeros((count, n, n), complex)
         z = np.concatenate([(u_h @ x[:, rows].reshape(count, len(u_h), -1, n)).reshape(
             count, -1, n) for u_h, rows in blocks], axis=1)
-        total = hermitian(z) @ z + (x_h * weights) @ x
-        return add_scaled_diag(total, kappa)
+        return distortion_gram(hermitian(z), z, x_h, x, weights, kappa)
 
     omega_ul = summed_f1(ch.from_ul, ch.from_ul_h, hw.kappa_ue, k_u)
     return (summed_f1(ch.from_bs, ch.from_bs_h, hw.kappa_bs, k_d),

@@ -378,20 +378,12 @@ def _summarize_rows(rows) -> CampaignSummary:
     for algo in algos:
         mine = sorted((row for row in rows if row["algorithm"] == algo),
                       key=lambda row: row["seed"])
-        n = len(mine)
-        values = {
-            "sum_rate": np.array([row["sum_rate"] for row in mine]),
-            "loss": np.array([row["loss"] for row in mine]),
-            "rsi_total_w": np.array([float(np.sum(row["rsi"])) for row in mine]),
-            "asic_mean_db": np.array([float(np.mean(row["asic"])) for row in mine]),
-            "iterations": np.array([row["iterations"] for row in mine], dtype=float),
-            "elapsed_ms": np.array([row["elapsed_ms"] for row in mine]),
-        }
         summaries.append(AlgorithmSummary(
             algorithm=algo,
-            realizations=n,
+            realizations=len(mine),
             converged_fraction=float(np.mean([bool(row["converged"]) for row in mine])),
-            metrics={name: _metric_summary(values[name]) for name in _SUMMARY_METRICS},
+            metrics={name: _metric_summary(np.array([row[name] for row in mine], dtype=float))
+                     for name in _SUMMARY_METRICS},
         ))
     return CampaignSummary(algorithms=tuple(summaries))
 
@@ -416,8 +408,8 @@ def summarize(path) -> CampaignSummary:
                 "seed": int(rec["seed"]), "algorithm": rec["algorithm"],
                 "converged": rec["converged"] == "1",
                 "iterations": int(rec["iterations"]), "loss": float(rec["loss"]),
-                "sum_rate": float(rec["sum_rate"]), "rsi": rsi, "asic": asic,
-                "elapsed_ms": float(rec["elapsed_ms"]),
+                "sum_rate": float(rec["sum_rate"]), "rsi_total_w": float(np.sum(rsi)),
+                "asic_mean_db": float(np.mean(asic)), "elapsed_ms": float(rec["elapsed_ms"]),
             })
     return _summarize_rows(rows)
 

@@ -117,23 +117,15 @@ class RunTrace:
     final_state: BeamformingState
     final_report: objective.ObjectiveReport
     converged: bool
-    iterations: int
     nu: tuple
+
+    @property
+    def iterations(self) -> int:
+        return len(self.records) - 1
 
     @property
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.records])
-
-
-def resolve_nu(realization: Realization, config: SolverConfig) -> np.ndarray:
-    """Per-cell RSI penalty weights; the default ties them to the SI gain.
-
-    A cell whose analog stage leaves gain l_g gets nu_g = l_g^2, which equals
-    10**(-l_db/5) for a cancellation depth of l_db decibels.
-    """
-    if config.nu is None:
-        return np.array([l * l for l in realization.hardware.si_gain])
-    return objective._nu_per_cell(realization, config.nu)
 
 
 def initialize(realization: Realization, config: SolverConfig) -> BeamformingState:
@@ -348,7 +340,7 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     rejected trial costs no rate.  Without it, records carry nan.  The final
     report always carries rates.
     """
-    nu = resolve_nu(realization, config)
+    nu = objective.resolve_nu(realization, config.nu)
     hw = realization.hardware
     ch = stack_channels(realization)
     constants = _precoder_constants(ch, hw, nu, config)
@@ -361,8 +353,10 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
         covariances; returns the combiners, the desired signals H W and the
         report."""
         cov = covariance.covariances(ch, hw, beams)
-        combiners = objective.mmse_combiners(cov) if combiners is None else combiners
-        return combiners, cov.signal, objective.report(ch, hw, combiners, cov, nu, with_rates)
+        mmse = objective.mmse_combiners(cov) if combiners is None or with_rates else None
+        combiners = mmse if combiners is None else combiners
+        return (combiners, cov.signal,
+                objective.report(ch, hw, combiners, cov, nu, mmse if with_rates else None))
 
     def snapshot(iteration, rep, sum_rate, elapsed_ms, search=idle, block_ms=(0.0, 0.0, 0.0)):
         w, _, evaluations = search
@@ -421,4 +415,4 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     final_state = BeamformingState(dl_beams=beams[0], dl_combiners=combiners[0],
                                    ul_beams=beams[1], ul_combiners=combiners[1])
     return RunTrace(records=records, final_state=final_state.copy(), final_report=final_report,
-                    converged=converged, iterations=len(records) - 1, nu=tuple(nu))
+                    converged=converged, nu=tuple(nu))

@@ -40,13 +40,16 @@ class ObjectiveReport:
     rsi_watts: tuple            # per cell, W
     asic_depth_db: tuple        # per cell, dB
     loss: float                 # penalized sum MSE
-    sum_rate: float             # bits/s/Hz, downlink + uplink
-    sum_rate_dl: float
+    sum_rate_dl: float          # bits/s/Hz
     sum_rate_ul: float
 
     @property
     def sum_mse(self) -> float:
         return self.sum_mse_dl + self.sum_mse_ul
+
+    @property
+    def sum_rate(self) -> float:
+        return self.sum_rate_dl + self.sum_rate_ul
 
 
 def nu_from_asic(l_db: float) -> float:
@@ -68,7 +71,13 @@ def checked_nu(nu) -> np.ndarray:
     return arr
 
 
-def _nu_per_cell(realization: Realization, nu) -> np.ndarray:
+def resolve_nu(realization: Realization, nu) -> np.ndarray:
+    """Per-cell RSI penalty weights from any SolverConfig.nu form: a scalar
+    or a per-cell sequence as given, or by default (None) nu_g = l_g^2 for a
+    cell whose analog stage leaves SI gain l_g, which equals 10**(-l_db/5)
+    for a cancellation depth of l_db decibels."""
+    if nu is None:
+        return np.array([l * l for l in realization.hardware.si_gain])
     arr = checked_nu(nu)
     if arr.ndim == 0:
         arr = np.full(realization.cell_count, float(arr))
@@ -136,7 +145,7 @@ def sum_rates(signal, mmse) -> tuple[float, float]:
 
 
 def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Covariances,
-           nu_arr: np.ndarray, with_rates: bool) -> ObjectiveReport:
+           nu_arr: np.ndarray, mmse=None) -> ObjectiveReport:
     """Every figure of merit of the beams whose covariances and desired
     signals on the channels `ch` are `cov`, under the combiners (U_dl, U_ul).
 
@@ -148,8 +157,8 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     with tr(T_g) = (1 + kappa) ||W_g||_F^2.  It is 0 for a silent cell,
     tr(T_g) = 0, and the cap for a transmitting cell whose residual vanishes
     against l_g tr(T_g), ideal cancellation (l_g = 0) included.  The rates
-    do not depend on the combiners: with_rates=True solves for the MMSE
-    combiners to get them, with_rates=False reports them as nan.
+    do not depend on the combiners: they come from `mmse`, the MMSE
+    combiners mmse_combiners(cov), and are nan when it is None.
     """
     u_dl, u_ul = combiners    # no users, no MSE; a BS covariance serves each uplink user
     sum_mse_dl = float(_mse(cov.dl_rx, cov.signal[0], u_dl).sum()) if u_dl.size else 0.0
@@ -160,14 +169,13 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     depth = tuple(_depth_db(gain, p, r) for gain, p, r
                   in zip(hw.si_gain, cov.cell_power.tolist(), rsi.tolist()))
     nan = float("nan")
-    rate_dl, rate_ul = sum_rates(cov.signal, mmse_combiners(cov)) if with_rates else (nan, nan)
+    rate_dl, rate_ul = sum_rates(cov.signal, mmse) if mmse is not None else (nan, nan)
     return ObjectiveReport(
         sum_mse_dl=sum_mse_dl,
         sum_mse_ul=sum_mse_ul,
         rsi_watts=tuple(rsi.tolist()),
         asic_depth_db=depth,
         loss=sum_mse_dl + sum_mse_ul + float(np.dot(nu_arr, rsi)),
-        sum_rate=rate_dl + rate_ul,
         sum_rate_dl=rate_dl,
         sum_rate_ul=rate_ul,
     )
@@ -176,12 +184,13 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
 def evaluate(realization: Realization, state: BeamformingState, nu,
              with_rates: bool = True) -> ObjectiveReport:
     """Compute every reported metric of `state`: the report on the
-    covariances of its beams.
+    covariances of its beams, with nu in any SolverConfig.nu form.
 
     with_rates=False skips the rates (reported as nan), and with them the
     MMSE combiner solve they need.
     """
-    nu_arr = _nu_per_cell(realization, nu)
+    nu_arr = resolve_nu(realization, nu)
     ch, hw = stack_channels(realization), realization.hardware
     cov = covariance.covariances(ch, hw, (state.dl_beams, state.ul_beams))
-    return report(ch, hw, (state.dl_combiners, state.ul_combiners), cov, nu_arr, with_rates)
+    return report(ch, hw, (state.dl_combiners, state.ul_combiners), cov, nu_arr,
+                  mmse_combiners(cov) if with_rates else None)

@@ -174,9 +174,10 @@ class ChannelStack(Channels):
     on that copy.  (A C-contiguous X^H rounds the covariance of a receiver
     with one antenna differently in the last bits.)
 
-    `si_colpow` is the squared norm of each column of each SI channel,
-    `si_gram` is H^H H + kappa_bs diag(H^H H) of each SI channel H, and
-    `dl_own_h` and `ul_own_h` are H^H of each serving link.
+    `si` is the SI channel H of each BS, which the null-space projection
+    baseline reads too, `si_colpow` the squared norm of each column of H,
+    `si_gram` is H^H H + kappa_bs diag(H^H H), and `dl_own_h` and `ul_own_h`
+    are H^H of each serving link.
     """
 
     kappa_bs: InitVar[float]     # BS transmit distortion factor, for the SI Gram
@@ -205,13 +206,13 @@ class ChannelStack(Channels):
         self.from_ul_h = xh[bs_cols:].reshape(cells * k_u, self.n_ue, rows)
         # each BS's SI link and each user's serving link, copied out of X into
         # C-contiguous (cell, [user,] receive antennas, transmit antennas) arrays
-        si = self.bs[..., :bs_cols].reshape(cells, self.m_bs, cells, self.n_bs)[diag, :, diag]
+        self.si = self.bs[..., :bs_cols].reshape(cells, self.m_bs, cells, self.n_bs)[diag, :, diag]
         dl_own = self.dl[..., :bs_cols].reshape(
             cells, k_d, self.m_ue, cells, self.n_bs)[diag, :, :, diag]
         ul_own = self.bs[..., bs_cols:].reshape(
             cells, self.m_bs, cells, k_u, self.n_ue)[diag, :, diag].swapaxes(1, 2)
-        self.si_colpow = row_powers(np.swapaxes(si, -1, -2))     # (G, N_bs)
-        self.si_gram = add_scaled_diag(hermitian(si) @ si, kappa_bs)
+        self.si_colpow = row_powers(np.swapaxes(self.si, -1, -2))    # (G, N_bs)
+        self.si_gram = add_scaled_diag(hermitian(self.si) @ self.si, kappa_bs)
         self.dl_own_h = hermitian(dl_own)                        # (G, K_d, N_bs, M_ue)
         self.ul_own_h = hermitian(np.ascontiguousarray(ul_own))  # (G, K_u, N_ue, M_bs)
 

@@ -108,7 +108,9 @@ def f1(y: np.ndarray, x: np.ndarray, sigma_t: float, sigma_r: float) -> np.ndarr
     """Matrix form Y X X^H Y^H with transmit/receive distortion diagonals:
     sigma_t is the distortion factor of the node transmitting through the
     channel inside Y, sigma_r that of the receiving node represented by X."""
-    return covariance.distortion_gram(y @ x, y, hermitian(y), sigma_r * row_powers(x), sigma_t)
+    yx = y @ x
+    return covariance.distortion_gram(yx, hermitian(yx), y, hermitian(y), sigma_r * row_powers(x),
+                                      sigma_t)
 
 
 def state_covariances(realization: Realization,
@@ -155,7 +157,8 @@ def precoder_step(realization: Realization, state: BeamformingState,
     """
     ch, hw = stack_channels(realization), realization.hardware
     combiners = (state.dl_combiners, state.ul_combiners)
-    constants = jpaim._precoder_constants(ch, hw, jpaim.resolve_nu(realization, config), config)
+    constants = jpaim._precoder_constants(ch, hw, objective.resolve_nu(realization, config.nu),
+                                          config)
     beams, search = jpaim._precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
                                          combiners, constants)
     cells = realization.cell_count

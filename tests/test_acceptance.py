@@ -60,7 +60,7 @@ def test_criterion_02_block_stationarity():
     worst = {"combiners": 0.0, "precoders": 0.0, "beam scales": 0.0}
     for _ in range(25):
         real = helpers.random_small_realization(rng)
-        nu = jpaim.resolve_nu(real, cfg)
+        nu = objective.resolve_nu(real, cfg.nu)
         state = helpers.solved_state(real, iterations=2)
         state = helpers.refresh_combiners(real, state)
         worst["combiners"] = max(worst["combiners"],
@@ -290,11 +290,9 @@ def test_criterion_08_nsp_properties():
     rsi_by_dim = {d: [] for d in dims}
     for seed in range(30):
         real = build_realization(helpers.small_config(cells=1, asic_db=0.0), seed)
-        state = jpaim.run(real, cfg, collect_metrics=False).final_state
+        trace = jpaim.run(real, cfg, collect_metrics=False)
         for d in dims:
-            projected = baselines.project_state(real, state, d)
-            rsi_by_dim[d].append(
-                objective.evaluate(real, projected, 0.0, with_rates=False).rsi_watts[0])
+            rsi_by_dim[d].append(baselines.run_nsp(real, trace, d)[0].rsi_watts[0])
     means = [float(np.mean(rsi_by_dim[d])) for d in dims]
     monotone = all(a >= b * (1.0 - 1e-12) for a, b in zip(means, means[1:]))
 

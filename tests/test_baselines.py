@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from ibfdsim import baselines, covariance, jpaim, objective, stacked
-from ibfdsim.baselines import nsp_project, project_state, run_half_duplex, run_nsp
+from ibfdsim.baselines import nsp_project, run_half_duplex, run_nsp
 from ibfdsim.jpaim import SolverConfig
 from ibfdsim.model import (ScenarioConfig, bs_node, build_realization, restrict_to_downlink,
                            restrict_to_uplink)
@@ -73,18 +73,23 @@ def test_nsp_validation():
         nsp_project(helpers.cn(rng, (3, 1)), h, 0.1, 2)
 
 
-def test_project_state_touches_only_downlink_precoders():
+def test_run_nsp_projects_only_the_downlink_beams():
     real = build_realization(helpers.small_config(asic_db=0.0), 5)
-    state = helpers.solved_state(real, iterations=2)
-    projected = project_state(real, state, subspace_dim=2)
-    for name in ("dl_combiners", "ul_beams", "ul_combiners"):
-        np.testing.assert_array_equal(getattr(projected, name), getattr(state, name))
+    trace = jpaim.run(real, SolverConfig(max_iterations=2, threshold=1e-3),
+                      collect_metrics=False)
+    state = trace.final_state
+    report, projected = run_nsp(real, trace, subspace_dim=2)
+    np.testing.assert_array_equal(projected.ul_beams, state.ul_beams)
     assert not np.allclose(projected.dl_beams[0][0], state.dl_beams[0][0])
+    # each cell's beams are projected with its own SI channel, as nsp_project
+    # gives them on the stack's SI channels
+    si = stacked.stack_channels(real).si[:, None]
+    np.testing.assert_array_equal(
+        projected.dl_beams, nsp_project(state.dl_beams, si, real.hardware.kappa_bs, 2))
     # projection reduces RSI on this strongly coupled instance
-    after = objective.evaluate(real, projected, 0.0, with_rates=False).rsi_watts
     before = objective.evaluate(real, state, 0.0, with_rates=False).rsi_watts
     for g in range(real.cell_count):
-        assert after[g] <= before[g] * (1.0 + 1e-9)
+        assert report.rsi_watts[g] <= before[g] * (1.0 + 1e-9)
 
 
 def test_run_nsp_full_dimension_matches_plain_solver():
@@ -96,17 +101,19 @@ def test_run_nsp_full_dimension_matches_plain_solver():
     refreshed = helpers.refresh_combiners(real, plain.final_state)
     np.testing.assert_allclose(projected.dl_beams[0][0],
                                refreshed.dl_beams[0][0], atol=1e-12)
-    nu = jpaim.resolve_nu(real, cfg)
+    nu = objective.resolve_nu(real, cfg.nu)
     assert report.loss == pytest.approx(
         objective.evaluate(real, refreshed, nu, with_rates=False).loss, rel=1e-10)
 
 
 def test_run_nsp_assembles_once_and_reports_evaluate(monkeypatch):
-    # one channel stack and one covariance assembly serve the combiner
-    # refresh and the score, and the score is evaluate's on the returned state
+    # one channel stack serves the projection, and one covariance assembly
+    # and one MMSE solve serve the combiner refresh and the score, rates
+    # included; no SI channel is read again link by link, and the score is
+    # evaluate's on the returned state
     real = build_realization(ScenarioConfig(), 3)
     trace = jpaim.run(real, SolverConfig(), collect_metrics=False)
-    calls = {"stack_channels": 0, "covariances": 0}
+    calls = {"stack_channels": 0, "covariances": 0, "mmse_combiners": 0, "link": 0}
 
     def counted(name, kernel):
         def wrapper(*args, **kwargs):
@@ -116,11 +123,11 @@ def test_run_nsp_assembles_once_and_reports_evaluate(monkeypatch):
 
     # wherever a module binds the name, so no call path escapes the count
     for name in calls:
-        for module in (stacked, covariance, objective, jpaim, baselines):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for owner in (stacked, covariance, objective, jpaim, baselines, stacked.Channels):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     report, projected = run_nsp(real, trace, subspace_dim=8)
-    assert calls == {"stack_channels": 1, "covariances": 1}
+    assert calls == {"stack_channels": 1, "covariances": 1, "mmse_combiners": 1, "link": 0}
     monkeypatch.undo()
     want = objective.evaluate(real, projected, trace.nu)
     for field in fields(want):

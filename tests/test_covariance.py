@@ -289,7 +289,7 @@ def test_covariances_match_per_link_sums(case):
     # RSI and transmit power, as the report reads them from the beams
     cells = real.cell_count
     rep = report(ch, hw, (np.zeros_like(cov.signal[0]), np.zeros_like(cov.signal[1])), cov,
-                 np.ones(cells), with_rates=False)
+                 np.ones(cells))
     for g in range(cells):
         si = real.link(bs_node(g), bs_node(g)).true
         rsi = np.trace(si @ tx[bs_node(g)] @ si.conj().T).real

@@ -144,14 +144,6 @@ def test_readme_config_example_loads():
     assert config.algorithms == ("jpaim", "nsp-jpaim", "half-duplex")
 
 
-def test_readme_library_quick_start_runs(capsys):
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
-    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
-    converged, iterations, *_ = capsys.readouterr().out.split()
-    assert converged == "True" and int(iterations) > 0
-
-
 def test_campaign_config_validation():
     with pytest.raises(ConfigError):
         CampaignConfig(realizations=0)
@@ -346,11 +338,14 @@ def test_run_campaign_writes_contractual_csv(tmp_path):
 def test_run_campaign_is_order_independent():
     rows = [
         {"seed": 2, "algorithm": "jpaim", "converged": True, "iterations": 4,
-         "loss": 1.0, "sum_rate": 10.0, "rsi": [0.1], "asic": [30.0], "elapsed_ms": 0.0},
+         "loss": 1.0, "sum_rate": 10.0, "rsi_total_w": 0.1, "asic_mean_db": 30.0,
+         "elapsed_ms": 0.0},
         {"seed": 1, "algorithm": "jpaim", "converged": False, "iterations": 8,
-         "loss": 2.0, "sum_rate": 20.0, "rsi": [0.2], "asic": [40.0], "elapsed_ms": 0.0},
+         "loss": 2.0, "sum_rate": 20.0, "rsi_total_w": 0.2, "asic_mean_db": 40.0,
+         "elapsed_ms": 0.0},
         {"seed": 3, "algorithm": "jpaim", "converged": True, "iterations": 6,
-         "loss": 3.0, "sum_rate": 30.0, "rsi": [0.3], "asic": [50.0], "elapsed_ms": 0.0},
+         "loss": 3.0, "sum_rate": 30.0, "rsi_total_w": 0.3, "asic_mean_db": 50.0,
+         "elapsed_ms": 0.0},
     ]
     a = harness._summarize_rows(list(rows))
     b = harness._summarize_rows(list(reversed(rows)))
@@ -367,7 +362,7 @@ def test_run_campaign_is_order_independent():
 
 def test_summary_single_row_has_zero_std():
     rows = [{"seed": 1, "algorithm": "jpaim", "converged": True, "iterations": 4,
-             "loss": 1.0, "sum_rate": 10.0, "rsi": [0.1], "asic": [30.0],
+             "loss": 1.0, "sum_rate": 10.0, "rsi_total_w": 0.1, "asic_mean_db": 30.0,
              "elapsed_ms": 0.0}]
     summary = harness._summarize_rows(rows)
     m = summary.algorithms[0].metrics["sum_rate"]

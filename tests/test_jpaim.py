@@ -10,8 +10,9 @@ import pytest
 
 import helpers
 from ibfdsim import baselines, jpaim, objective
-from ibfdsim.jpaim import SolverConfig, initialize, resolve_nu, run
+from ibfdsim.jpaim import SolverConfig, initialize, run
 from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node, ul_node
+from ibfdsim.objective import resolve_nu
 from ibfdsim.stacked import Channels, uncolumns
 from ibfdsim.state import BeamformingState
 
@@ -36,15 +37,15 @@ def test_solver_config_validation():
 
 def test_resolve_nu_default_tracks_si_gain():
     real = build_realization(ScenarioConfig(asic_db=30.0), 0)
-    np.testing.assert_allclose(resolve_nu(real, SolverConfig()), [1e-6, 1e-6],
+    np.testing.assert_allclose(resolve_nu(real, SolverConfig().nu), [1e-6, 1e-6],
                                rtol=1e-12)
-    np.testing.assert_allclose(resolve_nu(real, SolverConfig(nu=0.5)), [0.5, 0.5])
-    np.testing.assert_allclose(resolve_nu(real, SolverConfig(nu=(0.1, 0.2))),
+    np.testing.assert_allclose(resolve_nu(real, SolverConfig(nu=0.5).nu), [0.5, 0.5])
+    np.testing.assert_allclose(resolve_nu(real, SolverConfig(nu=(0.1, 0.2)).nu),
                                [0.1, 0.2])
     # default matches the dB rule at every depth
     for l_db in (0.0, 30.0, 120.0):
         real = build_realization(ScenarioConfig(asic_db=l_db, cells=1), 0)
-        assert resolve_nu(real, SolverConfig())[0] == pytest.approx(
+        assert resolve_nu(real, SolverConfig().nu)[0] == pytest.approx(
             objective.nu_from_asic(l_db), rel=1e-9)
 
 
@@ -116,7 +117,7 @@ def test_update_combiners_never_increases_loss():
     rng = np.random.default_rng(3)
     for _ in range(5):
         real = helpers.random_small_realization(rng)
-        nu = resolve_nu(real, SolverConfig())
+        nu = resolve_nu(real, SolverConfig().nu)
         state = helpers.solved_state(real, iterations=1)
         before = objective.evaluate(real, state, nu, with_rates=False).loss
         after = objective.evaluate(real, helpers.refresh_combiners(real, state), nu,
@@ -156,7 +157,7 @@ def test_update_precoders_scalar_matches_matrix_power():
 def test_update_precoders_stationary_for_its_lagrangian():
     real = build_realization(helpers.small_config(), 6)
     cfg = SolverConfig()
-    nu = resolve_nu(real, cfg)
+    nu = resolve_nu(real, cfg.nu)
     state = helpers.solved_state(real, iterations=2)
     state = helpers.refresh_combiners(real, state)
     state, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
@@ -274,7 +275,7 @@ def test_update_precoders_keeps_a_silenced_cell_silent(case):
     assert multipliers[0][0] == 0.0
     assert scalar_power[0][0] == state.dl_cell_powers()[0] == 0.0
     assert np.all(state.dl_beams[0] == 0.0)
-    assert helpers.precoder_stationarity(real, state, resolve_nu(real, cfg), multipliers) < 1e-5
+    assert helpers.precoder_stationarity(real, state, resolve_nu(real, cfg.nu), multipliers) < 1e-5
 
 
 def test_extrapolate_moves_beamformers_within_budgets():
@@ -311,7 +312,6 @@ def test_returned_states_are_c_contiguous_and_share_no_memory():
     results = {
         "initialize": initialize(real, cfg),
         "run": run(real, cfg, collect_metrics=False).final_state,
-        "project_state": baselines.project_state(real, state, 4),
         "run_nsp": baselines.run_nsp(real, trace, 4)[1],
     }
     for name, out in results.items():
@@ -348,7 +348,7 @@ def test_run_monotone_and_recorded():
     assert len(rec.dl_cell_power) == real.cell_count
     assert len(rec.ul_user_power) == len(list(real.ul_users()))
     assert len(rec.dl_precoder_multipliers) == real.cell_count
-    assert trace.nu == tuple(resolve_nu(real, cfg))
+    assert trace.nu == tuple(resolve_nu(real, cfg.nu))
     assert trace.final_report.loss == pytest.approx(losses[-1], abs=2e-4)
 
 

@@ -1,6 +1,7 @@
 """Penalized-MSE objective, RSI metrics, and rate reporting."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -28,17 +29,28 @@ def test_nu_from_asic_values():
 
 def test_nu_per_cell_validation():
     real = build_realization(helpers.small_config(), 0)
-    np.testing.assert_allclose(objective._nu_per_cell(real, 0.5), [0.5, 0.5])
-    np.testing.assert_allclose(objective._nu_per_cell(real, (0.1, 0.2)), [0.1, 0.2])
+    np.testing.assert_allclose(objective.resolve_nu(real, 0.5), [0.5, 0.5])
+    np.testing.assert_allclose(objective.resolve_nu(real, (0.1, 0.2)), [0.1, 0.2])
     with pytest.raises(ValueError):
-        objective._nu_per_cell(real, (0.1, 0.2, 0.3))
+        objective.resolve_nu(real, (0.1, 0.2, 0.3))
     with pytest.raises(ValueError):
-        objective._nu_per_cell(real, -1.0)
+        objective.resolve_nu(real, -1.0)
     for bad in (float("nan"), float("inf"), (0.1, float("nan"))):
         with pytest.raises(ValueError, match="finite"):
-            objective._nu_per_cell(real, bad)
+            objective.resolve_nu(real, bad)
         with pytest.raises(ValueError, match="finite"):
             objective.evaluate(real, helpers.random_state(real, 1), bad)
+
+
+def test_evaluate_takes_the_solver_default_nu():
+    # evaluate resolves nu as the solver does, so SolverConfig's default None
+    # scores a solve as the per-cell weights the solve used
+    real = build_realization(ScenarioConfig(), 3)
+    trace = jpaim.run(real, jpaim.SolverConfig(), collect_metrics=False)
+    got = evaluate(real, trace.final_state, None)
+    want = evaluate(real, trace.final_state, trace.nu)
+    for field in fields(want):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
 def test_mse_zero_combiner_equals_streams():

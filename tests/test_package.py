@@ -83,9 +83,12 @@ def test_bench_hooks_name_package_functions():
     assert unresolved == []
 
 
-def test_readme_quick_start_runs():
-    # the README's library quick start runs as written, so the names it
-    # shows cannot drift away from the package
+def test_readme_quick_start_runs(capsys):
+    # the README's one library quick start runs as written, so the names it
+    # shows cannot drift away from the package, and it prints a converged
+    # solve
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+    converged, iterations, *_ = capsys.readouterr().out.split()
+    assert converged == "True" and int(iterations) > 0
