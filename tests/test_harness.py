@@ -144,6 +144,14 @@ def test_readme_config_example_loads():
     assert config.algorithms == ("jpaim", "nsp-jpaim", "half-duplex")
 
 
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    converged, iterations, *_ = capsys.readouterr().out.split()
+    assert converged == "True" and int(iterations) > 0
+
+
 def test_campaign_config_validation():
     with pytest.raises(ConfigError):
         CampaignConfig(realizations=0)
