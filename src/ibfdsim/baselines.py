@@ -1,6 +1,6 @@
 """Reference schemes the full-duplex solver is compared against: null-space
-projection, which reads the SI channels of the ChannelStack (module
-`stacked`) that scores its beams, and the half-duplex time split."""
+projection, scored by objective.score on the ChannelStack (module `stacked`)
+whose SI channels it reads, and the half-duplex time split."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import covariance, jpaim, objective
+from . import jpaim, objective
 from .model import Realization, restrict_to_downlink, restrict_to_uplink
 from .stacked import hermitian, stack_channels
 from .state import BeamformingState
@@ -45,19 +45,17 @@ def run_nsp(realization: Realization, trace: jpaim.RunTrace, subspace_dim: int,
     Projection only ever shrinks the transmitted power, so the power
     constraints stay satisfied; one combiner refresh lets the receivers react
     to the projected beams before the state is scored with the solve's nu.
-    One stack's SI channels, one covariance assembly and one MMSE solve serve
-    the projection, the refresh and the report, which is objective.evaluate
-    of the returned state.  Returns (report, projected state).
+    One stack's SI channels serve the projection, and one objective.score,
+    with one covariance assembly and one MMSE solve, serves the refresh and
+    the report, which is objective.evaluate of the returned state.  Returns
+    (report, projected state).
     """
     ch, hw = stack_channels(realization), realization.hardware
     final = trace.final_state
     dl_beams = nsp_project(final.dl_beams, ch.si[:, None], hw.kappa_bs, subspace_dim)
-    cov = covariance.covariances(ch, hw, (dl_beams, final.ul_beams))
-    mmse = objective.mmse_combiners(cov)
-    # the MSE scores the state's C-contiguous copies, which round as evaluate's do
-    dl, ul = (u.copy() for u in mmse)
-    projected = BeamformingState(dl_beams, dl, final.ul_beams.copy(), ul)
-    return objective.report(ch, hw, (dl, ul), cov, np.asarray(trace.nu), mmse), projected
+    (dl, ul), _, report = objective.score(ch, hw, (dl_beams, final.ul_beams),
+                                          np.asarray(trace.nu), with_rates=True)
+    return report, BeamformingState(dl_beams, dl, final.ul_beams.copy(), ul)
 
 
 def run_half_duplex(realization: Realization, config: jpaim.SolverConfig,

@@ -58,6 +58,10 @@ def distortion_gram(a: np.ndarray, a_h: np.ndarray, y: np.ndarray, y_h: np.ndarr
 # ---------------------------------------------------------------------------
 
 
+def _row_powers(x: np.ndarray) -> np.ndarray:
+    return row_powers(x) if x.size else np.zeros(x.shape[:-1])    # an empty block costs no kernel
+
+
 @dataclass(eq=False)
 class Covariances:
     """Receive covariances of every node of one state, every user's desired
@@ -96,7 +100,7 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
     k_u, n_ue, b_u = beams[1].shape[1:]
     w_bs = columns(beams[0])                         # (G, N_bs, K_d b_d) per BS
     w_ul = beams[1].reshape(cells * k_u, n_ue, b_u)
-    cell_load, ul_load = row_powers(w_bs), row_powers(w_ul)
+    cell_load, ul_load = _row_powers(w_bs), _row_powers(w_ul)
     weights = np.concatenate([hw.kappa_bs * cell_load, hw.kappa_ue * ul_load], axis=None)
     cell_power = (1.0 + hw.kappa_bs) * cell_load.sum(axis=-1)
     csi = ch.err @ np.concatenate([cell_power, (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
@@ -117,14 +121,20 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
                                       (k_u, bs_rx, hw.noise_bs_w, bs_csi)):
         if k:
             diagonal(rx)[...] += (noise_w + err_power)[..., None]
-    # the column blocks of R that a receiver's own cell sends it
+    # the column blocks of R that a receiver's own cell sends it, empty without users
     diag, users, dl_cols = np.arange(cells), np.arange(k_d), cells * k_d * b_d
-    signal_dl = r_dl[..., :dl_cols].reshape(cells, k_d, m_ue, cells, k_d, b_d)[
-        diag[:, None], users, :, diag[:, None], users]
-    si_signal = r_bs[..., :dl_cols].reshape(cells, m_bs, cells, k_d * b_d)[diag, :, diag]
-    signal_ul = r_bs[..., dl_cols:].reshape(cells, m_bs, cells, k_u * b_u)[diag, :, diag]
+    signal_dl = np.zeros((cells, 0, m_ue, b_d), complex)
+    si_signal = np.zeros((cells, m_bs, 0), complex)
+    signal_ul = np.zeros((cells, 0, m_bs, b_u), complex)
+    if k_d:
+        signal_dl = r_dl[..., :dl_cols].reshape(cells, k_d, m_ue, cells, k_d, b_d)[
+            diag[:, None], users, :, diag[:, None], users]
+        si_signal = r_bs[..., :dl_cols].reshape(cells, m_bs, cells, k_d * b_d)[diag, :, diag]
+    if k_u:
+        signal_ul = uncolumns(r_bs[..., dl_cols:].reshape(cells, m_bs, cells, k_u * b_u)[
+            diag, :, diag], b_u)
     return Covariances(dl_rx=dl_rx, bs_rx=bs_rx, dl_csi=dl_csi, bs_csi=bs_csi,
-                       signal=(signal_dl, uncolumns(signal_ul, b_u)),
+                       signal=(signal_dl, signal_ul),
                        si_signal=si_signal, cell_load=cell_load, cell_power=cell_power)
 
 
@@ -150,7 +160,7 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
     # users it decodes side by side: the row order of X
     bs_u = columns(u_ul)
     dl_uh, bs_uh = hermitian(u_dl.reshape(cells * k_d, m_ue, b_d)), hermitian(bs_u)
-    weights = np.concatenate([hw.beta_ue * row_powers(u_dl), hw.beta_bs * row_powers(bs_u)],
+    weights = np.concatenate([hw.beta_ue * _row_powers(u_dl), hw.beta_bs * _row_powers(bs_u)],
                              axis=None)
     # the rows of Z: a block for each receiver kind that decodes a user
     blocks = [block for block in ((dl_uh, slice(dl_rows)), (bs_uh, slice(dl_rows, None)))

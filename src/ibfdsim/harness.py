@@ -14,7 +14,6 @@ import csv
 import functools
 import logging
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -290,6 +289,7 @@ def run_campaign(config: CampaignConfig):
             yield result
 
     if config.workers > 1:
+        import multiprocessing    # a one-worker campaign never loads it
         with multiprocessing.get_context("spawn").Pool(config.workers) as pool:
             results = list(logged(pool.imap(_run_seed, tasks)))
     else:

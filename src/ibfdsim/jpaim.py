@@ -27,8 +27,9 @@ improvement drops below the threshold.
 constants (the SI penalties and the search budgets) once per call and
 iterates on the beams W and the combiners U, (downlink, uplink) pairs of
 arrays in the same layout: each block is a few batched numpy kernels over
-all cells and users.  A BeamformingState holds them only at the ends of a
-solve: the start that `initialize` draws and the final state.
+all cells and users, and each combiner update and loss is objective.score,
+as in every other caller.  A BeamformingState holds them only at the ends
+of a solve: the start that `initialize` draws and the final state.
 
 A direction without users (the other one of a half-duplex phase, or of a
 network without downlink or uplink users) runs no kernel: its transmitters
@@ -46,7 +47,8 @@ import numpy as np
 
 from . import covariance, objective
 from .model import HardwareProfile, Realization
-from .stacked import ChannelStack, frobenius_sq, hermitian, row_powers, stack_channels
+from .stacked import (ChannelStack, add_scaled_diag, frobenius_sq, hermitian, row_powers,
+                      stack_channels)
 from .state import BeamformingState
 
 
@@ -238,11 +240,12 @@ def _bound_step(terms, den, target):
 def _precoder_constants(ch: ChannelStack, hw: HardwareProfile, nu: np.ndarray,
                         config: SolverConfig):
     """What the precoder step reads that no iterate changes: the SI penalty
-    nu_g S_g of every cell, the budget of every search row (cells, then
-    uplink users) with its target (1 - bisection_rel_tol) budget as a
-    column, and the most evaluations one search may take."""
+    nu_g S_g of every cell, with S_g = H^H H + kappa_bs diag(H^H H) from its
+    SI channel H, the budget of every search row (cells, then uplink users)
+    with its target (1 - bisection_rel_tol) budget as a column, and the most
+    evaluations one search may take."""
     budget = np.repeat([hw.p_bs_w, hw.p_ue_w], [ch.cells, ch.cells * ch.k_u])
-    return (nu[:, None, None] * ch.si_gram, budget,
+    return (nu[:, None, None] * add_scaled_diag(hermitian(ch.si) @ ch.si, hw.kappa_bs), budget,
             (budget * (1.0 - config.bisection_rel_tol))[:, None], config.bisection_max_steps)
 
 
@@ -348,16 +351,6 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     beams, cells = (start.dl_beams, start.ul_beams), realization.cell_count
     idle = (np.zeros(cells * (1 + beams[1].shape[1])), None, 0)   # record 0 has no search
 
-    def refresh(beams, combiners=None, with_rates=False):
-        """Combiner update (unless given) plus the report sharing its
-        covariances; returns the combiners, the desired signals H W and the
-        report."""
-        cov = covariance.covariances(ch, hw, beams)
-        mmse = objective.mmse_combiners(cov) if combiners is None or with_rates else None
-        combiners = mmse if combiners is None else combiners
-        return (combiners, cov.signal,
-                objective.report(ch, hw, combiners, cov, nu, mmse if with_rates else None))
-
     def snapshot(iteration, rep, sum_rate, elapsed_ms, search=idle, block_ms=(0.0, 0.0, 0.0)):
         w, _, evaluations = search
         return IterationRecord(
@@ -378,16 +371,16 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
         )
 
     t0 = time.perf_counter()
-    combiners, _, rep = refresh(beams, (start.dl_combiners, start.ul_combiners),
-                                collect_metrics)
+    combiners, _, rep = objective.score(ch, hw, beams, nu,
+                                        (start.dl_combiners, start.ul_combiners), collect_metrics)
     records = [snapshot(0, rep, rep.sum_rate, (time.perf_counter() - t0) * 1e3)]
 
     converged = False
-    accepted = None          # (beams, combiners, signals, report) of the kept trial
+    accepted = None          # (beams, combiners, covariances, report) of the kept trial
     for t in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
         reused = accepted is not None
-        combiners, signal, rep = accepted[1:] if reused else refresh(beams)
+        combiners, cov, rep = accepted[1:] if reused else objective.score(ch, hw, beams, nu)
         accepted = None
         t1 = time.perf_counter()
         exact, search = _precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
@@ -397,21 +390,21 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
         tried = not converged and 1 < t < config.max_iterations
         if tried:
             trial = _extrapolate(hw, exact, beams, EXTRAPOLATION)
-            trial_combiners, trial_signal, trial_rep = refresh(trial)
+            trial_combiners, trial_cov, trial_rep = objective.score(ch, hw, trial, nu)
             if trial_rep.loss < rep.loss - config.threshold:
-                accepted = (trial, trial_combiners, trial_signal, trial_rep)
+                accepted = (trial, trial_combiners, trial_cov, trial_rep)
         t3 = time.perf_counter()
         beams = accepted[0] if accepted else exact
         block_ms = (0.0 if reused else (t1 - t0) * 1e3, (t2 - t1) * 1e3,
                     (t3 - t2) * 1e3 if tried else 0.0)
-        rate_dl, rate_ul = (objective.sum_rates(signal, combiners) if collect_metrics
+        rate_dl, rate_ul = (objective.sum_rates(cov.signal, combiners) if collect_metrics
                             else (rep.sum_rate_dl, rep.sum_rate_ul))
         records.append(snapshot(t, rep, rate_dl + rate_ul, (time.perf_counter() - t0) * 1e3,
                                 search, block_ms))
         if converged:
             break
 
-    final_report = refresh(beams, combiners, with_rates=True)[2]
+    final_report = objective.score(ch, hw, beams, nu, combiners, with_rates=True)[2]
     final_state = BeamformingState(dl_beams=beams[0], dl_combiners=combiners[0],
                                    ul_beams=beams[1], ul_combiners=combiners[1])
     return RunTrace(records=records, final_state=final_state.copy(), final_report=final_report,

@@ -7,9 +7,9 @@ receive array.  Sum rate is reported alongside as the conventional
 log-det measure with everything that is not the desired signal treated as
 noise, taken from the b x b error matrices of the MMSE combiners.
 
-Every figure comes from `report`, on the covariances (module `covariance`)
-of the beams.  `evaluate` scores a Realization and a BeamformingState: it
-stacks the channels, assembles the covariances and calls `report`.
+Every figure comes from `score`, the one scoring step that the solver, the
+baselines and `evaluate` share: `report` on the covariances (module
+`covariance`) of the beams, so the same beams score the same on every path.
 """
 
 from __future__ import annotations
@@ -103,13 +103,13 @@ def _depth_db(gain: float, power: float, rsi: float) -> float:
 
 
 def mmse_combiners(cov: covariance.Covariances):
-    """U = C^-1 H W for every user, from the covariances and desired signals
-    `cov`; a BS solves once for all the uplink users it decodes."""
+    """U = C^-1 H W for every user, C-contiguous, from the covariances and
+    desired signals `cov`; a BS solves once for all the uplink users it decodes."""
     signal_dl, signal_ul = cov.signal
     try:
         # a direction without users has empty combiners, shaped as its signals
         dl = np.linalg.solve(cov.dl_rx, signal_dl) if signal_dl.size else signal_dl
-        ul = (uncolumns(np.linalg.solve(cov.bs_rx, columns(signal_ul)), signal_ul.shape[-1])
+        ul = (uncolumns(np.linalg.solve(cov.bs_rx, columns(signal_ul)), signal_ul.shape[-1]).copy()
               if signal_ul.size else signal_ul)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
@@ -140,8 +140,8 @@ def _rate_bits(signal: np.ndarray, mmse: np.ndarray) -> np.ndarray:
 def sum_rates(signal, mmse) -> tuple[float, float]:
     """Downlink and uplink sum rates in bits/s/Hz of the desired signals
     (H W_dl, H W_ul) and their MMSE combiners (U_dl, U_ul)."""
-    return (float(_rate_bits(signal[0], mmse[0]).sum()),
-            float(_rate_bits(signal[1], mmse[1]).sum()))
+    # a direction without users has rate 0 and costs no slogdet
+    return tuple(float(_rate_bits(a, u).sum()) if a.size else 0.0 for a, u in zip(signal, mmse))
 
 
 def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Covariances,
@@ -164,8 +164,8 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     sum_mse_dl = float(_mse(cov.dl_rx, cov.signal[0], u_dl).sum()) if u_dl.size else 0.0
     sum_mse_ul = (float(_mse(cov.bs_rx[:, None], cov.signal[1], u_ul).sum()) if u_ul.size
                   else 0.0)
-    rsi = (frobenius_sq(cov.si_signal)
-           + hw.kappa_bs * (ch.si_colpow * cov.cell_load).sum(axis=-1))
+    rsi = (frobenius_sq(cov.si_signal) + hw.kappa_bs * (ch.si_colpow * cov.cell_load).sum(axis=-1)
+           if cov.si_signal.size else np.zeros(ch.cells))    # no SI link or no beam through it
     depth = tuple(_depth_db(gain, p, r) for gain, p, r
                   in zip(hw.si_gain, cov.cell_power.tolist(), rsi.tolist()))
     nan = float("nan")
@@ -181,16 +181,26 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     )
 
 
+def score(ch: ChannelStack, hw: HardwareProfile, beams, nu_arr: np.ndarray, combiners=None,
+          with_rates: bool = False) -> tuple:
+    """`report` on the covariances of the beams (W_dl, W_ul) under the combiners
+    (U_dl, U_ul), or their MMSE combiners if None, which also give with_rates'
+    rates.  Returns (scored combiners, covariances, report)."""
+    cov = covariance.covariances(ch, hw, beams)
+    mmse = mmse_combiners(cov) if combiners is None or with_rates else None
+    combiners = mmse if combiners is None else combiners
+    return combiners, cov, report(ch, hw, combiners, cov, nu_arr, mmse if with_rates else None)
+
+
 def evaluate(realization: Realization, state: BeamformingState, nu,
              with_rates: bool = True) -> ObjectiveReport:
-    """Compute every reported metric of `state`: the report on the
-    covariances of its beams, with nu in any SolverConfig.nu form.
+    """Compute every reported metric of `state`: `score` of its beams under
+    its combiners, with nu in any SolverConfig.nu form.
 
     with_rates=False skips the rates (reported as nan), and with them the
     MMSE combiner solve they need.
     """
     nu_arr = resolve_nu(realization, nu)
-    ch, hw = stack_channels(realization), realization.hardware
-    cov = covariance.covariances(ch, hw, (state.dl_beams, state.ul_beams))
-    return report(ch, hw, (state.dl_combiners, state.ul_combiners), cov, nu_arr,
-                  mmse_combiners(cov) if with_rates else None)
+    return score(stack_channels(realization), realization.hardware,
+                 (state.dl_beams, state.ul_beams), nu_arr,
+                 (state.dl_combiners, state.ul_combiners), with_rates)[2]

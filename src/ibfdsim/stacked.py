@@ -18,14 +18,14 @@ of X per receiver and per transmitter, and one copy of its conjugate
 transpose X^H with the matching views, from which both the receive
 covariances and the transmit-side Gram matrices are formed: every such
 product multiplies a block of X by a block of X^H, so X^H is conjugated
-once per stack rather than once per kernel call.  A ChannelStack is built
-per call of the solver, so an in-place edit of a stored link reaches the
-next call.
+once per stack rather than once per kernel call.  A ChannelStack reads
+the stored channels alone, no hardware, and is built per call of the
+solver, so an in-place edit of a stored link reaches the next call.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,13 +174,12 @@ class ChannelStack(Channels):
     on that copy.  (A C-contiguous X^H rounds the covariance of a receiver
     with one antenna differently in the last bits.)
 
-    `si` is the SI channel H of each BS, which the null-space projection
-    baseline reads too, `si_colpow` the squared norm of each column of H,
-    `si_gram` is H^H H + kappa_bs diag(H^H H), and `dl_own_h` and `ul_own_h`
-    are H^H of each serving link.
+    `si` is the SI channel H of each BS, which the precoder step and the
+    null-space projection baseline read too, `si_colpow` the squared norm of
+    each column of H, and `dl_own_h` and `ul_own_h` are H^H of each serving
+    link.
     """
 
-    kappa_bs: InitVar[float]     # BS transmit distortion factor, for the SI Gram
     dl: np.ndarray = field(init=False)         # (G, K_d, M_ue, columns of x)
     bs: np.ndarray = field(init=False)         # (G, M_bs, columns of x)
     from_bs: np.ndarray = field(init=False)    # (G, rows of x, N_bs)
@@ -191,7 +190,7 @@ class ChannelStack(Channels):
     from_bs_h: np.ndarray = field(init=False)  # (G, N_bs, rows of x)
     from_ul_h: np.ndarray = field(init=False)  # (G K_u, N_ue, rows of x)
 
-    def __post_init__(self, kappa_bs: float):
+    def __post_init__(self):
         x, cells, k_d, k_u, diag = self.x, self.cells, self.k_d, self.k_u, np.arange(self.cells)
         dl_rows, bs_cols = cells * k_d * self.m_ue, cells * self.n_bs
         rows, cols = x.shape
@@ -212,11 +211,10 @@ class ChannelStack(Channels):
         ul_own = self.bs[..., bs_cols:].reshape(
             cells, self.m_bs, cells, k_u, self.n_ue)[diag, :, diag].swapaxes(1, 2)
         self.si_colpow = row_powers(np.swapaxes(self.si, -1, -2))    # (G, N_bs)
-        self.si_gram = add_scaled_diag(hermitian(self.si) @ self.si, kappa_bs)
         self.dl_own_h = hermitian(dl_own)                        # (G, K_d, N_bs, M_ue)
         self.ul_own_h = hermitian(np.ascontiguousarray(ul_own))  # (G, K_u, N_ue, M_bs)
 
 
 def stack_channels(realization) -> ChannelStack:
-    """The ChannelStack of a realization (module `model`) and its hardware."""
-    return ChannelStack(**vars(realization.channels), kappa_bs=realization.hardware.kappa_bs)
+    """The ChannelStack of a realization's channels (module `model`)."""
+    return ChannelStack(**vars(realization.channels))

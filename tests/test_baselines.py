@@ -216,9 +216,9 @@ def test_half_duplex_phases_stay_feasible():
 
 
 def test_no_solver_kernel_runs_on_an_empty_block(monkeypatch):
-    # a direction without users costs no eigh or solve: neither a half-duplex
-    # phase, whose other direction has zero-size axes, nor a full-duplex
-    # network without downlink or without uplink users
+    # a direction without users costs no eigh, solve, slogdet or row power:
+    # neither a half-duplex phase, whose other direction has zero-size axes,
+    # nor a full-duplex network without downlink or without uplink users
     operands = []
 
     def recorded(kernel):
@@ -227,8 +227,9 @@ def test_no_solver_kernel_runs_on_an_empty_block(monkeypatch):
             return kernel(*args, **kwargs)
         return wrapper
 
-    for name in ("eigh", "solve"):
-        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "solve"), (np.linalg, "slogdet"),
+                        (covariance, "row_powers")):
+        monkeypatch.setattr(owner, name, recorded(getattr(owner, name)))
     config = SolverConfig(max_iterations=3)
     run_half_duplex(build_realization(ScenarioConfig(), 11), config)
     for users in (dict(dl_users=0), dict(ul_users=0)):

@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -240,6 +243,22 @@ def test_run_campaign_bytes_do_not_depend_on_workers(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(outputs[0]) == 5
     assert outputs[0] == outputs[1]
+
+
+def test_one_worker_campaign_never_imports_multiprocessing(tmp_path):
+    # only a campaign with a worker pool loads multiprocessing, so a fresh
+    # interpreter that runs a one-worker campaign leaves it out
+    script = ("import sys\nfrom dataclasses import replace\n"
+              "from ibfdsim.harness import parse_config, run_campaign\n"
+              f"run_campaign(replace(parse_config({SMALL!r}), workers=1, "
+              f"output_dir={str(tmp_path / 'out')!r}))\n"
+              "print('multiprocessing' in sys.modules)\n")
+    src = str(Path(harness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+    assert (tmp_path / "out" / "realizations.csv").exists()
+    assert done.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -431,6 +431,18 @@ def test_run_final_state_reproduces_the_final_report(scenario, config):
                                        err_msg=f"seed {seed} {field.name}")
 
 
+def test_run_final_report_is_evaluate_of_the_final_state():
+    # the solve, like evaluate, scores through objective.score, and the final
+    # state holds the very arrays it scored, so the figures agree bit for bit
+    for seed in range(10):
+        real = build_realization(ScenarioConfig(), seed)
+        trace = run(real, SolverConfig(), collect_metrics=False)
+        again = objective.evaluate(real, trace.final_state, trace.nu)
+        for field in fields(again):
+            assert getattr(again, field.name) == getattr(trace.final_report, field.name), (
+                f"seed {seed} {field.name}")
+
+
 @pytest.mark.parametrize("scenario, config", [
     (ScenarioConfig(), SolverConfig(max_iterations=1)),
     (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0, max_iterations=1)),

@@ -358,10 +358,10 @@ def test_stack_reads_the_stored_x():
     assert ch.x is real.channels.x and ch.err is real.channels.err
     for view in (ch.dl, ch.bs, ch.from_bs, ch.from_ul):
         assert np.shares_memory(view, real.channels.x)
-    assert ch.si_gram[1].any()
+    assert ch.si[1].any()
     real.link(bs_node(1), bs_node(1)).est[...] = 0.0
     after = stack_channels(real)
-    assert not after.si_gram[1].any() and after.si_gram[0].any()
+    assert not after.si[1].any() and after.si[0].any()
 
 
 def _sizes(real):
