@@ -20,8 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -194,8 +193,8 @@ class Topology:
     """Node placement for one scenario: BS sites plus per-cell user drops."""
 
     bs_xy: np.ndarray                  # (G, 2) metres
-    dl_xy: tuple[np.ndarray, ...]      # per cell (K_d, 2)
-    ul_xy: tuple[np.ndarray, ...]      # per cell (K_u, 2)
+    dl_xy: np.ndarray                  # (G, K_d, 2)
+    ul_xy: np.ndarray                  # (G, K_u, 2)
     inter_site_distance_m: float
     min_bs_user_distance_m: float
 
@@ -225,14 +224,14 @@ def generate_topology(cells: int, dl_users: int, ul_users: int,
                 raise RuntimeError("user placement did not terminate")
         return out
 
-    dl_xy, ul_xy = [], []
+    dl_xy, ul_xy = np.empty((cells, dl_users, 2)), np.empty((cells, ul_users, 2))
     for g in range(cells):
-        dl_xy.append(bs_xy[g] + drop(dl_users))
-        ul_xy.append(bs_xy[g] + drop(ul_users))
+        dl_xy[g] = bs_xy[g] + drop(dl_users)
+        ul_xy[g] = bs_xy[g] + drop(ul_users)
     return Topology(
         bs_xy=bs_xy,
-        dl_xy=tuple(dl_xy),
-        ul_xy=tuple(ul_xy),
+        dl_xy=dl_xy,
+        ul_xy=ul_xy,
         inter_site_distance_m=isd,
         min_bs_user_distance_m=min_dist,
     )
@@ -362,12 +361,6 @@ class Realization:
     def cell_count(self) -> int:
         return self.channels.cells
 
-    def links(self) -> list:
-        """Every (receiver, transmitter) node pair, sorted by key."""
-        bs = [bs_node(g) for g in range(self.cell_count)]
-        return sorted((rx, tx) for rx in bs + [dl_node(g, k) for g, k in self.dl_users()]
-                      for tx in bs + [ul_node(g, k) for g, k in self.ul_users()])
-
     def link(self, rx: Node, tx: Node) -> LinkView:
         """The link rx <- tx as views of the stored arrays (see Channels.link), so
         an in-place edit of them edits the realization."""
@@ -383,8 +376,7 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     then one link per (receiver, transmitter) pair, receivers in the outer
     loop (every downlink user, cell by cell, then every BS) and transmitters
     in the inner one (every BS, then every uplink user, cell by cell).  Each
-    link draws its matrix, then its estimation error.  This is not the order
-    of serialization, which sorts the links by key.
+    link draws its matrix, then its estimation error.
     """
     rng = np.random.default_rng(seed)
     topo = generate_topology(config.cells, config.dl_users, config.ul_users,
@@ -411,9 +403,9 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
                                                config.bs_tx_antennas, config.ul_users,
                                                config.ue_tx_antennas))
     cells = range(config.cells)
-    dl = [(dl_node(g, k), topo.dl_xy[g][k]) for g in cells for k in range(config.dl_users)]
+    dl = [(dl_node(g, k), topo.dl_xy[g, k]) for g in cells for k in range(config.dl_users)]
     bs = [(bs_node(g), topo.bs_xy[g]) for g in cells]
-    ul = [(ul_node(g, k), topo.ul_xy[g][k]) for g in cells for k in range(config.ul_users)]
+    ul = [(ul_node(g, k), topo.ul_xy[g, k]) for g in cells for k in range(config.ul_users)]
     for rx, rx_xy in dl + bs:
         for tx, tx_xy in bs + ul:
             link = real.link(rx, tx)
@@ -446,7 +438,7 @@ def _restrict(realization: Realization, keep_dl: bool) -> Realization:
     rows, an uplink phase no BS transmit columns.  Each stored array of the
     result is one block of the full realization's."""
     topo, ch = realization.topology, realization.channels
-    nowhere = tuple(np.empty((0, 2)) for _ in range(ch.cells))
+    nowhere = np.empty((ch.cells, 0, 2))
     new_topo = replace(topo, dl_xy=topo.dl_xy if keep_dl else nowhere,
                        ul_xy=nowhere if keep_dl else topo.ul_xy)
     dl_rows, bs_cols = ch.cells * ch.k_d * ch.m_ue, ch.cells * ch.n_bs
@@ -472,50 +464,29 @@ def restrict_to_uplink(realization: Realization) -> Realization:
 # ---------------------------------------------------------------------------
 
 _FORMAT_MAGIC = b"IBFDREAL"
-_FORMAT_VERSION = 1
-_ANTENNA_KEYS = ("bs_tx", "bs_rx", "ue_tx", "ue_rx", "dl_streams", "ul_streams")
-
-
-def _node_name(node: Node) -> str:
-    return ":".join(str(part) for part in node)
-
-
-def _link_name(rx: Node, tx: Node) -> str:
-    return f"{_node_name(rx)}<{_node_name(tx)}"
+_FORMAT_VERSION = 2
+# the stored arrays in file order, with their dtypes
+_ARRAYS = {"bs_xy": "<f8", "dl_xy": "<f8", "ul_xy": "<f8",
+           "x": "<c16", "x_true": "<c16", "err": "<f8"}
+# the header's keys; "sizes" holds the Channels size fields and both stream counts
+_HEADER = ("seed", "inter_site_distance_m", "min_bs_user_distance_m", "hardware", "sizes",
+           "arrays")
+_CHANNEL_SIZES = tuple(f.name for f in fields(Channels) if f.type == "int")
+_SIZES = (*_CHANNEL_SIZES, "dl_streams", "ul_streams")
 
 
 def _payload(realization: Realization):
-    """Canonical (metadata, arrays) pair; array order follows the metadata manifest."""
-    topo, ch, hw = realization.topology, realization.channels, realization.hardware
-    arrays: list[tuple[str, np.ndarray]] = [("topology/bs_xy", topo.bs_xy)]
-    for g in range(ch.cells):
-        arrays.append((f"topology/dl_xy/{g}", topo.dl_xy[g]))
-        arrays.append((f"topology/ul_xy/{g}", topo.ul_xy[g]))
-    link_meta = []
-    for rx, tx in realization.links():
-        link = realization.link(rx, tx)
-        name = _link_name(rx, tx)
-        arrays.append((f"channel/{name}/true", link.true))
-        arrays.append((f"channel/{name}/est", link.est))
-        link_meta.append({"rx": _node_name(rx), "tx": _node_name(tx),
-                          "err_var": float(link.err_var)})
+    """Canonical (header, arrays) pair; the arrays by name, in file order."""
+    topo, ch = realization.topology, realization.channels
+    arrays = dict(zip(_ARRAYS, (topo.bs_xy, topo.dl_xy, topo.ul_xy, ch.x, ch.x_true, ch.err)))
     meta = {
-        "version": _FORMAT_VERSION,
         "seed": realization.seed,
-        "topology": {
-            "cell_count": ch.cells,
-            "dl_counts": [ch.k_d] * ch.cells,
-            "ul_counts": [ch.k_u] * ch.cells,
-            "inter_site_distance_m": topo.inter_site_distance_m,
-            "min_bs_user_distance_m": topo.min_bs_user_distance_m,
-        },
-        "antennas": dict(zip(_ANTENNA_KEYS, (ch.n_bs, ch.m_bs, ch.n_ue, ch.m_ue,
-                                             realization.dl_streams, realization.ul_streams))),
-        "hardware": {f.name: (list(v) if isinstance(v := getattr(hw, f.name), tuple) else v)
-                     for f in fields(hw)},
-        "links": link_meta,
-        "arrays": [{"name": name, "dtype": "<c16" if np.iscomplexobj(a) else "<f8",
-                    "shape": list(a.shape)} for name, a in arrays],
+        "inter_site_distance_m": topo.inter_site_distance_m,
+        "min_bs_user_distance_m": topo.min_bs_user_distance_m,
+        "hardware": asdict(realization.hardware),
+        "sizes": {**{name: getattr(ch, name) for name in _CHANNEL_SIZES},
+                  "dl_streams": realization.dl_streams, "ul_streams": realization.ul_streams},
+        "arrays": {name: list(a.shape) for name, a in arrays.items()},
     }
     return meta, arrays
 
@@ -528,8 +499,8 @@ def serialize_realization(realization: Realization) -> bytes:
     blob += _FORMAT_VERSION.to_bytes(4, "little")
     blob += len(head).to_bytes(8, "little")
     blob += head
-    for (_, a), spec in zip(arrays, meta["arrays"]):
-        blob += np.ascontiguousarray(a.astype(spec["dtype"], copy=False)).tobytes()
+    for name, a in arrays.items():
+        blob += np.ascontiguousarray(a, dtype=_ARRAYS[name]).tobytes()
     return bytes(blob)
 
 
@@ -543,20 +514,35 @@ def save_realization(realization: Realization, path) -> None:
         fh.write(serialize_realization(realization))
 
 
+def _checked(obj, keys, what: str) -> dict:
+    """`obj` if it is a JSON object with exactly the given keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"realization file: {what} is {obj!r}, not an object")
+    missing, extra = sorted(set(keys) - obj.keys()), sorted(obj.keys() - set(keys))
+    if missing or extra:
+        raise ValueError(f"realization file: {what} keys: missing {missing}, extra {extra}")
+    return obj
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
 def load_realization(path) -> Realization:
     """Read a file written by save_realization.
 
     Raises ValueError for a foreign file, an unsupported version, a blob
-    whose length disagrees with its own header (cut short or padded), a cell
-    count below 1, a cell, user, antenna or stream count that is not a whole
-    number, user counts that differ between cells, antenna keys other than
-    the six it writes, a stream count below 1 or above the antennas of its
-    link, a hardware value that is out of range or not finite, a missing
-    position array or one whose shape disagrees with the user counts, a link
-    set other than the one the topology implies, an SI gain count other than
-    the cell count, a matrix whose shape disagrees with the antennas, an SI
-    link whose truth differs from its estimate, or an error variance that is
-    negative or not finite.
+    whose length disagrees with its own header (cut short or padded), a
+    header, `sizes`, `hardware` or `arrays` object with a key missing or
+    extra, a seed that is not an integer, a geometry distance that is not a
+    finite positive number, a size that is not an integer, a cell count
+    below 1 or another size below 0, a stream count below 1 or above the
+    antennas of its link, a hardware value that is not a number, out of
+    range or not finite, an SI gain count other than the cell count, an
+    array whose shape disagrees with the sizes, an error variance that is
+    negative or not finite, or an SI link with a true matrix or an error
+    variance other than zero: SI CSI is perfect, so its one matrix is its
+    block of `x`.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -575,85 +561,73 @@ def load_realization(path) -> Realization:
     if len(blob) < fixed + head_len:
         raise ValueError(f"truncated realization file: the header needs {head_len} bytes, "
                          f"{len(blob) - fixed} remain")
-    meta = json.loads(blob[fixed:fixed + head_len].decode())
-    sizes = [(int(np.prod(spec["shape"])) if spec["shape"] else 1)
-             * np.dtype(spec["dtype"]).itemsize for spec in meta["arrays"]]
-    expected = fixed + head_len + sum(sizes)
+    meta = _checked(json.loads(blob[fixed:fixed + head_len].decode()), _HEADER, "header")
+    sizes = _checked(meta["sizes"], _SIZES, "sizes")
+    for key, value in sizes.items():
+        least = 1 if key == "cells" else 0
+        if type(value) is not int or value < least:
+            raise ValueError(f"realization file has {key} = {value!r}, not an integer "
+                             f">= {least}")
+    if type(meta["seed"]) is not int:
+        raise ValueError(f"realization file has seed = {meta['seed']!r}, not an integer")
+    for key in ("inter_site_distance_m", "min_bs_user_distance_m"):
+        if not (_is_number(meta[key]) and 0 < meta[key] < math.inf):
+            raise ValueError(f"realization file has {key} = {meta[key]!r}, not a finite "
+                             f"number > 0")
+    hwm = _checked(meta["hardware"], [f.name for f in fields(HardwareProfile)], "hardware")
+    for key, value in hwm.items():
+        numbers = value if key == "si_gain" else [value]
+        if type(numbers) is not list or not all(map(_is_number, numbers)):
+            raise ValueError(f"realization file has hardware {key} = {value!r}, not "
+                             f"{'a list of numbers' if key == 'si_gain' else 'a number'}")
+    cells = sizes["cells"]
+    if len(hwm["si_gain"]) != cells:
+        raise ValueError(f"realization file has {len(hwm['si_gain'])} SI gains for "
+                         f"{cells} cells")
+    hardware = HardwareProfile(**{**hwm, "si_gain": tuple(hwm["si_gain"])})
+    channel_sizes = {key: sizes[key] for key in _CHANNEL_SIZES}
+    x_shape, err_shape = Channels.shapes(**channel_sizes)
+    shapes = dict(zip(_ARRAYS, ((cells, 2), (cells, sizes["k_d"], 2), (cells, sizes["k_u"], 2),
+                                x_shape, x_shape, err_shape)))
+    stated = _checked(meta["arrays"], _ARRAYS, "arrays")
+    for name, shape in shapes.items():
+        if stated[name] != list(shape):
+            raise ValueError(f"realization file: {name} has shape {stated[name]}, the sizes "
+                             f"give {list(shape)}")
+    nbytes = [math.prod(shape) * np.dtype(dtype).itemsize
+              for shape, dtype in zip(shapes.values(), _ARRAYS.values())]
+    expected = fixed + head_len + sum(nbytes)
     if len(blob) < expected:
         raise ValueError(f"truncated realization file: {len(blob)} bytes, "
                          f"the header describes {expected}")
     if len(blob) > expected:
         raise ValueError(f"realization file has {len(blob) - expected} trailing bytes "
                          f"after the {expected} its header describes")
-    offset = fixed + head_len
-    data = {}
-    for spec, size in zip(meta["arrays"], sizes):
-        a = np.frombuffer(blob[offset:offset + size], dtype=spec["dtype"])
-        data[spec["name"]] = a.reshape(spec["shape"]).copy()
+    offset, data = fixed + head_len, {}
+    for (name, dtype), size in zip(_ARRAYS.items(), nbytes):
+        a = np.frombuffer(blob[offset:offset + size], dtype=dtype)
+        data[name] = a.reshape(shapes[name]).copy()
         offset += size
 
-    tm, am = meta["topology"], meta["antennas"]
-    if sorted(am) != sorted(_ANTENNA_KEYS):
-        raise ValueError(f"realization file has antenna keys {sorted(am)}, "
-                         f"not {sorted(_ANTENNA_KEYS)}")
-    for key, value, least in (("cell_count", tm["cell_count"], 1),
-                              *((key, n, 0) for key in ("dl_counts", "ul_counts") for n in tm[key]),
-                              *((key, value, 0) for key, value in am.items())):
-        if type(value) is not int or value < least:
-            raise ValueError(f"realization file has {key} = {value!r}, not an integer "
-                             f">= {least}")
-    if any(len(counts) != tm["cell_count"] or len(set(counts)) > 1
-           for counts in (tm["dl_counts"], tm["ul_counts"])):
-        raise ValueError(f"realization file needs one user count for every cell, got "
-                         f"downlink {tm['dl_counts']}, uplink {tm['ul_counts']}")
-    cells = range(tm["cell_count"])
-    topo = Topology(
-        bs_xy=data.get("topology/bs_xy"),
-        dl_xy=tuple(data.get(f"topology/dl_xy/{g}") for g in cells),
-        ul_xy=tuple(data.get(f"topology/ul_xy/{g}") for g in cells),
-        inter_site_distance_m=tm["inter_site_distance_m"],
-        min_bs_user_distance_m=tm["min_bs_user_distance_m"],
-    )
-    hwm = dict(meta["hardware"])
-    hwm["si_gain"] = tuple(hwm["si_gain"])
-    if len(hwm["si_gain"]) != tm["cell_count"]:
-        raise ValueError(f"realization file has {len(hwm['si_gain'])} SI gains for "
-                         f"{tm['cell_count']} cells")
-    hw = HardwareProfile(**hwm)
-    real = Realization(topology=topo, hardware=hw, seed=meta["seed"],
-                       dl_streams=am["dl_streams"], ul_streams=am["ul_streams"],
-                       channels=Channels.zeros(tm["cell_count"], tm["dl_counts"][0], am["ue_rx"],
-                                               am["bs_rx"], am["bs_tx"], tm["ul_counts"][0],
-                                               am["ue_tx"]))
-    names = [f"{lm['rx']}<{lm['tx']}" for lm in meta["links"]]
-    found, wanted = Counter(names), Counter(_link_name(rx, tx) for rx, tx in real.links())
-    if found != wanted:
-        raise ValueError(f"realization file's links do not fit its topology: "
-                         f"missing {sorted(wanted - found)}, "
-                         f"extra or repeated {sorted(found - wanted)}")
-    err_var = dict(zip(names, (lm["err_var"] for lm in meta["links"])))
-    for rx, tx in real.links():
-        link, name = real.link(rx, tx), _link_name(rx, tx)
-        true, est = data.get(f"channel/{name}/true"), data.get(f"channel/{name}/est")
-        shapes = [getattr(a, "shape", None) for a in (true, est)]
-        if shapes != [link.est.shape] * 2:
-            raise ValueError(f"realization file: link {name} has true and est shapes "
-                             f"{shapes}, the antennas give {link.est.shape}")
-        if rx == tx and not np.array_equal(true, est):
-            raise ValueError(f"realization file: the SI link {name} has an estimate "
-                             f"that differs from its truth")
-        if not 0.0 <= err_var[name] < math.inf:
-            raise ValueError(f"realization file: link {name} has the error variance "
-                             f"{err_var[name]}, not a finite number >= 0")
-        link.true[...], link.est[...], link.err_var[...] = true, est, err_var[name]
-    ch = real.channels
-    rows = {"bs_xy": ch.cells, **{f"dl_xy/{g}": ch.k_d for g in cells},
-            **{f"ul_xy/{g}": ch.k_u for g in cells}}
-    for name, count in rows.items():
-        xy = data.get(f"topology/{name}")
-        if xy is None:
-            raise ValueError(f"realization file lacks topology/{name}")
-        if xy.shape != (count, 2):
-            raise ValueError(f"realization file: topology/{name} has shape {xy.shape}, "
-                             f"the topology gives {(count, 2)}")
-    return real
+    channels = Channels(data["x"], data["x_true"], data["err"], **channel_sizes)
+    err = channels.err
+    bad = np.argwhere(~(np.isfinite(err) & (err >= 0)))
+    if bad.size:
+        r, t = bad[0]
+        raise ValueError(f"realization file: err[{r}, {t}] = {err[r, t]}, not a finite "
+                         f"number >= 0")
+    # the SI link of BS g: its rows in x_true, its columns, and its err entry
+    bs_rows, diag = np.s_[cells * sizes["k_d"] * sizes["m_ue"]:], np.arange(cells)
+    si_true = channels.x_true[bs_rows, :cells * sizes["n_bs"]].reshape(
+        cells, sizes["m_bs"], cells, sizes["n_bs"])[diag, :, diag]
+    si_known = ~si_true.any(axis=(1, 2)) & (err[cells * sizes["k_d"] + diag, diag] == 0)
+    if not si_known.all():
+        raise ValueError(f"realization file: the SI link of BS {np.argmin(si_known)} has a "
+                         f"true matrix or an error variance; SI CSI is perfect, so its one "
+                         f"matrix is its block of x")
+    topology = Topology(bs_xy=data["bs_xy"], dl_xy=data["dl_xy"], ul_xy=data["ul_xy"],
+                        inter_site_distance_m=meta["inter_site_distance_m"],
+                        min_bs_user_distance_m=meta["min_bs_user_distance_m"])
+    return Realization(topology=topology, hardware=hardware, channels=channels,
+                       dl_streams=sizes["dl_streams"], ul_streams=sizes["ul_streams"],
+                       seed=meta["seed"])

@@ -122,13 +122,18 @@ class Channels:
     k_u: int               # uplink users per cell
     n_ue: int              # transmit antennas per uplink user
 
+    @staticmethod
+    def shapes(cells, k_d, m_ue, m_bs, n_bs, k_u, n_ue) -> tuple[tuple, tuple]:
+        """The shape of `x` (and of `x_true`) and that of `err` for the given sizes."""
+        return ((cells * (k_d * m_ue + m_bs), cells * (n_bs + k_u * n_ue)),
+                (cells * (k_d + 1), cells * (1 + k_u)))
+
     @classmethod
-    def zeros(cls, cells, k_d, m_ue, m_bs, n_bs, k_u, n_ue) -> "Channels":
-        """All-zero channels for the given sizes."""
-        shape = (cells * (k_d * m_ue + m_bs), cells * (n_bs + k_u * n_ue))
+    def zeros(cls, *sizes) -> "Channels":
+        """All-zero channels for the sizes that `shapes` takes."""
+        shape, err_shape = cls.shapes(*sizes)
         return cls(np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex),
-                   np.zeros((cells * (k_d + 1), cells * (1 + k_u))),
-                   cells, k_d, m_ue, m_bs, n_bs, k_u, n_ue)
+                   np.zeros(err_shape), *sizes)
 
     def link(self, rx: tuple, tx: tuple) -> LinkView:
         """Views of the blocks of the link rx <- tx, with nodes ("bs", g),

@@ -32,6 +32,13 @@ def small_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def links(realization: Realization) -> list:
+    """Every (receiver, transmitter) node pair of a realization, sorted by key."""
+    bs = [bs_node(g) for g in range(realization.cell_count)]
+    return sorted((rx, tx) for rx in bs + [dl_node(g, k) for g, k in realization.dl_users()]
+                  for tx in bs + [ul_node(g, k) for g, k in realization.ul_users()])
+
+
 def random_small_realization(rng, **overrides) -> Realization:
     """Random small instance: sizes, SI gain, and seed drawn from `rng`."""
     cfg = small_config(
@@ -219,7 +226,7 @@ def mc_estimates(realization: Realization, state: BeamformingState, draws: int, 
 
     def receive(rx, rows, beta, noise_w):
         y = cn(rng, (draws, rows)) * math.sqrt(noise_w)
-        for r, t in realization.links():
+        for r, t in links(realization):
             if r != rx:
                 continue
             link = realization.link(r, t)

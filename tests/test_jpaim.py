@@ -185,7 +185,7 @@ def test_cell_and_user_relabelling_permutes_every_output():
                         np.array(real.hardware.si_gain)[cells].tolist())),
                     channels=Channels.zeros(ch.cells, ch.k_d, ch.m_ue, ch.m_bs, ch.n_bs,
                                             ch.k_u, ch.n_ue))
-    for rx, tx in moved.links():
+    for rx, tx in helpers.links(moved):
         new, was = moved.link(rx, tx), real.link(old(rx), old(tx))
         new.true[...], new.est[...], new.err_var[...] = was.true, was.est, was.err_var
 

@@ -149,7 +149,7 @@ def test_build_realization_structure():
     assert list(real.dl_users()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert list(real.ul_users()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # every receiver sees every transmitter: (4 dl + 2 bs) x (2 bs + 4 ul)
-    assert len(real.links()) == 6 * 6
+    assert len(helpers.links(real)) == 6 * 6
     h = real.link(dl_node(0, 0), bs_node(1)).true
     assert h.shape == (2, 16)
     h_ul = real.link(bs_node(0), ul_node(1, 1)).est
@@ -179,7 +179,7 @@ def test_si_channel_power_tracks_asic_depth():
 
 def test_estimate_error_variance_consistency():
     real = build_realization(ScenarioConfig(csi_error_factor=1e-2), 6)
-    for rx, tx in real.links():
+    for rx, tx in helpers.links(real):
         link = real.link(rx, tx)
         if rx == tx:
             continue  # self-interference carries perfect estimates
@@ -210,7 +210,7 @@ def test_build_realization_deterministic():
     a = build_realization(cfg, 123)
     b = build_realization(cfg, 123)
     assert realization_digest(a) == realization_digest(b)
-    for key in a.links():
+    for key in helpers.links(a):
         np.testing.assert_array_equal(a.link(*key).true, b.link(*key).true)
     c = build_realization(cfg, 124)
     assert realization_digest(a) != realization_digest(c)
@@ -230,12 +230,12 @@ def test_restrict_to_single_direction():
     assert list(dl.ul_users()) == []
     assert list(dl.dl_users()) == list(real.dl_users())
     # no link touches an uplink user, SI links survive
-    assert all(key[0][0] != "ul" and key[1][0] != "ul" for key in dl.links())
-    assert (bs_node(0), bs_node(0)) in dl.links()
+    assert all(key[0][0] != "ul" and key[1][0] != "ul" for key in helpers.links(dl))
+    assert (bs_node(0), bs_node(0)) in helpers.links(dl)
 
     ul = restrict_to_uplink(real)
     assert list(ul.dl_users()) == []
-    assert all(key[0][0] != "dl" and key[1][0] != "dl" for key in ul.links())
+    assert all(key[0][0] != "dl" and key[1][0] != "dl" for key in helpers.links(ul))
     np.testing.assert_array_equal(ul.link(bs_node(1), ul_node(0, 0)).true,
                                   real.link(bs_node(1), ul_node(0, 0)).true)
 
@@ -245,7 +245,7 @@ def test_restrict_to_single_direction():
     assert (dl.channels.m_bs, dl.channels.n_bs) == (0, ch.n_bs)
     assert (ul.channels.n_bs, ul.channels.m_bs) == (0, ch.m_bs)
     for part in (dl, ul):
-        for rx, tx in part.links():
+        for rx, tx in helpers.links(part):
             kept, full = part.link(rx, tx), real.link(rx, tx)
             rows = 0 if part is dl and rx[0] == "bs" else full.est.shape[0]
             cols = 0 if part is ul and tx[0] == "bs" else full.est.shape[1]
@@ -293,7 +293,7 @@ def test_link_views_tile_the_stored_arrays():
     for real in (build_realization(_UNEVEN, 13),
                  restrict_to_downlink(build_realization(_UNEVEN, 14)),
                  restrict_to_uplink(build_realization(_UNEVEN, 15))):
-        ch, links = real.channels, real.links()
+        ch, links = real.channels, helpers.links(real)
         ch.x[...], ch.x_true[...], ch.err[...] = 0.0, 0.0, 0.0
         for n, key in enumerate(links, start=1):
             link = real.link(*key)
@@ -371,6 +371,15 @@ def _sizes(real):
             real.dl_streams, real.ul_streams)
 
 
+def _record(real):
+    """What a realization file must carry bit for bit: every stored array,
+    every size, the hardware, the seed and the geometry distances."""
+    topo, ch = real.topology, real.channels
+    arrays = (topo.bs_xy, topo.dl_xy, topo.ul_xy, ch.x, ch.x_true, ch.err)
+    return ([(a.dtype, a.shape, a.tobytes()) for a in arrays], _sizes(real), real.hardware,
+            real.seed, topo.inter_site_distance_m, topo.min_bs_user_distance_m)
+
+
 def test_serialization_roundtrip(tmp_path):
     real = build_realization(ScenarioConfig(cells=2, dl_users=1, ul_users=2,
                                             csi_error_factor=1e-2), 31)
@@ -378,15 +387,7 @@ def test_serialization_roundtrip(tmp_path):
     save_realization(real, path)
     back = load_realization(path)
     assert realization_digest(back) == realization_digest(real)
-    assert back.seed == real.seed
-    assert _sizes(back) == _sizes(real)
-    assert back.hardware == real.hardware
-    for key in real.links():
-        link, loaded = real.link(*key), back.link(*key)
-        np.testing.assert_array_equal(loaded.true, link.true)
-        np.testing.assert_array_equal(loaded.est, link.est)
-        assert loaded.err_var == link.err_var
-    np.testing.assert_array_equal(back.topology.bs_xy, real.topology.bs_xy)
+    assert _record(back) == _record(real)
 
 
 @pytest.mark.parametrize("restrict", [restrict_to_downlink, restrict_to_uplink])
@@ -395,7 +396,7 @@ def test_serialization_roundtrip_of_a_single_direction(tmp_path, restrict):
     real = restrict(build_realization(ScenarioConfig(cells=2, csi_error_factor=1e-2), 32))
     save_realization(real, tmp_path / "real.bin")
     back = load_realization(tmp_path / "real.bin")
-    assert _sizes(back) == _sizes(real)
+    assert _record(back) == _record(real)
     assert realization_digest(back) == realization_digest(real)
 
 
@@ -423,115 +424,111 @@ def test_load_realization_rejects_cut_and_padded_files(tmp_path):
     assert realization_digest(load_realization(path)) == realization_digest(real)
 
 
+def test_load_realization_refuses_format_version_1(tmp_path):
+    blob = serialize_realization(build_realization(ScenarioConfig(cells=1), 3))
+    path = tmp_path / "real.bin"
+    path.write_bytes(blob[:8] + (1).to_bytes(4, "little") + blob[12:])
+    with pytest.raises(ValueError, match="^unsupported realization format version 1$"):
+        load_realization(path)
+
+
 def _save_edited(real, path, monkeypatch, edit):
-    """Save `real` after `edit(meta, arrays)` has changed its file payload."""
+    """Save `real` after `edit(meta, arrays)` has changed its file payload;
+    the header's array shapes follow the edited arrays."""
     meta, arrays = model._payload(real)
     edit(meta, arrays)
-    meta["arrays"] = [{"name": name, "dtype": "<c16" if np.iscomplexobj(a) else "<f8",
-                       "shape": list(a.shape)} for name, a in arrays]
+    if "arrays" in meta:
+        meta["arrays"] = {name: list(a.shape) for name, a in arrays.items()}
     with monkeypatch.context() as patch:
         patch.setattr(model, "_payload", lambda _: (meta, arrays))
         save_realization(real, path)
 
 
+def _rejects(real, tmp_path, monkeypatch, edit, match):
+    _save_edited(real, tmp_path / "real.bin", monkeypatch, edit)
+    with pytest.raises(ValueError, match=match):
+        load_realization(tmp_path / "real.bin")
+
+
 def test_load_realization_rejects_a_missing_link(tmp_path, monkeypatch):
+    # x without the columns of uplink user (0, 0)
     real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
-    gone = "channel/dl:0:0<ul:0:0/"
 
     def drop(meta, arrays):
-        meta["links"] = [lm for lm in meta["links"]
-                         if (lm["rx"], lm["tx"]) != ("dl:0:0", "ul:0:0")]
-        arrays[:] = [(name, a) for name, a in arrays if not name.startswith(gone)]
+        arrays["x"] = arrays["x"][:, :16]
 
-    _save_edited(real, tmp_path / "real.bin", monkeypatch, drop)
-    with pytest.raises(ValueError, match=r"missing \['dl:0:0<ul:0:0'\]"):
-        load_realization(tmp_path / "real.bin")
-
-
-@pytest.mark.parametrize("name", ["topology/bs_xy", "topology/dl_xy/0", "topology/ul_xy/1"])
-def test_load_realization_rejects_a_missing_position_array(tmp_path, monkeypatch, name):
-    real = build_realization(ScenarioConfig(cells=2, dl_users=2, ul_users=1), 3)
-
-    def drop(meta, arrays):
-        arrays[:] = [(n, a) for n, a in arrays if n != name]
-
-    _save_edited(real, tmp_path / "real.bin", monkeypatch, drop)
-    with pytest.raises(ValueError, match=f"lacks {name}$"):
-        load_realization(tmp_path / "real.bin")
-
-
-@pytest.mark.parametrize("name, shape", [("topology/bs_xy", (3, 2)),
-                                         ("topology/dl_xy/0", (3, 2)),
-                                         ("topology/ul_xy/1", (1, 3))])
-def test_load_realization_rejects_a_position_array_of_the_wrong_shape(
-        tmp_path, monkeypatch, name, shape):
-    # G = 2 cells, K_d = 2 and K_u = 1 users per cell
-    real = build_realization(ScenarioConfig(cells=2, dl_users=2, ul_users=1), 3)
-
-    def reshape(meta, arrays):
-        arrays[:] = [(n, np.zeros(shape) if n == name else a) for n, a in arrays]
-
-    _save_edited(real, tmp_path / "real.bin", monkeypatch, reshape)
-    with pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}")):
-        load_realization(tmp_path / "real.bin")
+    _rejects(real, tmp_path, monkeypatch, drop,
+             re.escape("x has shape [18, 16], the sizes give [18, 18]"))
 
 
 def test_load_realization_rejects_an_extra_link(tmp_path, monkeypatch):
+    # no uplink user, but x still holds the columns of one
     real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
 
     def no_uplink_users(meta, arrays):
-        meta["topology"]["ul_counts"] = [0]
+        meta["sizes"]["k_u"] = 0
+        arrays["ul_xy"] = arrays["ul_xy"][:, :0]
 
-    _save_edited(real, tmp_path / "real.bin", monkeypatch, no_uplink_users)
-    with pytest.raises(ValueError, match=r"extra or repeated \['bs:0<ul:0:0'"):
-        load_realization(tmp_path / "real.bin")
+    _rejects(real, tmp_path, monkeypatch, no_uplink_users,
+             re.escape("x has shape [18, 18], the sizes give [18, 16]"))
 
 
 def test_load_realization_rejects_a_shape_the_antennas_contradict(tmp_path, monkeypatch):
     real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
 
     def fewer_bs_antennas(meta, arrays):
-        meta["antennas"]["bs_rx"] = 15
+        meta["sizes"]["m_bs"] = 15
 
-    _save_edited(real, tmp_path / "real.bin", monkeypatch, fewer_bs_antennas)
-    with pytest.raises(ValueError,
-                       match=r"\[\(16, 16\), \(16, 16\)\], the antennas give \(15, 16\)"):
-        load_realization(tmp_path / "real.bin")
+    _rejects(real, tmp_path, monkeypatch, fewer_bs_antennas,
+             re.escape("x has shape [18, 18], the sizes give [17, 18]"))
 
 
-def test_load_realization_rejects_unequal_user_counts(tmp_path, monkeypatch):
-    real = build_realization(ScenarioConfig(cells=2, dl_users=1, ul_users=1), 3)
-
-    def uneven(meta, arrays):
-        meta["topology"]["dl_counts"] = [1, 0]
-
-    _save_edited(real, tmp_path / "real.bin", monkeypatch, uneven)
-    with pytest.raises(ValueError, match="one user count for every cell"):
-        load_realization(tmp_path / "real.bin")
+_STORED = ["bs_xy", "dl_xy", "ul_xy", "x", "x_true", "err"]
 
 
-def _set_err_var(link, value):
+@pytest.mark.parametrize("name", _STORED)
+def test_load_realization_rejects_a_missing_array(tmp_path, monkeypatch, name):
+    real = build_realization(ScenarioConfig(cells=2, dl_users=2, ul_users=1), 3)
+    _rejects(real, tmp_path, monkeypatch, lambda meta, arrays: arrays.pop(name),
+             re.escape(f"arrays keys: missing ['{name}'], extra []"))
+
+
+@pytest.mark.parametrize("name, shape", zip(_STORED, [(3, 2), (2, 3, 2), (2, 1, 3),
+                                                      (40, 35), (36, 40), (4, 6)]), ids=_STORED)
+def test_load_realization_rejects_an_array_of_the_wrong_shape(tmp_path, monkeypatch, name,
+                                                                 shape):
+    # G = 2 cells, K_d = 2 and K_u = 1 users per cell: x is (40, 36), err (6, 4)
+    real = build_realization(ScenarioConfig(cells=2, dl_users=2, ul_users=1), 3)
+    _rejects(real, tmp_path, monkeypatch,
+             lambda meta, arrays: arrays.update({name: np.zeros(shape)}),
+             re.escape(f"file: {name} has shape {list(shape)}, the sizes give"))
+
+
+def _set_err(index, value):
     def edit(meta, arrays):
-        next(lm for lm in meta["links"] if f"{lm['rx']}<{lm['tx']}" == link)["err_var"] = value
+        arrays["err"] = arrays["err"].copy()
+        arrays["err"][index] = value
     return edit
 
 
+# err of one cell with one user each way: rows DL user 0, BS; columns BS, UL user 0
 @pytest.mark.parametrize("edit, match", [
     (lambda meta, _: meta["hardware"].update(noise_bs_w=math.nan), "noise_bs_w must be finite"),
     (lambda meta, _: meta["hardware"].update(p_bs_w=math.inf), "p_bs_w must be finite"),
     (lambda meta, _: meta["hardware"].update(kappa_bs=math.nan), "kappa_bs must be finite"),
     (lambda meta, _: meta["hardware"].update(si_gain=[math.nan]), "si_gain must be finite"),
-    (_set_err_var("dl:0:0<bs:0", -1e-3), r"link dl:0:0<bs:0 has the error variance -0\.001"),
-    (_set_err_var("bs:0<ul:0:0", math.nan), r"link bs:0<ul:0:0 has the error variance nan"),
-    (_set_err_var("dl:0:0<ul:0:0", math.inf), r"link dl:0:0<ul:0:0 has the error variance inf"),
-    (lambda meta, _: meta["antennas"].update(dl_streams=0), "dl_streams must be >= 1, got 0"),
-    (lambda meta, _: meta["antennas"].update(ul_streams=3), "ul_streams = 3 exceeds 2"),
-    (lambda meta, _: meta["antennas"].update(spare=1), "antenna keys"),
-    (lambda meta, _: (meta["topology"].update(cell_count=0, dl_counts=[], ul_counts=[]),
-                      meta["hardware"].update(si_gain=[])), "cell_count = 0, not an integer >= 1"),
-    (lambda meta, _: meta["antennas"].update(ue_rx=2.0), "ue_rx = 2.0, not an integer"),
-    (lambda meta, _: meta["antennas"].update(dl_streams="2"), "dl_streams = '2', not an integer"),
-    (lambda meta, _: meta["topology"].update(dl_counts=[1.0]), "dl_counts = 1.0, not an integer"),
+    (_set_err((0, 0), -1e-3), r"err\[0, 0\] = -0\.001, not a finite number >= 0"),
+    (_set_err((1, 1), math.nan), r"err\[1, 1\] = nan, not a finite number >= 0"),
+    (_set_err((0, 1), math.inf), r"err\[0, 1\] = inf, not a finite number >= 0"),
+    (lambda meta, _: meta["sizes"].update(dl_streams=0), "dl_streams must be >= 1, got 0"),
+    (lambda meta, _: meta["sizes"].update(ul_streams=3), "ul_streams = 3 exceeds 2"),
+    (lambda meta, _: meta["sizes"].update(spare=1), re.escape("sizes keys: missing [], "
+                                                              "extra ['spare']")),
+    (lambda meta, _: (meta["sizes"].update(cells=0), meta["hardware"].update(si_gain=[])),
+     "cells = 0, not an integer >= 1"),
+    (lambda meta, _: meta["sizes"].update(m_ue=2.0), "m_ue = 2.0, not an integer"),
+    (lambda meta, _: meta["sizes"].update(dl_streams="2"), "dl_streams = '2', not an integer"),
+    (lambda meta, _: meta["sizes"].update(k_d=1.0), "k_d = 1.0, not an integer"),
 ], ids=["nan_noise", "inf_budget", "nan_kappa", "nan_si_gain", "negative_err_var",
         "nan_err_var", "inf_err_var", "no_streams", "more_streams_than_antennas",
         "extra_antenna_key", "no_cells", "float_antennas", "string_streams",
@@ -540,34 +537,66 @@ def test_load_realization_rejects_corrupt_values(tmp_path, monkeypatch, edit, ma
     # each of these once loaded, and every solve on it then failed or
     # quietly scored a meaningless loss
     real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
-    _save_edited(real, tmp_path / "real.bin", monkeypatch, edit)
-    with pytest.raises(ValueError, match=match):
-        load_realization(tmp_path / "real.bin")
+    _rejects(real, tmp_path, monkeypatch, edit, match)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda meta, _: meta.pop("seed"), r"header keys: missing \['seed'\], extra \[\]"),
+    (lambda meta, _: meta.pop("arrays"), r"header keys: missing \['arrays'\]"),
+    (lambda meta, _: meta.pop("min_bs_user_distance_m"), r"missing \['min_bs_user_distance_m'\]"),
+    (lambda meta, _: meta.update(spare=0), r"header keys: missing \[\], extra \['spare'\]"),
+    (lambda meta, _: meta["sizes"].pop("k_u"), r"sizes keys: missing \['k_u'\], extra \[\]"),
+    (lambda meta, _: meta.update(sizes=[1]), r"sizes is \[1\], not an object"),
+    (lambda meta, _: meta["hardware"].pop("p_ue_w"), r"hardware keys: missing \['p_ue_w'\]"),
+    (lambda meta, _: meta["hardware"].update(spare=1.0), r"hardware keys: .* extra \['spare'\]"),
+    (lambda meta, _: meta["hardware"].update(kappa_bs="x"),
+     "hardware kappa_bs = 'x', not a number"),
+    (lambda meta, _: meta["hardware"].update(si_gain=1e-12),
+     "hardware si_gain = 1e-12, not a list of numbers"),
+    (lambda meta, _: meta["hardware"].update(si_gain=["x"]), r"si_gain = \['x'\], not a list"),
+    (lambda meta, _: meta.update(seed="x"), "seed = 'x', not an integer"),
+    (lambda meta, _: meta.update(seed=3.0), "seed = 3.0, not an integer"),
+    (lambda meta, _: meta.update(inter_site_distance_m="x"),
+     "inter_site_distance_m = 'x', not a finite number > 0"),
+    (lambda meta, _: meta.update(inter_site_distance_m=math.inf),
+     "inter_site_distance_m = inf, not a finite number > 0"),
+    (lambda meta, _: meta.update(min_bs_user_distance_m=math.nan),
+     "min_bs_user_distance_m = nan, not a finite number > 0"),
+    (lambda meta, _: meta.update(min_bs_user_distance_m=0),
+     "min_bs_user_distance_m = 0, not a finite number > 0"),
+], ids=["missing_seed", "missing_arrays", "missing_distance", "extra_key", "missing_size",
+        "sizes_not_an_object", "missing_hardware_key", "extra_hardware_key",
+        "string_hardware_value", "scalar_si_gain", "string_si_gain", "string_seed",
+        "float_seed", "string_distance", "inf_distance", "nan_distance", "zero_distance"])
+def test_load_realization_rejects_a_malformed_header(tmp_path, monkeypatch, edit, match):
+    # each raised a KeyError or TypeError, or loaded without complaint, in
+    # format 1; a corrupt header is a ValueError that names its key
+    real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
+    _rejects(real, tmp_path, monkeypatch, edit, match)
 
 
 def test_load_realization_rejects_an_si_link_with_two_matrices(tmp_path, monkeypatch):
+    # SI CSI is perfect: the SI block of x is the channel, and its block of
+    # x_true and its err entry are zero
     real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
+    bs_rows, bs_cols = np.s_[2:], np.s_[:16]       # M_ue = 2 rows of DL user 0, N_bs = 16
 
-    def perturb_si(meta, arrays):
-        arrays[:] = [(name, 2.0 * a if name == "channel/bs:0<bs:0/true" else a)
-                     for name, a in arrays]
+    def perturb_si_truth(meta, arrays):
+        arrays["x_true"] = arrays["x_true"].copy()
+        arrays["x_true"][bs_rows, bs_cols] = arrays["x"][bs_rows, bs_cols]
 
-    _save_edited(real, tmp_path / "real.bin", monkeypatch, perturb_si)
-    with pytest.raises(ValueError, match="SI link"):
-        load_realization(tmp_path / "real.bin")
+    assert not real.channels.x_true[bs_rows, bs_cols].any()
+    for edit in (perturb_si_truth, _set_err((1, 0), 1e-9)):
+        _rejects(real, tmp_path, monkeypatch, edit, "the SI link of BS 0 has a true matrix")
 
 
 @pytest.mark.parametrize("gains", [1, 3])
 def test_load_realization_rejects_an_si_gain_count_other_than_the_cells(
         tmp_path, monkeypatch, gains):
     real = build_realization(ScenarioConfig(cells=2, dl_users=1, ul_users=1), 3)
-
-    def resize(meta, arrays):
-        meta["hardware"]["si_gain"] = [1e-6] * gains
-
-    _save_edited(real, tmp_path / "real.bin", monkeypatch, resize)
-    with pytest.raises(ValueError, match=f"{gains} SI gains for 2 cells"):
-        load_realization(tmp_path / "real.bin")
+    _rejects(real, tmp_path, monkeypatch,
+             lambda meta, _: meta["hardware"].update(si_gain=[1e-6] * gains),
+             f"{gains} SI gains for 2 cells")
 
 
 def test_digest_is_stable_hex():
@@ -579,15 +608,17 @@ def test_digest_is_stable_hex():
 
 
 # sha256 of serialize_realization for fixed (config, seed) pairs.  They pin
-# the draw order, the stored bits and the on-disk format at once, so any
-# change to how a realization is drawn or stored must leave them unchanged.
-# The two single-direction ones also pin which BS chain a phase switches off.
+# the draw order, the stored bits and the on-disk format (version 2) at
+# once, so any change to how a realization is drawn or stored must leave
+# them unchanged or re-record them with a check that the stored arrays kept
+# their bits.  The two single-direction ones also pin which BS chain a phase
+# switches off.
 _DIGEST_GOLDENS = {
-    "default": "f394eb0f002211fdcb72575f08886cedb9f75953138ee685c45d5f26ffa58ca4",
-    "three_cells": "c4c361ed0c767f84f558498c1b45ee0ab8ee629dd9c9d55060a4057d63e4883d",
-    "perfect_csi": "d774daf1978faa977accac4a7ac246382ab23413c6e68aece7a17af74a9b7073",
-    "downlink_only": "4111a12fb680fa262fc2dd4a379817364e403ad45303d28befbb46a4f2f27579",
-    "uplink_only": "99d2e49a95cd629a7fb4ea3bd383a148070df29d77f200b137a49301dc889c06",
+    "default": "5326fc98abefe4aa629716e8775106a08a8adb8f32e71969f5adb4137e861791",
+    "three_cells": "4996cbde275ec2dbddff7afce73c05fd8a58a6f1b9f002ea8b1a7438b7c1cdc3",
+    "perfect_csi": "c47858b03c76b87ad72d97171d8a46ef8d75b63b14741af607ff622d5eb0c117",
+    "downlink_only": "778b410322fc165bbf95533a89060d2aea500c00926df5be1fd8212eb4a661dc",
+    "uplink_only": "24b59eb92f86c215e3bf17c4fa75d8b75166d1280c3c3977d566da1d4bf86c4d",
 }
 
 
