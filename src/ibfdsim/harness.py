@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, jpaim
 from .jpaim import SolverConfig
-from .model import ScenarioConfig, build_realization, realization_digest
+from .model import ScenarioConfig, build_realization, check_integer_fields, realization_digest
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +52,7 @@ class CampaignConfig:
     trace: bool = False                      # also write per-iteration CSVs
 
     def __post_init__(self):
+        check_integer_fields(self, ConfigError)
         if self.realizations < 1:
             raise ConfigError(f"campaign.realizations must be >= 1, got {self.realizations}")
         if self.workers < 1:

@@ -46,10 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance, objective
-from .model import HardwareProfile, Realization
+from .model import HardwareProfile, Realization, check_integer_fields
 from .stacked import (ChannelStack, add_scaled_diag, frobenius_sq, hermitian, row_powers,
                       stack_channels)
 from .state import BeamformingState
+
+EXTRAPOLATION = 4.0            # weight beta of the extrapolated trial point
+SEARCH_REL_TOL = 1e-8          # a multiplier search stops this far, relatively, below the budget
+SEARCH_MAX_EVALUATIONS = 200   # most power evaluations one multiplier search may take
 
 
 @dataclass(frozen=True)
@@ -59,11 +63,10 @@ class SolverConfig:
     nu: object = None                 # float, tuple of per-cell floats, or None
     threshold: float = 1e-4           # stop once the loss decrease falls below this
     max_iterations: int = 100
-    bisection_rel_tol: float = 1e-8   # relative power error at the budget
-    bisection_max_steps: int = 200    # most power evaluations one multiplier search may take
     init_seed: int = 0                # seeds the random initial beams
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.nu is not None:
             # a float or a tuple of floats, whatever numeric form was given
             nu = objective.checked_nu(self.nu)
@@ -72,10 +75,6 @@ class SolverConfig:
             raise ValueError("threshold must lie in (0, 1e-3]")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if not 0.0 < self.bisection_rel_tol <= 1e-6:
-            raise ValueError("bisection_rel_tol must lie in (0, 1e-6]")
-        if self.bisection_max_steps < 1:
-            raise ValueError("bisection_max_steps must be >= 1")
 
 
 @dataclass
@@ -169,21 +168,22 @@ def initialize(realization: Realization, config: SolverConfig) -> BeamformingSta
 _TINY = np.finfo(float).tiny
 
 
-def _search(g, d, budget, target, max_steps: int):
+def _search(g, d, budget, target):
     """Smallest w >= 0 with P(w) = sum_i g_i / (d_i + w)^2 <= budget, every row at once.
 
     g and d are float rows of shape (rows, n) with g, d >= 0, `budget` is
     each row's budget (rows,) and `target` its target as a column (rows, 1),
-    the budget times (1 - rel_tol).  Terms with g_i = 0 carry no power at
-    any w.  A row within its budget at w = 0 gets w = 0.  Any other row aims
-    at its target with a safeguarded Newton method on phi(w) = P(w)^(-1/2),
-    which is concave and increasing (the secular-equation step of More &
-    Sorensen, SIAM J. Sci. Stat. Comput. 1983).  It starts from the one-term
+    the budget times (1 - SEARCH_REL_TOL).  Terms with g_i = 0 carry no
+    power at any w.  A row within its budget at w = 0 gets w = 0.  Any other
+    row aims at its target with a safeguarded Newton method on
+    phi(w) = P(w)^(-1/2), which is concave and increasing (the
+    secular-equation step of More & Sorensen, SIAM J. Sci. Stat. Comput.
+    1983).  It starts from the one-term
     lower bound max_i(sqrt(g_i / target) - d_i) on the root, and every step
     lands on a lower bound again (see _bound_step), so the iterates rise
     monotonically and a row stops at the first with P(w) <= budget:
-    feasible, and binding to within rel_tol.  A row still over its budget
-    after max_steps evaluations raises RuntimeError.
+    feasible, and binding to within SEARCH_REL_TOL.  A row still over its
+    budget after SEARCH_MAX_EVALUATIONS evaluations raises RuntimeError.
 
     Returns (w, P(w), evaluations of P), each of shape (rows,).
     """
@@ -206,9 +206,9 @@ def _search(g, d, budget, target, max_steps: int):
         searching &= power > budget
         if not np.logical_or.reduce(searching):
             return w, power, evaluations
-        if passes >= max_steps:
+        if passes >= SEARCH_MAX_EVALUATIONS:
             raise RuntimeError(f"power multiplier search: no feasible multiplier after "
-                               f"{max_steps} evaluations")
+                               f"{SEARCH_MAX_EVALUATIONS} evaluations")
         w = np.where(searching, w + _bound_step(terms, den, target), w)
 
 
@@ -237,16 +237,14 @@ def _bound_step(terms, den, target):
 # ---------------------------------------------------------------------------
 
 
-def _precoder_constants(ch: ChannelStack, hw: HardwareProfile, nu: np.ndarray,
-                        config: SolverConfig):
+def _precoder_constants(ch: ChannelStack, hw: HardwareProfile, nu: np.ndarray):
     """What the precoder step reads that no iterate changes: the SI penalty
     nu_g S_g of every cell, with S_g = H^H H + kappa_bs diag(H^H H) from its
-    SI channel H, the budget of every search row (cells, then uplink users)
-    with its target (1 - bisection_rel_tol) budget as a column, and the most
-    evaluations one search may take."""
+    SI channel H, and the budget of every search row (cells, then uplink
+    users) with its target (1 - SEARCH_REL_TOL) budget as a column."""
     budget = np.repeat([hw.p_bs_w, hw.p_ue_w], [ch.cells, ch.cells * ch.k_u])
     return (nu[:, None, None] * add_scaled_diag(hermitian(ch.si) @ ch.si, hw.kappa_bs), budget,
-            (budget * (1.0 - config.bisection_rel_tol))[:, None], config.bisection_max_steps)
+            (budget * (1.0 - SEARCH_REL_TOL))[:, None])
 
 
 def _precoder_step(ch: ChannelStack, grams, combiners, constants):
@@ -257,7 +255,7 @@ def _precoder_step(ch: ChannelStack, grams, combiners, constants):
     _precoder_constants'.  Returns the beams and the (w, power, evaluations)
     of the search, cells first."""
     omega_bs, m_ul = grams
-    penalty, budget, target, max_steps = constants
+    penalty, budget, target = constants
     cells, k_d, n_bs, k_u, n_ue = ch.cells, ch.k_d, ch.n_bs, ch.k_u, ch.n_ue
     if k_d:
         d_bs, q_bs = np.linalg.eigh(omega_bs + penalty)
@@ -276,7 +274,7 @@ def _precoder_step(ch: ChannelStack, grams, combiners, constants):
     if k_u:
         g[cells:, :n_ue] = row_powers(b_ul).reshape(-1, n_ue)
         d[cells:, :n_ue] = d_ul.reshape(-1, n_ue)
-    search = _search(g, d, budget, target, max_steps)
+    search = _search(g, d, budget, target)
     w_dl, w_ul = search[0][:cells], search[0][cells:].reshape(cells, k_u)
 
     def beam(q, b, den):
@@ -291,14 +289,14 @@ def _precoder_step(ch: ChannelStack, grams, combiners, constants):
     return (dl, ul), search
 
 
-def _extrapolate(hw: HardwareProfile, beams, previous, weight: float):
-    """Trial point W + weight (W - W_prev) on the beam pairs W = `beams` and
-    W_prev = `previous`; a cell or uplink user pushed over its budget is
-    scaled back onto it."""
+def _extrapolate(hw: HardwareProfile, beams, previous):
+    """Trial point W + beta (W - W_prev), with beta = EXTRAPOLATION, on the
+    beam pairs W = `beams` and W_prev = `previous`; a cell or uplink user
+    pushed over its budget is scaled back onto it."""
     def move(w, w_prev, budget, shared_axes):
         if not w.size:
             return w
-        moved = (1.0 + weight) * w - weight * w_prev
+        moved = (1.0 + EXTRAPOLATION) * w - EXTRAPOLATION * w_prev
         power = frobenius_sq(moved).sum(axis=shared_axes, keepdims=True)
         scale = np.sqrt(budget / np.maximum(power, budget))    # 1 within the budget
         return scale[..., None, None] * moved
@@ -312,16 +310,13 @@ def _extrapolate(hw: HardwareProfile, beams, previous, weight: float):
 # ---------------------------------------------------------------------------
 
 
-EXTRAPOLATION = 4.0    # weight beta of the extrapolated trial point
-
-
 def run(realization: Realization, config: SolverConfig, collect_metrics: bool = True) -> RunTrace:
     """Run the alternating solver until the loss decrease falls below threshold.
 
     Per iteration: combiners, loss snapshot, precoders, then a safeguarded
     extrapolation (block coordinate descent with extrapolation, Xu & Yin
-    2013).  The trial point _extrapolate(W*, W_prev, EXTRAPOLATION) from the
-    exact block result W* gets its own combiner update; it replaces W* only
+    2013).  The trial point _extrapolate(W*, W_prev) from the exact block
+    result W* gets its own combiner update; it replaces W* only
     if its loss then lies below the iteration's snapshot by at least the
     threshold, and its combiners and report serve as the next iteration's.
     Otherwise W* is kept.  Either way the snapshot
@@ -346,7 +341,7 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     nu = objective.resolve_nu(realization, config.nu)
     hw = realization.hardware
     ch = stack_channels(realization)
-    constants = _precoder_constants(ch, hw, nu, config)
+    constants = _precoder_constants(ch, hw, nu)
     start = initialize(realization, config)
     beams, cells = (start.dl_beams, start.ul_beams), realization.cell_count
     idle = (np.zeros(cells * (1 + beams[1].shape[1])), None, 0)   # record 0 has no search
@@ -389,7 +384,7 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
         converged = records[-1].loss - rep.loss < config.threshold
         tried = not converged and 1 < t < config.max_iterations
         if tried:
-            trial = _extrapolate(hw, exact, beams, EXTRAPOLATION)
+            trial = _extrapolate(hw, exact, beams)
             trial_combiners, trial_cov, trial_rep = objective.score(ch, hw, trial, nu)
             if trial_rep.loss < rep.loss - config.threshold:
                 accepted = (trial, trial_combiners, trial_cov, trial_rep)

@@ -66,6 +66,17 @@ def distortion_factor_from_bits(bits: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def check_integer_fields(config, error=ValueError) -> None:
+    """Raise `error` naming the first field of the dataclass `config` that is
+    annotated int (or int | None, and not None) but holds no integer: a float
+    such as 2.0 and a bool are refused, a numpy integer passes."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if (f.type == "int" or f.type == "int | None" and value is not None) and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Physical-layer scenario description (defaults follow a dense urban-micro setup)."""
@@ -95,6 +106,7 @@ class ScenarioConfig:
     swap_los_fading: bool = False          # use the conventional LOS->Rician mapping
 
     def __post_init__(self):
+        check_integer_fields(self)
         for name in ("cells", "dl_users", "ul_users"):
             if getattr(self, name) < (1 if name == "cells" else 0):
                 raise ValueError(f"{name} out of range: {getattr(self, name)}")
@@ -539,8 +551,9 @@ def load_realization(path) -> Realization:
     below 1 or another size below 0, a stream count below 1 or above the
     antennas of its link, a hardware value that is not a number, out of
     range or not finite, an SI gain count other than the cell count, an
-    array whose shape disagrees with the sizes, an error variance that is
-    negative or not finite, or an SI link with a true matrix or an error
+    array whose shape disagrees with the sizes, an array entry that is not
+    finite (a position, a channel entry or an error variance), an error
+    variance that is negative, or an SI link with a true matrix or an error
     variance other than zero: SI CSI is perfect, so its one matrix is its
     block of `x`.
     """
@@ -605,17 +618,17 @@ def load_realization(path) -> Realization:
                          f"after the {expected} its header describes")
     offset, data = fixed + head_len, {}
     for (name, dtype), size in zip(_ARRAYS.items(), nbytes):
-        a = np.frombuffer(blob[offset:offset + size], dtype=dtype)
-        data[name] = a.reshape(shapes[name]).copy()
+        a = np.frombuffer(blob[offset:offset + size], dtype=dtype).reshape(shapes[name]).copy()
+        bad = np.argwhere(~(np.isfinite(a) & (a >= 0) if name == "err" else np.isfinite(a)))
+        if bad.size:
+            index = bad[0].tolist()
+            raise ValueError(f"realization file: {name}{index} = {a[tuple(index)]}, not a finite "
+                             f"number{' >= 0' if name == 'err' else ''}")
+        data[name] = a
         offset += size
 
     channels = Channels(data["x"], data["x_true"], data["err"], **channel_sizes)
     err = channels.err
-    bad = np.argwhere(~(np.isfinite(err) & (err >= 0)))
-    if bad.size:
-        r, t = bad[0]
-        raise ValueError(f"realization file: err[{r}, {t}] = {err[r, t]}, not a finite "
-                         f"number >= 0")
     # the SI link of BS g: its rows in x_true, its columns, and its err entry
     bs_rows, diag = np.s_[cells * sizes["k_d"] * sizes["m_ue"]:], np.arange(cells)
     si_true = channels.x_true[bs_rows, :cells * sizes["n_bs"]].reshape(

@@ -164,8 +164,7 @@ def precoder_step(realization: Realization, state: BeamformingState,
     """
     ch, hw = stack_channels(realization), realization.hardware
     combiners = (state.dl_combiners, state.ul_combiners)
-    constants = jpaim._precoder_constants(ch, hw, objective.resolve_nu(realization, config.nu),
-                                          config)
+    constants = jpaim._precoder_constants(ch, hw, objective.resolve_nu(realization, config.nu))
     beams, search = jpaim._precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
                                          combiners, constants)
     cells = realization.cell_count
@@ -173,17 +172,17 @@ def precoder_step(realization: Realization, state: BeamformingState,
     return (new, *((a[:cells], a[cells:]) for a in search))
 
 
-def secular_multiplier(g, d, budget, rel_tol: float, max_steps: int):
+def secular_multiplier(g, d, budget):
     """The multiplier search on rows of any shape: jpaim._search with g and d
     of shape (..., n), a budget that broadcasts to the rows (...), and the
-    target budget (1 - rel_tol).  Returns (w, P(w), evaluations), each with
-    the rows' shape."""
+    target budget (1 - jpaim.SEARCH_REL_TOL).  Returns (w, P(w), evaluations),
+    each with the rows' shape."""
     g = np.asarray(g, dtype=float)
     shape = g.shape[:-1]
     g = g.reshape(math.prod(shape), g.shape[-1])
     budget = np.broadcast_to(np.asarray(budget, dtype=float), shape).reshape(-1)
     w, power, evaluations = jpaim._search(g, np.reshape(d, g.shape), budget,
-                                          (budget * (1.0 - rel_tol))[:, None], max_steps)
+                                          (budget * (1.0 - jpaim.SEARCH_REL_TOL))[:, None])
     return w.reshape(shape), power.reshape(shape), evaluations.reshape(shape)
 
 

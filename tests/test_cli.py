@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ibfdsim import jpaim
 from ibfdsim.cli import main
 
 CFG = """
@@ -95,7 +96,7 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_exit_code_runtime_failure(tmp_path, capsys):
+def test_exit_code_runtime_failure(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "block"
     blocker.write_text("a plain file where a directory must go")
     cfg = tmp_path / "run.cfg"
@@ -104,9 +105,10 @@ def test_exit_code_runtime_failure(tmp_path, capsys):
                  "--out", str(blocker / "nested")])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err
-    # every run fails: both files are written, and the exit names the count
-    cfg.write_text("solver.bisection_max_steps = 1\ncampaign.realizations = 2\n"
-                   "campaign.algorithms = jpaim, half-duplex\n")
+    # every run fails (no multiplier search may finish): both files are
+    # written, and the exit names the count
+    monkeypatch.setattr(jpaim, "SEARCH_MAX_EVALUATIONS", 1)
+    cfg.write_text("campaign.realizations = 2\ncampaign.algorithms = jpaim, half-duplex\n")
     out = tmp_path / "failed"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err

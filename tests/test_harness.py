@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -139,12 +140,22 @@ def test_parse_config_keeps_ideal_hardware_infinities():
     assert config.scenario.adc_bits == config.scenario.asic_db == math.inf
 
 
+def test_parse_config_rejects_the_removed_search_keys():
+    # the multiplier search's tolerance and step cap are jpaim constants, not keys
+    for key, value in (("solver.bisection_rel_tol", "1e-8"), ("solver.bisection_max_steps", "200")):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = {value}")
+
+
 def test_readme_config_example_loads():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Config files", 1)[1].split("```", 2)[1]
     config = parse_config(block)
     assert config.scenario.cells == 3
     assert config.algorithms == ("jpaim", "nsp-jpaim", "half-duplex")
+    # the prose outside the example names only keys that exist, too
+    named = set(re.findall(r"`((?:scenario|solver|nsp|campaign)\.\w+)", readme))
+    assert "solver.nu" in named and sorted(named - set(harness._KEYS)) == []
 
 
 def test_readme_library_quick_start_runs(capsys):
@@ -170,6 +181,11 @@ def test_campaign_config_validation():
         CampaignConfig(nsp_subspace_dim=17)
     with pytest.raises(ConfigError):
         parse_config("scenario.cells = 0")
+    for name, value in (("realizations", 2.5), ("workers", 2.0), ("base_seed", True),
+                        ("nsp_subspace_dim", 4.0)):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            CampaignConfig(**{name: value})
+    CampaignConfig(realizations=np.int64(2), nsp_subspace_dim=np.int16(4))
 
 
 def test_save_load_config_roundtrip(tmp_path):
@@ -192,7 +208,7 @@ def test_save_load_config_roundtrip_of_every_key(tmp_path):
         bs_noise_figure_db=7.0, ue_noise_figure_db=5.0, adc_bits=10.0, csi_error_factor=1e-6,
         rician_k_db=3.0, asic_db=60.0, swap_los_fading=True)
     solver = jpaim.SolverConfig(nu=(0.1, 0.2, 0.3), threshold=5e-5, max_iterations=7,
-                                bisection_rel_tol=1e-9, bisection_max_steps=50, init_seed=11)
+                                init_seed=11)
     cfg = CampaignConfig(scenario=scenario, solver=solver, realizations=9, base_seed=0,
                          algorithms=("half-duplex", "nsp-jpaim"), workers=3,
                          output_dir="runs/every key", nsp_subspace_dim=4,

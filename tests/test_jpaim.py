@@ -24,15 +24,16 @@ def test_solver_config_validation():
         SolverConfig(threshold=1e-2)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(bisection_rel_tol=1e-5)
-    with pytest.raises(ValueError):
-        SolverConfig(bisection_max_steps=0)
     for nu in (-1.0, math.nan, math.inf, (0.1, -0.2), (0.1, math.nan), (), ((1.0, 2.0),), "abc"):
         with pytest.raises(ValueError, match="nu"):
             SolverConfig(nu=nu)
     SolverConfig(nu=(1.0, 2.0))
     SolverConfig(nu=0.0)
+    for name, value in (("max_iterations", 2.5), ("max_iterations", 2.0),
+                        ("max_iterations", False), ("init_seed", 1.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SolverConfig(**{name: value})
+    SolverConfig(max_iterations=np.int64(5), init_seed=np.uint8(1))
 
 
 def test_resolve_nu_default_tracks_si_gain():
@@ -278,7 +279,7 @@ def test_update_precoders_keeps_a_silenced_cell_silent(case):
     assert helpers.precoder_stationarity(real, state, resolve_nu(real, cfg.nu), multipliers) < 1e-5
 
 
-def test_extrapolate_moves_beamformers_within_budgets():
+def test_extrapolate_moves_beamformers_within_budgets(monkeypatch):
     real = build_realization(ScenarioConfig(), 15)
     cfg = SolverConfig()
     hw = real.hardware
@@ -286,9 +287,12 @@ def test_extrapolate_moves_beamformers_within_budgets():
     state = helpers.precoder_step(real, previous, cfg)[0]
     beams = (state.dl_beams, state.ul_beams)
     previous_beams = (previous.dl_beams, previous.ul_beams)
-    np.testing.assert_array_equal(jpaim._extrapolate(hw, beams, previous_beams, 0.0)[0],
-                                  state.dl_beams)
-    trial_dl, trial_ul = jpaim._extrapolate(hw, beams, previous_beams, 4.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(jpaim, "EXTRAPOLATION", 0.0)
+        np.testing.assert_array_equal(jpaim._extrapolate(hw, beams, previous_beams)[0],
+                                      state.dl_beams)
+    assert jpaim.EXTRAPOLATION == 4.0
+    trial_dl, trial_ul = jpaim._extrapolate(hw, beams, previous_beams)
     trial = BeamformingState(trial_dl, state.dl_combiners, trial_ul, state.ul_combiners)
     for g in range(real.cell_count):
         assert trial.dl_cell_power(g) <= hw.p_bs_w * (1.0 + 1e-12)
@@ -552,22 +556,22 @@ def test_uplink_only_and_downlink_only_networks():
 
 def test_secular_multiplier_single_term_in_one_evaluation():
     # 4 / (1 + w)^2 = budget: the one-term lower bound is the root itself
-    tol = SolverConfig().bisection_rel_tol
-    w, power, evaluations = helpers.secular_multiplier([[4.0]], [[1.0]], 1.0, tol, 200)
+    tol = jpaim.SEARCH_REL_TOL
+    w, power, evaluations = helpers.secular_multiplier([[4.0]], [[1.0]], 1.0)
     assert evaluations[0] == 1
     assert w[0] == pytest.approx(1.0, rel=1e-8)
     assert 1.0 - tol <= power[0] * (1.0 + 1e-15) and power[0] <= 1.0
 
 
 def test_secular_multiplier_zero_eigenvalue_and_empty_rows():
-    tol = SolverConfig().bisection_rel_tol
+    tol = jpaim.SEARCH_REL_TOL
     g = np.array([[1.0, 2.0, 0.0],        # d = 0 with g > 0: infinite power at w = 0
                   [0.0, 0.0, 0.0],        # nothing excited: w = 0, power 0
                   [1e-3, 1e-3, 0.0]])     # within the budget at w = 0
     d = np.array([[0.0, 3.0, 0.0],
                   [0.0, 1.0, 2.0],
                   [1.0, 2.0, 0.0]])
-    w, power, evaluations = helpers.secular_multiplier(g, d, 0.5, tol, 200)
+    w, power, evaluations = helpers.secular_multiplier(g, d, 0.5)
     assert w[0] > 0.0 and 0.5 * (1.0 - tol) <= power[0] <= 0.5
     assert w[1] == 0.0 and power[1] == 0.0 and evaluations[1] == 1
     assert w[2] == 0.0 and power[2] == pytest.approx(1e-3 + 1e-3 / 4.0, rel=1e-15)
@@ -576,7 +580,7 @@ def test_secular_multiplier_zero_eigenvalue_and_empty_rows():
 
 def test_secular_multiplier_iterates_rise_to_the_root():
     rng = np.random.default_rng(30)
-    tol = SolverConfig().bisection_rel_tol
+    tol = jpaim.SEARCH_REL_TOL
     for _ in range(200):
         n = int(rng.integers(1, 17))
         g = rng.exponential(size=(1, n)) * (rng.random((1, n)) < 0.8)
@@ -604,19 +608,19 @@ def test_secular_multiplier_iterates_rise_to_the_root():
             step = w + jpaim._bound_step(g_s / den ** 2, den, target)
             assert step[0] >= newton * (1.0 - 1e-15) and step[0] > w[0]
             w = step
-        solved = helpers.secular_multiplier(g, d, budget, tol, 200)
+        solved = helpers.secular_multiplier(g, d, budget)
         assert solved[0][0] == pytest.approx(w[0], rel=1e-14)
 
 
 def test_secular_multiplier_binds_within_tolerance_in_few_evaluations():
     # many random rows at once, zero curvatures and empty terms included
     rng = np.random.default_rng(31)
-    tol = SolverConfig().bisection_rel_tol
+    tol = jpaim.SEARCH_REL_TOL
     rows, n = 5000, 16
     g = rng.exponential(size=(rows, n)) ** 3 * (rng.random((rows, n)) < 0.7)
     d = rng.exponential(size=(rows, n)) ** 3 * (rng.random((rows, n)) < 0.8)
     budget = 10.0 ** rng.uniform(-3, 1, size=rows)
-    w, power, evaluations = helpers.secular_multiplier(g, d, budget, tol, 200)
+    w, power, evaluations = helpers.secular_multiplier(g, d, budget)
     searched = w > 0.0
     assert searched.sum() > rows // 2
     assert np.all(power <= budget)
@@ -625,9 +629,10 @@ def test_secular_multiplier_binds_within_tolerance_in_few_evaluations():
     np.testing.assert_allclose(power, np.sum(g / (d + w[:, None]) ** 2, axis=1), rtol=1e-12)
 
 
-def test_secular_multiplier_step_cap():
-    with pytest.raises(RuntimeError):
-        helpers.secular_multiplier([[1.0, 1.0]], [[0.0, 1.0]], 1.0, 1e-8, 1)
+def test_secular_multiplier_step_cap(monkeypatch):
+    monkeypatch.setattr(jpaim, "SEARCH_MAX_EVALUATIONS", 1)
+    with pytest.raises(RuntimeError, match="after 1 evaluations"):
+        helpers.secular_multiplier([[1.0, 1.0]], [[0.0, 1.0]], 1.0)
 
 
 def test_multiplier_searches_stay_within_eight_evaluations():

@@ -140,6 +140,13 @@ def test_scenario_config_validation():
     ScenarioConfig(dl_users=0)                  # uplink-only scenarios are legal
     ScenarioConfig(adc_bits=math.inf)           # ideal converters
     ScenarioConfig(inter_site_distance_m=17.33)  # radius 10.006 m, just past the keep-out
+    # a float or bool count once constructed, and the draw then raised a TypeError
+    for value in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="cells must be an integer"):
+            ScenarioConfig(cells=value)
+    with pytest.raises(ValueError, match="bs_tx_antennas must be an integer, got 16.0"):
+        ScenarioConfig(bs_tx_antennas=16.0)
+    assert ScenarioConfig(cells=np.int64(3), dl_users=np.int32(1)).cells == 3
 
 
 def test_build_realization_structure():
@@ -504,10 +511,10 @@ def test_load_realization_rejects_an_array_of_the_wrong_shape(tmp_path, monkeypa
              re.escape(f"file: {name} has shape {list(shape)}, the sizes give"))
 
 
-def _set_err(index, value):
+def _set(name, index, value):
     def edit(meta, arrays):
-        arrays["err"] = arrays["err"].copy()
-        arrays["err"][index] = value
+        arrays[name] = arrays[name].copy()
+        arrays[name][index] = value
     return edit
 
 
@@ -517,9 +524,14 @@ def _set_err(index, value):
     (lambda meta, _: meta["hardware"].update(p_bs_w=math.inf), "p_bs_w must be finite"),
     (lambda meta, _: meta["hardware"].update(kappa_bs=math.nan), "kappa_bs must be finite"),
     (lambda meta, _: meta["hardware"].update(si_gain=[math.nan]), "si_gain must be finite"),
-    (_set_err((0, 0), -1e-3), r"err\[0, 0\] = -0\.001, not a finite number >= 0"),
-    (_set_err((1, 1), math.nan), r"err\[1, 1\] = nan, not a finite number >= 0"),
-    (_set_err((0, 1), math.inf), r"err\[0, 1\] = inf, not a finite number >= 0"),
+    (_set("err", (0, 0), -1e-3), r"err\[0, 0\] = -0\.001, not a finite number >= 0"),
+    (_set("err", (1, 1), math.nan), r"err\[1, 1\] = nan, not a finite number >= 0"),
+    (_set("err", (0, 1), math.inf), r"err\[0, 1\] = inf, not a finite number >= 0"),
+    (_set("x", (2, 5), complex(math.nan, 0.0)), r"x\[2, 5\] = \(nan\+0j\), not a finite"),
+    (_set("x_true", (0, 3), complex(0.0, math.inf)), r"x_true\[0, 3\] = infj, not a finite"),
+    (_set("bs_xy", (0, 1), math.nan), r"bs_xy\[0, 1\] = nan, not a finite number$"),
+    (_set("dl_xy", (0, 0, 1), -math.inf), r"dl_xy\[0, 0, 1\] = -inf, not a finite number$"),
+    (_set("ul_xy", (0, 0, 0), math.inf), r"ul_xy\[0, 0, 0\] = inf, not a finite number$"),
     (lambda meta, _: meta["sizes"].update(dl_streams=0), "dl_streams must be >= 1, got 0"),
     (lambda meta, _: meta["sizes"].update(ul_streams=3), "ul_streams = 3 exceeds 2"),
     (lambda meta, _: meta["sizes"].update(spare=1), re.escape("sizes keys: missing [], "
@@ -530,7 +542,8 @@ def _set_err(index, value):
     (lambda meta, _: meta["sizes"].update(dl_streams="2"), "dl_streams = '2', not an integer"),
     (lambda meta, _: meta["sizes"].update(k_d=1.0), "k_d = 1.0, not an integer"),
 ], ids=["nan_noise", "inf_budget", "nan_kappa", "nan_si_gain", "negative_err_var",
-        "nan_err_var", "inf_err_var", "no_streams", "more_streams_than_antennas",
+        "nan_err_var", "inf_err_var", "nan_channel", "inf_true_channel", "nan_bs_position",
+        "inf_dl_position", "inf_ul_position", "no_streams", "more_streams_than_antennas",
         "extra_antenna_key", "no_cells", "float_antennas", "string_streams",
         "float_user_count"])
 def test_load_realization_rejects_corrupt_values(tmp_path, monkeypatch, edit, match):
@@ -586,7 +599,7 @@ def test_load_realization_rejects_an_si_link_with_two_matrices(tmp_path, monkeyp
         arrays["x_true"][bs_rows, bs_cols] = arrays["x"][bs_rows, bs_cols]
 
     assert not real.channels.x_true[bs_rows, bs_cols].any()
-    for edit in (perturb_si_truth, _set_err((1, 0), 1e-9)):
+    for edit in (perturb_si_truth, _set("err", (1, 0), 1e-9)):
         _rejects(real, tmp_path, monkeypatch, edit, "the SI link of BS 0 has a true matrix")
 
 
