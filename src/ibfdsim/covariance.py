@@ -58,10 +58,6 @@ def distortion_gram(a: np.ndarray, a_h: np.ndarray, y: np.ndarray, y_h: np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _row_powers(x: np.ndarray) -> np.ndarray:
-    return row_powers(x) if x.size else np.zeros(x.shape[:-1])    # an empty block costs no kernel
-
-
 @dataclass(eq=False)
 class Covariances:
     """Receive covariances of every node of one state, every user's desired
@@ -96,14 +92,25 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
     tr(T) = (1 + kappa) ||W||_F^2.  Each user's desired signal, and each
     cell's beams through its SI link, are column blocks of R.
     """
-    cells, k_d, _, b_d = beams[0].shape
+    cells, k_d, n_bs, b_d = beams[0].shape
     k_u, n_ue, b_u = beams[1].shape[1:]
     w_bs = columns(beams[0])                         # (G, N_bs, K_d b_d) per BS
     w_ul = beams[1].reshape(cells * k_u, n_ue, b_u)
-    cell_load, ul_load = _row_powers(w_bs), _row_powers(w_ul)
-    weights = np.concatenate([hw.kappa_bs * cell_load, hw.kappa_ue * ul_load], axis=None)
-    cell_power = (1.0 + hw.kappa_bs) * cell_load.sum(axis=-1)
-    csi = ch.err @ np.concatenate([cell_power, (1.0 + hw.kappa_ue) * ul_load.sum(axis=-1)])
+    # t over the columns of x and tr(T) over those of err, BSs first; a
+    # transmitter kind that sends no stream keeps zeros and costs no kernel
+    weights, tx_power = np.zeros(ch.x.shape[1]), np.zeros(ch.err.shape[1])
+    if k_d:
+        cell_load = row_powers(w_bs)
+        weights[:cells * n_bs] = (hw.kappa_bs * cell_load).ravel()
+        tx_power[:cells] = (1.0 + hw.kappa_bs) * np.add.reduce(cell_load, axis=-1)
+    else:
+        cell_load = np.zeros((cells, n_bs))
+    if k_u:
+        ul_load = row_powers(w_ul)
+        weights[cells * n_bs:] = (hw.kappa_ue * ul_load).ravel()
+        tx_power[cells:] = (1.0 + hw.kappa_ue) * np.add.reduce(ul_load, axis=-1)
+    cell_power = tx_power[:cells]
+    csi = ch.err @ tx_power
     # the received beams R of every receiver, transmitters in the order of x; a
     # transmitter kind that sends no stream adds no columns
     parts = [columns(x @ w) for x, w in ((ch.from_bs, w_bs), (ch.from_ul, w_ul)) if w.size]
@@ -122,17 +129,16 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
         if k:
             diagonal(rx)[...] += (noise_w + err_power)[..., None]
     # the column blocks of R that a receiver's own cell sends it, empty without users
-    diag, users, dl_cols = np.arange(cells), np.arange(k_d), cells * k_d * b_d
-    signal_dl = np.zeros((cells, 0, m_ue, b_d), complex)
-    si_signal = np.zeros((cells, m_bs, 0), complex)
-    signal_ul = np.zeros((cells, 0, m_bs, b_u), complex)
+    own, (cell, user), dl_cols = ch.cell_index, ch.dl_user_index, cells * k_d * b_d
     if k_d:
         signal_dl = r_dl[..., :dl_cols].reshape(cells, k_d, m_ue, cells, k_d, b_d)[
-            diag[:, None], users, :, diag[:, None], users]
-        si_signal = r_bs[..., :dl_cols].reshape(cells, m_bs, cells, k_d * b_d)[diag, :, diag]
-    if k_u:
-        signal_ul = uncolumns(r_bs[..., dl_cols:].reshape(cells, m_bs, cells, k_u * b_u)[
-            diag, :, diag], b_u)
+            cell, user, :, cell, user]
+        si_signal = r_bs[..., :dl_cols].reshape(cells, m_bs, cells, k_d * b_d)[own, :, own]
+    else:
+        signal_dl = np.zeros((cells, 0, m_ue, b_d), complex)
+        si_signal = np.zeros((cells, m_bs, 0), complex)
+    signal_ul = (uncolumns(r_bs[..., dl_cols:].reshape(cells, m_bs, cells, k_u * b_u)[
+        own, :, own], b_u) if k_u else np.zeros((cells, 0, m_bs, b_u), complex))
     return Covariances(dl_rx=dl_rx, bs_rx=bs_rx, dl_csi=dl_csi, bs_csi=bs_csi,
                        signal=(signal_dl, signal_ul),
                        si_signal=si_signal, cell_load=cell_load, cell_power=cell_power)
@@ -160,8 +166,13 @@ def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
     # users it decodes side by side: the row order of X
     bs_u = columns(u_ul)
     dl_uh, bs_uh = hermitian(u_dl.reshape(cells * k_d, m_ue, b_d)), hermitian(bs_u)
-    weights = np.concatenate([hw.beta_ue * _row_powers(u_dl), hw.beta_bs * _row_powers(bs_u)],
-                             axis=None)
+    # the beta-scaled row powers of the combiners over the rows of X, zero at a
+    # receiver kind that decodes no user, which costs no kernel
+    weights = np.zeros(len(ch.x))
+    if k_d:
+        weights[:dl_rows] = (hw.beta_ue * row_powers(u_dl)).ravel()
+    if k_u:
+        weights[dl_rows:] = (hw.beta_bs * row_powers(bs_u)).ravel()
     # the rows of Z: a block for each receiver kind that decodes a user
     blocks = [block for block in ((dl_uh, slice(dl_rows)), (bs_uh, slice(dl_rows, None)))
               if block[0].size]

@@ -82,6 +82,11 @@ class IterationRecord:
     """One solver iteration: loss after the combiner step, then that
     iteration's multipliers, post-update powers and per-block wall times.
 
+    `run` builds every record of a solve at once, after its loop, from the
+    report, rate, times, search result and beam powers that each iteration
+    keeps; elapsed_ms is the iteration's wall time, which that assembly is
+    not part of.
+
     The block times are parts of elapsed_ms, and no CSV writes them:
     combiner_ms is the combiner update (0.0 when the previous iteration's
     accepted trial supplied it), precoder_ms the precoder step, and trial_ms
@@ -209,7 +214,7 @@ def _search(g, d, budget, target):
         if passes >= SEARCH_MAX_EVALUATIONS:
             raise RuntimeError(f"power multiplier search: no feasible multiplier after "
                                f"{SEARCH_MAX_EVALUATIONS} evaluations")
-        w = np.where(searching, w + _bound_step(terms, den, target), w)
+        np.add(w, _bound_step(terms, den, target), out=w, where=searching)
 
 
 def _bound_step(terms, den, target):
@@ -270,7 +275,7 @@ def _precoder_step(ch: ChannelStack, grams, combiners, constants):
     g = np.zeros((cells + cells * k_u, max(n_bs, n_ue)))
     d = np.zeros_like(g)
     if k_d:
-        g[:cells, :n_bs], d[:cells, :n_bs] = row_powers(b_dl).sum(axis=1), d_bs
+        g[:cells, :n_bs], d[:cells, :n_bs] = np.add.reduce(row_powers(b_dl), axis=1), d_bs
     if k_u:
         g[cells:, :n_ue] = row_powers(b_ul).reshape(-1, n_ue)
         d[cells:, :n_ue] = d_ul.reshape(-1, n_ue)
@@ -293,16 +298,18 @@ def _extrapolate(hw: HardwareProfile, beams, previous):
     """Trial point W + beta (W - W_prev), with beta = EXTRAPOLATION, on the
     beam pairs W = `beams` and W_prev = `previous`; a cell or uplink user
     pushed over its budget is scaled back onto it."""
-    def move(w, w_prev, budget, shared_axes):
+    def move(w, w_prev, budget, shared):
         if not w.size:
             return w
         moved = (1.0 + EXTRAPOLATION) * w - EXTRAPOLATION * w_prev
-        power = frobenius_sq(moved).sum(axis=shared_axes, keepdims=True)
+        power = frobenius_sq(moved)
+        if shared:    # a cell's users share its budget
+            power = np.add.reduce(power, axis=-1, keepdims=True)
         scale = np.sqrt(budget / np.maximum(power, budget))    # 1 within the budget
         return scale[..., None, None] * moved
 
-    return (move(beams[0], previous[0], hw.p_bs_w, -1),
-            move(beams[1], previous[1], hw.p_ue_w, ()))
+    return (move(beams[0], previous[0], hw.p_bs_w, True),
+            move(beams[1], previous[1], hw.p_ue_w, False))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +337,10 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     The loop runs on the beams W of `initialize`'s state, and the final
     state holds the very beams and combiners that the final report scores.
     The covariances of a combiner update also serve the evaluation after it.
+    Each iteration keeps its report, rate, times, search result and the
+    powers of the beams it ends on; the IterationRecords are built from them
+    once, after the loop (_records), so the last record's powers are those
+    of the final state.
 
     Rates are computed only for what is reported.  With collect_metrics, a
     record's rate comes from its own combiner update, whose MMSE combiners
@@ -343,32 +354,16 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     ch = stack_channels(realization)
     constants = _precoder_constants(ch, hw, nu)
     start = initialize(realization, config)
-    beams, cells = (start.dl_beams, start.ul_beams), realization.cell_count
-    idle = (np.zeros(cells * (1 + beams[1].shape[1])), None, 0)   # record 0 has no search
-
-    def snapshot(iteration, rep, sum_rate, elapsed_ms, search=idle, block_ms=(0.0, 0.0, 0.0)):
-        w, _, evaluations = search
-        return IterationRecord(
-            iteration=iteration,
-            loss=rep.loss,
-            sum_mse=rep.sum_mse,
-            rsi_watts=rep.rsi_watts,
-            sum_rate=sum_rate,
-            elapsed_ms=elapsed_ms,
-            dl_cell_power=tuple(frobenius_sq(beams[0]).sum(axis=-1).tolist()),
-            ul_user_power=tuple(frobenius_sq(beams[1]).ravel().tolist()),
-            dl_precoder_multipliers=tuple(w[:cells].tolist()),
-            ul_precoder_multipliers=tuple(w[cells:].tolist()),
-            multiplier_evaluations=int(np.sum(evaluations)),
-            combiner_ms=block_ms[0],
-            precoder_ms=block_ms[1],
-            trial_ms=block_ms[2],
-        )
+    beams = (start.dl_beams, start.ul_beams)
+    rows = len(constants[1])
+    idle = (np.zeros(rows), None, np.zeros(rows, dtype=int))    # record 0 has no search
 
     t0 = time.perf_counter()
     combiners, _, rep = objective.score(ch, hw, beams, nu,
                                         (start.dl_combiners, start.ul_combiners), collect_metrics)
-    records = [snapshot(0, rep, rep.sum_rate, (time.perf_counter() - t0) * 1e3)]
+    # each record's pieces, which _records turns into IterationRecords after the loop
+    steps = [(rep, rep.sum_rate, (time.perf_counter() - t0) * 1e3, (0.0, 0.0, 0.0), idle,
+              _powers(beams))]
 
     converged = False
     accepted = None          # (beams, combiners, covariances, report) of the kept trial
@@ -381,7 +376,7 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
         exact, search = _precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
                                        combiners, constants)
         t2 = time.perf_counter()
-        converged = records[-1].loss - rep.loss < config.threshold
+        converged = steps[-1][0].loss - rep.loss < config.threshold    # the last record's loss
         tried = not converged and 1 < t < config.max_iterations
         if tried:
             trial = _extrapolate(hw, exact, beams)
@@ -394,13 +389,50 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
                     (t3 - t2) * 1e3 if tried else 0.0)
         rate_dl, rate_ul = (objective.sum_rates(cov.signal, combiners) if collect_metrics
                             else (rep.sum_rate_dl, rep.sum_rate_ul))
-        records.append(snapshot(t, rep, rate_dl + rate_ul, (time.perf_counter() - t0) * 1e3,
-                                search, block_ms))
+        steps.append((rep, rate_dl + rate_ul, (time.perf_counter() - t0) * 1e3, block_ms, search,
+                      _powers(beams)))
         if converged:
             break
 
     final_report = objective.score(ch, hw, beams, nu, combiners, with_rates=True)[2]
     final_state = BeamformingState(dl_beams=beams[0], dl_combiners=combiners[0],
                                    ul_beams=beams[1], ul_combiners=combiners[1])
-    return RunTrace(records=records, final_state=final_state.copy(), final_report=final_report,
-                    converged=converged, nu=tuple(nu))
+    return RunTrace(records=_records(steps, ch), final_state=final_state.copy(),
+                    final_report=final_report, converged=converged, nu=tuple(nu))
+
+
+def _powers(beams) -> tuple:
+    """||W||_F^2 of every user's beams, per direction of the pair `beams`;
+    None for a direction without users, which costs no kernel."""
+    dl, ul = beams
+    return frobenius_sq(dl) if dl.size else None, frobenius_sq(ul) if ul.size else None
+
+
+def _records(steps, ch: ChannelStack) -> list:
+    """The IterationRecords of a solve from the pieces `run` keeps for each
+    record: (report, sum rate, elapsed ms, block ms, search, powers), with
+    the search's (w, power, evaluations) and the _powers of the beams the
+    record ends on.  Each field is stacked over the records and converted
+    with one tolist.
+
+    The records keep these small arrays, not the beams: beams kept until
+    the end of a solve stay allocated between each iteration's temporaries,
+    and raised the peak RSS of a 64-antenna campaign by 2 MB."""
+    reports, rates, elapsed, block_ms, searches, powers = zip(*steps)
+    count, cells, (dl, ul) = len(steps), ch.cells, zip(*powers)
+    dl_power = (np.add.reduce(np.stack(dl), axis=-1) if dl[0] is not None
+                else np.zeros((count, cells)))
+    ul_power = (np.stack(ul).reshape(count, -1) if ul[0] is not None
+                else np.zeros((count, cells * ch.k_u)))
+    w = np.stack([search[0] for search in searches])
+    evaluations = np.add.reduce(np.stack([search[2] for search in searches]), axis=-1)
+    return [IterationRecord(iteration=t, loss=rep.loss, sum_mse=rep.sum_mse,
+                            rsi_watts=rep.rsi_watts, sum_rate=rate, elapsed_ms=ms,
+                            dl_cell_power=tuple(p_dl), ul_user_power=tuple(p_ul),
+                            dl_precoder_multipliers=tuple(w_t[:cells]),
+                            ul_precoder_multipliers=tuple(w_t[cells:]),
+                            multiplier_evaluations=n, combiner_ms=blocks[0],
+                            precoder_ms=blocks[1], trial_ms=blocks[2])
+            for t, (rep, rate, ms, blocks, p_dl, p_ul, w_t, n) in enumerate(zip(
+                reports, rates, elapsed, block_ms, dl_power.tolist(), ul_power.tolist(),
+                w.tolist(), evaluations.tolist()))]

@@ -130,7 +130,7 @@ def _rate_bits(signal: np.ndarray, mmse: np.ndarray) -> np.ndarray:
     error = eye - hermitian(signal) @ mmse
     sign, logdet = np.linalg.slogdet(error)
     singular = (sign.real <= 0) | ~np.isfinite(logdet)
-    if np.any(singular):
+    if np.logical_or.reduce(singular, axis=None):
         log.warning("singular noise covariance regularized in rate computation")
         error = error + np.where(singular, 1e-15, 0.0)[..., None, None] * eye
         _, logdet = np.linalg.slogdet(error)
@@ -141,7 +141,8 @@ def sum_rates(signal, mmse) -> tuple[float, float]:
     """Downlink and uplink sum rates in bits/s/Hz of the desired signals
     (H W_dl, H W_ul) and their MMSE combiners (U_dl, U_ul)."""
     # a direction without users has rate 0 and costs no slogdet
-    return tuple(float(_rate_bits(a, u).sum()) if a.size else 0.0 for a, u in zip(signal, mmse))
+    return tuple(float(np.add.reduce(_rate_bits(a, u), axis=None)) if a.size else 0.0
+                 for a, u in zip(signal, mmse))
 
 
 def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Covariances,
@@ -161,10 +162,12 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     combiners mmse_combiners(cov), and are nan when it is None.
     """
     u_dl, u_ul = combiners    # no users, no MSE; a BS covariance serves each uplink user
-    sum_mse_dl = float(_mse(cov.dl_rx, cov.signal[0], u_dl).sum()) if u_dl.size else 0.0
-    sum_mse_ul = (float(_mse(cov.bs_rx[:, None], cov.signal[1], u_ul).sum()) if u_ul.size
-                  else 0.0)
-    rsi = (frobenius_sq(cov.si_signal) + hw.kappa_bs * (ch.si_colpow * cov.cell_load).sum(axis=-1)
+    sum_mse_dl = (float(np.add.reduce(_mse(cov.dl_rx, cov.signal[0], u_dl), axis=None))
+                  if u_dl.size else 0.0)
+    sum_mse_ul = (float(np.add.reduce(_mse(cov.bs_rx[:, None], cov.signal[1], u_ul), axis=None))
+                  if u_ul.size else 0.0)
+    rsi = (frobenius_sq(cov.si_signal)
+           + hw.kappa_bs * np.add.reduce(ch.si_colpow * cov.cell_load, axis=-1)
            if cov.si_signal.size else np.zeros(ch.cells))    # no SI link or no beam through it
     depth = tuple(_depth_db(gain, p, r) for gain, p, r
                   in zip(hw.si_gain, cov.cell_power.tolist(), rsi.tolist()))

@@ -60,12 +60,11 @@ def diagonal(matrix: np.ndarray) -> np.ndarray:
     return matrix.reshape(*lead, n * n)[..., ::n + 1]
 
 
-def add_scaled_diag(matrix: np.ndarray, factor) -> np.ndarray:
+def add_scaled_diag(matrix: np.ndarray, factor: float) -> np.ndarray:
     """matrix + factor * diag(matrix) for every matrix of a C-contiguous
-    stack, in place on `matrix`, which is returned.  `factor` is a scalar or
-    one value per matrix."""
+    stack, in place on `matrix`, which is returned."""
     scaled = diagonal(matrix)
-    scaled *= 1.0 + np.asarray(factor)[..., None]
+    scaled *= 1.0 + factor
     return matrix
 
 
@@ -182,7 +181,9 @@ class ChannelStack(Channels):
     `si` is the SI channel H of each BS, which the precoder step and the
     null-space projection baseline read too, `si_colpow` the squared norm of
     each column of H, and `dl_own_h` and `ul_own_h` are H^H of each serving
-    link.
+    link.  `cell_index` and `dl_user_index` are the gather indices of the
+    blocks a cell sends its own receivers, built once here rather than on
+    every covariance assembly.
     """
 
     dl: np.ndarray = field(init=False)         # (G, K_d, M_ue, columns of x)
@@ -194,9 +195,13 @@ class ChannelStack(Channels):
     bs_h: np.ndarray = field(init=False)       # (G, columns of x, M_bs)
     from_bs_h: np.ndarray = field(init=False)  # (G, N_bs, rows of x)
     from_ul_h: np.ndarray = field(init=False)  # (G K_u, N_ue, rows of x)
+    cell_index: np.ndarray = field(init=False)     # (G,) every cell
+    dl_user_index: tuple = field(init=False)       # (G, 1) cells, (K_d,) users: each downlink user
 
     def __post_init__(self):
-        x, cells, k_d, k_u, diag = self.x, self.cells, self.k_d, self.k_u, np.arange(self.cells)
+        x, cells, k_d, k_u = self.x, self.cells, self.k_d, self.k_u
+        self.cell_index = diag = np.arange(cells)
+        self.dl_user_index = (diag[:, None], np.arange(k_d))
         dl_rows, bs_cols = cells * k_d * self.m_ue, cells * self.n_bs
         rows, cols = x.shape
         self.xh = xh = x.conj().T

@@ -1,6 +1,7 @@
 """Null-space projection and half-duplex reference schemes."""
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -216,24 +217,31 @@ def test_half_duplex_phases_stay_feasible():
 
 
 def test_no_solver_kernel_runs_on_an_empty_block(monkeypatch):
-    # a direction without users costs no eigh, solve, slogdet or row power:
-    # neither a half-duplex phase, whose other direction has zero-size axes,
-    # nor a full-duplex network without downlink or without uplink users
+    # a direction without users costs no eigh, solve, slogdet, row power or
+    # record power, and its empty load is neither summed nor scaled (no empty
+    # piece reaches a concatenate): neither a half-duplex phase, whose other
+    # direction has zero-size axes, nor a full-duplex network without
+    # downlink or without uplink users
+    full, *one_way = (build_realization(ScenarioConfig(**users), 11)
+                      for users in ({}, dict(dl_users=0), dict(ul_users=0)))
     operands = []
 
-    def recorded(kernel):
+    def recorded(kernel, joined=False):
         def wrapper(*args, **kwargs):
-            operands.extend(np.shape(a) for a in args)
+            operands.extend(np.shape(a) for a in (args[0] if joined else args))
             return kernel(*args, **kwargs)
         return wrapper
 
     for owner, name in ((np.linalg, "eigh"), (np.linalg, "solve"), (np.linalg, "slogdet"),
-                        (covariance, "row_powers")):
+                        (covariance, "row_powers"), (jpaim, "frobenius_sq")):
         monkeypatch.setattr(owner, name, recorded(getattr(owner, name)))
+    # covariance's own numpy, whose concatenate records the pieces it joins
+    monkeypatch.setattr(covariance, "np", SimpleNamespace(
+        **{**vars(np), "concatenate": recorded(np.concatenate, joined=True)}))
     config = SolverConfig(max_iterations=3)
-    run_half_duplex(build_realization(ScenarioConfig(), 11), config)
-    for users in (dict(dl_users=0), dict(ul_users=0)):
-        jpaim.run(build_realization(ScenarioConfig(**users), 11), config)
+    run_half_duplex(full, config)
+    for real in one_way:
+        jpaim.run(real, config)
     assert operands
     assert [shape for shape in operands if 0 in shape] == []
 

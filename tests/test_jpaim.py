@@ -11,7 +11,8 @@ import pytest
 import helpers
 from ibfdsim import baselines, jpaim, objective
 from ibfdsim.jpaim import SolverConfig, initialize, run
-from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node, ul_node
+from ibfdsim.model import (ScenarioConfig, bs_node, build_realization, dl_node,
+                           restrict_to_downlink, restrict_to_uplink, ul_node)
 from ibfdsim.objective import resolve_nu
 from ibfdsim.stacked import Channels, uncolumns
 from ibfdsim.state import BeamformingState
@@ -410,6 +411,24 @@ def test_run_zero_iterations_returns_initial_state():
     assert trace.records[0].loss == pytest.approx(streams, rel=1e-6)
 
 
+@pytest.mark.parametrize("scenario, config, restrict", [
+    (ScenarioConfig(), SolverConfig(), None),
+    (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0), None),
+    (ScenarioConfig(), SolverConfig(nu=0.0), restrict_to_downlink),
+    (ScenarioConfig(), SolverConfig(nu=0.0), restrict_to_uplink),
+], ids=["default", "strong_si", "downlink_phase", "uplink_phase"])
+def test_last_record_powers_are_the_final_states(scenario, config, restrict):
+    # the records are built after the loop; however many iterations ran, the
+    # last one's powers are the final state's, bit for bit
+    real = build_realization(scenario, 4)
+    real = restrict(real) if restrict else real
+    for max_iterations in range(7):
+        trace = run(real, replace(config, max_iterations=max_iterations))
+        last, state = trace.records[-1], trace.final_state
+        assert last.dl_cell_power == tuple(state.dl_cell_powers().tolist()), max_iterations
+        assert last.ul_user_power == tuple(state.ul_powers().ravel().tolist()), max_iterations
+
+
 def test_run_deterministic():
     real = build_realization(helpers.small_config(), 11)
     a = run(real, SolverConfig(max_iterations=20))
@@ -465,6 +484,8 @@ def test_run_iteration_matches_public_block_updates(scenario, config):
                                           getattr(state, name),
                                           err_msg=f"seed {seed} {name}")
         record = trace.records[1]
+        assert record.dl_cell_power == tuple(state.dl_cell_powers().tolist())
+        assert record.ul_user_power == tuple(state.ul_powers().ravel().tolist())
         assert record.dl_precoder_multipliers == tuple(multipliers[0].tolist())
         assert record.ul_precoder_multipliers == tuple(multipliers[1].tolist())
         assert record.multiplier_evaluations == evaluations[0].sum() + evaluations[1].sum()
