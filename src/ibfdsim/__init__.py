@@ -11,7 +11,7 @@ from .model import (
     realization_digest,
     save_realization,
 )
-from .state import BeamformingState
+from .stacked import BeamformingState
 from .objective import ObjectiveReport, evaluate, nu_from_asic
 from .jpaim import RunTrace, SolverConfig, run
 from .baselines import nsp_project, run_half_duplex

@@ -10,8 +10,7 @@ import numpy as np
 
 from . import jpaim, objective
 from .model import Realization, restrict_to_downlink, restrict_to_uplink
-from .stacked import hermitian, stack_channels
-from .state import BeamformingState
+from .stacked import BeamformingState, hermitian, stack_channels
 
 
 def nsp_project(beams: np.ndarray, h_si: np.ndarray, kappa_bs: float,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import harness
 from .harness import KNOWN_ALGORITHMS, ConfigError
@@ -63,11 +63,8 @@ def _simulate(args) -> int:
 def _complexity(args) -> int:
     est = harness.complexity_estimate(args.cells, args.users, args.bs_antennas,
                                       args.ue_antennas, args.streams)
-    print(f"precoder_multiplications = {est.precoder_multiplications}")
-    print(f"power_multiplications = {est.power_multiplications}")
-    print(f"total = {est.total}")
-    print(f"order = {est.order}")
-    print(f"note = {est.note}")
+    for f in fields(est):
+        print(f"{f.name} = {getattr(est, f.name)}")
     return 0
 
 

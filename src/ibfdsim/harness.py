@@ -57,6 +57,8 @@ class CampaignConfig:
             raise ConfigError(f"campaign.realizations must be >= 1, got {self.realizations}")
         if self.workers < 1:
             raise ConfigError(f"campaign.workers must be >= 1, got {self.workers}")
+        if not self.output_dir:
+            raise ConfigError("campaign.output_dir must not be empty")
         if self.base_seed < 0:
             raise ConfigError("campaign.base_seed must be >= 0")
         if not self.algorithms:
@@ -128,6 +130,7 @@ _KEYS = {
 def parse_config(text: str) -> CampaignConfig:
     """Parse flat `section.key = value` lines into a CampaignConfig."""
     kwargs = {"scenario": {}, "solver": {}, None: {}}
+    seen = {}    # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -137,6 +140,9 @@ def parse_config(text: str) -> CampaignConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key} repeats line {seen[key]}")
+        seen[key] = lineno
         section, f = _KEYS[key]
         try:
             kwargs[section][f.name] = _PARSERS[f.type](raw)

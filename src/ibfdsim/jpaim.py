@@ -47,9 +47,8 @@ import numpy as np
 
 from . import covariance, objective
 from .model import HardwareProfile, Realization, check_integer_fields
-from .stacked import (ChannelStack, add_scaled_diag, frobenius_sq, hermitian, row_powers,
-                      stack_channels)
-from .state import BeamformingState
+from .stacked import (BeamformingState, ChannelStack, add_scaled_diag, frobenius_sq, hermitian,
+                      row_powers, stack_channels)
 
 EXTRAPOLATION = 4.0            # weight beta of the extrapolated trial point
 SEARCH_REL_TOL = 1e-8          # a multiplier search stops this far, relatively, below the budget

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import covariance
 from .model import HardwareProfile, Realization
-from .stacked import (ChannelStack, columns, frobenius_sq, hermitian, re_inner,
-                      stack_channels, uncolumns)
-from .state import BeamformingState
+from .stacked import (BeamformingState, ChannelStack, columns, frobenius_sq, hermitian,
+                      re_inner, stack_channels, uncolumns)
 
 log = logging.getLogger(__name__)
 

@@ -1,12 +1,13 @@
-"""The stacked layout: every channel as one dense matrix, and batched matrix helpers.
+"""The stacked layout: every channel as one dense matrix, the beams and
+combiners as dense arrays, and batched matrix helpers.
 
 The solver kernels (covariance, objective, jpaim) treat all cells, users
 and links at once with batched `@`, `solve` and `eigh` over the channels
 and over the (cell, user, rows, streams) arrays of the beams and combiners
-(the fields of a BeamformingState, module `state`), instead of looping
-over per-link dictionaries.  The layout needs the same downlink and the
-same uplink user count in every cell, which is what build_realization and
-the single-direction restrictions produce.
+that a BeamformingState holds, instead of looping over per-link
+dictionaries.  The layout needs the same downlink and the same uplink user
+count in every cell, which is what build_realization and the
+single-direction restrictions produce.
 
 A realization stores its links once, as the matrix X of a Channels: every
 transmitter's channel into every receiver side by side, receive antennas
@@ -25,7 +26,7 @@ solver, so an in-place edit of a stored link reaches the next call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,6 +82,49 @@ def re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def frobenius_sq(x: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of every matrix in a stack."""
     return np.add.reduce(x.real ** 2 + x.imag ** 2, axis=(-2, -1))
+
+
+# ---------------------------------------------------------------------------
+# beams and combiners
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class BeamformingState:
+    """Transmitted beams and combiners of every user.
+
+    Each field is one dense array with axes (cell, user, rows, streams),
+    matching the ChannelStack below; `dl_beams[g][k]` is a view that can
+    be read or written in place.  The transmitted signal of downlink user
+    (g, k) is dl_beams[g, k] @ symbols, and likewise ul_beams[g, k] for
+    uplink users, so a beam carries its power: it is the paper's precoder
+    times its scalar amplitude.
+    """
+
+    dl_beams: np.ndarray          # (G, K_d, N_bs, b_d) complex
+    dl_combiners: np.ndarray      # (G, K_d, M_ue, b_d) complex
+    ul_beams: np.ndarray          # (G, K_u, N_ue, b_u) complex
+    ul_combiners: np.ndarray      # (G, K_u, M_bs, b_u) complex
+
+    def copy(self) -> "BeamformingState":
+        """A state of C-contiguous arrays that share no memory with this one."""
+        return BeamformingState(*(getattr(self, f.name).copy() for f in fields(self)))
+
+    def dl_cell_powers(self) -> np.ndarray:
+        """(G,) transmit power of each BS before distortion, sum_k ||W||_F^2."""
+        return frobenius_sq(self.dl_beams).sum(axis=-1)
+
+    def ul_powers(self) -> np.ndarray:
+        """(G, K_u) transmit power of each uplink user before distortion."""
+        return frobenius_sq(self.ul_beams)
+
+    def dl_cell_power(self, g: int) -> float:
+        """Transmit power of BS g before distortion."""
+        return float(self.dl_cell_powers()[g])
+
+    def ul_power(self, g: int, k: int) -> float:
+        """Transmit power of uplink user (g, k) before distortion."""
+        return float(self.ul_powers()[g, k])
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ import numpy as np
 from ibfdsim import covariance, jpaim, objective
 from ibfdsim.model import (Realization, ScenarioConfig, bs_node, build_realization,
                            dl_node, ul_node)
-from ibfdsim.stacked import (add_scaled_diag, columns, hermitian, row_powers, stack_channels,
-                             uncolumns)
-from ibfdsim.state import BeamformingState
+from ibfdsim.stacked import (BeamformingState, add_scaled_diag, columns, hermitian, row_powers,
+                             stack_channels, uncolumns)
 
 
 def cn(rng, shape):

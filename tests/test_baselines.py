@@ -12,7 +12,7 @@ from ibfdsim.baselines import nsp_project, run_half_duplex, run_nsp
 from ibfdsim.jpaim import SolverConfig
 from ibfdsim.model import (ScenarioConfig, bs_node, build_realization, restrict_to_downlink,
                            restrict_to_uplink)
-from ibfdsim.state import BeamformingState
+from ibfdsim.stacked import BeamformingState
 
 
 def test_nsp_full_dimension_is_identity():

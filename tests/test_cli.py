@@ -96,6 +96,16 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_rejects_an_empty_out(tmp_path, capsys, monkeypatch):
+    # `--out ""` used to write realizations.csv into the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG)
+    assert main(["simulate", "--config", str(cfg), "--realizations", "1", "--out", ""]) == 1
+    assert "campaign.output_dir" in capsys.readouterr().err
+    assert not (tmp_path / "realizations.csv").exists()
+
+
 def test_exit_code_runtime_failure(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "block"
     blocker.write_text("a plain file where a directory must go")

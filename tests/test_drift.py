@@ -5,7 +5,12 @@ import math
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
+
+from ibfdsim import harness, jpaim
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = {"fd_default", "fd_strong_si_traced", "wide_array"}
@@ -31,15 +36,22 @@ def test_drift_report_of_a_tree_against_itself_is_empty():
     assert {line.split("/")[0] for line in lines if "/records:" in line} == WORKLOADS
 
 
+def _config(tmp_path, extra=""):
+    config = tmp_path / "campaign.cfg"
+    config.write_text("campaign.realizations = 1\ncampaign.base_seed = 3\n"
+                      "campaign.algorithms = jpaim, half-duplex\nsolver.max_iterations = 3\n"
+                      f"campaign.output_dir = {tmp_path / 'out'}\n{extra}")
+    return str(config)
+
+
 def test_trace_comparison_names_each_difference(tmp_path):
     # records and final states that the CSVs do not show: a power that moves
     # by one bit, a wall time that does not count, and a final state array
     drift = _drift()
-    config = tmp_path / "campaign.cfg"
-    config.write_text("campaign.realizations = 1\ncampaign.base_seed = 3\n"
-                      "campaign.algorithms = jpaim, half-duplex\nsolver.max_iterations = 3\n"
-                      f"campaign.output_dir = {tmp_path / 'out'}\n")
-    drift.dump_traces(str(config), str(tmp_path / "traces"))
+    dispatch = harness._run_algorithm
+    assert drift.dump_traces(_config(tmp_path), str(tmp_path / "traces")) == 0
+    assert harness._run_algorithm is dispatch
+    assert (tmp_path / "out" / "realizations.csv").is_file()
     parent = pickle.loads((tmp_path / "traces").read_bytes())
     assert {name for _, name in parent} == {"jpaim", "half_duplex_dl", "half_duplex_ul"}
     assert drift.compare_traces(parent, parent) == []
@@ -53,3 +65,40 @@ def test_trace_comparison_names_each_difference(tmp_path):
     assert drift.compare_traces(parent, change) == [
         "  2 differences", f"    seed {seed} jpaim record 2: dl_cell_power",
         f"    seed {seed} jpaim final state: ul_beams"]
+
+
+def test_trace_capture_records_the_solves_the_harness_made(tmp_path, monkeypatch):
+    # the campaign's own jpaim solve stops after two iterations: the records
+    # are those of that solve (the initial record and two iterations), not of
+    # a solve the drift tool makes itself
+    def two_iterations(config, realization, algo, solve):
+        short = replace(config.solver, max_iterations=2)
+        return dispatch(config, realization, algo, lambda: jpaim.run(realization, short))
+
+    dispatch = harness._run_algorithm
+    monkeypatch.setattr(harness, "_run_algorithm", two_iterations)
+    drift = _drift()
+    assert drift.dump_traces(_config(tmp_path), str(tmp_path / "traces")) == 0
+    assert harness._run_algorithm is two_iterations
+    traces = pickle.loads((tmp_path / "traces").read_bytes())
+    seed = harness.derive_seed(3, 0)
+    assert len(traces[seed, "jpaim"][0]) == 3
+    assert len(traces[seed, "half_duplex_dl"][0]) == 4
+
+
+def test_trace_capture_refuses_worker_processes(tmp_path):
+    # a wrapper in this process would see none of the workers' solves
+    with pytest.raises(ValueError, match="campaign.workers"):
+        _drift().dump_traces(_config(tmp_path, "campaign.workers = 2\n"), str(tmp_path / "t"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_drift_names_each_campaign_that_fails(tmp_path):
+    # a tree without the package: each of its campaign processes exits 1
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "drift.py"), str(ROOT),
+                           str(tmp_path), "--realizations", "1"], capture_output=True, text=True,
+                          check=False, timeout=600)
+    assert done.returncode == 1, done.stdout + done.stderr
+    failed = [line for line in done.stdout.splitlines() if "exited" in line]
+    assert failed == [f"{name}: the campaign of the change tree {tmp_path} exited 1"
+                      for name in sorted(WORKLOADS)]

@@ -108,6 +108,11 @@ def test_parse_config_errors_name_the_key():
         # the list rule of solver.nu holds for campaign.algorithms too
         ("campaign.algorithms = jpaim,,half-duplex", "campaign.algorithms"),
         ("campaign.algorithms = jpaim, half-duplex,", "campaign.algorithms"),
+        # a repeated key names both lines, rather than the later one winning
+        ("solver.nu = 1.0\nscenario.cells = 2\n# a comment\nsolver.nu = 0.0",
+         "line 4: key solver.nu repeats line 1"),
+        # an empty directory would write realizations.csv into the working directory
+        ("campaign.output_dir =", "campaign.output_dir"),
         # values every draw would reject
         ("scenario.bandwidth_hz = 0", "bandwidth_hz"),
         ("scenario.carrier_ghz = -1", "carrier_ghz"),
@@ -189,8 +194,8 @@ def test_campaign_config_validation():
 
 
 def test_save_load_config_roundtrip(tmp_path):
-    cfg = parse_config(SMALL + "solver.nu = 0.25, 0.5\ncampaign.trace = true\n"
-                       + "scenario.cells = 2\nnsp.subspace_dim = 3\n")
+    cfg = parse_config(SMALL.replace("cells = 1", "cells = 2") + "solver.nu = 0.25, 0.5\n"
+                       + "campaign.trace = true\nnsp.subspace_dim = 3\n")
     path = tmp_path / "campaign.cfg"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -249,7 +254,7 @@ def _read_csv(path):
 
 
 def test_run_campaign_bytes_do_not_depend_on_workers(tmp_path):
-    text = SMALL + "scenario.cells = 2\nscenario.bs_tx_antennas = 8\nscenario.bs_rx_antennas = 8\n"
+    text = SMALL.replace("cells = 1", "cells = 2").replace("antennas = 4", "antennas = 8")
     cfg = replace(parse_config(text), realizations=4, trace=True,
                   algorithms=("jpaim", "nsp-jpaim", "half-duplex"))
     outputs = []
@@ -452,7 +457,8 @@ def test_run_campaign_records_failures_and_continues(tmp_path, monkeypatch):
 
 def test_automatic_nsp_dimension_is_at_least_one(tmp_path):
     # with one BS transmit antenna, half of it rounds down to 0
-    text = SMALL + "scenario.bs_tx_antennas = 1\ncampaign.algorithms = nsp-jpaim\n"
+    text = (SMALL.replace("bs_tx_antennas = 4", "bs_tx_antennas = 1")
+            + "campaign.algorithms = nsp-jpaim\n")
     outputs = []
     for dim in ("auto", "1"):
         out = tmp_path / dim

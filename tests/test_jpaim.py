@@ -14,8 +14,7 @@ from ibfdsim.jpaim import SolverConfig, initialize, run
 from ibfdsim.model import (ScenarioConfig, bs_node, build_realization, dl_node,
                            restrict_to_downlink, restrict_to_uplink, ul_node)
 from ibfdsim.objective import resolve_nu
-from ibfdsim.stacked import Channels, uncolumns
-from ibfdsim.state import BeamformingState
+from ibfdsim.stacked import BeamformingState, Channels, uncolumns
 
 
 def test_solver_config_validation():

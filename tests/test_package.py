@@ -92,3 +92,10 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {})
     converged, iterations, *_ = capsys.readouterr().out.split()
     assert converged == "True" and int(iterations) > 0
+
+
+def test_readme_module_map_has_one_bullet_per_module():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("Module map (`src/ibfdsim/`):", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `(\w+\.py)`", section, flags=re.MULTILINE)
+    assert sorted(bullets) == sorted(p.name for p in SOURCES if p.name != "__init__.py")

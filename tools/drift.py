@@ -6,22 +6,23 @@ Each tree is a checkout of this repository.  The script runs every workload
 of bench/workloads.py (the benchmark's campaign configs, read from the tree
 this script lives in) with each tree's `src` as the package, one BLAS
 thread, and `campaign.measure_timing = false`, so the CSVs hold no wall
-time.  It then compares the CSVs of the two trees cell by cell and prints,
-for each file that differs, the rows and columns that differ, the largest
-relative difference of each column, and every change of an `iterations`
-or `converged` value.
+time, in one process per workload and tree.  It then compares the CSVs
+of the two trees cell by cell and prints, for each file that differs, the
+rows and columns that differ, the largest relative difference of each
+column, and every change of an `iterations` or `converged` value.
 
-The CSVs carry no record powers, multipliers or search counts, so for each
-workload the script also reruns the solves of the campaign's first two
-seeds with each tree's package (the `jpaim` solve and the two half-duplex
-phases, as the campaign configures them) and compares their RunTraces: every
-IterationRecord field but the wall times (elapsed_ms and the three block
-times), bit for bit, and the final state's arrays, byte for byte.  It
-prints each record field and state array that differs.  It writes only
-into a temporary directory and changes no benchmark file.
+The CSVs carry no record powers, multipliers or search counts, so each
+campaign process also records the RunTraces `harness._run_algorithm`
+returns for the first two seeds (the solves the campaign made), and the
+script compares them: every IterationRecord field but the wall times
+(elapsed_ms and the three block times), bit for bit, and the final state's
+arrays, byte for byte.  It prints each record field and state array that
+differs.  It writes only into a temporary directory and changes no
+benchmark file.
 
-Exit status: 0 when every CSV is byte-identical and every compared trace
-equal, 1 when any differs.
+Exit status: 0 when every campaign process exits 0, every CSV is
+byte-identical and every compared trace equal; 1 otherwise, naming each
+workload whose campaign process failed, with the tree and the exit code.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -56,51 +58,57 @@ def _workloads():
 
 
 def run_tree(tree: Path, workloads, seed: int, realizations: int, out: Path) -> dict:
-    """Run every workload with `tree`'s package, and dump its first seeds'
-    traces into the workload's directory; returns {workload: output dir}."""
+    """Run every workload's campaign with `tree`'s package through
+    dump_traces, one process each, into out/<workload>; returns {workload:
+    exit code}."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(TOOLS)]),
                **{v: "1" for v in THREAD_VARIABLES})
-    dirs = {}
+    codes = {}
     for name, workload in workloads.WORKLOADS.items():
-        dirs[name] = out / name
-        text = workloads.config_text(workload, seed, realizations, str(dirs[name]))
+        text = workloads.config_text(workload, seed, realizations, str(out / name))
         text = text.replace("campaign.measure_timing = true", "campaign.measure_timing = false")
         config = out / f"{name}.cfg"
         config.write_text(text)
-        subprocess.run([sys.executable, "-m", "ibfdsim.cli", "simulate", "--config", str(config)],
-                       env=env, cwd=out, stdout=subprocess.DEVNULL, check=False)
-        subprocess.run([sys.executable, "-c", "import sys, drift; drift.dump_traces(*sys.argv[1:])",
-                        str(config), str(dirs[name] / RECORDS)], env=env, cwd=out, check=False)
-    return dirs
+        codes[name] = subprocess.run(
+            [sys.executable, "-c", "import sys, drift; sys.exit(drift.dump_traces(*sys.argv[1:]))",
+             str(config), str(out / name / RECORDS)],
+            env=env, cwd=out, stdout=subprocess.DEVNULL, check=False).returncode
+    return codes
 
 
-def dump_traces(config_path: str, out_path: str) -> None:
-    """Pickle the traces of the solves of a campaign config's first
-    TRACED_SEEDS seeds, made with the ibfdsim package on sys.path, as plain
-    values: {(seed, trace name): (record fields without wall times, final
-    state arrays)}."""
-    from dataclasses import fields
+def dump_traces(config_path: str, out_path: str) -> int:
+    """Run `ibfdsim simulate --config config_path` in this process and return
+    its exit code.  A campaign that exits 0 also pickles the traces that
+    `harness._run_algorithm` returned for its first TRACED_SEEDS seeds, as
+    {(seed, trace name): (record fields without wall times, final state
+    arrays)}.  Refuses `campaign.workers > 1`: no worker's solve is seen here."""
+    from ibfdsim import cli, harness
 
-    from ibfdsim import baselines, jpaim
-    from ibfdsim.harness import derive_seed, load_config
-    from ibfdsim.model import build_realization
+    campaign = harness.load_config(config_path)
+    if campaign.workers > 1:
+        raise ValueError(f"{config_path}: campaign.workers > 1 hides the workers' solves")
+    seeds = {harness.derive_seed(campaign.base_seed, index) for index in range(TRACED_SEEDS)}
+    original, traces = harness._run_algorithm, {}
 
-    config = load_config(config_path)
-    traces = {}
-    for index in range(min(TRACED_SEEDS, config.realizations)):
-        seed = derive_seed(config.base_seed, index)
-        real = build_realization(config.scenario, seed)
-        if {"jpaim", "nsp-jpaim"} & set(config.algorithms):
-            traces[seed, "jpaim"] = jpaim.run(real, config.solver, collect_metrics=config.trace)
-        if "half-duplex" in config.algorithms:
-            _, traces[seed, "half_duplex_dl"], traces[seed, "half_duplex_ul"] = (
-                baselines.run_half_duplex(real, config.solver))
-    plain = {key: ([{f.name: getattr(record, f.name) for f in fields(record)
-                     if f.name not in WALL_TIMES} for record in trace.records],
-                   {name: getattr(trace.final_state, name) for name in STATE_ARRAYS})
-             for key, trace in traces.items()}
-    with open(out_path, "wb") as f:
-        pickle.dump(plain, f)
+    def recorded(config, realization, algo, solve):
+        report, found = original(config, realization, algo, solve)
+        if realization.seed in seeds:
+            traces.update({(realization.seed, name): trace for name, trace in found.items()})
+        return report, found
+
+    harness._run_algorithm = recorded
+    try:
+        code = cli.main(["simulate", "--config", config_path])
+    finally:
+        harness._run_algorithm = original
+    if code == 0:
+        plain = {key: ([{f.name: getattr(record, f.name) for f in fields(record)
+                         if f.name not in WALL_TIMES} for record in trace.records],
+                       {name: getattr(trace.final_state, name) for name in STATE_ARRAYS})
+                 for key, trace in traces.items()}
+        with open(out_path, "wb") as f:
+            pickle.dump(plain, f)
+    return code
 
 
 def _rows(path: Path) -> list:
@@ -180,13 +188,16 @@ def main(argv=None) -> int:
     workloads = _workloads()
     differs = False
     with tempfile.TemporaryDirectory() as tmp:
-        sides = []
-        for label, tree in (("parent", args.parent), ("change", args.change)):
-            (Path(tmp) / label).mkdir()
-            sides.append(run_tree(tree.resolve(), workloads, args.seed, args.realizations,
-                                  Path(tmp) / label))
+        roots = [Path(tmp) / "parent", Path(tmp) / "change"]
+        for root, tree in zip(roots, (args.parent, args.change)):
+            root.mkdir()
+            codes = run_tree(tree.resolve(), workloads, args.seed, args.realizations, root)
+            for name, code in codes.items():
+                if code:
+                    print(f"{name}: the campaign of the {root.name} tree {tree} exited {code}")
+                    differs = True
         for name in workloads.WORKLOADS:
-            before, after = sides[0][name], sides[1][name]
+            before, after = (root / name for root in roots)
             files = sorted({p.name for d in (before, after) if d.is_dir() for p in d.glob("*.csv")})
             if not files:
                 print(f"{name}: no CSV written")
