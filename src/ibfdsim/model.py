@@ -8,11 +8,11 @@ plus a self-interference (SI) channel at each BS.
 
 All channels are stored both as the true matrix and as an estimated copy with
 a known per-element error variance; SI channels are assumed perfectly known.
-A realization keeps them in one matrix X (module `stacked`), which the
-solver kernels read directly; `Realization.link` views one link's blocks.
-The Channels holding X are also the one record of the realization's sizes
-(cells, users per cell, antennas per node); the realization adds only the
-geometry, the hardware, and the two stream counts.
+A realization keeps them in one matrix X (module `stacked`), drawn block
+by block and read by the solver kernels as whole arrays.  The Channels
+holding X are also the one record of the realization's sizes (cells, users
+per cell, antennas per node); the realization adds only the geometry, the
+hardware, and the two stream counts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .stacked import Channels, LinkView
+from .stacked import Channels
 
 # ---------------------------------------------------------------------------
 # unit helpers
@@ -276,61 +276,54 @@ def pathloss_umi(distance_m: float, carrier_ghz: float, is_los: bool) -> float:
     return db_to_linear(-pl_db)
 
 
-def generate_channel(gain: float, rician_k: float, use_rician: bool,
-                     rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one channel matrix with average per-element power `gain`.
+def generate_channel(gain: np.ndarray, rician_k: float, use_rician: np.ndarray,
+                     normals: np.ndarray) -> np.ndarray:
+    """Channel matrices with average per-element power `gain`, one per link.
 
-    Rayleigh: sqrt(gain) * N with N i.i.d. CN(0, 1).  Rician: deterministic
-    component (identity when square, all-ones otherwise) blended with the same
-    scattered part at K-factor `rician_k` (linear).
+    `normals` (links..., 2, rows, cols) holds the real and imaginary parts of
+    each link's N, i.i.d. CN(0, 1); `gain` and `use_rician` are (links...).
+    Rayleigh: sqrt(gain) * N.  Rician: deterministic component (identity
+    when square, all-ones otherwise) blended with the same scattered part at
+    K-factor `rician_k` (linear).
     """
-    scatter = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    scatter = 1j * normals[..., 1, :, :]
+    scatter += normals[..., 0, :, :]
     scatter /= math.sqrt(2.0)
-    if not use_rician:
-        return math.sqrt(gain) * scatter
+    rows, cols = scatter.shape[-2:]
     det = np.eye(rows, cols, dtype=complex) if rows == cols else np.ones((rows, cols), dtype=complex)
-    k = rician_k
-    return math.sqrt(gain) * (math.sqrt(k / (k + 1.0)) * det + math.sqrt(1.0 / (k + 1.0)) * scatter)
+    los, scattered = math.sqrt(rician_k / (rician_k + 1.0)), math.sqrt(1.0 / (rician_k + 1.0))
+    scatter[use_rician] = los * det + scattered * scatter[use_rician]
+    return np.multiply(np.sqrt(gain)[..., None, None], scatter, out=scatter)
 
 
 def apply_uncertainty(channel: np.ndarray, varrho: float,
-                      rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Split a true channel into an estimate and a known error variance.
+                      normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split true channels (links..., rows, cols) into estimates and known
+    error variances, with `normals` (links..., 2, rows, cols) the real and
+    imaginary parts of each link's error draw.
 
-    The per-element error variance is varrho * ||H||_F^2 / (rows*cols); the
-    estimate is H minus one error draw, so estimate + error = truth holds
-    exactly.  varrho = 0 returns the channel unchanged.
+    A link's per-element error variance is varrho * ||H||_F^2 / (rows*cols);
+    its estimate is H minus the error, so estimate + error = truth holds
+    exactly.  varrho = 0 returns the channels unchanged and zero variances,
+    and reads no normals.
     """
     if varrho < 0:
         raise ValueError("varrho must be >= 0")
+    *links, rows, cols = channel.shape
     if varrho == 0.0:
-        return channel, 0.0
-    rows, cols = channel.shape
-    err_var = varrho * float(np.linalg.norm(channel) ** 2) / (rows * cols)
-    delta = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
-    delta *= math.sqrt(err_var / 2.0)
-    return channel - delta, err_var
+        return channel, np.zeros(links)
+    # one norm per link: a batched norm rounds differently
+    err_var = np.array([varrho * float(np.linalg.norm(h) ** 2) / (rows * cols)
+                        for h in channel.reshape(-1, rows, cols)]).reshape(links)
+    delta = 1j * normals[..., 1, :, :]
+    delta += normals[..., 0, :, :]
+    delta *= np.sqrt(err_var / 2.0)[..., None, None]
+    return np.subtract(channel, delta, out=delta), err_var
 
 
 # ---------------------------------------------------------------------------
 # channel container
 # ---------------------------------------------------------------------------
-
-# node keys: ("bs", g), ("dl", g, k), ("ul", g, k)
-Node = tuple
-
-
-def bs_node(g: int) -> Node:
-    return ("bs", g)
-
-
-def dl_node(g: int, k: int) -> Node:
-    return ("dl", g, k)
-
-
-def ul_node(g: int, k: int) -> Node:
-    return ("ul", g, k)
-
 
 @dataclass(eq=False)
 class Realization:
@@ -360,23 +353,14 @@ class Realization:
                                  f"antenna count of its link")
 
     def dl_users(self):
-        for g in range(self.channels.cells):
-            for k in range(self.channels.k_d):
-                yield g, k
+        return np.ndindex(self.channels.cells, self.channels.k_d)
 
     def ul_users(self):
-        for g in range(self.channels.cells):
-            for k in range(self.channels.k_u):
-                yield g, k
+        return np.ndindex(self.channels.cells, self.channels.k_u)
 
     @property
     def cell_count(self) -> int:
         return self.channels.cells
-
-    def link(self, rx: Node, tx: Node) -> LinkView:
-        """The link rx <- tx as views of the stored arrays (see Channels.link), so
-        an in-place edit of them edits the realization."""
-        return self.channels.link(rx, tx)
 
 
 def build_realization(config: ScenarioConfig, seed: int) -> Realization:
@@ -385,19 +369,19 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     The draw order is fixed so that identical (config, seed) pairs are
     bit-reproducible and so that scenario fields which only rescale channels
     (e.g. the SI gain) do not perturb unrelated draws: the geometry first,
-    then one link per (receiver, transmitter) pair, receivers in the outer
-    loop (every downlink user, cell by cell, then every BS) and transmitters
-    in the inner one (every BS, then every uplink user, cell by cell).  Each
-    link draws its matrix, then its estimation error.
+    then two `standard_normal` calls, one per receiver kind, every downlink
+    user (cell by cell) and then every BS.  A call's numbers run over its
+    receivers, a receiver's over its transmitters (every BS, then every
+    uplink user, cell by cell), and a link's are the real and imaginary
+    parts of its matrix, then of its estimation error.  The SI link draws
+    no error (its CSI is perfect), and no link does at csi_error_factor 0.
     """
     rng = np.random.default_rng(seed)
     topo = generate_topology(config.cells, config.dl_users, config.ul_users,
                              config.inter_site_distance_m, config.min_bs_user_distance_m, rng)
+    distortion = distortion_factor_from_bits(config.adc_bits)
     hw = HardwareProfile(
-        kappa_bs=distortion_factor_from_bits(config.adc_bits),
-        kappa_ue=distortion_factor_from_bits(config.adc_bits),
-        beta_bs=distortion_factor_from_bits(config.adc_bits),
-        beta_ue=distortion_factor_from_bits(config.adc_bits),
+        kappa_bs=distortion, kappa_ue=distortion, beta_bs=distortion, beta_ue=distortion,
         noise_bs_w=noise_variance(config.noise_density_dbm_hz, config.bandwidth_hz,
                                   config.bs_noise_figure_db),
         noise_ue_w=noise_variance(config.noise_density_dbm_hz, config.bandwidth_hz,
@@ -406,37 +390,52 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
         p_ue_w=dbm_to_watts(config.ue_power_dbm),
         si_gain=(db_to_linear(-config.asic_db),) * config.cells,
     )
-    rician_k = db_to_linear(config.rician_k_db)
-
-    real = Realization(topology=topo, hardware=hw, seed=seed,
-                       dl_streams=config.dl_streams, ul_streams=config.ul_streams,
-                       channels=Channels.zeros(config.cells, config.dl_users,
-                                               config.ue_rx_antennas, config.bs_rx_antennas,
-                                               config.bs_tx_antennas, config.ul_users,
-                                               config.ue_tx_antennas))
-    cells = range(config.cells)
-    dl = [(dl_node(g, k), topo.dl_xy[g, k]) for g in cells for k in range(config.dl_users)]
-    bs = [(bs_node(g), topo.bs_xy[g]) for g in cells]
-    ul = [(ul_node(g, k), topo.ul_xy[g, k]) for g in cells for k in range(config.ul_users)]
-    for rx, rx_xy in dl + bs:
-        for tx, tx_xy in bs + ul:
-            link = real.link(rx, tx)
-            rows, cols = link.est.shape
-            if rx == tx:
-                # self-interference: Rayleigh at the residual gain, perfect CSI
-                link.est[...] = generate_channel(hw.si_gain[rx[1]], rician_k, False,
-                                                 rows, cols, rng)
-                continue
-            d = float(np.linalg.norm(rx_xy - tx_xy))
-            los = los_probability(d) >= 0.5
-            gain = pathloss_umi(d, config.carrier_ghz, los)
-            # stated fading rule pairs LOS geometry with Rayleigh draws; the
-            # swap flag restores the conventional LOS -> Rician mapping
-            use_rician = (not los) if not config.swap_los_fading else los
-            h = generate_channel(gain, rician_k, use_rician, rows, cols, rng)
-            link.true[...] = h
-            link.est[...], link.err_var[...] = apply_uncertainty(h, config.csi_error_factor, rng)
-    return real
+    rician_k, varrho = db_to_linear(config.rician_k_db), config.csi_error_factor
+    sizes = (config.cells, config.dl_users, config.ue_rx_antennas, config.bs_rx_antennas,
+             config.bs_tx_antennas, config.ul_users, config.ue_tx_antennas)
+    cells, k_d, m_ue, m_bs, n_bs, k_u, n_ue = sizes
+    shape, err_shape = Channels.shapes(*sizes)
+    x, x_true, err = np.zeros(shape, complex), np.zeros(shape, complex), np.zeros(err_shape)
+    draws, si = (4 if varrho else 2), np.arange(cells)   # a link's matrix, then its error
+    # per node kind: positions, antennas, its rows or columns of X, of err
+    dl_rows, bs_cols = cells * k_d * m_ue, cells * n_bs
+    receivers = ((topo.dl_xy.reshape(-1, 2), m_ue, np.s_[:dl_rows], np.s_[:cells * k_d]),
+                 (topo.bs_xy, m_bs, np.s_[dl_rows:], np.s_[cells * k_d:]))
+    senders = ((topo.bs_xy, n_bs, np.s_[:bs_cols], np.s_[:cells]),
+               (topo.ul_xy.reshape(-1, 2), n_ue, np.s_[bs_cols:], np.s_[cells:]))
+    for rx_xy, m, rows, rx_err in receivers:
+        # per transmitter kind, a mask over (receiver, transmitter, draw) of the
+        # draws the stream holds (the SI links draw no error), and the width
+        # of one receiver's run of numbers
+        keeps = [np.ones((len(rx_xy), len(tx_xy), draws), bool) for tx_xy, *_ in senders]
+        if rx_xy is topo.bs_xy:
+            keeps[0][si, si, 2:] = False
+        widths = [np.count_nonzero(keep[:1]) * m * n for keep, (_, n, *_) in zip(keeps, senders)]
+        numbers = rng.standard_normal((len(rx_xy), sum(widths)))
+        for keep, (tx_xy, n, cols, tx_err), drawn in zip(keeps, senders,
+                                                         np.split(numbers, widths[:1], axis=1)):
+            part = np.zeros((*keep.shape, m, n))
+            part[keep] = drawn.reshape(-1, m, n)
+            links = keep.shape[:2]
+            gain, rician = np.empty(links), np.empty(links, bool)
+            for r, t in np.ndindex(links):
+                d = float(np.linalg.norm(rx_xy[r] - tx_xy[t]))
+                los = los_probability(d) >= 0.5
+                gain[r, t] = pathloss_umi(d, config.carrier_ghz, los)
+                # stated fading rule pairs LOS geometry with Rayleigh draws; the
+                # swap flag restores the conventional LOS -> Rician mapping
+                rician[r, t] = los == config.swap_los_fading
+            if rx_xy is tx_xy:   # BSs <- BSs, SI links on the diagonal: Rayleigh, residual gain
+                gain[si, si], rician[si, si] = hw.si_gain, False
+            h = generate_channel(gain, rician_k, rician, part[:, :, :2])
+            est, err_var = apply_uncertainty(h, varrho, part[:, :, 2:])
+            x_block, true_block = (a[rows, cols].reshape(links[0], m, links[1], n).swapaxes(1, 2)
+                                   for a in (x, x_true))
+            x_block[...], true_block[...], err[rx_err, tx_err] = est, h, err_var
+            if rx_xy is tx_xy:   # perfect SI CSI: one matrix, in x, and no error
+                x_block[si, si], true_block[si, si], err[rx_err, tx_err][si, si] = h[si, si], 0, 0
+    return Realization(topology=topo, hardware=hw, seed=seed, dl_streams=config.dl_streams,
+                       ul_streams=config.ul_streams, channels=Channels(x, x_true, err, *sizes))
 
 
 # ---------------------------------------------------------------------------

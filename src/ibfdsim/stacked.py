@@ -14,14 +14,17 @@ transmitter's channel into every receiver side by side, receive antennas
 as rows and transmit antennas as columns, with the true matrices and the
 error variances in the same order.  Its size fields (cells, users per
 cell, antennas per node) are the realization's one record of its sizes.
-A ChannelStack shares X and adds what the kernels derive from it: views
-of X per receiver and per transmitter, and one copy of its conjugate
-transpose X^H with the matching views, from which both the receive
-covariances and the transmit-side Gram matrices are formed: every such
-product multiplies a block of X by a block of X^H, so X^H is conjugated
-once per stack rather than once per kernel call.  A ChannelStack reads
-the stored channels alone, no hardware, and is built per call of the
-solver, so an in-place edit of a stored link reaches the next call.
+The package reads and writes X only as whole arrays and blocks:
+model.build_realization draws it one block per pair of receiver and
+transmitter kinds, and no code addresses a single link.  A ChannelStack
+shares X and adds what the kernels derive from it: views of X per
+receiver and per transmitter, and one copy of its conjugate transpose X^H
+with the matching views, from which both the receive covariances and the
+transmit-side Gram matrices are formed: every such product multiplies a
+block of X by a block of X^H, so X^H is conjugated once per stack rather
+than once per kernel call.  A ChannelStack reads the stored channels
+alone, no hardware, and is built per call of the solver, so an in-place
+edit of the stored arrays reaches the next call.
 """
 
 from __future__ import annotations
@@ -133,15 +136,6 @@ class BeamformingState:
 
 
 @dataclass(eq=False)
-class LinkView:
-    """One receiver <- transmitter link as views into a realization's channels."""
-
-    true: np.ndarray
-    est: np.ndarray
-    err_var: np.ndarray      # 0-d, the per-element estimation-error variance
-
-
-@dataclass(eq=False)
 class Channels:
     """Every link of one realization, stored once.
 
@@ -170,38 +164,6 @@ class Channels:
         """The shape of `x` (and of `x_true`) and that of `err` for the given sizes."""
         return ((cells * (k_d * m_ue + m_bs), cells * (n_bs + k_u * n_ue)),
                 (cells * (k_d + 1), cells * (1 + k_u)))
-
-    @classmethod
-    def zeros(cls, *sizes) -> "Channels":
-        """All-zero channels for the sizes that `shapes` takes."""
-        shape, err_shape = cls.shapes(*sizes)
-        return cls(np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex),
-                   np.zeros(err_shape), *sizes)
-
-    def link(self, rx: tuple, tx: tuple) -> LinkView:
-        """Views of the blocks of the link rx <- tx, with nodes ("bs", g),
-        ("dl", g, k) and ("ul", g, k) as in module model; raises IndexError
-        for a node outside the topology.  The SI link's truth is its estimate."""
-        r, rows = _locate(rx, (("dl", self.k_d, self.m_ue), ("bs", 1, self.m_bs)), self.cells)
-        t, cols = _locate(tx, (("bs", 1, self.n_bs), ("ul", self.k_u, self.n_ue)), self.cells)
-        est = self.x[rows, cols]
-        return LinkView(true=est if rx == tx else self.x_true[rows, cols], est=est,
-                        err_var=self.err[r, t, ...])
-
-
-def _locate(node: tuple, side, cells: int) -> tuple[int, slice]:
-    """Entry and antenna slice of `node` on one side of X, whose node kinds
-    `side` lists in order as (kind, nodes per cell, antennas per node)."""
-    entry = first = 0
-    for kind, per_cell, antennas in side:
-        if node[0] == kind:
-            g, k = (*node[1:], 0) if kind == "bs" else node[1:]
-            if not (0 <= g < cells and 0 <= k < per_cell):
-                break
-            at = g * per_cell + k
-            return entry + at, slice(first + at * antennas, first + (at + 1) * antennas)
-        entry, first = entry + cells * per_cell, first + cells * per_cell * antennas
-    raise IndexError(f"no {'/'.join(s[0] for s in side)} node {node} in this topology")
 
 
 @dataclass(eq=False)

@@ -8,12 +8,12 @@ independent oracle for it.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from ibfdsim import covariance, jpaim, objective
-from ibfdsim.model import (Realization, ScenarioConfig, bs_node, build_realization,
-                           dl_node, ul_node)
+from ibfdsim.model import Realization, ScenarioConfig, build_realization
 from ibfdsim.stacked import (BeamformingState, add_scaled_diag, columns, hermitian, row_powers,
                              stack_channels, uncolumns)
 
@@ -29,6 +29,41 @@ def small_config(**overrides) -> ScenarioConfig:
                 ue_tx_antennas=2, ue_rx_antennas=2, dl_streams=1, ul_streams=1)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+# node keys: ("bs", g), ("dl", g, k), ("ul", g, k)
+def bs_node(g: int) -> tuple:
+    return ("bs", g)
+
+
+def dl_node(g: int, k: int) -> tuple:
+    return ("dl", g, k)
+
+
+def ul_node(g: int, k: int) -> tuple:
+    return ("ul", g, k)
+
+
+def link(realization: Realization, rx: tuple, tx: tuple) -> SimpleNamespace:
+    """The link rx <- tx as views of the realization's stored arrays, so an
+    in-place edit of them edits the realization: `est` and `true` are its
+    blocks of x and x_true (the SI link's truth is its estimate), `err_var`
+    its 0-d entry of err.  Raises KeyError for a node outside the topology."""
+    ch = realization.channels
+    r, rows = _side((("dl", ch.k_d, ch.m_ue), ("bs", 1, ch.m_bs)), ch.cells)[rx]
+    t, cols = _side((("bs", 1, ch.n_bs), ("ul", ch.k_u, ch.n_ue)), ch.cells)[tx]
+    est = ch.x[rows, cols]
+    return SimpleNamespace(true=est if rx == tx else ch.x_true[rows, cols], est=est,
+                           err_var=ch.err[r, t, ...])
+
+
+def _side(kinds, cells: int) -> dict:
+    """{node: (entry, antenna slice)} of one side of X, whose node kinds
+    `kinds` lists in order as (kind, nodes per cell, antennas per node)."""
+    nodes = [(bs_node(g) if kind == "bs" else (kind, g, k), antennas)
+             for kind, per_cell, antennas in kinds for g in range(cells) for k in range(per_cell)]
+    first = np.cumsum([0] + [antennas for _, antennas in nodes])
+    return {node: (n, slice(first[n], first[n + 1])) for n, (node, _) in enumerate(nodes)}
 
 
 def links(realization: Realization) -> list:
@@ -93,7 +128,7 @@ def best_asic_depth_db(realization: Realization, g: int) -> float:
     most 10 log10(l (1 + kappa) / lambda_min(S)): all power on the weakest
     eigen-direction of S.
     """
-    h = realization.link(bs_node(g), bs_node(g)).true
+    h = link(realization, bs_node(g), bs_node(g)).true
     kappa = realization.hardware.kappa_bs
     gram = h.conj().T @ h
     weakest = np.linalg.eigvalsh(gram + kappa * np.diag(np.diag(gram)))[0]
@@ -227,10 +262,10 @@ def mc_estimates(realization: Realization, state: BeamformingState, draws: int, 
         for r, t in links(realization):
             if r != rx:
                 continue
-            link = realization.link(r, t)
-            y = y + tx[t] @ link.est.T
-            if link.err_var > 0.0:
-                delta = cn(rng, (draws,) + link.est.shape) * math.sqrt(link.err_var)
+            view = link(realization, r, t)
+            y = y + tx[t] @ view.est.T
+            if view.err_var > 0.0:
+                delta = cn(rng, (draws,) + view.est.shape) * math.sqrt(view.err_var)
                 y = y + np.einsum("dij,dj->di", delta, tx[t])
         dvar = beta * np.mean(np.abs(y) ** 2, axis=0)
         return y + cn(rng, (draws, rows)) * np.sqrt(dvar)

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 import helpers
+from helpers import bs_node, dl_node
 from ibfdsim import baselines, harness, jpaim, objective
 from ibfdsim.jpaim import SolverConfig
-from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node
+from ibfdsim.model import ScenarioConfig, build_realization
 
 
 def _verdict(criterion, ok, detail):

@@ -10,7 +10,7 @@ import helpers
 from ibfdsim import baselines, covariance, jpaim, objective, stacked
 from ibfdsim.baselines import nsp_project, run_half_duplex, run_nsp
 from ibfdsim.jpaim import SolverConfig
-from ibfdsim.model import (ScenarioConfig, bs_node, build_realization, restrict_to_downlink,
+from ibfdsim.model import (ScenarioConfig, build_realization, restrict_to_downlink,
                            restrict_to_uplink)
 from ibfdsim.stacked import BeamformingState
 

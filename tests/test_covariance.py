@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import bs_node, dl_node, ul_node
 from ibfdsim import covariance
-from ibfdsim.model import (ScenarioConfig, bs_node, build_realization, dl_node,
-                           restrict_to_downlink, restrict_to_uplink, ul_node)
+from ibfdsim.model import (ScenarioConfig, build_realization, restrict_to_downlink,
+                           restrict_to_uplink)
 from ibfdsim.stacked import columns
 
 
@@ -40,10 +41,10 @@ def test_csi_error_variance_hand_sum():
     expected = 0.0
     for g in range(real.cell_count):
         t = helpers.tx_gram(columns(state.dl_beams[g]), real.hardware.kappa_bs)
-        expected += real.link(rx, bs_node(g)).err_var * np.trace(t).real
+        expected += helpers.link(real, rx, bs_node(g)).err_var * np.trace(t).real
     for g, k in real.ul_users():
         t = helpers.tx_gram(state.ul_beams[g][k], real.hardware.kappa_ue)
-        expected += real.link(rx, ul_node(g, k)).err_var * np.trace(t).real
+        expected += helpers.link(real, rx, ul_node(g, k)).err_var * np.trace(t).real
     assert float(helpers.state_covariances(real, state).dl_csi[0, 0]) == pytest.approx(
         expected, rel=1e-12)
 
@@ -58,14 +59,14 @@ def test_rx_covariance_explicit_assembly():
         sig_hat = 0.0
         for g in range(real.cell_count):
             t = helpers.tx_gram(columns(state.dl_beams[g]), hw.kappa_bs)
-            h = real.link(rx, bs_node(g)).est
+            h = helpers.link(real, rx, bs_node(g)).est
             base += h @ t @ h.conj().T
-            sig_hat += real.link(rx, bs_node(g)).err_var * np.trace(t).real
+            sig_hat += helpers.link(real, rx, bs_node(g)).err_var * np.trace(t).real
         for g, k in real.ul_users():
             t = helpers.tx_gram(state.ul_beams[g][k], hw.kappa_ue)
-            h = real.link(rx, ul_node(g, k)).est
+            h = helpers.link(real, rx, ul_node(g, k)).est
             base += h @ t @ h.conj().T
-            sig_hat += real.link(rx, ul_node(g, k)).err_var * np.trace(t).real
+            sig_hat += helpers.link(real, rx, ul_node(g, k)).err_var * np.trace(t).real
         return (base + beta * np.diag(np.diag(base))
                 + (noise_w + sig_hat) * np.eye(m))
 
@@ -90,7 +91,7 @@ def test_rx_covariance_uses_true_si_channel():
     real = build_realization(helpers.small_config(cells=1, asic_db=0.0), 3)
     state = helpers.random_state(real, 4)
     before = helpers.state_covariances(real, state).bs_rx[0]
-    link = real.link(bs_node(0), bs_node(0))
+    link = helpers.link(real, bs_node(0), bs_node(0))
     link.true *= 2.0
     after = helpers.state_covariances(real, state).bs_rx[0]
     t = helpers.tx_gram(columns(state.dl_beams[0]), real.hardware.kappa_bs)
@@ -178,11 +179,11 @@ def test_transmit_grams_match_per_link_f1_sums():
         def summed(tx, kappa):
             total = 0.0
             for j, i in real.dl_users():
-                h = real.link(dl_node(j, i), tx).est
+                h = helpers.link(real, dl_node(j, i), tx).est
                 total = total + helpers.f1(h.conj().T, state.dl_combiners[j][i], kappa,
                                            hw.beta_ue)
             for j, i in real.ul_users():
-                h = real.link(bs_node(j), tx).est
+                h = helpers.link(real, bs_node(j), tx).est
                 total = total + helpers.f1(h.conj().T, state.ul_combiners[j][i], kappa,
                                            hw.beta_bs)
             return total
@@ -270,7 +271,7 @@ def test_covariances_match_per_link_sums(case):
         m = got_rx.shape[-1]
         base, csi = np.zeros((m, m), dtype=complex), 0.0
         for node, t in tx.items():
-            link = real.link(rx, node)
+            link = helpers.link(real, rx, node)
             base += link.est @ t @ link.est.conj().T
             csi += link.err_var * np.trace(t).real
         close(np.asarray(got_csi), np.asarray(csi))
@@ -278,11 +279,11 @@ def test_covariances_match_per_link_sums(case):
 
     for g, k in real.dl_users():
         check(dl_node(g, k), cov.dl_rx[g, k], cov.dl_csi[g, k], hw.beta_ue, hw.noise_ue_w)
-        close(cov.signal[0][g, k], real.link(dl_node(g, k), bs_node(g)).est @ w_dl[g, k])
+        close(cov.signal[0][g, k], helpers.link(real, dl_node(g, k), bs_node(g)).est @ w_dl[g, k])
     for g in range(real.cell_count):
         check(bs_node(g), cov.bs_rx[g], cov.bs_csi[g], hw.beta_bs, hw.noise_bs_w)
     for g, k in real.ul_users():
-        close(cov.signal[1][g, k], real.link(bs_node(g), ul_node(g, k)).est @ w_ul[g, k])
+        close(cov.signal[1][g, k], helpers.link(real, bs_node(g), ul_node(g, k)).est @ w_ul[g, k])
     assert cov.signal[0].shape == w_dl.shape[:2] + (real.channels.m_ue, w_dl.shape[-1])
     assert cov.signal[1].shape == w_ul.shape[:2] + (real.channels.m_bs, w_ul.shape[-1])
 
@@ -291,7 +292,7 @@ def test_covariances_match_per_link_sums(case):
     rep = report(ch, hw, (np.zeros_like(cov.signal[0]), np.zeros_like(cov.signal[1])), cov,
                  np.ones(cells))
     for g in range(cells):
-        si = real.link(bs_node(g), bs_node(g)).true
+        si = helpers.link(real, bs_node(g), bs_node(g)).true
         rsi = np.trace(si @ tx[bs_node(g)] @ si.conj().T).real
         power = np.trace(tx[bs_node(g)]).real
         close(np.asarray(rep.rsi_watts[g]), np.asarray(rsi))

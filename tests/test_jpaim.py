@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import bs_node, dl_node, ul_node
 from ibfdsim import baselines, jpaim, objective
 from ibfdsim.jpaim import SolverConfig, initialize, run
-from ibfdsim.model import (ScenarioConfig, bs_node, build_realization, dl_node,
-                           restrict_to_downlink, restrict_to_uplink, ul_node)
+from ibfdsim.model import (ScenarioConfig, build_realization, restrict_to_downlink,
+                           restrict_to_uplink)
 from ibfdsim.objective import resolve_nu
-from ibfdsim.stacked import BeamformingState, Channels, uncolumns
+from ibfdsim.stacked import BeamformingState, uncolumns
 
 
 def test_solver_config_validation():
@@ -106,11 +107,11 @@ def test_update_combiners_solves_mmse_system():
     cov = helpers.state_covariances(real, state)
     for g, k in real.dl_users():
         c = cov.dl_rx[g, k]
-        rhs = real.link(dl_node(g, k), bs_node(g)).est @ state.dl_beams[g][k]
+        rhs = helpers.link(real, dl_node(g, k), bs_node(g)).est @ state.dl_beams[g][k]
         np.testing.assert_allclose(c @ state.dl_combiners[g][k], rhs, rtol=1e-9)
     for g, k in real.ul_users():
         c = cov.bs_rx[g]
-        rhs = real.link(bs_node(g), ul_node(g, k)).est @ state.ul_beams[g][k]
+        rhs = helpers.link(real, bs_node(g), ul_node(g, k)).est @ state.ul_beams[g][k]
         np.testing.assert_allclose(c @ state.ul_combiners[g][k], rhs, rtol=1e-9)
 
 
@@ -167,7 +168,7 @@ def test_update_precoders_stationary_for_its_lagrangian():
 
 def test_cell_and_user_relabelling_permutes_every_output():
     # relabel the cells of a 3-cell realization as [2, 0, 1], and swap the
-    # downlink and the uplink users of one cell, through link(): every
+    # downlink and the uplink users of one cell, through helpers.link: every
     # per-cell and per-user output must come out relabelled the same way,
     # and every scalar unchanged.  Only the order of the sums differs, which
     # moves one precoder step by about 1e-9 relative.
@@ -184,10 +185,10 @@ def test_cell_and_user_relabelling_permutes_every_output():
     ch = real.channels
     moved = replace(real, hardware=replace(real.hardware, si_gain=tuple(
                         np.array(real.hardware.si_gain)[cells].tolist())),
-                    channels=Channels.zeros(ch.cells, ch.k_d, ch.m_ue, ch.m_bs, ch.n_bs,
-                                            ch.k_u, ch.n_ue))
+                    channels=replace(ch, x=np.zeros_like(ch.x), x_true=np.zeros_like(ch.x_true),
+                                     err=np.zeros_like(ch.err)))
     for rx, tx in helpers.links(moved):
-        new, was = moved.link(rx, tx), real.link(old(rx), old(tx))
+        new, was = helpers.link(moved, rx, tx), helpers.link(real, old(rx), old(tx))
         new.true[...], new.est[...], new.err_var[...] = was.true, was.est, was.err_var
 
     def relabel(state):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import bs_node, dl_node, ul_node
 from ibfdsim import model
-from ibfdsim.model import (ScenarioConfig, apply_uncertainty, bs_node, build_realization,
-                           dl_node, generate_channel, generate_topology, load_realization,
+from ibfdsim.model import (ScenarioConfig, apply_uncertainty, build_realization,
+                           generate_channel, generate_topology, load_realization,
                            los_probability, pathloss_umi, realization_digest,
                            restrict_to_downlink, restrict_to_uplink, save_realization,
-                           serialize_realization, ul_node)
+                           serialize_realization)
 
 
 def test_unit_conversions():
@@ -86,46 +87,66 @@ def test_topology_rejects_bad_geometry():
         generate_topology(1, 1, 1, isd=10.0, min_dist=10.0, rng=rng)
 
 
+def _normals(rng, *shape):
+    """Pre-drawn normals for links of the given (..., rows, cols) shape:
+    each link's real and imaginary parts, (..., 2, rows, cols)."""
+    return rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+
+
 def test_generate_channel_statistics():
     rng = np.random.default_rng(1)
-    gain = 0.01
-    h = generate_channel(gain, 10.0, False, 2000, 4, rng)
-    assert np.mean(np.abs(h) ** 2) == pytest.approx(gain, rel=0.05)
+    gain, k = np.array([0.01, 0.04]), 10.0
+    h = generate_channel(gain, k, np.zeros(2, bool), _normals(rng, 2, 2000, 4))
+    assert np.mean(np.abs(h) ** 2, axis=(1, 2)) == pytest.approx(gain, rel=0.05)
     # Rician square: identity deterministic part plus scattered power
-    hr = generate_channel(gain, 10.0, True, 2000, 2000, rng)
-    k = 10.0
+    hr = generate_channel(gain[:1], k, np.ones(1, bool), _normals(rng, 1, 1000, 1000))[0]
     diag_mean = np.mean(np.diag(hr).real)
-    assert diag_mean == pytest.approx(math.sqrt(gain * k / (k + 1.0)), rel=0.05)
+    assert diag_mean == pytest.approx(math.sqrt(gain[0] * k / (k + 1.0)), rel=0.05)
     off = hr - np.diag(np.diag(hr))
-    assert np.sum(np.abs(off) ** 2) / (2000 * 1999) == pytest.approx(
-        gain / (k + 1.0), rel=0.05)
+    assert np.sum(np.abs(off) ** 2) / (1000 * 999) == pytest.approx(gain[0] / (k + 1.0), rel=0.05)
     # Rician rectangular: all-ones deterministic part keeps per-element power
-    hrr = generate_channel(gain, 10.0, True, 500, 400, rng)
-    assert np.mean(np.abs(hrr) ** 2) == pytest.approx(gain, rel=0.05)
+    hrr = generate_channel(gain[0], k, np.array(True), _normals(rng, 500, 400))
+    assert np.mean(np.abs(hrr) ** 2) == pytest.approx(gain[0], rel=0.05)
 
 
 def test_generate_channel_rician_rectangular():
     rng = np.random.default_rng(2)
-    h = generate_channel(1.0, 1e9, True, 3, 5, rng)
+    h = generate_channel(np.array(1.0), 1e9, np.array(True), _normals(rng, 3, 5))
     # huge K-factor: essentially the all-ones deterministic part
     np.testing.assert_allclose(h, np.ones((3, 5)), atol=1e-3)
+
+
+def test_channel_draws_batch_bit_for_bit():
+    # a leading link axis only batches: each link of one call has the bits
+    # that a call on that link alone gives
+    rng = np.random.default_rng(4)
+    gain, rician = rng.uniform(1e-9, 1e-3, (3, 2)), np.array([[True, False]] * 3)
+    normals = _normals(rng, 3, 2, 5, 4)
+    h = generate_channel(gain, 10.0, rician, normals)
+    est, err_var = apply_uncertainty(h, 1e-2, _normals(rng, 3, 2, 5, 4))
+    for r, t in np.ndindex(gain.shape):
+        one = generate_channel(gain[r, t], 10.0, rician[r, t], normals[r, t])
+        assert one.tobytes() == h[r, t].tobytes()
+        assert err_var[r, t] == 1e-2 * np.linalg.norm(one) ** 2 / 20
 
 
 def test_apply_uncertainty_split():
     rng = np.random.default_rng(3)
     h = helpers.cn(rng, (6, 4))
-    est, err_var = apply_uncertainty(h, 0.01, rng)
+    est, err_var = apply_uncertainty(h, 0.01, _normals(rng, 6, 4))
     assert err_var == pytest.approx(0.01 * np.linalg.norm(h) ** 2 / 24.0, rel=1e-12)
     assert est.shape == h.shape
     assert not np.allclose(est, h)
-    # error draws at that variance should average to err_var
-    draws = [apply_uncertainty(h, 0.01, rng)[0] - h for _ in range(4000)]
-    assert np.mean(np.abs(np.array(draws)) ** 2) == pytest.approx(err_var, rel=0.05)
+    # error draws at that variance, 4000 links of that channel, should average to err_var
+    ests, err_vars = apply_uncertainty(np.broadcast_to(h, (4000, 6, 4)), 0.01,
+                                       _normals(rng, 4000, 6, 4))
+    assert (err_vars == err_var).all()
+    assert np.mean(np.abs(ests - h) ** 2) == pytest.approx(err_var, rel=0.05)
 
-    same, zero = apply_uncertainty(h, 0.0, rng)
+    same, zero = apply_uncertainty(h, 0.0, None)     # reads no normals
     assert same is h and zero == 0.0
     with pytest.raises(ValueError):
-        apply_uncertainty(h, -1e-3, rng)
+        apply_uncertainty(h, -1e-3, _normals(rng, 6, 4))
 
 
 def test_scenario_config_validation():
@@ -157,9 +178,9 @@ def test_build_realization_structure():
     assert list(real.ul_users()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # every receiver sees every transmitter: (4 dl + 2 bs) x (2 bs + 4 ul)
     assert len(helpers.links(real)) == 6 * 6
-    h = real.link(dl_node(0, 0), bs_node(1)).true
+    h = helpers.link(real, dl_node(0, 0), bs_node(1)).true
     assert h.shape == (2, 16)
-    h_ul = real.link(bs_node(0), ul_node(1, 1)).est
+    h_ul = helpers.link(real, bs_node(0), ul_node(1, 1)).est
     assert h_ul.shape == (16, 2)
     # hardware derived from the table entries
     assert real.hardware.p_bs_w == pytest.approx(0.25118864315095796, rel=1e-14)
@@ -169,7 +190,7 @@ def test_build_realization_structure():
 
 def test_self_interference_link_properties():
     real = build_realization(ScenarioConfig(asic_db=30.0, cells=1), 5)
-    link = real.link(bs_node(0), bs_node(0))
+    link = helpers.link(real, bs_node(0), bs_node(0))
     assert link.err_var == 0.0
     np.testing.assert_array_equal(link.true, link.est)
     # scattered draw at the residual gain: average element power ~ 1e-3
@@ -179,15 +200,15 @@ def test_self_interference_link_properties():
 def test_si_channel_power_tracks_asic_depth():
     strong = build_realization(ScenarioConfig(asic_db=20.0, cells=1), 9)
     weak = build_realization(ScenarioConfig(asic_db=40.0, cells=1), 9)
-    p_strong = np.mean(np.abs(strong.link(bs_node(0), bs_node(0)).true) ** 2)
-    p_weak = np.mean(np.abs(weak.link(bs_node(0), bs_node(0)).true) ** 2)
+    p_strong = np.mean(np.abs(helpers.link(strong, bs_node(0), bs_node(0)).true) ** 2)
+    p_weak = np.mean(np.abs(helpers.link(weak, bs_node(0), bs_node(0)).true) ** 2)
     assert p_strong / p_weak == pytest.approx(100.0, rel=1e-9)
 
 
 def test_estimate_error_variance_consistency():
     real = build_realization(ScenarioConfig(csi_error_factor=1e-2), 6)
     for rx, tx in helpers.links(real):
-        link = real.link(rx, tx)
+        link = helpers.link(real, rx, tx)
         if rx == tx:
             continue  # self-interference carries perfect estimates
         expected = 1e-2 * np.linalg.norm(link.true) ** 2 / link.true.size
@@ -203,8 +224,8 @@ def test_fading_rule_and_swap_flag():
                 min_bs_user_distance_m=2.0, rician_k_db=30.0)
     plain = build_realization(ScenarioConfig(**base), 3)
     swapped = build_realization(ScenarioConfig(**base, swap_los_fading=True), 3)
-    h_plain = plain.link(dl_node(0, 0), bs_node(0)).true
-    h_swap = swapped.link(dl_node(0, 0), bs_node(0)).true
+    h_plain = helpers.link(plain, dl_node(0, 0), bs_node(0)).true
+    h_swap = helpers.link(swapped, dl_node(0, 0), bs_node(0)).true
     gain = np.mean(np.abs(h_swap) ** 2)
     # K = 1000: swapped draw is almost deterministic (all-ones scaled)
     spread_swap = np.std(np.abs(h_swap)) / np.sqrt(gain)
@@ -218,17 +239,22 @@ def test_build_realization_deterministic():
     b = build_realization(cfg, 123)
     assert realization_digest(a) == realization_digest(b)
     for key in helpers.links(a):
-        np.testing.assert_array_equal(a.link(*key).true, b.link(*key).true)
+        np.testing.assert_array_equal(helpers.link(a, *key).true, helpers.link(b, *key).true)
     c = build_realization(cfg, 124)
     assert realization_digest(a) != realization_digest(c)
 
 
-def test_si_gain_change_leaves_other_draws_alone():
-    a = build_realization(ScenarioConfig(asic_db=120.0), 77)
-    b = build_realization(ScenarioConfig(asic_db=30.0), 77)
-    np.testing.assert_array_equal(a.link(dl_node(1, 1), bs_node(0)).true,
-                                  b.link(dl_node(1, 1), bs_node(0)).true)
-    np.testing.assert_array_equal(a.topology.dl_xy[0], b.topology.dl_xy[0])
+@pytest.mark.parametrize("field, values", [("asic_db", (120.0, 30.0)),
+                                           ("csi_error_factor", (1e-2, 1e-1))],
+                         ids=["si_gain", "csi_error"])
+def test_si_gain_change_leaves_other_draws_alone(field, values):
+    # a field that only rescales channels moves no other draw: every
+    # position and every true matrix keep their bits
+    a, b = (build_realization(ScenarioConfig(**{field: value}), 77) for value in values)
+    for name in ("bs_xy", "dl_xy", "ul_xy"):
+        np.testing.assert_array_equal(getattr(a.topology, name), getattr(b.topology, name))
+    assert a.channels.x_true.tobytes() == b.channels.x_true.tobytes()
+    assert a.channels.x_true.any() and not np.array_equal(a.channels.x, b.channels.x)
 
 
 def test_restrict_to_single_direction():
@@ -243,8 +269,8 @@ def test_restrict_to_single_direction():
     ul = restrict_to_uplink(real)
     assert list(ul.dl_users()) == []
     assert all(key[0][0] != "dl" and key[1][0] != "dl" for key in helpers.links(ul))
-    np.testing.assert_array_equal(ul.link(bs_node(1), ul_node(0, 0)).true,
-                                  real.link(bs_node(1), ul_node(0, 0)).true)
+    np.testing.assert_array_equal(helpers.link(ul, bs_node(1), ul_node(0, 0)).true,
+                                  helpers.link(real, bs_node(1), ul_node(0, 0)).true)
 
     # a phase switches off the BS chain it does not use: the downlink phase
     # keeps no BS receive rows, the uplink phase no BS transmit columns
@@ -253,7 +279,7 @@ def test_restrict_to_single_direction():
     assert (ul.channels.n_bs, ul.channels.m_bs) == (0, ch.m_bs)
     for part in (dl, ul):
         for rx, tx in helpers.links(part):
-            kept, full = part.link(rx, tx), real.link(rx, tx)
+            kept, full = helpers.link(part, rx, tx), helpers.link(real, rx, tx)
             rows = 0 if part is dl and rx[0] == "bs" else full.est.shape[0]
             cols = 0 if part is ul and tx[0] == "bs" else full.est.shape[1]
             assert kept.est.shape == (rows, cols)
@@ -269,7 +295,7 @@ def test_restrict_to_single_direction():
 
 def test_link_views_edit_the_stored_arrays():
     real = build_realization(ScenarioConfig(csi_error_factor=1e-2), 12)
-    cross = real.link(dl_node(1, 0), ul_node(0, 1))
+    cross = helpers.link(real, dl_node(1, 0), ul_node(0, 1))
     cross.est[:] = 0.0
     cross.err_var[...] = 0.5
     # rows of DL user (1, 0), columns of UL user (0, 1); err row 1*K_d + 0, column G + 1
@@ -278,12 +304,12 @@ def test_link_views_edit_the_stored_arrays():
     assert not ch.x[rows, cols:cols + ch.n_ue].any()
     assert ch.x_true[rows, cols:cols + ch.n_ue].any()
     assert ch.err[2, ch.cells + 1] == 0.5
-    assert real.link(dl_node(1, 0), ul_node(0, 1)).err_var == 0.5
+    assert helpers.link(real, dl_node(1, 0), ul_node(0, 1)).err_var == 0.5
     # the SI link has one matrix: its truth is its estimate
-    si = real.link(bs_node(1), bs_node(1))
+    si = helpers.link(real, bs_node(1), bs_node(1))
     assert si.true is si.est and np.shares_memory(si.est, ch.x)
     # a restriction slices the same storage
-    ul_link = restrict_to_uplink(real).link(bs_node(0), ul_node(1, 0))
+    ul_link = helpers.link(restrict_to_uplink(real), bs_node(0), ul_node(1, 0))
     assert np.shares_memory(ul_link.est, ch.x) and np.shares_memory(ul_link.true, ch.x_true)
 
 
@@ -294,33 +320,36 @@ _UNEVEN = ScenarioConfig(cells=3, dl_users=2, ul_users=3, bs_tx_antennas=5, bs_r
 
 
 def test_link_views_tile_the_stored_arrays():
-    # a distinct value through every link reads back from its own link, and
-    # the non-empty links cover x and err exactly once; x_true stays zero
-    # only on the SI blocks, whose truth is their estimate
+    # helpers.link, the oracle of the per-link tests: a distinct value
+    # through every link reads back from its own link, and the non-empty
+    # links cover x and err exactly once; x_true stays zero only on the SI
+    # blocks, whose truth is their estimate
     for real in (build_realization(_UNEVEN, 13),
                  restrict_to_downlink(build_realization(_UNEVEN, 14)),
                  restrict_to_uplink(build_realization(_UNEVEN, 15))):
         ch, links = real.channels, helpers.links(real)
         ch.x[...], ch.x_true[...], ch.err[...] = 0.0, 0.0, 0.0
         for n, key in enumerate(links, start=1):
-            link = real.link(*key)
+            link = helpers.link(real, *key)
             if key[0] != key[1]:
                 link.true[...] = -n
             link.est[...], link.err_var[...] = n + 1j * n, n
         for n, key in enumerate(links, start=1):
-            link = real.link(*key)
+            link = helpers.link(real, *key)
             assert (link.est == n + 1j * n).all() and link.err_var == n
             assert (link.true == (n + 1j * n if key[0] == key[1] else -n)).all()
-        assert sum(real.link(*key).est.size for key in links) == ch.x.size
+        assert sum(helpers.link(real, *key).est.size for key in links) == ch.x.size
         assert ch.x.all() and ch.err.all() and len(links) == ch.err.size
-        si_size = sum(real.link(rx, tx).est.size for rx, tx in links if rx == tx)
+        si_size = sum(helpers.link(real, rx, tx).est.size for rx, tx in links if rx == tx)
         assert np.count_nonzero(ch.x_true == 0) == si_size
 
 
 def test_link_rejects_nodes_outside_the_topology():
+    # helpers.link finds only the nodes of the topology, so no test reads a
+    # neighbour's block by mistake
     real = build_realization(_UNEVEN, 16)
     cells, k_d, k_u = 3, 2, 3
-    inside = real.link(dl_node(cells - 1, k_d - 1), ul_node(cells - 1, k_u - 1))
+    inside = helpers.link(real, dl_node(cells - 1, k_d - 1), ul_node(cells - 1, k_u - 1))
     assert inside.est.shape == (2, 3)
     for rx, tx in [(dl_node(0, k_d), bs_node(0)),     # not user (1, 0) of the next cell
                    (dl_node(cells, 0), bs_node(0)), (dl_node(-1, 0), bs_node(0)),
@@ -329,13 +358,13 @@ def test_link_rejects_nodes_outside_the_topology():
                    (bs_node(0), ul_node(0, k_u)), (bs_node(0), ul_node(cells, 0)),
                    (bs_node(0), ul_node(-1, 0)), (ul_node(0, 0), bs_node(0)),
                    (bs_node(0), dl_node(0, 0))]:
-        with pytest.raises(IndexError):
-            real.link(rx, tx)
+        with pytest.raises(KeyError):
+            helpers.link(real, rx, tx)
     # a restriction drops the other direction's users
-    with pytest.raises(IndexError):
-        restrict_to_downlink(real).link(bs_node(0), ul_node(0, 0))
-    with pytest.raises(IndexError):
-        restrict_to_uplink(real).link(dl_node(0, 0), bs_node(0))
+    with pytest.raises(KeyError):
+        helpers.link(restrict_to_downlink(real), bs_node(0), ul_node(0, 0))
+    with pytest.raises(KeyError):
+        helpers.link(restrict_to_uplink(real), dl_node(0, 0), bs_node(0))
 
 
 def test_restriction_keeps_one_block_of_each_stored_array():
@@ -357,8 +386,8 @@ def test_restriction_keeps_one_block_of_each_stored_array():
 
 
 def test_stack_reads_the_stored_x():
-    # the stack shares the realization's X, so an edit through a link view
-    # reaches the next stack
+    # the stack shares the realization's X, so an edit through
+    # helpers.link's view reaches the next stack
     from ibfdsim.stacked import stack_channels
     real = build_realization(_UNEVEN, 18)
     ch = stack_channels(real)
@@ -366,7 +395,7 @@ def test_stack_reads_the_stored_x():
     for view in (ch.dl, ch.bs, ch.from_bs, ch.from_ul):
         assert np.shares_memory(view, real.channels.x)
     assert ch.si[1].any()
-    real.link(bs_node(1), bs_node(1)).est[...] = 0.0
+    helpers.link(real, bs_node(1), bs_node(1)).est[...] = 0.0
     after = stack_channels(real)
     assert not after.si[1].any() and after.si[0].any()
 
@@ -625,13 +654,21 @@ def test_digest_is_stable_hex():
 # once, so any change to how a realization is drawn or stored must leave
 # them unchanged or re-record them with a check that the stored arrays kept
 # their bits.  The two single-direction ones also pin which BS chain a phase
-# switches off.
+# switches off; the last five pin the draw paths of unequal sizes, the
+# swapped fading rule, no users in one direction, and full CSI error with
+# ideal converters and ideal SI cancellation.
 _DIGEST_GOLDENS = {
     "default": "5326fc98abefe4aa629716e8775106a08a8adb8f32e71969f5adb4137e861791",
     "three_cells": "4996cbde275ec2dbddff7afce73c05fd8a58a6f1b9f002ea8b1a7438b7c1cdc3",
     "perfect_csi": "c47858b03c76b87ad72d97171d8a46ef8d75b63b14741af607ff622d5eb0c117",
     "downlink_only": "778b410322fc165bbf95533a89060d2aea500c00926df5be1fd8212eb4a661dc",
     "uplink_only": "24b59eb92f86c215e3bf17c4fa75d8b75166d1280c3c3977d566da1d4bf86c4d",
+    "uneven": "24430547b93d28ca3af6bcb814bc8848be71f5d98bc17f8ce13cbc7cea614453",
+    "swap_los_fading": "72e7c62f18701a95ca58bbb9558439588a98ebfb1a966f0fa9266bead9e38655",
+    "no_downlink_users": "2ec4e295016c23e087d606db71e17e72e3818b8db330113e39a28086fa485d5c",
+    "no_uplink_users": "fa85de746a4e14332d453ff1b37fd92918783b6175e91b0e93245ef2bc535f7e",
+    "full_csi_error_ideal_hardware":
+        "57f31688230e7238512f87dff7ef87dbe746879d103d4c5618972308ccd3a7ee",
 }
 
 
@@ -644,5 +681,11 @@ def test_digest_goldens(case):
         "perfect_csi": lambda: build_realization(ScenarioConfig(csi_error_factor=0.0), 9),
         "downlink_only": lambda: restrict_to_downlink(build_realization(ScenarioConfig(), 11)),
         "uplink_only": lambda: restrict_to_uplink(build_realization(ScenarioConfig(), 11)),
+        "uneven": lambda: build_realization(_UNEVEN, 19),
+        "swap_los_fading": lambda: build_realization(ScenarioConfig(swap_los_fading=True), 8),
+        "no_downlink_users": lambda: build_realization(ScenarioConfig(dl_users=0), 4),
+        "no_uplink_users": lambda: build_realization(ScenarioConfig(ul_users=0), 4),
+        "full_csi_error_ideal_hardware": lambda: build_realization(
+            ScenarioConfig(csi_error_factor=1.0, asic_db=math.inf, adc_bits=math.inf), 6),
     }[case]()
     assert realization_digest(real) == _DIGEST_GOLDENS[case]

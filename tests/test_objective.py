@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import bs_node, dl_node, ul_node
 from ibfdsim import jpaim, objective
-from ibfdsim.model import ScenarioConfig, bs_node, build_realization, dl_node, ul_node
+from ibfdsim.model import ScenarioConfig, build_realization
 from ibfdsim.objective import ASIC_DEPTH_CAP_DB, evaluate, nu_from_asic
 from ibfdsim.stacked import columns
 
@@ -74,7 +75,7 @@ def test_mse_formula_against_covariance():
     g, k = 1, 0
     c = helpers.state_covariances(real, state).dl_rx[g, k]
     u = state.dl_combiners[g][k]
-    h = real.link(dl_node(g, k), bs_node(g)).est
+    h = helpers.link(real, dl_node(g, k), bs_node(g)).est
     w = state.dl_beams[g][k]
     expected = (np.trace(u.conj().T @ c @ u).real
                 - 2.0 * np.trace(u.conj().T @ h @ w).real
@@ -96,7 +97,7 @@ def test_rsi_power_matches_tx_covariance_form():
     state = helpers.random_state(real, 8)
     rsi = _unpenalized(real, state).rsi_watts
     for g in range(real.cell_count):
-        h = real.link(bs_node(g), bs_node(g)).true
+        h = helpers.link(real, bs_node(g), bs_node(g)).true
         t = helpers.tx_gram(columns(state.dl_beams[g]), real.hardware.kappa_bs)
         expected = np.trace(h @ t @ h.conj().T).real
         assert rsi[g] == pytest.approx(expected, rel=1e-11)
@@ -151,7 +152,7 @@ def test_asic_depth_properties():
 def test_asic_depth_cap_on_vanished_residual():
     real = build_realization(helpers.small_config(cells=1), 16)
     state = helpers.random_state(real, 17)
-    link = real.link(bs_node(0), bs_node(0))
+    link = helpers.link(real, bs_node(0), bs_node(0))
     link.true[:] = 0.0
     assert _unpenalized(real, state).asic_depth_db[0] == ASIC_DEPTH_CAP_DB
 
@@ -221,12 +222,12 @@ def test_rates_match_explicit_log_det(scenario):
         bits_ul = objective._rate_bits(cov.signal[1], mmse[1])
         w_dl, w_ul = state.dl_beams, state.ul_beams
         for g, k in real.dl_users():
-            expected = _explicit_rate_bits(cov.dl_rx[g, k],
-                                           real.link(dl_node(g, k), bs_node(g)).est @ w_dl[g, k])
+            h = helpers.link(real, dl_node(g, k), bs_node(g)).est
+            expected = _explicit_rate_bits(cov.dl_rx[g, k], h @ w_dl[g, k])
             assert bits_dl[g, k] == pytest.approx(expected, rel=1e-9), (seed, g, k)
         for g, k in real.ul_users():
-            expected = _explicit_rate_bits(cov.bs_rx[g],
-                                           real.link(bs_node(g), ul_node(g, k)).est @ w_ul[g, k])
+            h = helpers.link(real, bs_node(g), ul_node(g, k)).est
+            expected = _explicit_rate_bits(cov.bs_rx[g], h @ w_ul[g, k])
             assert bits_ul[g, k] == pytest.approx(expected, rel=1e-9), (seed, g, k)
         rep = evaluate(real, state, 0.0)
         assert rep.sum_rate_dl == pytest.approx(float(bits_dl.sum()), rel=1e-12)

@@ -4,9 +4,13 @@
 
 Each tree is a checkout of this repository.  The script runs every workload
 of bench/workloads.py (the benchmark's campaign configs, read from the tree
-this script lives in) with each tree's `src` as the package, one BLAS
-thread, and `campaign.measure_timing = false`, so the CSVs hold no wall
-time, in one process per workload and tree.  It then compares the CSVs
+this script lives in), then every regime of REGIMES below, with each tree's
+`src` as the package, one BLAS thread, and `campaign.measure_timing =
+false`, so the CSVs hold no wall time, in one process per campaign and
+tree.  The regimes are drift's own: the scenarios the workloads leave out
+(CSI error, coarse converters, users in one direction only, more cells,
+strong SI at the default `nu`), each with all three algorithms, traced, on
+one worker.  It then compares the CSVs
 of the two trees cell by cell and prints, for each file that differs, the
 rows and columns that differ, the largest relative difference of each
 column, and every change of an `iterations` or `converged` value.
@@ -47,24 +51,39 @@ ROW_KEYS = ("seed", "algorithm", "iter")
 TRACED_SEEDS = 2       # the first seeds of a campaign whose traces are compared
 WALL_TIMES = ("elapsed_ms", "combiner_ms", "precoder_ms", "trial_ms")
 STATE_ARRAYS = ("dl_beams", "dl_combiners", "ul_beams", "ul_combiners")
-RECORDS = "traces.pickle"    # what dump_traces writes into a workload's directory
+RECORDS = "traces.pickle"    # what dump_traces writes into a campaign's directory
+# drift's own campaigns, beside the workloads: {name: scenario settings}
+REGIMES = {
+    "csi_error_1e-2": (("scenario.csi_error_factor", "1e-2"),),
+    "csi_error_1": (("scenario.csi_error_factor", "1.0"),),
+    "adc_4_bits": (("scenario.adc_bits", "4"),),
+    "no_dl_users": (("scenario.dl_users", "0"),),
+    "no_ul_users": (("scenario.ul_users", "0"),),
+    "three_cells": (("scenario.cells", "3"),),
+    "strong_si": (("scenario.asic_db", "0.0"),),
+}
 
 
-def _workloads():
+def _campaigns():
+    """The workloads module of bench/ and {name: Workload} of every
+    workload, then every regime."""
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
+    regimes = {name: module.Workload(name=name, why="drift regime", settings=settings,
+                                     algorithms=module.THREE_ALGORITHMS, trace=True)
+               for name, settings in REGIMES.items()}
+    return module, {**module.WORKLOADS, **regimes}
 
 
-def run_tree(tree: Path, workloads, seed: int, realizations: int, out: Path) -> dict:
-    """Run every workload's campaign with `tree`'s package through
-    dump_traces, one process each, into out/<workload>; returns {workload:
-    exit code}."""
+def run_tree(tree: Path, workloads, campaigns: dict, seed: int, realizations: int,
+             out: Path) -> dict:
+    """Run every campaign with `tree`'s package through dump_traces, one
+    process each, into out/<campaign>; returns {campaign: exit code}."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(TOOLS)]),
                **{v: "1" for v in THREAD_VARIABLES})
     codes = {}
-    for name, workload in workloads.WORKLOADS.items():
+    for name, workload in campaigns.items():
         text = workloads.config_text(workload, seed, realizations, str(out / name))
         text = text.replace("campaign.measure_timing = true", "campaign.measure_timing = false")
         config = out / f"{name}.cfg"
@@ -185,18 +204,19 @@ def main(argv=None) -> int:
     parser.add_argument("--realizations", type=int, default=6)
     parser.add_argument("--seed", type=int, default=7, help="campaign.base_seed")
     args = parser.parse_args(argv)
-    workloads = _workloads()
+    workloads, campaigns = _campaigns()
     differs = False
     with tempfile.TemporaryDirectory() as tmp:
         roots = [Path(tmp) / "parent", Path(tmp) / "change"]
         for root, tree in zip(roots, (args.parent, args.change)):
             root.mkdir()
-            codes = run_tree(tree.resolve(), workloads, args.seed, args.realizations, root)
+            codes = run_tree(tree.resolve(), workloads, campaigns, args.seed, args.realizations,
+                             root)
             for name, code in codes.items():
                 if code:
                     print(f"{name}: the campaign of the {root.name} tree {tree} exited {code}")
                     differs = True
-        for name in workloads.WORKLOADS:
+        for name in campaigns:
             before, after = (root / name for root in roots)
             files = sorted({p.name for d in (before, after) if d.is_dir() for p in d.glob("*.csv")})
             if not files:
