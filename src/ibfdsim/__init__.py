@@ -12,7 +12,7 @@ from .model import (
     save_realization,
 )
 from .stacked import BeamformingState
-from .objective import ObjectiveReport, evaluate, nu_from_asic
+from .objective import ObjectiveReport, evaluate
 from .jpaim import RunTrace, SolverConfig, run
 from .baselines import nsp_project, run_half_duplex
 from .harness import (
@@ -32,6 +32,6 @@ __all__ = [
     "ObjectiveReport", "Realization", "RunTrace", "ScenarioConfig", "SolverConfig",
     "Topology", "build_realization",
     "complexity_estimate", "evaluate", "load_config", "load_realization",
-    "nsp_project", "nu_from_asic", "realization_digest", "run", "run_campaign",
+    "nsp_project", "realization_digest", "run", "run_campaign",
     "run_half_duplex", "save_config", "save_realization", "summarize",
 ]

@@ -30,6 +30,9 @@ KNOWN_ALGORITHMS = ("jpaim", "nsp-jpaim", "half-duplex")
 
 _REALIZATIONS_SCHEMA = "ibfdsim-realizations-v1"
 _ITERATIONS_SCHEMA = "ibfdsim-iterations-v1"
+# the files a campaign writes only sometimes, besides realizations.csv
+_OPTIONAL_OUTPUTS = frozenset({"errors.log", "iterations_jpaim.csv", "iterations_nsp_jpaim.csv",
+                               "iterations_half_duplex_dl.csv", "iterations_half_duplex_ul.csv"})
 
 
 class ConfigError(ValueError):
@@ -47,7 +50,6 @@ class CampaignConfig:
     algorithms: tuple = ("jpaim",)
     workers: int = 1
     output_dir: str = "out"
-    nsp_subspace_dim: int | None = None      # None -> max(1, bs_tx_antennas // 2)
     measure_timing: bool = False             # real elapsed_ms breaks byte determinism
     trace: bool = False                      # also write per-iteration CSVs
 
@@ -68,9 +70,6 @@ class CampaignConfig:
                 raise ConfigError(f"unknown algorithm {name!r}; choose from {KNOWN_ALGORITHMS}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError(f"campaign.algorithms repeats a name: {self.algorithms}")
-        if self.nsp_subspace_dim is not None and not (
-                1 <= self.nsp_subspace_dim <= self.scenario.bs_tx_antennas):
-            raise ConfigError("nsp.subspace_dim must lie in [1, bs_tx_antennas]")
         if np.ndim(self.solver.nu) == 1 and len(self.solver.nu) != self.scenario.cells:
             raise ConfigError(f"solver.nu has {len(self.solver.nu)} per-cell values, but "
                               f"scenario.cells is {self.scenario.cells}")
@@ -98,10 +97,6 @@ def _parse_flag(raw: str) -> bool:
     return lowered in ("true", "1", "yes")
 
 
-def _auto(parse):
-    return lambda raw: None if raw.lower() == "auto" else parse(raw)
-
-
 # field annotation -> parser of a config value; a ValueError names the defect
 _PARSERS = {
     "int": int,
@@ -109,21 +104,19 @@ _PARSERS = {
     "bool": _parse_flag,
     "str": str,
     "tuple": lambda raw: tuple(_split_list(raw)),
-    # solver.nu: a value with a comma is always a per-cell sequence
-    "object": _auto(lambda raw: tuple(map(float, _split_list(raw))) if "," in raw
-                    else float(raw)),
-    "int | None": _auto(int),
+    # solver.nu: `auto` is None, and a value with a comma is always a per-cell sequence
+    "object": lambda raw: (None if raw.lower() == "auto"
+                           else tuple(map(float, _split_list(raw))) if "," in raw
+                           else float(raw)),
 }
 
-_CAMPAIGN_FIELDS = {f.name: f for f in fields(CampaignConfig)}
 # every config key, in the order save_config writes them -> (section, field);
 # section None marks a CampaignConfig field
 _KEYS = {
     **{f"scenario.{f.name}": ("scenario", f) for f in fields(ScenarioConfig)},
     **{f"solver.{f.name}": ("solver", f) for f in fields(SolverConfig)},
-    "nsp.subspace_dim": (None, _CAMPAIGN_FIELDS["nsp_subspace_dim"]),
-    **{f"campaign.{name}": (None, f) for name, f in _CAMPAIGN_FIELDS.items()
-       if name not in ("scenario", "solver", "nsp_subspace_dim")},
+    **{f"campaign.{f.name}": (None, f) for f in fields(CampaignConfig)
+       if f.name not in ("scenario", "solver")},
 }
 
 
@@ -271,7 +264,7 @@ def _run_algorithm(config, realization, algo, solve):
     trace = solve()
     if algo == "jpaim":
         return trace.final_report, {"jpaim": trace}
-    nsp_dim = config.nsp_subspace_dim or max(1, config.scenario.bs_tx_antennas // 2)
+    nsp_dim = max(1, config.scenario.bs_tx_antennas // 2)
     return baselines.run_nsp(realization, trace, nsp_dim)[0], {"nsp_jpaim": trace}
 
 
@@ -281,8 +274,9 @@ def run_campaign(config: CampaignConfig):
     Returns `summarize` of the written directory, or raises RuntimeError
     once the files are written if every run failed.  Output is ordered by
     (seed index, algorithm) no matter how many workers executed, so
-    identical configs give identical bytes.  Each finished realization logs
-    one INFO line with its index, seed and error count, in index order.
+    identical configs give identical bytes.  An `errors.log` or iteration
+    CSV that this run does not write is removed.  Each finished realization
+    logs one INFO line with its index, seed and error count, in index order.
     """
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -303,6 +297,11 @@ def run_campaign(config: CampaignConfig):
         results = list(logged(map(_run_seed, tasks)))
 
     all_errors = [err for _, _, _, errs in results for err in errs]
+    traced = sorted({name for _, _, traces, _ in results for name in traces})
+    written = {f"iterations_{name}.csv" for name in traced} | (
+        {"errors.log"} if all_errors else set())
+    for name in _OPTIONAL_OUTPUTS - written:    # an earlier campaign's would read as this one's
+        (outdir / name).unlink(missing_ok=True)
     if all_errors:
         elines = [f"{seed},{algo},{msg}" for seed, algo, msg in all_errors]
         (outdir / "errors.log").write_text("\n".join(elines) + "\n")
@@ -317,7 +316,7 @@ def run_campaign(config: CampaignConfig):
     lines += [row for _, rows, _, _ in results for row in rows]
     (outdir / "realizations.csv").write_text("\n".join(lines) + "\n")
 
-    for name in sorted({name for _, _, traces, _ in results for name in traces}):
+    for name in traced:
         lines = [f"# schema: {_ITERATIONS_SCHEMA}",
                  ",".join(["seed", "iter", "loss", "sum_mse", *(f"rsi_w_{g}" for g in cells),
                            "sum_rate", "elapsed_ms"])]

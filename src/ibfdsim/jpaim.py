@@ -4,7 +4,10 @@ Alternating two-block minimization of the penalized sum MSE, in the WMMSE
 family (Shi, Razaviyayn, Luo & He, IEEE TSP 2011): linear MMSE combiners,
 then the downlink/uplink precoders through a single eigendecomposition per
 transmitter with a power multiplier.  Both blocks solve their subproblem
-exactly for the same penalized loss, RSI penalty included.
+exactly for the same penalized loss, RSI penalty included, except under CSI
+error: the precoder's quadratic form leaves out how the CSI-error floor
+depends on the beams, so with a `csi_error_factor` that is not negligible
+the precoder step misses its block's optimum (ROADMAP item 1 adds the term).
 
 The precoder step minimizes over the transmitted beams W under the power
 budgets, so it also allocates the power.  The paper splits each beam into
@@ -20,8 +23,9 @@ iteration also tries an extrapolated point W* + beta (W* - W_prev) beyond the
 exact precoder result W*, scaled back into the power budgets.  A safeguard
 keeps it only if, after its combiner update, the loss lies at least the
 stopping threshold below the iteration's snapshot.  The tracked loss is
-therefore non-increasing, and the loop stops once the per-iteration
-improvement drops below the threshold.
+therefore non-increasing, CSI error aside (a solve under it can end on a
+rise), and the loop stops once the per-iteration improvement drops below
+the threshold.
 
 `run` builds the ChannelStack (module `stacked`) and the precoder step's
 constants (the SI penalties and the search budgets) once per call and
@@ -62,7 +66,6 @@ class SolverConfig:
     nu: object = None                 # float, tuple of per-cell floats, or None
     threshold: float = 1e-4           # stop once the loss decrease falls below this
     max_iterations: int = 100
-    init_seed: int = 0                # seeds the random initial beams
 
     def __post_init__(self):
         check_integer_fields(self)
@@ -128,20 +131,16 @@ class RunTrace:
     def iterations(self) -> int:
         return len(self.records) - 1
 
-    @property
-    def losses(self) -> np.ndarray:
-        return np.array([r.loss for r in self.records])
 
-
-def initialize(realization: Realization, config: SolverConfig) -> BeamformingState:
+def initialize(realization: Realization) -> BeamformingState:
     """Random beams that meet the power budgets exactly, and zero combiners.
 
     Every beam is a random matrix with unit-norm columns, scaled by
     alpha = sqrt(P_bs / (b_d K_d)) in the downlink, which shares the cell
     budget over users and streams, and by gamma = sqrt(P_ue / b_u) in the
-    uplink.  The draws come from default_rng([config.init_seed, realization.seed]).
+    uplink.  The draws come from default_rng([0, realization.seed]).
     """
-    rng = np.random.default_rng([config.init_seed, realization.seed])
+    rng = np.random.default_rng([0, realization.seed])
     ch, hw = realization.channels, realization.hardware
     cells, k_d, k_u = ch.cells, ch.k_d, ch.k_u
     b_d, b_u = realization.dl_streams, realization.ul_streams
@@ -352,7 +351,7 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     hw = realization.hardware
     ch = stack_channels(realization)
     constants = _precoder_constants(ch, hw, nu)
-    start = initialize(realization, config)
+    start = initialize(realization)
     beams = (start.dl_beams, start.ul_beams)
     rows = len(constants[1])
     idle = (np.zeros(rows), None, np.zeros(rows, dtype=int))    # record 0 has no search

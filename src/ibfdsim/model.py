@@ -68,12 +68,12 @@ def distortion_factor_from_bits(bits: float) -> float:
 
 def check_integer_fields(config, error=ValueError) -> None:
     """Raise `error` naming the first field of the dataclass `config` that is
-    annotated int (or int | None, and not None) but holds no integer: a float
-    such as 2.0 and a bool are refused, a numpy integer passes."""
+    annotated int but holds no integer: a float such as 2.0 and a bool are
+    refused, a numpy integer passes."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if (f.type == "int" or f.type == "int | None" and value is not None) and (
-                isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        if f.type == "int" and (isinstance(value, bool)
+                                or not isinstance(value, (int, np.integer))):
             raise error(f"{f.name} must be an integer, got {value!r}")
 
 
@@ -351,9 +351,6 @@ class Realization:
             if bs and streams > min(bs, ue):
                 raise ValueError(f"{name} = {streams} exceeds {min(bs, ue)}, the smaller "
                                  f"antenna count of its link")
-
-    def dl_users(self):
-        return np.ndindex(self.channels.cells, self.channels.k_d)
 
     def ul_users(self):
         return np.ndindex(self.channels.cells, self.channels.k_u)

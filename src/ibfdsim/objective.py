@@ -51,11 +51,6 @@ class ObjectiveReport:
         return self.sum_rate_dl + self.sum_rate_ul
 
 
-def nu_from_asic(l_db: float) -> float:
-    """RSI penalty weight matched to an analog cancellation depth in dB."""
-    return 10.0 ** (-l_db / 5.0)
-
-
 def checked_nu(nu) -> np.ndarray:
     """nu as a float array; ValueError unless it is one finite value >= 0 or
     a non-empty sequence of them."""

@@ -44,6 +44,16 @@ def ul_node(g: int, k: int) -> tuple:
     return ("ul", g, k)
 
 
+def dl_users(realization: Realization):
+    """(g, k) of every downlink user, cell by cell."""
+    return np.ndindex(realization.channels.cells, realization.channels.k_d)
+
+
+def losses(trace: jpaim.RunTrace) -> np.ndarray:
+    """The loss of every record of a solve, the initial state's first."""
+    return np.array([r.loss for r in trace.records])
+
+
 def link(realization: Realization, rx: tuple, tx: tuple) -> SimpleNamespace:
     """The link rx <- tx as views of the realization's stored arrays, so an
     in-place edit of them edits the realization: `est` and `true` are its
@@ -69,7 +79,7 @@ def _side(kinds, cells: int) -> dict:
 def links(realization: Realization) -> list:
     """Every (receiver, transmitter) node pair of a realization, sorted by key."""
     bs = [bs_node(g) for g in range(realization.cell_count)]
-    return sorted((rx, tx) for rx in bs + [dl_node(g, k) for g, k in realization.dl_users()]
+    return sorted((rx, tx) for rx in bs + [dl_node(g, k) for g, k in dl_users(realization)]
                   for tx in bs + [ul_node(g, k) for g, k in realization.ul_users()])
 
 
@@ -271,7 +281,7 @@ def mc_estimates(realization: Realization, state: BeamformingState, draws: int, 
         return y + cn(rng, (draws, rows)) * np.sqrt(dvar)
 
     cov, mse = {}, {}
-    for g, k in realization.dl_users():
+    for g, k in dl_users(realization):
         y = receive(dl_node(g, k), ch.m_ue, hw.beta_ue, hw.noise_ue_w)
         cov[dl_node(g, k)] = np.einsum("di,dj->ij", y, y.conj()) / draws
         err = y @ state.dl_combiners[g][k].conj() - sym[("dl", g, k)]

@@ -37,7 +37,7 @@ def test_criterion_01_monotone_convergence():
     for seed in range(seeds):
         real = build_realization(ScenarioConfig(), seed)
         trace = jpaim.run(real, config, collect_metrics=False)
-        losses = trace.losses
+        losses = helpers.losses(trace)
         slack = 1e-8 * np.maximum(np.abs(losses[:-1]), 1.0)
         violations += int(np.any(np.diff(losses) > slack))
         converged += int(trace.converged)
@@ -91,7 +91,7 @@ def test_criterion_03_feasibility_and_slackness():
     for _ in range(20):
         real = helpers.random_small_realization(rng)
         hw = real.hardware
-        state = jpaim.initialize(real, cfg)
+        state = jpaim.initialize(real)
         for _ in range(6):
             state = helpers.refresh_combiners(real, state)
             state, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
@@ -126,7 +126,7 @@ def test_criterion_04_scalar_matrix_power_equivalence():
     worst = 0.0
     for _ in range(100):
         real = helpers.random_small_realization(rng)
-        state = helpers.refresh_combiners(real, jpaim.initialize(real, cfg))
+        state = helpers.refresh_combiners(real, jpaim.initialize(real))
         state, _, scalar_power, _ = helpers.precoder_step(real, state, cfg)
         for a, b in zip((*scalar_power[0], *scalar_power[1]),
                         (*state.dl_cell_powers(), *state.ul_powers().reshape(-1))):
@@ -151,7 +151,7 @@ def test_criterion_05_monte_carlo_oracles():
         cov_hat, mse_hat = helpers.mc_estimates(real, state, draws=100_000,
                                                 seed=1000 + i)
         cov = helpers.state_covariances(real, state)
-        for g, k in real.dl_users():
+        for g, k in helpers.dl_users(real):
             c = cov.dl_rx[g, k]
             worst_cov = max(worst_cov, np.linalg.norm(cov_hat[dl_node(g, k)] - c)
                             / np.linalg.norm(c))

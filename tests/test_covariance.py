@@ -71,7 +71,7 @@ def test_rx_covariance_explicit_assembly():
                 + (noise_w + sig_hat) * np.eye(m))
 
     cov = helpers.state_covariances(real, state)
-    for g, k in real.dl_users():
+    for g, k in helpers.dl_users(real):
         got = cov.dl_rx[g, k]
         np.testing.assert_allclose(
             got, manual(dl_node(g, k), real.channels.m_ue, hw.beta_ue, hw.noise_ue_w),
@@ -178,7 +178,7 @@ def test_transmit_grams_match_per_link_f1_sums():
 
         def summed(tx, kappa):
             total = 0.0
-            for j, i in real.dl_users():
+            for j, i in helpers.dl_users(real):
                 h = helpers.link(real, dl_node(j, i), tx).est
                 total = total + helpers.f1(h.conj().T, state.dl_combiners[j][i], kappa,
                                            hw.beta_ue)
@@ -277,7 +277,7 @@ def test_covariances_match_per_link_sums(case):
         close(np.asarray(got_csi), np.asarray(csi))
         close(got_rx, base + beta * np.diag(np.diag(base)) + (noise_w + csi) * np.eye(m))
 
-    for g, k in real.dl_users():
+    for g, k in helpers.dl_users(real):
         check(dl_node(g, k), cov.dl_rx[g, k], cov.dl_csi[g, k], hw.beta_ue, hw.noise_ue_w)
         close(cov.signal[0][g, k], helpers.link(real, dl_node(g, k), bs_node(g)).est @ w_dl[g, k])
     for g in range(real.cell_count):

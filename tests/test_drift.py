@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -32,8 +33,10 @@ def test_drift_report_of_a_tree_against_itself_is_empty():
                            "--realizations", "1"], capture_output=True, text=True, check=False,
                           timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
-    lines = done.stdout.splitlines()
+    *lines, summary = done.stdout.splitlines()
     assert lines and all(line.endswith(": identical") for line in lines)
+    assert re.fullmatch(rf"drift: {len(lines)} of {len(lines)} lines identical in \d+\.\d s",
+                        summary)
     assert {line.split("/")[0] for line in lines if ".csv:" in line} == set(CAMPAIGNS)
     assert [line.split("/")[0] for line in lines if "/records:" in line] == list(CAMPAIGNS)
 

@@ -58,7 +58,6 @@ def test_parse_config_sections():
         scenario.swap_los_fading = yes
         solver.nu = 0.5
         solver.max_iterations = 17
-        nsp.subspace_dim = 5
         campaign.algorithms = jpaim, half-duplex
         campaign.workers = 2
         campaign.trace = true
@@ -69,7 +68,6 @@ def test_parse_config_sections():
     assert cfg.scenario.swap_los_fading is True
     assert cfg.solver.nu == 0.5
     assert cfg.solver.max_iterations == 17
-    assert cfg.nsp_subspace_dim == 5
     assert cfg.algorithms == ("jpaim", "half-duplex")
     assert cfg.workers == 2
     assert cfg.trace is True
@@ -88,6 +86,9 @@ def test_parse_config_errors_name_the_key():
         ("solver.bogus = 1", "solver.bogus"),
         ("campaign.bogus = 1", "campaign.bogus"),
         ("nsp.bogus = 1", "nsp.bogus"),
+        # removed keys are unknown keys
+        ("solver.init_seed = 0", "solver.init_seed"),
+        ("nsp.subspace_dim = 4", "nsp.subspace_dim"),
         ("weird.cells = 1", "weird"),
         ("justakey = 1", "justakey"),
         ("scenario.cells 3", "key = value"),
@@ -183,19 +184,16 @@ def test_campaign_config_validation():
     with pytest.raises(ConfigError):
         CampaignConfig(algorithms=("jpaim", "mystery"))
     with pytest.raises(ConfigError):
-        CampaignConfig(nsp_subspace_dim=17)
-    with pytest.raises(ConfigError):
         parse_config("scenario.cells = 0")
-    for name, value in (("realizations", 2.5), ("workers", 2.0), ("base_seed", True),
-                        ("nsp_subspace_dim", 4.0)):
+    for name, value in (("realizations", 2.5), ("workers", 2.0), ("base_seed", True)):
         with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
             CampaignConfig(**{name: value})
-    CampaignConfig(realizations=np.int64(2), nsp_subspace_dim=np.int16(4))
+    CampaignConfig(realizations=np.int64(2), workers=np.int16(4))
 
 
 def test_save_load_config_roundtrip(tmp_path):
     cfg = parse_config(SMALL.replace("cells = 1", "cells = 2") + "solver.nu = 0.25, 0.5\n"
-                       + "campaign.trace = true\nnsp.subspace_dim = 3\n")
+                       + "campaign.trace = true\n")
     path = tmp_path / "campaign.cfg"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -212,12 +210,10 @@ def test_save_load_config_roundtrip_of_every_key(tmp_path):
         bandwidth_hz=2e7, bs_power_dbm=30.0, ue_power_dbm=20.0, noise_density_dbm_hz=-170.0,
         bs_noise_figure_db=7.0, ue_noise_figure_db=5.0, adc_bits=10.0, csi_error_factor=1e-6,
         rician_k_db=3.0, asic_db=60.0, swap_los_fading=True)
-    solver = jpaim.SolverConfig(nu=(0.1, 0.2, 0.3), threshold=5e-5, max_iterations=7,
-                                init_seed=11)
+    solver = jpaim.SolverConfig(nu=(0.1, 0.2, 0.3), threshold=5e-5, max_iterations=7)
     cfg = CampaignConfig(scenario=scenario, solver=solver, realizations=9, base_seed=0,
                          algorithms=("half-duplex", "nsp-jpaim"), workers=3,
-                         output_dir="runs/every key", nsp_subspace_dim=4,
-                         measure_timing=True, trace=True)
+                         output_dir="runs/every key", measure_timing=True, trace=True)
     # every field differs from its default, so a key that save_config drops shows
     default = CampaignConfig()
     for ours, theirs in ((cfg, default), (cfg.scenario, default.scenario),
@@ -455,19 +451,38 @@ def test_run_campaign_records_failures_and_continues(tmp_path, monkeypatch):
     assert summary.algorithms[0].realizations == 2
 
 
+def test_run_campaign_removes_an_earlier_campaigns_files(tmp_path, monkeypatch):
+    # a traced campaign with one failed jpaim solve, then an untraced clean
+    # one into the same directory: no file of the first may pass as the
+    # second's
+    first = replace(parse_config(SMALL + "campaign.algorithms = jpaim, nsp-jpaim, half-duplex\n"
+                                 + "campaign.trace = true\n"), output_dir=str(tmp_path))
+    bad_seed = derive_seed(first.base_seed, 1)
+    true_run = jpaim.run
+
+    def flaky(realization, config, collect_metrics=True):
+        if realization.seed == bad_seed:
+            raise RuntimeError("synthetic failure")
+        return true_run(realization, config, collect_metrics)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness.jpaim, "run", flaky)
+        run_campaign(first)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "errors.log", "iterations_half_duplex_dl.csv", "iterations_half_duplex_ul.csv",
+        "iterations_jpaim.csv", "iterations_nsp_jpaim.csv", "realizations.csv"]
+    run_campaign(replace(first, trace=False))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["realizations.csv"]
+
+
 def test_automatic_nsp_dimension_is_at_least_one(tmp_path):
-    # with one BS transmit antenna, half of it rounds down to 0
+    # with one BS transmit antenna, half of it rounds down to 0, which
+    # nsp_project would refuse
     text = (SMALL.replace("bs_tx_antennas = 4", "bs_tx_antennas = 1")
             + "campaign.algorithms = nsp-jpaim\n")
-    outputs = []
-    for dim in ("auto", "1"):
-        out = tmp_path / dim
-        run_campaign(replace(parse_config(text + f"nsp.subspace_dim = {dim}\n"),
-                             output_dir=str(out)))
-        assert not (out / "errors.log").exists()
-        outputs.append((out / "realizations.csv").read_bytes())
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 2 + 3
+    run_campaign(replace(parse_config(text), output_dir=str(tmp_path)))
+    assert not (tmp_path / "errors.log").exists()
+    assert len((tmp_path / "realizations.csv").read_bytes().splitlines()) == 2 + 3
 
 
 def test_run_campaign_solves_jpaim_once_for_nsp(tmp_path, monkeypatch):

@@ -174,7 +174,7 @@ def test_build_realization_structure():
     cfg = ScenarioConfig()
     real = build_realization(cfg, 42)
     assert real.cell_count == 2
-    assert list(real.dl_users()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(helpers.dl_users(real)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert list(real.ul_users()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # every receiver sees every transmitter: (4 dl + 2 bs) x (2 bs + 4 ul)
     assert len(helpers.links(real)) == 6 * 6
@@ -261,13 +261,13 @@ def test_restrict_to_single_direction():
     real = build_realization(ScenarioConfig(), 11)
     dl = restrict_to_downlink(real)
     assert list(dl.ul_users()) == []
-    assert list(dl.dl_users()) == list(real.dl_users())
+    assert list(helpers.dl_users(dl)) == list(helpers.dl_users(real))
     # no link touches an uplink user, SI links survive
     assert all(key[0][0] != "ul" and key[1][0] != "ul" for key in helpers.links(dl))
     assert (bs_node(0), bs_node(0)) in helpers.links(dl)
 
     ul = restrict_to_uplink(real)
-    assert list(ul.dl_users()) == []
+    assert list(helpers.dl_users(ul)) == []
     assert all(key[0][0] != "dl" and key[1][0] != "dl" for key in helpers.links(ul))
     np.testing.assert_array_equal(helpers.link(ul, bs_node(1), ul_node(0, 0)).true,
                                   helpers.link(real, bs_node(1), ul_node(0, 0)).true)

@@ -10,22 +10,12 @@ import helpers
 from helpers import bs_node, dl_node, ul_node
 from ibfdsim import jpaim, objective
 from ibfdsim.model import ScenarioConfig, build_realization
-from ibfdsim.objective import ASIC_DEPTH_CAP_DB, evaluate, nu_from_asic
+from ibfdsim.objective import ASIC_DEPTH_CAP_DB, evaluate
 from ibfdsim.stacked import columns
 
 
 def _unpenalized(real, state):
     return evaluate(real, state, 0.0, with_rates=False)
-
-
-def test_nu_from_asic_values():
-    assert nu_from_asic(0.0) == 1.0
-    assert nu_from_asic(30.0) == pytest.approx(1e-6, rel=1e-12)
-    assert nu_from_asic(120.0) == pytest.approx(1e-24, rel=1e-12)
-    # equals the squared linear SI gain at that depth
-    for l_db in (0.0, 17.0, 60.0):
-        gain = 10.0 ** (-l_db / 10.0)
-        assert nu_from_asic(l_db) == pytest.approx(gain * gain, rel=1e-12)
 
 
 def test_nu_per_cell_validation():
@@ -63,7 +53,7 @@ def test_mse_zero_combiner_equals_streams():
     for cell in state.ul_combiners:
         for u in cell:
             u[:] = 0.0
-    for g, k in real.dl_users():
+    for g, k in helpers.dl_users(real):
         assert helpers.user_mse(real, state, "dl", k, g) == pytest.approx(2.0)
     for g, k in real.ul_users():
         assert helpers.user_mse(real, state, "ul", k, g) == pytest.approx(2.0)
@@ -86,7 +76,7 @@ def test_mse_formula_against_covariance():
 def test_mse_positive_at_mmse_combiner():
     real = build_realization(helpers.small_config(), 5)
     state = helpers.refresh_combiners(real, helpers.random_state(real, 6, beam_scale=0.5))
-    for g, k in real.dl_users():
+    for g, k in helpers.dl_users(real):
         assert 0.0 < helpers.user_mse(real, state, "dl", k, g) < real.dl_streams
     for g, k in real.ul_users():
         assert 0.0 < helpers.user_mse(real, state, "ul", k, g) < real.ul_streams
@@ -173,7 +163,7 @@ def test_loss_composition():
     state = helpers.random_state(real, 19)
     nu = (0.3, 0.7)
     rsi = _unpenalized(real, state).rsi_watts
-    expected = sum(helpers.user_mse(real, state, "dl", k, g) for g, k in real.dl_users())
+    expected = sum(helpers.user_mse(real, state, "dl", k, g) for g, k in helpers.dl_users(real))
     expected += sum(helpers.user_mse(real, state, "ul", k, g) for g, k in real.ul_users())
     expected += sum(nu[g] * rsi[g] for g in range(2))
     assert evaluate(real, state, nu, with_rates=False).loss == pytest.approx(expected,
@@ -221,7 +211,7 @@ def test_rates_match_explicit_log_det(scenario):
         bits_dl = objective._rate_bits(cov.signal[0], mmse[0])
         bits_ul = objective._rate_bits(cov.signal[1], mmse[1])
         w_dl, w_ul = state.dl_beams, state.ul_beams
-        for g, k in real.dl_users():
+        for g, k in helpers.dl_users(real):
             h = helpers.link(real, dl_node(g, k), bs_node(g)).est
             expected = _explicit_rate_bits(cov.dl_rx[g, k], h @ w_dl[g, k])
             assert bits_dl[g, k] == pytest.approx(expected, rel=1e-9), (seed, g, k)

@@ -10,6 +10,9 @@ import ibfdsim
 
 SOURCES = sorted(Path(ibfdsim.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
+# the code whose use keeps a definition alive
+USERS = sorted(path for folder in ("src", "bench", "tools")
+               for path in (ROOT / folder).rglob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -57,16 +60,54 @@ def _references(tree: ast.Module) -> set:
 
 def test_exports_resolve_and_no_definition_is_dead():
     # a test alone keeps no definition alive: each one is exported, or used
-    # by the package or the benchmark
+    # by the package, the benchmark or the tools
     assert [name for name in ibfdsim.__all__ if not hasattr(ibfdsim, name)] == []
     defined = {(path.name, node.name) for path in SOURCES
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     referenced = set(ibfdsim.__all__)
-    for folder in ("src", "bench"):
-        for path in (ROOT / folder).rglob("*.py"):
-            referenced |= _references(ast.parse(path.read_text()))
+    for path in USERS:
+        referenced |= _references(ast.parse(path.read_text()))
     assert sorted(item for item in defined if item[1] not in referenced) == []
+
+
+def _member_uses(tree: ast.Module) -> tuple[set, set]:
+    """(called, read): the attribute names a module calls and those it reads,
+    apart from a class member's uses of its own name inside its own body."""
+    called, read = set(), set()
+
+    def visit(node, own):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and node.attr not in own:
+            read.add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr not in own:
+            called.add(node.func.attr)
+        for child in ast.iter_child_nodes(node):
+            member = isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
+            visit(child, own | {child.name} if member else own)
+
+    visit(tree, frozenset())
+    return called, read
+
+
+def test_no_method_or_property_is_dead():
+    # a method counts as used where code outside its own body calls it, and
+    # a property where such code reads it: a plain attribute scan would let
+    # `config.dl_users`, a ScenarioConfig field, keep a method of that name
+    # alive.  Dunder methods are called by Python itself.
+    called, read = set(), set()
+    for path in USERS:
+        uses = _member_uses(ast.parse(path.read_text()))
+        called |= uses[0]
+        read |= uses[1]
+    members = [(cls.name, node) for path in SOURCES for cls in ast.parse(path.read_text()).body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")]
+    dead = [f"{cls}.{node.name}" for cls, node in members
+            if node.name not in (read if any(isinstance(d, ast.Name) and d.id == "property"
+                                             for d in node.decorator_list) else called)]
+    assert sorted(dead) == []
 
 
 def test_bench_hooks_name_package_functions():

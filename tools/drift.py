@@ -24,6 +24,10 @@ arrays, byte for byte.  It prints each record field and state array that
 differs.  It writes only into a temporary directory and changes no
 benchmark file.
 
+The last line counts the compared CSV and `records` lines and gives the
+script's own wall time, for example `drift: 52 of 52 lines identical in
+9.8 s`.
+
 Exit status: 0 when every campaign process exits 0, every CSV is
 byte-identical and every compared trace equal; 1 otherwise, naming each
 workload whose campaign process failed, with the tree and the exit code.
@@ -40,6 +44,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -198,6 +203,7 @@ def compare_traces(parent: dict, change: dict) -> list:
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
@@ -205,7 +211,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="campaign.base_seed")
     args = parser.parse_args(argv)
     workloads, campaigns = _campaigns()
-    differs = False
+    failed = False
+    verdicts = []    # one per compared CSV or records line: True when identical
+
+    def report(label, lines):
+        print(f"{label}: {'differs' if lines else 'identical'}")
+        if lines:
+            print("\n".join(lines))
+        verdicts.append(not lines)
+
     with tempfile.TemporaryDirectory() as tmp:
         roots = [Path(tmp) / "parent", Path(tmp) / "change"]
         for root, tree in zip(roots, (args.parent, args.change)):
@@ -215,32 +229,28 @@ def main(argv=None) -> int:
             for name, code in codes.items():
                 if code:
                     print(f"{name}: the campaign of the {root.name} tree {tree} exited {code}")
-                    differs = True
+                    failed = True
         for name in campaigns:
             before, after = (root / name for root in roots)
             files = sorted({p.name for d in (before, after) if d.is_dir() for p in d.glob("*.csv")})
             if not files:
                 print(f"{name}: no CSV written")
-                differs = True
+                failed = True
             for file in files:
                 if not ((before / file).exists() and (after / file).exists()):
                     lines = ["  written by one tree only"]
                 else:
                     lines = compare_file(before / file, after / file)
-                print(f"{name}/{file}: {'differs' if lines else 'identical'}")
-                if lines:
-                    print("\n".join(lines))
-                    differs = True
+                report(f"{name}/{file}", lines)
             if (before / RECORDS).exists() and (after / RECORDS).exists():
                 traces = [pickle.loads((d / RECORDS).read_bytes()) for d in (before, after)]
                 lines = compare_traces(*traces)
             else:
                 lines = ["  written by one tree only, or by neither"]
-            print(f"{name}/records: {'differs' if lines else 'identical'}")
-            if lines:
-                print("\n".join(lines))
-                differs = True
-    return 1 if differs else 0
+            report(f"{name}/records", lines)
+    print(f"drift: {sum(verdicts)} of {len(verdicts)} lines identical in "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if failed or not all(verdicts) else 0
 
 
 if __name__ == "__main__":
