@@ -30,7 +30,8 @@ KNOWN_ALGORITHMS = ("jpaim", "nsp-jpaim", "half-duplex")
 
 _REALIZATIONS_SCHEMA = "ibfdsim-realizations-v1"
 _ITERATIONS_SCHEMA = "ibfdsim-iterations-v1"
-# the files a campaign writes only sometimes, besides realizations.csv
+# the files a campaign writes only sometimes, besides realizations.csv, and
+# iterations_nsp_jpaim.csv, which earlier versions wrote
 _OPTIONAL_OUTPUTS = frozenset({"errors.log", "iterations_jpaim.csv", "iterations_nsp_jpaim.csv",
                                "iterations_half_duplex_dl.csv", "iterations_half_duplex_ul.csv"})
 
@@ -257,7 +258,8 @@ def _run_seed(args):
 
 def _run_algorithm(config, realization, algo, solve):
     """One algorithm on one realization: (report, its solve traces by
-    iteration-CSV name).  nsp-jpaim projects the seed's one jpaim solve."""
+    iteration-CSV name).  nsp-jpaim projects the seed's one jpaim solve, so
+    both return that trace as `jpaim`."""
     if algo == "half-duplex":
         report, dl_trace, ul_trace = baselines.run_half_duplex(realization, config.solver)
         return report, {"half_duplex_dl": dl_trace, "half_duplex_ul": ul_trace}
@@ -265,7 +267,7 @@ def _run_algorithm(config, realization, algo, solve):
     if algo == "jpaim":
         return trace.final_report, {"jpaim": trace}
     nsp_dim = max(1, config.scenario.bs_tx_antennas // 2)
-    return baselines.run_nsp(realization, trace, nsp_dim)[0], {"nsp_jpaim": trace}
+    return baselines.run_nsp(realization, trace, nsp_dim)[0], {"jpaim": trace}
 
 
 def run_campaign(config: CampaignConfig):

@@ -85,9 +85,9 @@ class IterationRecord:
     iteration's multipliers, post-update powers and per-block wall times.
 
     `run` builds every record of a solve at once, after its loop, from the
-    report, rate, times, search result and beam powers that each iteration
-    keeps; elapsed_ms is the iteration's wall time, which that assembly is
-    not part of.
+    figures, times, multipliers and beam powers that each iteration keeps;
+    elapsed_ms is the iteration's wall time, which that assembly is not
+    part of.
 
     The block times are parts of elapsed_ms, and no CSV writes them:
     combiner_ms is the combiner update (0.0 when the previous iteration's
@@ -335,10 +335,10 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     The loop runs on the beams W of `initialize`'s state, and the final
     state holds the very beams and combiners that the final report scores.
     The covariances of a combiner update also serve the evaluation after it.
-    Each iteration keeps its report, rate, times, search result and the
-    powers of the beams it ends on; the IterationRecords are built from them
-    once, after the loop (_records), so the last record's powers are those
-    of the final state.
+    Each iteration keeps its loss, sum MSE, RSI, rate, times, multipliers,
+    search evaluations and the powers of the beams it ends on; the
+    IterationRecords are built from them once, after the loop (_records),
+    so the last record's powers are those of the final state.
 
     Rates are computed only for what is reported.  With collect_metrics, a
     record's rate comes from its own combiner update, whose MMSE combiners
@@ -354,14 +354,14 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     start = initialize(realization)
     beams = (start.dl_beams, start.ul_beams)
     rows = len(constants[1])
-    idle = (np.zeros(rows), None, np.zeros(rows, dtype=int))    # record 0 has no search
+    idle = (np.zeros(rows), np.zeros(rows, dtype=int))    # record 0 has no search
 
     t0 = time.perf_counter()
     combiners, _, rep = objective.score(ch, hw, beams, nu,
                                         (start.dl_combiners, start.ul_combiners), collect_metrics)
     # each record's pieces, which _records turns into IterationRecords after the loop
-    steps = [(rep, rep.sum_rate, (time.perf_counter() - t0) * 1e3, (0.0, 0.0, 0.0), idle,
-              _powers(beams))]
+    steps = [(rep.loss, rep.sum_mse, rep.rsi_watts, rep.sum_rate,
+              (time.perf_counter() - t0) * 1e3, (0.0, 0.0, 0.0), *idle, _powers(beams))]
 
     converged = False
     accepted = None          # (beams, combiners, covariances, report) of the kept trial
@@ -374,7 +374,7 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
         exact, search = _precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
                                        combiners, constants)
         t2 = time.perf_counter()
-        converged = steps[-1][0].loss - rep.loss < config.threshold    # the last record's loss
+        converged = steps[-1][0] - rep.loss < config.threshold    # the last record's loss
         tried = not converged and 1 < t < config.max_iterations
         if tried:
             trial = _extrapolate(hw, exact, beams)
@@ -387,7 +387,8 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
                     (t3 - t2) * 1e3 if tried else 0.0)
         rate_dl, rate_ul = (objective.sum_rates(cov.signal, combiners) if collect_metrics
                             else (rep.sum_rate_dl, rep.sum_rate_ul))
-        steps.append((rep, rate_dl + rate_ul, (time.perf_counter() - t0) * 1e3, block_ms, search,
+        steps.append((rep.loss, rep.sum_mse, rep.rsi_watts, rate_dl + rate_ul,
+                      (time.perf_counter() - t0) * 1e3, block_ms, search[0], search[2],
                       _powers(beams)))
         if converged:
             break
@@ -408,29 +409,30 @@ def _powers(beams) -> tuple:
 
 def _records(steps, ch: ChannelStack) -> list:
     """The IterationRecords of a solve from the pieces `run` keeps for each
-    record: (report, sum rate, elapsed ms, block ms, search, powers), with
-    the search's (w, power, evaluations) and the _powers of the beams the
-    record ends on.  Each field is stacked over the records and converted
-    with one tolist.
+    record: (loss, sum MSE, RSI, sum rate, elapsed ms, block ms, search
+    multipliers w, search evaluations, powers), with the _powers of the
+    beams the record ends on.  Each array field is stacked over the records
+    and converted with one tolist.
 
-    The records keep these small arrays, not the beams: beams kept until
-    the end of a solve stay allocated between each iteration's temporaries,
-    and raised the peak RSS of a 64-antenna campaign by 2 MB."""
-    reports, rates, elapsed, block_ms, searches, powers = zip(*steps)
+    The records keep only what they report: no report, no search power and
+    no beams.  Beams kept until the end of a solve stay allocated between
+    each iteration's temporaries, and raised the peak RSS of a 64-antenna
+    campaign by 2 MB."""
+    losses, mses, rsis, rates, elapsed, block_ms, ws, evaluations, powers = zip(*steps)
     count, cells, (dl, ul) = len(steps), ch.cells, zip(*powers)
     dl_power = (np.add.reduce(np.stack(dl), axis=-1) if dl[0] is not None
                 else np.zeros((count, cells)))
     ul_power = (np.stack(ul).reshape(count, -1) if ul[0] is not None
                 else np.zeros((count, cells * ch.k_u)))
-    w = np.stack([search[0] for search in searches])
-    evaluations = np.add.reduce(np.stack([search[2] for search in searches]), axis=-1)
-    return [IterationRecord(iteration=t, loss=rep.loss, sum_mse=rep.sum_mse,
-                            rsi_watts=rep.rsi_watts, sum_rate=rate, elapsed_ms=ms,
+    w = np.stack(ws)
+    evaluations = np.add.reduce(np.stack(evaluations), axis=-1)
+    return [IterationRecord(iteration=t, loss=loss, sum_mse=mse,
+                            rsi_watts=rsi, sum_rate=rate, elapsed_ms=ms,
                             dl_cell_power=tuple(p_dl), ul_user_power=tuple(p_ul),
                             dl_precoder_multipliers=tuple(w_t[:cells]),
                             ul_precoder_multipliers=tuple(w_t[cells:]),
                             multiplier_evaluations=n, combiner_ms=blocks[0],
                             precoder_ms=blocks[1], trial_ms=blocks[2])
-            for t, (rep, rate, ms, blocks, p_dl, p_ul, w_t, n) in enumerate(zip(
-                reports, rates, elapsed, block_ms, dl_power.tolist(), ul_power.tolist(),
-                w.tolist(), evaluations.tolist()))]
+            for t, (loss, mse, rsi, rate, ms, blocks, p_dl, p_ul, w_t, n) in enumerate(zip(
+                losses, mses, rsis, rates, elapsed, block_ms, dl_power.tolist(),
+                ul_power.tolist(), w.tolist(), evaluations.tolist()))]

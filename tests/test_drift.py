@@ -9,6 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ibfdsim import harness, jpaim
@@ -70,6 +71,27 @@ def test_trace_comparison_names_each_difference(tmp_path):
     assert drift.compare_traces(parent, change) == [
         "  2 differences", f"    seed {seed} jpaim record 2: dl_cell_power",
         f"    seed {seed} jpaim final state: ul_beams"]
+
+
+def test_drift_compares_what_both_trees_wrote_and_names_the_rest(tmp_path):
+    # a trace or CSV that one tree alone wrote is named with that tree, and
+    # every trace both recorded is still compared
+    drift = _drift()
+    state = {name: np.zeros(2) for name in drift.STATE_ARRAYS}
+    parent = {(5, "jpaim"): ([{"loss": 1.0}], state), (5, "nsp_jpaim"): ([{"loss": 1.0}], state)}
+    change = {(5, "jpaim"): ([{"loss": 2.0}], state), (6, "jpaim"): ([{"loss": 1.0}], state)}
+    assert drift.compare_traces(parent, change) == [
+        "  3 differences", "    seed 5 nsp_jpaim: recorded by the parent tree only",
+        "    seed 6 jpaim: recorded by the change tree only", "    seed 5 jpaim record 0: loss"]
+    for tree in ("parent", "change"):
+        (tmp_path / tree / "fd_default").mkdir(parents=True)
+    (tmp_path / "parent" / "fd_default" / "iterations_nsp_jpaim.csv").write_text("seed\n")
+    pair = [tmp_path / tree / "fd_default" / "iterations_nsp_jpaim.csv"
+            for tree in ("parent", "change")]
+    assert drift.written_by(pair) == ["  written by the parent tree only"]
+    assert drift.written_by(pair[::-1]) == ["  written by the parent tree only"]
+    assert drift.written_by(pair[1:]) == ["  written by neither tree"]
+    assert drift.written_by(pair[:1]) == []
 
 
 def test_trace_capture_records_the_solves_the_harness_made(tmp_path, monkeypatch):

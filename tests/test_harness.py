@@ -258,7 +258,7 @@ def test_run_campaign_bytes_do_not_depend_on_workers(tmp_path):
         out = tmp_path / f"workers{workers}"
         run_campaign(replace(cfg, workers=workers, output_dir=str(out)))
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(outputs[0]) == 5
+    assert len(outputs[0]) == 4    # realizations.csv and the three iteration CSVs
     assert outputs[0] == outputs[1]
 
 
@@ -352,7 +352,9 @@ def test_run_campaign_writes_contractual_csv(tmp_path):
         assert int(r["iterations"]) == sum(
             sum(int(p["seed"]) == int(r["seed"]) for p in phase) - 1 for phase in phase_rows)
 
-    for name in ("jpaim", "nsp_jpaim", "half_duplex_dl", "half_duplex_ul"):
+    # nsp-jpaim's trace is the seed's jpaim solve, written once
+    assert not (tmp_path / "out" / "iterations_nsp_jpaim.csv").exists()
+    for name in ("jpaim", "half_duplex_dl", "half_duplex_ul"):
         schema, irows = _read_csv(tmp_path / "out" / f"iterations_{name}.csv")
         assert schema == "# schema: ibfdsim-iterations-v1"
         assert list(irows[0].keys()) == ["seed", "iter", "loss", "sum_mse",
@@ -454,9 +456,10 @@ def test_run_campaign_records_failures_and_continues(tmp_path, monkeypatch):
 def test_run_campaign_removes_an_earlier_campaigns_files(tmp_path, monkeypatch):
     # a traced campaign with one failed jpaim solve, then an untraced clean
     # one into the same directory: no file of the first may pass as the
-    # second's
+    # second's, and neither may an iteration CSV that no campaign writes now
     first = replace(parse_config(SMALL + "campaign.algorithms = jpaim, nsp-jpaim, half-duplex\n"
                                  + "campaign.trace = true\n"), output_dir=str(tmp_path))
+    (tmp_path / "iterations_nsp_jpaim.csv").write_text("an earlier version's trace\n")
     bad_seed = derive_seed(first.base_seed, 1)
     true_run = jpaim.run
 
@@ -470,7 +473,7 @@ def test_run_campaign_removes_an_earlier_campaigns_files(tmp_path, monkeypatch):
         run_campaign(first)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "errors.log", "iterations_half_duplex_dl.csv", "iterations_half_duplex_ul.csv",
-        "iterations_jpaim.csv", "iterations_nsp_jpaim.csv", "realizations.csv"]
+        "iterations_jpaim.csv", "realizations.csv"]
     run_campaign(replace(first, trace=False))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["realizations.csv"]
 
@@ -515,13 +518,23 @@ def test_run_campaign_solves_jpaim_once_for_nsp(tmp_path, monkeypatch):
         # the rate delta is taken against each campaign's first algorithm
         a.pop("sum_rate_delta"), b.pop("sum_rate_delta")
         assert a == b
-    # the iteration trace is jpaim's, rates included
-    _, irows = _read_csv(tmp_path / "all" / "iterations_nsp_jpaim.csv")
-    _, jrows = _read_csv(tmp_path / "all" / "iterations_jpaim.csv")
-    assert irows == jrows
+
+
+def test_nsp_only_campaign_writes_its_solve_as_the_jpaim_trace(tmp_path):
+    # the solve nsp-jpaim projects is the jpaim solve, so a campaign of
+    # nsp-jpaim alone writes iterations_jpaim.csv, byte for byte the file of
+    # a campaign with all three algorithms, rates included
+    cfg = replace(parse_config(SMALL + "campaign.algorithms = jpaim, nsp-jpaim, half-duplex\n"
+                               "campaign.trace = true\n"),
+                  output_dir=str(tmp_path / "all"))
+    run_campaign(cfg)
+    run_campaign(replace(cfg, algorithms=("nsp-jpaim",), output_dir=str(tmp_path / "nsp")))
+    assert sorted(p.name for p in (tmp_path / "nsp").iterdir()) == [
+        "iterations_jpaim.csv", "realizations.csv"]
+    written = (tmp_path / "nsp" / "iterations_jpaim.csv").read_bytes()
+    assert written == (tmp_path / "all" / "iterations_jpaim.csv").read_bytes()
+    _, irows = _read_csv(tmp_path / "nsp" / "iterations_jpaim.csv")
     assert all(np.isfinite(float(r["sum_rate"])) for r in irows)
-    assert (tmp_path / "nsp" / "iterations_nsp_jpaim.csv").read_bytes() == \
-        (tmp_path / "all" / "iterations_nsp_jpaim.csv").read_bytes()
 
 
 def test_run_campaign_records_a_failed_draw_and_continues(tmp_path, monkeypatch):

@@ -13,16 +13,18 @@ strong SI at the default `nu`), each with all three algorithms, traced, on
 one worker.  It then compares the CSVs
 of the two trees cell by cell and prints, for each file that differs, the
 rows and columns that differ, the largest relative difference of each
-column, and every change of an `iterations` or `converged` value.
+column, and every change of an `iterations` or `converged` value.  A CSV
+that only one tree wrote is named with that tree.
 
 The CSVs carry no record powers, multipliers or search counts, so each
 campaign process also records the RunTraces `harness._run_algorithm`
 returns for the first two seeds (the solves the campaign made), and the
-script compares them: every IterationRecord field but the wall times
-(elapsed_ms and the three block times), bit for bit, and the final state's
-arrays, byte for byte.  It prints each record field and state array that
-differs.  It writes only into a temporary directory and changes no
-benchmark file.
+script compares every trace both trees recorded: every IterationRecord
+field but the wall times (elapsed_ms and the three block times), bit for
+bit, and the final state's arrays, byte for byte.  It prints each record
+field and state array that differs, and names each trace that only one
+tree recorded with that tree.  It writes only into a temporary directory
+and changes no benchmark file.
 
 The last line counts the compared CSV and `records` lines and gives the
 script's own wall time, for example `drift: 52 of 52 lines identical in
@@ -182,12 +184,16 @@ def compare_file(parent: Path, change: Path) -> list:
 
 def compare_traces(parent: dict, change: dict) -> list:
     """Report lines for two dump_traces results; empty when they are equal.
-    Record fields compare by repr, which tells -0.0 from 0.0 and takes a nan
-    as equal to a nan, and state arrays by shape, dtype and bytes."""
-    if parent.keys() != change.keys():
-        return [f"  traced solves differ: {sorted(parent)} against {sorted(change)}"]
-    lines = []
+    Each trace only one tree recorded is named with that tree; each trace
+    both recorded is compared: record fields by repr, which tells -0.0 from
+    0.0 and takes a nan as equal to a nan, and state arrays by shape, dtype
+    and bytes."""
+    lines = [f"    seed {seed} {name}: recorded by the {tree} tree only"
+             for tree, mine, other in (("parent", parent, change), ("change", change, parent))
+             for seed, name in sorted(mine.keys() - other.keys())]
     for (seed, name), (records, state) in parent.items():
+        if (seed, name) not in change:
+            continue
         new_records, new_state = change[seed, name]
         label = f"    seed {seed} {name}"
         if len(records) != len(new_records):
@@ -200,6 +206,15 @@ def compare_traces(parent: dict, change: dict) -> list:
                   if (state[key].shape, state[key].dtype, state[key].tobytes())
                   != (new_state[key].shape, new_state[key].dtype, new_state[key].tobytes())]
     return [f"  {len(lines)} differences"] + lines if lines else []
+
+
+def written_by(paths) -> list:
+    """No report line when every tree wrote its file, else one that names the
+    tree that did, or neither; each path is <tree>/<campaign>/<file>."""
+    present = [path.parents[1].name for path in paths if path.exists()]
+    if len(present) == len(paths):
+        return []
+    return [f"  written by the {present[0]} tree only" if present else "  written by neither tree"]
 
 
 def main(argv=None) -> int:
@@ -237,17 +252,11 @@ def main(argv=None) -> int:
                 print(f"{name}: no CSV written")
                 failed = True
             for file in files:
-                if not ((before / file).exists() and (after / file).exists()):
-                    lines = ["  written by one tree only"]
-                else:
-                    lines = compare_file(before / file, after / file)
-                report(f"{name}/{file}", lines)
-            if (before / RECORDS).exists() and (after / RECORDS).exists():
-                traces = [pickle.loads((d / RECORDS).read_bytes()) for d in (before, after)]
-                lines = compare_traces(*traces)
-            else:
-                lines = ["  written by one tree only, or by neither"]
-            report(f"{name}/records", lines)
+                pair = before / file, after / file
+                report(f"{name}/{file}", written_by(pair) or compare_file(*pair))
+            pair = before / RECORDS, after / RECORDS
+            report(f"{name}/records", written_by(pair) or compare_traces(
+                *(pickle.loads(path.read_bytes()) for path in pair)))
     print(f"drift: {sum(verdicts)} of {len(verdicts)} lines identical in "
           f"{time.perf_counter() - start:.1f} s")
     return 1 if failed or not all(verdicts) else 0
