@@ -71,9 +71,6 @@ class CampaignConfig:
                 raise ConfigError(f"unknown algorithm {name!r}; choose from {KNOWN_ALGORITHMS}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError(f"campaign.algorithms repeats a name: {self.algorithms}")
-        if np.ndim(self.solver.nu) == 1 and len(self.solver.nu) != self.scenario.cells:
-            raise ConfigError(f"solver.nu has {len(self.solver.nu)} per-cell values, but "
-                              f"scenario.cells is {self.scenario.cells}")
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +79,8 @@ class CampaignConfig:
 
 
 def _split_list(raw: str) -> list:
-    """Comma-separated items; a lone trailing comma marks a one-item list (`0.5,`)."""
+    """Comma-separated items, none of them empty."""
     items = [item.strip() for item in raw.split(",")]
-    if len(items) == 2 and not items[1]:
-        del items[1]
     if not all(items):
         raise ValueError(f"empty item in {raw!r}")
     return items
@@ -105,10 +100,8 @@ _PARSERS = {
     "bool": _parse_flag,
     "str": str,
     "tuple": lambda raw: tuple(_split_list(raw)),
-    # solver.nu: `auto` is None, and a value with a comma is always a per-cell sequence
-    "object": lambda raw: (None if raw.lower() == "auto"
-                           else tuple(map(float, _split_list(raw))) if "," in raw
-                           else float(raw)),
+    # solver.nu: `auto` is None
+    "float | None": lambda raw: None if raw.lower() == "auto" else float(raw),
 }
 
 # every config key, in the order save_config writes them -> (section, field);
@@ -162,13 +155,11 @@ def load_config(path) -> CampaignConfig:
     return parse_config(p.read_text())
 
 
-def _format_setting(value, annotation: str) -> str:
+def _format_setting(value) -> str:
     if value is None:
         return "auto"
     if isinstance(value, tuple):
-        # a one-cell nu keeps its comma, which makes it read back as a tuple
-        return ",".join(map(str, value)) + ("," if annotation == "object" and len(value) == 1
-                                             else "")
+        return ",".join(map(str, value))
     return str(value)
 
 
@@ -177,7 +168,7 @@ def save_config(config: CampaignConfig, path) -> None:
     lines = []
     for key, (section, f) in _KEYS.items():
         owner = config if section is None else getattr(config, section)
-        lines.append(f"{key} = {_format_setting(getattr(owner, f.name), f.type)}")
+        lines.append(f"{key} = {_format_setting(getattr(owner, f.name))}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -276,9 +267,11 @@ def run_campaign(config: CampaignConfig):
     Returns `summarize` of the written directory, or raises RuntimeError
     once the files are written if every run failed.  Output is ordered by
     (seed index, algorithm) no matter how many workers executed, so
-    identical configs give identical bytes.  An `errors.log` or iteration
-    CSV that this run does not write is removed.  Each finished realization
-    logs one INFO line with its index, seed and error count, in index order.
+    identical configs give identical bytes.  It starts no more worker
+    processes than realizations, and none for one.  An `errors.log` or
+    iteration CSV that this run does not write is removed.  Each finished
+    realization logs one INFO line with its index, seed and error count, in
+    index order.
     """
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -291,9 +284,10 @@ def run_campaign(config: CampaignConfig):
                      config.realizations, derive_seed(config.base_seed, index), len(errors))
             yield result
 
-    if config.workers > 1:
+    workers = min(config.workers, config.realizations)
+    if workers > 1:
         import multiprocessing    # a one-worker campaign never loads it
-        with multiprocessing.get_context("spawn").Pool(config.workers) as pool:
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
             results = list(logged(pool.imap(_run_seed, tasks)))
     else:
         results = list(logged(map(_run_seed, tasks)))

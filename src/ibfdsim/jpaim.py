@@ -63,16 +63,14 @@ SEARCH_MAX_EVALUATIONS = 200   # most power evaluations one multiplier search ma
 class SolverConfig:
     """Solver knobs; nu=None derives the RSI penalty from the cell's SI gain."""
 
-    nu: object = None                 # float, tuple of per-cell floats, or None
+    nu: float | None = None           # one weight for every cell, or None
     threshold: float = 1e-4           # stop once the loss decrease falls below this
     max_iterations: int = 100
 
     def __post_init__(self):
         check_integer_fields(self)
         if self.nu is not None:
-            # a float or a tuple of floats, whatever numeric form was given
-            nu = objective.checked_nu(self.nu)
-            object.__setattr__(self, "nu", float(nu) if nu.ndim == 0 else tuple(nu.tolist()))
+            object.__setattr__(self, "nu", objective.checked_nu(self.nu))
         if not 0.0 < self.threshold <= 1e-3:
             raise ValueError("threshold must lie in (0, 1e-3]")
         if self.max_iterations < 0:

@@ -366,12 +366,12 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     The draw order is fixed so that identical (config, seed) pairs are
     bit-reproducible and so that scenario fields which only rescale channels
     (e.g. the SI gain) do not perturb unrelated draws: the geometry first,
-    then two `standard_normal` calls, one per receiver kind, every downlink
-    user (cell by cell) and then every BS.  A call's numbers run over its
-    receivers, a receiver's over its transmitters (every BS, then every
-    uplink user, cell by cell), and a link's are the real and imaginary
-    parts of its matrix, then of its estimation error.  The SI link draws
-    no error (its CSI is perfect), and no link does at csi_error_factor 0.
+    then one stream of standard normals for every downlink user (cell by
+    cell) and then every BS.  The stream runs over the receivers, a
+    receiver's over its transmitters (every BS, then every uplink user,
+    cell by cell), and a link's are the real and imaginary parts of its
+    matrix, then of its estimation error.  The SI link draws no error (its
+    CSI is perfect), and no link does at csi_error_factor 0.
     """
     rng = np.random.default_rng(seed)
     topo = generate_topology(config.cells, config.dl_users, config.ul_users,
@@ -401,19 +401,22 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     senders = ((topo.bs_xy, n_bs, np.s_[:bs_cols], np.s_[:cells]),
                (topo.ul_xy.reshape(-1, 2), n_ue, np.s_[bs_cols:], np.s_[cells:]))
     for rx_xy, m, rows, rx_err in receivers:
-        # per transmitter kind, a mask over (receiver, transmitter, draw) of the
-        # draws the stream holds (the SI links draw no error), and the width
-        # of one receiver's run of numbers
-        keeps = [np.ones((len(rx_xy), len(tx_xy), draws), bool) for tx_xy, *_ in senders]
-        if rx_xy is topo.bs_xy:
-            keeps[0][si, si, 2:] = False
-        widths = [np.count_nonzero(keep[:1]) * m * n for keep, (_, n, *_) in zip(keeps, senders)]
-        numbers = rng.standard_normal((len(rx_xy), sum(widths)))
-        for keep, (tx_xy, n, cols, tx_err), drawn in zip(keeps, senders,
-                                                         np.split(numbers, widths[:1], axis=1)):
-            part = np.zeros((*keep.shape, m, n))
-            part[keep] = drawn.reshape(-1, m, n)
-            links = keep.shape[:2]
+        # one row of numbers per receiver, (transmitter, draw, m, n) per
+        # transmitter kind; the draws fill it in memory order, except that
+        # the SI links draw no error, so each BS row's SI error is a gap of
+        # zeros that the stream skips
+        widths = [len(tx_xy) * draws * m * n for tx_xy, n, *_ in senders]
+        numbers = np.empty((len(rx_xy), sum(widths)))
+        flat, start, block = numbers.reshape(-1), 0, m * n_bs    # block: one SI matrix
+        for r in si if rx_xy is topo.bs_xy else ():
+            gap = r * (numbers.shape[1] + draws * block) + 2 * block
+            rng.standard_normal(out=flat[start:gap])
+            start = gap + (draws - 2) * block
+            flat[gap:start] = 0.0
+        rng.standard_normal(out=flat[start:])
+        for (tx_xy, n, cols, tx_err), drawn in zip(senders, np.split(numbers, widths[:1], axis=1)):
+            links = (len(rx_xy), len(tx_xy))
+            part = drawn.reshape(*links, draws, m, n)
             gain, rician = np.empty(links), np.empty(links, bool)
             for r, t in np.ndindex(links):
                 d = float(np.linalg.norm(rx_xy[r] - tx_xy[t]))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,33 +52,23 @@ class ObjectiveReport:
         return self.sum_rate_dl + self.sum_rate_ul
 
 
-def checked_nu(nu) -> np.ndarray:
-    """nu as a float array; ValueError unless it is one finite value >= 0 or
-    a non-empty sequence of them."""
-    try:
-        arr = np.asarray(nu, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"nu must be a number or a per-cell sequence: {exc}") from exc
-    if arr.ndim > 1 or arr.size == 0:
-        raise ValueError(f"nu must be scalar or a per-cell sequence, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+def checked_nu(nu) -> float:
+    """nu as a float; ValueError unless it is one finite number >= 0."""
+    if not isinstance(nu, numbers.Real):
+        raise ValueError(f"nu must be one number or None, got {nu!r}")
+    if not 0.0 <= nu < math.inf:
         raise ValueError(f"nu must be finite and >= 0, got {nu!r}")
-    return arr
+    return float(nu)
 
 
 def resolve_nu(realization: Realization, nu) -> np.ndarray:
-    """Per-cell RSI penalty weights from any SolverConfig.nu form: a scalar
-    or a per-cell sequence as given, or by default (None) nu_g = l_g^2 for a
-    cell whose analog stage leaves SI gain l_g, which equals 10**(-l_db/5)
-    for a cancellation depth of l_db decibels."""
+    """Per-cell RSI penalty weights from a SolverConfig.nu: the number for
+    every cell, or by default (None) nu_g = l_g^2 for a cell whose analog
+    stage leaves SI gain l_g, which equals 10**(-l_db/5) for a cancellation
+    depth of l_db decibels."""
     if nu is None:
         return np.array([l * l for l in realization.hardware.si_gain])
-    arr = checked_nu(nu)
-    if arr.ndim == 0:
-        arr = np.full(realization.cell_count, float(arr))
-    if arr.shape != (realization.cell_count,):
-        raise ValueError(f"nu must be scalar or per-cell, got shape {arr.shape}")
-    return arr
+    return np.full(realization.cell_count, checked_nu(nu))
 
 
 def _mse(c, received, combiner):
@@ -91,7 +82,7 @@ def _depth_db(gain: float, power: float, rsi: float) -> float:
     if power <= 0.0:
         return 0.0
     numerator = gain * power
-    if numerator <= 0.0 or rsi < 1e-30 * numerator:
+    if numerator <= 0.0 or rsi <= 1e-30 * numerator:
         return ASIC_DEPTH_CAP_DB
     return min(10.0 * math.log10(numerator / rsi), ASIC_DEPTH_CAP_DB)
 
@@ -192,7 +183,7 @@ def score(ch: ChannelStack, hw: HardwareProfile, beams, nu_arr: np.ndarray, comb
 def evaluate(realization: Realization, state: BeamformingState, nu,
              with_rates: bool = True) -> ObjectiveReport:
     """Compute every reported metric of `state`: `score` of its beams under
-    its combiners, with nu in any SolverConfig.nu form.
+    its combiners, with nu a SolverConfig.nu: None or one number.
 
     with_rates=False skips the rates (reported as nan), and with them the
     MMSE combiner solve they need.

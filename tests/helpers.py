@@ -95,6 +95,13 @@ def random_small_realization(rng, **overrides) -> Realization:
     return build_realization(cfg, int(rng.integers(0, 2 ** 31)))
 
 
+def with_nu(realization: Realization, nu) -> Realization:
+    """The realization with SI gains l_g = sqrt(nu_g), so that the solver's
+    default nu=None weights cell g's RSI by nu_g; the channels stay as drawn."""
+    gains = tuple(math.sqrt(v) for v in nu)
+    return replace(realization, hardware=replace(realization.hardware, si_gain=gains))
+
+
 def random_state(realization: Realization, seed: int, beam_scale=1.0) -> BeamformingState:
     """Arbitrary dense state (nonzero combiners) for algebraic identity tests.
 

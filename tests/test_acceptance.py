@@ -14,7 +14,7 @@ import numpy as np
 
 import helpers
 from helpers import bs_node, dl_node
-from ibfdsim import baselines, harness, jpaim, objective
+from ibfdsim import baselines, harness, jpaim
 from ibfdsim.jpaim import SolverConfig
 from ibfdsim.model import ScenarioConfig, build_realization
 
@@ -61,7 +61,7 @@ def test_criterion_02_block_stationarity():
     worst = {"combiners": 0.0, "precoders": 0.0, "beam scales": 0.0}
     for _ in range(25):
         real = helpers.random_small_realization(rng)
-        nu = objective.resolve_nu(real, cfg.nu)
+        nu = cfg.nu
         state = helpers.solved_state(real, iterations=2)
         state = helpers.refresh_combiners(real, state)
         worst["combiners"] = max(worst["combiners"],

@@ -77,7 +77,7 @@ def test_parse_config_sections():
 def test_parse_config_nu_forms():
     assert parse_config("solver.nu = auto").solver.nu is None
     assert parse_config("solver.nu = 1e-6").solver.nu == 1e-6
-    assert parse_config("solver.nu = 0.1, 0.2").solver.nu == (0.1, 0.2)
+    assert parse_config("solver.nu = AUTO").solver.nu is None
 
 
 def test_parse_config_errors_name_the_key():
@@ -97,18 +97,17 @@ def test_parse_config_errors_name_the_key():
         ("solver.nu = -1", "solver.nu"),
         ("solver.nu = nan", "solver.nu"),
         ("solver.nu = inf", "solver.nu"),
-        ("solver.nu = 0.1, -0.2", "solver.nu"),
-        ("solver.nu = 1,2,3", "solver.nu"),     # three values for the default two cells
-        ("scenario.cells = 1\nsolver.nu = 1,2", "solver.nu"),
         ("solver.nu = abc", "solver.nu"),
-        # an empty per-cell item; only the one-cell form `0.5,` ends in a comma
-        ("solver.nu = 1,,2", "solver.nu"),
-        ("solver.nu = 1,2,", "solver.nu"),
-        ("solver.nu = ,1", "solver.nu"),
+        # nu is auto or one number, with no per-cell list
+        ("solver.nu = 0.1, 0.2", "solver.nu"),
+        ("solver.nu = 0.5,", "solver.nu"),
+        ("solver.nu = auto,", "solver.nu"),
         ("campaign.algorithms = jpaim, jpaim", "campaign.algorithms"),
-        # the list rule of solver.nu holds for campaign.algorithms too
+        # no item of a list may be empty, the last one included
         ("campaign.algorithms = jpaim,,half-duplex", "campaign.algorithms"),
         ("campaign.algorithms = jpaim, half-duplex,", "campaign.algorithms"),
+        ("campaign.algorithms = jpaim,", "campaign.algorithms"),
+        ("campaign.algorithms = ,jpaim", "campaign.algorithms"),
         # a repeated key names both lines, rather than the later one winning
         ("solver.nu = 1.0\nscenario.cells = 2\n# a comment\nsolver.nu = 0.0",
          "line 4: key solver.nu repeats line 1"),
@@ -153,12 +152,16 @@ def test_parse_config_rejects_the_removed_search_keys():
             parse_config(f"{key} = {value}")
 
 
-def test_readme_config_example_loads():
+def test_readme_config_example_loads(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Config files", 1)[1].split("```", 2)[1]
     config = parse_config(block)
     assert config.scenario.cells == 3
+    assert config.solver.nu is None
     assert config.algorithms == ("jpaim", "nsp-jpaim", "half-duplex")
+    # and what it documents survives save_config
+    save_config(config, tmp_path / "readme.cfg")
+    assert load_config(tmp_path / "readme.cfg") == config
     # the prose outside the example names only keys that exist, too
     named = set(re.findall(r"`((?:scenario|solver|nsp|campaign)\.\w+)", readme))
     assert "solver.nu" in named and sorted(named - set(harness._KEYS)) == []
@@ -192,7 +195,7 @@ def test_campaign_config_validation():
 
 
 def test_save_load_config_roundtrip(tmp_path):
-    cfg = parse_config(SMALL.replace("cells = 1", "cells = 2") + "solver.nu = 0.25, 0.5\n"
+    cfg = parse_config(SMALL.replace("cells = 1", "cells = 2") + "solver.nu = 0.25\n"
                        + "campaign.trace = true\n")
     path = tmp_path / "campaign.cfg"
     save_config(cfg, path)
@@ -210,7 +213,7 @@ def test_save_load_config_roundtrip_of_every_key(tmp_path):
         bandwidth_hz=2e7, bs_power_dbm=30.0, ue_power_dbm=20.0, noise_density_dbm_hz=-170.0,
         bs_noise_figure_db=7.0, ue_noise_figure_db=5.0, adc_bits=10.0, csi_error_factor=1e-6,
         rician_k_db=3.0, asic_db=60.0, swap_los_fading=True)
-    solver = jpaim.SolverConfig(nu=(0.1, 0.2, 0.3), threshold=5e-5, max_iterations=7)
+    solver = jpaim.SolverConfig(nu=0.3, threshold=5e-5, max_iterations=7)
     cfg = CampaignConfig(scenario=scenario, solver=solver, realizations=9, base_seed=0,
                          algorithms=("half-duplex", "nsp-jpaim"), workers=3,
                          output_dir="runs/every key", measure_timing=True, trace=True)
@@ -224,15 +227,13 @@ def test_save_load_config_roundtrip_of_every_key(tmp_path):
     assert load_config(path) == cfg
 
 
-@pytest.mark.parametrize("nu, cells", [([0.1, 0.2], 2), (np.array([0.1, 0.2]), 2),
-                                       (np.float64(0.5), 2), ((0.5,), 1)],
-                         ids=["list", "ndarray", "float64", "one_cell_tuple"])
-def test_save_load_config_roundtrip_of_numeric_nu_forms(tmp_path, nu, cells):
-    # SolverConfig keeps nu as a float or a tuple of floats, which save_config
-    # writes in a form load_config reads back; a one-cell tuple stays a tuple
-    cfg = CampaignConfig(scenario=ScenarioConfig(cells=cells), solver=jpaim.SolverConfig(nu=nu))
-    assert type(cfg.solver.nu) in (float, tuple)
-    assert all(type(v) is float for v in np.atleast_1d(cfg.solver.nu).tolist())
+@pytest.mark.parametrize("nu", [np.float64(0.5), 2, np.int64(0)],
+                         ids=["float64", "int", "int64"])
+def test_save_load_config_roundtrip_of_numeric_nu_forms(tmp_path, nu):
+    # SolverConfig keeps any number as a float, which save_config writes in a
+    # form load_config reads back
+    cfg = CampaignConfig(solver=jpaim.SolverConfig(nu=nu))
+    assert type(cfg.solver.nu) is float and cfg.solver.nu == nu
     path = tmp_path / "campaign.cfg"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -260,6 +261,26 @@ def test_run_campaign_bytes_do_not_depend_on_workers(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(outputs[0]) == 4    # realizations.csv and the three iteration CSVs
     assert outputs[0] == outputs[1]
+
+
+def test_one_realization_campaign_solves_in_the_calling_process(tmp_path, monkeypatch):
+    # no more workers start than there are realizations, so one realization
+    # with four workers runs here, where the patched solver sees its solve
+    cfg = replace(parse_config(SMALL), realizations=1, trace=True)
+    solves, true_run = [], jpaim.run
+
+    def counted(*args, **kwargs):
+        solves.append(os.getpid())
+        return true_run(*args, **kwargs)
+
+    monkeypatch.setattr(jpaim, "run", counted)
+    outputs = []
+    for workers in (4, 1):
+        out = tmp_path / f"workers{workers}"
+        run_campaign(replace(cfg, workers=workers, output_dir=str(out)))
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert solves == [os.getpid()] * 2
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 2
 
 
 def test_one_worker_campaign_never_imports_multiprocessing(tmp_path):

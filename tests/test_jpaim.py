@@ -25,11 +25,12 @@ def test_solver_config_validation():
         SolverConfig(threshold=1e-2)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=-1)
-    for nu in (-1.0, math.nan, math.inf, (0.1, -0.2), (0.1, math.nan), (), ((1.0, 2.0),), "abc"):
+    # nu is None or one number: a per-cell sequence is refused like a string
+    for nu in (-1.0, math.nan, math.inf, (0.1, 0.2), (1.0,), [0.5], np.array([0.1, 0.2]), (),
+               "abc", "0.5"):
         with pytest.raises(ValueError, match="nu"):
             SolverConfig(nu=nu)
-    SolverConfig(nu=(1.0, 2.0))
-    SolverConfig(nu=0.0)
+    assert SolverConfig(nu=0).nu == 0.0 and type(SolverConfig(nu=np.float64(0.5)).nu) is float
     for value in (2.5, 2.0, False):
         with pytest.raises(ValueError, match="^max_iterations must be an integer"):
             SolverConfig(max_iterations=value)
@@ -41,8 +42,9 @@ def test_resolve_nu_default_tracks_si_gain():
     np.testing.assert_allclose(resolve_nu(real, SolverConfig().nu), [1e-6, 1e-6],
                                rtol=1e-12)
     np.testing.assert_allclose(resolve_nu(real, SolverConfig(nu=0.5).nu), [0.5, 0.5])
-    np.testing.assert_allclose(resolve_nu(real, SolverConfig(nu=(0.1, 0.2)).nu),
-                               [0.1, 0.2])
+    # each cell's own SI gain, when the cells' gains differ
+    np.testing.assert_allclose(resolve_nu(helpers.with_nu(real, (0.1, 0.2)), SolverConfig().nu),
+                               [0.1, 0.2], rtol=1e-15)
     # default matches the dB rule at every depth
     for l_db in (0.0, 17.0, 30.0, 60.0, 120.0):
         real = build_realization(ScenarioConfig(asic_db=l_db, cells=1), 0)
@@ -117,7 +119,7 @@ def test_update_combiners_never_increases_loss():
     rng = np.random.default_rng(3)
     for _ in range(5):
         real = helpers.random_small_realization(rng)
-        nu = resolve_nu(real, SolverConfig().nu)
+        nu = SolverConfig().nu
         state = helpers.solved_state(real, iterations=1)
         before = objective.evaluate(real, state, nu, with_rates=False).loss
         after = objective.evaluate(real, helpers.refresh_combiners(real, state), nu,
@@ -157,11 +159,10 @@ def test_update_precoders_scalar_matches_matrix_power():
 def test_update_precoders_stationary_for_its_lagrangian():
     real = build_realization(helpers.small_config(), 6)
     cfg = SolverConfig()
-    nu = resolve_nu(real, cfg.nu)
     state = helpers.solved_state(real, iterations=2)
     state = helpers.refresh_combiners(real, state)
     state, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
-    assert helpers.precoder_stationarity(real, state, nu, multipliers) < 1e-5
+    assert helpers.precoder_stationarity(real, state, cfg.nu, multipliers) < 1e-5
 
 
 def test_cell_and_user_relabelling_permutes_every_output():
@@ -211,18 +212,19 @@ def test_cell_and_user_relabelling_permutes_every_output():
     for got, expected in zip(objective.mmse_combiners(cov_moved), objective.mmse_combiners(cov)):
         close(got, expected[at])
 
+    # unequal per-cell weights nu_g = l_g^2 under the default nu, relabelled too
     nu = np.array([1.0, 0.5, 0.25])
-    rep = objective.evaluate(real, state, nu)
-    rep_moved = objective.evaluate(moved, relabel(state), nu[cells])
+    real, moved = helpers.with_nu(real, nu), helpers.with_nu(moved, nu[cells])
+    rep = objective.evaluate(real, state, None)
+    rep_moved = objective.evaluate(moved, relabel(state), None)
     for f in fields(rep):
         expected = getattr(rep, f.name)
         close(getattr(rep_moved, f.name),
               np.array(expected)[cells] if isinstance(expected, tuple) else expected)
 
-    cfg = SolverConfig(nu=tuple(nu.tolist()))
-    step, (dl_mult, ul_mult), _, _ = helpers.precoder_step(real, state, cfg)
+    step, (dl_mult, ul_mult), _, _ = helpers.precoder_step(real, state, SolverConfig())
     step_moved, (dl_moved, ul_moved), _, _ = helpers.precoder_step(
-        moved, relabel(state), replace(cfg, nu=tuple(nu[cells].tolist())))
+        moved, relabel(state), SolverConfig())
     close(step_moved.dl_beams, step.dl_beams[at])
     close(step_moved.ul_beams, step.ul_beams[at])
     close(dl_moved, dl_mult[cells])
@@ -275,7 +277,7 @@ def test_update_precoders_keeps_a_silenced_cell_silent(case):
     assert multipliers[0][0] == 0.0
     assert scalar_power[0][0] == state.dl_cell_powers()[0] == 0.0
     assert np.all(state.dl_beams[0] == 0.0)
-    assert helpers.precoder_stationarity(real, state, resolve_nu(real, cfg.nu), multipliers) < 1e-5
+    assert helpers.precoder_stationarity(real, state, cfg.nu, multipliers) < 1e-5
 
 
 def test_extrapolate_moves_beamformers_within_budgets(monkeypatch):
@@ -445,7 +447,7 @@ def test_run_final_state_reproduces_the_final_report(scenario, config):
     for seed in range(4):
         real = build_realization(scenario, seed)
         trace = run(real, config, collect_metrics=False)
-        again = objective.evaluate(real, trace.final_state, trace.nu)
+        again = objective.evaluate(real, trace.final_state, config.nu)
         for field in fields(again):
             got, want = getattr(again, field.name), getattr(trace.final_report, field.name)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0,
@@ -458,7 +460,7 @@ def test_run_final_report_is_evaluate_of_the_final_state():
     for seed in range(10):
         real = build_realization(ScenarioConfig(), seed)
         trace = run(real, SolverConfig(), collect_metrics=False)
-        again = objective.evaluate(real, trace.final_state, trace.nu)
+        again = objective.evaluate(real, trace.final_state, None)
         for field in fields(again):
             assert getattr(again, field.name) == getattr(trace.final_report, field.name), (
                 f"seed {seed} {field.name}")
@@ -693,3 +695,55 @@ def test_run_matches_per_link_goldens(scenario, config, golden):
         trace = run(build_realization(scenario, seed), config, collect_metrics=False)
         assert trace.iterations == iterations, f"seed {seed}"
         assert trace.final_report.loss == pytest.approx(final_loss, rel=1e-6), f"seed {seed}"
+
+
+# ---------------------------------------------------------------------------
+# the solver's promises over the accepted regimes
+# ---------------------------------------------------------------------------
+
+
+def _regime_configs(count: int, seed: int):
+    """(scenario, solver config) pairs drawn from a fixed seed over the
+    accepted space: 1-3 cells, 0-2 users per direction, every CSI error,
+    converter and cancellation regime, and nu auto or a number."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        cells, dl_users, ul_users = rng.integers(1, 4), rng.integers(0, 3), rng.integers(0, 3)
+        streams = rng.integers(1, 3, size=2)
+        scenario = helpers.small_config(
+            cells=int(cells), dl_users=int(dl_users), ul_users=int(ul_users),
+            dl_streams=int(streams[0]), ul_streams=int(streams[1]),
+            csi_error_factor=float(rng.choice([0.0, 1e-12, 1e-2, 1.0])),
+            adc_bits=float(rng.choice([4.0, 12.0, math.inf])),
+            asic_db=float(rng.choice([0.0, 40.0, 120.0, math.inf])))
+        nu = [None, 0.0, 1e-6, 1.0][rng.integers(4)]
+        yield scenario, SolverConfig(nu=nu)
+
+
+_REGIMES = list(_regime_configs(100, seed=20261019))
+
+
+@pytest.mark.parametrize("index", range(len(_REGIMES)))
+def test_promises_hold_over_the_accepted_regimes(index):
+    # every algorithm runs; every final state and the projected state keep
+    # their power budgets; every solve's final_report is evaluate of its
+    # final state bit for bit, and the half-duplex phases' that of their
+    # restricted realizations without the RSI penalty
+    scenario, config = _REGIMES[index]
+    real = build_realization(scenario, index)
+    trace = run(real, config, collect_metrics=False)
+    nsp_report, projected = baselines.run_nsp(real, trace,
+                                              max(1, scenario.bs_tx_antennas // 2))
+    _, dl_trace, ul_trace = baselines.run_half_duplex(real, config)
+    scored = [(real, trace.final_state, config.nu, trace.final_report),
+              (real, projected, config.nu, nsp_report),
+              (restrict_to_downlink(real), dl_trace.final_state, 0.0, dl_trace.final_report),
+              (restrict_to_uplink(real), ul_trace.final_state, 0.0, ul_trace.final_report)]
+    hw = real.hardware
+    for r, state, nu, report in scored:
+        assert np.all(state.dl_cell_powers() <= hw.p_bs_w * (1.0 + 1e-6))
+        assert np.all(state.ul_powers() <= hw.p_ue_w * (1.0 + 1e-6))
+        again = objective.evaluate(r, state, nu)
+        for f in fields(again):
+            np.testing.assert_array_equal(getattr(again, f.name), getattr(report, f.name),
+                                          err_msg=f.name)

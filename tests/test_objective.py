@@ -19,29 +19,35 @@ def _unpenalized(real, state):
 
 
 def test_nu_per_cell_validation():
-    real = build_realization(helpers.small_config(), 0)
+    # nu is None, which weights each cell by its own l_g^2, or one number for
+    # every cell; a sequence is refused like any other non-number
+    real = helpers.with_nu(build_realization(helpers.small_config(), 0), (0.1, 0.2))
+    np.testing.assert_allclose(objective.resolve_nu(real, None), [0.1, 0.2], rtol=1e-15)
     np.testing.assert_allclose(objective.resolve_nu(real, 0.5), [0.5, 0.5])
-    np.testing.assert_allclose(objective.resolve_nu(real, (0.1, 0.2)), [0.1, 0.2])
-    with pytest.raises(ValueError):
-        objective.resolve_nu(real, (0.1, 0.2, 0.3))
+    state = helpers.random_state(real, 1)
+    for bad in ((0.1, 0.2), [0.1, 0.2], np.array([0.1, 0.2]), (0.5,), "0.5"):
+        with pytest.raises(ValueError, match="nu must be one number"):
+            objective.resolve_nu(real, bad)
+        with pytest.raises(ValueError, match="nu must be one number"):
+            objective.evaluate(real, state, bad)
     with pytest.raises(ValueError):
         objective.resolve_nu(real, -1.0)
-    for bad in (float("nan"), float("inf"), (0.1, float("nan"))):
+    for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             objective.resolve_nu(real, bad)
         with pytest.raises(ValueError, match="finite"):
-            objective.evaluate(real, helpers.random_state(real, 1), bad)
+            objective.evaluate(real, state, bad)
 
 
 def test_evaluate_takes_the_solver_default_nu():
     # evaluate resolves nu as the solver does, so SolverConfig's default None
-    # scores a solve as the per-cell weights the solve used
-    real = build_realization(ScenarioConfig(), 3)
+    # scores a solve as the per-cell weights the solve used, here unequal
+    real = helpers.with_nu(build_realization(ScenarioConfig(), 3), (2.0 ** -20, 2.0 ** -18))
     trace = jpaim.run(real, jpaim.SolverConfig(), collect_metrics=False)
+    assert trace.nu == (2.0 ** -20, 2.0 ** -18)
     got = evaluate(real, trace.final_state, None)
-    want = evaluate(real, trace.final_state, trace.nu)
-    for field in fields(want):
-        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    for field in fields(got):
+        assert getattr(got, field.name) == getattr(trace.final_report, field.name), field.name
 
 
 def test_mse_zero_combiner_equals_streams():
@@ -158,16 +164,24 @@ def test_asic_depth_cap_under_ideal_cancellation():
     assert rep.asic_depth_db == (ASIC_DEPTH_CAP_DB,)
 
 
+def test_asic_depth_cap_when_the_residual_underflows():
+    # a transmitting cell so quiet that 1e-30 of l_g tr(T_g) underflows to 0,
+    # with no residual left, reads the cap and divides by no zero
+    assert objective._depth_db(1.0, 1e-300, 0.0) == ASIC_DEPTH_CAP_DB
+    assert objective._depth_db(1.0, 1e-300, 1e-310) == pytest.approx(100.0, abs=0.01)
+
+
 def test_loss_composition():
-    real = build_realization(helpers.small_config(asic_db=30.0), 18)
-    state = helpers.random_state(real, 19)
+    # cell g's RSI weighs its own nu_g = l_g^2 under the default nu
     nu = (0.3, 0.7)
+    real = helpers.with_nu(build_realization(helpers.small_config(asic_db=30.0), 18), nu)
+    state = helpers.random_state(real, 19)
     rsi = _unpenalized(real, state).rsi_watts
     expected = sum(helpers.user_mse(real, state, "dl", k, g) for g, k in helpers.dl_users(real))
     expected += sum(helpers.user_mse(real, state, "ul", k, g) for g, k in real.ul_users())
     expected += sum(nu[g] * rsi[g] for g in range(2))
-    assert evaluate(real, state, nu, with_rates=False).loss == pytest.approx(expected,
-                                                                             rel=1e-12)
+    assert evaluate(real, state, None, with_rates=False).loss == pytest.approx(expected,
+                                                                               rel=1e-12)
 
 
 def test_rate_bits_closed_form():
