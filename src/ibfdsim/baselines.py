@@ -1,6 +1,6 @@
 """Reference schemes the full-duplex solver is compared against: null-space
-projection, scored by objective.score on the ChannelStack (module `stacked`)
-whose SI channels it reads, and the half-duplex time split."""
+projection, scored by objective.score on the realization's Channels (module
+`stacked`), whose SI channels it reads, and the half-duplex time split."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from . import jpaim, objective
 from .model import Realization, restrict_to_downlink, restrict_to_uplink
-from .stacked import BeamformingState, hermitian, stack_channels
+from .stacked import BeamformingState, hermitian
 
 
 def nsp_project(beams: np.ndarray, h_si: np.ndarray, kappa_bs: float,
@@ -44,12 +44,12 @@ def run_nsp(realization: Realization, trace: jpaim.RunTrace, subspace_dim: int,
     Projection only ever shrinks the transmitted power, so the power
     constraints stay satisfied; one combiner refresh lets the receivers react
     to the projected beams before the state is scored with the solve's nu.
-    One stack's SI channels serve the projection, and one objective.score,
-    with one covariance assembly and one MMSE solve, serves the refresh and
-    the report, which is objective.evaluate of the returned state.  Returns
+    The SI channels that jpaim.run derived on the realization's Channels
+    serve the projection, and one objective.score, with one covariance
+    assembly and one MMSE solve, serves the refresh and the report, which is objective.evaluate of the returned state.  Returns
     (report, projected state).
     """
-    ch, hw = stack_channels(realization), realization.hardware
+    ch, hw = realization.channels, realization.hardware
     final = trace.final_state
     dl_beams = nsp_project(final.dl_beams, ch.si[:, None], hw.kappa_bs, subspace_dim)
     (dl, ul), _, report = objective.score(ch, hw, (dl_beams, final.ul_beams),

@@ -9,12 +9,12 @@ the transmit-side matrix omega that the precoder update diagonalizes.  The
 receive covariances take the same form from the receive side, so the
 kernels never form a transmit covariance.
 
-The kernels take the stacked channels (module `stacked`) and the one
+The kernels take a realization's Channels (module `stacked`) and the one
 (downlink, uplink) pair of arrays they read, the beams W or the
 combiners U, and treat every cell, user and link at once with
-batched `@`.  Their Gram products pair blocks of the stack's X with the
-matching blocks of its stored conjugate transpose X^H, so no call
-conjugates a channel.  One node's covariance or CSI-error power is a field
+batched `@`.  Their Gram products pair blocks of X with the matching
+blocks of its stored conjugate transpose X^H, so no call conjugates a
+channel.  One node's covariance or CSI-error power is a field
 of the Covariances that `covariances` returns, and the per-node forms that
 the tests check the kernels against (the transmit covariance and f1) live
 in tests/helpers.py.
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HardwareProfile
-from .stacked import (ChannelStack, add_scaled_diag, columns, diagonal, hermitian,
-                      row_powers, uncolumns)
+from .stacked import (Channels, add_scaled_diag, columns, diagonal, hermitian, row_powers,
+                      uncolumns)
 
 # ---------------------------------------------------------------------------
 # distortion-aware Gram forms
@@ -77,7 +77,7 @@ class Covariances:
     cell_power: np.ndarray  # (G,) tr(T_g): each BS's transmit power, distortion included
 
 
-def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
+def covariances(ch: Channels, hw: HardwareProfile, beams) -> Covariances:
     """Every receiver's covariance under the beams (W_dl, W_ul), and the
     desired signals H W.
 
@@ -144,7 +144,7 @@ def covariances(ch: ChannelStack, hw: HardwareProfile, beams) -> Covariances:
                        si_signal=si_signal, cell_load=cell_load, cell_power=cell_power)
 
 
-def transmit_grams(ch: ChannelStack, hw: HardwareProfile, combiners):
+def transmit_grams(ch: Channels, hw: HardwareProfile, combiners):
     """Interference-plus-distortion matrices seen from each transmitter.
 
     For BS g this aggregates, over every receiver in the network, the f1

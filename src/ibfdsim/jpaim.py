@@ -27,12 +27,13 @@ therefore non-increasing, CSI error aside (a solve under it can end on a
 rise), and the loop stops once the per-iteration improvement drops below
 the threshold.
 
-`run` builds the ChannelStack (module `stacked`) and the precoder step's
-constants (the SI penalties and the search budgets) once per call and
-iterates on the beams W and the combiners U, (downlink, uplink) pairs of
-arrays in the same layout: each block is a few batched numpy kernels over
-all cells and users, and each combiner update and loss is objective.score,
-as in every other caller.  A BeamformingState holds them only at the ends
+`run` reads the realization's Channels (module `stacked`), whose derived
+views its first read fills, builds the precoder step's constants (the SI
+penalties and the search budgets) once per call and iterates on the
+beams W and the combiners U, (downlink, uplink) pairs of arrays in the same
+layout: each block is a few batched numpy kernels over all cells and users,
+and each combiner update and loss is objective.score, as in every other
+caller.  A BeamformingState holds them only at the ends
 of a solve: the start that `initialize` draws and the final state.
 
 A direction without users (the other one of a half-duplex phase, or of a
@@ -51,8 +52,8 @@ import numpy as np
 
 from . import covariance, objective
 from .model import HardwareProfile, Realization, check_integer_fields
-from .stacked import (BeamformingState, ChannelStack, add_scaled_diag, frobenius_sq, hermitian,
-                      row_powers, stack_channels)
+from .stacked import (BeamformingState, Channels, add_scaled_diag, frobenius_sq, hermitian,
+                      row_powers)
 
 EXTRAPOLATION = 4.0            # weight beta of the extrapolated trial point
 SEARCH_REL_TOL = 1e-8          # a multiplier search stops this far, relatively, below the budget
@@ -238,7 +239,7 @@ def _bound_step(terms, den, target):
 # ---------------------------------------------------------------------------
 
 
-def _precoder_constants(ch: ChannelStack, hw: HardwareProfile, nu: np.ndarray):
+def _precoder_constants(ch: Channels, hw: HardwareProfile, nu: np.ndarray):
     """What the precoder step reads that no iterate changes: the SI penalty
     nu_g S_g of every cell, with S_g = H^H H + kappa_bs diag(H^H H) from its
     SI channel H, and the budget of every search row (cells, then uplink
@@ -248,7 +249,7 @@ def _precoder_constants(ch: ChannelStack, hw: HardwareProfile, nu: np.ndarray):
             (budget * (1.0 - SEARCH_REL_TOL))[:, None])
 
 
-def _precoder_step(ch: ChannelStack, grams, combiners, constants):
+def _precoder_step(ch: Channels, grams, combiners, constants):
     """W = Q (D + w I)^-1 Q^H H^H U per user, with w the power multiplier and
     Q D Q^H the transmitter's quadratic-term matrix: its omega from `grams`,
     plus nu_g S_g at BS g, where S_g = H^H H + kappa diag(H^H H) is the
@@ -346,8 +347,7 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     report always carries rates.
     """
     nu = objective.resolve_nu(realization, config.nu)
-    hw = realization.hardware
-    ch = stack_channels(realization)
+    ch, hw = realization.channels, realization.hardware
     constants = _precoder_constants(ch, hw, nu)
     start = initialize(realization)
     beams = (start.dl_beams, start.ul_beams)
@@ -405,7 +405,7 @@ def _powers(beams) -> tuple:
     return frobenius_sq(dl) if dl.size else None, frobenius_sq(ul) if ul.size else None
 
 
-def _records(steps, ch: ChannelStack) -> list:
+def _records(steps, ch: Channels) -> list:
     """The IterationRecords of a solve from the pieces `run` keeps for each
     record: (loss, sum MSE, RSI, sum rate, elapsed ms, block ms, search
     multipliers w, search evaluations, powers), with the _powers of the

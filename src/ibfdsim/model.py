@@ -277,8 +277,9 @@ def pathloss_umi(distance_m: float, carrier_ghz: float, is_los: bool) -> float:
 
 
 def generate_channel(gain: np.ndarray, rician_k: float, use_rician: np.ndarray,
-                     normals: np.ndarray) -> np.ndarray:
-    """Channel matrices with average per-element power `gain`, one per link.
+                     normals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Channel matrices with average per-element power `gain`, one per link,
+    written into `out` (links..., rows, cols) complex when it is given.
 
     `normals` (links..., 2, rows, cols) holds the real and imaginary parts of
     each link's N, i.i.d. CN(0, 1); `gain` and `use_rician` are (links...).
@@ -293,32 +294,34 @@ def generate_channel(gain: np.ndarray, rician_k: float, use_rician: np.ndarray,
     det = np.eye(rows, cols, dtype=complex) if rows == cols else np.ones((rows, cols), dtype=complex)
     los, scattered = math.sqrt(rician_k / (rician_k + 1.0)), math.sqrt(1.0 / (rician_k + 1.0))
     scatter[use_rician] = los * det + scattered * scatter[use_rician]
-    return np.multiply(np.sqrt(gain)[..., None, None], scatter, out=scatter)
+    return np.multiply(np.sqrt(gain)[..., None, None], scatter,
+                       out=scatter if out is None else out)
 
 
-def apply_uncertainty(channel: np.ndarray, varrho: float,
-                      normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def apply_uncertainty(channel: np.ndarray, varrho: float, normals: np.ndarray,
+                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Split true channels (links..., rows, cols) into estimates and known
     error variances, with `normals` (links..., 2, rows, cols) the real and
-    imaginary parts of each link's error draw.
+    imaginary parts of each link's error draw; the estimates are written
+    into `out`, shaped as `channel`, when it is given.
 
     A link's per-element error variance is varrho * ||H||_F^2 / (rows*cols);
     its estimate is H minus the error, so estimate + error = truth holds
-    exactly.  varrho = 0 returns the channels unchanged and zero variances,
-    and reads no normals.
+    exactly.  varrho = 0 gives the channels unchanged (without `out`, the
+    very array) and zero variances, and reads no normals.
     """
     if varrho < 0:
         raise ValueError("varrho must be >= 0")
     *links, rows, cols = channel.shape
-    if varrho == 0.0:
-        return channel, np.zeros(links)
+    if varrho == 0.0:    # np.positive copies every bit
+        return channel if out is None else np.positive(channel, out=out), np.zeros(links)
     # one norm per link: a batched norm rounds differently
     err_var = np.array([varrho * float(np.linalg.norm(h) ** 2) / (rows * cols)
                         for h in channel.reshape(-1, rows, cols)]).reshape(links)
     delta = 1j * normals[..., 1, :, :]
     delta += normals[..., 0, :, :]
     delta *= np.sqrt(err_var / 2.0)[..., None, None]
-    return np.subtract(channel, delta, out=delta), err_var
+    return np.subtract(channel, delta, out=delta if out is None else out), err_var
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +430,11 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
                 rician[r, t] = los == config.swap_los_fading
             if rx_xy is tx_xy:   # BSs <- BSs, SI links on the diagonal: Rayleigh, residual gain
                 gain[si, si], rician[si, si] = hw.si_gain, False
-            h = generate_channel(gain, rician_k, rician, part[:, :, :2])
-            est, err_var = apply_uncertainty(h, varrho, part[:, :, 2:])
+            # each draw is written straight into its block of x or x_true
             x_block, true_block = (a[rows, cols].reshape(links[0], m, links[1], n).swapaxes(1, 2)
                                    for a in (x, x_true))
-            x_block[...], true_block[...], err[rx_err, tx_err] = est, h, err_var
+            h = generate_channel(gain, rician_k, rician, part[:, :, :2], out=true_block)
+            err[rx_err, tx_err] = apply_uncertainty(h, varrho, part[:, :, 2:], out=x_block)[1]
             if rx_xy is tx_xy:   # perfect SI CSI: one matrix, in x, and no error
                 x_block[si, si], true_block[si, si], err[rx_err, tx_err][si, si] = h[si, si], 0, 0
     return Realization(topology=topo, hardware=hw, seed=seed, dl_streams=config.dl_streams,

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import covariance
 from .model import HardwareProfile, Realization
-from .stacked import (BeamformingState, ChannelStack, columns, frobenius_sq, hermitian,
-                      re_inner, stack_channels, uncolumns)
+from .stacked import (BeamformingState, Channels, columns, frobenius_sq, hermitian, re_inner,
+                      uncolumns)
 
 log = logging.getLogger(__name__)
 
@@ -130,7 +130,7 @@ def sum_rates(signal, mmse) -> tuple[float, float]:
                  for a, u in zip(signal, mmse))
 
 
-def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Covariances,
+def report(ch: Channels, hw: HardwareProfile, combiners, cov: covariance.Covariances,
            nu_arr: np.ndarray, mmse=None) -> ObjectiveReport:
     """Every figure of merit of the beams whose covariances and desired
     signals on the channels `ch` are `cov`, under the combiners (U_dl, U_ul).
@@ -169,7 +169,7 @@ def report(ch: ChannelStack, hw: HardwareProfile, combiners, cov: covariance.Cov
     )
 
 
-def score(ch: ChannelStack, hw: HardwareProfile, beams, nu_arr: np.ndarray, combiners=None,
+def score(ch: Channels, hw: HardwareProfile, beams, nu_arr: np.ndarray, combiners=None,
           with_rates: bool = False) -> tuple:
     """`report` on the covariances of the beams (W_dl, W_ul) under the combiners
     (U_dl, U_ul), or their MMSE combiners if None, which also give with_rates'
@@ -189,6 +189,6 @@ def evaluate(realization: Realization, state: BeamformingState, nu,
     MMSE combiner solve they need.
     """
     nu_arr = resolve_nu(realization, nu)
-    return score(stack_channels(realization), realization.hardware,
+    return score(realization.channels, realization.hardware,
                  (state.dl_beams, state.ul_beams), nu_arr,
                  (state.dl_combiners, state.ul_combiners), with_rates)[2]

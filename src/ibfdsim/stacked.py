@@ -9,22 +9,11 @@ dictionaries.  The layout needs the same downlink and the same uplink user
 count in every cell, which is what build_realization and the
 single-direction restrictions produce.
 
-A realization stores its links once, as the matrix X of a Channels: every
-transmitter's channel into every receiver side by side, receive antennas
-as rows and transmit antennas as columns, with the true matrices and the
-error variances in the same order.  Its size fields (cells, users per
-cell, antennas per node) are the realization's one record of its sizes.
-The package reads and writes X only as whole arrays and blocks:
-model.build_realization draws it one block per pair of receiver and
-transmitter kinds, and no code addresses a single link.  A ChannelStack
-shares X and adds what the kernels derive from it: views of X per
-receiver and per transmitter, and one copy of its conjugate transpose X^H
-with the matching views, from which both the receive covariances and the
-transmit-side Gram matrices are formed: every such product multiplies a
-block of X by a block of X^H, so X^H is conjugated once per stack rather
-than once per kernel call.  A ChannelStack reads the stored channels
-alone, no hardware, and is built per call of the solver, so an in-place
-edit of the stored arrays reaches the next call.
+A realization stores its links once, as the matrix X of a Channels, which
+also holds what the kernels derive from X on first read.  The package
+reads and writes X only as whole arrays and blocks: model.build_realization
+draws it one block per pair of receiver and transmitter kinds, and no code
+addresses a single link.
 """
 
 from __future__ import annotations
@@ -97,7 +86,7 @@ class BeamformingState:
     """Transmitted beams and combiners of every user.
 
     Each field is one dense array with axes (cell, user, rows, streams),
-    matching the ChannelStack below; `dl_beams[g][k]` is a view that can
+    matching the Channels below; `dl_beams[g][k]` is a view that can
     be read or written in place.  The transmitted signal of downlink user
     (g, k) is dl_beams[g, k] @ symbols, and likewise ul_beams[g, k] for
     uplink users, so a beam carries its power: it is the paper's precoder
@@ -137,7 +126,8 @@ class BeamformingState:
 
 @dataclass(eq=False)
 class Channels:
-    """Every link of one realization, stored once.
+    """Every link of one realization, stored once, and what the kernels
+    derive from it.
 
     `x` holds every transmitter's estimated channel into every receiver,
     rows over the antennas of every downlink user, then of every BS, and
@@ -146,6 +136,25 @@ class Channels:
     (one row per receiver, one column per transmitter) in the same order.
     The SI link of BS g is known exactly: its block of `x` is its estimate
     and its truth, and its block of `x_true` stays zero.
+
+    The other fields are derived from `x` alone, all at once on the first
+    read of any of them, so a realization that is only saved or hashed
+    derives none: views of `x` per receiver kind and per transmitter,
+    transmitters first (`dl`, `bs`, `from_bs`, `from_ul`), X^H (`xh`) with
+    the matching views (`*_h`), each BS's SI channel H (`si`) with its
+    column powers, H^H of every serving link, and the gather indices of the
+    blocks a cell sends its own receivers.  Every covariance and
+    transmit-side Gram matrix multiplies a block of X by a block of X^H, so
+    the kernels read `xh` instead of conjugating X on every call.  `xh` is
+    the transpose of a C-contiguous conj(X), so each block keeps the memory
+    layout that a conjugated copy of the block of `x` has: numpy then makes
+    the same BLAS calls on it, and every product rounds as it would on that
+    copy.  (A C-contiguous X^H rounds the covariance of a receiver with one
+    antenna differently in the last bits.)
+
+    A Channels never changes: its stored and derived arrays are read-only,
+    so the derived fields always match `x`.  To change a link, edit copies
+    of the stored arrays and `dataclasses.replace` them in.
     """
 
     x: np.ndarray          # (G K_d M_ue + G M_bs, G N_bs + G K_u N_ue)
@@ -158,79 +167,64 @@ class Channels:
     n_bs: int              # transmit antennas per BS
     k_u: int               # uplink users per cell
     n_ue: int              # transmit antennas per uplink user
+    dl: np.ndarray = field(init=False, repr=False)         # (G, K_d, M_ue, columns of x)
+    bs: np.ndarray = field(init=False, repr=False)         # (G, M_bs, columns of x)
+    from_bs: np.ndarray = field(init=False, repr=False)    # (G, rows of x, N_bs)
+    from_ul: np.ndarray = field(init=False, repr=False)    # (G K_u, rows of x, N_ue)
+    xh: np.ndarray = field(init=False, repr=False)         # (columns, rows of x), conj(x).T
+    dl_h: np.ndarray = field(init=False, repr=False)       # (G, K_d, columns of x, M_ue)
+    bs_h: np.ndarray = field(init=False, repr=False)       # (G, columns of x, M_bs)
+    from_bs_h: np.ndarray = field(init=False, repr=False)  # (G, N_bs, rows of x)
+    from_ul_h: np.ndarray = field(init=False, repr=False)  # (G K_u, N_ue, rows of x)
+    si: np.ndarray = field(init=False, repr=False)         # (G, M_bs, N_bs)
+    si_colpow: np.ndarray = field(init=False, repr=False)  # (G, N_bs)
+    dl_own_h: np.ndarray = field(init=False, repr=False)   # (G, K_d, N_bs, M_ue)
+    ul_own_h: np.ndarray = field(init=False, repr=False)   # (G, K_u, N_ue, M_bs)
+    cell_index: np.ndarray = field(init=False, repr=False) # (G,) every cell
+    dl_user_index: tuple = field(init=False, repr=False)   # (G, 1) cells, (K_d,) users
+
+    def __post_init__(self):
+        for a in (self.x, self.x_true, self.err):
+            a.flags.writeable = False
+
+    def __getattr__(self, name):
+        # reached only for an attribute not yet set: derive every field at once
+        if name not in {f.name for f in fields(self) if not f.init}:
+            raise AttributeError(f"'Channels' object has no attribute {name!r}")
+        x, cells, k_d, k_u = self.x, self.cells, self.k_d, self.k_u
+        m_ue, m_bs, n_bs, n_ue = self.m_ue, self.m_bs, self.n_bs, self.n_ue
+        diag = np.arange(cells)
+        dl_rows, bs_cols = cells * k_d * m_ue, cells * n_bs
+        rows, cols = x.shape
+        xh = x.conj().T
+        dl = x[:dl_rows].reshape(cells, k_d, m_ue, cols)
+        bs = x[dl_rows:].reshape(cells, m_bs, cols)
+        # each BS's SI link and each user's serving link, copied out of X into
+        # C-contiguous (cell, [user,] receive antennas, transmit antennas) arrays
+        si = bs[..., :bs_cols].reshape(cells, m_bs, cells, n_bs)[diag, :, diag]
+        dl_own = dl[..., :bs_cols].reshape(cells, k_d, m_ue, cells, n_bs)[diag, :, :, diag]
+        ul_own = bs[..., bs_cols:].reshape(cells, m_bs, cells, k_u, n_ue)[diag, :, diag]
+        derived = dict(
+            dl=dl, bs=bs,
+            from_bs=np.swapaxes(x[:, :bs_cols].reshape(rows, cells, n_bs), 0, 1),
+            from_ul=np.swapaxes(x[:, bs_cols:].reshape(rows, cells * k_u, n_ue), 0, 1),
+            xh=xh,
+            dl_h=xh[:, :dl_rows].reshape(cols, cells, k_d, m_ue).transpose(1, 2, 0, 3),
+            bs_h=xh[:, dl_rows:].reshape(cols, cells, m_bs).swapaxes(0, 1),
+            from_bs_h=xh[:bs_cols].reshape(cells, n_bs, rows),
+            from_ul_h=xh[bs_cols:].reshape(cells * k_u, n_ue, rows),
+            si=si, si_colpow=row_powers(np.swapaxes(si, -1, -2)),
+            dl_own_h=hermitian(dl_own),
+            ul_own_h=hermitian(np.ascontiguousarray(ul_own.swapaxes(1, 2))),
+            cell_index=diag, dl_user_index=(diag[:, None], np.arange(k_d)))
+        for a in (*derived.values(), *derived["dl_user_index"]):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        vars(self).update(derived)
+        return derived[name]
 
     @staticmethod
     def shapes(cells, k_d, m_ue, m_bs, n_bs, k_u, n_ue) -> tuple[tuple, tuple]:
         """The shape of `x` (and of `x_true`) and that of `err` for the given sizes."""
         return ((cells * (k_d * m_ue + m_bs), cells * (n_bs + k_u * n_ue)),
                 (cells * (k_d + 1), cells * (1 + k_u)))
-
-
-@dataclass(eq=False)
-class ChannelStack(Channels):
-    """The channels as the kernels read them: the stored arrays, shared and
-    not copied, plus what the kernels derive from them.
-
-    `dl`, `bs`, `from_bs` and `from_ul` are views of `x`: its rows per
-    receiver kind, and its columns per transmitter, transmitters first.
-
-    `xh` holds X^H once, and the `*_h` fields are its views, each the
-    conjugate transpose of the view of `x` it is named after.  Every
-    covariance and transmit-side Gram matrix multiplies by such a block, so
-    the kernels read it instead of conjugating X again on every call.  `xh`
-    is the transpose of a C-contiguous conj(X), so each block keeps the
-    memory layout that a conjugated copy of the block of `x` has: numpy then
-    makes the same BLAS calls on it, and every product rounds as it would
-    on that copy.  (A C-contiguous X^H rounds the covariance of a receiver
-    with one antenna differently in the last bits.)
-
-    `si` is the SI channel H of each BS, which the precoder step and the
-    null-space projection baseline read too, `si_colpow` the squared norm of
-    each column of H, and `dl_own_h` and `ul_own_h` are H^H of each serving
-    link.  `cell_index` and `dl_user_index` are the gather indices of the
-    blocks a cell sends its own receivers, built once here rather than on
-    every covariance assembly.
-    """
-
-    dl: np.ndarray = field(init=False)         # (G, K_d, M_ue, columns of x)
-    bs: np.ndarray = field(init=False)         # (G, M_bs, columns of x)
-    from_bs: np.ndarray = field(init=False)    # (G, rows of x, N_bs)
-    from_ul: np.ndarray = field(init=False)    # (G K_u, rows of x, N_ue)
-    xh: np.ndarray = field(init=False)         # (columns of x, rows of x), conj(x).T
-    dl_h: np.ndarray = field(init=False)       # (G, K_d, columns of x, M_ue)
-    bs_h: np.ndarray = field(init=False)       # (G, columns of x, M_bs)
-    from_bs_h: np.ndarray = field(init=False)  # (G, N_bs, rows of x)
-    from_ul_h: np.ndarray = field(init=False)  # (G K_u, N_ue, rows of x)
-    cell_index: np.ndarray = field(init=False)     # (G,) every cell
-    dl_user_index: tuple = field(init=False)       # (G, 1) cells, (K_d,) users: each downlink user
-
-    def __post_init__(self):
-        x, cells, k_d, k_u = self.x, self.cells, self.k_d, self.k_u
-        self.cell_index = diag = np.arange(cells)
-        self.dl_user_index = (diag[:, None], np.arange(k_d))
-        dl_rows, bs_cols = cells * k_d * self.m_ue, cells * self.n_bs
-        rows, cols = x.shape
-        self.xh = xh = x.conj().T
-        self.dl = x[:dl_rows].reshape(cells, k_d, self.m_ue, cols)
-        self.bs = x[dl_rows:].reshape(cells, self.m_bs, cols)
-        self.from_bs = np.swapaxes(x[:, :bs_cols].reshape(rows, cells, self.n_bs), 0, 1)
-        self.from_ul = np.swapaxes(x[:, bs_cols:].reshape(rows, cells * k_u, self.n_ue), 0, 1)
-        self.dl_h = xh[:, :dl_rows].reshape(cols, cells, k_d, self.m_ue).transpose(1, 2, 0, 3)
-        self.bs_h = xh[:, dl_rows:].reshape(cols, cells, self.m_bs).swapaxes(0, 1)
-        self.from_bs_h = xh[:bs_cols].reshape(cells, self.n_bs, rows)
-        self.from_ul_h = xh[bs_cols:].reshape(cells * k_u, self.n_ue, rows)
-        # each BS's SI link and each user's serving link, copied out of X into
-        # C-contiguous (cell, [user,] receive antennas, transmit antennas) arrays
-        self.si = self.bs[..., :bs_cols].reshape(cells, self.m_bs, cells, self.n_bs)[diag, :, diag]
-        dl_own = self.dl[..., :bs_cols].reshape(
-            cells, k_d, self.m_ue, cells, self.n_bs)[diag, :, :, diag]
-        ul_own = self.bs[..., bs_cols:].reshape(
-            cells, self.m_bs, cells, k_u, self.n_ue)[diag, :, diag].swapaxes(1, 2)
-        self.si_colpow = row_powers(np.swapaxes(self.si, -1, -2))    # (G, N_bs)
-        self.dl_own_h = hermitian(dl_own)                        # (G, K_d, N_bs, M_ue)
-        self.ul_own_h = hermitian(np.ascontiguousarray(ul_own))  # (G, K_u, N_ue, M_bs)
-
-
-def stack_channels(realization) -> ChannelStack:
-    """The ChannelStack of a realization's channels (module `model`)."""
-    return ChannelStack(**vars(realization.channels))

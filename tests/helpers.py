@@ -7,7 +7,7 @@ independent oracle for it.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from ibfdsim import covariance, jpaim, objective
 from ibfdsim.model import Realization, ScenarioConfig, build_realization
 from ibfdsim.stacked import (BeamformingState, add_scaled_diag, columns, hermitian, row_powers,
-                             stack_channels, uncolumns)
+                             uncolumns)
 
 
 def cn(rng, shape):
@@ -55,10 +55,11 @@ def losses(trace: jpaim.RunTrace) -> np.ndarray:
 
 
 def link(realization: Realization, rx: tuple, tx: tuple) -> SimpleNamespace:
-    """The link rx <- tx as views of the realization's stored arrays, so an
-    in-place edit of them edits the realization: `est` and `true` are its
-    blocks of x and x_true (the SI link's truth is its estimate), `err_var`
-    its 0-d entry of err.  Raises KeyError for a node outside the topology."""
+    """The link rx <- tx as views of the realization's stored arrays: `est`
+    and `true` are its blocks of x and x_true (the SI link's truth is its
+    estimate), `err_var` its 0-d entry of err.  They are read-only, except
+    on the draft that `edited` hands its edit.  Raises KeyError for a node
+    outside the topology."""
     ch = realization.channels
     r, rows = _side((("dl", ch.k_d, ch.m_ue), ("bs", 1, ch.m_bs)), ch.cells)[rx]
     t, cols = _side((("bs", 1, ch.n_bs), ("ul", ch.k_u, ch.n_ue)), ch.cells)[tx]
@@ -74,6 +75,18 @@ def _side(kinds, cells: int) -> dict:
              for kind, per_cell, antennas in kinds for g in range(cells) for k in range(per_cell)]
     first = np.cumsum([0] + [antennas for _, antennas in nodes])
     return {node: (n, slice(first[n], first[n + 1])) for n, (node, _) in enumerate(nodes)}
+
+
+def edited(realization: Realization, edit) -> Realization:
+    """`realization` with its links edited: `edit(draft)` edits in place,
+    through `link(draft, ...)` or whole, the stored arrays of a draft whose
+    channels hold writable copies of them, and the copies then replace them.
+    A realization never changes, so this is how a test edits a link."""
+    ch = realization.channels
+    arrays = {name: getattr(ch, name).copy() for name in ("x", "x_true", "err")}
+    sizes = {f.name: getattr(ch, f.name) for f in fields(ch) if f.type == "int"}
+    edit(replace(realization, channels=SimpleNamespace(**sizes, **arrays)))
+    return replace(realization, channels=replace(ch, **arrays))
 
 
 def links(realization: Realization) -> list:
@@ -174,7 +187,7 @@ def f1(y: np.ndarray, x: np.ndarray, sigma_t: float, sigma_r: float) -> np.ndarr
 def state_covariances(realization: Realization,
                       state: BeamformingState) -> covariance.Covariances:
     """The covariances of the beams of `state` on the channels of `realization`."""
-    return covariance.covariances(stack_channels(realization), realization.hardware,
+    return covariance.covariances(realization.channels, realization.hardware,
                                   (state.dl_beams, state.ul_beams))
 
 
@@ -213,7 +226,7 @@ def precoder_step(realization: Realization, state: BeamformingState,
     expression, and its number of power evaluations.  The new state's arrays
     are C-contiguous copies.
     """
-    ch, hw = stack_channels(realization), realization.hardware
+    ch, hw = realization.channels, realization.hardware
     combiners = (state.dl_combiners, state.ul_combiners)
     constants = jpaim._precoder_constants(ch, hw, objective.resolve_nu(realization, config.nu))
     beams, search = jpaim._precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
@@ -391,7 +404,7 @@ def _per_call_gram(yx, y, weights, sigma):
 
 
 def per_call_covariances(ch, hw, beams) -> covariance.Covariances:
-    """covariance.covariances as written before the stack stored X^H: each
+    """covariance.covariances as written before the channels stored X^H: each
     call conjugates the rows of X it needs.  An oracle for the stored form,
     which must give the same bits."""
     cells, k_d, _, b_d = beams[0].shape
@@ -424,7 +437,7 @@ def per_call_covariances(ch, hw, beams) -> covariance.Covariances:
 
 
 def per_call_transmit_grams(ch, hw, combiners):
-    """covariance.transmit_grams as written before the stack stored X^H:
+    """covariance.transmit_grams as written before the channels stored X^H:
     each call forms the weighted X_t^T and conjugates it in place."""
     u_dl, u_ul = combiners
     cells, k_d, m_ue, b_d = u_dl.shape

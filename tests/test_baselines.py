@@ -10,8 +10,8 @@ import helpers
 from ibfdsim import baselines, covariance, jpaim, objective, stacked
 from ibfdsim.baselines import nsp_project, run_half_duplex, run_nsp
 from ibfdsim.jpaim import SolverConfig
-from ibfdsim.model import (ScenarioConfig, build_realization, restrict_to_downlink,
-                           restrict_to_uplink)
+from ibfdsim.model import (ScenarioConfig, build_realization, realization_digest,
+                           restrict_to_downlink, restrict_to_uplink)
 from ibfdsim.stacked import BeamformingState
 
 
@@ -83,8 +83,8 @@ def test_run_nsp_projects_only_the_downlink_beams():
     np.testing.assert_array_equal(projected.ul_beams, state.ul_beams)
     assert not np.allclose(projected.dl_beams[0][0], state.dl_beams[0][0])
     # each cell's beams are projected with its own SI channel, as nsp_project
-    # gives them on the stack's SI channels
-    si = stacked.stack_channels(real).si[:, None]
+    # gives them on the realization's SI channels
+    si = real.channels.si[:, None]
     np.testing.assert_array_equal(
         projected.dl_beams, nsp_project(state.dl_beams, si, real.hardware.kappa_bs, 2))
     # projection reduces RSI on this strongly coupled instance
@@ -107,13 +107,13 @@ def test_run_nsp_full_dimension_matches_plain_solver():
 
 
 def test_run_nsp_assembles_once_and_reports_evaluate(monkeypatch):
-    # one channel stack serves the projection, and one covariance assembly
-    # and one MMSE solve serve the combiner refresh and the score, rates
-    # included; no SI channel is read again link by link, and the score is
-    # evaluate's on the returned state
+    # the SI channels the solve derived serve the projection, and one
+    # covariance assembly and one MMSE solve serve the combiner refresh and
+    # the score, rates included; no SI channel is read again link by link,
+    # and the score is evaluate's on the returned state
     real = build_realization(ScenarioConfig(), 3)
     trace = jpaim.run(real, SolverConfig(), collect_metrics=False)
-    calls = {"stack_channels": 0, "covariances": 0, "mmse_combiners": 0, "link": 0}
+    calls = {"covariances": 0, "mmse_combiners": 0, "link": 0}
 
     def counted(name, kernel):
         def wrapper(*args, **kwargs):
@@ -127,11 +127,30 @@ def test_run_nsp_assembles_once_and_reports_evaluate(monkeypatch):
             if hasattr(owner, name):
                 monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     report, projected = run_nsp(real, trace, subspace_dim=8)
-    assert calls == {"stack_channels": 1, "covariances": 1, "mmse_combiners": 1, "link": 0}
+    assert calls == {"covariances": 1, "mmse_combiners": 1, "link": 0}
     monkeypatch.undo()
     want = objective.evaluate(real, projected, None)
     for field in fields(want):
         assert getattr(report, field.name) == getattr(want, field.name), field.name
+
+
+def test_a_realization_derives_its_channel_views_once(monkeypatch):
+    # hashing reads the stored arrays only, and the views that the solve's
+    # first read derives serve the rest of the solve and the projection
+    real = build_realization(ScenarioConfig(), 3)
+    reads = []
+    derive = stacked.Channels.__getattr__
+
+    def counted(channels, name):
+        reads.append(name)
+        return derive(channels, name)
+
+    monkeypatch.setattr(stacked.Channels, "__getattr__", counted)
+    realization_digest(real)
+    assert reads == []
+    trace = jpaim.run(real, SolverConfig(max_iterations=3), collect_metrics=False)
+    run_nsp(real, trace, subspace_dim=8)
+    assert len(reads) == 1
 
 
 def test_run_nsp_keeps_power_feasible():

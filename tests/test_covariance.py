@@ -91,11 +91,14 @@ def test_rx_covariance_uses_true_si_channel():
     real = build_realization(helpers.small_config(cells=1, asic_db=0.0), 3)
     state = helpers.random_state(real, 4)
     before = helpers.state_covariances(real, state).bs_rx[0]
-    link = helpers.link(real, bs_node(0), bs_node(0))
-    link.true *= 2.0
-    after = helpers.state_covariances(real, state).bs_rx[0]
+
+    def double(draft):
+        link = helpers.link(draft, bs_node(0), bs_node(0))
+        link.true *= 2.0
+
+    after = helpers.state_covariances(helpers.edited(real, double), state).bs_rx[0]
     t = helpers.tx_gram(columns(state.dl_beams[0]), real.hardware.kappa_bs)
-    h = link.true / 2.0
+    h = helpers.link(real, bs_node(0), bs_node(0)).true
     delta = 3.0 * (h @ t @ h.conj().T)
     np.testing.assert_allclose(after - before,
                                delta + real.hardware.beta_bs * np.diag(np.diag(delta)),
@@ -166,14 +169,13 @@ def test_transmit_grams_match_per_link_f1_sums():
     # distortion factors so that a swapped one shows
     from dataclasses import replace
 
-    from ibfdsim.stacked import stack_channels
     for seed, overrides in ((23, {}), (24, dict(cells=3, dl_users=2, ul_users=1))):
         real = build_realization(helpers.small_config(asic_db=10.0, **overrides), seed)
         real = replace(real, hardware=replace(real.hardware, kappa_bs=0.01, kappa_ue=0.02,
                                               beta_bs=0.03, beta_ue=0.04))
         state = helpers.random_state(real, seed + 1)
         hw = real.hardware
-        omega_bs, omega_ul = covariance.transmit_grams(stack_channels(real), hw,
+        omega_bs, omega_ul = covariance.transmit_grams(real.channels, hw,
                                                      (state.dl_combiners, state.ul_combiners))
 
         def summed(tx, kappa):
@@ -199,17 +201,17 @@ def test_transmit_grams_match_per_link_f1_sums():
 @pytest.mark.parametrize("case", ["random_small", "one_antenna_users", "downlink_phase",
                                   "uplink_phase"])
 def test_stored_conjugate_matches_per_call_hermitian(case):
-    # the stack stores X^H once; its blocks, and the kernels that read them,
+    # the channels store X^H once; its blocks, and the kernels that read them,
     # give the same bits as conjugating X on every call
     from dataclasses import fields
 
-    from ibfdsim.stacked import hermitian, stack_channels
+    from ibfdsim.stacked import hermitian
     rng = np.random.default_rng(40)
     overrides = dict(ue_rx_antennas=1, ue_tx_antennas=1) if case == "one_antenna_users" else {}
     real = helpers.random_small_realization(rng, **overrides)
     real = {"downlink_phase": restrict_to_downlink,
             "uplink_phase": restrict_to_uplink}.get(case, lambda r: r)(real)
-    ch, hw = stack_channels(real), real.hardware
+    ch, hw = real.channels, real.hardware
     for stored, block in ((ch.dl_h, ch.dl), (ch.bs_h, ch.bs),
                           (ch.from_bs_h, ch.from_bs), (ch.from_ul_h, ch.from_ul)):
         np.testing.assert_array_equal(stored, hermitian(block))
@@ -248,14 +250,13 @@ def test_covariances_match_per_link_sums(case):
     from dataclasses import replace
 
     from ibfdsim.objective import report
-    from ibfdsim.stacked import stack_channels
     real = _SCENARIOS[case]()
     real = replace(real, hardware=replace(real.hardware, kappa_bs=0.01, kappa_ue=0.02,
                                           beta_bs=0.03, beta_ue=0.04))
     hw = real.hardware
     state = helpers.random_state(real, 7)
     w_dl, w_ul = state.dl_beams, state.ul_beams
-    ch = stack_channels(real)
+    ch = real.channels
     cov = covariance.covariances(ch, hw, (w_dl, w_ul))
     tx = {bs_node(g): sum((helpers.tx_gram(w, hw.kappa_bs) for w in w_dl[g]),
                           np.zeros((real.channels.n_bs,) * 2, dtype=complex))

@@ -181,14 +181,15 @@ def test_cell_and_user_relabelling_permutes_every_output():
         kind, g, *k = node
         return (kind, int(cells[g]), *(int(users[g, i]) for i in k))
 
-    ch = real.channels
-    moved = replace(real, hardware=replace(real.hardware, si_gain=tuple(
-                        np.array(real.hardware.si_gain)[cells].tolist())),
-                    channels=replace(ch, x=np.zeros_like(ch.x), x_true=np.zeros_like(ch.x_true),
-                                     err=np.zeros_like(ch.err)))
-    for rx, tx in helpers.links(moved):
-        new, was = helpers.link(moved, rx, tx), helpers.link(real, old(rx), old(tx))
-        new.true[...], new.est[...], new.err_var[...] = was.true, was.est, was.err_var
+    def relabelled(draft):
+        ch = draft.channels
+        ch.x[...], ch.x_true[...], ch.err[...] = 0.0, 0.0, 0.0
+        for rx, tx in helpers.links(draft):
+            new, was = helpers.link(draft, rx, tx), helpers.link(real, old(rx), old(tx))
+            new.true[...], new.est[...], new.err_var[...] = was.true, was.est, was.err_var
+
+    moved = helpers.edited(replace(real, hardware=replace(real.hardware, si_gain=tuple(
+        np.array(real.hardware.si_gain)[cells].tolist()))), relabelled)
 
     def relabel(state):
         return BeamformingState(*(getattr(state, f.name)[at] for f in fields(state)))

@@ -294,10 +294,12 @@ def test_restrict_to_single_direction():
 
 
 def test_link_views_edit_the_stored_arrays():
-    real = build_realization(ScenarioConfig(csi_error_factor=1e-2), 12)
-    cross = helpers.link(real, dl_node(1, 0), ul_node(0, 1))
-    cross.est[:] = 0.0
-    cross.err_var[...] = 0.5
+    def edit(draft):
+        cross = helpers.link(draft, dl_node(1, 0), ul_node(0, 1))
+        cross.est[:] = 0.0
+        cross.err_var[...] = 0.5
+
+    real = helpers.edited(build_realization(ScenarioConfig(csi_error_factor=1e-2), 12), edit)
     # rows of DL user (1, 0), columns of UL user (0, 1); err row 1*K_d + 0, column G + 1
     ch = real.channels
     rows, cols = slice(2 * ch.m_ue, 3 * ch.m_ue), ch.cells * ch.n_bs + ch.n_ue
@@ -324,16 +326,20 @@ def test_link_views_tile_the_stored_arrays():
     # through every link reads back from its own link, and the non-empty
     # links cover x and err exactly once; x_true stays zero only on the SI
     # blocks, whose truth is their estimate
-    for real in (build_realization(_UNEVEN, 13),
-                 restrict_to_downlink(build_realization(_UNEVEN, 14)),
-                 restrict_to_uplink(build_realization(_UNEVEN, 15))):
-        ch, links = real.channels, helpers.links(real)
+    def fill(draft):
+        ch = draft.channels
         ch.x[...], ch.x_true[...], ch.err[...] = 0.0, 0.0, 0.0
-        for n, key in enumerate(links, start=1):
-            link = helpers.link(real, *key)
+        for n, key in enumerate(helpers.links(draft), start=1):
+            link = helpers.link(draft, *key)
             if key[0] != key[1]:
                 link.true[...] = -n
             link.est[...], link.err_var[...] = n + 1j * n, n
+
+    for real in (build_realization(_UNEVEN, 13),
+                 restrict_to_downlink(build_realization(_UNEVEN, 14)),
+                 restrict_to_uplink(build_realization(_UNEVEN, 15))):
+        real = helpers.edited(real, fill)
+        ch, links = real.channels, helpers.links(real)
         for n, key in enumerate(links, start=1):
             link = helpers.link(real, *key)
             assert (link.est == n + 1j * n).all() and link.err_var == n
@@ -385,19 +391,33 @@ def test_restriction_keeps_one_block_of_each_stored_array():
     assert (dl.m_bs, dl.k_u, ul.k_d, ul.n_bs) == (0, 0, 0, 0)
 
 
-def test_stack_reads_the_stored_x():
-    # the stack shares the realization's X, so an edit through
-    # helpers.link's view reaches the next stack
-    from ibfdsim.stacked import stack_channels
+def test_stored_and_derived_channel_arrays_are_read_only(tmp_path):
+    # a realization never changes: a write into any array of its channels,
+    # stored or derived from x on first read, raises, so the derived fields
+    # always match x; an edit goes through copies (helpers.edited)
+    from dataclasses import fields
     real = build_realization(_UNEVEN, 18)
-    ch = stack_channels(real)
-    assert ch.x is real.channels.x and ch.err is real.channels.err
-    for view in (ch.dl, ch.bs, ch.from_bs, ch.from_ul):
-        assert np.shares_memory(view, real.channels.x)
-    assert ch.si[1].any()
-    helpers.link(real, bs_node(1), bs_node(1)).est[...] = 0.0
-    after = stack_channels(real)
-    assert not after.si[1].any() and after.si[0].any()
+    save_realization(real, tmp_path / "real.bin")
+    for part in (real, load_realization(tmp_path / "real.bin"), restrict_to_downlink(real),
+                 restrict_to_uplink(real)):
+        ch = part.channels
+        assert "xh" not in vars(ch)
+        for view in (ch.dl, ch.bs, ch.from_bs, ch.from_ul):
+            assert view.size == 0 or np.shares_memory(view, ch.x)
+        arrays = [a for f in fields(ch) if f.type != "int"
+                  for a in (getattr(ch, f.name) if f.type == "tuple" else [getattr(ch, f.name)])]
+        assert len(arrays) == 19
+        for a in arrays + [helpers.link(part, *helpers.links(part)[0]).est]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def silence(draft):
+        helpers.link(draft, bs_node(1), bs_node(1)).est[...] = 0.0
+
+    np.testing.assert_array_equal(real.channels.si[1],
+                                  helpers.link(real, bs_node(1), bs_node(1)).est)
+    edited = helpers.edited(real, silence).channels
+    assert not edited.si[1].any() and edited.si[0].any() and real.channels.si[1].any()
 
 
 def _sizes(real):

@@ -6,38 +6,40 @@ Each tree is a checkout of this repository.  The script runs every workload
 of bench/workloads.py (the benchmark's campaign configs, read from the tree
 this script lives in), then every regime of REGIMES below, with each tree's
 `src` as the package, one BLAS thread, and `campaign.measure_timing =
-false`, so the CSVs hold no wall time, in one process per campaign and
-tree.  The regimes are drift's own: the scenarios the workloads leave out
-(CSI error, coarse converters, users in one direction only, more cells,
-strong SI at the default `nu`), each with all three algorithms, traced, on
-one worker.  It then compares the CSVs
-of the two trees cell by cell and prints, for each file that differs, the
-rows and columns that differ, the largest relative difference of each
-column, and every change of an `iterations` or `converged` value.  A CSV
-that only one tree wrote is named with that tree.
+false`, so the CSVs hold no wall time: every campaign of a tree in turn, in
+one process per tree.  The regimes are drift's own: the scenarios the
+workloads leave out (CSI error, coarse converters, users in one direction
+only, more cells, strong SI at the default `nu`), each with all three
+algorithms, traced, on one worker.  It then compares the CSVs of the two
+trees cell by cell and prints, for each file that differs, the rows and
+columns that differ, the largest relative difference of each column, and
+every change of an `iterations` or `converged` value.  A CSV that only one
+tree wrote is named with that tree.
 
 The CSVs carry no record powers, multipliers or search counts, so each
-campaign process also records the RunTraces `harness._run_algorithm`
-returns for the first two seeds (the solves the campaign made), and the
-script compares every trace both trees recorded: every IterationRecord
-field but the wall times (elapsed_ms and the three block times), bit for
-bit, and the final state's arrays, byte for byte.  It prints each record
-field and state array that differs, and names each trace that only one
-tree recorded with that tree.  It writes only into a temporary directory
-and changes no benchmark file.
+campaign also records the RunTraces `harness._run_algorithm` returns for
+the first two seeds (the solves the campaign made), and the script
+compares every trace both trees recorded: every IterationRecord field but
+the wall times (elapsed_ms and the three block times), bit for bit, and
+the final state's arrays, byte for byte.  It prints each record field and
+state array that differs, and names each trace that only one tree
+recorded with that tree.  It writes only into a temporary directory and
+changes no benchmark file.
 
 The last line counts the compared CSV and `records` lines and gives the
 script's own wall time, for example `drift: 52 of 52 lines identical in
 9.8 s`.
 
-Exit status: 0 when every campaign process exits 0, every CSV is
-byte-identical and every compared trace equal; 1 otherwise, naming each
-workload whose campaign process failed, with the tree and the exit code.
+Exit status: 0 when every campaign exits 0, every CSV is byte-identical
+and every compared trace equal; 1 otherwise, naming each workload whose
+campaign failed, with the tree and the exit code.  A campaign that raises
+exits 1, as does every campaign of a tree without the package.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib.util
 import math
@@ -47,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import traceback
 from dataclasses import fields
 from pathlib import Path
 
@@ -85,21 +88,39 @@ def _campaigns():
 
 def run_tree(tree: Path, workloads, campaigns: dict, seed: int, realizations: int,
              out: Path) -> dict:
-    """Run every campaign with `tree`'s package through dump_traces, one
-    process each, into out/<campaign>; returns {campaign: exit code}."""
+    """Run every campaign with `tree`'s package through dump_campaigns, all
+    in one process, into out/<campaign>; returns {campaign: exit code}.  A
+    campaign that the process did not finish takes the process's exit code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(TOOLS)]),
                **{v: "1" for v in THREAD_VARIABLES})
-    codes = {}
+    paths = []
     for name, workload in campaigns.items():
         text = workloads.config_text(workload, seed, realizations, str(out / name))
         text = text.replace("campaign.measure_timing = true", "campaign.measure_timing = false")
         config = out / f"{name}.cfg"
         config.write_text(text)
-        codes[name] = subprocess.run(
-            [sys.executable, "-c", "import sys, drift; sys.exit(drift.dump_traces(*sys.argv[1:]))",
-             str(config), str(out / name / RECORDS)],
-            env=env, cwd=out, stdout=subprocess.DEVNULL, check=False).returncode
-    return codes
+        paths += [str(config), str(out / name / RECORDS)]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, drift; drift.dump_campaigns(*sys.argv[1:])", *paths],
+        env=env, cwd=out, stdout=subprocess.PIPE, text=True, check=False)
+    codes = [int(code) for code in done.stdout.split()]
+    return {name: codes[n] if n < len(codes) else done.returncode or 1
+            for n, name in enumerate(campaigns)}
+
+
+def dump_campaigns(*paths: str) -> None:
+    """dump_traces of each (config path, records path) pair of `paths` in
+    turn, in this process, printing each campaign's exit code on a line of
+    its own.  A campaign that raises exits 1, as a process of its own would,
+    with its traceback on stderr."""
+    for config, records in zip(paths[::2], paths[1::2]):
+        try:
+            with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
+                code = dump_traces(config, records)
+        except Exception:  # noqa: BLE001 - one campaign's failure is its exit code
+            traceback.print_exc()
+            code = 1
+        print(code, flush=True)
 
 
 def dump_traces(config_path: str, out_path: str) -> int:
