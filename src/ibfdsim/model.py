@@ -421,6 +421,8 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
             links = (len(rx_xy), len(tx_xy))
             part = drawn.reshape(*links, draws, m, n)
             gain, rician = np.empty(links), np.empty(links, bool)
+            # one scalar norm, LOS test and path loss per link: their batched
+            # numpy forms round some links differently, which moves every digest
             for r, t in np.ndindex(links):
                 d = float(np.linalg.norm(rx_xy[r] - tx_xy[t]))
                 los = los_probability(d) >= 0.5

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ibfdsim import covariance, jpaim, objective
+import regimes
+from ibfdsim import covariance, harness, jpaim, objective
 from ibfdsim.model import Realization, ScenarioConfig, build_realization
 from ibfdsim.stacked import (BeamformingState, add_scaled_diag, columns, hermitian, row_powers,
                              uncolumns)
@@ -25,10 +26,15 @@ def cn(rng, shape):
 
 def small_config(**overrides) -> ScenarioConfig:
     """A desk-scale scenario used where antenna counts do not matter."""
-    base = dict(cells=2, dl_users=1, ul_users=1, bs_tx_antennas=4, bs_rx_antennas=4,
-                ue_tx_antennas=2, ue_rx_antennas=2, dl_streams=1, ul_streams=1)
-    base.update(overrides)
-    return ScenarioConfig(**base)
+    return ScenarioConfig(**{**regimes.SMALL, **overrides})
+
+
+def regime_configs() -> list:
+    """(ScenarioConfig, SolverConfig) of every regime of regimes.settings(),
+    in sweep order, parsed as a campaign parses its config file."""
+    parsed = [harness.parse_config("".join(f"{key} = {value}\n" for key, value in regime))
+              for regime in regimes.settings()]
+    return [(config.scenario, config.solver) for config in parsed]
 
 
 # node keys: ("bs", g), ("dl", g, k), ("ul", g, k)

@@ -12,19 +12,44 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
+import regimes
 from ibfdsim import harness, jpaim
 
 ROOT = Path(__file__).resolve().parents[1]
-# the benchmark's workloads, then drift's own regimes, in the order drift runs them
-CAMPAIGNS = ("fd_default", "fd_strong_si_traced", "wide_array", "csi_error_1e-2", "csi_error_1",
-             "adc_4_bits", "no_dl_users", "no_ul_users", "three_cells", "strong_si")
+
+
+def _module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _drift():
-    spec = importlib.util.spec_from_file_location("drift", ROOT / "tools" / "drift.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _module("drift", ROOT / "tools" / "drift.py")
+
+
+WORKLOADS = _module("bench_workloads", ROOT / "bench" / "workloads.py").WORKLOADS
+# the benchmark's workloads, then the promise sweep's regimes, in the order drift runs them
+CAMPAIGNS = (*WORKLOADS, *(f"regime_{index:02d}" for index in range(regimes.COUNT)))
+
+
+def test_drift_runs_the_workloads_then_the_sweep_regimes():
+    # every workload as the benchmark defines it, then regime i of the sweep
+    # as campaign regime_<i>, with exactly the sweep's settings, in sweep
+    # order, whose config files hold the promise test's configs
+    workloads, campaigns = _drift()._campaigns()
+    assert tuple(campaigns) == CAMPAIGNS
+    assert [campaigns[name].settings for name in WORKLOADS] == [
+        workload.settings for workload in WORKLOADS.values()]
+    swept = [campaigns[name] for name in CAMPAIGNS[len(WORKLOADS):]]
+    assert [workload.settings for workload in swept] == regimes.settings()
+    assert {(workload.algorithms, workload.trace) for workload in swept} == {
+        (("jpaim", "nsp-jpaim", "half-duplex"), True)}
+    written = [harness.parse_config(workloads.config_text(workload, 7, 1, "out"))
+               for workload in swept]
+    assert [(config.scenario, config.solver) for config in written] == helpers.regime_configs()
 
 
 def test_drift_report_of_a_tree_against_itself_is_empty():

@@ -3,14 +3,16 @@
     python tools/drift.py PARENT_TREE CHANGE_TREE [--realizations N] [--seed S]
 
 Each tree is a checkout of this repository.  The script runs every workload
-of bench/workloads.py (the benchmark's campaign configs, read from the tree
-this script lives in), then every regime of REGIMES below, with each tree's
-`src` as the package, one BLAS thread, and `campaign.measure_timing =
-false`, so the CSVs hold no wall time: every campaign of a tree in turn, in
-one process per tree.  The regimes are drift's own: the scenarios the
-workloads leave out (CSI error, coarse converters, users in one direction
-only, more cells, strong SI at the default `nu`), each with all three
-algorithms, traced, on one worker.  It then compares the CSVs of the two
+of bench/workloads.py (the benchmark's campaign configs), then every regime
+of tests/regimes.py, both read from the tree this script lives in, with
+each tree's `src` as the package, one BLAS thread, and
+`campaign.measure_timing = false`, so the CSVs hold no wall time: every
+campaign of a tree in turn, in one process per tree.  The regimes are the
+100 seeded configs of the promise sweep in tests/test_jpaim.py, the space
+the workloads leave out (CSI error, coarse converters, users in one
+direction only, 1-3 cells, every cancellation depth and `nu`): config i
+runs as campaign `regime_<i>`, from `regime_00` to `regime_99`, with all
+three algorithms, traced, on one worker.  It then compares the CSVs of the two
 trees cell by cell and prints, for each file that differs, the rows and
 columns that differ, the largest relative difference of each column, and
 every change of an `iterations` or `converged` value.  A CSV that only one
@@ -54,7 +56,7 @@ from dataclasses import fields
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
-BENCH = TOOLS.parent / "bench"
+ROOT = TOOLS.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DISCRETE = ("iterations", "converged")    # a change of these is listed one by one
 ROW_KEYS = ("seed", "algorithm", "iter")
@@ -62,28 +64,27 @@ TRACED_SEEDS = 2       # the first seeds of a campaign whose traces are compared
 WALL_TIMES = ("elapsed_ms", "combiner_ms", "precoder_ms", "trial_ms")
 STATE_ARRAYS = ("dl_beams", "dl_combiners", "ul_beams", "ul_combiners")
 RECORDS = "traces.pickle"    # what dump_traces writes into a campaign's directory
-# drift's own campaigns, beside the workloads: {name: scenario settings}
-REGIMES = {
-    "csi_error_1e-2": (("scenario.csi_error_factor", "1e-2"),),
-    "csi_error_1": (("scenario.csi_error_factor", "1.0"),),
-    "adc_4_bits": (("scenario.adc_bits", "4"),),
-    "no_dl_users": (("scenario.dl_users", "0"),),
-    "no_ul_users": (("scenario.ul_users", "0"),),
-    "three_cells": (("scenario.cells", "3"),),
-    "strong_si": (("scenario.asic_db", "0.0"),),
-}
+
+
+def _load(name: str, path: Path):
+    """The module at `path`, imported as `name`."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _campaigns():
     """The workloads module of bench/ and {name: Workload} of every
-    workload, then every regime."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    regimes = {name: module.Workload(name=name, why="drift regime", settings=settings,
-                                     algorithms=module.THREE_ALGORITHMS, trace=True)
-               for name, settings in REGIMES.items()}
-    return module, {**module.WORKLOADS, **regimes}
+    workload, then every regime of the promise sweep, in sweep order."""
+    workloads = _load("bench_workloads", ROOT / "bench" / "workloads.py")
+    campaigns = dict(workloads.WORKLOADS)
+    for index, settings in enumerate(_load("regimes", ROOT / "tests" / "regimes.py").settings()):
+        name = f"regime_{index:02d}"
+        campaigns[name] = workloads.Workload(name=name, why="promise sweep regime",
+                                             settings=settings,
+                                             algorithms=workloads.THREE_ALGORITHMS, trace=True)
+    return workloads, campaigns
 
 
 def run_tree(tree: Path, workloads, campaigns: dict, seed: int, realizations: int,
