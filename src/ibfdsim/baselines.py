@@ -46,8 +46,9 @@ def run_nsp(realization: Realization, trace: jpaim.RunTrace, subspace_dim: int,
     to the projected beams before the state is scored with the solve's nu.
     The SI channels that jpaim.run derived on the realization's Channels
     serve the projection, and one objective.score, with one covariance
-    assembly and one MMSE solve, serves the refresh and the report, which is objective.evaluate of the returned state.  Returns
-    (report, projected state).
+    assembly and one MMSE solve, serves the refresh and the report, which is
+    objective.evaluate of the returned state.  Returns (report, projected
+    state).
     """
     ch, hw = realization.channels, realization.hardware
     final = trace.final_state

@@ -241,9 +241,14 @@ def _run_seed(args):
             rep.sum_rate - base_rate, *rep.rsi_watts, *rep.asic_depth_db, elapsed_ms]))
         if config.trace:
             for name, trace in traces.items():
-                trace_rows[name] = [_csv_line([
-                    seed, rec.iteration, rec.loss, rec.sum_mse, *rec.rsi_watts, rec.sum_rate,
-                    rec.elapsed_ms if config.measure_timing else 0.0]) for rec in trace.records]
+                # Python floats from tolist: _csv_line writes repr, and an
+                # np.float64's repr reads np.float64(...)
+                r = trace.records
+                columns = zip(r.loss.tolist(), r.sum_mse.tolist(), r.rsi_watts.tolist(),
+                              r.sum_rate.tolist(),
+                              r.elapsed_ms.tolist() if config.measure_timing else [0.0] * len(r))
+                trace_rows[name] = [_csv_line([seed, t, loss, mse, *rsi, rate, ms])
+                                    for t, (loss, mse, rsi, rate, ms) in enumerate(columns)]
     return index, rows, trace_rows, errors
 
 

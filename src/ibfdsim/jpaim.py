@@ -79,48 +79,32 @@ class SolverConfig:
 
 
 @dataclass
-class IterationRecord:
-    """One solver iteration: loss after the combiner step, then that
-    iteration's multipliers, post-update powers and per-block wall times.
-
-    `run` builds every record of a solve at once, after its loop, from the
-    figures, times, multipliers and beam powers that each iteration keeps;
-    elapsed_ms is the iteration's wall time, which that assembly is not
-    part of.
-
-    The block times are parts of elapsed_ms, and no CSV writes them:
-    combiner_ms is the combiner update (0.0 when the previous iteration's
-    accepted trial supplied it), precoder_ms the precoder step, and trial_ms
-    the extrapolated trial with its combiner update (0.0 when the iteration
-    tries none).
-    """
-
-    iteration: int
-    loss: float
-    sum_mse: float
-    rsi_watts: tuple
-    sum_rate: float               # nan when metric collection is off
-    elapsed_ms: float
-    dl_cell_power: tuple          # per cell, after the full iteration
-    ul_user_power: tuple          # flattened over (cell, user)
-    dl_precoder_multipliers: tuple    # per cell
-    ul_precoder_multipliers: tuple    # flattened over (cell, user)
-    multiplier_evaluations: int = 0   # power evaluations of the iteration's search
-    combiner_ms: float = 0.0
-    precoder_ms: float = 0.0
-    trial_ms: float = 0.0
-
-
-@dataclass
 class RunTrace:
     """Full solver run: per-iteration records plus the final state and report.
 
-    records[0] is the initial state before any update; record t holds the
-    loss measured right after iteration t's combiner update, which is the
-    quantity the stopping rule watches.
+    `records` holds one row per record, as a numpy recarray: records[0] is
+    the initial state before any update, and row t holds the loss measured
+    right after iteration t's combiner update, which is the quantity the
+    stopping rule watches, then that iteration's multipliers, search
+    evaluations, post-update powers and wall times.  Each field is a column
+    over the records, records.loss of shape (T+1,), and records[t].loss is
+    one row's.  Per row:
+
+    - loss, sum_mse, sum_rate (nan when metric collection is off);
+    - rsi_watts, dl_cell_power and dl_precoder_multipliers, per cell (G,);
+    - ul_user_power and ul_precoder_multipliers, per uplink user over
+      (cell, user) (G K_u,);
+    - multiplier_evaluations, the power evaluations of the row's search;
+    - elapsed_ms, the iteration's wall time, and its parts: combiner_ms, the
+      combiner update (0.0 when the previous iteration's accepted trial
+      supplied it), precoder_ms, the precoder step, and trial_ms, the
+      extrapolated trial with its combiner update (0.0 when the iteration
+      tries none).  No CSV writes the three block times.
+
+    Record 0 has no search and no block times: they read 0.
     """
 
-    records: list
+    records: np.recarray
     final_state: BeamformingState
     final_report: objective.ObjectiveReport
     converged: bool
@@ -334,10 +318,12 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     The loop runs on the beams W of `initialize`'s state, and the final
     state holds the very beams and combiners that the final report scores.
     The covariances of a combiner update also serve the evaluation after it.
-    Each iteration keeps its loss, sum MSE, RSI, rate, times, multipliers,
-    search evaluations and the powers of the beams it ends on; the
-    IterationRecords are built from them once, after the loop (_records),
-    so the last record's powers are those of the final state.
+    Each iteration writes its loss, sum MSE, RSI, rate, times, multipliers,
+    search evaluations and the powers of the beams it ends on into its row
+    of a table of max_iterations + 1 rows, and the trace gets the rows
+    used, so the last record's powers are those of the final state.  The
+    records keep only what they report: no report, no search power and no
+    beams.
 
     Rates are computed only for what is reported.  With collect_metrics, a
     record's rate comes from its own combiner update, whose MMSE combiners
@@ -351,18 +337,31 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     constants = _precoder_constants(ch, hw, nu)
     start = initialize(realization)
     beams = (start.dl_beams, start.ul_beams)
-    rows = len(constants[1])
-    idle = (np.zeros(rows), np.zeros(rows, dtype=int))    # record 0 has no search
+    cells, users = ch.cells, ch.cells * ch.k_u
+    records = np.zeros(config.max_iterations + 1, [
+        ("loss", float), ("sum_mse", float), ("rsi_watts", float, (cells,)), ("sum_rate", float),
+        ("elapsed_ms", float), ("dl_cell_power", float, (cells,)),
+        ("ul_user_power", float, (users,)), ("dl_precoder_multipliers", float, (cells,)),
+        ("ul_precoder_multipliers", float, (users,)), ("multiplier_evaluations", int),
+        ("combiner_ms", float), ("precoder_ms", float), ("trial_ms", float)])
+
+    def record(t, rep, rate, t0, beams, w, evaluations=0, block_ms=(0.0, 0.0, 0.0)):
+        # a direction without users runs no power kernel and keeps its zeros
+        ms = (time.perf_counter() - t0) * 1e3
+        dl, ul = beams
+        records[t] = (rep.loss, rep.sum_mse, rep.rsi_watts, rate, ms,
+                      np.add.reduce(frobenius_sq(dl), axis=-1) if dl.size else 0.0,
+                      frobenius_sq(ul).reshape(-1) if ul.size else 0.0,
+                      w[:cells], w[cells:], evaluations, *block_ms)
 
     t0 = time.perf_counter()
     combiners, _, rep = objective.score(ch, hw, beams, nu,
                                         (start.dl_combiners, start.ul_combiners), collect_metrics)
-    # each record's pieces, which _records turns into IterationRecords after the loop
-    steps = [(rep.loss, rep.sum_mse, rep.rsi_watts, rep.sum_rate,
-              (time.perf_counter() - t0) * 1e3, (0.0, 0.0, 0.0), *idle, _powers(beams))]
+    record(0, rep, rep.sum_rate, t0, beams, np.zeros(len(constants[1])))    # no search yet
 
     converged = False
     accepted = None          # (beams, combiners, covariances, report) of the kept trial
+    t = 0
     for t in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
         reused = accepted is not None
@@ -372,7 +371,7 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
         exact, search = _precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
                                        combiners, constants)
         t2 = time.perf_counter()
-        converged = steps[-1][0] - rep.loss < config.threshold    # the last record's loss
+        converged = records[t - 1]["loss"] - rep.loss < config.threshold
         tried = not converged and 1 < t < config.max_iterations
         if tried:
             trial = _extrapolate(hw, exact, beams)
@@ -385,52 +384,12 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
                     (t3 - t2) * 1e3 if tried else 0.0)
         rate_dl, rate_ul = (objective.sum_rates(cov.signal, combiners) if collect_metrics
                             else (rep.sum_rate_dl, rep.sum_rate_ul))
-        steps.append((rep.loss, rep.sum_mse, rep.rsi_watts, rate_dl + rate_ul,
-                      (time.perf_counter() - t0) * 1e3, block_ms, search[0], search[2],
-                      _powers(beams)))
+        record(t, rep, rate_dl + rate_ul, t0, beams, search[0], search[2].sum(), block_ms)
         if converged:
             break
 
     final_report = objective.score(ch, hw, beams, nu, combiners, with_rates=True)[2]
     final_state = BeamformingState(dl_beams=beams[0], dl_combiners=combiners[0],
                                    ul_beams=beams[1], ul_combiners=combiners[1])
-    return RunTrace(records=_records(steps, ch), final_state=final_state.copy(),
+    return RunTrace(records=records[:t + 1].view(np.recarray), final_state=final_state.copy(),
                     final_report=final_report, converged=converged, nu=tuple(nu))
-
-
-def _powers(beams) -> tuple:
-    """||W||_F^2 of every user's beams, per direction of the pair `beams`;
-    None for a direction without users, which costs no kernel."""
-    dl, ul = beams
-    return frobenius_sq(dl) if dl.size else None, frobenius_sq(ul) if ul.size else None
-
-
-def _records(steps, ch: Channels) -> list:
-    """The IterationRecords of a solve from the pieces `run` keeps for each
-    record: (loss, sum MSE, RSI, sum rate, elapsed ms, block ms, search
-    multipliers w, search evaluations, powers), with the _powers of the
-    beams the record ends on.  Each array field is stacked over the records
-    and converted with one tolist.
-
-    The records keep only what they report: no report, no search power and
-    no beams.  Beams kept until the end of a solve stay allocated between
-    each iteration's temporaries, and raised the peak RSS of a 64-antenna
-    campaign by 2 MB."""
-    losses, mses, rsis, rates, elapsed, block_ms, ws, evaluations, powers = zip(*steps)
-    count, cells, (dl, ul) = len(steps), ch.cells, zip(*powers)
-    dl_power = (np.add.reduce(np.stack(dl), axis=-1) if dl[0] is not None
-                else np.zeros((count, cells)))
-    ul_power = (np.stack(ul).reshape(count, -1) if ul[0] is not None
-                else np.zeros((count, cells * ch.k_u)))
-    w = np.stack(ws)
-    evaluations = np.add.reduce(np.stack(evaluations), axis=-1)
-    return [IterationRecord(iteration=t, loss=loss, sum_mse=mse,
-                            rsi_watts=rsi, sum_rate=rate, elapsed_ms=ms,
-                            dl_cell_power=tuple(p_dl), ul_user_power=tuple(p_ul),
-                            dl_precoder_multipliers=tuple(w_t[:cells]),
-                            ul_precoder_multipliers=tuple(w_t[cells:]),
-                            multiplier_evaluations=n, combiner_ms=blocks[0],
-                            precoder_ms=blocks[1], trial_ms=blocks[2])
-            for t, (loss, mse, rsi, rate, ms, blocks, p_dl, p_ul, w_t, n) in enumerate(zip(
-                losses, mses, rsis, rates, elapsed, block_ms, dl_power.tolist(),
-                ul_power.tolist(), w.tolist(), evaluations.tolist()))]

@@ -57,7 +57,7 @@ def dl_users(realization: Realization):
 
 def losses(trace: jpaim.RunTrace) -> np.ndarray:
     """The loss of every record of a solve, the initial state's first."""
-    return np.array([r.loss for r in trace.records])
+    return trace.records.loss
 
 
 def link(realization: Realization, rx: tuple, tx: tuple) -> SimpleNamespace:

@@ -1,6 +1,8 @@
 """Null-space projection and half-duplex reference schemes."""
 
+import importlib.util
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -319,3 +321,26 @@ def test_baselines_match_goldens(scenario, config, half_duplex, nsp):
                            nsp[seed])):
             assert got[:2] == want[:2], f"seed {seed}"
             assert got[2:] == pytest.approx(want[2:], rel=1e-6), f"seed {seed}"
+
+
+def test_solves_serve_what_the_benchmark_reads():
+    # bench/checks.py reads each solve's records row by row (r.loss and
+    # r.elapsed_ms) and the powers of each final state; one default
+    # realization through jpaim, both half-duplex phases and nsp-jpaim
+    spec = importlib.util.spec_from_file_location(
+        "bench_checks", Path(__file__).resolve().parents[1] / "bench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    real, config, log = build_realization(ScenarioConfig(), 0), SolverConfig(), checks.RunLog()
+    trace = jpaim.run(real, config)
+    log.after_solve((real, config), {}, trace)
+    enter, leave = log.hooks()["baselines.run_half_duplex"]
+    enter((real, config), {})
+    result = run_half_duplex(real, config)
+    for phase, trace_of_phase in zip((restrict_to_downlink(real), restrict_to_uplink(real)),
+                                     result[1:]):
+        log.after_solve((phase, config), {}, trace_of_phase)
+    leave((real, config), {}, result)
+    log.check_powers(real, run_nsp(real, trace, real.channels.n_bs // 2)[1], "nsp-jpaim")
+    assert log.failures == {} and log.integrity == []
+    assert len(log.iteration_ms) == trace.iterations

@@ -90,8 +90,8 @@ def test_trace_comparison_names_each_difference(tmp_path):
     (seed, _), = {key for key in change if key[1] == "jpaim"}
     records, state = change[seed, "jpaim"]
     first, *rest = records[2]["dl_cell_power"]
-    records[2]["dl_cell_power"] = (math.nextafter(first, math.inf), *rest)
-    assert "elapsed_ms" not in records[1]
+    records[2]["dl_cell_power"] = [math.nextafter(first, math.inf), *rest]
+    assert "elapsed_ms" not in records[1] and "iteration" not in records[1]
     state["ul_beams"] = -state["ul_beams"]
     assert drift.compare_traces(parent, change) == [
         "  2 differences", f"    seed {seed} jpaim record 2: dl_cell_power",
@@ -146,11 +146,15 @@ def test_trace_capture_refuses_worker_processes(tmp_path):
 
 
 def test_drift_names_each_campaign_that_fails(tmp_path):
-    # a tree without the package: each of its campaign processes exits 1
-    done = subprocess.run([sys.executable, str(ROOT / "tools" / "drift.py"), str(ROOT),
-                           str(tmp_path), "--realizations", "1"], capture_output=True, text=True,
-                          check=False, timeout=600)
+    # trees without the package on both sides: each campaign process exits 1
+    # at once, so no campaign runs, and every one is named for each tree
+    trees = tmp_path / "parent", tmp_path / "change"
+    for tree in trees:
+        tree.mkdir()
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "drift.py"), *map(str, trees),
+                           "--realizations", "1"], capture_output=True, text=True, check=False,
+                          timeout=600)
     assert done.returncode == 1, done.stdout + done.stderr
     failed = [line for line in done.stdout.splitlines() if "exited" in line]
-    assert failed == [f"{name}: the campaign of the change tree {tmp_path} exited 1"
-                      for name in CAMPAIGNS]
+    assert failed == [f"{name}: the campaign of the {side} tree {tree} exited 1"
+                      for side, tree in zip(("parent", "change"), trees) for name in CAMPAIGNS]

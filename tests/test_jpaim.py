@@ -350,10 +350,17 @@ def test_run_monotone_and_recorded():
     # initial loss: zero combiners leave exactly one unit of MSE per stream
     streams = real.cell_count * (real.channels.k_d + real.channels.k_u)
     assert losses[0] == pytest.approx(streams, rel=1e-6)
-    rec = trace.records[-1]
-    assert len(rec.dl_cell_power) == real.cell_count
-    assert len(rec.ul_user_power) == len(list(real.ul_users()))
-    assert len(rec.dl_precoder_multipliers) == real.cell_count
+    # one column per field over the records, per cell or per uplink user
+    rows, cells, users = len(trace.records), real.cell_count, len(list(real.ul_users()))
+    shapes = {name: (rows,) for name in ("loss", "sum_mse", "sum_rate", "elapsed_ms",
+                                         "multiplier_evaluations", "combiner_ms",
+                                         "precoder_ms", "trial_ms")}
+    shapes.update(rsi_watts=(rows, cells), dl_cell_power=(rows, cells),
+                  dl_precoder_multipliers=(rows, cells), ul_user_power=(rows, users),
+                  ul_precoder_multipliers=(rows, users))
+    assert {name: getattr(trace.records, name).shape
+            for name in trace.records.dtype.names} == shapes
+    assert trace.records.loss.tolist() == [r.loss for r in trace.records]
     assert trace.nu == tuple(resolve_nu(real, cfg.nu))
     assert trace.final_report.loss == pytest.approx(losses[-1], abs=2e-4)
 
@@ -419,15 +426,15 @@ def test_run_zero_iterations_returns_initial_state():
     (ScenarioConfig(), SolverConfig(nu=0.0), restrict_to_uplink),
 ], ids=["default", "strong_si", "downlink_phase", "uplink_phase"])
 def test_last_record_powers_are_the_final_states(scenario, config, restrict):
-    # the records are built after the loop; however many iterations ran, the
-    # last one's powers are the final state's, bit for bit
+    # however many iterations ran, the last record's powers are the final
+    # state's, bit for bit
     real = build_realization(scenario, 4)
     real = restrict(real) if restrict else real
     for max_iterations in range(7):
         trace = run(real, replace(config, max_iterations=max_iterations))
         last, state = trace.records[-1], trace.final_state
-        assert last.dl_cell_power == tuple(state.dl_cell_powers().tolist()), max_iterations
-        assert last.ul_user_power == tuple(state.ul_powers().ravel().tolist()), max_iterations
+        assert last.dl_cell_power.tolist() == state.dl_cell_powers().tolist(), max_iterations
+        assert last.ul_user_power.tolist() == state.ul_powers().ravel().tolist(), max_iterations
 
 
 def test_run_deterministic():
@@ -485,10 +492,10 @@ def test_run_iteration_matches_public_block_updates(scenario, config):
                                           getattr(state, name),
                                           err_msg=f"seed {seed} {name}")
         record = trace.records[1]
-        assert record.dl_cell_power == tuple(state.dl_cell_powers().tolist())
-        assert record.ul_user_power == tuple(state.ul_powers().ravel().tolist())
-        assert record.dl_precoder_multipliers == tuple(multipliers[0].tolist())
-        assert record.ul_precoder_multipliers == tuple(multipliers[1].tolist())
+        assert record.dl_cell_power.tolist() == state.dl_cell_powers().tolist()
+        assert record.ul_user_power.tolist() == state.ul_powers().ravel().tolist()
+        assert record.dl_precoder_multipliers.tolist() == multipliers[0].tolist()
+        assert record.ul_precoder_multipliers.tolist() == multipliers[1].tolist()
         assert record.multiplier_evaluations == evaluations[0].sum() + evaluations[1].sum()
 
 

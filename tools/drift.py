@@ -21,9 +21,9 @@ tree wrote is named with that tree.
 The CSVs carry no record powers, multipliers or search counts, so each
 campaign also records the RunTraces `harness._run_algorithm` returns for
 the first two seeds (the solves the campaign made), and the script
-compares every trace both trees recorded: every IterationRecord field but
-the wall times (elapsed_ms and the three block times), bit for bit, and
-the final state's arrays, byte for byte.  It prints each record field and
+compares every trace both trees recorded: every record field but the
+wall times (elapsed_ms and the three block times), bit for bit, and the
+final state's arrays, byte for byte.  It prints each record field and
 state array that differs, and names each trace that only one tree
 recorded with that tree.  It writes only into a temporary directory and
 changes no benchmark file.
@@ -54,6 +54,8 @@ import time
 import traceback
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 TOOLS = Path(__file__).resolve().parent
 ROOT = TOOLS.parent
@@ -128,8 +130,9 @@ def dump_traces(config_path: str, out_path: str) -> int:
     """Run `ibfdsim simulate --config config_path` in this process and return
     its exit code.  A campaign that exits 0 also pickles the traces that
     `harness._run_algorithm` returned for its first TRACED_SEEDS seeds, as
-    {(seed, trace name): (record fields without wall times, final state
-    arrays)}.  Refuses `campaign.workers > 1`: no worker's solve is seen here."""
+    {(seed, trace name): (_plain_records of its records, final state
+    arrays)}.  Refuses `campaign.workers > 1`: no worker's solve is seen
+    here."""
     from ibfdsim import cli, harness
 
     campaign = harness.load_config(config_path)
@@ -150,13 +153,23 @@ def dump_traces(config_path: str, out_path: str) -> int:
     finally:
         harness._run_algorithm = original
     if code == 0:
-        plain = {key: ([{f.name: getattr(record, f.name) for f in fields(record)
-                         if f.name not in WALL_TIMES} for record in trace.records],
+        plain = {key: (_plain_records(trace.records),
                        {name: getattr(trace.final_state, name) for name in STATE_ARRAYS})
                  for key, trace in traces.items()}
         with open(out_path, "wb") as f:
             pickle.dump(plain, f)
     return code
+
+
+def _plain_records(records) -> list:
+    """Each record of a trace as {field: value}, every value a float, an int
+    or a list from tolist, without `iteration` and the WALL_TIMES.  Reads a
+    recarray, whose dtype names its fields, and the list of IterationRecord
+    dataclasses that trees from before it hold."""
+    names = (records.dtype.names if hasattr(records, "dtype")
+             else [f.name for f in fields(records[0])])
+    return [{name: np.asarray(getattr(record, name)).tolist() for name in names
+             if name != "iteration" and name not in WALL_TIMES} for record in records]
 
 
 def _rows(path: Path) -> list:
