@@ -14,10 +14,9 @@ The kernels take a realization's Channels (module `stacked`) and the one
 combiners U, and treat every cell, user and link at once with
 batched `@`.  Their Gram products pair blocks of X with the matching
 blocks of its stored conjugate transpose X^H, so no call conjugates a
-channel.  One node's covariance or CSI-error power is a field
-of the Covariances that `covariances` returns, and the per-node forms that
-the tests check the kernels against (the transmit covariance and f1) live
-in tests/helpers.py.
+channel.  One node's covariance is a field of the Covariances that
+`covariances` returns, and the per-node forms that the tests check the
+kernels against (the transmit covariance and f1) live in tests/helpers.py.
 
 A node kind without users costs no kernel call, so a half-duplex phase or
 a network without downlink or uplink users pays only for what it has: a
@@ -33,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HardwareProfile
-from .stacked import (Channels, add_scaled_diag, columns, diagonal, hermitian, row_powers,
-                      uncolumns)
+from .stacked import Channels, columns, diagonal, hermitian, row_powers, uncolumns
 
 # ---------------------------------------------------------------------------
 # distortion-aware Gram forms
@@ -42,15 +40,21 @@ from .stacked import (Channels, add_scaled_diag, columns, diagonal, hermitian, r
 
 
 def distortion_gram(a: np.ndarray, a_h: np.ndarray, y: np.ndarray, y_h: np.ndarray,
-                    weights: np.ndarray, sigma: float) -> np.ndarray:
-    """A A^H + Y diag(weights) Y^H plus sigma times its own diagonal, given
-    a_h = A^H and y_h = Y^H.
+                    weights: np.ndarray, sigma: float,
+                    floor: np.ndarray | None = None) -> np.ndarray:
+    """A A^H + Y diag(weights) Y^H plus sigma times its own diagonal and
+    floor[i] times the identity of matrix i, given a_h = A^H and y_h = Y^H.
 
-    The shared form of the receive covariances, with A = Y blockdiag(W), and
-    of the transmit-side sums of f1, with Y = X_t^H and A = Z^H.
+    The shared form of the receive covariances, with A = Y blockdiag(W) and
+    their noise plus CSI-error power as the floor, and of the transmit-side
+    sums of f1, with Y = X_t^H, A = Z^H and no floor (None).
     """
     total = a @ a_h + (y * weights) @ y_h
-    return add_scaled_diag(total, sigma)
+    diag = diagonal(total)
+    diag *= 1.0 + sigma
+    if floor is not None:
+        diag += floor[..., None]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +73,6 @@ class Covariances:
 
     dl_rx: np.ndarray       # (G, K_d, M_ue, M_ue)
     bs_rx: np.ndarray       # (G, M_bs, M_bs), zero when no BS decodes an uplink user
-    dl_csi: np.ndarray      # (G, K_d) aggregate CSI-error power at each downlink user
-    bs_csi: np.ndarray      # (G,) the same at each BS
     signal: tuple           # (H W_dl, H W_ul): each user's beams through its serving link
     si_signal: np.ndarray   # (G, M_bs, K_d b_d) H_si W_g: each cell's beams through its SI link
     cell_load: np.ndarray   # (G, N_bs) each BS's per-antenna power before distortion
@@ -118,16 +120,13 @@ def covariances(ch: Channels, hw: HardwareProfile, beams) -> Covariances:
     m_ue, m_bs, width = ch.m_ue, ch.m_bs, received.shape[1]
     r_dl = received[:cells * k_d * m_ue].reshape(cells, k_d, m_ue, width)
     r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)
-    dl_csi, bs_csi = csi[:cells * k_d].reshape(cells, k_d), csi[cells * k_d:]
     # a receiver kind that decodes no user gets a zero covariance: nothing reads it
-    dl_rx = (distortion_gram(r_dl, hermitian(r_dl), ch.dl, ch.dl_h, weights, hw.beta_ue)
+    dl_rx = (distortion_gram(r_dl, hermitian(r_dl), ch.dl, ch.dl_h, weights, hw.beta_ue,
+                             hw.noise_ue_w + csi[:cells * k_d].reshape(cells, k_d))
              if k_d else np.zeros((cells, 0, m_ue, m_ue), complex))
-    bs_rx = (distortion_gram(r_bs, hermitian(r_bs), ch.bs, ch.bs_h, weights, hw.beta_bs)
+    bs_rx = (distortion_gram(r_bs, hermitian(r_bs), ch.bs, ch.bs_h, weights, hw.beta_bs,
+                             hw.noise_bs_w + csi[cells * k_d:])
              if k_u else np.zeros((cells, m_bs, m_bs), complex))
-    for k, rx, noise_w, err_power in ((k_d, dl_rx, hw.noise_ue_w, dl_csi),
-                                      (k_u, bs_rx, hw.noise_bs_w, bs_csi)):
-        if k:
-            diagonal(rx)[...] += (noise_w + err_power)[..., None]
     # the column blocks of R that a receiver's own cell sends it, empty without users
     own, (cell, user), dl_cols = ch.cell_index, ch.dl_user_index, cells * k_d * b_d
     if k_d:
@@ -139,8 +138,7 @@ def covariances(ch: Channels, hw: HardwareProfile, beams) -> Covariances:
         si_signal = np.zeros((cells, m_bs, 0), complex)
     signal_ul = (uncolumns(r_bs[..., dl_cols:].reshape(cells, m_bs, cells, k_u * b_u)[
         own, :, own], b_u) if k_u else np.zeros((cells, 0, m_bs, b_u), complex))
-    return Covariances(dl_rx=dl_rx, bs_rx=bs_rx, dl_csi=dl_csi, bs_csi=bs_csi,
-                       signal=(signal_dl, signal_ul),
+    return Covariances(dl_rx=dl_rx, bs_rx=bs_rx, signal=(signal_dl, signal_ul),
                        si_signal=si_signal, cell_load=cell_load, cell_power=cell_power)
 
 

@@ -140,13 +140,14 @@ class Channels:
     The other fields are derived from `x` alone, all at once on the first
     read of any of them, so a realization that is only saved or hashed
     derives none: views of `x` per receiver kind and per transmitter,
-    transmitters first (`dl`, `bs`, `from_bs`, `from_ul`), X^H (`xh`) with
-    the matching views (`*_h`), each BS's SI channel H (`si`) with its
-    column powers, H^H of every serving link, and the gather indices of the
-    blocks a cell sends its own receivers.  Every covariance and
-    transmit-side Gram matrix multiplies a block of X by a block of X^H, so
-    the kernels read `xh` instead of conjugating X on every call.  `xh` is
-    the transpose of a C-contiguous conj(X), so each block keeps the memory
+    transmitters first (`dl`, `bs`, `from_bs`, `from_ul`), the matching
+    views of X^H (`*_h`), each BS's SI channel H (`si`) with its column
+    powers, H^H of every serving link, and the gather indices of the blocks
+    a cell sends its own receivers.  Every covariance and transmit-side
+    Gram matrix multiplies a block of X by a block of X^H, so the kernels
+    read the `*_h` views instead of conjugating X on every call.  X^H is
+    kept only through those four views, which share one buffer: the
+    transpose of a C-contiguous conj(X), so each block keeps the memory
     layout that a conjugated copy of the block of `x` has: numpy then makes
     the same BLAS calls on it, and every product rounds as it would on that
     copy.  (A C-contiguous X^H rounds the covariance of a receiver with one
@@ -171,7 +172,6 @@ class Channels:
     bs: np.ndarray = field(init=False, repr=False)         # (G, M_bs, columns of x)
     from_bs: np.ndarray = field(init=False, repr=False)    # (G, rows of x, N_bs)
     from_ul: np.ndarray = field(init=False, repr=False)    # (G K_u, rows of x, N_ue)
-    xh: np.ndarray = field(init=False, repr=False)         # (columns, rows of x), conj(x).T
     dl_h: np.ndarray = field(init=False, repr=False)       # (G, K_d, columns of x, M_ue)
     bs_h: np.ndarray = field(init=False, repr=False)       # (G, columns of x, M_bs)
     from_bs_h: np.ndarray = field(init=False, repr=False)  # (G, N_bs, rows of x)
@@ -208,7 +208,6 @@ class Channels:
             dl=dl, bs=bs,
             from_bs=np.swapaxes(x[:, :bs_cols].reshape(rows, cells, n_bs), 0, 1),
             from_ul=np.swapaxes(x[:, bs_cols:].reshape(rows, cells * k_u, n_ue), 0, 1),
-            xh=xh,
             dl_h=xh[:, :dl_rows].reshape(cols, cells, k_d, m_ue).transpose(1, 2, 0, 3),
             bs_h=xh[:, dl_rows:].reshape(cols, cells, m_bs).swapaxes(0, 1),
             from_bs_h=xh[:bs_cols].reshape(cells, n_bs, rows),

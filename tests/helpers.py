@@ -428,15 +428,15 @@ def per_call_covariances(ch, hw, beams) -> covariance.Covariances:
     r_bs = received[cells * k_d * m_ue:].reshape(cells, m_bs, width)
     dl_rx = _per_call_gram(r_dl, ch.dl, weights, hw.beta_ue)
     bs_rx = _per_call_gram(r_bs, ch.bs, weights, hw.beta_bs)
-    dl_csi, bs_csi = csi[:cells * k_d].reshape(cells, k_d), csi[cells * k_d:]
-    for rx, floor in ((dl_rx, hw.noise_ue_w + dl_csi), (bs_rx, hw.noise_bs_w + bs_csi)):
+    for rx, floor in ((dl_rx, hw.noise_ue_w + csi[:cells * k_d].reshape(cells, k_d)),
+                      (bs_rx, hw.noise_bs_w + csi[cells * k_d:])):
         np.einsum("...ii->...i", rx)[...] += floor[..., None]
     diag, users, dl_cols = np.arange(cells), np.arange(k_d), cells * k_d * b_d
     signal_dl = r_dl[..., :dl_cols].reshape(cells, k_d, m_ue, cells, k_d, b_d)[
         diag[:, None], users, :, diag[:, None], users]
     si_signal = r_bs[..., :dl_cols].reshape(cells, m_bs, cells, k_d * b_d)[diag, :, diag]
     signal_ul = r_bs[..., dl_cols:].reshape(cells, m_bs, cells, k_u * b_u)[diag, :, diag]
-    return covariance.Covariances(dl_rx=dl_rx, bs_rx=bs_rx, dl_csi=dl_csi, bs_csi=bs_csi,
+    return covariance.Covariances(dl_rx=dl_rx, bs_rx=bs_rx,
                                   signal=(signal_dl, uncolumns(signal_ul, b_u)),
                                   si_signal=si_signal, cell_load=cell_load,
                                   cell_power=cell_power)

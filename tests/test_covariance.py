@@ -45,8 +45,13 @@ def test_csi_error_variance_hand_sum():
     for g, k in real.ul_users():
         t = helpers.tx_gram(state.ul_beams[g][k], real.hardware.kappa_ue)
         expected += helpers.link(real, rx, ul_node(g, k)).err_var * np.trace(t).real
-    assert float(helpers.state_covariances(real, state).dl_csi[0, 0]) == pytest.approx(
-        expected, rel=1e-12)
+    # the floor is what the error variances add to the receive covariance: the
+    # same covariance with them zeroed differs by the CSI-error power times I
+    no_error = helpers.edited(real, lambda draft: draft.channels.err.fill(0.0))
+    floor = (helpers.state_covariances(real, state).dl_rx[0, 0]
+             - helpers.state_covariances(no_error, state).dl_rx[0, 0])
+    np.testing.assert_array_equal(floor - np.diag(np.diag(floor)), 0.0)
+    assert np.diag(floor).real == pytest.approx(np.full(len(floor), expected), rel=1e-12)
 
 
 def test_rx_covariance_explicit_assembly():
@@ -212,10 +217,15 @@ def test_stored_conjugate_matches_per_call_hermitian(case):
     real = {"downlink_phase": restrict_to_downlink,
             "uplink_phase": restrict_to_uplink}.get(case, lambda r: r)(real)
     ch, hw = real.channels, real.hardware
+    buffers = []
     for stored, block in ((ch.dl_h, ch.dl), (ch.bs_h, ch.bs),
                           (ch.from_bs_h, ch.from_bs), (ch.from_ul_h, ch.from_ul)):
         np.testing.assert_array_equal(stored, hermitian(block))
-        assert stored.size == 0 or np.shares_memory(stored, ch.xh)
+        buffers += [stored.base] if stored.size else []
+    # the four views are blocks of one buffer, a C-contiguous conj(X), not copies
+    assert all(buffer is buffers[0] for buffer in buffers)
+    assert buffers[0].flags.c_contiguous
+    np.testing.assert_array_equal(buffers[0], ch.x.conj())
     state = helpers.random_state(real, 41)
     beams = (state.dl_beams, state.ul_beams)
     got, want = covariance.covariances(ch, hw, beams), helpers.per_call_covariances(ch, hw, beams)
@@ -268,21 +278,20 @@ def test_covariances_match_per_link_sums(case):
         assert got.shape == expected.shape
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def check(rx, got_rx, got_csi, beta, noise_w):
+    def check(rx, got_rx, beta, noise_w):
         m = got_rx.shape[-1]
         base, csi = np.zeros((m, m), dtype=complex), 0.0
         for node, t in tx.items():
             link = helpers.link(real, rx, node)
             base += link.est @ t @ link.est.conj().T
             csi += link.err_var * np.trace(t).real
-        close(np.asarray(got_csi), np.asarray(csi))
         close(got_rx, base + beta * np.diag(np.diag(base)) + (noise_w + csi) * np.eye(m))
 
     for g, k in helpers.dl_users(real):
-        check(dl_node(g, k), cov.dl_rx[g, k], cov.dl_csi[g, k], hw.beta_ue, hw.noise_ue_w)
+        check(dl_node(g, k), cov.dl_rx[g, k], hw.beta_ue, hw.noise_ue_w)
         close(cov.signal[0][g, k], helpers.link(real, dl_node(g, k), bs_node(g)).est @ w_dl[g, k])
     for g in range(real.cell_count):
-        check(bs_node(g), cov.bs_rx[g], cov.bs_csi[g], hw.beta_bs, hw.noise_bs_w)
+        check(bs_node(g), cov.bs_rx[g], hw.beta_bs, hw.noise_bs_w)
     for g, k in real.ul_users():
         close(cov.signal[1][g, k], helpers.link(real, bs_node(g), ul_node(g, k)).est @ w_ul[g, k])
     assert cov.signal[0].shape == w_dl.shape[:2] + (real.channels.m_ue, w_dl.shape[-1])

@@ -202,10 +202,18 @@ def test_cell_and_user_relabelling_permutes_every_output():
     state = helpers.refresh_combiners(real, helpers.solved_state(real, iterations=2))
     cov, cov_moved = (helpers.state_covariances(r, s)
                       for r, s in ((real, state), (moved, relabel(state))))
-    for name in ("dl_rx", "dl_csi"):
-        close(getattr(cov_moved, name), getattr(cov, name)[at])
-    for name in ("bs_rx", "bs_csi", "cell_load", "cell_power"):
+    close(cov_moved.dl_rx, cov.dl_rx[at])
+    for name in ("bs_rx", "cell_load", "cell_power"):
         close(getattr(cov_moved, name), getattr(cov, name)[cells])
+    # the CSI-error floors alone: the SI buries them in bs_rx at cells 0 and 1
+    # (about 1e-10 of it), but with every channel matrix zeroed and the error
+    # variances kept each receive covariance is its noise plus CSI-error power
+    # times I, at least 1.7e-2 of the noise here
+    floors, floors_moved = (helpers.state_covariances(helpers.edited(
+        r, lambda draft: draft.channels.x.fill(0.0)), s)
+        for r, s in ((real, state), (moved, relabel(state))))
+    close(floors_moved.dl_rx, floors.dl_rx[at])
+    close(floors_moved.bs_rx, floors.bs_rx[cells])
     for got, expected in zip(cov_moved.signal, cov.signal):
         close(got, expected[at])
     b_d = real.dl_streams
@@ -739,32 +747,56 @@ def test_promises_hold_over_the_accepted_regimes(index):
                                           err_msg=f.name)
 
 
-def _scaled(realization, k: int):
-    """`realization` with every channel, estimate and truth, scaled by 2^k,
-    and the CSI-error variances and both noise powers by 2^2k."""
+def _scaled(realization, k: int, family: str):
+    """`realization` scaled by c = 2^k in one family of `_FAMILIES`: both
+    noise powers by c^2, and for "budgets" both power budgets by c^2, else
+    every channel, estimate and truth, by c and the CSI-error variances by
+    c^2, with the SI gains by 1/c for "channels, default nu"."""
     c = 2.0 ** k
+    hw = realization.hardware
+    hw = replace(hw, noise_bs_w=hw.noise_bs_w * c * c, noise_ue_w=hw.noise_ue_w * c * c)
+    if family == "budgets":
+        return replace(realization, hardware=replace(hw, p_bs_w=hw.p_bs_w * c * c,
+                                                     p_ue_w=hw.p_ue_w * c * c))
 
     def scale(draft):
         draft.channels.x *= c
         draft.channels.x_true *= c
         draft.channels.err *= c * c
 
-    hw = realization.hardware
-    return replace(helpers.edited(realization, scale), hardware=replace(
-        hw, noise_bs_w=hw.noise_bs_w * c * c, noise_ue_w=hw.noise_ue_w * c * c))
+    if family == "channels, default nu":
+        hw = replace(hw, si_gain=tuple(l / c for l in hw.si_gain))
+    return replace(helpers.edited(realization, scale), hardware=hw)
+
+
+# family: (beam factor as a power of c, ASIC depth shift in dB per k)
+_FAMILIES = {"channels": (0, -20.0 * math.log10(2.0)),
+             "channels, default nu": (0, -30.0 * math.log10(2.0)),
+             "budgets": (1, 0.0)}
 
 
 @pytest.mark.parametrize("k", [4, -6])
 def test_power_of_two_scale_equivariance(k):
-    """Scaling the channels by c = 2^k, the error variances and noise powers
-    by c^2 and nu by c^-2 scales every covariance by c^2, the MMSE combiners
-    by 1/c and the RSI by c^2, and leaves each U^H H, each omega, each
-    search row and each MSE as it was.  Every product by a power of two is
-    exact, so a solve over the sweep's configs with a numeric nu must match
-    bit for bit: each report field, every record's loss, the iteration
-    count and the beams, with the combiners and the RSI off by exactly
-    their factors.  The ASIC depth shifts by -20 k log10(2) dB, which holds
-    to rounding only.
+    """Two families of scalings by c = 2^k leave every solve of the sweep's
+    configs as it was, bit for bit, apart from exact factors.
+
+    "channels": the channels by c, the error variances and noise powers by
+    c^2 and a numeric nu by c^-2.  Every covariance scales by c^2, the MMSE
+    combiners by 1/c and the RSI by c^2, and each U^H H, each omega, each
+    search row and each MSE is unchanged.  Under the default nu = l^2 the SI
+    gains l go by 1/c as well ("channels, default nu"), so nu goes by c^-2
+    there too.  "budgets": both power budgets and both noise powers by c^2
+    and a numeric nu by c^-2, the channels and error variances unchanged.
+    The beams then scale by c, every covariance by c^2, the combiners by
+    1/c and the RSI by c^2.
+
+    Every product by a power of two is exact, so each report field, every
+    record's loss and the iteration count must match bit for bit, with the
+    beams, the combiners and the RSI off by exactly their factors.  The
+    ASIC depth 10 log10(l tr(T) / rsi) shifts by -20 k log10(2) dB in the
+    channel family, by -30 k log10(2) dB under the default nu, and not at
+    all for the budgets, to rounding only; 0 (a silent cell) and the cap
+    stay, and a depth the shift would carry past the cap reads the cap.
 
     A unit slip or an absolute constant in a kernel breaks this.  The
     constants that could are the floor _TINY on the prefix sums in
@@ -773,77 +805,90 @@ def test_power_of_two_scale_equivariance(k):
     fires on these configs.
     """
     c = 2.0 ** k
-    shift = -20.0 * k * math.log10(2.0)
     for index, (scenario, config) in enumerate(_REGIMES):
-        if config.nu is None:
-            continue
         real = build_realization(scenario, index)
         base = run(real, config, collect_metrics=False)
-        trace = run(_scaled(real, k), replace(config, nu=config.nu / (c * c)),
-                    collect_metrics=False)
-        label = f"regime {index}, k = {k}"
-        assert trace.iterations == base.iterations, label
-        np.testing.assert_array_equal(helpers.losses(trace), helpers.losses(base), label)
-        got, want = trace.final_report, base.final_report
-        for name in ("sum_mse_dl", "sum_mse_ul", "loss", "sum_rate_dl", "sum_rate_ul"):
-            assert repr(getattr(got, name)) == repr(getattr(want, name)), f"{label}: {name}"
-        assert got.rsi_watts == tuple(r * c * c for r in want.rsi_watts), label
-        for depth, before in zip(got.asic_depth_db, want.asic_depth_db):
-            if before in (0.0, objective.ASIC_DEPTH_CAP_DB):    # a silent cell, or the cap
-                assert depth == before, label
-            else:
-                assert depth == pytest.approx(before + shift, rel=0, abs=1e-12), label
-        a, b = trace.final_state, base.final_state
-        np.testing.assert_array_equal(a.dl_beams, b.dl_beams, label)
-        np.testing.assert_array_equal(a.ul_beams, b.ul_beams, label)
-        np.testing.assert_array_equal(a.dl_combiners, b.dl_combiners / c, label)
-        np.testing.assert_array_equal(a.ul_combiners, b.ul_combiners / c, label)
+        nu = None if config.nu is None else config.nu / (c * c)
+        for family in (("channels", "budgets") if nu is not None
+                       else ("channels, default nu",)):
+            beam, shift = _FAMILIES[family]
+            trace = run(_scaled(real, k, family), replace(config, nu=nu),
+                        collect_metrics=False)
+            label = f"regime {index}, {family}, k = {k}"
+            assert trace.iterations == base.iterations, label
+            np.testing.assert_array_equal(helpers.losses(trace), helpers.losses(base), label)
+            got, want = trace.final_report, base.final_report
+            for name in ("sum_mse_dl", "sum_mse_ul", "loss", "sum_rate_dl", "sum_rate_ul"):
+                assert repr(getattr(got, name)) == repr(getattr(want, name)), f"{label}: {name}"
+            assert got.rsi_watts == tuple(r * c * c for r in want.rsi_watts), label
+            for depth, before in zip(got.asic_depth_db, want.asic_depth_db):
+                if before in (0.0, objective.ASIC_DEPTH_CAP_DB):    # a silent cell, or the cap
+                    assert depth == before, label
+                else:
+                    assert depth == pytest.approx(min(before + shift * k,
+                                                      objective.ASIC_DEPTH_CAP_DB),
+                                                  rel=0, abs=1e-12), label
+            a, b = trace.final_state, base.final_state
+            np.testing.assert_array_equal(a.dl_beams, b.dl_beams * c ** beam, label)
+            np.testing.assert_array_equal(a.ul_beams, b.ul_beams * c ** beam, label)
+            np.testing.assert_array_equal(a.dl_combiners, b.dl_combiners / c, label)
+            np.testing.assert_array_equal(a.ul_combiners, b.ul_combiners / c, label)
 
 
 # ---------------------------------------------------------------------------
 # the solver against a known global optimum
 # ---------------------------------------------------------------------------
 
-# one cell, one downlink user and no uplink user, with ideal converters, ideal
-# cancellation and perfect CSI: no distortion, no RSI and no error floor
-SINGLE_USER = ScenarioConfig(cells=1, dl_users=1, ul_users=0, dl_streams=2, adc_bits=math.inf,
-                             asic_db=math.inf, csi_error_factor=0.0)
+# one cell and one user of either direction and none of the other, with ideal
+# converters, ideal cancellation and perfect CSI: no distortion, no RSI and no
+# error floor
+_IDEAL = dict(cells=1, adc_bits=math.inf, asic_db=math.inf, csi_error_factor=0.0)
+SINGLE_USER = {"dl": ScenarioConfig(dl_users=1, ul_users=0, dl_streams=2, **_IDEAL),
+               "ul": ScenarioConfig(dl_users=0, ul_users=1, ul_streams=2, **_IDEAL)}
 
 
-def _water_filling(realization):
-    """The minimum sum MSE of a single-user realization and a state that
-    reaches it: MMSE water-filling over the eigenmodes lambda_i of
-    H^H H / sigma^2, whose sum MSE is sum_i 1 / (1 + p_i lambda_i) (Sampath,
-    Stoica & Paulraj 2001; Palomar, Cioffi & Lagunas 2003).  The powers
-    p_i = (mu / sqrt(lambda_i) - 1 / lambda_i)^+ spend the whole budget P,
-    and the combiners are the MMSE ones."""
-    hw, streams = realization.hardware, realization.dl_streams
-    h = helpers.link(realization, dl_node(0, 0), bs_node(0)).est
-    lam, vectors = np.linalg.eigh(hermitian(h) @ h / hw.noise_ue_w)
+def _water_filling(realization, direction: str):
+    """The minimum sum MSE of a single-user realization of `direction` and a
+    state that reaches it: MMSE water-filling over the eigenmodes lambda_i
+    of H^H H / sigma^2 of the user's link, whose sum MSE is
+    sum_i 1 / (1 + p_i lambda_i) (Sampath, Stoica & Paulraj 2001; Palomar,
+    Cioffi & Lagunas 2003).  The powers p_i = (mu / sqrt(lambda_i) -
+    1 / lambda_i)^+ spend the whole budget P, and the combiners are the
+    MMSE ones."""
+    hw, state = realization.hardware, initialize(realization)
+    if direction == "dl":
+        rx, tx, noise, budget = dl_node(0, 0), bs_node(0), hw.noise_ue_w, hw.p_bs_w
+        streams, beams, combiners = realization.dl_streams, state.dl_beams, state.dl_combiners
+    else:
+        rx, tx, noise, budget = bs_node(0), ul_node(0, 0), hw.noise_bs_w, hw.p_ue_w
+        streams, beams, combiners = realization.ul_streams, state.ul_beams, state.ul_combiners
+    h = helpers.link(realization, rx, tx).est
+    lam, vectors = np.linalg.eigh(hermitian(h) @ h / noise)
     lam, vectors = lam[::-1][:streams], vectors[:, ::-1][:, :streams]
     for active in range(streams, 0, -1):    # drop the weakest mode while its power is negative
-        mu = (hw.p_bs_w + np.sum(1.0 / lam[:active])) / np.sum(lam[:active] ** -0.5)
+        mu = (budget + np.sum(1.0 / lam[:active])) / np.sum(lam[:active] ** -0.5)
         power = np.maximum(mu / np.sqrt(lam) - 1.0 / lam, 0.0)
         if np.all(power[:active] > 0.0):
             break
     beam = vectors * np.sqrt(power)
     received = h @ beam
-    combiner = np.linalg.solve(received @ hermitian(received) + hw.noise_ue_w * np.eye(len(h)),
-                               received)
-    state = initialize(realization)
-    state.dl_beams[0, 0], state.dl_combiners[0, 0] = beam, combiner
+    combiner = np.linalg.solve(received @ hermitian(received) + noise * np.eye(len(h)), received)
+    beams[0, 0], combiners[0, 0] = beam, combiner
     return float(np.sum(1.0 / (1.0 + power * lam))), state
 
 
-def test_solver_never_beats_the_single_user_water_filling_optimum():
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_solver_never_beats_the_single_user_water_filling_optimum(direction):
     # evaluate scores the water-filling state at the closed-form optimum, and
     # no solve ends below it beyond rounding: this guards the loss and the
     # oracle together.  How far above it the default stop ends is a measured
     # figure in the README, not a gate here.
     for seed in range(20):
-        real = build_realization(SINGLE_USER, seed)
-        optimum, state = _water_filling(real)
-        assert state.dl_cell_power(0) == pytest.approx(real.hardware.p_bs_w, rel=1e-12)
+        real = build_realization(SINGLE_USER[direction], seed)
+        optimum, state = _water_filling(real, direction)
+        budget = real.hardware.p_bs_w if direction == "dl" else real.hardware.p_ue_w
+        power = state.dl_cell_powers().sum() + state.ul_powers().sum()
+        assert power == pytest.approx(budget, rel=1e-12)
         assert objective.evaluate(real, state, None).loss == pytest.approx(optimum, rel=1e-9)
         loss = run(real, SolverConfig(), collect_metrics=False).final_report.loss
         assert loss >= optimum * (1.0 - 1e-9), f"seed {seed}: {loss} below {optimum}"

@@ -401,12 +401,12 @@ def test_stored_and_derived_channel_arrays_are_read_only(tmp_path):
     for part in (real, load_realization(tmp_path / "real.bin"), restrict_to_downlink(real),
                  restrict_to_uplink(real)):
         ch = part.channels
-        assert "xh" not in vars(ch)
+        assert "dl_h" not in vars(ch)
         for view in (ch.dl, ch.bs, ch.from_bs, ch.from_ul):
             assert view.size == 0 or np.shares_memory(view, ch.x)
         arrays = [a for f in fields(ch) if f.type != "int"
                   for a in (getattr(ch, f.name) if f.type == "tuple" else [getattr(ch, f.name)])]
-        assert len(arrays) == 19
+        assert len(arrays) == 18
         for a in arrays + [helpers.link(part, *helpers.links(part)[0]).est]:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0

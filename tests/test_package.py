@@ -110,6 +110,23 @@ def test_no_method_or_property_is_dead():
     assert sorted(dead) == []
 
 
+def test_no_dataclass_field_is_dead():
+    # a test alone keeps no field alive either: each annotated field of a
+    # package dataclass is read as an attribute somewhere in the package, the
+    # benchmark or the tools.  ComplexityEstimate is exempt, as
+    # cli._complexity prints each of its fields through dataclasses.fields.
+    read = set()
+    for path in USERS:
+        read |= _member_uses(ast.parse(path.read_text()))[1]
+    dead = [f"{cls.name}.{node.target.id}" for path in SOURCES
+            for cls in ast.parse(path.read_text()).body
+            if isinstance(cls, ast.ClassDef) and cls.name != "ComplexityEstimate"
+            and any(ast.unparse(getattr(d, "func", d)) == "dataclass" for d in cls.decorator_list)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and node.target.id not in read]
+    assert sorted(dead) == []
+
+
 def test_bench_hooks_name_package_functions():
     # the benchmark's RunLog hooks these names to attribute solves and check
     # powers; a renamed target would switch those checks off without an error

@@ -52,7 +52,6 @@ import sys
 import tempfile
 import time
 import traceback
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -162,14 +161,11 @@ def dump_traces(config_path: str, out_path: str) -> int:
 
 
 def _plain_records(records) -> list:
-    """Each record of a trace as {field: value}, every value a float, an int
-    or a list from tolist, without `iteration` and the WALL_TIMES.  Reads a
-    recarray, whose dtype names its fields, and the list of IterationRecord
-    dataclasses that trees from before it hold."""
-    names = (records.dtype.names if hasattr(records, "dtype")
-             else [f.name for f in fields(records[0])])
-    return [{name: np.asarray(getattr(record, name)).tolist() for name in names
-             if name != "iteration" and name not in WALL_TIMES} for record in records]
+    """Each row of a trace's record recarray as {field: value}, every value a
+    float, an int or a list from tolist, without the WALL_TIMES."""
+    names = [name for name in records.dtype.names if name not in WALL_TIMES]
+    return [{name: np.asarray(getattr(record, name)).tolist() for name in names}
+            for record in records]
 
 
 def _rows(path: Path) -> list:
