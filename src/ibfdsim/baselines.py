@@ -44,8 +44,8 @@ def run_nsp(realization: Realization, trace: jpaim.RunTrace, subspace_dim: int,
     Projection only ever shrinks the transmitted power, so the power
     constraints stay satisfied; one combiner refresh lets the receivers react
     to the projected beams before the state is scored with the solve's nu.
-    The SI channels that jpaim.run derived on the realization's Channels
-    serve the projection, and one objective.score, with one covariance
+    The realization's Channels holds the SI channels that serve the
+    projection, and one objective.score, with one covariance
     assembly and one MMSE solve, serves the refresh and the report, which is
     objective.evaluate of the returned state.  Returns (report, projected
     state).

@@ -27,8 +27,8 @@ therefore non-increasing, CSI error aside (a solve under it can end on a
 rise), and the loop stops once the per-iteration improvement drops below
 the threshold.
 
-`run` reads the realization's Channels (module `stacked`), whose derived
-views its first read fills, builds the precoder step's constants (the SI
+`run` reads the realization's Channels (module `stacked`) and its derived
+views, builds the precoder step's constants (the SI
 penalties and the search budgets) once per call and iterates on the
 beams W and the combiners U, (downlink, uplink) pairs of arrays in the same
 layout: each block is a few batched numpy kernels over all cells and users,

@@ -10,7 +10,7 @@ count in every cell, which is what build_realization and the
 single-direction restrictions produce.
 
 A realization stores its links once, as the matrix X of a Channels, which
-also holds what the kernels derive from X on first read.  The package
+also holds what the kernels derive from X when it is built.  The package
 reads and writes X only as whole arrays and blocks: model.build_realization
 draws it one block per pair of receiver and transmitter kinds, and no code
 addresses a single link.
@@ -137,9 +137,8 @@ class Channels:
     The SI link of BS g is known exactly: its block of `x` is its estimate
     and its truth, and its block of `x_true` stays zero.
 
-    The other fields are derived from `x` alone, all at once on the first
-    read of any of them, so a realization that is only saved or hashed
-    derives none: views of `x` per receiver kind and per transmitter,
+    The other fields are derived from `x` alone, all at once on
+    construction: views of `x` per receiver kind and per transmitter,
     transmitters first (`dl`, `bs`, `from_bs`, `from_ul`), the matching
     views of X^H (`*_h`), each BS's SI channel H (`si`) with its column
     powers, H^H of every serving link, and the gather indices of the blocks
@@ -184,13 +183,6 @@ class Channels:
     dl_user_index: tuple = field(init=False, repr=False)   # (G, 1) cells, (K_d,) users
 
     def __post_init__(self):
-        for a in (self.x, self.x_true, self.err):
-            a.flags.writeable = False
-
-    def __getattr__(self, name):
-        # reached only for an attribute not yet set: derive every field at once
-        if name not in {f.name for f in fields(self) if not f.init}:
-            raise AttributeError(f"'Channels' object has no attribute {name!r}")
         x, cells, k_d, k_u = self.x, self.cells, self.k_d, self.k_u
         m_ue, m_bs, n_bs, n_ue = self.m_ue, self.m_bs, self.n_bs, self.n_ue
         diag = np.arange(cells)
@@ -216,11 +208,10 @@ class Channels:
             dl_own_h=hermitian(dl_own),
             ul_own_h=hermitian(np.ascontiguousarray(ul_own.swapaxes(1, 2))),
             cell_index=diag, dl_user_index=(diag[:, None], np.arange(k_d)))
-        for a in (*derived.values(), *derived["dl_user_index"]):
+        vars(self).update(derived)
+        for a in (x, self.x_true, self.err, *derived.values(), *self.dl_user_index):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-        vars(self).update(derived)
-        return derived[name]
 
     @staticmethod
     def shapes(cells, k_d, m_ue, m_bs, n_bs, k_u, n_ue) -> tuple[tuple, tuple]:

@@ -137,22 +137,26 @@ def test_run_nsp_assembles_once_and_reports_evaluate(monkeypatch):
 
 
 def test_a_realization_derives_its_channel_views_once(monkeypatch):
-    # hashing reads the stored arrays only, and the views that the solve's
-    # first read derives serve the rest of the solve and the projection
+    # a realization's Channels derives its views once, when it is built:
+    # hashing, the solve and the projection build none, and each
+    # half-duplex phase builds its own restricted one
+    builds = []
+    derive = stacked.Channels.__post_init__
+
+    def counted(channels):
+        builds.append(channels)
+        derive(channels)
+
+    monkeypatch.setattr(stacked.Channels, "__post_init__", counted)
     real = build_realization(ScenarioConfig(), 3)
-    reads = []
-    derive = stacked.Channels.__getattr__
-
-    def counted(channels, name):
-        reads.append(name)
-        return derive(channels, name)
-
-    monkeypatch.setattr(stacked.Channels, "__getattr__", counted)
+    assert len(builds) == 1
     realization_digest(real)
-    assert reads == []
-    trace = jpaim.run(real, SolverConfig(max_iterations=3), collect_metrics=False)
-    run_nsp(real, trace, subspace_dim=8)
-    assert len(reads) == 1
+    assert len(builds) == 1
+    cfg = SolverConfig(max_iterations=3)
+    run_nsp(real, jpaim.run(real, cfg, collect_metrics=False), subspace_dim=8)
+    assert len(builds) == 1
+    run_half_duplex(real, cfg)
+    assert len(builds) == 3
 
 
 def test_run_nsp_keeps_power_feasible():

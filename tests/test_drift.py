@@ -77,7 +77,8 @@ def _config(tmp_path, extra=""):
 
 def test_trace_comparison_names_each_difference(tmp_path):
     # records and final states that the CSVs do not show: a power that moves
-    # by one bit, a wall time that does not count, and a final state array
+    # by one bit in one record and by more in another, a wall time that does
+    # not count, and a final state array
     drift = _drift()
     dispatch = harness._run_algorithm
     assert drift.dump_traces(_config(tmp_path), str(tmp_path / "traces")) == 0
@@ -91,10 +92,16 @@ def test_trace_comparison_names_each_difference(tmp_path):
     records, state = change[seed, "jpaim"]
     first, *rest = records[2]["dl_cell_power"]
     records[2]["dl_cell_power"] = [math.nextafter(first, math.inf), *rest]
+    # the largest relative difference is taken over the cells of a record
+    power = records[1]["dl_cell_power"]
+    moved = power[-1] * (1.0 + 2.0 ** -20)
+    power[-1] = moved
     assert "elapsed_ms" not in records[1] and "iteration" not in records[1]
     state["ul_beams"] = -state["ul_beams"]
+    worst = (moved - parent[seed, "jpaim"][0][1]["dl_cell_power"][-1]) / moved
     assert drift.compare_traces(parent, change) == [
-        "  2 differences", f"    seed {seed} jpaim record 2: dl_cell_power",
+        "  2 differences", f"    seed {seed} jpaim dl_cell_power: 2 of {len(records)} records "
+        f"differ, largest relative difference {worst:.3g}",
         f"    seed {seed} jpaim final state: ul_beams"]
 
 
@@ -107,7 +114,8 @@ def test_drift_compares_what_both_trees_wrote_and_names_the_rest(tmp_path):
     change = {(5, "jpaim"): ([{"loss": 2.0}], state), (6, "jpaim"): ([{"loss": 1.0}], state)}
     assert drift.compare_traces(parent, change) == [
         "  3 differences", "    seed 5 nsp_jpaim: recorded by the parent tree only",
-        "    seed 6 jpaim: recorded by the change tree only", "    seed 5 jpaim record 0: loss"]
+        "    seed 6 jpaim: recorded by the change tree only",
+        "    seed 5 jpaim loss: 1 of 1 records differ, largest relative difference 0.5"]
     for tree in ("parent", "change"):
         (tmp_path / tree / "fd_default").mkdir(parents=True)
     (tmp_path / "parent" / "fd_default" / "iterations_nsp_jpaim.csv").write_text("seed\n")
@@ -117,6 +125,21 @@ def test_drift_compares_what_both_trees_wrote_and_names_the_rest(tmp_path):
     assert drift.written_by(pair[::-1]) == ["  written by the parent tree only"]
     assert drift.written_by(pair[1:]) == ["  written by neither tree"]
     assert drift.written_by(pair[:1]) == []
+
+
+def test_relative_differences_of_cells_and_record_values():
+    # a signed zero differs by repr but not in value; a nan matches a nan;
+    # anything else non-finite or unparsable, or a shape change, is inf
+    drift = _drift()
+    assert drift.relative_difference("-0.0", "0.0") == 0.0
+    assert drift.relative_difference("nan", "nan") == 0.0
+    assert drift.relative_difference("2.0", "1.5") == 0.25
+    assert drift.relative_difference("inf", "1.0") == math.inf
+    assert drift.relative_difference("a", "b") == math.inf
+    assert drift.largest_relative_difference([1.0, 4.0], [1.0, 3.0]) == 0.25
+    assert drift.largest_relative_difference([[2.0], [1.0]], [[1.0], [1.0]]) == 0.5
+    assert drift.largest_relative_difference(-0.0, 0.0) == 0.0
+    assert drift.largest_relative_difference([1.0, 2.0], [1.0]) == math.inf
 
 
 def test_trace_capture_records_the_solves_the_harness_made(tmp_path, monkeypatch):

@@ -143,19 +143,6 @@ def test_update_precoders_respects_budgets():
             assert multipliers[1][i] >= 0.0
 
 
-def test_update_precoders_scalar_matches_matrix_power():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        real = helpers.random_small_realization(rng)
-        cfg = SolverConfig()
-        state = helpers.refresh_combiners(real, initialize(real))
-        state, _, scalar_power, _ = helpers.precoder_step(real, state, cfg)
-        for a, b in zip(scalar_power[0], state.dl_cell_powers()):
-            assert a == pytest.approx(b, rel=1e-10, abs=1e-30)
-        for a, b in zip(scalar_power[1], state.ul_powers().reshape(-1)):
-            assert a == pytest.approx(b, rel=1e-10, abs=1e-30)
-
-
 def test_update_precoders_stationary_for_its_lagrangian():
     real = build_realization(helpers.small_config(), 6)
     cfg = SolverConfig()
@@ -163,6 +150,21 @@ def test_update_precoders_stationary_for_its_lagrangian():
     state = helpers.refresh_combiners(real, state)
     state, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
     assert helpers.precoder_stationarity(real, state, cfg.nu, multipliers) < 1e-5
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the precoder step leaves out the CSI-error floor's "
+                          "dependence on the beams")
+def test_precoder_step_is_exact_under_csi_error():
+    # criterion 2's 25 instances with csi_error_factor 1e-2: the precoder
+    # step must still land on its block's optimum
+    rng = np.random.default_rng(20240201)
+    cfg = SolverConfig()
+    for _ in range(25):
+        real = helpers.random_small_realization(rng, csi_error_factor=1e-2)
+        state = helpers.refresh_combiners(real, helpers.solved_state(real, iterations=2))
+        state, multipliers, _, _ = helpers.precoder_step(real, state, cfg)
+        assert helpers.precoder_stationarity(real, state, cfg.nu, multipliers) < 1e-5
 
 
 def test_cell_and_user_relabelling_permutes_every_output():
@@ -271,8 +273,7 @@ def test_stream_rotation_leaves_every_figure_and_rotates_the_step():
         close(got, expected)
 
 
-@pytest.mark.parametrize("case", ["before_combiners"])
-def test_update_precoders_keeps_a_silenced_cell_silent(case):
+def test_update_precoders_keeps_a_silenced_cell_silent():
     # zero beams give zero combiners and stay zero: cell 0 sends nothing,
     # so its users' combiners come out exactly 0, the precoder step has no
     # linear term for them, and its multiplier search has nothing to bound
@@ -745,6 +746,28 @@ def test_promises_hold_over_the_accepted_regimes(index):
         for f in fields(again):
             np.testing.assert_array_equal(getattr(again, f.name), getattr(report, f.name),
                                           err_msg=f.name)
+
+
+# the full-duplex solves at csi_error_factor >= 1e-2 that end on a rise
+_RISING = {17, 18, 20, 27, 40, 51, 72, 77}
+
+
+@pytest.mark.parametrize("index", [
+    pytest.param(i, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 1: under CSI error the precoder step misses its block's optimum"))
+    if i in _RISING else i for i in range(len(_REGIMES))])
+def test_no_solve_ends_on_a_rise_over_the_accepted_regimes(index):
+    # the loss of every record of the jpaim solve and of both half-duplex
+    # phases rises by at most criterion 1's slack, 1e-8 max(|loss|, 1)
+    scenario, config = _REGIMES[index]
+    real = build_realization(scenario, index)
+    _, dl_trace, ul_trace = baselines.run_half_duplex(real, config)
+    for name, trace in (("jpaim", run(real, config, collect_metrics=False)),
+                        ("downlink phase", dl_trace), ("uplink phase", ul_trace)):
+        losses = helpers.losses(trace)
+        rises = np.diff(losses) - 1e-8 * np.maximum(np.abs(losses[:-1]), 1.0)
+        assert np.all(rises <= 0.0), name
 
 
 def _scaled(realization, k: int, family: str):

@@ -23,10 +23,12 @@ campaign also records the RunTraces `harness._run_algorithm` returns for
 the first two seeds (the solves the campaign made), and the script
 compares every trace both trees recorded: every record field but the
 wall times (elapsed_ms and the three block times), bit for bit, and the
-final state's arrays, byte for byte.  It prints each record field and
-state array that differs, and names each trace that only one tree
-recorded with that tree.  It writes only into a temporary directory and
-changes no benchmark file.
+final state's arrays, byte for byte.  For each record field that differs
+in a trace it prints one line: how many records differ and the largest
+relative difference, taken element by element over the per-cell lists.
+It also prints each final state array that differs, and names each trace
+that only one tree recorded with that tree.  It writes only into a
+temporary directory and changes no benchmark file.
 
 The last line counts the compared CSV and `records` lines and gives the
 script's own wall time, for example `drift: 52 of 52 lines identical in
@@ -173,18 +175,34 @@ def _rows(path: Path) -> list:
         return list(csv.DictReader(line for line in f if not line.startswith("#")))
 
 
+def _relative(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|); 0 when x == y or both are nan, inf when they
+    differ and either is not finite."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
 def relative_difference(a: str, b: str) -> float:
-    """|a - b| / max(|a|, |b|) of two CSV cells; inf when they differ and
-    either is not a finite number."""
+    """_relative of two CSV cells; inf when they differ and either is not a
+    number."""
     if a == b:
         return 0.0
     try:
-        x, y = float(a), float(b)
+        return _relative(float(a), float(b))
     except ValueError:
         return math.inf
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return 0.0 if (math.isnan(x) and math.isnan(y)) or x == y else math.inf
-    return abs(x - y) / max(abs(x), abs(y))
+
+
+def largest_relative_difference(a, b) -> float:
+    """The largest _relative over the elements of two record values, each a
+    number or a list of them; inf when their shapes differ."""
+    x, y = (np.asarray(value, dtype=float).ravel() for value in (a, b))
+    if x.shape != y.shape:
+        return math.inf
+    return max(map(_relative, x.tolist(), y.tolist()), default=0.0)
 
 
 def compare_file(parent: Path, change: Path) -> list:
@@ -217,8 +235,9 @@ def compare_traces(parent: dict, change: dict) -> list:
     """Report lines for two dump_traces results; empty when they are equal.
     Each trace only one tree recorded is named with that tree; each trace
     both recorded is compared: record fields by repr, which tells -0.0 from
-    0.0 and takes a nan as equal to a nan, and state arrays by shape, dtype
-    and bytes."""
+    0.0 and takes a nan as equal to a nan, one line per field that differs
+    with its count of differing records and largest_relative_difference,
+    and state arrays by shape, dtype and bytes."""
     lines = [f"    seed {seed} {name}: recorded by the {tree} tree only"
              for tree, mine, other in (("parent", parent, change), ("change", change, parent))
              for seed, name in sorted(mine.keys() - other.keys())]
@@ -229,10 +248,14 @@ def compare_traces(parent: dict, change: dict) -> list:
         label = f"    seed {seed} {name}"
         if len(records) != len(new_records):
             lines.append(f"{label}: {len(records)} records against {len(new_records)}")
-        for t, (a, b) in enumerate(zip(records, new_records)):
-            changed = sorted(k for k in a.keys() | b.keys() if repr(a.get(k)) != repr(b.get(k)))
+        pairs = list(zip(records, new_records))
+        for key in sorted({key for a, b in pairs for key in a.keys() | b.keys()}):
+            changed = [(a.get(key), b.get(key)) for a, b in pairs
+                       if repr(a.get(key)) != repr(b.get(key))]
             if changed:
-                lines.append(f"{label} record {t}: {', '.join(changed)}")
+                worst = max(largest_relative_difference(*pair) for pair in changed)
+                lines.append(f"{label} {key}: {len(changed)} of {len(pairs)} records differ, "
+                             f"largest relative difference {worst:.3g}")
         lines += [f"{label} final state: {key}" for key in STATE_ARRAYS
                   if (state[key].shape, state[key].dtype, state[key].tobytes())
                   != (new_state[key].shape, new_state[key].dtype, new_state[key].tobytes())]
