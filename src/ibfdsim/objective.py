@@ -8,7 +8,7 @@ log-det measure with everything that is not the desired signal treated as
 noise, taken from the b x b error matrices of the MMSE combiners.
 
 Every figure comes from `score`, the one scoring step that the solver, the
-baselines and `evaluate` share: `report` on the covariances (module
+baselines and `evaluate` share: it reads the covariances (module
 `covariance`) of the beams, so the same beams score the same on every path.
 """
 
@@ -130,10 +130,11 @@ def sum_rates(signal, mmse) -> tuple[float, float]:
                  for a, u in zip(signal, mmse))
 
 
-def report(ch: Channels, hw: HardwareProfile, combiners, cov: covariance.Covariances,
-           nu_arr: np.ndarray, mmse=None) -> ObjectiveReport:
-    """Every figure of merit of the beams whose covariances and desired
-    signals on the channels `ch` are `cov`, under the combiners (U_dl, U_ul).
+def score(ch: Channels, hw: HardwareProfile, beams, nu_arr: np.ndarray, combiners=None,
+          with_rates: bool = False) -> tuple:
+    """Every figure of merit of the beams (W_dl, W_ul) on the channels `ch`
+    under the combiners (U_dl, U_ul), or their MMSE combiners if None.
+    Returns (scored combiners, covariances, report).
 
     The RSI of cell g is tr(H_si T_g H_si^H) with T_g the cell's transmit
     covariance, distortion diagonal included; it depends only on the cell's
@@ -143,9 +144,12 @@ def report(ch: Channels, hw: HardwareProfile, combiners, cov: covariance.Covaria
     with tr(T_g) = (1 + kappa) ||W_g||_F^2.  It is 0 for a silent cell,
     tr(T_g) = 0, and the cap for a transmitting cell whose residual vanishes
     against l_g tr(T_g), ideal cancellation (l_g = 0) included.  The rates
-    do not depend on the combiners: they come from `mmse`, the MMSE
-    combiners mmse_combiners(cov), and are nan when it is None.
+    do not depend on the combiners: with_rates takes them from the MMSE
+    combiners mmse_combiners of the covariances, and without it they are nan.
     """
+    cov = covariance.covariances(ch, hw, beams)
+    mmse = mmse_combiners(cov) if combiners is None or with_rates else None
+    combiners = mmse if combiners is None else combiners
     u_dl, u_ul = combiners    # no users, no MSE; a BS covariance serves each uplink user
     sum_mse_dl = (float(np.add.reduce(_mse(cov.dl_rx, cov.signal[0], u_dl), axis=None))
                   if u_dl.size else 0.0)
@@ -157,8 +161,8 @@ def report(ch: Channels, hw: HardwareProfile, combiners, cov: covariance.Covaria
     depth = tuple(_depth_db(gain, p, r) for gain, p, r
                   in zip(hw.si_gain, cov.cell_power.tolist(), rsi.tolist()))
     nan = float("nan")
-    rate_dl, rate_ul = sum_rates(cov.signal, mmse) if mmse is not None else (nan, nan)
-    return ObjectiveReport(
+    rate_dl, rate_ul = sum_rates(cov.signal, mmse) if with_rates else (nan, nan)
+    return combiners, cov, ObjectiveReport(
         sum_mse_dl=sum_mse_dl,
         sum_mse_ul=sum_mse_ul,
         rsi_watts=tuple(rsi.tolist()),
@@ -167,17 +171,6 @@ def report(ch: Channels, hw: HardwareProfile, combiners, cov: covariance.Covaria
         sum_rate_dl=rate_dl,
         sum_rate_ul=rate_ul,
     )
-
-
-def score(ch: Channels, hw: HardwareProfile, beams, nu_arr: np.ndarray, combiners=None,
-          with_rates: bool = False) -> tuple:
-    """`report` on the covariances of the beams (W_dl, W_ul) under the combiners
-    (U_dl, U_ul), or their MMSE combiners if None, which also give with_rates'
-    rates.  Returns (scored combiners, covariances, report)."""
-    cov = covariance.covariances(ch, hw, beams)
-    mmse = mmse_combiners(cov) if combiners is None or with_rates else None
-    combiners = mmse if combiners is None else combiners
-    return combiners, cov, report(ch, hw, combiners, cov, nu_arr, mmse if with_rates else None)
 
 
 def evaluate(realization: Realization, state: BeamformingState, nu,

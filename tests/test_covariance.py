@@ -259,7 +259,7 @@ def test_covariances_match_per_link_sums(case):
     # factors, so that a swapped one shows
     from dataclasses import replace
 
-    from ibfdsim.objective import report
+    from ibfdsim.objective import score
     real = _SCENARIOS[case]()
     real = replace(real, hardware=replace(real.hardware, kappa_bs=0.01, kappa_ue=0.02,
                                           beta_bs=0.03, beta_ue=0.04))
@@ -299,8 +299,8 @@ def test_covariances_match_per_link_sums(case):
 
     # RSI and transmit power, as the report reads them from the beams
     cells = real.cell_count
-    rep = report(ch, hw, (np.zeros_like(cov.signal[0]), np.zeros_like(cov.signal[1])), cov,
-                 np.ones(cells))
+    rep = score(ch, hw, (w_dl, w_ul), np.ones(cells),
+                (np.zeros_like(cov.signal[0]), np.zeros_like(cov.signal[1])))[2]
     for g in range(cells):
         si = helpers.link(real, bs_node(g), bs_node(g)).true
         rsi = np.trace(si @ tx[bs_node(g)] @ si.conj().T).real

@@ -1,15 +1,14 @@
 """The drift report of tools/drift.py."""
 
+import csv
 import importlib.util
 import math
-import pickle
 import re
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import helpers
@@ -64,7 +63,10 @@ def test_drift_report_of_a_tree_against_itself_is_empty():
     assert re.fullmatch(rf"drift: {len(lines)} of {len(lines)} lines identical in \d+\.\d s",
                         summary)
     assert {line.split("/")[0] for line in lines if ".csv:" in line} == set(CAMPAIGNS)
-    assert [line.split("/")[0] for line in lines if "/records:" in line] == list(CAMPAIGNS)
+    for kind in ("trace", "state"):
+        assert {line.split("/")[0] for line in lines if f"/{kind}_" in line} == set(CAMPAIGNS)
+    assert [line.replace("/trace_", "/") for line in lines if "/trace_" in line] == [
+        line.replace("/state_", "/") for line in lines if "/state_" in line]
 
 
 def _config(tmp_path, extra=""):
@@ -75,51 +77,60 @@ def _config(tmp_path, extra=""):
     return str(config)
 
 
+def _read(path):
+    with path.open(newline="") as f:
+        return list(csv.reader(f))
+
+
+def _write(path, rows):
+    with path.open("w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+
+
 def test_trace_comparison_names_each_difference(tmp_path):
-    # records and final states that the CSVs do not show: a power that moves
-    # by one bit in one record and by more in another, a wall time that does
-    # not count, and a final state array
+    # records and final states that the campaign CSVs do not show: a power
+    # that moves by one bit in one record, and an entry of a final state
+    # array whose sign flips; the wall times are not written
     drift = _drift()
     dispatch = harness._run_algorithm
-    assert drift.dump_traces(_config(tmp_path), str(tmp_path / "traces")) == 0
+    assert drift.dump_traces(_config(tmp_path)) == 0
     assert harness._run_algorithm is dispatch
-    assert (tmp_path / "out" / "realizations.csv").is_file()
-    parent = pickle.loads((tmp_path / "traces").read_bytes())
-    assert {name for _, name in parent} == {"jpaim", "half_duplex_dl", "half_duplex_ul"}
-    assert drift.compare_traces(parent, parent) == []
-    change = pickle.loads((tmp_path / "traces").read_bytes())
-    (seed, _), = {key for key in change if key[1] == "jpaim"}
-    records, state = change[seed, "jpaim"]
-    first, *rest = records[2]["dl_cell_power"]
-    records[2]["dl_cell_power"] = [math.nextafter(first, math.inf), *rest]
-    # the largest relative difference is taken over the cells of a record
-    power = records[1]["dl_cell_power"]
-    moved = power[-1] * (1.0 + 2.0 ** -20)
-    power[-1] = moved
-    assert "elapsed_ms" not in records[1] and "iteration" not in records[1]
-    state["ul_beams"] = -state["ul_beams"]
-    worst = (moved - parent[seed, "jpaim"][0][1]["dl_cell_power"][-1]) / moved
-    assert drift.compare_traces(parent, change) == [
-        "  2 differences", f"    seed {seed} jpaim dl_cell_power: 2 of {len(records)} records "
-        f"differ, largest relative difference {worst:.3g}",
-        f"    seed {seed} jpaim final state: ul_beams"]
+    out = tmp_path / "out"
+    assert {path.name for path in out.glob("*.csv")} == {
+        "realizations.csv", *(f"{kind}_{name}.csv" for kind in ("trace", "state")
+                              for name in ("jpaim", "half_duplex_dl", "half_duplex_ul"))}
+    (tmp_path / "change").mkdir()
+    trace, state = out / "trace_jpaim.csv", out / "state_jpaim.csv"
+    assert drift.compare_file(trace, trace) == []
+    header, *records = _read(trace)
+    assert header[:4] == ["seed", "iter", "loss", "sum_mse"]
+    assert header[-1] == "multiplier_evaluations"
+    assert not set(header) & {*drift.WALL_TIMES, "iteration"}
+    column = header.index("dl_cell_power_1")
+    old = float(records[2][column])
+    records[2][column] = repr(math.nextafter(old, math.inf))
+    _write(tmp_path / "change" / trace.name, [header, *records])
+    worst = (math.nextafter(old, math.inf) - old) / math.nextafter(old, math.inf)
+    assert drift.compare_file(trace, tmp_path / "change" / trace.name) == [
+        f"  dl_cell_power_1: 1 of {len(records)} rows differ, largest relative "
+        f"difference {worst:.3g}"]
+    header, *entries = _read(state)
+    assert header == ["seed", "array", "index", "real", "imag"]
+    assert {row[1] for row in entries} == set(drift.STATE_ARRAYS)
+    row = next(row for row in entries if row[1] == "ul_beams" and float(row[3]) != 0.0)
+    row[3] = repr(-float(row[3]))
+    _write(tmp_path / "change" / state.name, [header, *entries])
+    assert drift.compare_file(state, tmp_path / "change" / state.name) == [
+        f"  real: 1 of {len(entries)} rows differ, largest relative difference 2"]
 
 
 def test_drift_compares_what_both_trees_wrote_and_names_the_rest(tmp_path):
-    # a trace or CSV that one tree alone wrote is named with that tree, and
-    # every trace both recorded is still compared
+    # a trace file that one tree alone wrote is named with that tree
     drift = _drift()
-    state = {name: np.zeros(2) for name in drift.STATE_ARRAYS}
-    parent = {(5, "jpaim"): ([{"loss": 1.0}], state), (5, "nsp_jpaim"): ([{"loss": 1.0}], state)}
-    change = {(5, "jpaim"): ([{"loss": 2.0}], state), (6, "jpaim"): ([{"loss": 1.0}], state)}
-    assert drift.compare_traces(parent, change) == [
-        "  3 differences", "    seed 5 nsp_jpaim: recorded by the parent tree only",
-        "    seed 6 jpaim: recorded by the change tree only",
-        "    seed 5 jpaim loss: 1 of 1 records differ, largest relative difference 0.5"]
     for tree in ("parent", "change"):
         (tmp_path / tree / "fd_default").mkdir(parents=True)
-    (tmp_path / "parent" / "fd_default" / "iterations_nsp_jpaim.csv").write_text("seed\n")
-    pair = [tmp_path / tree / "fd_default" / "iterations_nsp_jpaim.csv"
+    (tmp_path / "parent" / "fd_default" / "trace_half_duplex_ul.csv").write_text("seed,iter\n")
+    pair = [tmp_path / tree / "fd_default" / "trace_half_duplex_ul.csv"
             for tree in ("parent", "change")]
     assert drift.written_by(pair) == ["  written by the parent tree only"]
     assert drift.written_by(pair[::-1]) == ["  written by the parent tree only"]
@@ -127,19 +138,43 @@ def test_drift_compares_what_both_trees_wrote_and_names_the_rest(tmp_path):
     assert drift.written_by(pair[:1]) == []
 
 
+def test_rows_that_one_tree_alone_wrote_are_counted_and_the_rest_compared(tmp_path):
+    # rows match by their keys, not their place: a realization row the
+    # change lost and a solve one iteration longer in the change are counted
+    # per tree, and the rows both wrote are still compared, an iterations
+    # change listed one by one
+    drift = _drift()
+    parent, change = tmp_path / "parent.csv", tmp_path / "change.csv"
+    parent.write_text("# schema: x\nseed,algorithm,iterations,loss\n"
+                      "1,jpaim,4,2.0\n1,half-duplex,3,1.0\n2,jpaim,5,3.0\n")
+    change.write_text("# schema: x\nseed,algorithm,iterations,loss\n"
+                      "1,jpaim,4,2.0\n2,jpaim,6,1.5\n")
+    assert drift.compare_file(parent, change) == [
+        "  iterations: 1 of 2 rows differ, largest relative difference 0.167",
+        "  loss: 1 of 2 rows differ, largest relative difference 0.5",
+        "  rows in the parent tree only: 1",
+        "  iterations/converged changes: 1", "    seed=2, algorithm=jpaim: iterations 5 -> 6"]
+    parent.write_text("seed,iter,loss\n1,0,3.0\n1,1,2.0\n2,0,4.0\n")
+    change.write_text("seed,iter,loss,sum_rate\n1,0,3.0,nan\n1,1,2.5,nan\n1,2,2.0,nan\n"
+                      "2,0,4.0,nan\n")
+    assert drift.compare_file(parent, change) == [
+        "  columns differ: seed, iter, loss against seed, iter, loss, sum_rate",
+        "  loss: 1 of 3 rows differ, largest relative difference 0.2",
+        "  rows in the change tree only: 1"]
+    # the same rows in another order differ in bytes only
+    change.write_text("seed,iter,loss\n2,0,4.0\n1,0,3.0\n1,1,2.0\n")
+    assert drift.compare_file(parent, change) == ["  the bytes differ, not the rows"]
+
+
 def test_relative_differences_of_cells_and_record_values():
-    # a signed zero differs by repr but not in value; a nan matches a nan;
-    # anything else non-finite or unparsable, or a shape change, is inf
+    # a signed zero differs by text but not in value; a nan matches a nan;
+    # anything else non-finite or unparsable is inf
     drift = _drift()
     assert drift.relative_difference("-0.0", "0.0") == 0.0
     assert drift.relative_difference("nan", "nan") == 0.0
     assert drift.relative_difference("2.0", "1.5") == 0.25
     assert drift.relative_difference("inf", "1.0") == math.inf
     assert drift.relative_difference("a", "b") == math.inf
-    assert drift.largest_relative_difference([1.0, 4.0], [1.0, 3.0]) == 0.25
-    assert drift.largest_relative_difference([[2.0], [1.0]], [[1.0], [1.0]]) == 0.5
-    assert drift.largest_relative_difference(-0.0, 0.0) == 0.0
-    assert drift.largest_relative_difference([1.0, 2.0], [1.0]) == math.inf
 
 
 def test_trace_capture_records_the_solves_the_harness_made(tmp_path, monkeypatch):
@@ -153,18 +188,18 @@ def test_trace_capture_records_the_solves_the_harness_made(tmp_path, monkeypatch
     dispatch = harness._run_algorithm
     monkeypatch.setattr(harness, "_run_algorithm", two_iterations)
     drift = _drift()
-    assert drift.dump_traces(_config(tmp_path), str(tmp_path / "traces")) == 0
+    assert drift.dump_traces(_config(tmp_path)) == 0
     assert harness._run_algorithm is two_iterations
-    traces = pickle.loads((tmp_path / "traces").read_bytes())
-    seed = harness.derive_seed(3, 0)
-    assert len(traces[seed, "jpaim"][0]) == 3
-    assert len(traces[seed, "half_duplex_dl"][0]) == 4
+    seed = str(harness.derive_seed(3, 0))
+    for name, records in (("jpaim", 3), ("half_duplex_dl", 4)):
+        rows = _read(tmp_path / "out" / f"trace_{name}.csv")[1:]
+        assert [row[:2] for row in rows] == [[seed, str(t)] for t in range(records)]
 
 
 def test_trace_capture_refuses_worker_processes(tmp_path):
     # a wrapper in this process would see none of the workers' solves
     with pytest.raises(ValueError, match="campaign.workers"):
-        _drift().dump_traces(_config(tmp_path, "campaign.workers = 2\n"), str(tmp_path / "t"))
+        _drift().dump_traces(_config(tmp_path, "campaign.workers = 2\n"))
     assert not (tmp_path / "out").exists()
 
 

@@ -12,32 +12,33 @@ campaign of a tree in turn, in one process per tree.  The regimes are the
 the workloads leave out (CSI error, coarse converters, users in one
 direction only, 1-3 cells, every cancellation depth and `nu`): config i
 runs as campaign `regime_<i>`, from `regime_00` to `regime_99`, with all
-three algorithms, traced, on one worker.  It then compares the CSVs of the two
-trees cell by cell and prints, for each file that differs, the rows and
-columns that differ, the largest relative difference of each column, and
-every change of an `iterations` or `converged` value.  A CSV that only one
-tree wrote is named with that tree.
+three algorithms, traced, on one worker.
 
-The CSVs carry no record powers, multipliers or search counts, so each
-campaign also records the RunTraces `harness._run_algorithm` returns for
-the first two seeds (the solves the campaign made), and the script
-compares every trace both trees recorded: every record field but the
-wall times (elapsed_ms and the three block times), bit for bit, and the
-final state's arrays, byte for byte.  For each record field that differs
-in a trace it prints one line: how many records differ and the largest
-relative difference, taken element by element over the per-cell lists.
-It also prints each final state array that differs, and names each trace
-that only one tree recorded with that tree.  It writes only into a
-temporary directory and changes no benchmark file.
+The campaign CSVs carry no record powers, multipliers or search counts, so
+each campaign also writes, beside them, the RunTraces that
+`harness._run_algorithm` returned for its first two seeds (the solves the
+campaign made) as two CSVs per trace name: trace_<name>.csv holds seed,
+iter and every record field but the wall times (elapsed_ms and the three
+block times), one column <field>_<i> per entry of a per-cell field, and
+state_<name>.csv holds seed, array, index, real and imag, one row per entry
+of each final state array.  Every cell is the repr of a Python float or
+int, so two cells are equal exactly when their bits are, -0.0 included.
 
-The last line counts the compared CSV and `records` lines and gives the
-script's own wall time, for example `drift: 52 of 52 lines identical in
-9.8 s`.
+It then compares every CSV of each campaign of the two trees, matching rows
+by the key columns they have (seed, algorithm, iter, array, index).  For
+each file that differs it prints one line per differing column, `<column>:
+n of N rows differ, largest relative difference x` over the N rows both
+trees wrote, every change of an `iterations` or `converged` value, the
+count of rows only one tree wrote, per tree, and both column lists when
+they differ.  A CSV that only one tree wrote is named with that tree.  It
+writes only into a temporary directory and changes no benchmark file.
 
-Exit status: 0 when every campaign exits 0, every CSV is byte-identical
-and every compared trace equal; 1 otherwise, naming each workload whose
-campaign failed, with the tree and the exit code.  A campaign that raises
-exits 1, as does every campaign of a tree without the package.
+The last line counts the compared CSVs and gives the script's own wall
+time, for example `drift: 1020 of 1020 lines identical in 33.0 s`.  Exit
+status: 0 when every campaign exits 0 and every CSV is byte-identical; 1
+otherwise, naming each workload whose campaign failed, with the tree and
+the exit code.  A campaign that raises exits 1, as does every campaign of a
+tree without the package.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ import argparse
 import contextlib
 import csv
 import importlib.util
+import itertools
 import math
 import os
-import pickle
 import subprocess
 import sys
 import tempfile
@@ -56,17 +57,14 @@ import time
 import traceback
 from pathlib import Path
 
-import numpy as np
-
 TOOLS = Path(__file__).resolve().parent
 ROOT = TOOLS.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DISCRETE = ("iterations", "converged")    # a change of these is listed one by one
-ROW_KEYS = ("seed", "algorithm", "iter")
+ROW_KEYS = ("seed", "algorithm", "iter", "array", "index")    # what names a row
 TRACED_SEEDS = 2       # the first seeds of a campaign whose traces are compared
 WALL_TIMES = ("elapsed_ms", "combiner_ms", "precoder_ms", "trial_ms")
 STATE_ARRAYS = ("dl_beams", "dl_combiners", "ul_beams", "ul_combiners")
-RECORDS = "traces.pickle"    # what dump_traces writes into a campaign's directory
 
 
 def _load(name: str, path: Path):
@@ -97,43 +95,42 @@ def run_tree(tree: Path, workloads, campaigns: dict, seed: int, realizations: in
     campaign that the process did not finish takes the process's exit code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(TOOLS)]),
                **{v: "1" for v in THREAD_VARIABLES})
-    paths = []
+    configs = []
     for name, workload in campaigns.items():
         text = workloads.config_text(workload, seed, realizations, str(out / name))
-        text = text.replace("campaign.measure_timing = true", "campaign.measure_timing = false")
         config = out / f"{name}.cfg"
-        config.write_text(text)
-        paths += [str(config), str(out / name / RECORDS)]
+        config.write_text(text.replace("campaign.measure_timing = true",
+                                       "campaign.measure_timing = false"))
+        configs.append(str(config))
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, drift; drift.dump_campaigns(*sys.argv[1:])", *paths],
+        [sys.executable, "-c", "import sys, drift; drift.dump_campaigns(*sys.argv[1:])", *configs],
         env=env, cwd=out, stdout=subprocess.PIPE, text=True, check=False)
     codes = [int(code) for code in done.stdout.split()]
     return {name: codes[n] if n < len(codes) else done.returncode or 1
             for n, name in enumerate(campaigns)}
 
 
-def dump_campaigns(*paths: str) -> None:
-    """dump_traces of each (config path, records path) pair of `paths` in
-    turn, in this process, printing each campaign's exit code on a line of
-    its own.  A campaign that raises exits 1, as a process of its own would,
-    with its traceback on stderr."""
-    for config, records in zip(paths[::2], paths[1::2]):
+def dump_campaigns(*configs: str) -> None:
+    """dump_traces of each config path in turn, in this process, printing
+    each campaign's exit code on a line of its own.  A campaign that raises
+    exits 1, as a process of its own would, with its traceback on stderr."""
+    for config in configs:
         try:
             with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
-                code = dump_traces(config, records)
+                code = dump_traces(config)
         except Exception:  # noqa: BLE001 - one campaign's failure is its exit code
             traceback.print_exc()
             code = 1
         print(code, flush=True)
 
 
-def dump_traces(config_path: str, out_path: str) -> int:
+def dump_traces(config_path: str) -> int:
     """Run `ibfdsim simulate --config config_path` in this process and return
-    its exit code.  A campaign that exits 0 also pickles the traces that
-    `harness._run_algorithm` returned for its first TRACED_SEEDS seeds, as
-    {(seed, trace name): (_plain_records of its records, final state
-    arrays)}.  Refuses `campaign.workers > 1`: no worker's solve is seen
-    here."""
+    its exit code.  A campaign that exits 0 also writes the traces that
+    `harness._run_algorithm` returned for its first TRACED_SEEDS seeds into
+    its output_dir: per trace name, the _record_rows as trace_<name>.csv and
+    the _state_rows as state_<name>.csv.  Refuses `campaign.workers > 1`: no
+    worker's solve is seen here."""
     from ibfdsim import cli, harness
 
     campaign = harness.load_config(config_path)
@@ -154,30 +151,57 @@ def dump_traces(config_path: str, out_path: str) -> int:
     finally:
         harness._run_algorithm = original
     if code == 0:
-        plain = {key: (_plain_records(trace.records),
-                       {name: getattr(trace.final_state, name) for name in STATE_ARRAYS})
-                 for key, trace in traces.items()}
-        with open(out_path, "wb") as f:
-            pickle.dump(plain, f)
+        files = {}
+        for (seed, name), trace in traces.items():
+            for kind, (header, rows) in (("trace", _record_rows(seed, trace.records)),
+                                         ("state", _state_rows(seed, trace.final_state))):
+                files.setdefault(f"{kind}_{name}.csv", [header]).extend(rows)
+        for file, rows in files.items():
+            with open(Path(campaign.output_dir) / file, "w", newline="") as f:
+                csv.writer(f, lineterminator="\n").writerows(rows)
     return code
 
 
-def _plain_records(records) -> list:
-    """Each row of a trace's record recarray as {field: value}, every value a
-    float, an int or a list from tolist, without the WALL_TIMES."""
+def _record_rows(seed: int, records) -> tuple:
+    """(header, rows) of a trace's records: seed, iter, then every field but
+    the WALL_TIMES, one column <field>_<i> per entry of a per-cell field;
+    each cell a Python float or int from tolist, which csv writes as its
+    repr."""
     names = [name for name in records.dtype.names if name not in WALL_TIMES]
-    return [{name: np.asarray(getattr(record, name)).tolist() for name in names}
-            for record in records]
+    fields = [records[name].reshape(len(records), math.prod(records.dtype[name].shape))
+              for name in names]
+    header = ["seed", "iter", *(f"{name}_{i}" if records.dtype[name].shape else name
+                                for name, values in zip(names, fields)
+                                for i in range(values.shape[1]))]
+    return header, [[seed, t, *itertools.chain.from_iterable(cells)]
+                    for t, cells in enumerate(zip(*(values.tolist() for values in fields)))]
 
 
-def _rows(path: Path) -> list:
+def _state_rows(seed: int, state) -> tuple:
+    """(header, rows) of a final state: one row per entry of each
+    STATE_ARRAYS array, by its index in the flattened array."""
+    return ["seed", "array", "index", "real", "imag"], [
+        [seed, name, index, z.real, z.imag] for name in STATE_ARRAYS
+        for index, z in enumerate(getattr(state, name).ravel().tolist())]
+
+
+def _rows(path: Path) -> tuple:
+    """The column names and the rows of a CSV, without its # lines."""
     with path.open(newline="") as f:
-        return list(csv.DictReader(line for line in f if not line.startswith("#")))
+        reader = csv.DictReader(line for line in f if not line.startswith("#"))
+        return reader.fieldnames, list(reader)
 
 
-def _relative(x: float, y: float) -> float:
-    """|x - y| / max(|x|, |y|); 0 when x == y or both are nan, inf when they
-    differ and either is not finite."""
+def relative_difference(a: str, b: str) -> float:
+    """|x - y| / max(|x|, |y|) of two CSV cells read as numbers x and y; 0
+    when the cells are equal or both nan, inf when they differ and either
+    is not a finite number."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
     if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -185,81 +209,35 @@ def _relative(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
-def relative_difference(a: str, b: str) -> float:
-    """_relative of two CSV cells; inf when they differ and either is not a
-    number."""
-    if a == b:
-        return 0.0
-    try:
-        return _relative(float(a), float(b))
-    except ValueError:
-        return math.inf
-
-
-def largest_relative_difference(a, b) -> float:
-    """The largest _relative over the elements of two record values, each a
-    number or a list of them; inf when their shapes differ."""
-    x, y = (np.asarray(value, dtype=float).ravel() for value in (a, b))
-    if x.shape != y.shape:
-        return math.inf
-    return max(map(_relative, x.tolist(), y.tolist()), default=0.0)
-
-
 def compare_file(parent: Path, change: Path) -> list:
-    """Report lines for one CSV; empty when the files are byte-identical."""
+    """Report lines for one CSV, empty when the files are byte-identical;
+    rows match by the ROW_KEYS they have, cells by text, so -0.0 != 0.0."""
     if parent.read_bytes() == change.read_bytes():
         return []
-    old, new = _rows(parent), _rows(change)
-    if len(old) != len(new) or (old and old[0].keys() != new[0].keys()):
-        return [f"  shape differs: {len(old)} rows against {len(new)}"]
-    worst, rows, discrete = {}, [], []
-    for line, (a, b) in enumerate(zip(old, new), start=1):
-        changed = [column for column in a if a[column] != b[column]]
-        if not changed:
-            continue
-        key = ", ".join(f"{k}={a[k]}" for k in ROW_KEYS if k in a)
-        rows.append(f"    row {line} ({key}): {', '.join(changed)}")
-        for column in changed:
-            worst[column] = max(worst.get(column, 0.0), relative_difference(a[column], b[column]))
-            if column in DISCRETE:
-                discrete.append(f"    row {line} ({key}): {column} {a[column]} -> {b[column]}")
-    lines = [f"  {len(rows)} of {len(old)} rows differ"]
-    lines += [f"  {column}: largest relative difference {value:.3g}"
-              for column, value in worst.items()]
-    lines += rows
-    lines.append(f"  iterations/converged changes: {len(discrete)}")
-    return lines + discrete
-
-
-def compare_traces(parent: dict, change: dict) -> list:
-    """Report lines for two dump_traces results; empty when they are equal.
-    Each trace only one tree recorded is named with that tree; each trace
-    both recorded is compared: record fields by repr, which tells -0.0 from
-    0.0 and takes a nan as equal to a nan, one line per field that differs
-    with its count of differing records and largest_relative_difference,
-    and state arrays by shape, dtype and bytes."""
-    lines = [f"    seed {seed} {name}: recorded by the {tree} tree only"
-             for tree, mine, other in (("parent", parent, change), ("change", change, parent))
-             for seed, name in sorted(mine.keys() - other.keys())]
-    for (seed, name), (records, state) in parent.items():
-        if (seed, name) not in change:
-            continue
-        new_records, new_state = change[seed, name]
-        label = f"    seed {seed} {name}"
-        if len(records) != len(new_records):
-            lines.append(f"{label}: {len(records)} records against {len(new_records)}")
-        pairs = list(zip(records, new_records))
-        for key in sorted({key for a, b in pairs for key in a.keys() | b.keys()}):
-            changed = [(a.get(key), b.get(key)) for a, b in pairs
-                       if repr(a.get(key)) != repr(b.get(key))]
-            if changed:
-                worst = max(largest_relative_difference(*pair) for pair in changed)
-                lines.append(f"{label} {key}: {len(changed)} of {len(pairs)} records differ, "
-                             f"largest relative difference {worst:.3g}")
-        lines += [f"{label} final state: {key}" for key in STATE_ARRAYS
-                  if (state[key].shape, state[key].dtype, state[key].tobytes())
-                  != (new_state[key].shape, new_state[key].dtype, new_state[key].tobytes())]
-    return [f"  {len(lines)} differences"] + lines if lines else []
+    (old_columns, old), (new_columns, new) = _rows(parent), _rows(change)
+    keys = [key for key in ROW_KEYS if key in old_columns and key in new_columns]
+    old, new = ({tuple(row[key] for key in keys): row for row in rows} for rows in (old, new))
+    columns = [column for column in old_columns if column in new_columns]
+    common = [key for key in old if key in new]
+    lines, discrete = [], []
+    if old_columns != new_columns:
+        lines.append(f"  columns differ: {', '.join(old_columns)} against {', '.join(new_columns)}")
+    for column in columns:
+        changed = [(key, old[key][column], new[key][column]) for key in common
+                   if old[key][column] != new[key][column]]
+        if changed:
+            worst = max(relative_difference(a, b) for _, a, b in changed)
+            lines.append(f"  {column}: {len(changed)} of {len(common)} rows differ, "
+                         f"largest relative difference {worst:.3g}")
+        if column in DISCRETE:
+            discrete += [f"    {', '.join(map('='.join, zip(keys, key)))}: {column} {a} -> {b}"
+                         for key, a, b in changed]
+    lines += [f"  rows in the {tree} tree only: {len(mine.keys() - other.keys())}"
+              for tree, mine, other in (("parent", old, new), ("change", new, old))
+              if mine.keys() - other.keys()]
+    if discrete:
+        lines += [f"  iterations/converged changes: {len(discrete)}", *discrete]
+    return lines or ["  the bytes differ, not the rows"]
 
 
 def written_by(paths) -> list:
@@ -281,7 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workloads, campaigns = _campaigns()
     failed = False
-    verdicts = []    # one per compared CSV or records line: True when identical
+    verdicts = []    # one per compared CSV: True when identical
 
     def report(label, lines):
         print(f"{label}: {'differs' if lines else 'identical'}")
@@ -308,9 +286,6 @@ def main(argv=None) -> int:
             for file in files:
                 pair = before / file, after / file
                 report(f"{name}/{file}", written_by(pair) or compare_file(*pair))
-            pair = before / RECORDS, after / RECORDS
-            report(f"{name}/records", written_by(pair) or compare_traces(
-                *(pickle.loads(path.read_bytes()) for path in pair)))
     print(f"drift: {sum(verdicts)} of {len(verdicts)} lines identical in "
           f"{time.perf_counter() - start:.1f} s")
     return 1 if failed or not all(verdicts) else 0
