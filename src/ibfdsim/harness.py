@@ -5,7 +5,9 @@ seed per realization index from the base seed, builds a single realization
 per seed that every algorithm consumes (checksummed to prove it), and writes
 deterministic CSVs: rerunning the same config reproduces the files byte for
 byte.  Measured wall-clock times are therefore kept out of the CSVs unless
-explicitly requested via campaign.measure_timing.
+explicitly requested via campaign.measure_timing.  With campaign.trace, each
+solve kind also gets an iteration CSV, the table of every field of its
+solves' records, whose header this module derives from the records' dtype.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ log = logging.getLogger(__name__)
 KNOWN_ALGORITHMS = ("jpaim", "nsp-jpaim", "half-duplex")
 
 _REALIZATIONS_SCHEMA = "ibfdsim-realizations-v1"
-_ITERATIONS_SCHEMA = "ibfdsim-iterations-v1"
+_ITERATIONS_SCHEMA = "ibfdsim-iterations-v2"
 # the files a campaign writes only sometimes, besides realizations.csv, and
 # iterations_nsp_jpaim.csv, which earlier versions wrote
 _OPTIONAL_OUTPUTS = frozenset({"errors.log", "iterations_jpaim.csv", "iterations_nsp_jpaim.csv",
@@ -200,9 +202,32 @@ def _csv_line(values) -> str:
                     else str(v) for v in values)
 
 
+def _iteration_table(seed: int, records, measure_timing: bool) -> tuple:
+    """(header, lines) of one solve's iteration CSV: seed, iter, then every
+    record field in dtype order, one column <field>_<i> per entry of a
+    per-cell or per-user field.  A cell is the repr of a Python float or int
+    from tolist (an np.float64's repr reads np.float64(...)), written column
+    by column; the wall times, the fields ending in _ms, read 0.0 unless
+    measure_timing."""
+    n = len(records)
+    header, columns = ["seed", "iter"], [[str(seed)] * n, map(str, range(n))]
+    for name in records.dtype.names:
+        values = records[name]
+        if name.endswith("_ms") and not measure_timing:
+            values = np.zeros_like(values)
+        if values.ndim == 1:
+            header.append(name)
+            columns.append(map(repr, values.tolist()))
+        else:
+            header += [f"{name}_{i}" for i in range(values.shape[1])]
+            columns += [map(repr, column) for column in values.T.tolist()]
+    return header, [",".join(cells) for cells in zip(*columns)]
+
+
 def _run_seed(args):
     """Worker body: build one realization, run every algorithm on it, and
-    return its finished `realizations.csv` lines and iteration-CSV lines.
+    return its finished `realizations.csv` lines and, with campaign.trace,
+    the `_iteration_table` of each solve by iteration-CSV name.
 
     A failed draw is recorded once per configured algorithm; a failed run
     only for its own algorithm.  Either way the campaign goes on.
@@ -240,15 +265,9 @@ def _run_seed(args):
             rep.sum_mse_ul, rep.sum_rate, rep.sum_rate_dl, rep.sum_rate_ul,
             rep.sum_rate - base_rate, *rep.rsi_watts, *rep.asic_depth_db, elapsed_ms]))
         if config.trace:
-            for name, trace in traces.items():
-                # Python floats from tolist: _csv_line writes repr, and an
-                # np.float64's repr reads np.float64(...)
-                r = trace.records
-                columns = zip(r.loss.tolist(), r.sum_mse.tolist(), r.rsi_watts.tolist(),
-                              r.sum_rate.tolist(),
-                              r.elapsed_ms.tolist() if config.measure_timing else [0.0] * len(r))
-                trace_rows[name] = [_csv_line([seed, t, loss, mse, *rsi, rate, ms])
-                                    for t, (loss, mse, rsi, rate, ms) in enumerate(columns)]
+            # nsp-jpaim returns the jpaim trace again: each name is written once
+            trace_rows.update({name: _iteration_table(seed, trace.records, config.measure_timing)
+                               for name, trace in traces.items() if name not in trace_rows})
     return index, rows, trace_rows, errors
 
 
@@ -298,7 +317,8 @@ def run_campaign(config: CampaignConfig):
         results = list(logged(map(_run_seed, tasks)))
 
     all_errors = [err for _, _, _, errs in results for err in errs]
-    traced = sorted({name for _, _, traces, _ in results for name in traces})
+    # name -> header; every seed's solve of a name has the same record dtype
+    traced = {name: header for _, _, traces, _ in results for name, (header, _) in traces.items()}
     written = {f"iterations_{name}.csv" for name in traced} | (
         {"errors.log"} if all_errors else set())
     for name in _OPTIONAL_OUTPUTS - written:    # an earlier campaign's would read as this one's
@@ -317,11 +337,9 @@ def run_campaign(config: CampaignConfig):
     lines += [row for _, rows, _, _ in results for row in rows]
     (outdir / "realizations.csv").write_text("\n".join(lines) + "\n")
 
-    for name in traced:
-        lines = [f"# schema: {_ITERATIONS_SCHEMA}",
-                 ",".join(["seed", "iter", "loss", "sum_mse", *(f"rsi_w_{g}" for g in cells),
-                           "sum_rate", "elapsed_ms"])]
-        lines += [row for _, _, traces, _ in results for row in traces.get(name, ())]
+    for name, header in sorted(traced.items()):
+        lines = [f"# schema: {_ITERATIONS_SCHEMA}", ",".join(header)]
+        lines += [row for _, _, traces, _ in results if name in traces for row in traces[name][1]]
         (outdir / f"iterations_{name}.csv").write_text("\n".join(lines) + "\n")
 
     if not any(rows for _, rows, _, _ in results):

@@ -94,12 +94,15 @@ class RunTrace:
     - rsi_watts, dl_cell_power and dl_precoder_multipliers, per cell (G,);
     - ul_user_power and ul_precoder_multipliers, per uplink user over
       (cell, user) (G K_u,);
-    - multiplier_evaluations, the power evaluations of the row's search;
+    - multiplier_evaluations, the power evaluations of the row's search,
+      summed over every cell and uplink user (not a count per multiplier);
     - elapsed_ms, the iteration's wall time, and its parts: combiner_ms, the
       combiner update (0.0 when the previous iteration's accepted trial
       supplied it), precoder_ms, the precoder step, and trial_ms, the
       extrapolated trial with its combiner update (0.0 when the iteration
-      tries none).  No CSV writes the three block times.
+      tries none).
+
+    A traced campaign writes every field of every row to its iteration CSV.
 
     Record 0 has no search and no block times: they read 0.
     """

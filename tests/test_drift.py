@@ -53,7 +53,7 @@ def test_drift_runs_the_workloads_then_the_sweep_regimes():
 
 def test_drift_report_of_a_tree_against_itself_is_empty():
     # the same source on both sides writes the same bytes on every workload
-    # and regime, and the same traces for its first seeds
+    # and regime: iteration CSVs and final states for every campaign
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "drift.py"), str(ROOT), str(ROOT),
                            "--realizations", "1"], capture_output=True, text=True, check=False,
                           timeout=600)
@@ -63,15 +63,16 @@ def test_drift_report_of_a_tree_against_itself_is_empty():
     assert re.fullmatch(rf"drift: {len(lines)} of {len(lines)} lines identical in \d+\.\d s",
                         summary)
     assert {line.split("/")[0] for line in lines if ".csv:" in line} == set(CAMPAIGNS)
-    for kind in ("trace", "state"):
+    for kind in ("iterations", "state"):
         assert {line.split("/")[0] for line in lines if f"/{kind}_" in line} == set(CAMPAIGNS)
-    assert [line.replace("/trace_", "/") for line in lines if "/trace_" in line] == [
+    assert [line.replace("/iterations_", "/") for line in lines if "/iterations_" in line] == [
         line.replace("/state_", "/") for line in lines if "/state_" in line]
+    assert not [line for line in lines if "/trace_" in line]
 
 
-def _config(tmp_path, extra=""):
+def _config(tmp_path, extra="", realizations=1):
     config = tmp_path / "campaign.cfg"
-    config.write_text("campaign.realizations = 1\ncampaign.base_seed = 3\n"
+    config.write_text(f"campaign.realizations = {realizations}\ncampaign.base_seed = 3\n"
                       "campaign.algorithms = jpaim, half-duplex\nsolver.max_iterations = 3\n"
                       f"campaign.output_dir = {tmp_path / 'out'}\n{extra}")
     return str(config)
@@ -88,28 +89,26 @@ def _write(path, rows):
 
 
 def test_trace_comparison_names_each_difference(tmp_path):
-    # records and final states that the campaign CSVs do not show: a power
-    # that moves by one bit in one record, and an entry of a final state
-    # array whose sign flips; the wall times are not written
+    # records and final states: a power that moves by one bit in one record
+    # of the campaign's own iteration CSV, and an entry of a final state
+    # array whose sign flips
     drift = _drift()
     dispatch = harness._run_algorithm
-    assert drift.dump_traces(_config(tmp_path)) == 0
+    assert drift.dump_traces(_config(tmp_path, "campaign.trace = true\n")) == 0
     assert harness._run_algorithm is dispatch
     out = tmp_path / "out"
     assert {path.name for path in out.glob("*.csv")} == {
-        "realizations.csv", *(f"{kind}_{name}.csv" for kind in ("trace", "state")
+        "realizations.csv", *(f"{kind}_{name}.csv" for kind in ("iterations", "state")
                               for name in ("jpaim", "half_duplex_dl", "half_duplex_ul"))}
     (tmp_path / "change").mkdir()
-    trace, state = out / "trace_jpaim.csv", out / "state_jpaim.csv"
+    trace, state = out / "iterations_jpaim.csv", out / "state_jpaim.csv"
     assert drift.compare_file(trace, trace) == []
-    header, *records = _read(trace)
+    schema, header, *records = _read(trace)
     assert header[:4] == ["seed", "iter", "loss", "sum_mse"]
-    assert header[-1] == "multiplier_evaluations"
-    assert not set(header) & {*drift.WALL_TIMES, "iteration"}
     column = header.index("dl_cell_power_1")
     old = float(records[2][column])
     records[2][column] = repr(math.nextafter(old, math.inf))
-    _write(tmp_path / "change" / trace.name, [header, *records])
+    _write(tmp_path / "change" / trace.name, [schema, header, *records])
     worst = (math.nextafter(old, math.inf) - old) / math.nextafter(old, math.inf)
     assert drift.compare_file(trace, tmp_path / "change" / trace.name) == [
         f"  dl_cell_power_1: 1 of {len(records)} rows differ, largest relative "
@@ -125,12 +124,12 @@ def test_trace_comparison_names_each_difference(tmp_path):
 
 
 def test_drift_compares_what_both_trees_wrote_and_names_the_rest(tmp_path):
-    # a trace file that one tree alone wrote is named with that tree
+    # an iteration CSV that one tree alone wrote is named with that tree
     drift = _drift()
     for tree in ("parent", "change"):
         (tmp_path / tree / "fd_default").mkdir(parents=True)
-    (tmp_path / "parent" / "fd_default" / "trace_half_duplex_ul.csv").write_text("seed,iter\n")
-    pair = [tmp_path / tree / "fd_default" / "trace_half_duplex_ul.csv"
+    (tmp_path / "parent" / "fd_default" / "iterations_half_duplex_ul.csv").write_text("seed,iter\n")
+    pair = [tmp_path / tree / "fd_default" / "iterations_half_duplex_ul.csv"
             for tree in ("parent", "change")]
     assert drift.written_by(pair) == ["  written by the parent tree only"]
     assert drift.written_by(pair[::-1]) == ["  written by the parent tree only"]
@@ -178,22 +177,33 @@ def test_relative_differences_of_cells_and_record_values():
 
 
 def test_trace_capture_records_the_solves_the_harness_made(tmp_path, monkeypatch):
-    # the campaign's own jpaim solve stops after two iterations: the records
-    # are those of that solve (the initial record and two iterations), not of
-    # a solve the drift tool makes itself
+    # the campaign's own jpaim solve stops after two iterations: the final
+    # states written, for every seed, are those of the solves the campaign
+    # made, not of solves the drift tool makes itself
+    solved = {}
+
     def two_iterations(config, realization, algo, solve):
         short = replace(config.solver, max_iterations=2)
-        return dispatch(config, realization, algo, lambda: jpaim.run(realization, short))
+        report, traces = dispatch(config, realization, algo,
+                                  lambda: jpaim.run(realization, short))
+        solved.update({(str(realization.seed), name): trace for name, trace in traces.items()})
+        return report, traces
 
     dispatch = harness._run_algorithm
     monkeypatch.setattr(harness, "_run_algorithm", two_iterations)
     drift = _drift()
-    assert drift.dump_traces(_config(tmp_path)) == 0
+    assert drift.dump_traces(_config(tmp_path, realizations=2)) == 0
     assert harness._run_algorithm is two_iterations
-    seed = str(harness.derive_seed(3, 0))
-    for name, records in (("jpaim", 3), ("half_duplex_dl", 4)):
-        rows = _read(tmp_path / "out" / f"trace_{name}.csv")[1:]
-        assert [row[:2] for row in rows] == [[seed, str(t)] for t in range(records)]
+    seeds = [str(harness.derive_seed(3, index)) for index in range(2)]
+    assert solved[seeds[0], "jpaim"].iterations == 2
+    for name in ("jpaim", "half_duplex_dl", "half_duplex_ul"):
+        rows = _read(tmp_path / "out" / f"state_{name}.csv")[1:]
+        assert {row[0] for row in rows} == set(seeds)
+        for seed in seeds:
+            state = solved[seed, name].final_state
+            assert [(row[1], row[3], row[4]) for row in rows if row[0] == seed] == [
+                (array, repr(z.real), repr(z.imag)) for array in drift.STATE_ARRAYS
+                for z in getattr(state, array).ravel().tolist()]
 
 
 def test_trace_capture_refuses_worker_processes(tmp_path):

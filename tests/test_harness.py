@@ -365,13 +365,18 @@ def test_run_campaign_writes_contractual_csv(tmp_path):
         assert int(r["iterations"]) == sum(
             sum(int(p["seed"]) == int(r["seed"]) for p in phase) - 1 for phase in phase_rows)
 
-    # nsp-jpaim's trace is the seed's jpaim solve, written once
+    # nsp-jpaim's trace is the seed's jpaim solve, written once; the
+    # downlink phase has no uplink user, so no ul_* column
     assert not (tmp_path / "out" / "iterations_nsp_jpaim.csv").exists()
+    full = ["seed", "iter", "loss", "sum_mse", "rsi_watts_0", "sum_rate", "elapsed_ms",
+            "dl_cell_power_0", "ul_user_power_0", "dl_precoder_multipliers_0",
+            "ul_precoder_multipliers_0", "multiplier_evaluations", "combiner_ms", "precoder_ms",
+            "trial_ms"]
     for name in ("jpaim", "half_duplex_dl", "half_duplex_ul"):
         schema, irows = _read_csv(tmp_path / "out" / f"iterations_{name}.csv")
-        assert schema == "# schema: ibfdsim-iterations-v1"
-        assert list(irows[0].keys()) == ["seed", "iter", "loss", "sum_mse",
-                                         "rsi_w_0", "sum_rate", "elapsed_ms"]
+        assert schema == "# schema: ibfdsim-iterations-v2"
+        assert list(irows[0].keys()) == [
+            column for column in full if name != "half_duplex_dl" or not column.startswith("ul_")]
         per_seed = [r for r in irows if int(r["seed"]) == seeds[0]]
         assert [int(r["iter"]) for r in per_seed] == list(range(len(per_seed)))
         losses = [float(r["loss"]) for r in per_seed]
@@ -390,6 +395,68 @@ def test_run_campaign_writes_contractual_csv(tmp_path):
     assert names == sorted(["jpaim", "nsp-jpaim", "half-duplex"])
     assert "sum_rate" in summary.algorithms[0].metrics
     assert summary.table()
+
+
+def _bits(values: np.ndarray) -> bytes:
+    """The bytes of a float array, every nan as the one nan."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def test_iteration_csv_is_the_solves_record_table(tmp_path, monkeypatch):
+    # each iteration CSV holds seed, iter, then every record field in dtype
+    # order, one <field>_<i> column per entry of a per-cell or per-user
+    # field, and each cell reads back as its record's value bit for bit; the
+    # wall times read 0.0 unless timing is on, and then the block times fit
+    # inside the iteration's
+    captured = {}
+    dispatch = harness._run_algorithm
+
+    def capture(config, realization, algo, solve):
+        report, traces = dispatch(config, realization, algo, solve)
+        captured.update({(realization.seed, name): trace for name, trace in traces.items()})
+        return report, traces
+
+    monkeypatch.setattr(harness, "_run_algorithm", capture)
+    cfg = replace(parse_config(SMALL), algorithms=("jpaim", "nsp-jpaim", "half-duplex"),
+                  trace=True)
+    seeds = [derive_seed(cfg.base_seed, i) for i in range(cfg.realizations)]
+    names = ("jpaim", "half_duplex_dl", "half_duplex_ul")
+    wall_times = ["elapsed_ms", "combiner_ms", "precoder_ms", "trial_ms"]
+    for timed in (False, True):
+        captured.clear()
+        out = tmp_path / f"timed_{timed}"
+        run_campaign(replace(cfg, measure_timing=timed, output_dir=str(out)))
+        assert sorted(captured) == sorted((seed, name) for seed in seeds for name in names)
+        for (seed, name), trace in captured.items():
+            records = trace.records
+            columns = {field: [f"{field}_{i}" for i in range(math.prod(records.dtype[field].shape))]
+                       if records.dtype[field].shape else [field]
+                       for field in records.dtype.names}
+            _, rows = _read_csv(out / f"iterations_{name}.csv")
+            assert list(rows[0]) == ["seed", "iter", *(c for cs in columns.values() for c in cs)]
+            assert [c for c in rows[0] if c.endswith("_ms")] == wall_times
+            assert name != "half_duplex_dl" or not [c for c in rows[0] if c.startswith("ul_")]
+            mine = [row for row in rows if int(row["seed"]) == seed]
+            assert [int(row["iter"]) for row in mine] == list(range(len(records)))
+            for field, cs in columns.items():
+                if field in wall_times and not timed:
+                    assert all(row[c] == "0.0" for row in mine for c in cs)
+                    continue
+                written = np.array([[float(row[c]) for c in cs] for row in mine])
+                expected = np.asarray(records[field], dtype=float).reshape(written.shape)
+                assert _bits(written) == _bits(expected), (name, field)
+            if timed:
+                ms = {c: np.array([float(row[c]) for row in mine]) for c in wall_times}
+                assert (ms["combiner_ms"] + ms["precoder_ms"] + ms["trial_ms"]
+                        <= ms["elapsed_ms"]).all()
+                assert (ms["elapsed_ms"] > 0.0).all()
+
+    # a solve of no iteration writes its record 0 alone
+    run_campaign(replace(cfg, solver=replace(cfg.solver, max_iterations=0),
+                         output_dir=str(tmp_path / "none")))
+    for name in names:
+        _, rows = _read_csv(tmp_path / "none" / f"iterations_{name}.csv")
+        assert [(int(row["seed"]), row["iter"]) for row in rows] == [(s, "0") for s in seeds]
 
 
 def test_run_campaign_is_order_independent():

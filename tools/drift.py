@@ -5,24 +5,23 @@
 Each tree is a checkout of this repository.  The script runs every workload
 of bench/workloads.py (the benchmark's campaign configs), then every regime
 of tests/regimes.py, both read from the tree this script lives in, with
-each tree's `src` as the package, one BLAS thread, and
-`campaign.measure_timing = false`, so the CSVs hold no wall time: every
-campaign of a tree in turn, in one process per tree.  The regimes are the
-100 seeded configs of the promise sweep in tests/test_jpaim.py, the space
-the workloads leave out (CSI error, coarse converters, users in one
+each tree's `src` as the package, one BLAS thread, `campaign.trace = true`
+and `campaign.measure_timing = false`, so every campaign writes its
+iteration CSVs, every record field of every solve, with no wall time:
+every campaign of a tree in turn, in one process per tree.  The regimes are
+the 100 seeded configs of the promise sweep in tests/test_jpaim.py, the
+space the workloads leave out (CSI error, coarse converters, users in one
 direction only, 1-3 cells, every cancellation depth and `nu`): config i
 runs as campaign `regime_<i>`, from `regime_00` to `regime_99`, with all
-three algorithms, traced, on one worker.
+three algorithms, on one worker.
 
-The campaign CSVs carry no record powers, multipliers or search counts, so
-each campaign also writes, beside them, the RunTraces that
-`harness._run_algorithm` returned for its first two seeds (the solves the
-campaign made) as two CSVs per trace name: trace_<name>.csv holds seed,
-iter and every record field but the wall times (elapsed_ms and the three
-block times), one column <field>_<i> per entry of a per-cell field, and
-state_<name>.csv holds seed, array, index, real and imag, one row per entry
-of each final state array.  Every cell is the repr of a Python float or
-int, so two cells are equal exactly when their bits are, -0.0 included.
+The campaign CSVs carry no final state, so each campaign also writes,
+beside them, the final states of the RunTraces that
+`harness._run_algorithm` returned for every seed (the solves the campaign
+made), one state_<name>.csv per iteration-CSV name: seed, array, index,
+real and imag, one row per entry of each final state array.  Every cell is
+the repr of a Python float or int, so two cells are equal exactly when
+their bits are, -0.0 included.
 
 It then compares every CSV of each campaign of the two trees, matching rows
 by the key columns they have (seed, algorithm, iter, array, index).  For
@@ -34,7 +33,7 @@ they differ.  A CSV that only one tree wrote is named with that tree.  It
 writes only into a temporary directory and changes no benchmark file.
 
 The last line counts the compared CSVs and gives the script's own wall
-time, for example `drift: 1020 of 1020 lines identical in 33.0 s`.  Exit
+time, for example `drift: 717 of 717 lines identical in 51.0 s`.  Exit
 status: 0 when every campaign exits 0 and every CSV is byte-identical; 1
 otherwise, naming each workload whose campaign failed, with the tree and
 the exit code.  A campaign that raises exits 1, as does every campaign of a
@@ -47,7 +46,6 @@ import argparse
 import contextlib
 import csv
 import importlib.util
-import itertools
 import math
 import os
 import subprocess
@@ -62,8 +60,6 @@ ROOT = TOOLS.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DISCRETE = ("iterations", "converged")    # a change of these is listed one by one
 ROW_KEYS = ("seed", "algorithm", "iter", "array", "index")    # what names a row
-TRACED_SEEDS = 2       # the first seeds of a campaign whose traces are compared
-WALL_TIMES = ("elapsed_ms", "combiner_ms", "precoder_ms", "trial_ms")
 STATE_ARRAYS = ("dl_beams", "dl_combiners", "ul_beams", "ul_combiners")
 
 
@@ -100,7 +96,8 @@ def run_tree(tree: Path, workloads, campaigns: dict, seed: int, realizations: in
         text = workloads.config_text(workload, seed, realizations, str(out / name))
         config = out / f"{name}.cfg"
         config.write_text(text.replace("campaign.measure_timing = true",
-                                       "campaign.measure_timing = false"))
+                                       "campaign.measure_timing = false")
+                          .replace("campaign.trace = false", "campaign.trace = true"))
         configs.append(str(config))
     done = subprocess.run(
         [sys.executable, "-c", "import sys, drift; drift.dump_campaigns(*sys.argv[1:])", *configs],
@@ -126,23 +123,21 @@ def dump_campaigns(*configs: str) -> None:
 
 def dump_traces(config_path: str) -> int:
     """Run `ibfdsim simulate --config config_path` in this process and return
-    its exit code.  A campaign that exits 0 also writes the traces that
-    `harness._run_algorithm` returned for its first TRACED_SEEDS seeds into
-    its output_dir: per trace name, the _record_rows as trace_<name>.csv and
-    the _state_rows as state_<name>.csv.  Refuses `campaign.workers > 1`: no
-    worker's solve is seen here."""
+    its exit code.  A campaign that exits 0 also writes the final states of
+    the traces that `harness._run_algorithm` returned, for every seed, into
+    its output_dir: per trace name, the _state_rows as state_<name>.csv.
+    Refuses `campaign.workers > 1`: no worker's solve is seen here."""
     from ibfdsim import cli, harness
 
     campaign = harness.load_config(config_path)
     if campaign.workers > 1:
         raise ValueError(f"{config_path}: campaign.workers > 1 hides the workers' solves")
-    seeds = {harness.derive_seed(campaign.base_seed, index) for index in range(TRACED_SEEDS)}
-    original, traces = harness._run_algorithm, {}
+    original, states = harness._run_algorithm, {}
 
     def recorded(config, realization, algo, solve):
         report, found = original(config, realization, algo, solve)
-        if realization.seed in seeds:
-            traces.update({(realization.seed, name): trace for name, trace in found.items()})
+        states.update({(realization.seed, name): trace.final_state
+                       for name, trace in found.items()})
         return report, found
 
     harness._run_algorithm = recorded
@@ -152,29 +147,13 @@ def dump_traces(config_path: str) -> int:
         harness._run_algorithm = original
     if code == 0:
         files = {}
-        for (seed, name), trace in traces.items():
-            for kind, (header, rows) in (("trace", _record_rows(seed, trace.records)),
-                                         ("state", _state_rows(seed, trace.final_state))):
-                files.setdefault(f"{kind}_{name}.csv", [header]).extend(rows)
+        for (seed, name), state in states.items():
+            header, rows = _state_rows(seed, state)
+            files.setdefault(f"state_{name}.csv", [header]).extend(rows)
         for file, rows in files.items():
             with open(Path(campaign.output_dir) / file, "w", newline="") as f:
                 csv.writer(f, lineterminator="\n").writerows(rows)
     return code
-
-
-def _record_rows(seed: int, records) -> tuple:
-    """(header, rows) of a trace's records: seed, iter, then every field but
-    the WALL_TIMES, one column <field>_<i> per entry of a per-cell field;
-    each cell a Python float or int from tolist, which csv writes as its
-    repr."""
-    names = [name for name in records.dtype.names if name not in WALL_TIMES]
-    fields = [records[name].reshape(len(records), math.prod(records.dtype[name].shape))
-              for name in names]
-    header = ["seed", "iter", *(f"{name}_{i}" if records.dtype[name].shape else name
-                                for name, values in zip(names, fields)
-                                for i in range(values.shape[1]))]
-    return header, [[seed, t, *itertools.chain.from_iterable(cells)]
-                    for t, cells in enumerate(zip(*(values.tolist() for values in fields)))]
 
 
 def _state_rows(seed: int, state) -> tuple:
