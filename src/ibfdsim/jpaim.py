@@ -90,7 +90,8 @@ class RunTrace:
     over the records, records.loss of shape (T+1,), and records[t].loss is
     one row's.  Per row:
 
-    - loss, sum_mse, sum_rate (nan when metric collection is off);
+    - loss, sum_mse, sum_rate (nan when metric collection is off; rated
+      after the loop, outside every row's wall time);
     - rsi_watts, dl_cell_power and dl_precoder_multipliers, per cell (G,);
     - ul_user_power and ul_precoder_multipliers, per uplink user over
       (cell, user) (G K_u,);
@@ -328,12 +329,16 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     records keep only what they report: no report, no search power and no
     beams.
 
-    Rates are computed only for what is reported.  With collect_metrics, a
-    record's rate comes from its own combiner update, whose MMSE combiners
-    and desired signals H W give it without another solve, once per record
-    (an accepted trial's when it becomes the next iteration's record); a
-    rejected trial costs no rate.  Without it, records carry nan.  The final
-    report always carries rates.
+    Rates are computed only for what is reported, and none inside the loop.
+    With collect_metrics, each record keeps a reference to the desired
+    signals H W and MMSE combiners of its own combiner update (record 0's
+    from the MMSE solve of the initial covariances, an accepted trial's when
+    it becomes the next iteration's record; a rejected trial keeps none),
+    and one objective.sum_rates call over the stack of them rates every
+    record after the loop, bit for bit as a call per record would, so a
+    singular error matrix logs its warning once per solve.  Without it, no
+    pair is kept and records carry nan.  The final report always carries
+    rates.
     """
     nu = objective.resolve_nu(realization, config.nu)
     ch, hw = realization.channels, realization.hardware
@@ -348,19 +353,22 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
         ("ul_precoder_multipliers", float, (users,)), ("multiplier_evaluations", int),
         ("combiner_ms", float), ("precoder_ms", float), ("trial_ms", float)])
 
-    def record(t, rep, rate, t0, beams, w, evaluations=0, block_ms=(0.0, 0.0, 0.0)):
-        # a direction without users runs no power kernel and keeps its zeros
+    def record(t, rep, t0, beams, w, evaluations=0, block_ms=(0.0, 0.0, 0.0)):
+        # a direction without users runs no power kernel and keeps its zeros;
+        # the rate reads nan until the pass after the loop
         ms = (time.perf_counter() - t0) * 1e3
         dl, ul = beams
-        records[t] = (rep.loss, rep.sum_mse, rep.rsi_watts, rate, ms,
+        records[t] = (rep.loss, rep.sum_mse, rep.rsi_watts, rep.sum_rate, ms,
                       np.add.reduce(frobenius_sq(dl), axis=-1) if dl.size else 0.0,
                       frobenius_sq(ul).reshape(-1) if ul.size else 0.0,
                       w[:cells], w[cells:], evaluations, *block_ms)
 
     t0 = time.perf_counter()
-    combiners, _, rep = objective.score(ch, hw, beams, nu,
-                                        (start.dl_combiners, start.ul_combiners), collect_metrics)
-    record(0, rep, rep.sum_rate, t0, beams, np.zeros(len(constants[1])))    # no search yet
+    combiners, cov, rep = objective.score(ch, hw, beams, nu,
+                                          (start.dl_combiners, start.ul_combiners))
+    # each record's desired signals and MMSE combiners, rated in one pass after the loop
+    signals, mmse = ([cov.signal], [objective.mmse_combiners(cov)]) if collect_metrics else ([], [])
+    record(0, rep, t0, beams, np.zeros(len(constants[1])))    # no search yet
 
     converged = False
     accepted = None          # (beams, combiners, covariances, report) of the kept trial
@@ -385,11 +393,17 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
         beams = accepted[0] if accepted else exact
         block_ms = (0.0 if reused else (t1 - t0) * 1e3, (t2 - t1) * 1e3,
                     (t3 - t2) * 1e3 if tried else 0.0)
-        rate_dl, rate_ul = (objective.sum_rates(cov.signal, combiners) if collect_metrics
-                            else (rep.sum_rate_dl, rep.sum_rate_ul))
-        record(t, rep, rate_dl + rate_ul, t0, beams, search[0], search[2].sum(), block_ms)
+        if collect_metrics:
+            signals.append(cov.signal)
+            mmse.append(combiners)
+        record(t, rep, t0, beams, search[0], search[2].sum(), block_ms)
         if converged:
             break
+
+    if signals:
+        rate_dl, rate_ul = objective.sum_rates(tuple(map(np.stack, zip(*signals))),
+                                               tuple(map(np.stack, zip(*mmse))))
+        records["sum_rate"][:len(signals)] = np.add(rate_dl, rate_ul)
 
     final_report = objective.score(ch, hw, beams, nu, combiners, with_rates=True)[2]
     final_state = BeamformingState(dl_beams=beams[0], dl_combiners=combiners[0],

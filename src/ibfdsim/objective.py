@@ -109,7 +109,7 @@ def _rate_bits(signal: np.ndarray, mmse: np.ndarray) -> np.ndarray:
     By the matrix determinant lemma, det(C - A A^H) = det(C) det(E) with
     E = I - A^H U the b x b MMSE error matrix, so the rate is -log2 det E.
     E is Hermitian with eigenvalues in (0, 1]; a singular one is shifted by
-    1e-15 I.
+    1e-15 I, which leaves every other user's bits as they are.
     """
     eye = np.eye(signal.shape[-1])
     error = eye - hermitian(signal) @ mmse
@@ -117,17 +117,19 @@ def _rate_bits(signal: np.ndarray, mmse: np.ndarray) -> np.ndarray:
     singular = (sign.real <= 0) | ~np.isfinite(logdet)
     if np.logical_or.reduce(singular, axis=None):
         log.warning("singular noise covariance regularized in rate computation")
-        error = error + np.where(singular, 1e-15, 0.0)[..., None, None] * eye
-        _, logdet = np.linalg.slogdet(error)
+        logdet = np.where(singular, np.linalg.slogdet(error + 1e-15 * eye)[1], logdet)
     return -logdet / math.log(2.0)
 
 
-def sum_rates(signal, mmse) -> tuple[float, float]:
+def sum_rates(signal, mmse) -> tuple:
     """Downlink and uplink sum rates in bits/s/Hz of the desired signals
-    (H W_dl, H W_ul) and their MMSE combiners (U_dl, U_ul)."""
+    (H W_dl, H W_ul) and their MMSE combiners (U_dl, U_ul), each of shape
+    (..., cells, users, rows, streams): a float per direction for one state,
+    a list over the leading axis for a stack of states, each entry the bits
+    of that state's own call."""
     # a direction without users has rate 0 and costs no slogdet
-    return tuple(float(np.add.reduce(_rate_bits(a, u), axis=None)) if a.size else 0.0
-                 for a, u in zip(signal, mmse))
+    return tuple((np.add.reduce(_rate_bits(a, u), axis=(-2, -1)) if a.size
+                  else np.zeros(a.shape[:-4])).tolist() for a, u in zip(signal, mmse))
 
 
 def score(ch: Channels, hw: HardwareProfile, beams, nu_arr: np.ndarray, combiners=None,

@@ -557,14 +557,15 @@ def test_run_rates_match_goldens(scenario, config, key):
 
 
 def test_run_computes_rates_once_per_record(monkeypatch):
-    # one rate evaluation per record and one for the final report; a
-    # rejected trial costs none, an accepted one only when it becomes a record
-    calls = []
+    # one stacked rate evaluation with one entry per record, and one for the
+    # final report; a rejected trial costs none, an accepted one only when it
+    # becomes a record
+    stacks = []    # the leading axis of each call, () for one state
     kernel = objective.sum_rates
 
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counted(signal, mmse):
+        stacks.append(signal[0].shape[:-4])
+        return kernel(signal, mmse)
 
     monkeypatch.setattr(objective, "sum_rates", counted)
     real = build_realization(helpers.small_config(), 13)
@@ -572,10 +573,52 @@ def test_run_computes_rates_once_per_record(monkeypatch):
     tried = sum(r.trial_ms > 0.0 for r in rich.records)
     accepted = sum(r.combiner_ms == 0.0 for r in rich.records[2:])
     assert 0 < accepted < tried
-    assert len(calls) == rich.iterations + 2
-    calls.clear()
+    assert stacks == [(len(rich.records),), ()]
+    stacks.clear()
     run(real, SolverConfig(max_iterations=20), collect_metrics=False)
-    assert len(calls) == 1
+    assert stacks == [()]
+
+
+def _rated_updates(monkeypatch) -> list:
+    """Every combiner update of the solves that follow, as (loss, rate): its
+    loss and the one-state sum_rates of its desired signals and MMSE
+    combiners.  The initial report scores given combiners, so its MMSE
+    combiners are solved here; the final report rates itself."""
+    updates = []
+    kernel = objective.score
+
+    def captured(ch, hw, beams, nu, combiners=None, with_rates=False):
+        scored, cov, rep = kernel(ch, hw, beams, nu, combiners, with_rates)
+        if not with_rates:
+            mmse = scored if combiners is None else objective.mmse_combiners(cov)
+            rate_dl, rate_ul = objective.sum_rates(cov.signal, mmse)
+            updates.append((rep.loss, rate_dl + rate_ul))
+        return scored, cov, rep
+
+    monkeypatch.setattr(objective, "score", captured)
+    return updates
+
+
+@pytest.mark.parametrize("scenario, config", [
+    (ScenarioConfig(), SolverConfig()),
+    (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0)),
+    (helpers.small_config(ul_users=0), SolverConfig()),
+    (helpers.small_config(dl_users=0), SolverConfig()),
+    (ScenarioConfig(), SolverConfig(max_iterations=0)),
+    (ScenarioConfig(), SolverConfig(max_iterations=1)),
+], ids=["default", "strong_si", "downlink_only", "uplink_only", "max_iterations_0",
+        "max_iterations_1"])
+def test_record_rates_are_their_own_updates_rates(monkeypatch, scenario, config):
+    # the pass after the loop gives each record, bit for bit, the rate of the
+    # combiner update whose loss it holds: record 0's initial report, an
+    # iteration's own update, or the accepted trial's that it reuses
+    updates = _rated_updates(monkeypatch)
+    trace = run(build_realization(scenario, 0), config)
+    if config == SolverConfig(nu=1.0):
+        assert not trace.converged and trace.iterations == config.max_iterations
+    for t, r in enumerate(trace.records):
+        rates = {repr(rate) for loss, rate in updates if loss == r.loss}
+        assert rates == {repr(float(r.sum_rate))}, f"record {t}"
 
 
 def test_uplink_only_and_downlink_only_networks():

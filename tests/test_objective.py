@@ -208,6 +208,30 @@ def test_rate_bits_regularizes_singular_noise():
     assert np.isfinite(out) and out > 0.0
 
 
+def test_sum_rates_of_a_stack_equal_each_states_own_call():
+    # each entry of a stacked call carries its state's one-state rates bit
+    # for bit, and a state whose error matrix is singular leaves the others'
+    real = build_realization(ScenarioConfig(), 22)
+    pairs = []
+    for seed in (23, 24):
+        cov = helpers.state_covariances(real, helpers.random_state(real, seed))
+        pairs.append((cov.signal, objective.mmse_combiners(cov)))
+    # the singular example of test_rate_bits_regularizes_singular_noise, as
+    # the one downlink and the one uplink user of a one-cell network
+    a = np.array([[[[0.0], [1.0]]]], dtype=complex)
+    regular = np.array([[[[0.6], [0.0]]]], dtype=complex)
+    singular = ((a, a), (a, a))
+    nonsingular = ((regular, regular), (regular, regular))
+    for first, second in (pairs, (nonsingular, singular)):
+        single = [objective.sum_rates(*pair) for pair in (first, second)]
+        assert all(type(rate) is float for rates in single for rate in rates)
+        stack = [tuple(np.stack(side) for side in zip(first[i], second[i])) for i in (0, 1)]
+        rate_dl, rate_ul = objective.sum_rates(*stack)
+        assert [repr(r) for r in rate_dl] == [repr(r[0]) for r in single]
+        assert [repr(r) for r in rate_ul] == [repr(r[1]) for r in single]
+    assert all(np.isfinite(single[1])) and single[1][0] > 0.0
+
+
 def _explicit_rate_bits(c, signal):
     """log2 det(C) - log2 det(C - A A^H) of one user, straight from the definition."""
     _, logdet_c = np.linalg.slogdet(c)
