@@ -1,4 +1,8 @@
-"""Command-line front end: simulate, complexity, summarize."""
+"""Command-line front end: simulate, complexity, summarize.
+
+`simulate` reads every campaign value from its config file; `--out` sets
+campaign.output_dir, the one value given beside it.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import harness
-from .harness import KNOWN_ALGORITHMS, ConfigError
+from .harness import ConfigError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -17,15 +21,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a simulation campaign")
     sim.add_argument("--config", help="campaign config file (omit for defaults)")
-    sim.add_argument("--seed", type=int, help="override campaign.base_seed")
-    sim.add_argument("--realizations", type=int, help="override campaign.realizations")
-    sim.add_argument("--algorithm", action="append", choices=KNOWN_ALGORITHMS,
-                     help="algorithm to run (repeatable)")
-    sim.add_argument("--asic-db", type=float, help="override scenario.asic_db")
     sim.add_argument("--out", help="override campaign.output_dir")
-    sim.add_argument("--workers", type=int, help="override campaign.workers")
-    sim.add_argument("--trace", action="store_true", default=None,
-                     help="write per-iteration CSVs")
 
     comp = sub.add_parser("complexity", help="print per-iteration multiplication counts")
     comp.add_argument("--cells", type=int, required=True)
@@ -35,25 +31,14 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--streams", type=int, required=True, help="per-user streams")
 
     summ = sub.add_parser("summarize", help="aggregate a written campaign")
-    summ.add_argument("--in", dest="input", required=True,
-                      help="campaign output directory or realizations.csv")
+    summ.add_argument("--in", dest="input", required=True, help="campaign output directory")
     return parser
-
-
-# simulate flag -> the CampaignConfig field it overrides
-_OVERRIDES = {"seed": "base_seed", "realizations": "realizations", "out": "output_dir",
-              "workers": "workers", "trace": "trace"}
 
 
 def _simulate(args) -> int:
     config = harness.load_config(args.config) if args.config else harness.CampaignConfig()
-    overrides = {field: getattr(args, flag) for flag, field in _OVERRIDES.items()
-                 if getattr(args, flag) is not None}   # an unset flag is None; 0 is a value
-    if args.algorithm:
-        overrides["algorithms"] = tuple(args.algorithm)
-    if args.asic_db is not None:
-        overrides["scenario"] = replace(config.scenario, asic_db=args.asic_db)
-    config = replace(config, **overrides)
+    if args.out is not None:    # "" too, which CampaignConfig refuses
+        config = replace(config, output_dir=args.out)
     summary = harness.run_campaign(config)
     print(summary.table())
     print(f"wrote {config.output_dir}/realizations.csv")

@@ -413,11 +413,9 @@ def _summarize_rows(rows) -> CampaignSummary:
     return CampaignSummary(algorithms=tuple(summaries))
 
 
-def summarize(path) -> CampaignSummary:
-    """Aggregate a written campaign (directory or realizations.csv path)."""
-    p = Path(path)
-    if p.is_dir():
-        p = p / "realizations.csv"
+def summarize(outdir) -> CampaignSummary:
+    """Aggregate the realizations.csv of a written campaign's output directory."""
+    p = Path(outdir) / "realizations.csv"
     if not p.is_file():
         raise ValueError(f"no data to summarize: {p} does not exist")
     with open(p, newline="") as fh:

@@ -175,15 +175,11 @@ def score(ch: Channels, hw: HardwareProfile, beams, nu_arr: np.ndarray, combiner
     )
 
 
-def evaluate(realization: Realization, state: BeamformingState, nu,
-             with_rates: bool = True) -> ObjectiveReport:
-    """Compute every reported metric of `state`: `score` of its beams under
-    its combiners, with nu a SolverConfig.nu: None or one number.
-
-    with_rates=False skips the rates (reported as nan), and with them the
-    MMSE combiner solve they need.
-    """
+def evaluate(realization: Realization, state: BeamformingState, nu) -> ObjectiveReport:
+    """Compute every reported metric of `state`, rates included: `score` of
+    its beams under its combiners, with nu a SolverConfig.nu: None or one
+    number."""
     nu_arr = resolve_nu(realization, nu)
     return score(realization.channels, realization.hardware,
                  (state.dl_beams, state.ul_beams), nu_arr,
-                 (state.dl_combiners, state.ul_combiners), with_rates)[2]
+                 (state.dl_combiners, state.ul_combiners), with_rates=True)[2]

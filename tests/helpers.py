@@ -363,15 +363,14 @@ def _fd_ratio(fun, mats):
 def combiner_stationarity(realization, state, nu) -> float:
     mats = [u for cell in state.dl_combiners for u in cell]
     mats += [u for cell in state.ul_combiners for u in cell]
-    return _fd_ratio(lambda: objective.evaluate(realization, state, nu, with_rates=False).loss,
-                     mats)
+    return _fd_ratio(lambda: objective.evaluate(realization, state, nu).loss, mats)
 
 
 def _precoder_lagrangian(realization, state, nu, multipliers) -> float:
     """The penalized loss (sum MSE plus the nu-weighted RSI) with the power
     budgets' (downlink, uplink) multipliers of precoder_step."""
     hw = realization.hardware
-    val = objective.evaluate(realization, state, nu, with_rates=False).loss
+    val = objective.evaluate(realization, state, nu).loss
     for g in range(realization.cell_count):
         val += multipliers[0][g] * (state.dl_cell_power(g) - hw.p_bs_w)
     for i, (g, k) in enumerate(realization.ul_users()):

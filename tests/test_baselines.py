@@ -90,7 +90,7 @@ def test_run_nsp_projects_only_the_downlink_beams():
     np.testing.assert_array_equal(
         projected.dl_beams, nsp_project(state.dl_beams, si, real.hardware.kappa_bs, 2))
     # projection reduces RSI on this strongly coupled instance
-    before = objective.evaluate(real, state, 0.0, with_rates=False).rsi_watts
+    before = objective.evaluate(real, state, 0.0).rsi_watts
     for g in range(real.cell_count):
         assert report.rsi_watts[g] <= before[g] * (1.0 + 1e-9)
 
@@ -105,7 +105,7 @@ def test_run_nsp_full_dimension_matches_plain_solver():
     np.testing.assert_allclose(projected.dl_beams[0][0],
                                refreshed.dl_beams[0][0], atol=1e-12)
     assert report.loss == pytest.approx(
-        objective.evaluate(real, refreshed, cfg.nu, with_rates=False).loss, rel=1e-10)
+        objective.evaluate(real, refreshed, cfg.nu).loss, rel=1e-10)
 
 
 def test_run_nsp_assembles_once_and_reports_evaluate(monkeypatch):

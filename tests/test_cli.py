@@ -1,5 +1,8 @@
-"""Command-line interface: subcommands, overrides, and exit codes."""
+"""Command-line interface: subcommands, the config file as simulate's one
+input for campaign values (with `--out` for its output directory), and exit
+codes."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ scenario.ul_streams = 1
 solver.max_iterations = 5
 campaign.realizations = 2
 """
+ONE_REALIZATION = CFG.replace("campaign.realizations = 2", "campaign.realizations = 1")
 
 
 def test_complexity_subcommand(capsys):
@@ -40,10 +44,9 @@ def test_complexity_rejects_bad_counts(capsys):
 
 def test_simulate_and_summarize_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CFG)
+    cfg.write_text(CFG + "campaign.trace = true\ncampaign.algorithms = jpaim, half-duplex\n")
     out = tmp_path / "out"
-    code = main(["simulate", "--config", str(cfg), "--out", str(out), "--trace",
-                 "--algorithm", "jpaim", "--algorithm", "half-duplex"])
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
     stdout = capsys.readouterr().out
     assert code == 0
     assert (out / "realizations.csv").is_file()
@@ -56,30 +59,41 @@ def test_simulate_and_summarize_end_to_end(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert code == 0
     assert "jpaim" in stdout and "half-duplex" in stdout
-
-    # CSV-path form works too
-    assert main(["summarize", "--in", str(out / "realizations.csv")]) == 0
-    capsys.readouterr()
+    # summarize reads a campaign directory, not the CSV in it
+    assert main(["summarize", "--in", str(out / "realizations.csv")]) == 1
+    assert "no data to summarize" in capsys.readouterr().err
 
 
 def test_simulate_overrides(tmp_path):
+    # the config file sets every campaign value
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CFG)
+    cfg.write_text(ONE_REALIZATION + "campaign.base_seed = 3\nscenario.asic_db = 20\n")
     out = tmp_path / "out"
-    code = main(["simulate", "--config", str(cfg), "--out", str(out),
-                 "--realizations", "1", "--seed", "3", "--asic-db", "20"])
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     body = (out / "realizations.csv").read_text().splitlines()
     assert len(body) == 3  # schema + header + one row
     from ibfdsim.harness import derive_seed
     assert body[2].startswith(str(derive_seed(3, 0)))
-    # 0 is a seed like any other: it overrides the config's base seed too
-    cfg.write_text(CFG + "campaign.base_seed = 5\n")
-    code = main(["simulate", "--config", str(cfg), "--out", str(out),
-                 "--realizations", "1", "--seed", "0"])
+    # 0 is a seed like any other
+    cfg.write_text(ONE_REALIZATION + "campaign.base_seed = 0\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     body = (out / "realizations.csv").read_text().splitlines()
     assert body[2].startswith(str(derive_seed(0, 0)))
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--realizations", "1"],
+                                  ["--algorithm", "jpaim"], ["--asic-db", "20"],
+                                  ["--workers", "1"], ["--trace"]])
+def test_simulate_has_no_flag_for_a_config_value(tmp_path, capsys, flag):
+    # a campaign value has one input path, the config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), *flag]) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (out / "realizations.csv").exists()
 
 
 def test_exit_code_validation_errors(tmp_path, capsys):
@@ -91,7 +105,7 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["summarize", "--in", str(tmp_path / "void")]) == 1
     capsys.readouterr()
-    # argparse misuse (unknown algorithm choice) also maps to 1
+    # argparse misuse (an unknown option) also maps to 1
     assert main(["simulate", "--algorithm", "mystery"]) == 1
     capsys.readouterr()
 
@@ -100,8 +114,8 @@ def test_simulate_rejects_an_empty_out(tmp_path, capsys, monkeypatch):
     # `--out ""` used to write realizations.csv into the working directory
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CFG)
-    assert main(["simulate", "--config", str(cfg), "--realizations", "1", "--out", ""]) == 1
+    cfg.write_text(ONE_REALIZATION)
+    assert main(["simulate", "--config", str(cfg), "--out", ""]) == 1
     assert "campaign.output_dir" in capsys.readouterr().err
     assert not (tmp_path / "realizations.csv").exists()
 
@@ -130,5 +144,8 @@ def test_exit_code_runtime_failure(tmp_path, capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
+    # simulate's options are the config file and the output directory
+    assert main(["simulate", "--help"]) == 0
+    assert re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M) == ["--config", "--out"]
     assert main([]) == 1  # a subcommand is required
     capsys.readouterr()

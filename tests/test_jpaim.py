@@ -121,9 +121,8 @@ def test_update_combiners_never_increases_loss():
         real = helpers.random_small_realization(rng)
         nu = SolverConfig().nu
         state = helpers.solved_state(real, iterations=1)
-        before = objective.evaluate(real, state, nu, with_rates=False).loss
-        after = objective.evaluate(real, helpers.refresh_combiners(real, state), nu,
-                                   with_rates=False).loss
+        before = objective.evaluate(real, state, nu).loss
+        after = objective.evaluate(real, helpers.refresh_combiners(real, state), nu).loss
         assert after <= before * (1.0 + 1e-12)
 
 

@@ -15,7 +15,7 @@ from ibfdsim.stacked import columns
 
 
 def _unpenalized(real, state):
-    return evaluate(real, state, 0.0, with_rates=False)
+    return evaluate(real, state, 0.0)
 
 
 def test_nu_per_cell_validation():
@@ -184,8 +184,7 @@ def test_loss_composition():
     expected = sum(helpers.user_mse(real, state, "dl", k, g) for g, k in helpers.dl_users(real))
     expected += sum(helpers.user_mse(real, state, "ul", k, g) for g, k in real.ul_users())
     expected += sum(nu[g] * rsi[g] for g in range(2))
-    assert evaluate(real, state, None, with_rates=False).loss == pytest.approx(expected,
-                                                                               rel=1e-12)
+    assert evaluate(real, state, None).loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_rate_bits_closed_form():
@@ -271,7 +270,10 @@ def test_evaluate_consistency():
     state = helpers.solved_state(real, iterations=2)
     nu = 0.5
     rep = evaluate(real, state, nu)
-    lean = evaluate(real, state, nu, with_rates=False)
+    # the solver's loop scores without rates: the same loss, and nan rates
+    lean = objective.score(real.channels, real.hardware, (state.dl_beams, state.ul_beams),
+                           objective.resolve_nu(real, nu),
+                           (state.dl_combiners, state.ul_combiners))[2]
     assert rep.sum_mse == pytest.approx(rep.sum_mse_dl + rep.sum_mse_ul, rel=1e-12)
     assert rep.sum_rate == pytest.approx(rep.sum_rate_dl + rep.sum_rate_ul, rel=1e-12)
     unpenalized = _unpenalized(real, state)

@@ -8,12 +8,12 @@ of tests/regimes.py, both read from the tree this script lives in, with
 each tree's `src` as the package, one BLAS thread, `campaign.trace = true`
 and `campaign.measure_timing = false`, so every campaign writes its
 iteration CSVs, every record field of every solve, with no wall time:
-every campaign of a tree in turn, in one process per tree.  The regimes are
-the 100 seeded configs of the promise sweep in tests/test_jpaim.py, the
-space the workloads leave out (CSI error, coarse converters, users in one
-direction only, 1-3 cells, every cancellation depth and `nu`): config i
-runs as campaign `regime_<i>`, from `regime_00` to `regime_99`, with all
-three algorithms, on one worker.
+every campaign of a tree in turn, in one process per tree, the two trees'
+processes at once.  The regimes are the 100 seeded configs of the promise
+sweep in tests/test_jpaim.py, the space the workloads leave out (CSI
+error, coarse converters, users in one direction only, 1-3 cells, every
+cancellation depth and `nu`): config i runs as campaign `regime_<i>`, from
+`regime_00` to `regime_99`, with all three algorithms, on one worker.
 
 The campaign CSVs carry no final state, so each campaign also writes,
 beside them, the final states of the RunTraces that
@@ -53,6 +53,7 @@ import sys
 import tempfile
 import time
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -87,8 +88,10 @@ def _campaigns():
 def run_tree(tree: Path, workloads, campaigns: dict, seed: int, realizations: int,
              out: Path) -> dict:
     """Run every campaign with `tree`'s package through dump_campaigns, all
-    in one process, into out/<campaign>; returns {campaign: exit code}.  A
-    campaign that the process did not finish takes the process's exit code."""
+    in one process, into out/<campaign>, making `out`; returns {campaign:
+    exit code}.  A campaign that the process did not finish takes the
+    process's exit code."""
+    out.mkdir()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(TOOLS)]),
                **{v: "1" for v in THREAD_VARIABLES})
     configs = []
@@ -248,10 +251,12 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         roots = [Path(tmp) / "parent", Path(tmp) / "change"]
-        for root, tree in zip(roots, (args.parent, args.change)):
-            root.mkdir()
-            codes = run_tree(tree.resolve(), workloads, campaigns, args.seed, args.realizations,
-                             root)
+        trees = (args.parent, args.change)
+        with ThreadPoolExecutor(len(roots)) as pool:
+            runs = list(pool.map(lambda tree, root: run_tree(
+                tree.resolve(), workloads, campaigns, args.seed, args.realizations, root),
+                trees, roots))
+        for root, tree, codes in zip(roots, trees, runs):
             for name, code in codes.items():
                 if code:
                     print(f"{name}: the campaign of the {root.name} tree {tree} exited {code}")
