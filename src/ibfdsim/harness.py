@@ -30,7 +30,7 @@ log = logging.getLogger(__name__)
 
 KNOWN_ALGORITHMS = ("jpaim", "nsp-jpaim", "half-duplex")
 
-_REALIZATIONS_SCHEMA = "ibfdsim-realizations-v1"
+_REALIZATIONS_SCHEMA = "ibfdsim-realizations-v2"
 _ITERATIONS_SCHEMA = "ibfdsim-iterations-v2"
 # the files a campaign writes only sometimes, besides realizations.csv, and
 # iterations_nsp_jpaim.csv, which earlier versions wrote
@@ -227,7 +227,8 @@ def _iteration_table(seed: int, records, measure_timing: bool) -> tuple:
 def _run_seed(args):
     """Worker body: build one realization, run every algorithm on it, and
     return its finished `realizations.csv` lines and, with campaign.trace,
-    the `_iteration_table` of each solve by iteration-CSV name.
+    the `_iteration_table` of each solve by iteration-CSV name.  A line
+    holds the seed's digest and its own algorithm's run, nothing more.
 
     A failed draw is recorded once per configured algorithm; a failed run
     only for its own algorithm.  Either way the campaign goes on.
@@ -248,7 +249,6 @@ def _run_seed(args):
     rows = []
     trace_rows = {}
     errors = []
-    base_rate = None    # the delta is taken against the seed's first row
     for algo in config.algorithms:
         t0 = time.perf_counter()
         try:
@@ -257,13 +257,11 @@ def _run_seed(args):
             errors.append((seed, algo, f"{type(exc).__name__}: {exc}"))
             continue
         elapsed_ms = (time.perf_counter() - t0) * 1e3 if config.measure_timing else 0.0
-        if base_rate is None:
-            base_rate = rep.sum_rate
         rows.append(_csv_line([
             seed, algo, digest, all(t.converged for t in traces.values()),
             sum(t.iterations for t in traces.values()), rep.loss, rep.sum_mse_dl,
             rep.sum_mse_ul, rep.sum_rate, rep.sum_rate_dl, rep.sum_rate_ul,
-            rep.sum_rate - base_rate, *rep.rsi_watts, *rep.asic_depth_db, elapsed_ms]))
+            *rep.rsi_watts, *rep.asic_depth_db, elapsed_ms]))
         if config.trace:
             # nsp-jpaim returns the jpaim trace again: each name is written once
             trace_rows.update({name: _iteration_table(seed, trace.records, config.measure_timing)
@@ -332,8 +330,8 @@ def run_campaign(config: CampaignConfig):
     lines = [f"# schema: {_REALIZATIONS_SCHEMA}",
              ",".join(["seed", "algorithm", "digest", "converged", "iterations", "loss",
                        "sum_mse_dl", "sum_mse_ul", "sum_rate", "sum_rate_dl", "sum_rate_ul",
-                       "sum_rate_delta", *(f"rsi_w_{g}" for g in cells),
-                       *(f"asic_db_{g}" for g in cells), "elapsed_ms"])]
+                       *(f"rsi_w_{g}" for g in cells), *(f"asic_db_{g}" for g in cells),
+                       "elapsed_ms"])]
     lines += [row for _, rows, _, _ in results for row in rows]
     (outdir / "realizations.csv").write_text("\n".join(lines) + "\n")
 

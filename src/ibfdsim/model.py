@@ -277,9 +277,9 @@ def pathloss_umi(distance_m: float, carrier_ghz: float, is_los: bool) -> float:
 
 
 def generate_channel(gain: np.ndarray, rician_k: float, use_rician: np.ndarray,
-                     normals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                     normals: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Channel matrices with average per-element power `gain`, one per link,
-    written into `out` (links..., rows, cols) complex when it is given.
+    written into `out` (links..., rows, cols) complex, which it returns.
 
     `normals` (links..., 2, rows, cols) holds the real and imaginary parts of
     each link's N, i.i.d. CN(0, 1); `gain` and `use_rician` are (links...).
@@ -294,34 +294,33 @@ def generate_channel(gain: np.ndarray, rician_k: float, use_rician: np.ndarray,
     det = np.eye(rows, cols, dtype=complex) if rows == cols else np.ones((rows, cols), dtype=complex)
     los, scattered = math.sqrt(rician_k / (rician_k + 1.0)), math.sqrt(1.0 / (rician_k + 1.0))
     scatter[use_rician] = los * det + scattered * scatter[use_rician]
-    return np.multiply(np.sqrt(gain)[..., None, None], scatter,
-                       out=scatter if out is None else out)
+    return np.multiply(np.sqrt(gain)[..., None, None], scatter, out=out)
 
 
 def apply_uncertainty(channel: np.ndarray, varrho: float, normals: np.ndarray,
-                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split true channels (links..., rows, cols) into estimates and known
     error variances, with `normals` (links..., 2, rows, cols) the real and
     imaginary parts of each link's error draw; the estimates are written
-    into `out`, shaped as `channel`, when it is given.
+    into `out`, shaped as `channel`, and returned with the variances.
 
     A link's per-element error variance is varrho * ||H||_F^2 / (rows*cols);
     its estimate is H minus the error, so estimate + error = truth holds
-    exactly.  varrho = 0 gives the channels unchanged (without `out`, the
-    very array) and zero variances, and reads no normals.
+    exactly.  varrho = 0 copies the channels unchanged into `out`, gives
+    zero variances, and reads no normals.
     """
     if varrho < 0:
         raise ValueError("varrho must be >= 0")
     *links, rows, cols = channel.shape
     if varrho == 0.0:    # np.positive copies every bit
-        return channel if out is None else np.positive(channel, out=out), np.zeros(links)
+        return np.positive(channel, out=out), np.zeros(links)
     # one norm per link: a batched norm rounds differently
     err_var = np.array([varrho * float(np.linalg.norm(h) ** 2) / (rows * cols)
                         for h in channel.reshape(-1, rows, cols)]).reshape(links)
     delta = 1j * normals[..., 1, :, :]
     delta += normals[..., 0, :, :]
     delta *= np.sqrt(err_var / 2.0)[..., None, None]
-    return np.subtract(channel, delta, out=delta if out is None else out), err_var
+    return np.subtract(channel, delta, out=out), err_var
 
 
 # ---------------------------------------------------------------------------

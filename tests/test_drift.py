@@ -157,9 +157,15 @@ def test_rows_that_one_tree_alone_wrote_are_counted_and_the_rest_compared(tmp_pa
     change.write_text("seed,iter,loss,sum_rate\n1,0,3.0,nan\n1,1,2.5,nan\n1,2,2.0,nan\n"
                       "2,0,4.0,nan\n")
     assert drift.compare_file(parent, change) == [
-        "  columns differ: seed, iter, loss against seed, iter, loss, sum_rate",
+        "  columns in the change tree only: sum_rate",
         "  loss: 1 of 3 rows differ, largest relative difference 0.2",
         "  rows in the change tree only: 1"]
+    # each tree's own columns are named; columns in another order are one line
+    change.write_text("seed,iter,sum_rate\n1,0,nan\n1,1,nan\n2,0,nan\n")
+    assert drift.compare_file(parent, change) == [
+        "  columns in the parent tree only: loss", "  columns in the change tree only: sum_rate"]
+    change.write_text("iter,seed,loss\n0,1,3.0\n1,1,2.0\n0,2,4.0\n")
+    assert drift.compare_file(parent, change) == ["  the same columns in another order"]
     # the same rows in another order differ in bytes only
     change.write_text("seed,iter,loss\n2,0,4.0\n1,0,3.0\n1,1,2.0\n")
     assert drift.compare_file(parent, change) == ["  the bytes differ, not the rows"]

@@ -316,6 +316,12 @@ def test_run_campaign_logs_progress(tmp_path, monkeypatch, caplog, workers):
                      f"{errors[i]} error(s)" for i in range(3)]
 
 
+def _lines_by_run(outdir):
+    """The realization lines of a written campaign by (seed, algorithm)."""
+    lines = (Path(outdir) / "realizations.csv").read_text().splitlines()[2:]
+    return {tuple(line.split(",", 2)[:2]): line for line in lines}
+
+
 def test_run_campaign_writes_contractual_csv(tmp_path):
     cfg = parse_config(SMALL)
     cfg = replace(cfg, algorithms=("jpaim", "nsp-jpaim", "half-duplex"),
@@ -323,12 +329,11 @@ def test_run_campaign_writes_contractual_csv(tmp_path):
     summary = run_campaign(cfg)
 
     schema, rows = _read_csv(tmp_path / "out" / "realizations.csv")
-    assert schema == "# schema: ibfdsim-realizations-v1"
+    assert schema == "# schema: ibfdsim-realizations-v2"
     assert len(rows) == 9
     # the full header, per-cell columns included, of a one- and a two-cell campaign
     common = ["seed", "algorithm", "digest", "converged", "iterations", "loss",
-              "sum_mse_dl", "sum_mse_ul", "sum_rate", "sum_rate_dl", "sum_rate_ul",
-              "sum_rate_delta"]
+              "sum_mse_dl", "sum_mse_ul", "sum_rate", "sum_rate_dl", "sum_rate_ul"]
     assert list(rows[0].keys()) == common + ["rsi_w_0", "asic_db_0", "elapsed_ms"]
     run_campaign(replace(cfg, scenario=replace(cfg.scenario, cells=2), realizations=1,
                          trace=False, output_dir=str(tmp_path / "two")))
@@ -344,13 +349,17 @@ def test_run_campaign_writes_contractual_csv(tmp_path):
         assert float(r["elapsed_ms"]) == 0.0  # timing off -> deterministic bytes
         assert float(r["sum_rate"]) == pytest.approx(
             float(r["sum_rate_dl"]) + float(r["sum_rate_ul"]), rel=1e-9)
-    # per-seed deltas are relative to the first configured algorithm
     for i in range(3):
-        chunk = rows[3 * i:3 * i + 3]
-        assert float(chunk[0]["sum_rate_delta"]) == 0.0
-        assert float(chunk[2]["sum_rate_delta"]) == pytest.approx(
-            float(chunk[2]["sum_rate"]) - float(chunk[0]["sum_rate"]), rel=1e-9)
-        assert len({r["digest"] for r in chunk}) == 1  # same realization
+        assert len({r["digest"] for r in rows[3 * i:3 * i + 3]}) == 1  # same realization
+    # a row is its own run's: the algorithms in another order, or one alone,
+    # write the same line for every (seed, algorithm) both campaigns ran
+    full = _lines_by_run(tmp_path / "out")
+    for algorithms in (("half-duplex", "nsp-jpaim", "jpaim"), ("half-duplex",)):
+        out = tmp_path / "_".join(algorithms)
+        run_campaign(replace(cfg, algorithms=algorithms, output_dir=str(out)))
+        mine = _lines_by_run(out)
+        assert len(mine) == 3 * len(algorithms)
+        assert {key: full[key] for key in mine} == mine
     # half-duplex rows: no RSI, no ASIC depth, each direction's MSE from its
     # own phase, and the iterations of both phases
     phase_rows = [_read_csv(tmp_path / "out" / f"iterations_half_duplex_{d}.csv")[1]
@@ -503,11 +512,12 @@ def test_summarize_errors():
 
 
 def test_summarize_rejects_wrong_schema(tmp_path):
+    # v1 is the schema whose rows carried sum_rate_delta
     path = tmp_path / "realizations.csv"
-    path.write_text("# schema: something-else-v9\nseed\n1\n")
-    with pytest.raises(ValueError) as err:
-        summarize(tmp_path)
-    assert "schema" in str(err.value)
+    for schema in ("something-else-v9", "ibfdsim-realizations-v1"):
+        path.write_text(f"# schema: {schema}\nseed\n1\n")
+        with pytest.raises(ValueError, match="unrecognized schema line"):
+            summarize(tmp_path)
 
 
 def test_run_campaign_records_failures_and_continues(tmp_path, monkeypatch):
@@ -529,6 +539,32 @@ def test_run_campaign_records_failures_and_continues(tmp_path, monkeypatch):
     log = (tmp_path / "out" / "errors.log").read_text()
     assert f"{bad_seed},jpaim,RuntimeError: synthetic failure" in log
     assert summary.algorithms[0].realizations == 2
+
+
+def test_a_failed_solve_leaves_the_seeds_other_rows_as_they_are(tmp_path, monkeypatch):
+    # the seed's full-duplex solve fails, so jpaim and nsp-jpaim write no
+    # row for it; its half-duplex row is the line a half-duplex campaign
+    # alone writes
+    cfg = replace(parse_config(SMALL + "campaign.algorithms = jpaim, nsp-jpaim, half-duplex\n"),
+                  output_dir=str(tmp_path / "all"))
+    bad_seed = derive_seed(cfg.base_seed, 1)
+    true_run = jpaim.run
+
+    def flaky(realization, config, collect_metrics=True):
+        ch = realization.channels
+        if realization.seed == bad_seed and ch.k_d and ch.k_u:    # not a half-duplex phase
+            raise RuntimeError("synthetic failure")
+        return true_run(realization, config, collect_metrics)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness.jpaim, "run", flaky)
+        run_campaign(cfg)
+    run_campaign(replace(cfg, algorithms=("half-duplex",), output_dir=str(tmp_path / "hd")))
+    rows, alone = _lines_by_run(tmp_path / "all"), _lines_by_run(tmp_path / "hd")
+    assert [key for key in rows if key[0] == str(bad_seed)] == [(str(bad_seed), "half-duplex")]
+    assert rows[str(bad_seed), "half-duplex"] == alone[str(bad_seed), "half-duplex"]
+    assert (tmp_path / "all" / "errors.log").read_text().splitlines() == [
+        f"{bad_seed},{algo},RuntimeError: synthetic failure" for algo in ("jpaim", "nsp-jpaim")]
 
 
 def test_run_campaign_removes_an_earlier_campaigns_files(tmp_path, monkeypatch):
@@ -592,10 +628,7 @@ def test_run_campaign_solves_jpaim_once_for_nsp(tmp_path, monkeypatch):
     _, nsp_rows = _read_csv(tmp_path / "nsp" / "realizations.csv")
     shared = [r for r in rows if r["algorithm"] == "nsp-jpaim"]
     assert len(shared) == len(nsp_rows) == cfg.realizations
-    for a, b in zip(shared, nsp_rows):
-        # the rate delta is taken against each campaign's first algorithm
-        a.pop("sum_rate_delta"), b.pop("sum_rate_delta")
-        assert a == b
+    assert shared == nsp_rows
 
 
 def test_nsp_only_campaign_writes_its_solve_as_the_jpaim_trace(tmp_path):

@@ -96,22 +96,26 @@ def _normals(rng, *shape):
 def test_generate_channel_statistics():
     rng = np.random.default_rng(1)
     gain, k = np.array([0.01, 0.04]), 10.0
-    h = generate_channel(gain, k, np.zeros(2, bool), _normals(rng, 2, 2000, 4))
+    h = generate_channel(gain, k, np.zeros(2, bool), _normals(rng, 2, 2000, 4),
+                         np.empty((2, 2000, 4), complex))
     assert np.mean(np.abs(h) ** 2, axis=(1, 2)) == pytest.approx(gain, rel=0.05)
     # Rician square: identity deterministic part plus scattered power
-    hr = generate_channel(gain[:1], k, np.ones(1, bool), _normals(rng, 1, 1000, 1000))[0]
+    hr = generate_channel(gain[:1], k, np.ones(1, bool), _normals(rng, 1, 1000, 1000),
+                          np.empty((1, 1000, 1000), complex))[0]
     diag_mean = np.mean(np.diag(hr).real)
     assert diag_mean == pytest.approx(math.sqrt(gain[0] * k / (k + 1.0)), rel=0.05)
     off = hr - np.diag(np.diag(hr))
     assert np.sum(np.abs(off) ** 2) / (1000 * 999) == pytest.approx(gain[0] / (k + 1.0), rel=0.05)
     # Rician rectangular: all-ones deterministic part keeps per-element power
-    hrr = generate_channel(gain[0], k, np.array(True), _normals(rng, 500, 400))
+    hrr = generate_channel(gain[0], k, np.array(True), _normals(rng, 500, 400),
+                           np.empty((500, 400), complex))
     assert np.mean(np.abs(hrr) ** 2) == pytest.approx(gain[0], rel=0.05)
 
 
 def test_generate_channel_rician_rectangular():
     rng = np.random.default_rng(2)
-    h = generate_channel(np.array(1.0), 1e9, np.array(True), _normals(rng, 3, 5))
+    h = generate_channel(np.array(1.0), 1e9, np.array(True), _normals(rng, 3, 5),
+                         np.empty((3, 5), complex))
     # huge K-factor: essentially the all-ones deterministic part
     np.testing.assert_allclose(h, np.ones((3, 5)), atol=1e-3)
 
@@ -122,10 +126,11 @@ def test_channel_draws_batch_bit_for_bit():
     rng = np.random.default_rng(4)
     gain, rician = rng.uniform(1e-9, 1e-3, (3, 2)), np.array([[True, False]] * 3)
     normals = _normals(rng, 3, 2, 5, 4)
-    h = generate_channel(gain, 10.0, rician, normals)
-    est, err_var = apply_uncertainty(h, 1e-2, _normals(rng, 3, 2, 5, 4))
+    h = generate_channel(gain, 10.0, rician, normals, np.empty((3, 2, 5, 4), complex))
+    est, err_var = apply_uncertainty(h, 1e-2, _normals(rng, 3, 2, 5, 4), np.empty_like(h))
     for r, t in np.ndindex(gain.shape):
-        one = generate_channel(gain[r, t], 10.0, rician[r, t], normals[r, t])
+        one = generate_channel(gain[r, t], 10.0, rician[r, t], normals[r, t],
+                               np.empty((5, 4), complex))
         assert one.tobytes() == h[r, t].tobytes()
         assert err_var[r, t] == 1e-2 * np.linalg.norm(one) ** 2 / 20
 
@@ -133,20 +138,21 @@ def test_channel_draws_batch_bit_for_bit():
 def test_apply_uncertainty_split():
     rng = np.random.default_rng(3)
     h = helpers.cn(rng, (6, 4))
-    est, err_var = apply_uncertainty(h, 0.01, _normals(rng, 6, 4))
+    est, err_var = apply_uncertainty(h, 0.01, _normals(rng, 6, 4), np.empty_like(h))
     assert err_var == pytest.approx(0.01 * np.linalg.norm(h) ** 2 / 24.0, rel=1e-12)
     assert est.shape == h.shape
     assert not np.allclose(est, h)
     # error draws at that variance, 4000 links of that channel, should average to err_var
     ests, err_vars = apply_uncertainty(np.broadcast_to(h, (4000, 6, 4)), 0.01,
-                                       _normals(rng, 4000, 6, 4))
+                                       _normals(rng, 4000, 6, 4), np.empty((4000, 6, 4), complex))
     assert (err_vars == err_var).all()
     assert np.mean(np.abs(ests - h) ** 2) == pytest.approx(err_var, rel=0.05)
 
-    same, zero = apply_uncertainty(h, 0.0, None)     # reads no normals
-    assert same is h and zero == 0.0
+    out = np.empty_like(h)
+    same, zero = apply_uncertainty(h, 0.0, None, out)     # reads no normals
+    assert same is out and same.tobytes() == h.tobytes() and zero == 0.0
     with pytest.raises(ValueError):
-        apply_uncertainty(h, -1e-3, _normals(rng, 6, 4))
+        apply_uncertainty(h, -1e-3, _normals(rng, 6, 4), out)
 
 
 def test_scenario_config_validation():

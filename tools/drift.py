@@ -28,8 +28,9 @@ by the key columns they have (seed, algorithm, iter, array, index).  For
 each file that differs it prints one line per differing column, `<column>:
 n of N rows differ, largest relative difference x` over the N rows both
 trees wrote, every change of an `iterations` or `converged` value, the
-count of rows only one tree wrote, per tree, and both column lists when
-they differ.  A CSV that only one tree wrote is named with that tree.  It
+count of rows only one tree wrote, per tree, and the columns only one tree
+wrote, per tree, or one line when the two trees' columns differ only in
+order.  A CSV that only one tree wrote is named with that tree.  It
 writes only into a temporary directory and changes no benchmark file.
 
 The last line counts the compared CSVs and gives the script's own wall
@@ -201,9 +202,14 @@ def compare_file(parent: Path, change: Path) -> list:
     old, new = ({tuple(row[key] for key in keys): row for row in rows} for rows in (old, new))
     columns = [column for column in old_columns if column in new_columns]
     common = [key for key in old if key in new]
-    lines, discrete = [], []
-    if old_columns != new_columns:
-        lines.append(f"  columns differ: {', '.join(old_columns)} against {', '.join(new_columns)}")
+    only = [(tree, [column for column in mine if column not in other])
+            for tree, mine, other in (("parent", old_columns, new_columns),
+                                      ("change", new_columns, old_columns))]
+    lines = [f"  columns in the {tree} tree only: {', '.join(names)}" for tree, names in only
+             if names]
+    if old_columns != new_columns and not lines:
+        lines.append("  the same columns in another order")
+    discrete = []
     for column in columns:
         changed = [(key, old[key][column], new[key][column]) for key in common
                    if old[key][column] != new[key][column]]
