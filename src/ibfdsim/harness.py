@@ -7,7 +7,8 @@ deterministic CSVs: rerunning the same config reproduces the files byte for
 byte.  Measured wall-clock times are therefore kept out of the CSVs unless
 explicitly requested via campaign.measure_timing.  With campaign.trace, each
 solve kind also gets an iteration CSV, the table of every field of its
-solves' records, whose header this module derives from the records' dtype.
+solves' records, whose header this module derives from the records' dtype,
+and a state CSV, every entry of the beams and combiners its solves end on.
 """
 
 from __future__ import annotations
@@ -32,10 +33,14 @@ KNOWN_ALGORITHMS = ("jpaim", "nsp-jpaim", "half-duplex")
 
 _REALIZATIONS_SCHEMA = "ibfdsim-realizations-v2"
 _ITERATIONS_SCHEMA = "ibfdsim-iterations-v2"
+_STATES_SCHEMA = "ibfdsim-states-v1"
+# the solve kinds a traced campaign writes an iteration and a state CSV for
+_SOLVES = ("jpaim", "half_duplex_dl", "half_duplex_ul")
 # the files a campaign writes only sometimes, besides realizations.csv, and
 # iterations_nsp_jpaim.csv, which earlier versions wrote
-_OPTIONAL_OUTPUTS = frozenset({"errors.log", "iterations_jpaim.csv", "iterations_nsp_jpaim.csv",
-                               "iterations_half_duplex_dl.csv", "iterations_half_duplex_ul.csv"})
+_OPTIONAL_OUTPUTS = frozenset({"errors.log", "iterations_nsp_jpaim.csv",
+                               *(f"{kind}_{name}.csv" for kind in ("iterations", "state")
+                                 for name in _SOLVES)})
 
 
 class ConfigError(ValueError):
@@ -224,11 +229,21 @@ def _iteration_table(seed: int, records, measure_timing: bool) -> tuple:
     return header, [",".join(cells) for cells in zip(*columns)]
 
 
+def _state_lines(seed: int, state):
+    """A final state's lines of its state CSV (seed, array, index, real,
+    imag): one per entry of each BeamformingState array, in field order, by
+    its flattened index; a float is its repr, so it reads back bit for bit."""
+    for f in fields(state):
+        for index, z in enumerate(getattr(state, f.name).ravel().tolist()):
+            yield f"{seed},{f.name},{index},{z.real!r},{z.imag!r}\n"
+
+
 def _run_seed(args):
     """Worker body: build one realization, run every algorithm on it, and
     return its finished `realizations.csv` lines and, with campaign.trace,
-    the `_iteration_table` of each solve by iteration-CSV name.  A line
-    holds the seed's digest and its own algorithm's run, nothing more.
+    the `_iteration_table` and the final state of each solve by solve
+    name.  A line holds the seed's digest and its own algorithm's run,
+    nothing more.
 
     A failed draw is recorded once per configured algorithm; a failed run
     only for its own algorithm.  Either way the campaign goes on.
@@ -247,7 +262,7 @@ def _run_seed(args):
         lambda: jpaim.run(realization, config.solver, collect_metrics=config.trace))
 
     rows = []
-    trace_rows = {}
+    solves = {}
     errors = []
     for algo in config.algorithms:
         t0 = time.perf_counter()
@@ -264,14 +279,15 @@ def _run_seed(args):
             *rep.rsi_watts, *rep.asic_depth_db, elapsed_ms]))
         if config.trace:
             # nsp-jpaim returns the jpaim trace again: each name is written once
-            trace_rows.update({name: _iteration_table(seed, trace.records, config.measure_timing)
-                               for name, trace in traces.items() if name not in trace_rows})
-    return index, rows, trace_rows, errors
+            solves.update({name: (*_iteration_table(seed, trace.records, config.measure_timing),
+                                  trace.final_state)
+                           for name, trace in traces.items() if name not in solves})
+    return index, rows, solves, errors
 
 
 def _run_algorithm(config, realization, algo, solve):
     """One algorithm on one realization: (report, its solve traces by
-    iteration-CSV name).  nsp-jpaim projects the seed's one jpaim solve, so
+    solve name).  nsp-jpaim projects the seed's one jpaim solve, so
     both return that trace as `jpaim`."""
     if algo == "half-duplex":
         report, dl_trace, ul_trace = baselines.run_half_duplex(realization, config.solver)
@@ -290,8 +306,9 @@ def run_campaign(config: CampaignConfig):
     once the files are written if every run failed.  Output is ordered by
     (seed index, algorithm) no matter how many workers executed, so
     identical configs give identical bytes.  It starts no more worker
-    processes than realizations, and none for one.  An `errors.log` or
-    iteration CSV that this run does not write is removed.  Each finished
+    processes than realizations, and none for one.  An `errors.log`,
+    iteration CSV or state CSV that this run does not write is removed; the
+    state CSVs are written one seed at a time.  Each finished
     realization logs one INFO line with its index, seed and error count, in
     index order.
     """
@@ -316,8 +333,8 @@ def run_campaign(config: CampaignConfig):
 
     all_errors = [err for _, _, _, errs in results for err in errs]
     # name -> header; every seed's solve of a name has the same record dtype
-    traced = {name: header for _, _, traces, _ in results for name, (header, _) in traces.items()}
-    written = {f"iterations_{name}.csv" for name in traced} | (
+    traced = {name: solve[0] for _, _, solves, _ in results for name, solve in solves.items()}
+    written = {f"{kind}_{name}.csv" for kind in ("iterations", "state") for name in traced} | (
         {"errors.log"} if all_errors else set())
     for name in _OPTIONAL_OUTPUTS - written:    # an earlier campaign's would read as this one's
         (outdir / name).unlink(missing_ok=True)
@@ -337,8 +354,13 @@ def run_campaign(config: CampaignConfig):
 
     for name, header in sorted(traced.items()):
         lines = [f"# schema: {_ITERATIONS_SCHEMA}", ",".join(header)]
-        lines += [row for _, _, traces, _ in results if name in traces for row in traces[name][1]]
+        lines += [row for _, _, solves, _ in results if name in solves for row in solves[name][1]]
         (outdir / f"iterations_{name}.csv").write_text("\n".join(lines) + "\n")
+        with open(outdir / f"state_{name}.csv", "w") as f:
+            f.write(f"# schema: {_STATES_SCHEMA}\nseed,array,index,real,imag\n")
+            f.writelines(line for index, _, solves, _ in results if name in solves
+                         for line in _state_lines(derive_seed(config.base_seed, index),
+                                                  solves[name][2]))
 
     if not any(rows for _, rows, _, _ in results):
         raise RuntimeError(f"all {len(all_errors)} run(s) failed; see "

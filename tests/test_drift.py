@@ -6,14 +6,11 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import pytest
 
 import helpers
 import regimes
-from ibfdsim import harness, jpaim
+from ibfdsim import harness
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,14 +85,14 @@ def _write(path, rows):
         csv.writer(f, lineterminator="\n").writerows(rows)
 
 
-def test_trace_comparison_names_each_difference(tmp_path):
-    # records and final states: a power that moves by one bit in one record
-    # of the campaign's own iteration CSV, and an entry of a final state
-    # array whose sign flips
+def test_trace_comparison_names_each_difference(tmp_path, capsys):
+    # records and final states of a campaign that drift runs, on worker
+    # processes: a power that moves by one bit in one record of its
+    # iteration CSV, and an entry of a final state array whose sign flips
     drift = _drift()
-    dispatch = harness._run_algorithm
-    assert drift.dump_traces(_config(tmp_path, "campaign.trace = true\n")) == 0
-    assert harness._run_algorithm is dispatch
+    drift.dump_campaigns(_config(tmp_path, "campaign.trace = true\ncampaign.workers = 2\n",
+                                 realizations=2))
+    assert capsys.readouterr().out == "0\n"
     out = tmp_path / "out"
     assert {path.name for path in out.glob("*.csv")} == {
         "realizations.csv", *(f"{kind}_{name}.csv" for kind in ("iterations", "state")
@@ -113,12 +110,12 @@ def test_trace_comparison_names_each_difference(tmp_path):
     assert drift.compare_file(trace, tmp_path / "change" / trace.name) == [
         f"  dl_cell_power_1: 1 of {len(records)} rows differ, largest relative "
         f"difference {worst:.3g}"]
-    header, *entries = _read(state)
+    schema, header, *entries = _read(state)
     assert header == ["seed", "array", "index", "real", "imag"]
-    assert {row[1] for row in entries} == set(drift.STATE_ARRAYS)
+    assert {row[1] for row in entries} == {"dl_beams", "dl_combiners", "ul_beams", "ul_combiners"}
     row = next(row for row in entries if row[1] == "ul_beams" and float(row[3]) != 0.0)
     row[3] = repr(-float(row[3]))
-    _write(tmp_path / "change" / state.name, [header, *entries])
+    _write(tmp_path / "change" / state.name, [schema, header, *entries])
     assert drift.compare_file(state, tmp_path / "change" / state.name) == [
         f"  real: 1 of {len(entries)} rows differ, largest relative difference 2"]
 
@@ -180,43 +177,6 @@ def test_relative_differences_of_cells_and_record_values():
     assert drift.relative_difference("2.0", "1.5") == 0.25
     assert drift.relative_difference("inf", "1.0") == math.inf
     assert drift.relative_difference("a", "b") == math.inf
-
-
-def test_trace_capture_records_the_solves_the_harness_made(tmp_path, monkeypatch):
-    # the campaign's own jpaim solve stops after two iterations: the final
-    # states written, for every seed, are those of the solves the campaign
-    # made, not of solves the drift tool makes itself
-    solved = {}
-
-    def two_iterations(config, realization, algo, solve):
-        short = replace(config.solver, max_iterations=2)
-        report, traces = dispatch(config, realization, algo,
-                                  lambda: jpaim.run(realization, short))
-        solved.update({(str(realization.seed), name): trace for name, trace in traces.items()})
-        return report, traces
-
-    dispatch = harness._run_algorithm
-    monkeypatch.setattr(harness, "_run_algorithm", two_iterations)
-    drift = _drift()
-    assert drift.dump_traces(_config(tmp_path, realizations=2)) == 0
-    assert harness._run_algorithm is two_iterations
-    seeds = [str(harness.derive_seed(3, index)) for index in range(2)]
-    assert solved[seeds[0], "jpaim"].iterations == 2
-    for name in ("jpaim", "half_duplex_dl", "half_duplex_ul"):
-        rows = _read(tmp_path / "out" / f"state_{name}.csv")[1:]
-        assert {row[0] for row in rows} == set(seeds)
-        for seed in seeds:
-            state = solved[seed, name].final_state
-            assert [(row[1], row[3], row[4]) for row in rows if row[0] == seed] == [
-                (array, repr(z.real), repr(z.imag)) for array in drift.STATE_ARRAYS
-                for z in getattr(state, array).ravel().tolist()]
-
-
-def test_trace_capture_refuses_worker_processes(tmp_path):
-    # a wrapper in this process would see none of the workers' solves
-    with pytest.raises(ValueError, match="campaign.workers"):
-        _drift().dump_traces(_config(tmp_path, "campaign.workers = 2\n"))
-    assert not (tmp_path / "out").exists()
 
 
 def test_drift_names_each_campaign_that_fails(tmp_path):

@@ -251,7 +251,7 @@ def test_run_campaign_bytes_do_not_depend_on_workers(tmp_path):
         out = tmp_path / f"workers{workers}"
         run_campaign(replace(cfg, workers=workers, output_dir=str(out)))
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(outputs[0]) == 4    # realizations.csv and the three iteration CSVs
+    assert len(outputs[0]) == 7    # realizations.csv and three iteration and state CSVs
     assert outputs[0] == outputs[1]
 
 
@@ -272,7 +272,7 @@ def test_one_realization_campaign_solves_in_the_calling_process(tmp_path, monkey
         run_campaign(replace(cfg, workers=workers, output_dir=str(out)))
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert solves == [os.getpid()] * 2
-    assert outputs[0] == outputs[1] and len(outputs[0]) == 2
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 3
 
 
 def test_one_worker_campaign_never_imports_multiprocessing(tmp_path):
@@ -468,6 +468,43 @@ def test_iteration_csv_is_the_solves_record_table(tmp_path, monkeypatch):
         assert [(int(row["seed"]), row["iter"]) for row in rows] == [(s, "0") for s in seeds]
 
 
+def test_state_csv_holds_the_final_states_of_the_campaigns_solves(tmp_path, monkeypatch):
+    # the campaign's own jpaim solve stops after two iterations: each state
+    # CSV holds, for every seed, the final state of the solve the campaign
+    # made, one row per entry of each array by its flattened index, and
+    # each cell reads back as that entry bit for bit
+    solved = {}
+    dispatch = harness._run_algorithm
+
+    def two_iterations(config, realization, algo, solve):
+        short = replace(config.solver, max_iterations=2)
+        report, traces = dispatch(config, realization, algo,
+                                  lambda: jpaim.run(realization, short))
+        solved.update({(realization.seed, name): trace for name, trace in traces.items()})
+        return report, traces
+
+    monkeypatch.setattr(harness, "_run_algorithm", two_iterations)
+    cfg = replace(parse_config(SMALL), realizations=2, trace=True,
+                  algorithms=("jpaim", "half-duplex"), output_dir=str(tmp_path))
+    run_campaign(cfg)
+    seeds = [derive_seed(cfg.base_seed, index) for index in range(2)]
+    assert solved[seeds[0], "jpaim"].iterations == 2
+    arrays = ("dl_beams", "dl_combiners", "ul_beams", "ul_combiners")
+    for name in ("jpaim", "half_duplex_dl", "half_duplex_ul"):
+        schema, header, *lines = (tmp_path / f"state_{name}.csv").read_text().splitlines()
+        assert schema == "# schema: ibfdsim-states-v1"
+        assert header == "seed,array,index,real,imag"
+        rows = [line.split(",") for line in lines]
+        entries = [(seed, array, getattr(solved[seed, name].final_state, array).ravel())
+                   for seed in seeds for array in arrays]
+        assert [row[:3] for row in rows] == [[str(seed), array, str(index)]
+                                              for seed, array, values in entries
+                                              for index in range(values.size)]
+        expected = np.concatenate([values for _, _, values in entries])
+        assert _bits(np.array([[float(row[3]), float(row[4])] for row in rows])) == _bits(
+            np.stack([expected.real, expected.imag], axis=-1))
+
+
 def test_run_campaign_is_order_independent():
     rows = [
         {"seed": 2, "algorithm": "jpaim", "converged": True, "iterations": 4,
@@ -570,7 +607,8 @@ def test_a_failed_solve_leaves_the_seeds_other_rows_as_they_are(tmp_path, monkey
 def test_run_campaign_removes_an_earlier_campaigns_files(tmp_path, monkeypatch):
     # a traced campaign with one failed jpaim solve, then an untraced clean
     # one into the same directory: no file of the first may pass as the
-    # second's, and neither may an iteration CSV that no campaign writes now
+    # second's, its state CSVs included, and neither may an iteration CSV
+    # that no campaign writes now
     first = replace(parse_config(SMALL + "campaign.algorithms = jpaim, nsp-jpaim, half-duplex\n"
                                  + "campaign.trace = true\n"), output_dir=str(tmp_path))
     (tmp_path / "iterations_nsp_jpaim.csv").write_text("an earlier version's trace\n")
@@ -587,7 +625,8 @@ def test_run_campaign_removes_an_earlier_campaigns_files(tmp_path, monkeypatch):
         run_campaign(first)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "errors.log", "iterations_half_duplex_dl.csv", "iterations_half_duplex_ul.csv",
-        "iterations_jpaim.csv", "realizations.csv"]
+        "iterations_jpaim.csv", "realizations.csv", "state_half_duplex_dl.csv",
+        "state_half_duplex_ul.csv", "state_jpaim.csv"]
     run_campaign(replace(first, trace=False))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["realizations.csv"]
 
@@ -633,17 +672,18 @@ def test_run_campaign_solves_jpaim_once_for_nsp(tmp_path, monkeypatch):
 
 def test_nsp_only_campaign_writes_its_solve_as_the_jpaim_trace(tmp_path):
     # the solve nsp-jpaim projects is the jpaim solve, so a campaign of
-    # nsp-jpaim alone writes iterations_jpaim.csv, byte for byte the file of
-    # a campaign with all three algorithms, rates included
+    # nsp-jpaim alone writes iterations_jpaim.csv and state_jpaim.csv, byte
+    # for byte the files of a campaign with all three algorithms, rates
+    # included
     cfg = replace(parse_config(SMALL + "campaign.algorithms = jpaim, nsp-jpaim, half-duplex\n"
                                "campaign.trace = true\n"),
                   output_dir=str(tmp_path / "all"))
     run_campaign(cfg)
     run_campaign(replace(cfg, algorithms=("nsp-jpaim",), output_dir=str(tmp_path / "nsp")))
     assert sorted(p.name for p in (tmp_path / "nsp").iterdir()) == [
-        "iterations_jpaim.csv", "realizations.csv"]
-    written = (tmp_path / "nsp" / "iterations_jpaim.csv").read_bytes()
-    assert written == (tmp_path / "all" / "iterations_jpaim.csv").read_bytes()
+        "iterations_jpaim.csv", "realizations.csv", "state_jpaim.csv"]
+    for name in ("iterations_jpaim.csv", "state_jpaim.csv"):
+        assert (tmp_path / "nsp" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
     _, irows = _read_csv(tmp_path / "nsp" / "iterations_jpaim.csv")
     assert all(np.isfinite(float(r["sum_rate"])) for r in irows)
 

@@ -157,3 +157,26 @@ def test_readme_module_map_has_one_bullet_per_module():
     section = readme.split("Module map (`src/ibfdsim/`):", 1)[1].split("\n## ", 1)[0]
     bullets = re.findall(r"^- `(\w+\.py)`", section, flags=re.MULTILINE)
     assert sorted(bullets) == sorted(p.name for p in SOURCES if p.name != "__init__.py")
+
+
+def test_tools_read_no_private_name_of_the_package():
+    # a tool works through the package's public names: one that reads or
+    # patches a private function breaks, or silently stops seeing what it
+    # claims to, when the package reshapes its internals
+    found = []
+    for path in sorted((ROOT / "tools").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                            if alias.name.split(".")[0] == "ibfdsim"}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ibfdsim":
+                modules |= {alias.asname or alias.name for alias in node.names}
+                found += [f"{path.name}:{node.lineno} imports {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+        found += [f"{path.name}:{node.lineno} reads {ast.unparse(node)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not node.attr.startswith("__")
+                  and ast.unparse(node.value).split(".")[0] in modules]
+    assert found == []

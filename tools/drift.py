@@ -7,21 +7,14 @@ of bench/workloads.py (the benchmark's campaign configs), then every regime
 of tests/regimes.py, both read from the tree this script lives in, with
 each tree's `src` as the package, one BLAS thread, `campaign.trace = true`
 and `campaign.measure_timing = false`, so every campaign writes its
-iteration CSVs, every record field of every solve, with no wall time:
+iteration CSVs, every record field of every solve, with no wall time, and
+its state CSVs, every entry of the beams and combiners each solve ends on:
 every campaign of a tree in turn, in one process per tree, the two trees'
 processes at once.  The regimes are the 100 seeded configs of the promise
 sweep in tests/test_jpaim.py, the space the workloads leave out (CSI
 error, coarse converters, users in one direction only, 1-3 cells, every
 cancellation depth and `nu`): config i runs as campaign `regime_<i>`, from
 `regime_00` to `regime_99`, with all three algorithms, on one worker.
-
-The campaign CSVs carry no final state, so each campaign also writes,
-beside them, the final states of the RunTraces that
-`harness._run_algorithm` returned for every seed (the solves the campaign
-made), one state_<name>.csv per iteration-CSV name: seed, array, index,
-real and imag, one row per entry of each final state array.  Every cell is
-the repr of a Python float or int, so two cells are equal exactly when
-their bits are, -0.0 included.
 
 It then compares every CSV of each campaign of the two trees, matching rows
 by the key columns they have (seed, algorithm, iter, array, index).  For
@@ -37,8 +30,8 @@ The last line counts the compared CSVs and gives the script's own wall
 time, for example `drift: 717 of 717 lines identical in 51.0 s`.  Exit
 status: 0 when every campaign exits 0 and every CSV is byte-identical; 1
 otherwise, naming each workload whose campaign failed, with the tree and
-the exit code.  A campaign that raises exits 1, as does every campaign of a
-tree without the package.
+the exit code, that of `ibfdsim simulate`.  Every campaign of a tree
+without the package exits 1.
 """
 
 from __future__ import annotations
@@ -53,7 +46,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -62,7 +54,6 @@ ROOT = TOOLS.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DISCRETE = ("iterations", "converged")    # a change of these is listed one by one
 ROW_KEYS = ("seed", "algorithm", "iter", "array", "index")    # what names a row
-STATE_ARRAYS = ("dl_beams", "dl_combiners", "ul_beams", "ul_combiners")
 
 
 def _load(name: str, path: Path):
@@ -112,60 +103,14 @@ def run_tree(tree: Path, workloads, campaigns: dict, seed: int, realizations: in
 
 
 def dump_campaigns(*configs: str) -> None:
-    """dump_traces of each config path in turn, in this process, printing
-    each campaign's exit code on a line of its own.  A campaign that raises
-    exits 1, as a process of its own would, with its traceback on stderr."""
+    """`ibfdsim simulate --config` of each config path in turn, in this
+    process, printing each campaign's exit code on a line of its own."""
+    from ibfdsim import cli
+
     for config in configs:
-        try:
-            with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
-                code = dump_traces(config)
-        except Exception:  # noqa: BLE001 - one campaign's failure is its exit code
-            traceback.print_exc()
-            code = 1
+        with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
+            code = cli.main(["simulate", "--config", config])
         print(code, flush=True)
-
-
-def dump_traces(config_path: str) -> int:
-    """Run `ibfdsim simulate --config config_path` in this process and return
-    its exit code.  A campaign that exits 0 also writes the final states of
-    the traces that `harness._run_algorithm` returned, for every seed, into
-    its output_dir: per trace name, the _state_rows as state_<name>.csv.
-    Refuses `campaign.workers > 1`: no worker's solve is seen here."""
-    from ibfdsim import cli, harness
-
-    campaign = harness.load_config(config_path)
-    if campaign.workers > 1:
-        raise ValueError(f"{config_path}: campaign.workers > 1 hides the workers' solves")
-    original, states = harness._run_algorithm, {}
-
-    def recorded(config, realization, algo, solve):
-        report, found = original(config, realization, algo, solve)
-        states.update({(realization.seed, name): trace.final_state
-                       for name, trace in found.items()})
-        return report, found
-
-    harness._run_algorithm = recorded
-    try:
-        code = cli.main(["simulate", "--config", config_path])
-    finally:
-        harness._run_algorithm = original
-    if code == 0:
-        files = {}
-        for (seed, name), state in states.items():
-            header, rows = _state_rows(seed, state)
-            files.setdefault(f"state_{name}.csv", [header]).extend(rows)
-        for file, rows in files.items():
-            with open(Path(campaign.output_dir) / file, "w", newline="") as f:
-                csv.writer(f, lineterminator="\n").writerows(rows)
-    return code
-
-
-def _state_rows(seed: int, state) -> tuple:
-    """(header, rows) of a final state: one row per entry of each
-    STATE_ARRAYS array, by its index in the flattened array."""
-    return ["seed", "array", "index", "real", "imag"], [
-        [seed, name, index, z.real, z.imag] for name in STATE_ARRAYS
-        for index, z in enumerate(getattr(state, name).ravel().tolist())]
 
 
 def _rows(path: Path) -> tuple:
