@@ -40,20 +40,19 @@ from .stacked import Channels, columns, diagonal, hermitian, row_powers, uncolum
 
 
 def distortion_gram(a: np.ndarray, a_h: np.ndarray, y: np.ndarray, y_h: np.ndarray,
-                    weights: np.ndarray, sigma: float,
-                    floor: np.ndarray | None = None) -> np.ndarray:
+                    weights: np.ndarray, sigma: float, floor: np.ndarray) -> np.ndarray:
     """A A^H + Y diag(weights) Y^H plus sigma times its own diagonal and
     floor[i] times the identity of matrix i, given a_h = A^H and y_h = Y^H.
 
     The shared form of the receive covariances, with A = Y blockdiag(W) and
     their noise plus CSI-error power as the floor, and of the transmit-side
-    sums of f1, with Y = X_t^H, A = Z^H and no floor (None).
+    sums of f1, with Y = X_t^H, A = Z^H and the CSI-error floor that the
+    transmitter's beams put on the loss as the floor.
     """
     total = a @ a_h + (y * weights) @ y_h
     diag = diagonal(total)
     diag *= 1.0 + sigma
-    if floor is not None:
-        diag += floor[..., None]
+    diag += floor[..., None]
     return total
 
 
@@ -154,7 +153,10 @@ def transmit_grams(ch: Channels, hw: HardwareProfile, combiners):
     Both read the transmitter's columns X_t of X and their stored conjugate
     transpose X_t^H: the sum is Z^H Z + X_t^H diag(w) X_t plus kappa times
     its diagonal, with Z = blockdiag(U)^H X_t and w the beta-scaled row
-    powers of the combiners.
+    powers of the combiners.  Each transmitter t also gets the CSI-error
+    floor its beams put on the loss, (1 + kappa_t) sum_r err[r, t]
+    ||U_r||_F^2 times the identity: receiver r's CSI-error power is
+    sum_t err[r, t] tr(T_t), which its combiners weigh by ||U_r||_F^2.
     """
     u_dl, u_ul = combiners
     cells, k_d, m_ue, b_d = u_dl.shape
@@ -164,18 +166,25 @@ def transmit_grams(ch: Channels, hw: HardwareProfile, combiners):
     # users it decodes side by side: the row order of X
     bs_u = columns(u_ul)
     dl_uh, bs_uh = hermitian(u_dl.reshape(cells * k_d, m_ue, b_d)), hermitian(bs_u)
-    # the beta-scaled row powers of the combiners over the rows of X, zero at a
-    # receiver kind that decodes no user, which costs no kernel
-    weights = np.zeros(len(ch.x))
+    # the beta-scaled row powers of the combiners over the rows of X, and each
+    # receiver's ||U_r||_F^2 over the rows of err, zero at a receiver kind that
+    # decodes no user, which costs no kernel
+    weights, upow = np.zeros(len(ch.x)), np.zeros(len(ch.err))
     if k_d:
-        weights[:dl_rows] = (hw.beta_ue * row_powers(u_dl)).ravel()
+        dl_power = row_powers(u_dl)
+        weights[:dl_rows] = (hw.beta_ue * dl_power).ravel()
+        upow[:cells * k_d] = np.add.reduce(dl_power, axis=-1).ravel()
     if k_u:
-        weights[dl_rows:] = (hw.beta_bs * row_powers(bs_u)).ravel()
+        bs_power = row_powers(bs_u)
+        weights[dl_rows:] = (hw.beta_bs * bs_power).ravel()
+        upow[cells * k_d:] = np.add.reduce(bs_power, axis=-1)
+    csi = upow @ ch.err    # per transmitter, BSs first: the columns of err
     # the rows of Z: a block for each receiver kind that decodes a user
     blocks = [block for block in ((dl_uh, slice(dl_rows)), (bs_uh, slice(dl_rows, None)))
               if block[0].size]
 
-    def summed_f1(x: np.ndarray, x_h: np.ndarray, kappa: float, users: int) -> np.ndarray:
+    def summed_f1(x: np.ndarray, x_h: np.ndarray, kappa: float, users: int,
+                  floor: np.ndarray) -> np.ndarray:
         # x: (transmitters, rows of X, N), x_h its conjugate transpose; zero when
         # the transmitters serve no users, as nothing reads it then
         count, _, n = x.shape
@@ -183,8 +192,8 @@ def transmit_grams(ch: Channels, hw: HardwareProfile, combiners):
             return np.zeros((count, n, n), complex)
         z = np.concatenate([(u_h @ x[:, rows].reshape(count, len(u_h), -1, n)).reshape(
             count, -1, n) for u_h, rows in blocks], axis=1)
-        return distortion_gram(hermitian(z), z, x_h, x, weights, kappa)
+        return distortion_gram(hermitian(z), z, x_h, x, weights, kappa, (1.0 + kappa) * floor)
 
-    omega_ul = summed_f1(ch.from_ul, ch.from_ul_h, hw.kappa_ue, k_u)
-    return (summed_f1(ch.from_bs, ch.from_bs_h, hw.kappa_bs, k_d),
+    omega_ul = summed_f1(ch.from_ul, ch.from_ul_h, hw.kappa_ue, k_u, csi[cells:])
+    return (summed_f1(ch.from_bs, ch.from_bs_h, hw.kappa_bs, k_d, csi[:cells]),
             omega_ul.reshape(cells, k_u, *omega_ul.shape[-2:]))

@@ -4,10 +4,10 @@ Alternating two-block minimization of the penalized sum MSE, in the WMMSE
 family (Shi, Razaviyayn, Luo & He, IEEE TSP 2011): linear MMSE combiners,
 then the downlink/uplink precoders through a single eigendecomposition per
 transmitter with a power multiplier.  Both blocks solve their subproblem
-exactly for the same penalized loss, RSI penalty included, except under CSI
-error: the precoder's quadratic form leaves out how the CSI-error floor
-depends on the beams, so with a `csi_error_factor` that is not negligible
-the precoder step misses its block's optimum (ROADMAP item 1 adds the term).
+exactly for the same penalized loss, RSI penalty and CSI error included:
+the precoder's quadratic form carries the CSI-error floor each
+transmitter's beams put on every receiver, (1 + kappa_t) sum_r err[r, t]
+||U_r||_F^2 times the identity (covariance.transmit_grams).
 
 The precoder step minimizes over the transmitted beams W under the power
 budgets, so it also allocates the power.  The paper splits each beam into
@@ -23,9 +23,9 @@ iteration also tries an extrapolated point W* + beta (W* - W_prev) beyond the
 exact precoder result W*, scaled back into the power budgets.  A safeguard
 keeps it only if, after its combiner update, the loss lies at least the
 stopping threshold below the iteration's snapshot.  The tracked loss is
-therefore non-increasing, CSI error aside (a solve under it can end on a
-rise), and the loop stops once the per-iteration improvement drops below
-the threshold.
+therefore non-increasing, up to the rounding of ill-conditioned BS
+covariances (ROADMAP item 17), and the loop stops once the per-iteration
+improvement drops below the threshold.
 
 `run` reads the realization's Channels (module `stacked`) and its derived
 views, builds the precoder step's constants (the SI

@@ -187,7 +187,7 @@ def f1(y: np.ndarray, x: np.ndarray, sigma_t: float, sigma_r: float) -> np.ndarr
     channel inside Y, sigma_r that of the receiving node represented by X."""
     yx = y @ x
     return covariance.distortion_gram(yx, hermitian(yx), y, hermitian(y), sigma_r * row_powers(x),
-                                      sigma_t)
+                                      sigma_t, np.zeros(yx.shape[:-2]))
 
 
 def state_covariances(realization: Realization,
@@ -450,10 +450,12 @@ def per_call_transmit_grams(ch, hw, combiners):
     dl_rows = cells * k_d * m_ue
     bs_u = columns(u_ul)
     dl_uh, bs_uh = hermitian(u_dl.reshape(cells * k_d, m_ue, b_d)), hermitian(bs_u)
-    weights = np.concatenate([hw.beta_ue * row_powers(u_dl), hw.beta_bs * row_powers(bs_u)],
-                             axis=None)
+    powers = row_powers(u_dl), row_powers(bs_u)
+    weights = np.concatenate([hw.beta_ue * powers[0], hw.beta_bs * powers[1]], axis=None)
+    # each transmitter's CSI-error floor: sum_r err[r, t] ||U_r||_F^2
+    csi = np.concatenate([power.sum(axis=-1) for power in powers], axis=None) @ ch.err
 
-    def summed_f1(x, kappa):
+    def summed_f1(x, kappa, floor):
         count, _, n = x.shape
         z = np.concatenate(
             [(dl_uh @ x[:, :dl_rows].reshape(count, cells * k_d, m_ue, n)).reshape(
@@ -463,8 +465,9 @@ def per_call_transmit_grams(ch, hw, combiners):
         weighted = np.swapaxes(x, -1, -2) * weights
         total = hermitian(z) @ z + np.conjugate(weighted, out=weighted) @ x
         np.einsum("...ii->...i", total)[...] *= 1.0 + kappa
+        np.einsum("...ii->...i", total)[...] += ((1.0 + kappa) * floor)[:, None]
         return total
 
-    omega_ul = summed_f1(ch.from_ul, hw.kappa_ue)
-    return (summed_f1(ch.from_bs, hw.kappa_bs),
+    omega_ul = summed_f1(ch.from_ul, hw.kappa_ue, csi[cells:])
+    return (summed_f1(ch.from_bs, hw.kappa_bs, csi[:cells]),
             omega_ul.reshape(cells, k_u, *omega_ul.shape[-2:]))
