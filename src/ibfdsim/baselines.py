@@ -10,7 +10,7 @@ import numpy as np
 
 from . import jpaim, objective
 from .model import Realization, restrict_to_downlink, restrict_to_uplink
-from .stacked import BeamformingState, hermitian
+from .stacked import BeamformingState, add_scaled_diag, hermitian
 
 
 def nsp_project(beams: np.ndarray, h_si: np.ndarray, kappa_bs: float,
@@ -29,9 +29,8 @@ def nsp_project(beams: np.ndarray, h_si: np.ndarray, kappa_bs: float,
         raise ValueError(f"subspace_dim must lie in [1, {n}], got {subspace_dim}")
     if beams.shape[-2] != n:
         raise ValueError("beam rows do not match the SI channel's transmit dimension")
-    gram = hermitian(h_si) @ h_si
-    m = gram + kappa_bs * (gram * np.eye(n))    # kappa times the diagonal of gram
-    _, vecs = np.linalg.eigh(m)          # ascending eigenvalues
+    # the Gram matrix's eigenvectors, by ascending eigenvalue
+    _, vecs = np.linalg.eigh(add_scaled_diag(hermitian(h_si) @ h_si, kappa_bs))
     basis = vecs[..., :subspace_dim]
     return basis @ (hermitian(basis) @ beams)
 
