@@ -35,10 +35,11 @@ def nsp_project(beams: np.ndarray, h_si: np.ndarray, kappa_bs: float,
     return basis @ (hermitian(basis) @ beams)
 
 
-def run_nsp(realization: Realization, trace: jpaim.RunTrace, subspace_dim: int,
+def run_nsp(realization: Realization, trace: jpaim.RunTrace, subspace_dim: int | None = None,
             ) -> tuple[objective.ObjectiveReport, BeamformingState]:
-    """Project the downlink beams of a finished jpaim.run of `realization`,
-    refresh the combiners, and score the projected state.
+    """Project the downlink beams of a finished jpaim.run of `realization`
+    onto `subspace_dim` SI directions (half the BS antennas, at least one,
+    by default), refresh the combiners, and score the projected state.
 
     Projection only ever shrinks the transmitted power, so the power
     constraints stay satisfied; one combiner refresh lets the receivers react
@@ -51,7 +52,8 @@ def run_nsp(realization: Realization, trace: jpaim.RunTrace, subspace_dim: int,
     """
     ch, hw = realization.channels, realization.hardware
     final = trace.final_state
-    dl_beams = nsp_project(final.dl_beams, ch.si[:, None], hw.kappa_bs, subspace_dim)
+    dim = max(1, ch.n_bs // 2) if subspace_dim is None else subspace_dim
+    dl_beams = nsp_project(final.dl_beams, ch.si[:, None], hw.kappa_bs, dim)
     (dl, ul), _, report = objective.score(ch, hw, (dl_beams, final.ul_beams),
                                           np.asarray(trace.nu), with_rates=True)
     return report, BeamformingState(dl_beams, dl, final.ul_beams.copy(), ul)

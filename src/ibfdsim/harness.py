@@ -32,7 +32,7 @@ log = logging.getLogger(__name__)
 KNOWN_ALGORITHMS = ("jpaim", "nsp-jpaim", "half-duplex")
 
 _REALIZATIONS_SCHEMA = "ibfdsim-realizations-v2"
-_ITERATIONS_SCHEMA = "ibfdsim-iterations-v2"
+_ITERATIONS_SCHEMA = "ibfdsim-iterations-v3"
 _STATES_SCHEMA = "ibfdsim-states-v1"
 # the solve kinds a traced campaign writes an iteration and a state CSV for
 _SOLVES = ("jpaim", "half_duplex_dl", "half_duplex_ul")
@@ -210,7 +210,7 @@ def _csv_line(values) -> str:
 def _iteration_table(seed: int, records, measure_timing: bool) -> tuple:
     """(header, lines) of one solve's iteration CSV: seed, iter, then every
     record field in dtype order, one column <field>_<i> per entry of a
-    per-cell or per-user field.  A cell is the repr of a Python float or int
+    per-BS or per-user field.  A cell is the repr of a Python float or int
     from tolist (an np.float64's repr reads np.float64(...)), written column
     by column; the wall times, the fields ending in _ms, read 0.0 unless
     measure_timing."""
@@ -295,8 +295,7 @@ def _run_algorithm(config, realization, algo, solve):
     trace = solve()
     if algo == "jpaim":
         return trace.final_report, {"jpaim": trace}
-    nsp_dim = max(1, config.scenario.bs_tx_antennas // 2)
-    return baselines.run_nsp(realization, trace, nsp_dim)[0], {"jpaim": trace}
+    return baselines.run_nsp(realization, trace)[0], {"jpaim": trace}
 
 
 def run_campaign(config: CampaignConfig):

@@ -16,7 +16,7 @@ would have nothing left to improve, so the state holds the beams alone.
 
 Every multiplier search solves a secular equation sum_i g_i/(d_i+w)^2 = P
 for the smallest feasible w >= 0; one vectorized, safeguarded Newton solve
-(_search) serves every cell and uplink user of an iteration at once.
+(_search) serves every sending BS and uplink user of an iteration at once.
 
 Near its fixed point the plain alternation contracts slowly, so each
 iteration also tries an extrapolated point W* + beta (W* - W_prev) beyond the
@@ -38,8 +38,9 @@ of a solve: the start that `initialize` draws and the final state.
 
 A direction without users (the other one of a half-duplex phase, or of a
 network without downlink or uplink users) runs no kernel: its transmitters
-get no eigendecomposition, beam or extrapolated move, their search rows
-hold no terms, so their multipliers are 0, and their beams stay empty.
+get no eigendecomposition, beam, extrapolated move, search row or record
+entry, and their beams stay empty.  A BS thus sends when the network has
+downlink users, and has an SI link when it also has a receive chain.
 """
 
 from __future__ import annotations
@@ -92,11 +93,12 @@ class RunTrace:
 
     - loss, sum_mse, sum_rate (nan when metric collection is off; rated
       after the loop, outside every row's wall time);
-    - rsi_watts, dl_cell_power and dl_precoder_multipliers, per cell (G,);
+    - rsi_watts, per SI link, and dl_cell_power and dl_precoder_multipliers,
+      per sending BS: (G,) or (0,);
     - ul_user_power and ul_precoder_multipliers, per uplink user over
       (cell, user) (G K_u,);
     - multiplier_evaluations, the power evaluations of the row's search,
-      summed over every cell and uplink user (not a count per multiplier);
+      summed over every sending BS and uplink user (not a count per multiplier);
     - elapsed_ms, the iteration's wall time, and its parts: combiner_ms, the
       combiner update (0.0 when the previous iteration's accepted trial
       supplied it), precoder_ms, the precoder step, and trial_ms, the
@@ -230,9 +232,9 @@ def _bound_step(terms, den, target):
 def _precoder_constants(ch: Channels, hw: HardwareProfile, nu: np.ndarray):
     """What the precoder step reads that no iterate changes: the SI penalty
     nu_g S_g of every cell, with S_g = H^H H + kappa_bs diag(H^H H) from its
-    SI channel H, and the budget of every search row (cells, then uplink
-    users) with its target (1 - SEARCH_REL_TOL) budget as a column."""
-    budget = np.repeat([hw.p_bs_w, hw.p_ue_w], [ch.cells, ch.cells * ch.k_u])
+    SI channel H, and the budget of every search row (each sending BS, then
+    each uplink user) with its target (1 - SEARCH_REL_TOL) budget as a column."""
+    budget = np.repeat([hw.p_bs_w, hw.p_ue_w], [ch.cells if ch.k_d else 0, ch.cells * ch.k_u])
     return (nu[:, None, None] * add_scaled_diag(hermitian(ch.si) @ ch.si, hw.kappa_bs), budget,
             (budget * (1.0 - SEARCH_REL_TOL))[:, None])
 
@@ -243,7 +245,7 @@ def _precoder_step(ch: Channels, grams, combiners, constants):
     plus nu_g S_g at BS g, where S_g = H^H H + kappa diag(H^H H) is the
     distortion-aware Gram matrix of its true SI channel.  `constants` are
     _precoder_constants'.  Returns the beams and the (w, power, evaluations)
-    of the search, cells first."""
+    of the search, sending BSs first."""
     omega_bs, m_ul = grams
     penalty, budget, target = constants
     cells, k_d, n_bs, k_u, n_ue = ch.cells, ch.k_d, ch.n_bs, ch.k_u, ch.n_ue
@@ -255,17 +257,17 @@ def _precoder_step(ch: Channels, grams, combiners, constants):
         d_ul, q_ul = np.linalg.eigh(m_ul)
         d_ul = np.maximum(d_ul, 0.0)
         b_ul = hermitian(q_ul) @ (ch.ul_own_h @ combiners[1])
-    # one search over every cell and uplink user, shorter rows padded with empty
-    # terms; the rows of a transmitter kind without users stay empty, so w = 0
-    g = np.zeros((cells + cells * k_u, max(n_bs, n_ue)))
+    # one search over every sending BS and uplink user, shorter rows padded with empty terms
+    bs = len(budget) - cells * k_u    # the sending BSs: every cell's, or none
+    g = np.zeros((len(budget), max(n_bs, n_ue)))
     d = np.zeros_like(g)
     if k_d:
-        g[:cells, :n_bs], d[:cells, :n_bs] = np.add.reduce(row_powers(b_dl), axis=1), d_bs
+        g[:bs, :n_bs], d[:bs, :n_bs] = np.add.reduce(row_powers(b_dl), axis=1), d_bs
     if k_u:
-        g[cells:, :n_ue] = row_powers(b_ul).reshape(-1, n_ue)
-        d[cells:, :n_ue] = d_ul.reshape(-1, n_ue)
+        g[bs:, :n_ue] = row_powers(b_ul).reshape(-1, n_ue)
+        d[bs:, :n_ue] = d_ul.reshape(-1, n_ue)
     search = _search(g, d, budget, target)
-    w_dl, w_ul = search[0][:cells], search[0][cells:].reshape(cells, k_u)
+    w_dl, w_ul = search[0][:bs], search[0][bs:].reshape(cells, k_u)
 
     def beam(q, b, den):
         positive = den > 0.0
@@ -345,23 +347,25 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     constants = _precoder_constants(ch, hw, nu)
     start = initialize(realization)
     beams = (start.dl_beams, start.ul_beams)
-    cells, users = ch.cells, ch.cells * ch.k_u
+    users = ch.cells * ch.k_u
+    bs = len(constants[1]) - users    # the sending BSs
+    links = bs if ch.m_bs else 0      # SI links: sending BSs with a receive chain
     records = np.zeros(config.max_iterations + 1, [
-        ("loss", float), ("sum_mse", float), ("rsi_watts", float, (cells,)), ("sum_rate", float),
-        ("elapsed_ms", float), ("dl_cell_power", float, (cells,)),
-        ("ul_user_power", float, (users,)), ("dl_precoder_multipliers", float, (cells,)),
+        ("loss", float), ("sum_mse", float), ("rsi_watts", float, (links,)), ("sum_rate", float),
+        ("elapsed_ms", float), ("dl_cell_power", float, (bs,)),
+        ("ul_user_power", float, (users,)), ("dl_precoder_multipliers", float, (bs,)),
         ("ul_precoder_multipliers", float, (users,)), ("multiplier_evaluations", int),
         ("combiner_ms", float), ("precoder_ms", float), ("trial_ms", float)])
 
     def record(t, rep, t0, beams, w, evaluations=0, block_ms=(0.0, 0.0, 0.0)):
-        # a direction without users runs no power kernel and keeps its zeros;
+        # a direction without users runs no power kernel and has no entry;
         # the rate reads nan until the pass after the loop
         ms = (time.perf_counter() - t0) * 1e3
         dl, ul = beams
-        records[t] = (rep.loss, rep.sum_mse, rep.rsi_watts, rep.sum_rate, ms,
+        records[t] = (rep.loss, rep.sum_mse, rep.rsi_watts[:links], rep.sum_rate, ms,
                       np.add.reduce(frobenius_sq(dl), axis=-1) if dl.size else 0.0,
                       frobenius_sq(ul).reshape(-1) if ul.size else 0.0,
-                      w[:cells], w[cells:], evaluations, *block_ms)
+                      w[:bs], w[bs:], evaluations, *block_ms)
 
     t0 = time.perf_counter()
     combiners, cov, rep = objective.score(ch, hw, beams, nu,

@@ -229,17 +229,18 @@ def precoder_step(realization: Realization, state: BeamformingState,
     Returns (new state, multipliers, scalar powers, evaluations), the last
     three (downlink, uplink) pairs with the uplink flattened over (cell,
     user): each search's multiplier, its power from the eigen-domain
-    expression, and its number of power evaluations.  The new state's arrays
-    are C-contiguous copies.
+    expression, and its number of power evaluations.  The downlink holds one
+    entry per BS that sends, so none without downlink users.  The new
+    state's arrays are C-contiguous copies.
     """
     ch, hw = realization.channels, realization.hardware
     combiners = (state.dl_combiners, state.ul_combiners)
     constants = jpaim._precoder_constants(ch, hw, objective.resolve_nu(realization, config.nu))
     beams, search = jpaim._precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
                                          combiners, constants)
-    cells = realization.cell_count
+    bs = len(constants[1]) - ch.cells * ch.k_u    # the sending BSs
     new = replace(state, dl_beams=beams[0], ul_beams=beams[1]).copy()
-    return (new, *((a[:cells], a[cells:]) for a in search))
+    return (new, *((a[:bs], a[bs:]) for a in search))
 
 
 def secular_multiplier(g, d, budget):
@@ -371,8 +372,8 @@ def _precoder_lagrangian(realization, state, nu, multipliers) -> float:
     budgets' (downlink, uplink) multipliers of precoder_step."""
     hw = realization.hardware
     val = objective.evaluate(realization, state, nu).loss
-    for g in range(realization.cell_count):
-        val += multipliers[0][g] * (state.dl_cell_power(g) - hw.p_bs_w)
+    for g, w in enumerate(multipliers[0]):    # the sending BSs
+        val += w * (state.dl_cell_power(g) - hw.p_bs_w)
     for i, (g, k) in enumerate(realization.ul_users()):
         val += multipliers[1][i] * (state.ul_power(g, k) - hw.p_ue_w)
     return val

@@ -374,22 +374,34 @@ def test_run_campaign_writes_contractual_csv(tmp_path):
         assert int(r["iterations"]) == sum(
             sum(int(p["seed"]) == int(r["seed"]) for p in phase) - 1 for phase in phase_rows)
 
-    # nsp-jpaim's trace is the seed's jpaim solve, written once; the
-    # downlink phase has no uplink user, so no ul_* column
+    # nsp-jpaim's trace is the seed's jpaim solve, written once; a solve has
+    # columns only for the transmitters that send and the SI links it has:
+    # the downlink phase has no uplink user and no BS receive chain, the
+    # uplink phase no BS that sends, so neither has an SI link
     assert not (tmp_path / "out" / "iterations_nsp_jpaim.csv").exists()
     full = ["seed", "iter", "loss", "sum_mse", "rsi_watts_0", "sum_rate", "elapsed_ms",
             "dl_cell_power_0", "ul_user_power_0", "dl_precoder_multipliers_0",
             "ul_precoder_multipliers_0", "multiplier_evaluations", "combiner_ms", "precoder_ms",
             "trial_ms"]
-    for name in ("jpaim", "half_duplex_dl", "half_duplex_ul"):
+    absent = {"jpaim": (), "half_duplex_dl": ("ul_", "rsi_watts_"),
+              "half_duplex_ul": ("dl_", "rsi_watts_")}
+    for name, prefixes in absent.items():
         schema, irows = _read_csv(tmp_path / "out" / f"iterations_{name}.csv")
-        assert schema == "# schema: ibfdsim-iterations-v2"
+        assert schema == "# schema: ibfdsim-iterations-v3"
         assert list(irows[0].keys()) == [
-            column for column in full if name != "half_duplex_dl" or not column.startswith("ul_")]
+            column for column in full if not column.startswith(prefixes)], name
         per_seed = [r for r in irows if int(r["seed"]) == seeds[0]]
         assert [int(r["iter"]) for r in per_seed] == list(range(len(per_seed)))
         losses = [float(r["loss"]) for r in per_seed]
         assert all(b <= a + 1e-8 for a, b in zip(losses, losses[1:]))
+    # a full-duplex network without downlink users: no BS sends, so no
+    # dl_* and no rsi_watts_* column
+    run_campaign(replace(cfg, scenario=replace(cfg.scenario, dl_users=0), realizations=1,
+                         algorithms=("jpaim",), output_dir=str(tmp_path / "no_dl")))
+    schema, irows = _read_csv(tmp_path / "no_dl" / "iterations_jpaim.csv")
+    assert schema == "# schema: ibfdsim-iterations-v3"
+    assert list(irows[0].keys()) == [
+        column for column in full if not column.startswith(absent["half_duplex_ul"])]
 
     # the returned summary holds the figures of the written rows
     for algo in summary.algorithms:
