@@ -66,13 +66,13 @@ def run_half_duplex(realization: Realization, config: jpaim.SolverConfig,
     The BS never transmits and receives at once, so there is no SI: the RSI
     penalty is dropped, the report's RSI is 0 and its ASIC depth nan in every
     cell.  Cross-cell interference within each phase is kept.  Each phase
-    gets half the airtime, so the rates are halved; each direction's MSE
-    comes from its own phase, and the loss is the sum of the phase losses.
-    Returns (report, downlink trace, uplink trace).
+    gets half the airtime, so the report halves the rates, not the traces'
+    records; each direction's MSE comes from its own phase, and the loss is
+    the sum of the phase losses.  Returns (report, downlink trace, uplink trace).
     """
     hd_config = replace(config, nu=0.0)
-    dl_trace = jpaim.run(restrict_to_downlink(realization), hd_config, collect_metrics=False)
-    ul_trace = jpaim.run(restrict_to_uplink(realization), hd_config, collect_metrics=False)
+    dl_trace = jpaim.run(restrict_to_downlink(realization), hd_config)
+    ul_trace = jpaim.run(restrict_to_uplink(realization), hd_config)
     dl, ul = dl_trace.final_report, ul_trace.final_report
     cells = realization.cell_count
     report = objective.ObjectiveReport(

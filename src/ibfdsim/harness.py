@@ -258,8 +258,7 @@ def _run_seed(args):
         return index, [], {}, [(seed, algo, message) for algo in config.algorithms]
 
     # the jpaim solve, run once however many algorithms use it
-    solve = functools.cache(
-        lambda: jpaim.run(realization, config.solver, collect_metrics=config.trace))
+    solve = functools.cache(lambda: jpaim.run(realization, config.solver))
 
     rows = []
     solves = {}

@@ -91,8 +91,8 @@ class RunTrace:
     over the records, records.loss of shape (T+1,), and records[t].loss is
     one row's.  Per row:
 
-    - loss, sum_mse, sum_rate (nan when metric collection is off; rated
-      after the loop, outside every row's wall time);
+    - loss, sum_mse, sum_rate (rated after the loop from each record's b x b
+      objective.signal_gains, outside every row's wall time);
     - rsi_watts, per SI link, and dl_cell_power and dl_precoder_multipliers,
       per sending BS: (G,) or (0,);
     - ul_user_power and ul_precoder_multipliers, per uplink user over
@@ -304,7 +304,7 @@ def _extrapolate(hw: HardwareProfile, beams, previous):
 # ---------------------------------------------------------------------------
 
 
-def run(realization: Realization, config: SolverConfig, collect_metrics: bool = True) -> RunTrace:
+def run(realization: Realization, config: SolverConfig, collect_metrics=None) -> RunTrace:
     """Run the alternating solver until the loss decrease falls below threshold.
 
     Per iteration: combiners, loss snapshot, precoders, then a safeguarded
@@ -332,15 +332,14 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     beams.
 
     Rates are computed only for what is reported, and none inside the loop.
-    With collect_metrics, each record keeps a reference to the desired
-    signals H W and MMSE combiners of its own combiner update (record 0's
-    from the MMSE solve of the initial covariances, an accepted trial's when
-    it becomes the next iteration's record; a rejected trial keeps none),
-    and one objective.sum_rates call over the stack of them rates every
-    record after the loop, bit for bit as a call per record would, so a
-    singular error matrix logs its warning once per solve.  Without it, no
-    pair is kept and records carry nan.  The final report always carries
-    rates.
+    Each record keeps the b x b objective.signal_gains (HW)^H U of its own
+    combiner update, formed after its wall time is taken (record 0's from
+    the MMSE solve of the initial covariances, an accepted trial's when it
+    becomes the next iteration's record; a rejected trial keeps none), and
+    one objective.sum_rates call over the stack of them rates every record
+    after the loop, bit for bit as a call per record would, so a singular
+    error matrix logs its warning once per solve.  The final report gets a
+    call of its own.  collect_metrics is accepted and not read.
     """
     nu = objective.resolve_nu(realization, config.nu)
     ch, hw = realization.channels, realization.hardware
@@ -370,9 +369,9 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
     t0 = time.perf_counter()
     combiners, cov, rep = objective.score(ch, hw, beams, nu,
                                           (start.dl_combiners, start.ul_combiners))
-    # each record's desired signals and MMSE combiners, rated in one pass after the loop
-    signals, mmse = ([cov.signal], [objective.mmse_combiners(cov)]) if collect_metrics else ([], [])
     record(0, rep, t0, beams, np.zeros(len(constants[1])))    # no search yet
+    # each record's signal gains, rated in one pass after the loop
+    gains = [objective.signal_gains(cov.signal, objective.mmse_combiners(cov))]
 
     converged = False
     accepted = None          # (beams, combiners, covariances, report) of the kept trial
@@ -397,17 +396,13 @@ def run(realization: Realization, config: SolverConfig, collect_metrics: bool = 
         beams = accepted[0] if accepted else exact
         block_ms = (0.0 if reused else (t1 - t0) * 1e3, (t2 - t1) * 1e3,
                     (t3 - t2) * 1e3 if tried else 0.0)
-        if collect_metrics:
-            signals.append(cov.signal)
-            mmse.append(combiners)
         record(t, rep, t0, beams, search[0], search[2].sum(), block_ms)
+        gains.append(objective.signal_gains(cov.signal, combiners))
         if converged:
             break
 
-    if signals:
-        rate_dl, rate_ul = objective.sum_rates(tuple(map(np.stack, zip(*signals))),
-                                               tuple(map(np.stack, zip(*mmse))))
-        records["sum_rate"][:len(signals)] = np.add(rate_dl, rate_ul)
+    rate_dl, rate_ul = objective.sum_rates(tuple(map(np.stack, zip(*gains))))
+    records["sum_rate"][:t + 1] = np.add(rate_dl, rate_ul)
 
     final_report = objective.score(ch, hw, beams, nu, combiners, with_rates=True)[2]
     final_state = BeamformingState(dl_beams=beams[0], dl_combiners=combiners[0],

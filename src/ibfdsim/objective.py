@@ -5,7 +5,8 @@ user's stream-recovery MSE plus a per-cell penalty nu_g times the residual
 self-interference (RSI) power that the cell's precoders leave at its own
 receive array.  Sum rate is reported alongside as the conventional
 log-det measure with everything that is not the desired signal treated as
-noise, taken from the b x b error matrices of the MMSE combiners.
+noise, from each user's b x b MMSE error matrix E = I - (HW)^H U alone,
+so a solve keeps only the b x b (HW)^H U of each record to rate it.
 
 Every figure comes from `score`, the one scoring step that the solver, the
 baselines and `evaluate` share: it reads the covariances (module
@@ -102,17 +103,23 @@ def mmse_combiners(cov: covariance.Covariances):
     return dl, ul
 
 
-def _rate_bits(signal: np.ndarray, mmse: np.ndarray) -> np.ndarray:
-    """log2 det(C) - log2 det(C - A A^H) for every user of a stack, from its
-    desired signal A = H W and MMSE combiner U = C^-1 A.
+def signal_gains(signal, mmse) -> tuple:
+    """The b x b gain G = A^H U of every user, per direction, from the desired
+    signals A = H W and MMSE combiners U = C^-1 A, (dl, ul) pairs of arrays
+    of shape (..., cells, users, rows, streams); E = I - G is its MMSE error matrix."""
+    return tuple(hermitian(a) @ u for a, u in zip(signal, mmse))
 
-    By the matrix determinant lemma, det(C - A A^H) = det(C) det(E) with
-    E = I - A^H U the b x b MMSE error matrix, so the rate is -log2 det E.
-    E is Hermitian with eigenvalues in (0, 1]; a singular one is shifted by
-    1e-15 I, which leaves every other user's bits as they are.
+
+def _rate_bits(gain: np.ndarray) -> np.ndarray:
+    """-log2 det E for every user of a stack of signal_gains G, E = I - G.
+
+    By the matrix determinant lemma, det(C - A A^H) = det(C) det(E), so this
+    is log2 det(C) - log2 det(C - A A^H).  E is Hermitian with eigenvalues in
+    (0, 1]; a singular one is shifted by 1e-15 I, which leaves every other
+    user's bits as they are.
     """
-    eye = np.eye(signal.shape[-1])
-    error = eye - hermitian(signal) @ mmse
+    eye = np.eye(gain.shape[-1])
+    error = eye - gain
     sign, logdet = np.linalg.slogdet(error)
     singular = (sign.real <= 0) | ~np.isfinite(logdet)
     if np.logical_or.reduce(singular, axis=None):
@@ -121,15 +128,14 @@ def _rate_bits(signal: np.ndarray, mmse: np.ndarray) -> np.ndarray:
     return -logdet / math.log(2.0)
 
 
-def sum_rates(signal, mmse) -> tuple:
-    """Downlink and uplink sum rates in bits/s/Hz of the desired signals
-    (H W_dl, H W_ul) and their MMSE combiners (U_dl, U_ul), each of shape
-    (..., cells, users, rows, streams): a float per direction for one state,
-    a list over the leading axis for a stack of states, each entry the bits
-    of that state's own call."""
+def sum_rates(gains) -> tuple:
+    """Downlink and uplink sum rates in bits/s/Hz of the signal_gains
+    (G_dl, G_ul), each of shape (..., cells, users, b, b): a float per
+    direction for one state, a list over the leading axis for a stack of
+    states, each entry the bits of that state's own call."""
     # a direction without users has rate 0 and costs no slogdet
-    return tuple((np.add.reduce(_rate_bits(a, u), axis=(-2, -1)) if a.size
-                  else np.zeros(a.shape[:-4])).tolist() for a, u in zip(signal, mmse))
+    return tuple((np.add.reduce(_rate_bits(g), axis=(-2, -1)) if g.size
+                  else np.zeros(g.shape[:-4])).tolist() for g in gains)
 
 
 def score(ch: Channels, hw: HardwareProfile, beams, nu_arr: np.ndarray, combiners=None,
@@ -146,8 +152,8 @@ def score(ch: Channels, hw: HardwareProfile, beams, nu_arr: np.ndarray, combiner
     with tr(T_g) = (1 + kappa) ||W_g||_F^2.  It is 0 for a silent cell,
     tr(T_g) = 0, and the cap for a transmitting cell whose residual vanishes
     against l_g tr(T_g), ideal cancellation (l_g = 0) included.  The rates
-    do not depend on the combiners: with_rates takes them from the MMSE
-    combiners mmse_combiners of the covariances, and without it they are nan.
+    do not depend on the combiners: with_rates rates the signal_gains of the
+    MMSE combiners of the covariances, and without it they are nan.
     """
     cov = covariance.covariances(ch, hw, beams)
     mmse = mmse_combiners(cov) if combiners is None or with_rates else None
@@ -163,7 +169,7 @@ def score(ch: Channels, hw: HardwareProfile, beams, nu_arr: np.ndarray, combiner
     depth = tuple(_depth_db(gain, p, r) for gain, p, r
                   in zip(hw.si_gain, cov.cell_power.tolist(), rsi.tolist()))
     nan = float("nan")
-    rate_dl, rate_ul = sum_rates(cov.signal, mmse) if with_rates else (nan, nan)
+    rate_dl, rate_ul = sum_rates(signal_gains(cov.signal, mmse)) if with_rates else (nan, nan)
     return combiners, cov, ObjectiveReport(
         sum_mse_dl=sum_mse_dl,
         sum_mse_ul=sum_mse_ul,

@@ -151,7 +151,7 @@ def random_state(realization: Realization, seed: int, beam_scale=1.0) -> Beamfor
 def solved_state(realization: Realization, iterations=3, nu=None) -> BeamformingState:
     """State after a few solver iterations: realistic scales, nonzero combiners."""
     cfg = jpaim.SolverConfig(nu=nu, max_iterations=iterations, threshold=1e-3)
-    return jpaim.run(realization, cfg, collect_metrics=False).final_state
+    return jpaim.run(realization, cfg).final_state
 
 
 def best_asic_depth_db(realization: Realization, g: int) -> float:

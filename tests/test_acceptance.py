@@ -36,7 +36,7 @@ def test_criterion_01_monotone_convergence():
     seeds = 200
     for seed in range(seeds):
         real = build_realization(ScenarioConfig(), seed)
-        trace = jpaim.run(real, config, collect_metrics=False)
+        trace = jpaim.run(real, config)
         losses = helpers.losses(trace)
         slack = 1e-8 * np.maximum(np.abs(losses[:-1]), 1.0)
         violations += int(np.any(np.diff(losses) > slack))
@@ -209,7 +209,7 @@ def test_criterion_06_asic_capability_trend():
         depths, best = [], []
         for seed in range(100):
             real = build_realization(sc, seed)
-            trace = jpaim.run(real, cfg, collect_metrics=False)
+            trace = jpaim.run(real, cfg)
             depths.append(trace.final_report.asic_depth_db[0])
             best.append(helpers.best_asic_depth_db(real, 0))
         means[n], bounds[n] = float(np.mean(depths)), float(np.mean(best))
@@ -231,8 +231,8 @@ def test_criterion_07_nu_tradeoff():
     rsi_heavy, rsi_light, dl_heavy, dl_light, both_converged = [], [], [], [], []
     for seed in range(40):
         real = build_realization(ScenarioConfig(asic_db=0.0), seed)
-        run_h = jpaim.run(real, heavy, collect_metrics=False)
-        run_l = jpaim.run(real, light, collect_metrics=False)
+        run_h = jpaim.run(real, heavy)
+        run_l = jpaim.run(real, light)
         rep_h, rep_l = run_h.final_report, run_l.final_report
         rsi_heavy.append(sum(rep_h.rsi_watts))
         rsi_light.append(sum(rep_l.rsi_watts))
@@ -291,7 +291,7 @@ def test_criterion_08_nsp_properties():
     rsi_by_dim = {d: [] for d in dims}
     for seed in range(30):
         real = build_realization(helpers.small_config(cells=1, asic_db=0.0), seed)
-        trace = jpaim.run(real, cfg, collect_metrics=False)
+        trace = jpaim.run(real, cfg)
         for d in dims:
             rsi_by_dim[d].append(baselines.run_nsp(real, trace, d)[0].rsi_watts[0])
     means = [float(np.mean(rsi_by_dim[d])) for d in dims]
@@ -317,7 +317,7 @@ def test_criterion_09_ibfd_gain_over_half_duplex():
     ibfd_dl, ibfd_ul, hd_dl, hd_ul = [], [], [], []
     for seed in range(200):
         real = build_realization(sc, seed)
-        rep = jpaim.run(real, cfg, collect_metrics=False).final_report
+        rep = jpaim.run(real, cfg).final_report
         half = baselines.run_half_duplex(real, cfg)[0]
         ibfd.append(rep.sum_rate)
         hd.append(half.sum_rate)

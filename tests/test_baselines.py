@@ -78,8 +78,7 @@ def test_nsp_validation():
 
 def test_run_nsp_projects_only_the_downlink_beams():
     real = build_realization(helpers.small_config(asic_db=0.0), 5)
-    trace = jpaim.run(real, SolverConfig(max_iterations=2, threshold=1e-3),
-                      collect_metrics=False)
+    trace = jpaim.run(real, SolverConfig(max_iterations=2, threshold=1e-3))
     state = trace.final_state
     report, projected = run_nsp(real, trace, subspace_dim=2)
     np.testing.assert_array_equal(projected.ul_beams, state.ul_beams)
@@ -98,7 +97,7 @@ def test_run_nsp_projects_only_the_downlink_beams():
 def test_run_nsp_full_dimension_matches_plain_solver():
     real = build_realization(helpers.small_config(), 6)
     cfg = SolverConfig(max_iterations=10)
-    plain = jpaim.run(real, cfg, collect_metrics=False)
+    plain = jpaim.run(real, cfg)
     report, projected = run_nsp(real, plain, subspace_dim=real.channels.n_bs)
     # identity projection, then one extra combiner refresh
     refreshed = helpers.refresh_combiners(real, plain.final_state)
@@ -114,7 +113,7 @@ def test_run_nsp_assembles_once_and_reports_evaluate(monkeypatch):
     # the score, rates included; no SI channel is read again link by link,
     # and the score is evaluate's on the returned state
     real = build_realization(ScenarioConfig(), 3)
-    trace = jpaim.run(real, SolverConfig(), collect_metrics=False)
+    trace = jpaim.run(real, SolverConfig())
     calls = {"covariances": 0, "mmse_combiners": 0, "link": 0}
 
     def counted(name, kernel):
@@ -153,7 +152,7 @@ def test_a_realization_derives_its_channel_views_once(monkeypatch):
     realization_digest(real)
     assert len(builds) == 1
     cfg = SolverConfig(max_iterations=3)
-    run_nsp(real, jpaim.run(real, cfg, collect_metrics=False), subspace_dim=8)
+    run_nsp(real, jpaim.run(real, cfg), subspace_dim=8)
     assert len(builds) == 1
     run_half_duplex(real, cfg)
     assert len(builds) == 3
@@ -161,7 +160,7 @@ def test_a_realization_derives_its_channel_views_once(monkeypatch):
 
 def test_run_nsp_keeps_power_feasible():
     real = build_realization(helpers.small_config(asic_db=0.0), 7)
-    trace = jpaim.run(real, SolverConfig(max_iterations=10), collect_metrics=False)
+    trace = jpaim.run(real, SolverConfig(max_iterations=10))
     _, projected = run_nsp(real, trace, subspace_dim=1)
     hw = real.hardware
     for g in range(real.cell_count):
@@ -317,7 +316,7 @@ def test_baselines_match_goldens(scenario, config, half_duplex, nsp):
     for seed in range(5):
         real = build_realization(scenario, seed)
         hd, dl, ul = run_half_duplex(real, config)
-        trace = jpaim.run(real, config, collect_metrics=False)
+        trace = jpaim.run(real, config)
         report, _ = run_nsp(real, trace, subspace_dim=8)
         for got, want in (((dl.iterations + ul.iterations, dl.converged and ul.converged,
                             hd.loss, hd.sum_rate), half_duplex[seed]),

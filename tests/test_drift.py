@@ -168,6 +168,25 @@ def test_rows_that_one_tree_alone_wrote_are_counted_and_the_rest_compared(tmp_pa
     assert drift.compare_file(parent, change) == ["  the bytes differ, not the rows"]
 
 
+def test_a_schema_line_change_is_named_and_counted_apart(tmp_path):
+    # a CSV whose rows are the same but whose schema line changed names the
+    # change; the summary counts such CSVs apart from the identical ones
+    drift = _drift()
+    parent, change = tmp_path / "parent.csv", tmp_path / "change.csv"
+    parent.write_text("# schema: ibfdsim-iterations-v2\nseed,iter,loss\n1,0,3.0\n")
+    change.write_text("# schema: ibfdsim-iterations-v3\nseed,iter,loss\n1,0,3.0\n")
+    schema_only = drift.compare_file(parent, change)
+    assert schema_only == ["  schema line: ibfdsim-iterations-v2 -> ibfdsim-iterations-v3"]
+    change.write_text("# schema: ibfdsim-iterations-v3\nseed,iter,loss\n1,0,2.5\n")
+    assert drift.compare_file(parent, change) == [
+        "  schema line: ibfdsim-iterations-v2 -> ibfdsim-iterations-v3",
+        "  loss: 1 of 1 rows differ, largest relative difference 0.167"]
+    reports = [[], schema_only, drift.compare_file(parent, change), []]
+    assert drift.summary(reports, 18.3) == (
+        "drift: 2 of 4 lines identical, 1 more differ only in their schema line, in 18.3 s")
+    assert drift.summary([[], []], 51.0) == "drift: 2 of 2 lines identical in 51.0 s"
+
+
 def test_relative_differences_of_cells_and_record_values():
     # a signed zero differs by text but not in value; a nan matches a nan;
     # anything else non-finite or unparsable is inf

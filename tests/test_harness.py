@@ -575,10 +575,10 @@ def test_run_campaign_records_failures_and_continues(tmp_path, monkeypatch):
     bad_seed = derive_seed(cfg.base_seed, 1)
     true_run = jpaim.run
 
-    def flaky(realization, config, collect_metrics=True):
+    def flaky(realization, config):
         if realization.seed == bad_seed:
             raise RuntimeError("synthetic failure")
-        return true_run(realization, config, collect_metrics)
+        return true_run(realization, config)
 
     monkeypatch.setattr(harness.jpaim, "run", flaky)
     summary = run_campaign(cfg)
@@ -599,11 +599,11 @@ def test_a_failed_solve_leaves_the_seeds_other_rows_as_they_are(tmp_path, monkey
     bad_seed = derive_seed(cfg.base_seed, 1)
     true_run = jpaim.run
 
-    def flaky(realization, config, collect_metrics=True):
+    def flaky(realization, config):
         ch = realization.channels
         if realization.seed == bad_seed and ch.k_d and ch.k_u:    # not a half-duplex phase
             raise RuntimeError("synthetic failure")
-        return true_run(realization, config, collect_metrics)
+        return true_run(realization, config)
 
     with monkeypatch.context() as patch:
         patch.setattr(harness.jpaim, "run", flaky)
@@ -627,10 +627,10 @@ def test_run_campaign_removes_an_earlier_campaigns_files(tmp_path, monkeypatch):
     bad_seed = derive_seed(first.base_seed, 1)
     true_run = jpaim.run
 
-    def flaky(realization, config, collect_metrics=True):
+    def flaky(realization, config):
         if realization.seed == bad_seed:
             raise RuntimeError("synthetic failure")
-        return true_run(realization, config, collect_metrics)
+        return true_run(realization, config)
 
     with monkeypatch.context() as patch:
         patch.setattr(harness.jpaim, "run", flaky)

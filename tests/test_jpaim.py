@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -317,12 +318,12 @@ def test_returned_states_are_c_contiguous_and_share_no_memory():
     # their input; the public functions hand out arrays of their own
     real = build_realization(ScenarioConfig(), 5)
     cfg = SolverConfig(max_iterations=3)
-    trace = run(real, cfg, collect_metrics=False)
+    trace = run(real, cfg)
     state = trace.final_state
     saved = state.copy()
     results = {
         "initialize": initialize(real),
-        "run": run(real, cfg, collect_metrics=False).final_state,
+        "run": run(real, cfg).final_state,
         "run_nsp": baselines.run_nsp(real, trace, 4)[1],
     }
     for name, out in results.items():
@@ -377,8 +378,7 @@ def test_run_monotone_under_heavy_rsi_penalty():
     # every seed
     cfg = SolverConfig(nu=1.0)
     for seed in range(20):
-        trace = run(build_realization(ScenarioConfig(asic_db=0.0), seed), cfg,
-                    collect_metrics=False)
+        trace = run(build_realization(ScenarioConfig(asic_db=0.0), seed), cfg)
         losses = helpers.losses(trace)
         slack = 1e-8 * np.maximum(np.abs(losses[:-1]), 1.0)
         assert np.all(np.diff(losses) <= slack), f"seed {seed}"
@@ -386,7 +386,7 @@ def test_run_monotone_under_heavy_rsi_penalty():
 
 def test_run_records_block_times():
     real = build_realization(ScenarioConfig(), 3)
-    trace = run(real, SolverConfig(), collect_metrics=False)
+    trace = run(real, SolverConfig())
     assert trace.iterations > 3
     first = trace.records[0]
     assert first.combiner_ms == first.precoder_ms == first.trial_ms == 0.0
@@ -461,7 +461,7 @@ def test_run_final_state_reproduces_the_final_report(scenario, config):
     # the final state holds the very beams and combiners the report scored
     for seed in range(4):
         real = build_realization(scenario, seed)
-        trace = run(real, config, collect_metrics=False)
+        trace = run(real, config)
         again = objective.evaluate(real, trace.final_state, config.nu)
         for field in fields(again):
             got, want = getattr(again, field.name), getattr(trace.final_report, field.name)
@@ -474,7 +474,7 @@ def test_run_final_report_is_evaluate_of_the_final_state():
     # state holds the very arrays it scored, so the figures agree bit for bit
     for seed in range(10):
         real = build_realization(ScenarioConfig(), seed)
-        trace = run(real, SolverConfig(), collect_metrics=False)
+        trace = run(real, SolverConfig())
         again = objective.evaluate(real, trace.final_state, None)
         for field in fields(again):
             assert getattr(again, field.name) == getattr(trace.final_report, field.name), (
@@ -517,21 +517,9 @@ def test_run_feasible_at_every_iteration():
             assert p <= hw.p_ue_w * (1.0 + 1e-6)
 
 
-def test_run_metrics_toggle():
-    real = build_realization(helpers.small_config(), 13)
-    lean = run(real, SolverConfig(max_iterations=5), collect_metrics=False)
-    rich = run(real, SolverConfig(max_iterations=5))
-    assert math.isnan(lean.records[1].sum_rate)
-    assert rich.records[1].sum_rate > 0.0
-    np.testing.assert_array_equal(helpers.losses(lean), helpers.losses(rich))
-    # the final report always carries rates
-    assert lean.final_report.sum_rate == pytest.approx(rich.final_report.sum_rate,
-                                                       rel=1e-12)
-
-
 # Recorded with the M x M log-det rate form log2 det(C) - log2 det(C - S),
 # before rates came from the MMSE error matrices: records[t].sum_rate of
-# run(..., collect_metrics=True) and the final report's (sum_rate_dl,
+# run(...) and the final report's (sum_rate_dl,
 # sum_rate_ul), for seeds 0-2.  The strong-SI seed 0 entry was re-recorded
 # when the covariances moved to the one receive-side matrix X (R R^H +
 # X diag(t) X^H): that run stops at max_iterations and carries the changed
@@ -565,26 +553,41 @@ def test_run_computes_rates_once_per_record(monkeypatch):
     stacks = []    # the leading axis of each call, () for one state
     kernel = objective.sum_rates
 
-    def counted(signal, mmse):
-        stacks.append(signal[0].shape[:-4])
-        return kernel(signal, mmse)
+    def counted(gains):
+        stacks.append(gains[0].shape[:-4])
+        return kernel(gains)
 
     monkeypatch.setattr(objective, "sum_rates", counted)
     real = build_realization(helpers.small_config(), 13)
-    rich = run(real, SolverConfig(max_iterations=20))
-    tried = sum(r.trial_ms > 0.0 for r in rich.records)
-    accepted = sum(r.combiner_ms == 0.0 for r in rich.records[2:])
+    trace = run(real, SolverConfig(max_iterations=20))
+    tried = sum(r.trial_ms > 0.0 for r in trace.records)
+    accepted = sum(r.combiner_ms == 0.0 for r in trace.records[2:])
     assert 0 < accepted < tried
-    assert stacks == [(len(rich.records),), ()]
-    stacks.clear()
-    run(real, SolverConfig(max_iterations=20), collect_metrics=False)
-    assert stacks == [()]
+    assert stacks == [(len(trace.records),), ()]
+
+
+def test_records_keep_no_signals():
+    # a record keeps its b x b signal gains, not the desired signals and
+    # combiners of its 64-antenna BSs, which would add about 33 KB a record
+    # to the peak
+    real = build_realization(ScenarioConfig(bs_tx_antennas=64, bs_rx_antennas=64, asic_db=0.0), 0)
+    peaks = []
+    for iterations in (10, 60):
+        tracemalloc.start()
+        try:
+            trace = run(real, SolverConfig(nu=1.0, max_iterations=iterations))
+            peaks.append((tracemalloc.get_traced_memory()[1], len(trace.records)))
+        finally:
+            tracemalloc.stop()
+    (low, low_records), (high, high_records) = peaks
+    assert (low_records, high_records) == (11, 61)
+    assert high - low <= 4096 * (high_records - low_records)
 
 
 def _rated_updates(monkeypatch) -> list:
-    """Every combiner update of the solves that follow, as (loss, rate): its
-    loss and the one-state sum_rates of its desired signals and MMSE
-    combiners.  The initial report scores given combiners, so its MMSE
+    """Every combiner update of the solves that follow, as (channels, loss,
+    rate): the channels it scored, its loss, and the one-state sum_rates of
+    its desired signals and MMSE combiners.  The initial report scores given combiners, so its MMSE
     combiners are solved here; the final report rates itself."""
     updates = []
     kernel = objective.score
@@ -593,33 +596,42 @@ def _rated_updates(monkeypatch) -> list:
         scored, cov, rep = kernel(ch, hw, beams, nu, combiners, with_rates)
         if not with_rates:
             mmse = scored if combiners is None else objective.mmse_combiners(cov)
-            rate_dl, rate_ul = objective.sum_rates(cov.signal, mmse)
-            updates.append((rep.loss, rate_dl + rate_ul))
+            rate_dl, rate_ul = objective.sum_rates(objective.signal_gains(cov.signal, mmse))
+            updates.append((ch, rep.loss, rate_dl + rate_ul))
         return scored, cov, rep
 
     monkeypatch.setattr(objective, "score", captured)
     return updates
 
 
-@pytest.mark.parametrize("scenario, config", [
-    (ScenarioConfig(), SolverConfig()),
-    (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0)),
-    (helpers.small_config(ul_users=0), SolverConfig()),
-    (helpers.small_config(dl_users=0), SolverConfig()),
-    (ScenarioConfig(), SolverConfig(max_iterations=0)),
-    (ScenarioConfig(), SolverConfig(max_iterations=1)),
+@pytest.mark.parametrize("scenario, config, phase", [
+    (ScenarioConfig(), SolverConfig(), None),
+    (ScenarioConfig(asic_db=0.0), SolverConfig(nu=1.0), None),
+    (helpers.small_config(ul_users=0), SolverConfig(), None),
+    (helpers.small_config(dl_users=0), SolverConfig(), None),
+    (ScenarioConfig(), SolverConfig(max_iterations=0), None),
+    (ScenarioConfig(), SolverConfig(max_iterations=1), None),
+    (ScenarioConfig(), SolverConfig(), 1),
+    (ScenarioConfig(), SolverConfig(), 2),
 ], ids=["default", "strong_si", "downlink_only", "uplink_only", "max_iterations_0",
-        "max_iterations_1"])
-def test_record_rates_are_their_own_updates_rates(monkeypatch, scenario, config):
+        "max_iterations_1", "half_duplex_dl", "half_duplex_ul"])
+def test_record_rates_are_their_own_updates_rates(monkeypatch, scenario, config, phase):
     # the pass after the loop gives each record, bit for bit, the rate of the
     # combiner update whose loss it holds: record 0's initial report, an
-    # iteration's own update, or the accepted trial's that it reuses
+    # iteration's own update, or the accepted trial's that it reuses; so do
+    # the traces of run_half_duplex's two phases (phase 1 and 2 of its result)
     updates = _rated_updates(monkeypatch)
-    trace = run(build_realization(scenario, 0), config)
+    real = build_realization(scenario, 0)
+    if phase is None:
+        trace = run(real, config)
+    else:
+        trace = baselines.run_half_duplex(real, config)[phase]
+        # the other phase starts at the same loss, one per stream with zero combiners
+        updates = [u for u in updates if (u[0].k_d, u[0].k_u)[phase - 1]]
     if config == SolverConfig(nu=1.0):
         assert not trace.converged and trace.iterations == config.max_iterations
     for t, r in enumerate(trace.records):
-        rates = {repr(rate) for loss, rate in updates if loss == r.loss}
+        rates = {repr(rate) for _, loss, rate in updates if loss == r.loss}
         assert rates == {repr(float(r.sum_rate))}, f"record {t}"
 
 
@@ -728,7 +740,7 @@ def test_search_rows_are_independent(scenario, monkeypatch):
         return search(*table)
 
     monkeypatch.setattr(jpaim, "_search", recorded)
-    run(build_realization(scenario, 0), SolverConfig(), collect_metrics=False)
+    run(build_realization(scenario, 0), SolverConfig())
     assert len(tables) > 10
     rng = np.random.default_rng(41)
     for g, d, budget, target in tables:
@@ -761,7 +773,7 @@ def test_multiplier_searches_stay_within_eight_evaluations():
             state, _, _, evaluations = helpers.precoder_step(real, state, cfg)
             worst = max(worst, *evaluations[0], *evaluations[1])
     assert 1 <= worst <= 8
-    trace = run(build_realization(ScenarioConfig(), 3), cfg, collect_metrics=False)
+    trace = run(build_realization(ScenarioConfig(), 3), cfg)
     assert trace.records[0].multiplier_evaluations == 0
     assert all(r.multiplier_evaluations >= 3 for r in trace.records[1:])
 
@@ -784,7 +796,7 @@ GOLDEN_STRONG_SI = [(100, 7.546007950711318), (47, 8.587932204478848), (48, 7.02
 ], ids=["default", "strong_si"])
 def test_run_matches_per_link_goldens(scenario, config, golden):
     for seed, (iterations, final_loss) in enumerate(golden):
-        trace = run(build_realization(scenario, seed), config, collect_metrics=False)
+        trace = run(build_realization(scenario, seed), config)
         assert trace.iterations == iterations, f"seed {seed}"
         assert trace.final_report.loss == pytest.approx(final_loss, rel=1e-6), f"seed {seed}"
 
@@ -805,7 +817,7 @@ def test_promises_hold_over_the_accepted_regimes(index):
     # restricted realizations without the RSI penalty
     scenario, config = _REGIMES[index]
     real = build_realization(scenario, index)
-    trace = run(real, config, collect_metrics=False)
+    trace = run(real, config)
     nsp_report, projected = baselines.run_nsp(real, trace,
                                               max(1, scenario.bs_tx_antennas // 2))
     _, dl_trace, ul_trace = baselines.run_half_duplex(real, config)
@@ -830,7 +842,7 @@ def test_no_solve_ends_on_a_rise_over_the_accepted_regimes(index):
     scenario, config = _REGIMES[index]
     real = build_realization(scenario, index)
     _, dl_trace, ul_trace = baselines.run_half_duplex(real, config)
-    for name, trace in (("jpaim", run(real, config, collect_metrics=False)),
+    for name, trace in (("jpaim", run(real, config)),
                         ("downlink phase", dl_trace), ("uplink phase", ul_trace)):
         losses = helpers.losses(trace)
         rises = np.diff(losses) - 1e-8 * np.maximum(np.abs(losses[:-1]), 1.0)
@@ -897,13 +909,12 @@ def test_power_of_two_scale_equivariance(k):
     c = 2.0 ** k
     for index, (scenario, config) in enumerate(_REGIMES):
         real = build_realization(scenario, index)
-        base = run(real, config, collect_metrics=False)
+        base = run(real, config)
         nu = None if config.nu is None else config.nu / (c * c)
         for family in (("channels", "budgets") if nu is not None
                        else ("channels, default nu",)):
             beam, shift = _FAMILIES[family]
-            trace = run(_scaled(real, k, family), replace(config, nu=nu),
-                        collect_metrics=False)
+            trace = run(_scaled(real, k, family), replace(config, nu=nu))
             label = f"regime {index}, {family}, k = {k}"
             assert trace.iterations == base.iterations, label
             np.testing.assert_array_equal(helpers.losses(trace), helpers.losses(base), label)
@@ -980,5 +991,5 @@ def test_solver_never_beats_the_single_user_water_filling_optimum(direction):
         power = state.dl_cell_powers().sum() + state.ul_powers().sum()
         assert power == pytest.approx(budget, rel=1e-12)
         assert objective.evaluate(real, state, None).loss == pytest.approx(optimum, rel=1e-9)
-        loss = run(real, SolverConfig(), collect_metrics=False).final_report.loss
+        loss = run(real, SolverConfig()).final_report.loss
         assert loss >= optimum * (1.0 - 1e-9), f"seed {seed}: {loss} below {optimum}"

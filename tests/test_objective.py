@@ -43,7 +43,7 @@ def test_evaluate_takes_the_solver_default_nu():
     # evaluate resolves nu as the solver does, so SolverConfig's default None
     # scores a solve as the per-cell weights the solve used, here unequal
     real = helpers.with_nu(build_realization(ScenarioConfig(), 3), (2.0 ** -20, 2.0 ** -18))
-    trace = jpaim.run(real, jpaim.SolverConfig(), collect_metrics=False)
+    trace = jpaim.run(real, jpaim.SolverConfig())
     assert trace.nu == (2.0 ** -20, 2.0 ** -18)
     got = evaluate(real, trace.final_state, None)
     for field in fields(got):
@@ -162,7 +162,7 @@ def test_asic_depth_cap_under_ideal_cancellation():
     # residual: a transmitting cell reports the cap, not a silent cell's 0
     scenario = ScenarioConfig(cells=1, asic_db=math.inf, adc_bits=math.inf)
     real = build_realization(scenario, 3)
-    rep = jpaim.run(real, jpaim.SolverConfig(), collect_metrics=False).final_report
+    rep = jpaim.run(real, jpaim.SolverConfig()).final_report
     assert real.hardware.si_gain == (0.0,)
     assert rep.rsi_watts == (0.0,)
     assert rep.asic_depth_db == (ASIC_DEPTH_CAP_DB,)
@@ -195,7 +195,8 @@ def test_rate_bits_closed_form():
     a = helpers.cn(rng, (3, 2))
     s = a @ a.conj().T
     expected = math.log2(np.linalg.det(np.eye(3) + s @ np.linalg.inv(q)).real)
-    assert objective._rate_bits(a, np.linalg.solve(q + s, a)) == pytest.approx(expected, rel=1e-10)
+    gain, = objective.signal_gains((a,), (np.linalg.solve(q + s, a),))
+    assert objective._rate_bits(gain) == pytest.approx(expected, rel=1e-10)
 
 
 def test_rate_bits_regularizes_singular_noise():
@@ -203,7 +204,7 @@ def test_rate_bits_regularizes_singular_noise():
     # so is the error matrix E = 1 - A^H C^-1 A = 0
     a = np.array([[0.0], [1.0]], dtype=complex)
     c = np.diag([1.0, 1.0]).astype(complex)
-    out = objective._rate_bits(a, np.linalg.solve(c, a))
+    out = objective._rate_bits(*objective.signal_gains((a,), (np.linalg.solve(c, a),)))
     assert np.isfinite(out) and out > 0.0
 
 
@@ -222,10 +223,10 @@ def test_sum_rates_of_a_stack_equal_each_states_own_call():
     singular = ((a, a), (a, a))
     nonsingular = ((regular, regular), (regular, regular))
     for first, second in (pairs, (nonsingular, singular)):
-        single = [objective.sum_rates(*pair) for pair in (first, second)]
+        gains = [objective.signal_gains(*pair) for pair in (first, second)]
+        single = [objective.sum_rates(gain) for gain in gains]
         assert all(type(rate) is float for rates in single for rate in rates)
-        stack = [tuple(np.stack(side) for side in zip(first[i], second[i])) for i in (0, 1)]
-        rate_dl, rate_ul = objective.sum_rates(*stack)
+        rate_dl, rate_ul = objective.sum_rates(tuple(map(np.stack, zip(*gains))))
         assert [repr(r) for r in rate_dl] == [repr(r[0]) for r in single]
         assert [repr(r) for r in rate_ul] == [repr(r[1]) for r in single]
     assert all(np.isfinite(single[1])) and single[1][0] > 0.0
@@ -248,9 +249,8 @@ def test_rates_match_explicit_log_det(scenario):
         real = build_realization(scenario, seed)
         state = helpers.random_state(real, 30 + seed)
         cov = helpers.state_covariances(real, state)
-        mmse = objective.mmse_combiners(cov)
-        bits_dl = objective._rate_bits(cov.signal[0], mmse[0])
-        bits_ul = objective._rate_bits(cov.signal[1], mmse[1])
+        gains = objective.signal_gains(cov.signal, objective.mmse_combiners(cov))
+        bits_dl, bits_ul = map(objective._rate_bits, gains)
         w_dl, w_ul = state.dl_beams, state.ul_beams
         for g, k in helpers.dl_users(real):
             h = helpers.link(real, dl_node(g, k), bs_node(g)).est
