@@ -6,13 +6,14 @@ simultaneously receiving from uplink users, so every realization carries
 user-to-user and BS-to-BS cross links in addition to the usual serving links,
 plus a self-interference (SI) channel at each BS.
 
-All channels are stored both as the true matrix and as an estimated copy with
-a known per-element error variance; SI channels are assumed perfectly known.
-A realization keeps them in one matrix X (module `stacked`), drawn block
-by block and read by the solver kernels as whole arrays.  The Channels
-holding X are also the one record of the realization's sizes (cells, users
-per cell, antennas per node); the realization adds only the geometry, the
-hardware, and the two stream counts.
+Every channel is stored as its estimate with a known per-element error
+variance, the model the solver's expected loss reads, and no true matrix is
+kept; SI channels are perfectly known.  A realization keeps the estimates
+in one matrix X (module `stacked`), drawn block by block and read by the
+solver kernels as whole arrays.  The Channels holding X are also the one
+record of the realization's sizes (cells, users per cell, antennas per
+node); the realization adds only the geometry, the hardware, and the two
+stream counts.
 """
 
 from __future__ import annotations
@@ -297,30 +298,31 @@ def generate_channel(gain: np.ndarray, rician_k: float, use_rician: np.ndarray,
     return np.multiply(np.sqrt(gain)[..., None, None], scatter, out=out)
 
 
-def apply_uncertainty(channel: np.ndarray, varrho: float, normals: np.ndarray,
-                      out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split true channels (links..., rows, cols) into estimates and known
-    error variances, with `normals` (links..., 2, rows, cols) the real and
-    imaginary parts of each link's error draw; the estimates are written
-    into `out`, shaped as `channel`, and returned with the variances.
+def apply_uncertainty(channel: np.ndarray, varrho: float,
+                      normals: np.ndarray) -> np.ndarray:
+    """Replace true channels (links..., rows, cols) in place by their
+    estimates and return each link's known error variance, with `normals`
+    (links..., 2, rows, cols) the real and imaginary parts of each link's
+    error draw.
 
     A link's per-element error variance is varrho * ||H||_F^2 / (rows*cols);
     its estimate is H minus the error, so estimate + error = truth holds
-    exactly.  varrho = 0 copies the channels unchanged into `out`, gives
-    zero variances, and reads no normals.
+    exactly.  varrho = 0 leaves the channels as they are, gives zero
+    variances, and reads no normals.
     """
     if varrho < 0:
         raise ValueError("varrho must be >= 0")
     *links, rows, cols = channel.shape
-    if varrho == 0.0:    # np.positive copies every bit
-        return np.positive(channel, out=out), np.zeros(links)
+    if varrho == 0.0:
+        return np.zeros(links)
     # one norm per link: a batched norm rounds differently
     err_var = np.array([varrho * float(np.linalg.norm(h) ** 2) / (rows * cols)
                         for h in channel.reshape(-1, rows, cols)]).reshape(links)
     delta = 1j * normals[..., 1, :, :]
     delta += normals[..., 0, :, :]
     delta *= np.sqrt(err_var / 2.0)[..., None, None]
-    return np.subtract(channel, delta, out=out), err_var
+    channel -= delta
+    return err_var
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,8 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     receiver's over its transmitters (every BS, then every uplink user,
     cell by cell), and a link's are the real and imaginary parts of its
     matrix, then of its estimation error.  The SI link draws no error (its
-    CSI is perfect), and no link does at csi_error_factor 0.
+    CSI is perfect), and no link does at csi_error_factor 0.  Each link's
+    truth is drawn into its block of X and replaced there by its estimate.
     """
     rng = np.random.default_rng(seed)
     topo = generate_topology(config.cells, config.dl_users, config.ul_users,
@@ -394,7 +397,7 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
              config.bs_tx_antennas, config.ul_users, config.ue_tx_antennas)
     cells, k_d, m_ue, m_bs, n_bs, k_u, n_ue = sizes
     shape, err_shape = Channels.shapes(*sizes)
-    x, x_true, err = np.zeros(shape, complex), np.zeros(shape, complex), np.zeros(err_shape)
+    x, err = np.zeros(shape, complex), np.zeros(err_shape)
     draws, si = (4 if varrho else 2), np.arange(cells)   # a link's matrix, then its error
     # per node kind: positions, antennas, its rows or columns of X, of err
     dl_rows, bs_cols = cells * k_d * m_ue, cells * n_bs
@@ -431,15 +434,13 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
                 rician[r, t] = los == config.swap_los_fading
             if rx_xy is tx_xy:   # BSs <- BSs, SI links on the diagonal: Rayleigh, residual gain
                 gain[si, si], rician[si, si] = hw.si_gain, False
-            # each draw is written straight into its block of x or x_true
-            x_block, true_block = (a[rows, cols].reshape(links[0], m, links[1], n).swapaxes(1, 2)
-                                   for a in (x, x_true))
-            h = generate_channel(gain, rician_k, rician, part[:, :, :2], out=true_block)
-            err[rx_err, tx_err] = apply_uncertainty(h, varrho, part[:, :, 2:], out=x_block)[1]
-            if rx_xy is tx_xy:   # perfect SI CSI: one matrix, in x, and no error
-                x_block[si, si], true_block[si, si], err[rx_err, tx_err][si, si] = h[si, si], 0, 0
+            h = x[rows, cols].reshape(links[0], m, links[1], n).swapaxes(1, 2)
+            generate_channel(gain, rician_k, rician, part[:, :, :2], out=h)
+            err[rx_err, tx_err] = apply_uncertainty(h, varrho, part[:, :, 2:])
+            if rx_xy is tx_xy:   # perfect SI CSI: zero error draws, so x keeps its truth
+                err[rx_err, tx_err][si, si] = 0
     return Realization(topology=topo, hardware=hw, seed=seed, dl_streams=config.dl_streams,
-                       ul_streams=config.ul_streams, channels=Channels(x, x_true, err, *sizes))
+                       ul_streams=config.ul_streams, channels=Channels(x, err, *sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +461,7 @@ def _restrict(realization: Realization, keep_dl: bool) -> Realization:
     cut = np.s_[:dl_rows, :bs_cols] if keep_dl else np.s_[dl_rows:, bs_cols:]
     err = ch.err[:, :ch.cells] if keep_dl else ch.err[ch.cells * ch.k_d:]
     off = dict(m_bs=0, k_u=0) if keep_dl else dict(k_d=0, n_bs=0)
-    channels = replace(ch, x=ch.x[cut], x_true=ch.x_true[cut], err=err, **off)
+    channels = replace(ch, x=ch.x[cut], err=err, **off)
     return replace(realization, topology=new_topo, channels=channels)
 
 
@@ -479,10 +480,10 @@ def restrict_to_uplink(realization: Realization) -> Realization:
 # ---------------------------------------------------------------------------
 
 _FORMAT_MAGIC = b"IBFDREAL"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 # the stored arrays in file order, with their dtypes
 _ARRAYS = {"bs_xy": "<f8", "dl_xy": "<f8", "ul_xy": "<f8",
-           "x": "<c16", "x_true": "<c16", "err": "<f8"}
+           "x": "<c16", "err": "<f8"}
 # the header's keys; "sizes" holds the Channels size fields and both stream counts
 _HEADER = ("seed", "inter_site_distance_m", "min_bs_user_distance_m", "hardware", "sizes",
            "arrays")
@@ -493,7 +494,7 @@ _SIZES = (*_CHANNEL_SIZES, "dl_streams", "ul_streams")
 def _payload(realization: Realization):
     """Canonical (header, arrays) pair; the arrays by name, in file order."""
     topo, ch = realization.topology, realization.channels
-    arrays = dict(zip(_ARRAYS, (topo.bs_xy, topo.dl_xy, topo.ul_xy, ch.x, ch.x_true, ch.err)))
+    arrays = dict(zip(_ARRAYS, (topo.bs_xy, topo.dl_xy, topo.ul_xy, ch.x, ch.err)))
     meta = {
         "seed": realization.seed,
         "inter_site_distance_m": topo.inter_site_distance_m,
@@ -556,9 +557,9 @@ def load_realization(path) -> Realization:
     range or not finite, an SI gain count other than the cell count, an
     array whose shape disagrees with the sizes, an array entry that is not
     finite (a position, a channel entry or an error variance), an error
-    variance that is negative, or an SI link with a true matrix or an error
-    variance other than zero: SI CSI is perfect, so its one matrix is its
-    block of `x`.
+    variance that is negative, or an SI link with an error variance other
+    than zero: SI CSI is perfect.  Formats 1 and 2, which also stored the
+    true matrices, are refused as unsupported versions.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -604,7 +605,7 @@ def load_realization(path) -> Realization:
     channel_sizes = {key: sizes[key] for key in _CHANNEL_SIZES}
     x_shape, err_shape = Channels.shapes(**channel_sizes)
     shapes = dict(zip(_ARRAYS, ((cells, 2), (cells, sizes["k_d"], 2), (cells, sizes["k_u"], 2),
-                                x_shape, x_shape, err_shape)))
+                                x_shape, err_shape)))
     stated = _checked(meta["arrays"], _ARRAYS, "arrays")
     for name, shape in shapes.items():
         if stated[name] != list(shape):
@@ -630,20 +631,15 @@ def load_realization(path) -> Realization:
         data[name] = a
         offset += size
 
-    channels = Channels(data["x"], data["x_true"], data["err"], **channel_sizes)
-    err = channels.err
-    # the SI link of BS g: its rows in x_true, its columns, and its err entry
-    bs_rows, diag = np.s_[cells * sizes["k_d"] * sizes["m_ue"]:], np.arange(cells)
-    si_true = channels.x_true[bs_rows, :cells * sizes["n_bs"]].reshape(
-        cells, sizes["m_bs"], cells, sizes["n_bs"])[diag, :, diag]
-    si_known = ~si_true.any(axis=(1, 2)) & (err[cells * sizes["k_d"] + diag, diag] == 0)
-    if not si_known.all():
-        raise ValueError(f"realization file: the SI link of BS {np.argmin(si_known)} has a "
-                         f"true matrix or an error variance; SI CSI is perfect, so its one "
-                         f"matrix is its block of x")
+    # SI CSI is perfect: each BS's SI link, a diagonal entry of the BS block of err
+    si_err = data["err"][cells * sizes["k_d"]:, :cells].diagonal()
+    if si_err.any():
+        raise ValueError(f"realization file: the SI link of BS {np.flatnonzero(si_err)[0]} has "
+                         f"an error variance; SI CSI is perfect")
     topology = Topology(bs_xy=data["bs_xy"], dl_xy=data["dl_xy"], ul_xy=data["ul_xy"],
                         inter_site_distance_m=meta["inter_site_distance_m"],
                         min_bs_user_distance_m=meta["min_bs_user_distance_m"])
-    return Realization(topology=topology, hardware=hardware, channels=channels,
+    return Realization(topology=topology, hardware=hardware,
+                       channels=Channels(data["x"], data["err"], **channel_sizes),
                        dl_streams=sizes["dl_streams"], ul_streams=sizes["ul_streams"],
                        seed=meta["seed"])

@@ -131,11 +131,10 @@ class Channels:
 
     `x` holds every transmitter's estimated channel into every receiver,
     rows over the antennas of every downlink user, then of every BS, and
-    columns over those of every BS, then of every uplink user.  `x_true`
-    holds the true matrices and `err` each link's per-element error variance
-    (one row per receiver, one column per transmitter) in the same order.
-    The SI link of BS g is known exactly: its block of `x` is its estimate
-    and its truth, and its block of `x_true` stays zero.
+    columns over those of every BS, then of every uplink user.  `err` holds
+    each link's per-element error variance (one row per receiver, one
+    column per transmitter) in the same order.  The SI link of BS g is known
+    exactly: its block of `x` is its truth, and its error variance is zero.
 
     The other fields are derived from `x` alone, all at once on
     construction: views of `x` per receiver kind and per transmitter,
@@ -158,7 +157,6 @@ class Channels:
     """
 
     x: np.ndarray          # (G K_d M_ue + G M_bs, G N_bs + G K_u N_ue)
-    x_true: np.ndarray     # the true matrices, laid out as x
     err: np.ndarray        # (G K_d + G, G + G K_u)
     cells: int             # G
     k_d: int               # downlink users per cell
@@ -209,12 +207,12 @@ class Channels:
             ul_own_h=hermitian(np.ascontiguousarray(ul_own.swapaxes(1, 2))),
             cell_index=diag, dl_user_index=(diag[:, None], np.arange(k_d)))
         vars(self).update(derived)
-        for a in (x, self.x_true, self.err, *derived.values(), *self.dl_user_index):
+        for a in (x, self.err, *derived.values(), *self.dl_user_index):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
     @staticmethod
     def shapes(cells, k_d, m_ue, m_bs, n_bs, k_u, n_ue) -> tuple[tuple, tuple]:
-        """The shape of `x` (and of `x_true`) and that of `err` for the given sizes."""
+        """The shape of `x` and that of `err` for the given sizes."""
         return ((cells * (k_d * m_ue + m_bs), cells * (n_bs + k_u * n_ue)),
                 (cells * (k_d + 1), cells * (1 + k_u)))

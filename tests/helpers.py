@@ -62,16 +62,14 @@ def losses(trace: jpaim.RunTrace) -> np.ndarray:
 
 def link(realization: Realization, rx: tuple, tx: tuple) -> SimpleNamespace:
     """The link rx <- tx as views of the realization's stored arrays: `est`
-    and `true` are its blocks of x and x_true (the SI link's truth is its
-    estimate), `err_var` its 0-d entry of err.  They are read-only, except
+    is its block of x (the SI link's truth, since SI CSI is perfect),
+    `err_var` its 0-d entry of err.  They are read-only, except
     on the draft that `edited` hands its edit.  Raises KeyError for a node
     outside the topology."""
     ch = realization.channels
     r, rows = _side((("dl", ch.k_d, ch.m_ue), ("bs", 1, ch.m_bs)), ch.cells)[rx]
     t, cols = _side((("bs", 1, ch.n_bs), ("ul", ch.k_u, ch.n_ue)), ch.cells)[tx]
-    est = ch.x[rows, cols]
-    return SimpleNamespace(true=est if rx == tx else ch.x_true[rows, cols], est=est,
-                           err_var=ch.err[r, t, ...])
+    return SimpleNamespace(est=ch.x[rows, cols], err_var=ch.err[r, t, ...])
 
 
 def _side(kinds, cells: int) -> dict:
@@ -89,7 +87,7 @@ def edited(realization: Realization, edit) -> Realization:
     channels hold writable copies of them, and the copies then replace them.
     A realization never changes, so this is how a test edits a link."""
     ch = realization.channels
-    arrays = {name: getattr(ch, name).copy() for name in ("x", "x_true", "err")}
+    arrays = {name: getattr(ch, name).copy() for name in ("x", "err")}
     sizes = {f.name: getattr(ch, f.name) for f in fields(ch) if f.type == "int"}
     edit(replace(realization, channels=SimpleNamespace(**sizes, **arrays)))
     return replace(realization, channels=replace(ch, **arrays))
@@ -164,7 +162,7 @@ def best_asic_depth_db(realization: Realization, g: int) -> float:
     most 10 log10(l (1 + kappa) / lambda_min(S)): all power on the weakest
     eigen-direction of S.
     """
-    h = link(realization, bs_node(g), bs_node(g)).true
+    h = link(realization, bs_node(g), bs_node(g)).est
     kappa = realization.hardware.kappa_bs
     gram = h.conj().T @ h
     weakest = np.linalg.eigvalsh(gram + kappa * np.diag(np.diag(gram)))[0]

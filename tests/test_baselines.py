@@ -190,7 +190,7 @@ def test_half_duplex_structure():
     ScenarioConfig(), helpers.small_config(cells=3, dl_users=2, csi_error_factor=1e-2),
 ], ids=["default", "three_cells_csi_error"])
 def test_half_duplex_split_of_the_full_duplex_objective(scenario):
-    # with the cross-direction blocks of X, x_true and err zeroed (downlink
+    # with the cross-direction blocks of X and err zeroed (downlink
     # users from uplink users, BSs from BSs, SI included) and nu = 0, the
     # full-duplex network is the two half-duplex phases side by side: its
     # objective on their beams and combiners equals theirs, bit for bit
@@ -198,13 +198,12 @@ def test_half_duplex_split_of_the_full_duplex_objective(scenario):
     _, dl_trace, ul_trace = run_half_duplex(real, SolverConfig(max_iterations=5))
     ch = real.channels
     dl_rows, bs_cols, dl_users = ch.cells * ch.k_d * ch.m_ue, ch.cells * ch.n_bs, ch.cells * ch.k_d
-    x, x_true, err = ch.x.copy(), ch.x_true.copy(), ch.err.copy()
-    for matrix in (x, x_true):
-        matrix[:dl_rows, bs_cols:] = 0.0
-        matrix[dl_rows:, :bs_cols] = 0.0
+    x, err = ch.x.copy(), ch.err.copy()
+    x[:dl_rows, bs_cols:] = 0.0
+    x[dl_rows:, :bs_cols] = 0.0
     err[:dl_users, ch.cells:] = 0.0
     err[dl_users:, :ch.cells] = 0.0
-    split = replace(real, channels=replace(ch, x=x, x_true=x_true, err=err))
+    split = replace(real, channels=replace(ch, x=x, err=err))
     dl, ul = dl_trace.final_state, ul_trace.final_state
     got = objective.evaluate(split, BeamformingState(dl.dl_beams, dl.dl_combiners,
                                                      ul.ul_beams, ul.ul_combiners), 0.0)

@@ -99,11 +99,11 @@ def test_rx_covariance_uses_true_si_channel():
 
     def double(draft):
         link = helpers.link(draft, bs_node(0), bs_node(0))
-        link.true *= 2.0
+        link.est *= 2.0
 
     after = helpers.state_covariances(helpers.edited(real, double), state).bs_rx[0]
     t = helpers.tx_gram(columns(state.dl_beams[0]), real.hardware.kappa_bs)
-    h = helpers.link(real, bs_node(0), bs_node(0)).true
+    h = helpers.link(real, bs_node(0), bs_node(0)).est
     delta = 3.0 * (h @ t @ h.conj().T)
     np.testing.assert_allclose(after - before,
                                delta + real.hardware.beta_bs * np.diag(np.diag(delta)),
@@ -302,7 +302,7 @@ def test_covariances_match_per_link_sums(case):
     rep = score(ch, hw, (w_dl, w_ul), np.ones(cells),
                 (np.zeros_like(cov.signal[0]), np.zeros_like(cov.signal[1])))[2]
     for g in range(cells):
-        si = helpers.link(real, bs_node(g), bs_node(g)).true
+        si = helpers.link(real, bs_node(g), bs_node(g)).est
         rsi = np.trace(si @ tx[bs_node(g)] @ si.conj().T).real
         power = np.trace(tx[bs_node(g)]).real
         close(np.asarray(rep.rsi_watts[g]), np.asarray(rsi))

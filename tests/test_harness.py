@@ -418,6 +418,27 @@ def test_run_campaign_writes_contractual_csv(tmp_path):
     assert summary.table()
 
 
+def test_traced_campaign_writes_only_finite_numbers(tmp_path):
+    # every cell of every iteration and state CSV, apart from a state row's
+    # array name, is a finite number.  The benchmark's output check still
+    # allows a nan half-duplex sum_rate, so this is the check that no
+    # record's rate goes back to nan
+    cfg = parse_config(SMALL)
+    run_campaign(replace(cfg, scenario=replace(cfg.scenario, csi_error_factor=1e-2),
+                         algorithms=("jpaim", "nsp-jpaim", "half-duplex"), trace=True,
+                         output_dir=str(tmp_path)))
+    files = sorted(tmp_path.glob("iterations_*.csv")) + sorted(tmp_path.glob("state_*.csv"))
+    assert [path.stem for path in files] == [
+        f"{kind}_{name}" for kind in ("iterations", "state")
+        for name in ("half_duplex_dl", "half_duplex_ul", "jpaim")]
+    for path in files:
+        rows = _read_csv(path)[1]
+        assert rows, path.name
+        bad = [(n, key, value) for n, row in enumerate(rows) for key, value in row.items()
+               if key != "array" and not math.isfinite(float(value))]
+        assert bad == [], path.name
+
+
 def _bits(values: np.ndarray) -> bytes:
     """The bytes of a float array, every nan as the one nan."""
     return np.where(np.isnan(values), np.nan, values).tobytes()

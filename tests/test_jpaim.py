@@ -182,10 +182,10 @@ def test_cell_and_user_relabelling_permutes_every_output():
 
     def relabelled(draft):
         ch = draft.channels
-        ch.x[...], ch.x_true[...], ch.err[...] = 0.0, 0.0, 0.0
+        ch.x[...], ch.err[...] = 0.0, 0.0
         for rx, tx in helpers.links(draft):
             new, was = helpers.link(draft, rx, tx), helpers.link(real, old(rx), old(tx))
-            new.true[...], new.est[...], new.err_var[...] = was.true, was.est, was.err_var
+            new.est[...], new.err_var[...] = was.est, was.err_var
 
     moved = helpers.edited(replace(real, hardware=replace(real.hardware, si_gain=tuple(
         np.array(real.hardware.si_gain)[cells].tolist()))), relabelled)
@@ -852,8 +852,8 @@ def test_no_solve_ends_on_a_rise_over_the_accepted_regimes(index):
 def _scaled(realization, k: int, family: str):
     """`realization` scaled by c = 2^k in one family of `_FAMILIES`: both
     noise powers by c^2, and for "budgets" both power budgets by c^2, else
-    every channel, estimate and truth, by c and the CSI-error variances by
-    c^2, with the SI gains by 1/c for "channels, default nu"."""
+    every channel estimate by c and the CSI-error variances by c^2, with
+    the SI gains by 1/c for "channels, default nu"."""
     c = 2.0 ** k
     hw = realization.hardware
     hw = replace(hw, noise_bs_w=hw.noise_bs_w * c * c, noise_ue_w=hw.noise_ue_w * c * c)
@@ -863,7 +863,6 @@ def _scaled(realization, k: int, family: str):
 
     def scale(draft):
         draft.channels.x *= c
-        draft.channels.x_true *= c
         draft.channels.err *= c * c
 
     if family == "channels, default nu":

@@ -127,7 +127,7 @@ def test_channel_draws_batch_bit_for_bit():
     gain, rician = rng.uniform(1e-9, 1e-3, (3, 2)), np.array([[True, False]] * 3)
     normals = _normals(rng, 3, 2, 5, 4)
     h = generate_channel(gain, 10.0, rician, normals, np.empty((3, 2, 5, 4), complex))
-    est, err_var = apply_uncertainty(h, 1e-2, _normals(rng, 3, 2, 5, 4), np.empty_like(h))
+    err_var = apply_uncertainty(h.copy(), 1e-2, _normals(rng, 3, 2, 5, 4))
     for r, t in np.ndindex(gain.shape):
         one = generate_channel(gain[r, t], 10.0, rician[r, t], normals[r, t],
                                np.empty((5, 4), complex))
@@ -138,21 +138,22 @@ def test_channel_draws_batch_bit_for_bit():
 def test_apply_uncertainty_split():
     rng = np.random.default_rng(3)
     h = helpers.cn(rng, (6, 4))
-    est, err_var = apply_uncertainty(h, 0.01, _normals(rng, 6, 4), np.empty_like(h))
+    # the estimate replaces the truth in place
+    est = h.copy()
+    err_var = apply_uncertainty(est, 0.01, _normals(rng, 6, 4))
     assert err_var == pytest.approx(0.01 * np.linalg.norm(h) ** 2 / 24.0, rel=1e-12)
-    assert est.shape == h.shape
     assert not np.allclose(est, h)
     # error draws at that variance, 4000 links of that channel, should average to err_var
-    ests, err_vars = apply_uncertainty(np.broadcast_to(h, (4000, 6, 4)), 0.01,
-                                       _normals(rng, 4000, 6, 4), np.empty((4000, 6, 4), complex))
+    ests = np.broadcast_to(h, (4000, 6, 4)).copy()
+    err_vars = apply_uncertainty(ests, 0.01, _normals(rng, 4000, 6, 4))
     assert (err_vars == err_var).all()
     assert np.mean(np.abs(ests - h) ** 2) == pytest.approx(err_var, rel=0.05)
 
-    out = np.empty_like(h)
-    same, zero = apply_uncertainty(h, 0.0, None, out)     # reads no normals
-    assert same is out and same.tobytes() == h.tobytes() and zero == 0.0
+    same = h.copy()
+    zero = apply_uncertainty(same, 0.0, None)     # reads no normals
+    assert same.tobytes() == h.tobytes() and zero == 0.0
     with pytest.raises(ValueError):
-        apply_uncertainty(h, -1e-3, _normals(rng, 6, 4), out)
+        apply_uncertainty(h, -1e-3, _normals(rng, 6, 4))
 
 
 def test_scenario_config_validation():
@@ -184,7 +185,7 @@ def test_build_realization_structure():
     assert list(real.ul_users()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # every receiver sees every transmitter: (4 dl + 2 bs) x (2 bs + 4 ul)
     assert len(helpers.links(real)) == 6 * 6
-    h = helpers.link(real, dl_node(0, 0), bs_node(1)).true
+    h = helpers.link(real, dl_node(0, 0), bs_node(1)).est
     assert h.shape == (2, 16)
     h_ul = helpers.link(real, bs_node(0), ul_node(1, 1)).est
     assert h_ul.shape == (16, 2)
@@ -198,28 +199,16 @@ def test_self_interference_link_properties():
     real = build_realization(ScenarioConfig(asic_db=30.0, cells=1), 5)
     link = helpers.link(real, bs_node(0), bs_node(0))
     assert link.err_var == 0.0
-    np.testing.assert_array_equal(link.true, link.est)
     # scattered draw at the residual gain: average element power ~ 1e-3
-    assert np.mean(np.abs(link.true) ** 2) == pytest.approx(1e-3, rel=0.35)
+    assert np.mean(np.abs(link.est) ** 2) == pytest.approx(1e-3, rel=0.35)
 
 
 def test_si_channel_power_tracks_asic_depth():
     strong = build_realization(ScenarioConfig(asic_db=20.0, cells=1), 9)
     weak = build_realization(ScenarioConfig(asic_db=40.0, cells=1), 9)
-    p_strong = np.mean(np.abs(helpers.link(strong, bs_node(0), bs_node(0)).true) ** 2)
-    p_weak = np.mean(np.abs(helpers.link(weak, bs_node(0), bs_node(0)).true) ** 2)
+    p_strong = np.mean(np.abs(helpers.link(strong, bs_node(0), bs_node(0)).est) ** 2)
+    p_weak = np.mean(np.abs(helpers.link(weak, bs_node(0), bs_node(0)).est) ** 2)
     assert p_strong / p_weak == pytest.approx(100.0, rel=1e-9)
-
-
-def test_estimate_error_variance_consistency():
-    real = build_realization(ScenarioConfig(csi_error_factor=1e-2), 6)
-    for rx, tx in helpers.links(real):
-        link = helpers.link(real, rx, tx)
-        if rx == tx:
-            continue  # self-interference carries perfect estimates
-        expected = 1e-2 * np.linalg.norm(link.true) ** 2 / link.true.size
-        assert link.err_var == pytest.approx(expected, rel=1e-12)
-        np.testing.assert_allclose(link.est + (link.true - link.est), link.true)
 
 
 def test_fading_rule_and_swap_flag():
@@ -230,8 +219,8 @@ def test_fading_rule_and_swap_flag():
                 min_bs_user_distance_m=2.0, rician_k_db=30.0)
     plain = build_realization(ScenarioConfig(**base), 3)
     swapped = build_realization(ScenarioConfig(**base, swap_los_fading=True), 3)
-    h_plain = helpers.link(plain, dl_node(0, 0), bs_node(0)).true
-    h_swap = helpers.link(swapped, dl_node(0, 0), bs_node(0)).true
+    h_plain = helpers.link(plain, dl_node(0, 0), bs_node(0)).est
+    h_swap = helpers.link(swapped, dl_node(0, 0), bs_node(0)).est
     gain = np.mean(np.abs(h_swap) ** 2)
     # K = 1000: swapped draw is almost deterministic (all-ones scaled)
     spread_swap = np.std(np.abs(h_swap)) / np.sqrt(gain)
@@ -245,22 +234,38 @@ def test_build_realization_deterministic():
     b = build_realization(cfg, 123)
     assert realization_digest(a) == realization_digest(b)
     for key in helpers.links(a):
-        np.testing.assert_array_equal(helpers.link(a, *key).true, helpers.link(b, *key).true)
+        np.testing.assert_array_equal(helpers.link(a, *key).est, helpers.link(b, *key).est)
     c = build_realization(cfg, 124)
     assert realization_digest(a) != realization_digest(c)
 
 
 @pytest.mark.parametrize("field, values", [("asic_db", (120.0, 30.0)),
-                                           ("csi_error_factor", (1e-2, 1e-1))],
+                                           ("csi_error_factor", (1e-2, 4e-2))],
                          ids=["si_gain", "csi_error"])
 def test_si_gain_change_leaves_other_draws_alone(field, values):
     # a field that only rescales channels moves no other draw: every
-    # position and every true matrix keep their bits
+    # position keeps its bits, and so does every stored entry the field does
+    # not scale.  The SI gain scales only the SI blocks of x; the CSI error
+    # factor scales every error variance, and each SI block of x, which
+    # draws no error, keeps its truth
     a, b = (build_realization(ScenarioConfig(**{field: value}), 77) for value in values)
     for name in ("bs_xy", "dl_xy", "ul_xy"):
         np.testing.assert_array_equal(getattr(a.topology, name), getattr(b.topology, name))
-    assert a.channels.x_true.tobytes() == b.channels.x_true.tobytes()
-    assert a.channels.x_true.any() and not np.array_equal(a.channels.x, b.channels.x)
+
+    def off_si(real):
+        def silence(draft):
+            for g in range(real.cell_count):
+                helpers.link(draft, bs_node(g), bs_node(g)).est[...] = 0.0
+        return helpers.edited(real, silence).channels.x
+
+    if field == "asic_db":
+        assert off_si(a).tobytes() == off_si(b).tobytes()
+        assert a.channels.err.tobytes() == b.channels.err.tobytes()
+        assert not np.array_equal(a.channels.si, b.channels.si)
+    else:
+        assert b.channels.err.tobytes() == (4.0 * a.channels.err).tobytes()
+        assert a.channels.si.tobytes() == b.channels.si.tobytes()
+        assert a.channels.err.any() and not np.array_equal(off_si(a), off_si(b))
 
 
 def test_restrict_to_single_direction():
@@ -275,8 +280,8 @@ def test_restrict_to_single_direction():
     ul = restrict_to_uplink(real)
     assert list(helpers.dl_users(ul)) == []
     assert all(key[0][0] != "dl" and key[1][0] != "dl" for key in helpers.links(ul))
-    np.testing.assert_array_equal(helpers.link(ul, bs_node(1), ul_node(0, 0)).true,
-                                  helpers.link(real, bs_node(1), ul_node(0, 0)).true)
+    np.testing.assert_array_equal(helpers.link(ul, bs_node(1), ul_node(0, 0)).est,
+                                  helpers.link(real, bs_node(1), ul_node(0, 0)).est)
 
     # a phase switches off the BS chain it does not use: the downlink phase
     # keeps no BS receive rows, the uplink phase no BS transmit columns
@@ -291,8 +296,7 @@ def test_restrict_to_single_direction():
             assert kept.est.shape == (rows, cols)
             # each kept link is a view of the full realization's arrays, a
             # non-empty one at the same start
-            for a, b in ((kept.true, full.true), (kept.est, full.est),
-                         (kept.err_var, full.err_var)):
+            for a, b in ((kept.est, full.est), (kept.err_var, full.err_var)):
                 assert a.base is not None
                 assert a.size == 0 or (a.__array_interface__["data"][0]
                                        == b.__array_interface__["data"][0])
@@ -310,15 +314,11 @@ def test_link_views_edit_the_stored_arrays():
     ch = real.channels
     rows, cols = slice(2 * ch.m_ue, 3 * ch.m_ue), ch.cells * ch.n_bs + ch.n_ue
     assert not ch.x[rows, cols:cols + ch.n_ue].any()
-    assert ch.x_true[rows, cols:cols + ch.n_ue].any()
     assert ch.err[2, ch.cells + 1] == 0.5
     assert helpers.link(real, dl_node(1, 0), ul_node(0, 1)).err_var == 0.5
-    # the SI link has one matrix: its truth is its estimate
-    si = helpers.link(real, bs_node(1), bs_node(1))
-    assert si.true is si.est and np.shares_memory(si.est, ch.x)
     # a restriction slices the same storage
     ul_link = helpers.link(restrict_to_uplink(real), bs_node(0), ul_node(1, 0))
-    assert np.shares_memory(ul_link.est, ch.x) and np.shares_memory(ul_link.true, ch.x_true)
+    assert np.shares_memory(ul_link.est, ch.x)
 
 
 # unequal sizes everywhere, so that a swapped size or offset shows
@@ -330,15 +330,12 @@ _UNEVEN = ScenarioConfig(cells=3, dl_users=2, ul_users=3, bs_tx_antennas=5, bs_r
 def test_link_views_tile_the_stored_arrays():
     # helpers.link, the oracle of the per-link tests: a distinct value
     # through every link reads back from its own link, and the non-empty
-    # links cover x and err exactly once; x_true stays zero only on the SI
-    # blocks, whose truth is their estimate
+    # links cover x and err exactly once
     def fill(draft):
         ch = draft.channels
-        ch.x[...], ch.x_true[...], ch.err[...] = 0.0, 0.0, 0.0
+        ch.x[...], ch.err[...] = 0.0, 0.0
         for n, key in enumerate(helpers.links(draft), start=1):
             link = helpers.link(draft, *key)
-            if key[0] != key[1]:
-                link.true[...] = -n
             link.est[...], link.err_var[...] = n + 1j * n, n
 
     for real in (build_realization(_UNEVEN, 13),
@@ -349,11 +346,8 @@ def test_link_views_tile_the_stored_arrays():
         for n, key in enumerate(links, start=1):
             link = helpers.link(real, *key)
             assert (link.est == n + 1j * n).all() and link.err_var == n
-            assert (link.true == (n + 1j * n if key[0] == key[1] else -n)).all()
         assert sum(helpers.link(real, *key).est.size for key in links) == ch.x.size
         assert ch.x.all() and ch.err.all() and len(links) == ch.err.size
-        si_size = sum(helpers.link(real, rx, tx).est.size for rx, tx in links if rx == tx)
-        assert np.count_nonzero(ch.x_true == 0) == si_size
 
 
 def test_link_rejects_nodes_outside_the_topology():
@@ -389,9 +383,8 @@ def test_restriction_keeps_one_block_of_each_stored_array():
         assert part.__array_interface__["data"][0] == whole.__array_interface__["data"][0]
 
     dl, ul = restrict_to_downlink(real).channels, restrict_to_uplink(real).channels
-    for name in ("x", "x_true"):
-        same_view(getattr(dl, name), getattr(full, name)[:dl_rows, :bs_cols])
-        same_view(getattr(ul, name), getattr(full, name)[dl_rows:, bs_cols:])
+    same_view(dl.x, full.x[:dl_rows, :bs_cols])
+    same_view(ul.x, full.x[dl_rows:, bs_cols:])
     same_view(dl.err, full.err[:, :cells])
     same_view(ul.err, full.err[cells * 2:, :])
     assert (dl.m_bs, dl.k_u, ul.k_d, ul.n_bs) == (0, 0, 0, 0)
@@ -413,7 +406,7 @@ def test_stored_and_derived_channel_arrays_are_read_only(tmp_path):
             assert view.size == 0 or np.shares_memory(view, ch.x)
         arrays = [a for f in fields(ch) if f.type != "int"
                   for a in (getattr(ch, f.name) if f.type == "tuple" else [getattr(ch, f.name)])]
-        assert len(arrays) == 18
+        assert len(arrays) == 17
         for a in arrays + [helpers.link(part, *helpers.links(part)[0]).est]:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -438,7 +431,7 @@ def _record(real):
     """What a realization file must carry bit for bit: every stored array,
     every size, the hardware, the seed and the geometry distances."""
     topo, ch = real.topology, real.channels
-    arrays = (topo.bs_xy, topo.dl_xy, topo.ul_xy, ch.x, ch.x_true, ch.err)
+    arrays = (topo.bs_xy, topo.dl_xy, topo.ul_xy, ch.x, ch.err)
     return ([(a.dtype, a.shape, a.tobytes()) for a in arrays], _sizes(real), real.hardware,
             real.seed, topo.inter_site_distance_m, topo.min_bs_user_distance_m)
 
@@ -488,11 +481,15 @@ def test_load_realization_rejects_cut_and_padded_files(tmp_path):
 
 
 def test_load_realization_refuses_format_version_1(tmp_path):
+    # formats 1 and 2 also stored the true matrices (format 2 as `x_true`);
+    # a file of either is refused by its version alone
     blob = serialize_realization(build_realization(ScenarioConfig(cells=1), 3))
     path = tmp_path / "real.bin"
-    path.write_bytes(blob[:8] + (1).to_bytes(4, "little") + blob[12:])
-    with pytest.raises(ValueError, match="^unsupported realization format version 1$"):
-        load_realization(path)
+    for version in (1, 2):
+        path.write_bytes(blob[:8] + version.to_bytes(4, "little") + blob[12:])
+        with pytest.raises(ValueError,
+                           match=f"^unsupported realization format version {version}$"):
+            load_realization(path)
 
 
 def _save_edited(real, path, monkeypatch, edit):
@@ -546,7 +543,7 @@ def test_load_realization_rejects_a_shape_the_antennas_contradict(tmp_path, monk
              re.escape("x has shape [18, 18], the sizes give [17, 18]"))
 
 
-_STORED = ["bs_xy", "dl_xy", "ul_xy", "x", "x_true", "err"]
+_STORED = ["bs_xy", "dl_xy", "ul_xy", "x", "err"]
 
 
 @pytest.mark.parametrize("name", _STORED)
@@ -557,7 +554,7 @@ def test_load_realization_rejects_a_missing_array(tmp_path, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, shape", zip(_STORED, [(3, 2), (2, 3, 2), (2, 1, 3),
-                                                      (40, 35), (36, 40), (4, 6)]), ids=_STORED)
+                                                      (40, 35), (4, 6)]), ids=_STORED)
 def test_load_realization_rejects_an_array_of_the_wrong_shape(tmp_path, monkeypatch, name,
                                                                  shape):
     # G = 2 cells, K_d = 2 and K_u = 1 users per cell: x is (40, 36), err (6, 4)
@@ -584,7 +581,6 @@ def _set(name, index, value):
     (_set("err", (1, 1), math.nan), r"err\[1, 1\] = nan, not a finite number >= 0"),
     (_set("err", (0, 1), math.inf), r"err\[0, 1\] = inf, not a finite number >= 0"),
     (_set("x", (2, 5), complex(math.nan, 0.0)), r"x\[2, 5\] = \(nan\+0j\), not a finite"),
-    (_set("x_true", (0, 3), complex(0.0, math.inf)), r"x_true\[0, 3\] = infj, not a finite"),
     (_set("bs_xy", (0, 1), math.nan), r"bs_xy\[0, 1\] = nan, not a finite number$"),
     (_set("dl_xy", (0, 0, 1), -math.inf), r"dl_xy\[0, 0, 1\] = -inf, not a finite number$"),
     (_set("ul_xy", (0, 0, 0), math.inf), r"ul_xy\[0, 0, 0\] = inf, not a finite number$"),
@@ -598,7 +594,7 @@ def _set(name, index, value):
     (lambda meta, _: meta["sizes"].update(dl_streams="2"), "dl_streams = '2', not an integer"),
     (lambda meta, _: meta["sizes"].update(k_d=1.0), "k_d = 1.0, not an integer"),
 ], ids=["nan_noise", "inf_budget", "nan_kappa", "nan_si_gain", "negative_err_var",
-        "nan_err_var", "inf_err_var", "nan_channel", "inf_true_channel", "nan_bs_position",
+        "nan_err_var", "inf_err_var", "nan_channel", "nan_bs_position",
         "inf_dl_position", "inf_ul_position", "no_streams", "more_streams_than_antennas",
         "extra_antenna_key", "no_cells", "float_antennas", "string_streams",
         "float_user_count"])
@@ -645,18 +641,13 @@ def test_load_realization_rejects_a_malformed_header(tmp_path, monkeypatch, edit
 
 
 def test_load_realization_rejects_an_si_link_with_two_matrices(tmp_path, monkeypatch):
-    # SI CSI is perfect: the SI block of x is the channel, and its block of
-    # x_true and its err entry are zero
-    real = build_realization(ScenarioConfig(cells=1, dl_users=1, ul_users=1), 3)
-    bs_rows, bs_cols = np.s_[2:], np.s_[:16]       # M_ue = 2 rows of DL user 0, N_bs = 16
-
-    def perturb_si_truth(meta, arrays):
-        arrays["x_true"] = arrays["x_true"].copy()
-        arrays["x_true"][bs_rows, bs_cols] = arrays["x"][bs_rows, bs_cols]
-
-    assert not real.channels.x_true[bs_rows, bs_cols].any()
-    for edit in (perturb_si_truth, _set("err", (1, 0), 1e-9)):
-        _rejects(real, tmp_path, monkeypatch, edit, "the SI link of BS 0 has a true matrix")
+    # SI CSI is perfect: the SI block of x is the channel and its err entry
+    # is zero, since an error variance would split it into an estimate and
+    # a truth.  err rows: DL users, then BSs; columns: BSs, then UL users
+    for cells, entry, bs in ((1, (1, 0), 0), (2, (3, 1), 1)):
+        real = build_realization(ScenarioConfig(cells=cells, dl_users=1, ul_users=1), 3)
+        _rejects(real, tmp_path, monkeypatch, _set("err", entry, 1e-9),
+                 f"the SI link of BS {bs} has an error variance")
 
 
 @pytest.mark.parametrize("gains", [1, 3])
@@ -677,7 +668,7 @@ def test_digest_is_stable_hex():
 
 
 # sha256 of serialize_realization for fixed (config, seed) pairs.  They pin
-# the draw order, the stored bits and the on-disk format (version 2) at
+# the draw order, the stored bits and the on-disk format (version 3) at
 # once, so any change to how a realization is drawn or stored must leave
 # them unchanged or re-record them with a check that the stored arrays kept
 # their bits.  The two single-direction ones also pin which BS chain a phase
@@ -685,17 +676,17 @@ def test_digest_is_stable_hex():
 # swapped fading rule, no users in one direction, and full CSI error with
 # ideal converters and ideal SI cancellation.
 _DIGEST_GOLDENS = {
-    "default": "5326fc98abefe4aa629716e8775106a08a8adb8f32e71969f5adb4137e861791",
-    "three_cells": "4996cbde275ec2dbddff7afce73c05fd8a58a6f1b9f002ea8b1a7438b7c1cdc3",
-    "perfect_csi": "c47858b03c76b87ad72d97171d8a46ef8d75b63b14741af607ff622d5eb0c117",
-    "downlink_only": "778b410322fc165bbf95533a89060d2aea500c00926df5be1fd8212eb4a661dc",
-    "uplink_only": "24b59eb92f86c215e3bf17c4fa75d8b75166d1280c3c3977d566da1d4bf86c4d",
-    "uneven": "24430547b93d28ca3af6bcb814bc8848be71f5d98bc17f8ce13cbc7cea614453",
-    "swap_los_fading": "72e7c62f18701a95ca58bbb9558439588a98ebfb1a966f0fa9266bead9e38655",
-    "no_downlink_users": "2ec4e295016c23e087d606db71e17e72e3818b8db330113e39a28086fa485d5c",
-    "no_uplink_users": "fa85de746a4e14332d453ff1b37fd92918783b6175e91b0e93245ef2bc535f7e",
+    "default": "24eb3a0cad02793f9355b6ce3c2a79e0327572040cbb2efc9758c700ea8f4d7e",
+    "three_cells": "8f9580c205c65ee312ef562b508f28296e4d9a364aadd172c2875ad5533784b5",
+    "perfect_csi": "c675bbf076764c6879fa3bd1ea0b3b3e81a6813eb00df3dadfc3138d3e7871b6",
+    "downlink_only": "d0768b9e8a7b93971c2853a916b522526c1927c32af6bdbffc85de8d728340e0",
+    "uplink_only": "7fa00f4331863d86e60b1af8a4ec22d2efa7169f28afc7da6fa9a8aa0ad88b93",
+    "uneven": "13617ba3a2bdc886e64307a4895865f2432d8aa7581f7ba3a90eecc435093e6e",
+    "swap_los_fading": "2699ab369511d90354415c47e5b287f946550e268965e095989e005399905487",
+    "no_downlink_users": "c6fbe52545e26eff9834b5ac01f544b7e1861f3dbe9fdc6518ff51732e36757e",
+    "no_uplink_users": "5e53db5d9a1e2bc9a48c07c7c45b0a99fc4e01065f0cd10ff7f31f70a8b27e69",
     "full_csi_error_ideal_hardware":
-        "57f31688230e7238512f87dff7ef87dbe746879d103d4c5618972308ccd3a7ee",
+        "e429b898d55f5444231c5e91070c57dca44dfc2f51ecb4512926677fac1ce8b3",
 }
 
 

@@ -93,7 +93,7 @@ def test_rsi_power_matches_tx_covariance_form():
     state = helpers.random_state(real, 8)
     rsi = _unpenalized(real, state).rsi_watts
     for g in range(real.cell_count):
-        h = helpers.link(real, bs_node(g), bs_node(g)).true
+        h = helpers.link(real, bs_node(g), bs_node(g)).est
         t = helpers.tx_gram(columns(state.dl_beams[g]), real.hardware.kappa_bs)
         expected = np.trace(h @ t @ h.conj().T).real
         assert rsi[g] == pytest.approx(expected, rel=1e-11)
@@ -151,7 +151,7 @@ def test_asic_depth_cap_on_vanished_residual():
 
     def silence(draft):
         link = helpers.link(draft, bs_node(0), bs_node(0))
-        link.true[:] = 0.0
+        link.est[:] = 0.0
 
     silent = helpers.edited(real, silence)
     assert _unpenalized(silent, state).asic_depth_db[0] == ASIC_DEPTH_CAP_DB

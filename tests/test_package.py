@@ -141,6 +141,61 @@ def test_bench_hooks_name_package_functions():
     assert unresolved == []
 
 
+def _package_bindings(tree: ast.Module) -> dict:
+    """{name: `ibfdsim.<dotted path>`} of every name that a module binds by
+    importing the package or a name from it."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0]:
+                      alias.name if alias.asname else "ibfdsim"
+                      for alias in node.names if alias.name.split(".")[0] == "ibfdsim"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ibfdsim":
+            bound |= {alias.asname or alias.name: f"{node.module}.{alias.name}"
+                      for alias in node.names}
+    return bound
+
+
+def _package_calls(tree: ast.Module):
+    """(line, target, call) of every call in `tree` whose function is named
+    through an import of the package, as `ibfdsim.<dotted path>`, apart
+    from calls with a `*` or `**` argument."""
+    bound = _package_bindings(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.insert(0, func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id in bound:
+            yield node.lineno, ".".join([bound[func.id], *parts]), node
+
+
+def test_bench_and_tools_calls_bind_to_the_package_signatures():
+    # tier-1 runs little or none of the benchmark's and the tools' code, so
+    # a call there that a signature change broke would surface only as a
+    # failed benchmark or tool run
+    broken, checked = [], 0
+    for path in sorted(path for folder in ("bench", "tools")
+                       for path in (ROOT / folder).rglob("*.py")
+                       if ROOT / "bench" / "tests" not in path.parents):
+        for line, target, call in _package_calls(ast.parse(path.read_text())):
+            obj = ibfdsim
+            for part in target.split(".")[1:]:
+                obj = (getattr(obj, part, None)
+                       or importlib.import_module(f"{obj.__name__}.{part}"))
+            if inspect.isfunction(obj):
+                checked += 1
+                try:
+                    inspect.signature(obj).bind(*call.args,
+                                                **{k.arg: k.value for k in call.keywords})
+                except TypeError as error:
+                    broken.append(f"{path.relative_to(ROOT)}:{line} {target}: {error}")
+    assert checked and broken == []
+
+
 def test_readme_quick_start_runs(capsys):
     # the README's one library quick start runs as written, so the names it
     # shows cannot drift away from the package, and it prints a converged
@@ -166,15 +221,9 @@ def test_tools_read_no_private_name_of_the_package():
     found = []
     for path in sorted((ROOT / "tools").rglob("*.py")):
         tree = ast.parse(path.read_text())
-        modules = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules |= {alias.asname or alias.name.split(".")[0] for alias in node.names
-                            if alias.name.split(".")[0] == "ibfdsim"}
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ibfdsim":
-                modules |= {alias.asname or alias.name for alias in node.names}
-                found += [f"{path.name}:{node.lineno} imports {alias.name}" for alias in node.names
-                          if alias.name.startswith("_")]
+        modules = _package_bindings(tree)
+        found += [f"{path.name} imports {target}" for target in modules.values()
+                  if target.rpartition(".")[2].startswith("_")]
         found += [f"{path.name}:{node.lineno} reads {ast.unparse(node)}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                   and not node.attr.startswith("__")
