@@ -4,8 +4,6 @@ projection, scored by objective.score on the realization's Channels (module
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import jpaim, objective
@@ -63,16 +61,16 @@ def run_half_duplex(realization: Realization, config: jpaim.SolverConfig,
                     ) -> tuple[objective.ObjectiveReport, jpaim.RunTrace, jpaim.RunTrace]:
     """Run the solver on downlink-only and uplink-only halves of the network.
 
-    The BS never transmits and receives at once, so there is no SI: the RSI
-    penalty is dropped, the report's RSI is 0 and its ASIC depth nan in every
-    cell.  Cross-cell interference within each phase is kept.  Each phase
-    gets half the airtime, so the report halves the rates, not the traces'
-    records; each direction's MSE comes from its own phase, and the loss is
-    the sum of the phase losses.  Returns (report, downlink trace, uplink trace).
+    The BS never transmits and receives at once: neither phase has an SI
+    link, so the caller's nu weighs nothing, the report's RSI is 0 and its
+    ASIC depth nan in every cell.  Cross-cell interference within each phase
+    is kept.  Each phase gets half the airtime, so the report halves the
+    rates, not the traces' records; each direction's MSE comes from its own
+    phase, and the loss is the sum of the phase losses.  Returns (report,
+    downlink trace, uplink trace).
     """
-    hd_config = replace(config, nu=0.0)
-    dl_trace = jpaim.run(restrict_to_downlink(realization), hd_config)
-    ul_trace = jpaim.run(restrict_to_uplink(realization), hd_config)
+    dl_trace = jpaim.run(restrict_to_downlink(realization), config)
+    ul_trace = jpaim.run(restrict_to_uplink(realization), config)
     dl, ul = dl_trace.final_report, ul_trace.final_report
     cells = realization.cell_count
     report = objective.ObjectiveReport(

@@ -407,18 +407,14 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
                (topo.ul_xy.reshape(-1, 2), n_ue, np.s_[bs_cols:], np.s_[cells:]))
     for rx_xy, m, rows, rx_err in receivers:
         # one row of numbers per receiver, (transmitter, draw, m, n) per
-        # transmitter kind; the draws fill it in memory order, except that
-        # the SI links draw no error, so each BS row's SI error is a gap of
-        # zeros that the stream skips
+        # transmitter kind; one stream fills it in memory order through a
+        # mask that leaves the SI links' error slots at zero
         widths = [len(tx_xy) * draws * m * n for tx_xy, n, *_ in senders]
-        numbers = np.empty((len(rx_xy), sum(widths)))
-        flat, start, block = numbers.reshape(-1), 0, m * n_bs    # block: one SI matrix
-        for r in si if rx_xy is topo.bs_xy else ():
-            gap = r * (numbers.shape[1] + draws * block) + 2 * block
-            rng.standard_normal(out=flat[start:gap])
-            start = gap + (draws - 2) * block
-            flat[gap:start] = 0.0
-        rng.standard_normal(out=flat[start:])
+        mask = np.ones((len(rx_xy), sum(widths)), bool)
+        if rx_xy is topo.bs_xy:
+            mask[:, :widths[0]].reshape(cells, cells, draws, m, n_bs)[si, si, 2:] = False
+        numbers = np.zeros(mask.shape)
+        numbers[mask] = rng.standard_normal(np.count_nonzero(mask))
         for (tx_xy, n, cols, tx_err), drawn in zip(senders, np.split(numbers, widths[:1], axis=1)):
             links = (len(rx_xy), len(tx_xy))
             part = drawn.reshape(*links, draws, m, n)

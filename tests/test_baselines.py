@@ -215,7 +215,7 @@ def test_half_duplex_split_of_the_full_duplex_objective(scenario):
 
 
 def test_half_duplex_has_no_self_interference_penalty():
-    # the RSI penalty is dropped, so the downlink phase solution must not
+    # neither phase has an SI link, so the downlink phase solution must not
     # depend on the SI gain at all
     base = dict(cells=1, dl_users=1, ul_users=1)
     weak = build_realization(ScenarioConfig(**base, asic_db=120.0), 9)
@@ -224,6 +224,25 @@ def test_half_duplex_has_no_self_interference_penalty():
     a = run_half_duplex(weak, cfg)[0]
     b = run_half_duplex(strong, cfg)[0]
     assert a.sum_rate_dl == pytest.approx(b.sum_rate_dl, rel=1e-9)
+
+
+@pytest.mark.parametrize("scenario", [ScenarioConfig(), ScenarioConfig(asic_db=0.0)],
+                         ids=["default", "strong_si"])
+def test_half_duplex_does_not_depend_on_nu(scenario):
+    # neither phase has an SI link, so the caller's nu, by default, zero or
+    # one, weighs nothing: the same report, records and final states, bit
+    # for bit (wall times aside)
+    real = build_realization(scenario, 3)
+
+    def solved(nu):
+        report, *phases = run_half_duplex(real, SolverConfig(nu=nu))
+        return repr(report), [
+            ([trace.records[name].tobytes() for name in trace.records.dtype.names
+              if not name.endswith("_ms")],
+             [getattr(trace.final_state, f.name).tobytes() for f in fields(BeamformingState)])
+            for trace in phases]
+
+    assert solved(None) == solved(0.0) == solved(1.0)
 
 
 def test_half_duplex_phases_stay_feasible():

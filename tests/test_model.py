@@ -672,9 +672,10 @@ def test_digest_is_stable_hex():
 # once, so any change to how a realization is drawn or stored must leave
 # them unchanged or re-record them with a check that the stored arrays kept
 # their bits.  The two single-direction ones also pin which BS chain a phase
-# switches off; the last five pin the draw paths of unequal sizes, the
+# switches off; the next five pin the draw paths of unequal sizes, the
 # swapped fading rule, no users in one direction, and full CSI error with
-# ideal converters and ideal SI cancellation.
+# ideal converters and ideal SI cancellation; the last two pin the SI
+# links' undrawn errors of a single BS and of seven.
 _DIGEST_GOLDENS = {
     "default": "24eb3a0cad02793f9355b6ce3c2a79e0327572040cbb2efc9758c700ea8f4d7e",
     "three_cells": "8f9580c205c65ee312ef562b508f28296e4d9a364aadd172c2875ad5533784b5",
@@ -687,6 +688,8 @@ _DIGEST_GOLDENS = {
     "no_uplink_users": "5e53db5d9a1e2bc9a48c07c7c45b0a99fc4e01065f0cd10ff7f31f70a8b27e69",
     "full_csi_error_ideal_hardware":
         "e429b898d55f5444231c5e91070c57dca44dfc2f51ecb4512926677fac1ce8b3",
+    "one_cell": "8e943a20d068723416ca0e27dc39ad54266c2f01c037da511107cc665ad3b23f",
+    "seven_cells": "7a3348203a78e8378e3cb6d8e99eabda8dc4623b32753c65188e110037619e93",
 }
 
 
@@ -705,5 +708,8 @@ def test_digest_goldens(case):
         "no_uplink_users": lambda: build_realization(ScenarioConfig(ul_users=0), 4),
         "full_csi_error_ideal_hardware": lambda: build_realization(
             ScenarioConfig(csi_error_factor=1.0, asic_db=math.inf, adc_bits=math.inf), 6),
+        "one_cell": lambda: build_realization(ScenarioConfig(cells=1), 3),
+        "seven_cells": lambda: build_realization(
+            ScenarioConfig(cells=7, csi_error_factor=1e-2), 2),
     }[case]()
     assert realization_digest(real) == _DIGEST_GOLDENS[case]

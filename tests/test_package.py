@@ -215,16 +215,16 @@ def test_readme_module_map_has_one_bullet_per_module():
 
 
 def test_tools_read_no_private_name_of_the_package():
-    # a tool works through the package's public names: one that reads or
-    # patches a private function breaks, or silently stops seeing what it
-    # claims to, when the package reshapes its internals
+    # a tool or the benchmark works through the package's public names: one
+    # that reads or patches a private function breaks, or silently stops
+    # seeing what it claims to, when the package reshapes its internals
     found = []
-    for path in sorted((ROOT / "tools").rglob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path in sorted([*(ROOT / "tools").rglob("*.py"), *(ROOT / "bench").glob("*.py")]):
+        tree, name = ast.parse(path.read_text()), path.relative_to(ROOT)
         modules = _package_bindings(tree)
-        found += [f"{path.name} imports {target}" for target in modules.values()
+        found += [f"{name} imports {target}" for target in modules.values()
                   if target.rpartition(".")[2].startswith("_")]
-        found += [f"{path.name}:{node.lineno} reads {ast.unparse(node)}" for node in ast.walk(tree)
+        found += [f"{name}:{node.lineno} reads {ast.unparse(node)}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                   and not node.attr.startswith("__")
                   and ast.unparse(node.value).split(".")[0] in modules]
