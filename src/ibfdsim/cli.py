@@ -11,7 +11,6 @@ import sys
 from dataclasses import fields, replace
 
 from . import harness
-from .harness import ConfigError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +69,7 @@ def main(argv=None) -> int:
         if args.command == "complexity":
             return _complexity(args)
         return _summarize(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:   # a harness.ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

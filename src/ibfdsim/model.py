@@ -12,8 +12,9 @@ kept; SI channels are perfectly known.  A realization keeps the estimates
 in one matrix X (module `stacked`), drawn block by block and read by the
 solver kernels as whole arrays.  The Channels holding X are also the one
 record of the realization's sizes (cells, users per cell, antennas per
-node); the realization adds only the geometry, the hardware, and the two
-stream counts.
+node); the realization adds only the hardware, the two stream counts and
+the seed.  Node positions only set the path losses while a realization is
+drawn and are not kept: (scenario, seed) gives them again.
 """
 
 from __future__ import annotations
@@ -203,13 +204,12 @@ def _in_hexagon(offset: np.ndarray, isd: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """Node placement for one scenario: BS sites plus per-cell user drops."""
+    """Node placement for one scenario: BS sites plus per-cell user drops.
+    build_realization turns it into path losses and keeps none of it."""
 
     bs_xy: np.ndarray                  # (G, 2) metres
     dl_xy: np.ndarray                  # (G, K_d, 2)
     ul_xy: np.ndarray                  # (G, K_u, 2)
-    inter_site_distance_m: float
-    min_bs_user_distance_m: float
 
 
 def generate_topology(cells: int, dl_users: int, ul_users: int,
@@ -241,13 +241,7 @@ def generate_topology(cells: int, dl_users: int, ul_users: int,
     for g in range(cells):
         dl_xy[g] = bs_xy[g] + drop(dl_users)
         ul_xy[g] = bs_xy[g] + drop(ul_users)
-    return Topology(
-        bs_xy=bs_xy,
-        dl_xy=dl_xy,
-        ul_xy=ul_xy,
-        inter_site_distance_m=isd,
-        min_bs_user_distance_m=min_dist,
-    )
+    return Topology(bs_xy=bs_xy, dl_xy=dl_xy, ul_xy=ul_xy)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +325,8 @@ def apply_uncertainty(channel: np.ndarray, varrho: float,
 
 @dataclass(eq=False)
 class Realization:
-    """One drawn network: geometry, hardware, channels, and stream counts.
+    """One drawn network: hardware, channels, and stream counts, all a solve
+    reads, and the seed it was drawn from.
 
     `channels` is the one record of the network's sizes: its cell, user and
     antenna counts (see Channels).  Each stream count is at least 1 and at
@@ -339,7 +334,6 @@ class Realization:
     switched off, as in a half-duplex phase, and bounds no stream count.
     """
 
-    topology: Topology
     hardware: HardwareProfile
     channels: Channels
     dl_streams: int          # b_d, streams per downlink user
@@ -377,6 +371,8 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     matrix, then of its estimation error.  The SI link draws no error (its
     CSI is perfect), and no link does at csi_error_factor 0.  Each link's
     truth is drawn into its block of X and replaced there by its estimate.
+    The positions serve only the path losses and are not kept;
+    generate_topology on a fresh default_rng(seed) gives them again.
     """
     rng = np.random.default_rng(seed)
     topo = generate_topology(config.cells, config.dl_users, config.ul_users,
@@ -435,7 +431,7 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
             err[rx_err, tx_err] = apply_uncertainty(h, varrho, part[:, :, 2:])
             if rx_xy is tx_xy:   # perfect SI CSI: zero error draws, so x keeps its truth
                 err[rx_err, tx_err][si, si] = 0
-    return Realization(topology=topo, hardware=hw, seed=seed, dl_streams=config.dl_streams,
+    return Realization(hardware=hw, seed=seed, dl_streams=config.dl_streams,
                        ul_streams=config.ul_streams, channels=Channels(x, err, *sizes))
 
 
@@ -449,16 +445,13 @@ def _restrict(realization: Realization, keep_dl: bool) -> Realization:
     that direction needs switched off: a downlink phase keeps no BS receive
     rows, an uplink phase no BS transmit columns.  Each stored array of the
     result is one block of the full realization's."""
-    topo, ch = realization.topology, realization.channels
-    nowhere = np.empty((ch.cells, 0, 2))
-    new_topo = replace(topo, dl_xy=topo.dl_xy if keep_dl else nowhere,
-                       ul_xy=nowhere if keep_dl else topo.ul_xy)
+    ch = realization.channels
     dl_rows, bs_cols = ch.cells * ch.k_d * ch.m_ue, ch.cells * ch.n_bs
     cut = np.s_[:dl_rows, :bs_cols] if keep_dl else np.s_[dl_rows:, bs_cols:]
     err = ch.err[:, :ch.cells] if keep_dl else ch.err[ch.cells * ch.k_d:]
     off = dict(m_bs=0, k_u=0) if keep_dl else dict(k_d=0, n_bs=0)
     channels = replace(ch, x=ch.x[cut], err=err, **off)
-    return replace(realization, topology=new_topo, channels=channels)
+    return replace(realization, channels=channels)
 
 
 def restrict_to_downlink(realization: Realization) -> Realization:
@@ -476,25 +469,21 @@ def restrict_to_uplink(realization: Realization) -> Realization:
 # ---------------------------------------------------------------------------
 
 _FORMAT_MAGIC = b"IBFDREAL"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 # the stored arrays in file order, with their dtypes
-_ARRAYS = {"bs_xy": "<f8", "dl_xy": "<f8", "ul_xy": "<f8",
-           "x": "<c16", "err": "<f8"}
+_ARRAYS = {"x": "<c16", "err": "<f8"}
 # the header's keys; "sizes" holds the Channels size fields and both stream counts
-_HEADER = ("seed", "inter_site_distance_m", "min_bs_user_distance_m", "hardware", "sizes",
-           "arrays")
+_HEADER = ("seed", "hardware", "sizes", "arrays")
 _CHANNEL_SIZES = tuple(f.name for f in fields(Channels) if f.type == "int")
 _SIZES = (*_CHANNEL_SIZES, "dl_streams", "ul_streams")
 
 
 def _payload(realization: Realization):
     """Canonical (header, arrays) pair; the arrays by name, in file order."""
-    topo, ch = realization.topology, realization.channels
-    arrays = dict(zip(_ARRAYS, (topo.bs_xy, topo.dl_xy, topo.ul_xy, ch.x, ch.err)))
+    ch = realization.channels
+    arrays = {"x": ch.x, "err": ch.err}
     meta = {
         "seed": realization.seed,
-        "inter_site_distance_m": topo.inter_site_distance_m,
-        "min_bs_user_distance_m": topo.min_bs_user_distance_m,
         "hardware": asdict(realization.hardware),
         "sizes": {**{name: getattr(ch, name) for name in _CHANNEL_SIZES},
                   "dl_streams": realization.dl_streams, "ul_streams": realization.ul_streams},
@@ -546,16 +535,16 @@ def load_realization(path) -> Realization:
     Raises ValueError for a foreign file, an unsupported version, a blob
     whose length disagrees with its own header (cut short or padded), a
     header, `sizes`, `hardware` or `arrays` object with a key missing or
-    extra, a seed that is not an integer, a geometry distance that is not a
-    finite positive number, a size that is not an integer, a cell count
-    below 1 or another size below 0, a stream count below 1 or above the
-    antennas of its link, a hardware value that is not a number, out of
-    range or not finite, an SI gain count other than the cell count, an
-    array whose shape disagrees with the sizes, an array entry that is not
-    finite (a position, a channel entry or an error variance), an error
-    variance that is negative, or an SI link with an error variance other
-    than zero: SI CSI is perfect.  Formats 1 and 2, which also stored the
-    true matrices, are refused as unsupported versions.
+    extra, a seed that is not an integer, a size that is not an integer, a
+    cell count below 1 or another size below 0, a stream count below 1 or
+    above the antennas of its link, a hardware value that is not a number,
+    out of range or not finite, an SI gain count other than the cell count,
+    an array whose shape disagrees with the sizes, an array entry that is
+    not finite (a channel entry or an error variance), an error variance
+    that is negative, or an SI link with an error variance other than zero:
+    SI CSI is perfect.  Formats 1 and 2, which also stored the true
+    matrices, and format 3, which also stored the node positions, are
+    refused as unsupported versions.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -583,10 +572,6 @@ def load_realization(path) -> Realization:
                              f">= {least}")
     if type(meta["seed"]) is not int:
         raise ValueError(f"realization file has seed = {meta['seed']!r}, not an integer")
-    for key in ("inter_site_distance_m", "min_bs_user_distance_m"):
-        if not (_is_number(meta[key]) and 0 < meta[key] < math.inf):
-            raise ValueError(f"realization file has {key} = {meta[key]!r}, not a finite "
-                             f"number > 0")
     hwm = _checked(meta["hardware"], [f.name for f in fields(HardwareProfile)], "hardware")
     for key, value in hwm.items():
         numbers = value if key == "si_gain" else [value]
@@ -599,9 +584,7 @@ def load_realization(path) -> Realization:
                          f"{cells} cells")
     hardware = HardwareProfile(**{**hwm, "si_gain": tuple(hwm["si_gain"])})
     channel_sizes = {key: sizes[key] for key in _CHANNEL_SIZES}
-    x_shape, err_shape = Channels.shapes(**channel_sizes)
-    shapes = dict(zip(_ARRAYS, ((cells, 2), (cells, sizes["k_d"], 2), (cells, sizes["k_u"], 2),
-                                x_shape, err_shape)))
+    shapes = dict(zip(_ARRAYS, Channels.shapes(**channel_sizes)))
     stated = _checked(meta["arrays"], _ARRAYS, "arrays")
     for name, shape in shapes.items():
         if stated[name] != list(shape):
@@ -632,10 +615,7 @@ def load_realization(path) -> Realization:
     if si_err.any():
         raise ValueError(f"realization file: the SI link of BS {np.flatnonzero(si_err)[0]} has "
                          f"an error variance; SI CSI is perfect")
-    topology = Topology(bs_xy=data["bs_xy"], dl_xy=data["dl_xy"], ul_xy=data["ul_xy"],
-                        inter_site_distance_m=meta["inter_site_distance_m"],
-                        min_bs_user_distance_m=meta["min_bs_user_distance_m"])
-    return Realization(topology=topology, hardware=hardware,
+    return Realization(hardware=hardware,
                        channels=Channels(data["x"], data["err"], **channel_sizes),
                        dl_streams=sizes["dl_streams"], ul_streams=sizes["ul_streams"],
                        seed=meta["seed"])

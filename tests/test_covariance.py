@@ -203,6 +203,20 @@ def test_transmit_grams_match_per_link_f1_sums():
                                        rtol=1e-11, atol=1e-11 * np.abs(omega_ul[g][k]).max())
 
 
+def test_diagonal_is_a_view_of_a_c_contiguous_stack_only():
+    # stacked.diagonal reads the diagonal as a strided view of the flat
+    # matrices, which only a C-contiguous stack lays out as it assumes
+    from ibfdsim.stacked import diagonal
+    stack = np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3)
+    view = diagonal(stack)
+    np.testing.assert_array_equal(view, np.diagonal(stack, axis1=-2, axis2=-1))
+    assert np.shares_memory(view, stack)
+    for strided in (stack.swapaxes(-2, -1), stack[:, :2, :2], stack[:, :, ::-1],
+                    np.asfortranarray(stack)):
+        with pytest.raises(ValueError, match="^diagonal needs a C-contiguous stack"):
+            diagonal(strided)
+
+
 @pytest.mark.parametrize("case", ["random_small", "one_antenna_users", "downlink_phase",
                                   "uplink_phase"])
 def test_stored_conjugate_matches_per_call_hermitian(case):

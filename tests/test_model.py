@@ -32,6 +32,9 @@ def test_noise_variance_values():
         3.1622776601683797e-13, rel=1e-12)
     assert model.noise_variance(-174.0, 1.0, 0.0) == pytest.approx(
         3.981071705534985e-21, rel=1e-12)
+    for bandwidth in (0.0, -1e7):
+        with pytest.raises(ValueError, match="bandwidth_hz must be positive"):
+            model.noise_variance(-174.0, bandwidth, 9.0)
 
 
 def test_distortion_factor_curve():
@@ -43,6 +46,10 @@ def test_distortion_factor_curve():
     # each extra bit cuts the factor by 4
     assert model.distortion_factor_from_bits(5.0) / model.distortion_factor_from_bits(
         6.0) == pytest.approx(4.0, rel=1e-12)
+    assert model.distortion_factor_from_bits(math.inf) == 0.0
+    for bits in (0.0, -2.0):
+        with pytest.raises(ValueError, match="bits must be positive"):
+            model.distortion_factor_from_bits(bits)
 
 
 def test_los_probability_shape():
@@ -163,6 +170,11 @@ def test_scenario_config_validation():
         ScenarioConfig(dl_streams=3)            # exceeds ue_rx_antennas
     with pytest.raises(ValueError):
         ScenarioConfig(ul_streams=0)
+    with pytest.raises(ValueError, match=r"ul_streams exceeds min\(ue_tx_antennas"):
+        ScenarioConfig(ul_streams=3)
+    for distance in (0.0, -10.0):
+        with pytest.raises(ValueError, match="min_bs_user_distance_m must be positive"):
+            ScenarioConfig(min_bs_user_distance_m=distance)
     with pytest.raises(ValueError):
         ScenarioConfig(csi_error_factor=-1.0)
     ScenarioConfig(dl_users=0)                  # uplink-only scenarios are legal
@@ -175,6 +187,22 @@ def test_scenario_config_validation():
     with pytest.raises(ValueError, match="bs_tx_antennas must be an integer, got 16.0"):
         ScenarioConfig(bs_tx_antennas=16.0)
     assert ScenarioConfig(cells=np.int64(3), dl_users=np.int32(1)).cells == 3
+
+
+def test_hardware_profile_validation():
+    # one value out of range per case; the same hardware is refused through a
+    # saved file (test_load_realization_rejects_corrupt_values)
+    from dataclasses import replace
+    good = build_realization(ScenarioConfig(), 0).hardware
+    cases = [(name, -1e-9, f"{name} must be >= 0")
+             for name in ("kappa_bs", "kappa_ue", "beta_bs", "beta_ue")]
+    cases += [(name, value, f"{name} must be positive")
+              for name in ("noise_bs_w", "noise_ue_w", "p_bs_w", "p_ue_w") for value in (0.0, -1.0)]
+    cases += [("si_gain", (1e-12, -1e-12), "si_gain entries must be >= 0")]
+    for name, value, match in cases:
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            replace(good, **{name: value})
+    assert replace(good, kappa_bs=0.0, si_gain=(0.0, 1e-12)).kappa_bs == 0.0
 
 
 def test_build_realization_structure():
@@ -239,18 +267,38 @@ def test_build_realization_deterministic():
     assert realization_digest(a) != realization_digest(c)
 
 
+def _build_and_capture_topology(monkeypatch, config, seed):
+    """build_realization(config, seed) and the Topology it drew its path
+    losses from, which the realization does not keep."""
+    drawn = []
+
+    def capture(*args):
+        drawn.append(generate_topology(*args))
+        return drawn[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "generate_topology", capture)
+        real = build_realization(config, seed)
+    assert len(drawn) == 1
+    return real, drawn[0]
+
+
+def _positions(topo):
+    return [getattr(topo, name).tobytes() for name in ("bs_xy", "dl_xy", "ul_xy")]
+
+
 @pytest.mark.parametrize("field, values", [("asic_db", (120.0, 30.0)),
                                            ("csi_error_factor", (1e-2, 4e-2))],
                          ids=["si_gain", "csi_error"])
-def test_si_gain_change_leaves_other_draws_alone(field, values):
+def test_si_gain_change_leaves_other_draws_alone(monkeypatch, field, values):
     # a field that only rescales channels moves no other draw: every
     # position keeps its bits, and so does every stored entry the field does
     # not scale.  The SI gain scales only the SI blocks of x; the CSI error
     # factor scales every error variance, and each SI block of x, which
     # draws no error, keeps its truth
-    a, b = (build_realization(ScenarioConfig(**{field: value}), 77) for value in values)
-    for name in ("bs_xy", "dl_xy", "ul_xy"):
-        np.testing.assert_array_equal(getattr(a.topology, name), getattr(b.topology, name))
+    (a, topo_a), (b, topo_b) = (_build_and_capture_topology(
+        monkeypatch, ScenarioConfig(**{field: value}), 77) for value in values)
+    assert _positions(topo_a) == _positions(topo_b)
 
     def off_si(real):
         def silence(draft):
@@ -325,6 +373,18 @@ def test_link_views_edit_the_stored_arrays():
 _UNEVEN = ScenarioConfig(cells=3, dl_users=2, ul_users=3, bs_tx_antennas=5, bs_rx_antennas=4,
                          ue_tx_antennas=3, ue_rx_antennas=2, dl_streams=1, ul_streams=1,
                          csi_error_factor=1e-2)
+
+
+@pytest.mark.parametrize("config", [ScenarioConfig(), ScenarioConfig(cells=7), _UNEVEN],
+                         ids=["default", "seven_cells", "uneven"])
+def test_positions_are_recoverable_from_the_scenario_and_seed(monkeypatch, config):
+    # a realization keeps no positions: build_realization draws them first
+    # from default_rng(seed), so a fresh generator gives them bit for bit
+    _, drawn = _build_and_capture_topology(monkeypatch, config, 21)
+    again = generate_topology(config.cells, config.dl_users, config.ul_users,
+                              config.inter_site_distance_m, config.min_bs_user_distance_m,
+                              np.random.default_rng(21))
+    assert _positions(again) == _positions(drawn)
 
 
 def test_link_views_tile_the_stored_arrays():
@@ -429,11 +489,10 @@ def _sizes(real):
 
 def _record(real):
     """What a realization file must carry bit for bit: every stored array,
-    every size, the hardware, the seed and the geometry distances."""
-    topo, ch = real.topology, real.channels
-    arrays = (topo.bs_xy, topo.dl_xy, topo.ul_xy, ch.x, ch.err)
+    every size, the hardware and the seed."""
+    arrays = (real.channels.x, real.channels.err)
     return ([(a.dtype, a.shape, a.tobytes()) for a in arrays], _sizes(real), real.hardware,
-            real.seed, topo.inter_site_distance_m, topo.min_bs_user_distance_m)
+            real.seed)
 
 
 def test_serialization_roundtrip(tmp_path):
@@ -481,11 +540,12 @@ def test_load_realization_rejects_cut_and_padded_files(tmp_path):
 
 
 def test_load_realization_refuses_format_version_1(tmp_path):
-    # formats 1 and 2 also stored the true matrices (format 2 as `x_true`);
-    # a file of either is refused by its version alone
+    # formats 1 and 2 also stored the true matrices (format 2 as `x_true`),
+    # format 3 the node positions and the two geometry distances; a file of
+    # any of them is refused by its version alone
     blob = serialize_realization(build_realization(ScenarioConfig(cells=1), 3))
     path = tmp_path / "real.bin"
-    for version in (1, 2):
+    for version in (1, 2, 3):
         path.write_bytes(blob[:8] + version.to_bytes(4, "little") + blob[12:])
         with pytest.raises(ValueError,
                            match=f"^unsupported realization format version {version}$"):
@@ -527,7 +587,6 @@ def test_load_realization_rejects_an_extra_link(tmp_path, monkeypatch):
 
     def no_uplink_users(meta, arrays):
         meta["sizes"]["k_u"] = 0
-        arrays["ul_xy"] = arrays["ul_xy"][:, :0]
 
     _rejects(real, tmp_path, monkeypatch, no_uplink_users,
              re.escape("x has shape [18, 18], the sizes give [18, 16]"))
@@ -543,7 +602,7 @@ def test_load_realization_rejects_a_shape_the_antennas_contradict(tmp_path, monk
              re.escape("x has shape [18, 18], the sizes give [17, 18]"))
 
 
-_STORED = ["bs_xy", "dl_xy", "ul_xy", "x", "err"]
+_STORED = ["x", "err"]
 
 
 @pytest.mark.parametrize("name", _STORED)
@@ -553,8 +612,7 @@ def test_load_realization_rejects_a_missing_array(tmp_path, monkeypatch, name):
              re.escape(f"arrays keys: missing ['{name}'], extra []"))
 
 
-@pytest.mark.parametrize("name, shape", zip(_STORED, [(3, 2), (2, 3, 2), (2, 1, 3),
-                                                      (40, 35), (4, 6)]), ids=_STORED)
+@pytest.mark.parametrize("name, shape", zip(_STORED, [(40, 35), (4, 6)]), ids=_STORED)
 def test_load_realization_rejects_an_array_of_the_wrong_shape(tmp_path, monkeypatch, name,
                                                                  shape):
     # G = 2 cells, K_d = 2 and K_u = 1 users per cell: x is (40, 36), err (6, 4)
@@ -577,13 +635,14 @@ def _set(name, index, value):
     (lambda meta, _: meta["hardware"].update(p_bs_w=math.inf), "p_bs_w must be finite"),
     (lambda meta, _: meta["hardware"].update(kappa_bs=math.nan), "kappa_bs must be finite"),
     (lambda meta, _: meta["hardware"].update(si_gain=[math.nan]), "si_gain must be finite"),
+    (lambda meta, _: meta["hardware"].update(beta_ue=-1e-9), "beta_ue must be >= 0"),
+    (lambda meta, _: meta["hardware"].update(noise_ue_w=0.0), "noise_ue_w must be positive"),
+    (lambda meta, _: meta["hardware"].update(p_ue_w=-0.2), "p_ue_w must be positive"),
+    (lambda meta, _: meta["hardware"].update(si_gain=[-1e-12]), "si_gain entries must be >= 0"),
     (_set("err", (0, 0), -1e-3), r"err\[0, 0\] = -0\.001, not a finite number >= 0"),
     (_set("err", (1, 1), math.nan), r"err\[1, 1\] = nan, not a finite number >= 0"),
     (_set("err", (0, 1), math.inf), r"err\[0, 1\] = inf, not a finite number >= 0"),
     (_set("x", (2, 5), complex(math.nan, 0.0)), r"x\[2, 5\] = \(nan\+0j\), not a finite"),
-    (_set("bs_xy", (0, 1), math.nan), r"bs_xy\[0, 1\] = nan, not a finite number$"),
-    (_set("dl_xy", (0, 0, 1), -math.inf), r"dl_xy\[0, 0, 1\] = -inf, not a finite number$"),
-    (_set("ul_xy", (0, 0, 0), math.inf), r"ul_xy\[0, 0, 0\] = inf, not a finite number$"),
     (lambda meta, _: meta["sizes"].update(dl_streams=0), "dl_streams must be >= 1, got 0"),
     (lambda meta, _: meta["sizes"].update(ul_streams=3), "ul_streams = 3 exceeds 2"),
     (lambda meta, _: meta["sizes"].update(spare=1), re.escape("sizes keys: missing [], "
@@ -593,9 +652,9 @@ def _set(name, index, value):
     (lambda meta, _: meta["sizes"].update(m_ue=2.0), "m_ue = 2.0, not an integer"),
     (lambda meta, _: meta["sizes"].update(dl_streams="2"), "dl_streams = '2', not an integer"),
     (lambda meta, _: meta["sizes"].update(k_d=1.0), "k_d = 1.0, not an integer"),
-], ids=["nan_noise", "inf_budget", "nan_kappa", "nan_si_gain", "negative_err_var",
-        "nan_err_var", "inf_err_var", "nan_channel", "nan_bs_position",
-        "inf_dl_position", "inf_ul_position", "no_streams", "more_streams_than_antennas",
+], ids=["nan_noise", "inf_budget", "nan_kappa", "nan_si_gain", "negative_beta",
+        "zero_noise", "negative_budget", "negative_si_gain", "negative_err_var",
+        "nan_err_var", "inf_err_var", "nan_channel", "no_streams", "more_streams_than_antennas",
         "extra_antenna_key", "no_cells", "float_antennas", "string_streams",
         "float_user_count"])
 def test_load_realization_rejects_corrupt_values(tmp_path, monkeypatch, edit, match):
@@ -608,7 +667,6 @@ def test_load_realization_rejects_corrupt_values(tmp_path, monkeypatch, edit, ma
 @pytest.mark.parametrize("edit, match", [
     (lambda meta, _: meta.pop("seed"), r"header keys: missing \['seed'\], extra \[\]"),
     (lambda meta, _: meta.pop("arrays"), r"header keys: missing \['arrays'\]"),
-    (lambda meta, _: meta.pop("min_bs_user_distance_m"), r"missing \['min_bs_user_distance_m'\]"),
     (lambda meta, _: meta.update(spare=0), r"header keys: missing \[\], extra \['spare'\]"),
     (lambda meta, _: meta["sizes"].pop("k_u"), r"sizes keys: missing \['k_u'\], extra \[\]"),
     (lambda meta, _: meta.update(sizes=[1]), r"sizes is \[1\], not an object"),
@@ -621,18 +679,10 @@ def test_load_realization_rejects_corrupt_values(tmp_path, monkeypatch, edit, ma
     (lambda meta, _: meta["hardware"].update(si_gain=["x"]), r"si_gain = \['x'\], not a list"),
     (lambda meta, _: meta.update(seed="x"), "seed = 'x', not an integer"),
     (lambda meta, _: meta.update(seed=3.0), "seed = 3.0, not an integer"),
-    (lambda meta, _: meta.update(inter_site_distance_m="x"),
-     "inter_site_distance_m = 'x', not a finite number > 0"),
-    (lambda meta, _: meta.update(inter_site_distance_m=math.inf),
-     "inter_site_distance_m = inf, not a finite number > 0"),
-    (lambda meta, _: meta.update(min_bs_user_distance_m=math.nan),
-     "min_bs_user_distance_m = nan, not a finite number > 0"),
-    (lambda meta, _: meta.update(min_bs_user_distance_m=0),
-     "min_bs_user_distance_m = 0, not a finite number > 0"),
-], ids=["missing_seed", "missing_arrays", "missing_distance", "extra_key", "missing_size",
+], ids=["missing_seed", "missing_arrays", "extra_key", "missing_size",
         "sizes_not_an_object", "missing_hardware_key", "extra_hardware_key",
         "string_hardware_value", "scalar_si_gain", "string_si_gain", "string_seed",
-        "float_seed", "string_distance", "inf_distance", "nan_distance", "zero_distance"])
+        "float_seed"])
 def test_load_realization_rejects_a_malformed_header(tmp_path, monkeypatch, edit, match):
     # each raised a KeyError or TypeError, or loaded without complaint, in
     # format 1; a corrupt header is a ValueError that names its key
@@ -668,7 +718,7 @@ def test_digest_is_stable_hex():
 
 
 # sha256 of serialize_realization for fixed (config, seed) pairs.  They pin
-# the draw order, the stored bits and the on-disk format (version 3) at
+# the draw order, the stored bits and the on-disk format (version 4) at
 # once, so any change to how a realization is drawn or stored must leave
 # them unchanged or re-record them with a check that the stored arrays kept
 # their bits.  The two single-direction ones also pin which BS chain a phase
@@ -677,19 +727,19 @@ def test_digest_is_stable_hex():
 # ideal converters and ideal SI cancellation; the last two pin the SI
 # links' undrawn errors of a single BS and of seven.
 _DIGEST_GOLDENS = {
-    "default": "24eb3a0cad02793f9355b6ce3c2a79e0327572040cbb2efc9758c700ea8f4d7e",
-    "three_cells": "8f9580c205c65ee312ef562b508f28296e4d9a364aadd172c2875ad5533784b5",
-    "perfect_csi": "c675bbf076764c6879fa3bd1ea0b3b3e81a6813eb00df3dadfc3138d3e7871b6",
-    "downlink_only": "d0768b9e8a7b93971c2853a916b522526c1927c32af6bdbffc85de8d728340e0",
-    "uplink_only": "7fa00f4331863d86e60b1af8a4ec22d2efa7169f28afc7da6fa9a8aa0ad88b93",
-    "uneven": "13617ba3a2bdc886e64307a4895865f2432d8aa7581f7ba3a90eecc435093e6e",
-    "swap_los_fading": "2699ab369511d90354415c47e5b287f946550e268965e095989e005399905487",
-    "no_downlink_users": "c6fbe52545e26eff9834b5ac01f544b7e1861f3dbe9fdc6518ff51732e36757e",
-    "no_uplink_users": "5e53db5d9a1e2bc9a48c07c7c45b0a99fc4e01065f0cd10ff7f31f70a8b27e69",
+    "default": "017a919410eba21dcc64d92de836bf54299fee9a3a686d719a5064ee939c9b35",
+    "three_cells": "93cbb2c40e08a2249fec98977b201b846dc8a0a16cb18c3ebbf9090e215375bc",
+    "perfect_csi": "2b79e4977bcb2703255bdfcb6263f55ae36ed5cad0671795dfbc43bb8c4bbebf",
+    "downlink_only": "ebfb75e6ad16afbc1ce720c2d0e2f0069030f563dc47267841dda251a180fc56",
+    "uplink_only": "a0f5d47509d34bac789955383412243077194747c76df57a5ff11de3f01b4b07",
+    "uneven": "2904e9bde328cea926f1e65a139d2b5f364946565b4b207a5a573305fdfa7b72",
+    "swap_los_fading": "f37d002adc8ad8f8f29412e08c1eefa5120a41055dedaf1a219832d564f65be0",
+    "no_downlink_users": "a1f869eae85694b302daad581bac1953775e354422c5be0b8b1723ed161a1910",
+    "no_uplink_users": "0503fae816e0922411f1fccea81800d3faa8f01bab9863e260417dab7bfff1e9",
     "full_csi_error_ideal_hardware":
-        "e429b898d55f5444231c5e91070c57dca44dfc2f51ecb4512926677fac1ce8b3",
-    "one_cell": "8e943a20d068723416ca0e27dc39ad54266c2f01c037da511107cc665ad3b23f",
-    "seven_cells": "7a3348203a78e8378e3cb6d8e99eabda8dc4623b32753c65188e110037619e93",
+        "c43580c93750c0cb8bf06beb569f9d0e4f45b66d50f6b11aaa4125b5dc14a3c0",
+    "one_cell": "15a382d71ef0813bb6d38b69614025a482d19754acb294134792a42172642176",
+    "seven_cells": "2710a225dffa239c7a854ba0ce8fd39e60b1eb7a31ce97af6bf148502074b150",
 }
 
 
