@@ -13,6 +13,7 @@ and a state CSV, every entry of the beams and combiners its solves end on.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import logging
@@ -208,12 +209,12 @@ def _csv_line(values) -> str:
 
 
 def _iteration_table(seed: int, records, measure_timing: bool) -> tuple:
-    """(header, lines) of one solve's iteration CSV: seed, iter, then every
-    record field in dtype order, one column <field>_<i> per entry of a
-    per-BS or per-user field.  A cell is the repr of a Python float or int
-    from tolist (an np.float64's repr reads np.float64(...)), written column
-    by column; the wall times, the fields ending in _ms, read 0.0 unless
-    measure_timing."""
+    """(header lines, lines) of one solve's iteration CSV: the schema line,
+    then columns seed, iter and every record field in dtype order, one
+    column <field>_<i> per entry of a per-BS or per-user field.  A cell is
+    the repr of a Python float or int from tolist (an np.float64's repr
+    reads np.float64(...)), written column by column; the wall times, the
+    fields ending in _ms, read 0.0 unless measure_timing."""
     n = len(records)
     header, columns = ["seed", "iter"], [[str(seed)] * n, map(str, range(n))]
     for name in records.dtype.names:
@@ -226,49 +227,58 @@ def _iteration_table(seed: int, records, measure_timing: bool) -> tuple:
         else:
             header += [f"{name}_{i}" for i in range(values.shape[1])]
             columns += [map(repr, column) for column in values.T.tolist()]
-    return header, [",".join(cells) for cells in zip(*columns)]
+    return ([f"# schema: {_ITERATIONS_SCHEMA}", ",".join(header)],
+            [",".join(cells) for cells in zip(*columns)])
 
 
-def _state_lines(seed: int, state):
+def _state_lines(seed: int, state) -> list:
     """A final state's lines of its state CSV (seed, array, index, real,
     imag): one per entry of each BeamformingState array, in field order, by
     its flattened index; a float is its repr, so it reads back bit for bit."""
-    for f in fields(state):
-        for index, z in enumerate(getattr(state, f.name).ravel().tolist()):
-            yield f"{seed},{f.name},{index},{z.real!r},{z.imag!r}\n"
+    return [f"{seed},{f.name},{index},{z.real!r},{z.imag!r}" for f in fields(state)
+            for index, z in enumerate(getattr(state, f.name).ravel().tolist())]
+
+
+def _realizations_header(cells: int) -> list:
+    return [f"# schema: {_REALIZATIONS_SCHEMA}",
+            ",".join(["seed", "algorithm", "digest", "converged", "iterations", "loss",
+                      "sum_mse_dl", "sum_mse_ul", "sum_rate", "sum_rate_dl", "sum_rate_ul",
+                      *(f"rsi_w_{g}" for g in range(cells)),
+                      *(f"asic_db_{g}" for g in range(cells)), "elapsed_ms"])]
 
 
 def _run_seed(args):
     """Worker body: build one realization, run every algorithm on it, and
-    return its finished `realizations.csv` lines and, with campaign.trace,
-    the `_iteration_table` and the final state of each solve by solve
-    name.  A line holds the seed's digest and its own algorithm's run,
-    nothing more.
+    return its lines by output file name as (the file's header lines, this
+    seed's lines): always `realizations.csv`, `errors.log` when the seed has
+    errors, and with campaign.trace each solve's iteration and state CSV.
+    A `realizations.csv` line holds the seed's digest and its own
+    algorithm's run, nothing more.
 
     A failed draw is recorded once per configured algorithm; a failed run
     only for its own algorithm.  Either way the campaign goes on.
     """
     config, index = args
     seed = derive_seed(config.base_seed, index)
+    rows, errors = [], []
+    out = {"realizations.csv": (_realizations_header(config.scenario.cells), rows)}
     try:
         realization = build_realization(config.scenario, seed)
         digest = realization_digest(realization)
     except Exception as exc:  # a failed draw is recorded, not fatal
-        message = f"{type(exc).__name__}: {exc}"
-        return index, [], {}, [(seed, algo, message) for algo in config.algorithms]
+        return {**out, "errors.log": ([], [f"{seed},{algo},{type(exc).__name__}: {exc}"
+                                            for algo in config.algorithms])}
 
     # the jpaim solve, run once however many algorithms use it
     solve = functools.cache(lambda: jpaim.run(realization, config.solver))
 
-    rows = []
     solves = {}
-    errors = []
     for algo in config.algorithms:
         t0 = time.perf_counter()
         try:
             rep, traces = _run_algorithm(config, realization, algo, solve)
         except Exception as exc:  # a failed run is recorded, not fatal
-            errors.append((seed, algo, f"{type(exc).__name__}: {exc}"))
+            errors.append(f"{seed},{algo},{type(exc).__name__}: {exc}")
             continue
         elapsed_ms = (time.perf_counter() - t0) * 1e3 if config.measure_timing else 0.0
         rows.append(_csv_line([
@@ -276,12 +286,15 @@ def _run_seed(args):
             sum(t.iterations for t in traces.values()), rep.loss, rep.sum_mse_dl,
             rep.sum_mse_ul, rep.sum_rate, rep.sum_rate_dl, rep.sum_rate_ul,
             *rep.rsi_watts, *rep.asic_depth_db, elapsed_ms]))
-        if config.trace:
-            # nsp-jpaim returns the jpaim trace again: each name is written once
-            solves.update({name: (*_iteration_table(seed, trace.records, config.measure_timing),
-                                  trace.final_state)
-                           for name, trace in traces.items() if name not in solves})
-    return index, rows, solves, errors
+        if config.trace:    # nsp-jpaim returns the jpaim trace again: each name is formatted once
+            solves.update(traces)
+    for name, trace in solves.items():
+        out[f"iterations_{name}.csv"] = _iteration_table(seed, trace.records, config.measure_timing)
+        out[f"state_{name}.csv"] = ([f"# schema: {_STATES_SCHEMA}", "seed,array,index,real,imag"],
+                                    _state_lines(seed, trace.final_state))
+    if errors:
+        out["errors.log"] = ([], errors)
+    return out
 
 
 def _run_algorithm(config, realization, algo, solve):
@@ -301,68 +314,52 @@ def run_campaign(config: CampaignConfig):
     """Run all configured algorithms over all seeds and write the CSVs.
 
     Returns `summarize` of the written directory, or raises RuntimeError
-    once the files are written if every run failed.  Output is ordered by
-    (seed index, algorithm) no matter how many workers executed, so
-    identical configs give identical bytes.  It starts no more worker
-    processes than realizations, and none for one.  An `errors.log`,
-    iteration CSV or state CSV that this run does not write is removed; the
-    state CSVs are written one seed at a time.  Each finished
-    realization logs one INFO line with its index, seed and error count, in
-    index order.
+    once the files are closed if every run failed.  Every `errors.log`,
+    iteration CSV and state CSV goes first, so no earlier campaign's file
+    passes as this one's.  `realizations.csv` opens with its header before
+    the first seed runs, any other file with the first seed that has lines
+    for it.  Each seed's lines are written and flushed when it finishes, in
+    index order however many workers run, so identical configs give
+    identical bytes and a stopped campaign leaves whole seeds.  It starts no
+    more worker processes than realizations, and none for one.  Each
+    finished realization then logs one INFO line with its index, seed and
+    error count.
     """
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    tasks = [(config, i) for i in range(config.realizations)]
-
-    def logged(finished):
-        for result in finished:
-            index, errors = result[0], result[3]
-            log.info("realization %d/%d finished: seed %d, %d error(s)", index + 1,
-                     config.realizations, derive_seed(config.base_seed, index), len(errors))
-            yield result
-
-    workers = min(config.workers, config.realizations)
-    if workers > 1:
-        import multiprocessing    # a one-worker campaign never loads it
-        with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            results = list(logged(pool.imap(_run_seed, tasks)))
-    else:
-        results = list(logged(map(_run_seed, tasks)))
-
-    all_errors = [err for _, _, _, errs in results for err in errs]
-    # name -> header; every seed's solve of a name has the same record dtype
-    traced = {name: solve[0] for _, _, solves, _ in results for name, solve in solves.items()}
-    written = {f"{kind}_{name}.csv" for kind in ("iterations", "state") for name in traced} | (
-        {"errors.log"} if all_errors else set())
-    for name in _OPTIONAL_OUTPUTS - written:    # an earlier campaign's would read as this one's
+    for name in _OPTIONAL_OUTPUTS:    # an earlier campaign's would read as this one's
         (outdir / name).unlink(missing_ok=True)
-    if all_errors:
-        elines = [f"{seed},{algo},{msg}" for seed, algo, msg in all_errors]
-        (outdir / "errors.log").write_text("\n".join(elines) + "\n")
-        log.warning("%d solver run(s) failed; see errors.log", len(all_errors))
+    tasks = [(config, i) for i in range(config.realizations)]
+    rows = errors = 0
+    with contextlib.ExitStack() as stack:
+        files = {}
+        def write(name, header, lines):
+            if name not in files:
+                files[name] = stack.enter_context(open(outdir / name, "w"))
+                files[name].writelines(f"{line}\n" for line in header)
+            files[name].writelines(f"{line}\n" for line in lines)
+            files[name].flush()
+        write("realizations.csv", _realizations_header(config.scenario.cells), [])
+        workers = min(config.workers, config.realizations)
+        if workers > 1:
+            import multiprocessing    # a one-worker campaign never loads it
+            pool = stack.enter_context(multiprocessing.get_context("spawn").Pool(workers))
+            finished = pool.imap(_run_seed, tasks)
+        else:
+            finished = map(_run_seed, tasks)
+        for index, outputs in enumerate(finished):
+            for name, (header, lines) in outputs.items():
+                write(name, header, lines)
+            seed_errors = len(outputs["errors.log"][1]) if "errors.log" in outputs else 0
+            rows += len(outputs["realizations.csv"][1])
+            errors += seed_errors
+            log.info("realization %d/%d finished: seed %d, %d error(s)", index + 1,
+                     config.realizations, derive_seed(config.base_seed, index), seed_errors)
 
-    cells = range(config.scenario.cells)
-    lines = [f"# schema: {_REALIZATIONS_SCHEMA}",
-             ",".join(["seed", "algorithm", "digest", "converged", "iterations", "loss",
-                       "sum_mse_dl", "sum_mse_ul", "sum_rate", "sum_rate_dl", "sum_rate_ul",
-                       *(f"rsi_w_{g}" for g in cells), *(f"asic_db_{g}" for g in cells),
-                       "elapsed_ms"])]
-    lines += [row for _, rows, _, _ in results for row in rows]
-    (outdir / "realizations.csv").write_text("\n".join(lines) + "\n")
-
-    for name, header in sorted(traced.items()):
-        lines = [f"# schema: {_ITERATIONS_SCHEMA}", ",".join(header)]
-        lines += [row for _, _, solves, _ in results if name in solves for row in solves[name][1]]
-        (outdir / f"iterations_{name}.csv").write_text("\n".join(lines) + "\n")
-        with open(outdir / f"state_{name}.csv", "w") as f:
-            f.write(f"# schema: {_STATES_SCHEMA}\nseed,array,index,real,imag\n")
-            f.writelines(line for index, _, solves, _ in results if name in solves
-                         for line in _state_lines(derive_seed(config.base_seed, index),
-                                                  solves[name][2]))
-
-    if not any(rows for _, rows, _, _ in results):
-        raise RuntimeError(f"all {len(all_errors)} run(s) failed; see "
-                           f"{outdir / 'errors.log'}")
+    if errors:
+        log.warning("%d solver run(s) failed; see errors.log", errors)
+    if not rows:
+        raise RuntimeError(f"all {errors} run(s) failed; see {outdir / 'errors.log'}")
     return summarize(outdir)
 
 

@@ -1,7 +1,11 @@
 """Campaign harness: config files, seeds, CSV outputs, summaries, complexity."""
 
+import contextlib
 import csv
+import gc
+import logging
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -307,13 +311,46 @@ def test_run_campaign_logs_progress(tmp_path, monkeypatch, caplog, workers):
 
     if workers == 1:
         monkeypatch.setattr(harness, "build_realization", flaky)
-    with caplog.at_level("INFO", logger="ibfdsim.harness"):
+    csv_path = Path(cfg.output_dir) / "realizations.csv"
+    on_disk = []    # realizations.csv as each INFO line is logged
+
+    def snapshot(record):
+        if record.levelno == logging.INFO:
+            on_disk.append(csv_path.read_text())
+
+    with caplog.at_level("INFO", logger="ibfdsim.harness"), _log_hook(snapshot):
         run_campaign(cfg)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "ibfdsim.harness" and r.levelname == "INFO"]
     errors = [0, 2, 0] if workers == 1 else [0, 0, 0]
     assert lines == [f"realization {i + 1}/3 finished: seed {derive_seed(7, i)}, "
                      f"{errors[i]} error(s)" for i in range(3)]
+    # each line is logged once its seed's rows are on disk, so `tail -f` keeps pace
+    assert on_disk == [_through_seed(csv_path.read_text(), cfg, i) for i in range(3)]
+
+
+@contextlib.contextmanager
+def _log_hook(emit):
+    """Call emit(record) on every INFO or higher record of the harness logger."""
+    hook = logging.Handler()
+    hook.emit = emit
+    logger = logging.getLogger("ibfdsim.harness")
+    level = logger.level
+    logger.addHandler(hook)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(hook)
+        logger.setLevel(level)
+
+
+def _through_seed(text, cfg, last):
+    """A written CSV's text cut to its two header lines and the lines of
+    seed indexes 0 to `last`."""
+    lines = text.splitlines(keepends=True)
+    seeds = {str(derive_seed(cfg.base_seed, i)) for i in range(last + 1)}
+    return "".join(lines[:2] + [line for line in lines[2:] if line.split(",", 1)[0] in seeds])
 
 
 def _lines_by_run(outdir):
@@ -662,6 +699,74 @@ def test_run_campaign_removes_an_earlier_campaigns_files(tmp_path, monkeypatch):
         "state_half_duplex_ul.csv", "state_jpaim.csv"]
     run_campaign(replace(first, trace=False))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["realizations.csv"]
+
+
+def test_an_interrupted_campaign_leaves_its_finished_seeds_whole(tmp_path, monkeypatch):
+    # seed index 3's first solve raises KeyboardInterrupt, which _run_seed
+    # does not catch, so the campaign ends there: each file it leaves is a
+    # byte prefix of the full run's, holding exactly seed indexes 0-2, and an
+    # earlier campaign's errors.log is gone
+    cfg = replace(parse_config(SMALL + "campaign.algorithms = jpaim, nsp-jpaim, half-duplex\n"
+                               "campaign.trace = true\n"), realizations=5)
+    run_campaign(replace(cfg, output_dir=str(tmp_path / "full")))
+    full = {p.name: p.read_text() for p in (tmp_path / "full").iterdir()}
+    out = tmp_path / "cut"
+    out.mkdir()
+    (out / "errors.log").write_text("an earlier campaign's error\n")
+    stop_seed, true_run = derive_seed(cfg.base_seed, 3), jpaim.run
+
+    def interrupted(realization, config):
+        if realization.seed == stop_seed:
+            raise KeyboardInterrupt
+        return true_run(realization, config)
+
+    monkeypatch.setattr(harness.jpaim, "run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(replace(cfg, output_dir=str(out)))
+    cut = {p.name: p.read_text() for p in out.iterdir()}
+    assert sorted(cut) == sorted(full) and len(cut) == 7
+    for name, text in full.items():
+        assert text.startswith(cut[name])
+        assert cut[name] == _through_seed(text, cfg, 2) != _through_seed(text, cfg, 1)
+
+
+def test_an_interrupted_pool_campaign_leaves_no_worker(tmp_path):
+    # the parent is interrupted as it logs seed index 1's INFO line: the
+    # files hold seed indexes 0 and 1, and the pool closes on the way out
+    cfg = replace(parse_config(SMALL + "campaign.trace = true\n"), realizations=4, workers=2)
+    run_campaign(replace(cfg, workers=1, output_dir=str(tmp_path / "full")))
+
+    def interrupt(record):
+        if record.getMessage().startswith("realization 2/"):
+            raise KeyboardInterrupt
+
+    with _log_hook(interrupt), pytest.raises(KeyboardInterrupt):
+        run_campaign(replace(cfg, output_dir=str(tmp_path / "cut")))
+    assert multiprocessing.active_children() == []
+    cut = {p.name: p.read_text() for p in (tmp_path / "cut").iterdir()}
+    assert sorted(cut) == ["iterations_jpaim.csv", "realizations.csv", "state_jpaim.csv"]
+    for name, text in cut.items():
+        assert text == _through_seed((tmp_path / "full" / name).read_text(), cfg, 1)
+
+
+def test_a_campaign_holds_no_finished_seed(tmp_path, monkeypatch):
+    # as seed index k starts, no list holds a line of a seed before k - 1
+    # (the loop still names seed k - 1's result while it waits for seed k)
+    cfg = replace(parse_config(SMALL + "campaign.algorithms = jpaim, nsp-jpaim, half-duplex\n"
+                               "campaign.trace = true\n"),
+                  realizations=6, output_dir=str(tmp_path))
+    true_seed, held = harness._run_seed, []
+
+    def watched(args):
+        gone = tuple(f"{derive_seed(cfg.base_seed, i)}," for i in range(args[1] - 1))
+        gc.collect()
+        held.append(sum(type(obj) is list and bool(obj) and type(obj[0]) is str
+                        and obj[0].startswith(gone) for obj in gc.get_objects()))
+        return true_seed(args)
+
+    monkeypatch.setattr(harness, "_run_seed", watched)
+    run_campaign(cfg)
+    assert held == [0] * 6
 
 
 def test_automatic_nsp_dimension_is_at_least_one(tmp_path):
