@@ -19,22 +19,18 @@ for the smallest feasible w >= 0; one vectorized, safeguarded Newton solve
 (_search) serves every sending BS and uplink user of an iteration at once.
 
 Near its fixed point the plain alternation contracts slowly, so each
-iteration also tries an extrapolated point W* + beta (W* - W_prev) beyond the
-exact precoder result W*, scaled back into the power budgets.  A safeguard
-keeps it only if, after its combiner update, the loss lies at least the
-stopping threshold below the iteration's snapshot.  The tracked loss is
-therefore non-increasing, up to the rounding of ill-conditioned BS
-covariances (ROADMAP item 17), and the loop stops once the per-iteration
-improvement drops below the threshold.
+iteration also tries a safeguarded extrapolated point (`_iterate`, the one
+iteration body, states the rules).  The tracked loss is non-increasing, up
+to the rounding of ill-conditioned BS covariances (ROADMAP item 17).
 
 `run` reads the realization's Channels (module `stacked`) and its derived
-views, builds the precoder step's constants (the SI
-penalties and the search budgets) once per call and iterates on the
-beams W and the combiners U, (downlink, uplink) pairs of arrays in the same
-layout: each block is a few batched numpy kernels over all cells and users,
-and each combiner update and loss is objective.score, as in every other
-caller.  A BeamformingState holds them only at the ends
-of a solve: the start that `initialize` draws and the final state.
+views, builds the precoder step's constants (the SI penalties and the search
+budgets) once per call and calls `_iterate` on the beams W and the combiners
+U, (downlink, uplink) pairs of arrays in the same layout: each block is a
+few batched numpy kernels over all cells and users, and each combiner update
+and loss is objective.score, as in every other caller.  A BeamformingState
+holds them only at the ends of a solve: the start that `initialize` draws
+and the final state.
 
 A direction without users (the other one of a half-duplex phase, or of a
 network without downlink or uplink users) runs no kernel: its transmitters
@@ -100,7 +96,7 @@ class RunTrace:
     - multiplier_evaluations, the power evaluations of the row's search,
       summed over every sending BS and uplink user (not a count per multiplier);
     - elapsed_ms, the iteration's wall time, and its parts: combiner_ms, the
-      combiner update (0.0 when the previous iteration's accepted trial
+      combiner update (0.0 when the previous iteration's kept trial
       supplied it), precoder_ms, the precoder step, and trial_ms, the
       extrapolated trial with its combiner update (0.0 when the iteration
       tries none).
@@ -304,37 +300,58 @@ def _extrapolate(hw: HardwareProfile, beams, previous):
 # ---------------------------------------------------------------------------
 
 
+def _iterate(ch, hw, nu, constants, beams, carry, loss, try_trial, threshold):
+    """One iteration from the beams W (block coordinate descent with
+    extrapolation, Xu & Yin 2013): combiners, the exact precoder step W*,
+    the stopping comparison against `loss`, the previous record's, and the
+    trial.  The combiners are objective.score's of W, or `carry`: the scored
+    (combiners, covariances, report) of the trial the previous iteration
+    kept.  Unless converged (the report's loss less than `threshold` below
+    `loss`), and if `try_trial`, the trial point _extrapolate(W*, W) gets
+    its own combiner update; it replaces W* only if its loss lies at least
+    the threshold below the report's, and its scored triple is the next
+    carry.  Either way the records' loss is non-increasing, and a kept trial
+    never looks converged.  `run` tries no trial on the first iteration,
+    whose W is the random initial point and W* - W no descent direction,
+    nor on the last, so a solve ends on an exact block result.
+
+    Returns the beams it ends on, the next carry (None unless it kept the
+    trial), its scored triple, its search, `converged` and its block times.
+    """
+    t0 = time.perf_counter()
+    combiners, _, rep = scored = carry or objective.score(ch, hw, beams, nu)
+    t1 = time.perf_counter()
+    exact, search = _precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
+                                   combiners, constants)
+    t2 = time.perf_counter()
+    converged = loss - rep.loss < threshold
+    kept, trial_ms = None, 0.0
+    if try_trial and not converged:
+        trial = _extrapolate(hw, exact, beams)
+        trial_scored = objective.score(ch, hw, trial, nu)
+        if trial_scored[2].loss < rep.loss - threshold:
+            exact, kept = trial, trial_scored
+        trial_ms = (time.perf_counter() - t2) * 1e3
+    block_ms = (0.0 if carry else (t1 - t0) * 1e3, (t2 - t1) * 1e3, trial_ms)
+    return exact, kept, scored, search, converged, block_ms
+
+
 def run(realization: Realization, config: SolverConfig, collect_metrics=None) -> RunTrace:
     """Run the alternating solver until the loss decrease falls below threshold.
 
-    Per iteration: combiners, loss snapshot, precoders, then a safeguarded
-    extrapolation (block coordinate descent with extrapolation, Xu & Yin
-    2013).  The trial point _extrapolate(W*, W_prev) from the exact block
-    result W* gets its own combiner update; it replaces W* only
-    if its loss then lies below the iteration's snapshot by at least the
-    threshold, and its combiners and report serve as the next iteration's.
-    Otherwise W* is kept.  Either way the snapshot
-    sequence is non-increasing, and an accepted trial never looks converged.
-    The first iteration tries no trial, since its W_prev is the random
-    initial point and W* - W_prev no descent direction.  Neither does the
-    last (converged or at max_iterations), so the final state is always an
-    exact block result.  Non-convergence within max_iterations is reported
-    in the trace, not raised.
-
-    The loop runs on the beams W of `initialize`'s state, and the final
-    state holds the very beams and combiners that the final report scores.
-    The covariances of a combiner update also serve the evaluation after it.
-    Each iteration writes its loss, sum MSE, RSI, rate, times, multipliers,
-    search evaluations and the powers of the beams it ends on into its row
-    of a table of max_iterations + 1 rows, and the trace gets the rows
-    used, so the last record's powers are those of the final state.  The
-    records keep only what they report: no report, no search power and no
-    beams.
+    Each iteration is one _iterate call, the first from `initialize`'s
+    beams; a solve that does not converge within max_iterations says so in
+    the trace.  The final state holds the very beams and combiners that the
+    final report scores.  Each iteration writes its loss, sum MSE, RSI,
+    rate, times, multipliers, search evaluations and the powers of the beams
+    it ends on, but no report, search power or beam, into its row of a
+    table of max_iterations + 1 rows, and the trace gets the rows used, so
+    the last record's powers are those of the final state.
 
     Rates are computed only for what is reported, and none inside the loop.
     Each record keeps the b x b objective.signal_gains (HW)^H U of its own
     combiner update, formed after its wall time is taken (record 0's from
-    the MMSE solve of the initial covariances, an accepted trial's when it
+    the MMSE solve of the initial covariances, a kept trial's when it
     becomes the next iteration's record; a rejected trial keeps none), and
     one objective.sum_rates call over the stack of them rates every record
     after the loop, bit for bit as a call per record would, so a singular
@@ -373,29 +390,12 @@ def run(realization: Realization, config: SolverConfig, collect_metrics=None) ->
     # each record's signal gains, rated in one pass after the loop
     gains = [objective.signal_gains(cov.signal, objective.mmse_combiners(cov))]
 
-    converged = False
-    accepted = None          # (beams, combiners, covariances, report) of the kept trial
-    t = 0
+    converged, carry, t = False, None, 0
     for t in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
-        reused = accepted is not None
-        combiners, cov, rep = accepted[1:] if reused else objective.score(ch, hw, beams, nu)
-        accepted = None
-        t1 = time.perf_counter()
-        exact, search = _precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
-                                       combiners, constants)
-        t2 = time.perf_counter()
-        converged = records[t - 1]["loss"] - rep.loss < config.threshold
-        tried = not converged and 1 < t < config.max_iterations
-        if tried:
-            trial = _extrapolate(hw, exact, beams)
-            trial_combiners, trial_cov, trial_rep = objective.score(ch, hw, trial, nu)
-            if trial_rep.loss < rep.loss - config.threshold:
-                accepted = (trial, trial_combiners, trial_cov, trial_rep)
-        t3 = time.perf_counter()
-        beams = accepted[0] if accepted else exact
-        block_ms = (0.0 if reused else (t1 - t0) * 1e3, (t2 - t1) * 1e3,
-                    (t3 - t2) * 1e3 if tried else 0.0)
+        beams, carry, (combiners, cov, rep), search, converged, block_ms = _iterate(
+            ch, hw, nu, constants, beams, carry, records[t - 1]["loss"],
+            1 < t < config.max_iterations, config.threshold)
         record(t, rep, t0, beams, search[0], search[2].sum(), block_ms)
         gains.append(objective.signal_gains(cov.signal, combiners))
         if converged:

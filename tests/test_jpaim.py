@@ -11,7 +11,7 @@ import pytest
 
 import helpers
 from helpers import bs_node, dl_node, ul_node
-from ibfdsim import baselines, jpaim, objective
+from ibfdsim import baselines, covariance, jpaim, objective
 from ibfdsim.jpaim import SolverConfig, initialize, run
 from ibfdsim.model import (ScenarioConfig, build_realization, restrict_to_downlink,
                            restrict_to_uplink)
@@ -564,6 +564,106 @@ def test_run_computes_rates_once_per_record(monkeypatch):
     accepted = sum(r.combiner_ms == 0.0 for r in trace.records[2:])
     assert 0 < accepted < tried
     assert stacks == [(len(trace.records),), ()]
+
+
+def _first_iteration():
+    """(channels, hardware, nu, precoder constants, initial beams) of a
+    default realization: the arguments of a solve's first _iterate call."""
+    real = build_realization(ScenarioConfig(), 4)
+    ch, hw = real.channels, real.hardware
+    nu = resolve_nu(real, SolverConfig().nu)
+    start = initialize(real)
+    return ch, hw, nu, jpaim._precoder_constants(ch, hw, nu), (start.dl_beams, start.ul_beams)
+
+
+def _assert_pairs_equal(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def _scored_trial(monkeypatch, shift):
+    """Patch objective.score so that every call after the first, the trial's,
+    reports the first call's loss plus `shift`; returns the list of the
+    triples it hands out."""
+    true_score, handed = objective.score, []
+
+    def score(*args, **kwargs):
+        combiners, cov, rep = true_score(*args, **kwargs)
+        if handed:
+            rep = replace(rep, loss=handed[0][2].loss + shift)
+        handed.append((combiners, cov, rep))
+        return handed[-1]
+
+    monkeypatch.setattr(objective, "score", score)
+    return handed
+
+
+def test_iterate_without_a_trial_ends_on_the_exact_precoder_step():
+    ch, hw, nu, constants, beams = _first_iteration()
+    combiners, _, rep = objective.score(ch, hw, beams, nu)
+    exact, search = jpaim._precoder_step(ch, covariance.transmit_grams(ch, hw, combiners),
+                                         combiners, constants)
+    # no trial asked for, and a converged comparison, which skips the trial
+    for try_trial, loss, stop in ((False, math.inf, False), (True, rep.loss, True)):
+        end, carry, scored, found, converged, block_ms = jpaim._iterate(
+            ch, hw, nu, constants, beams, None, loss, try_trial, 1e-4)
+        assert carry is None and converged is stop
+        assert block_ms[0] > 0.0 and block_ms[2] == 0.0
+        _assert_pairs_equal(end, exact)
+        _assert_pairs_equal(found, search)
+        _assert_pairs_equal(scored[0], combiners)
+        assert scored[2].loss == rep.loss
+
+
+def test_iterate_rejects_a_trial_that_does_not_lower_the_loss(monkeypatch):
+    ch, hw, nu, constants, beams = _first_iteration()
+    exact = jpaim._iterate(ch, hw, nu, constants, beams, None, math.inf, False, 1e-4)[0]
+    handed = _scored_trial(monkeypatch, 1.0)
+    end, carry, scored, _, converged, block_ms = jpaim._iterate(
+        ch, hw, nu, constants, beams, None, math.inf, True, 1e-4)
+    assert len(handed) == 2 and scored is handed[0]
+    assert carry is None and not converged and block_ms[2] > 0.0
+    _assert_pairs_equal(end, exact)
+
+
+def test_iterate_keeps_a_lower_trial_and_carries_its_scores(monkeypatch):
+    ch, hw, nu, constants, beams = _first_iteration()
+    exact = jpaim._iterate(ch, hw, nu, constants, beams, None, math.inf, False, 1e-4)[0]
+    handed = _scored_trial(monkeypatch, -1.0)
+    end, carry, _, _, converged, block_ms = jpaim._iterate(
+        ch, hw, nu, constants, beams, None, math.inf, True, 1e-4)
+    assert len(handed) == 2 and carry is handed[1]
+    assert not converged and block_ms[2] > 0.0
+    _assert_pairs_equal(end, jpaim._extrapolate(hw, exact, beams))
+    # the next iteration takes the kept trial's combiner update as its own
+    *_, scored, _, _, block_ms = jpaim._iterate(ch, hw, nu, constants, end, carry,
+                                                math.inf, False, 1e-4)
+    assert len(handed) == 2 and block_ms[0] == 0.0
+    assert all(a is b for a, b in zip(scored, carry, strict=True))
+
+
+def test_a_solve_scores_each_update_once(monkeypatch):
+    # record 0, each iteration without a carried trial, each trial tried and
+    # the final report are one objective.score call each, and each
+    # iteration's precoder step forms its transmit Gram matrices once
+    calls = {"score": 0, "grams": 0}
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(objective, "score", counted("score", objective.score))
+    monkeypatch.setattr(covariance, "transmit_grams",
+                        counted("grams", covariance.transmit_grams))
+    trace = run(build_realization(ScenarioConfig(), 3), SolverConfig())
+    iterations = trace.records[1:]
+    carried = int(np.count_nonzero(iterations.combiner_ms == 0.0))
+    tried = int(np.count_nonzero(iterations.trial_ms > 0.0))
+    assert 0 < carried < tried    # this seed keeps some trials, and rejects some
+    assert calls == {"score": 1 + (trace.iterations - carried) + tried + 1,
+                     "grams": trace.iterations}
 
 
 def test_records_keep_no_signals():

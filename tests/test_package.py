@@ -214,6 +214,34 @@ def test_readme_module_map_has_one_bullet_per_module():
     assert sorted(bullets) == sorted(p.name for p in SOURCES if p.name != "__init__.py")
 
 
+def test_only_iterate_calls_the_iteration_kernels():
+    # the precoder step, its transmit Gram matrices and the extrapolated
+    # trial belong to one iteration, so a second caller in the package would
+    # be a copy of jpaim._iterate's body.  tests/helpers.py's block oracles
+    # call them on purpose, and lie outside the package.
+    kernels = {"_precoder_step", "_extrapolate", "transmit_grams"}
+    callers = sorted({(path.name, getattr(top, "name", None), name) for path in SOURCES
+                      for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and (name := getattr(node.func, "attr", getattr(node.func, "id", None)))
+                      in kernels})
+    assert callers == [("jpaim.py", "_iterate", name) for name in sorted(kernels)]
+
+
+def test_readme_claims_cite_existing_tests():
+    # every acceptance criterion and test that the claims ledger cites exists
+    section = (ROOT / "README.md").read_text().split("## The paper's claims", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    cited = {int(n) for group in re.findall(r"[Cc]riteri(?:on|a) ((?:\d+(?:, | and )?)+)", section)
+             for n in re.findall(r"\d+", group)}
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    assert cited and [n for n in sorted(cited)
+                      if f"def test_criterion_{n:02d}_" not in acceptance] == []
+    tests = "".join(path.read_text() for path in (ROOT / "tests").glob("test_*.py"))
+    assert [name for name in re.findall(r"`(test_\w+)`", section)
+            if f"def {name}(" not in tests] == []
+
+
 def test_tools_read_no_private_name_of_the_package():
     # a tool or the benchmark works through the package's public names: one
     # that reads or patches a private function breaks, or silently stops
