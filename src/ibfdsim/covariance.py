@@ -163,25 +163,20 @@ def transmit_grams(ch: Channels, hw: HardwareProfile, combiners):
     k_u = u_ul.shape[1]
     dl_rows = cells * k_d * m_ue
     # every downlink user, then every BS with the combiners of all the uplink
-    # users it decodes side by side: the row order of X
-    bs_u = columns(u_ul)
-    dl_uh, bs_uh = hermitian(u_dl.reshape(cells * k_d, m_ue, b_d)), hermitian(bs_u)
-    # the beta-scaled row powers of the combiners over the rows of X, and each
-    # receiver's ||U_r||_F^2 over the rows of err, zero at a receiver kind that
-    # decodes no user, which costs no kernel
-    weights, upow = np.zeros(len(ch.x)), np.zeros(len(ch.err))
-    if k_d:
-        dl_power = row_powers(u_dl)
-        weights[:dl_rows] = (hw.beta_ue * dl_power).ravel()
-        upow[:cells * k_d] = np.add.reduce(dl_power, axis=-1).ravel()
-    if k_u:
-        bs_power = row_powers(bs_u)
-        weights[dl_rows:] = (hw.beta_bs * bs_power).ravel()
-        upow[cells * k_d:] = np.add.reduce(bs_power, axis=-1)
+    # users it decodes side by side, in the row order of X.  Each receiver kind
+    # that decodes a user puts the beta-scaled row powers of its combiners on
+    # its rows of X, each receiver's ||U_r||_F^2 on its rows of err and its
+    # block of rows into Z; one that decodes none keeps zeros and costs no kernel
+    weights, upow, blocks = np.zeros(len(ch.x)), np.zeros(len(ch.err)), []
+    for u, beta, rows, receivers in (
+            (u_dl.reshape(cells * k_d, m_ue, b_d), hw.beta_ue, slice(dl_rows), slice(cells * k_d)),
+            (columns(u_ul), hw.beta_bs, slice(dl_rows, None), slice(cells * k_d, None))):
+        if u.size:
+            power = row_powers(u)
+            weights[rows] = (beta * power).ravel()
+            upow[receivers] = np.add.reduce(power, axis=-1)
+            blocks.append((hermitian(u), rows))
     csi = upow @ ch.err    # per transmitter, BSs first: the columns of err
-    # the rows of Z: a block for each receiver kind that decodes a user
-    blocks = [block for block in ((dl_uh, slice(dl_rows)), (bs_uh, slice(dl_rows, None)))
-              if block[0].size]
 
     def summed_f1(x: np.ndarray, x_h: np.ndarray, kappa: float, users: int,
                   floor: np.ndarray) -> np.ndarray:

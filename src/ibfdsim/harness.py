@@ -321,7 +321,8 @@ def run_campaign(config: CampaignConfig):
     for it.  Each seed's lines are written and flushed when it finishes, in
     index order however many workers run, so identical configs give
     identical bytes and a stopped campaign leaves whole seeds.  It starts no
-    more worker processes than realizations, and none for one.  Each
+    more worker processes than realizations, and none for one; a worker that
+    dies ends the campaign with BrokenProcessPool, a RuntimeError.  Each
     finished realization then logs one INFO line with its index, seed and
     error count.
     """
@@ -342,9 +343,13 @@ def run_campaign(config: CampaignConfig):
         write("realizations.csv", _realizations_header(config.scenario.cells), [])
         workers = min(config.workers, config.realizations)
         if workers > 1:
-            import multiprocessing    # a one-worker campaign never loads it
-            pool = stack.enter_context(multiprocessing.get_context("spawn").Pool(workers))
-            finished = pool.imap(_run_seed, tasks)
+            import multiprocessing    # a one-worker campaign never loads either
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+            # on the way out it cancels every seed not yet handed to a worker and
+            # waits for the rest; a dead worker raises BrokenProcessPool out of the loop
+            stack.callback(pool.shutdown, cancel_futures=True)
+            finished = pool.map(_run_seed, tasks)
         else:
             finished = map(_run_seed, tasks)
         for index, outputs in enumerate(finished):

@@ -54,8 +54,8 @@ class ObjectiveReport:
 
 
 def checked_nu(nu) -> float:
-    """nu as a float; ValueError unless it is one finite number >= 0."""
-    if not isinstance(nu, numbers.Real):
+    """nu as a float; ValueError unless it is one finite number >= 0, not a bool."""
+    if isinstance(nu, bool) or not isinstance(nu, numbers.Real):
         raise ValueError(f"nu must be one number or None, got {nu!r}")
     if not 0.0 <= nu < math.inf:
         raise ValueError(f"nu must be finite and >= 0, got {nu!r}")
@@ -158,11 +158,10 @@ def score(ch: Channels, hw: HardwareProfile, beams, nu_arr: np.ndarray, combiner
     cov = covariance.covariances(ch, hw, beams)
     mmse = mmse_combiners(cov) if combiners is None or with_rates else None
     combiners = mmse if combiners is None else combiners
-    u_dl, u_ul = combiners    # no users, no MSE; a BS covariance serves each uplink user
-    sum_mse_dl = (float(np.add.reduce(_mse(cov.dl_rx, cov.signal[0], u_dl), axis=None))
-                  if u_dl.size else 0.0)
-    sum_mse_ul = (float(np.add.reduce(_mse(cov.bs_rx[:, None], cov.signal[1], u_ul), axis=None))
-                  if u_ul.size else 0.0)
+    # no users, no MSE; a BS covariance serves each uplink user
+    sum_mse_dl, sum_mse_ul = [
+        float(np.add.reduce(_mse(c, a, u), axis=None)) if u.size else 0.0
+        for c, a, u in zip((cov.dl_rx, cov.bs_rx[:, None]), cov.signal, combiners)]
     rsi = (frobenius_sq(cov.si_signal)
            + hw.kappa_bs * np.add.reduce(ch.si_colpow * cov.cell_load, axis=-1)
            if cov.si_signal.size else np.zeros(ch.cells))    # no SI link or no beam through it

@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -280,19 +281,20 @@ def test_one_realization_campaign_solves_in_the_calling_process(tmp_path, monkey
 
 
 def test_one_worker_campaign_never_imports_multiprocessing(tmp_path):
-    # only a campaign with a worker pool loads multiprocessing, so a fresh
-    # interpreter that runs a one-worker campaign leaves it out
+    # only a campaign with a worker pool loads multiprocessing and
+    # concurrent.futures, so a fresh interpreter that runs a one-worker
+    # campaign leaves both out
     script = ("import sys\nfrom dataclasses import replace\n"
               "from ibfdsim.harness import parse_config, run_campaign\n"
               f"run_campaign(replace(parse_config({SMALL!r}), workers=1, "
               f"output_dir={str(tmp_path / 'out')!r}))\n"
-              "print('multiprocessing' in sys.modules)\n")
+              "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n")
     src = str(Path(harness.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True, timeout=300)
     assert (tmp_path / "out" / "realizations.csv").exists()
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -747,6 +749,43 @@ def test_an_interrupted_pool_campaign_leaves_no_worker(tmp_path):
     assert sorted(cut) == ["iterations_jpaim.csv", "realizations.csv", "state_jpaim.csv"]
     for name, text in cut.items():
         assert text == _through_seed((tmp_path / "full" / name).read_text(), cfg, 1)
+
+
+def test_a_dying_pool_worker_ends_the_campaign(tmp_path, monkeypatch):
+    # a spawned worker imports the package afresh, so the death comes from a
+    # sitecustomize.py on the workers' PYTHONPATH that makes seed index 2's
+    # worker exit at once: the campaign raises BrokenProcessPool within
+    # seconds instead of waiting for that seed (an alarm ends a hung wait),
+    # leaves no worker, and its realizations.csv holds whole seeds only, a
+    # prefix of the unbroken run's
+    from concurrent.futures.process import BrokenProcessPool
+
+    cfg = replace(parse_config(SMALL), realizations=4, workers=2)
+    run_campaign(replace(cfg, workers=1, output_dir=str(tmp_path / "full")))
+    (tmp_path / "site").mkdir()
+    (tmp_path / "site" / "sitecustomize.py").write_text(
+        "import os\nfrom ibfdsim import harness\ntrue_run_seed = harness._run_seed\n\n"
+        "def dying(task):\n    if task[1] == 2:\n        os._exit(1)\n"
+        "    return true_run_seed(task)\n\nharness._run_seed = dying\n")
+    src = str(Path(harness.__file__).parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        [str(tmp_path / "site"), src, os.environ.get("PYTHONPATH", "")]))
+
+    def hung(signum, frame):
+        raise TimeoutError("the campaign was still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_campaign(replace(cfg, output_dir=str(tmp_path / "cut")))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+    full = (tmp_path / "full" / "realizations.csv").read_text()
+    cut = (tmp_path / "cut" / "realizations.csv").read_text()
+    assert cut in [_through_seed(full, cfg, last) for last in (-1, 0, 1)]
 
 
 def test_a_campaign_holds_no_finished_seed(tmp_path, monkeypatch):

@@ -26,9 +26,10 @@ def test_solver_config_validation():
         SolverConfig(threshold=1e-2)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=-1)
-    # nu is None or one number: a per-cell sequence is refused like a string
+    # nu is None or one number: a per-cell sequence is refused like a string,
+    # and a bool like an integer field's
     for nu in (-1.0, math.nan, math.inf, (0.1, 0.2), (1.0,), [0.5], np.array([0.1, 0.2]), (),
-               "abc", "0.5"):
+               "abc", "0.5", True, False):
         with pytest.raises(ValueError, match="nu"):
             SolverConfig(nu=nu)
     assert SolverConfig(nu=0).nu == 0.0 and type(SolverConfig(nu=np.float64(0.5)).nu) is float
