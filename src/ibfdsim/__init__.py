@@ -5,7 +5,6 @@ from .model import (
     HardwareProfile,
     Realization,
     ScenarioConfig,
-    Topology,
     build_realization,
     load_realization,
     realization_digest,
@@ -30,8 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BeamformingState", "CampaignConfig", "CampaignSummary", "HardwareProfile",
     "ObjectiveReport", "Realization", "RunTrace", "ScenarioConfig", "SolverConfig",
-    "Topology", "build_realization",
-    "complexity_estimate", "evaluate", "load_config", "load_realization",
+    "build_realization", "complexity_estimate", "evaluate", "load_config", "load_realization",
     "nsp_project", "realization_digest", "run", "run_campaign",
     "run_half_duplex", "save_config", "save_realization", "summarize",
 ]

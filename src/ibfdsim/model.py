@@ -137,6 +137,7 @@ class ScenarioConfig:
             raise ValueError(f"min_bs_user_distance_m {self.min_bs_user_distance_m} m leaves "
                              f"no room in a cell of radius inter_site_distance_m/sqrt(3) = "
                              f"{radius:.3f} m")
+        linear_units(self)   # refused here, not once per seed by build_realization
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,28 @@ class HardwareProfile:
         for f in fields(self):
             if not np.all(np.isfinite(getattr(self, f.name))):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+
+
+def linear_units(config: ScenarioConfig) -> tuple[HardwareProfile, float]:
+    """The scenario's hardware profile and Rician K factor in linear units.  A
+    quantity that overflows raises a ValueError naming it, and HardwareProfile
+    refuses a noise power or budget that underflows to 0 W."""
+    def linear(name, to_linear, *args):
+        try:
+            return to_linear(*args)
+        except OverflowError:
+            raise ValueError(f"{name} overflows in linear units") from None
+
+    distortion = distortion_factor_from_bits(config.adc_bits)
+    noise = config.noise_density_dbm_hz, config.bandwidth_hz
+    hw = HardwareProfile(
+        kappa_bs=distortion, kappa_ue=distortion, beta_bs=distortion, beta_ue=distortion,
+        noise_bs_w=linear("noise_bs_w", noise_variance, *noise, config.bs_noise_figure_db),
+        noise_ue_w=linear("noise_ue_w", noise_variance, *noise, config.ue_noise_figure_db),
+        p_bs_w=linear("p_bs_w", dbm_to_watts, config.bs_power_dbm),
+        p_ue_w=linear("p_ue_w", dbm_to_watts, config.ue_power_dbm),
+        si_gain=(linear("si_gain", db_to_linear, -config.asic_db),) * config.cells)
+    return hw, linear("rician_k", db_to_linear, config.rician_k_db)
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +225,17 @@ def _in_hexagon(offset: np.ndarray, isd: float) -> bool:
     return bool(np.all(_HEX_NORMALS @ offset <= isd / 2.0 + 1e-12))
 
 
-@dataclass(frozen=True, eq=False)
-class Topology:
-    """Node placement for one scenario: BS sites plus per-cell user drops.
-    build_realization turns it into path losses and keeps none of it."""
-
-    bs_xy: np.ndarray                  # (G, 2) metres
-    dl_xy: np.ndarray                  # (G, K_d, 2)
-    ul_xy: np.ndarray                  # (G, K_u, 2)
-
-
-def generate_topology(cells: int, dl_users: int, ul_users: int,
-                      isd: float, min_dist: float, rng: np.random.Generator) -> Topology:
-    """Drop BSs on a hex lattice and users uniformly inside their serving cell.
+def generate_topology(config: ScenarioConfig, rng: np.random.Generator
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop the scenario's BSs on a hex lattice and its users uniformly inside
+    their serving cell, as (bs_xy, dl_xy, ul_xy) in metres: (G, 2), (G, K_d, 2), (G, K_u, 2).
 
     Users are rejection-sampled inside the Voronoi hexagon of their BS with a
-    keep-out disc of `min_dist` around the BS.
+    keep-out disc of min_bs_user_distance_m around the BS.
     """
+    isd, min_dist = config.inter_site_distance_m, config.min_bs_user_distance_m
     circumradius = isd / math.sqrt(3.0)
-    if min_dist >= circumradius:
-        raise ValueError(
-            f"infeasible geometry: min_dist {min_dist} m >= cell radius {circumradius:.3f} m")
-    bs_xy = _hex_lattice(cells, isd)
+    bs_xy = _hex_lattice(config.cells, isd)
 
     def drop(count: int) -> np.ndarray:
         out = np.empty((count, 2))
@@ -237,11 +249,11 @@ def generate_topology(cells: int, dl_users: int, ul_users: int,
                 raise RuntimeError("user placement did not terminate")
         return out
 
-    dl_xy, ul_xy = np.empty((cells, dl_users, 2)), np.empty((cells, ul_users, 2))
-    for g in range(cells):
-        dl_xy[g] = bs_xy[g] + drop(dl_users)
-        ul_xy[g] = bs_xy[g] + drop(ul_users)
-    return Topology(bs_xy=bs_xy, dl_xy=dl_xy, ul_xy=ul_xy)
+    dl_xy, ul_xy = (np.empty((config.cells, k, 2)) for k in (config.dl_users, config.ul_users))
+    for g in range(config.cells):
+        dl_xy[g] = bs_xy[g] + drop(config.dl_users)
+        ul_xy[g] = bs_xy[g] + drop(config.ul_users)
+    return bs_xy, dl_xy, ul_xy
 
 
 # ---------------------------------------------------------------------------
@@ -372,23 +384,11 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     CSI is perfect), and no link does at csi_error_factor 0.  Each link's
     truth is drawn into its block of X and replaced there by its estimate.
     The positions serve only the path losses and are not kept;
-    generate_topology on a fresh default_rng(seed) gives them again.
+    generate_topology(config, default_rng(seed)) gives them again.
     """
     rng = np.random.default_rng(seed)
-    topo = generate_topology(config.cells, config.dl_users, config.ul_users,
-                             config.inter_site_distance_m, config.min_bs_user_distance_m, rng)
-    distortion = distortion_factor_from_bits(config.adc_bits)
-    hw = HardwareProfile(
-        kappa_bs=distortion, kappa_ue=distortion, beta_bs=distortion, beta_ue=distortion,
-        noise_bs_w=noise_variance(config.noise_density_dbm_hz, config.bandwidth_hz,
-                                  config.bs_noise_figure_db),
-        noise_ue_w=noise_variance(config.noise_density_dbm_hz, config.bandwidth_hz,
-                                  config.ue_noise_figure_db),
-        p_bs_w=dbm_to_watts(config.bs_power_dbm),
-        p_ue_w=dbm_to_watts(config.ue_power_dbm),
-        si_gain=(db_to_linear(-config.asic_db),) * config.cells,
-    )
-    rician_k, varrho = db_to_linear(config.rician_k_db), config.csi_error_factor
+    bs_xy, dl_xy, ul_xy = generate_topology(config, rng)
+    (hw, rician_k), varrho = linear_units(config), config.csi_error_factor
     sizes = (config.cells, config.dl_users, config.ue_rx_antennas, config.bs_rx_antennas,
              config.bs_tx_antennas, config.ul_users, config.ue_tx_antennas)
     cells, k_d, m_ue, m_bs, n_bs, k_u, n_ue = sizes
@@ -397,17 +397,17 @@ def build_realization(config: ScenarioConfig, seed: int) -> Realization:
     draws, si = (4 if varrho else 2), np.arange(cells)   # a link's matrix, then its error
     # per node kind: positions, antennas, its rows or columns of X, of err
     dl_rows, bs_cols = cells * k_d * m_ue, cells * n_bs
-    receivers = ((topo.dl_xy.reshape(-1, 2), m_ue, np.s_[:dl_rows], np.s_[:cells * k_d]),
-                 (topo.bs_xy, m_bs, np.s_[dl_rows:], np.s_[cells * k_d:]))
-    senders = ((topo.bs_xy, n_bs, np.s_[:bs_cols], np.s_[:cells]),
-               (topo.ul_xy.reshape(-1, 2), n_ue, np.s_[bs_cols:], np.s_[cells:]))
+    receivers = ((dl_xy.reshape(-1, 2), m_ue, np.s_[:dl_rows], np.s_[:cells * k_d]),
+                 (bs_xy, m_bs, np.s_[dl_rows:], np.s_[cells * k_d:]))
+    senders = ((bs_xy, n_bs, np.s_[:bs_cols], np.s_[:cells]),
+               (ul_xy.reshape(-1, 2), n_ue, np.s_[bs_cols:], np.s_[cells:]))
     for rx_xy, m, rows, rx_err in receivers:
         # one row of numbers per receiver, (transmitter, draw, m, n) per
         # transmitter kind; one stream fills it in memory order through a
         # mask that leaves the SI links' error slots at zero
         widths = [len(tx_xy) * draws * m * n for tx_xy, n, *_ in senders]
         mask = np.ones((len(rx_xy), sum(widths)), bool)
-        if rx_xy is topo.bs_xy:
+        if rx_xy is bs_xy:
             mask[:, :widths[0]].reshape(cells, cells, draws, m, n_bs)[si, si, 2:] = False
         numbers = np.zeros(mask.shape)
         numbers[mask] = rng.standard_normal(np.count_nonzero(mask))

@@ -110,6 +110,21 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_refuses_a_scenario_without_linear_units(tmp_path, capsys):
+    # each of these used to load, run every seed and fail each one's draw
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    for line, quantity in (("bs_power_dbm = 4000", "p_bs_w"),
+                           ("rician_k_db = 4000", "rician_k"),
+                           ("asic_db = -4000", "si_gain"),
+                           ("ue_noise_figure_db = 4000", "noise_ue_w"),
+                           ("noise_density_dbm_hz = -4000", "noise_bs_w"),
+                           ("bs_power_dbm = -4000", "p_bs_w")):
+        cfg.write_text(CFG + f"scenario.{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: {quantity} " in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_simulate_rejects_an_empty_out(tmp_path, capsys, monkeypatch):
     # `--out ""` used to write realizations.csv into the working directory
     monkeypatch.chdir(tmp_path)

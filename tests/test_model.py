@@ -74,24 +74,24 @@ def test_pathloss_umi_values():
 
 
 def test_topology_geometry():
-    rng = np.random.default_rng(0)
-    topo = generate_topology(7, 4, 3, isd=200.0, min_dist=10.0, rng=rng)
-    assert topo.bs_xy.shape == (7, 2)
+    config = ScenarioConfig(cells=7, dl_users=4, ul_users=3)
+    bs_xy, dl_xy, ul_xy = generate_topology(config, np.random.default_rng(0))
+    assert (bs_xy.shape, dl_xy.shape, ul_xy.shape) == ((7, 2), (7, 4, 2), (7, 3, 2))
     # first ring sits exactly one inter-site distance away
-    d01 = np.linalg.norm(topo.bs_xy[1] - topo.bs_xy[0])
+    d01 = np.linalg.norm(bs_xy[1] - bs_xy[0])
     assert d01 == pytest.approx(200.0)
     circumradius = 200.0 / math.sqrt(3.0)
     for g in range(7):
-        for xy in (topo.dl_xy[g], topo.ul_xy[g]):
-            dist = np.linalg.norm(xy - topo.bs_xy[g], axis=1)
+        for xy in (dl_xy[g], ul_xy[g]):
+            dist = np.linalg.norm(xy - bs_xy[g], axis=1)
             assert np.all(dist >= 10.0 - 1e-9)
             assert np.all(dist <= circumradius + 1e-9)
 
 
 def test_topology_rejects_bad_geometry():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        generate_topology(1, 1, 1, isd=10.0, min_dist=10.0, rng=rng)
+    # the scenario refuses it, so generate_topology never receives such a geometry
+    with pytest.raises(ValueError, match="leaves no room"):
+        ScenarioConfig(inter_site_distance_m=10.0)   # 10 m sites, 10 m keep-out
 
 
 def _normals(rng, *shape):
@@ -179,6 +179,8 @@ def test_scenario_config_validation():
         ScenarioConfig(csi_error_factor=-1.0)
     ScenarioConfig(dl_users=0)                  # uplink-only scenarios are legal
     ScenarioConfig(adc_bits=math.inf)           # ideal converters
+    for asic_db in (4000.0, math.inf):          # ideal SI cancellation: a 0 gain
+        assert build_realization(ScenarioConfig(asic_db=asic_db), 0).hardware.si_gain == (0, 0)
     ScenarioConfig(inter_site_distance_m=17.33)  # radius 10.006 m, just past the keep-out
     # a float or bool count once constructed, and the draw then raised a TypeError
     for value in (2.5, 2.0, True, "2"):
@@ -187,6 +189,20 @@ def test_scenario_config_validation():
     with pytest.raises(ValueError, match="bs_tx_antennas must be an integer, got 16.0"):
         ScenarioConfig(bs_tx_antennas=16.0)
     assert ScenarioConfig(cells=np.int64(3), dl_users=np.int32(1)).cells == 3
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("bs_power_dbm", 4000.0, "p_bs_w overflows"),
+    ("rician_k_db", 4000.0, "rician_k overflows"),
+    ("asic_db", -4000.0, "si_gain overflows"),
+    ("ue_noise_figure_db", 4000.0, "noise_ue_w overflows"),
+    ("noise_density_dbm_hz", -4000.0, "noise_bs_w must be positive"),
+    ("bs_power_dbm", -4000.0, "p_bs_w must be positive"),
+])
+def test_scenario_config_refuses_a_quantity_without_a_linear_form(field, value, match):
+    # each such scenario used to construct, and then fail every seed's draw
+    with pytest.raises(ValueError, match=match):
+        ScenarioConfig(**{field: value})
 
 
 def test_hardware_profile_validation():
@@ -268,7 +284,7 @@ def test_build_realization_deterministic():
 
 
 def _build_and_capture_topology(monkeypatch, config, seed):
-    """build_realization(config, seed) and the Topology it drew its path
+    """build_realization(config, seed) and the positions it drew its path
     losses from, which the realization does not keep."""
     drawn = []
 
@@ -283,8 +299,8 @@ def _build_and_capture_topology(monkeypatch, config, seed):
     return real, drawn[0]
 
 
-def _positions(topo):
-    return [getattr(topo, name).tobytes() for name in ("bs_xy", "dl_xy", "ul_xy")]
+def _positions(positions):
+    return [xy.tobytes() for xy in positions]
 
 
 @pytest.mark.parametrize("field, values", [("asic_db", (120.0, 30.0)),
@@ -381,9 +397,7 @@ def test_positions_are_recoverable_from_the_scenario_and_seed(monkeypatch, confi
     # a realization keeps no positions: build_realization draws them first
     # from default_rng(seed), so a fresh generator gives them bit for bit
     _, drawn = _build_and_capture_topology(monkeypatch, config, 21)
-    again = generate_topology(config.cells, config.dl_users, config.ul_users,
-                              config.inter_site_distance_m, config.min_bs_user_distance_m,
-                              np.random.default_rng(21))
+    again = generate_topology(config, np.random.default_rng(21))
     assert _positions(again) == _positions(drawn)
 
 
